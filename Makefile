@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test cov lint smoke stream-smoke chaos-smoke city-smoke bench examples perfbench perfbench-smoke
+.PHONY: verify test cov lint smoke stream-smoke chaos-smoke city-smoke bench examples perfbench perfbench-smoke bench-smoke
 
 # The full gate: tier-1 tests plus a fast runner smoke sweep.
 verify: test smoke
@@ -92,6 +92,12 @@ perfbench:
 # Tiny sizes — proves the harness runs (CI); numbers are not meaningful.
 perfbench-smoke:
 	$(PYTHON) -m repro perf --smoke --out BENCH_perf.smoke.json
+
+# The closed-loop benchmark (perfbench/, BENCHMARK.json) at tiny sizes:
+# every workload untraced and traced, metric names and units checked
+# against BENCHMARK.json, every op's output checked (~35 s on 2 CPUs).
+bench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

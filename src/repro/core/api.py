@@ -216,12 +216,19 @@ class ZigZagReceiver:
             max_packets=self.config.max_collision_packets)
         if not verdict.peaks:
             return []
+        # The capture as a record from the start: every acquisition on it
+        # below (standard decode, SIC, each decode attempt) shares its
+        # memoized work, and this same record is what gets stored if
+        # nothing resolves it.
+        probe = CollisionRecord(samples=y, peaks=list(verdict.peaks),
+                                sequence=-1,
+                                meta={"rx": self.stats.captures})
 
         # §5.1(d): always try the standard decoder first — a correlation
         # spike elsewhere in the packet may be a false positive, which
         # "does not prevent correct decoding of that packet".
-        strongest = max(verdict.peaks, key=lambda p: p.score)
-        result = self.standard.decode(y, start_position=strongest.position)
+        strongest = max(probe.peaks, key=lambda p: p.score)
+        result = self._standard_decode(probe, strongest)
         if result.success:
             self._learn(result)
             self.stats.clean_decodes += 1
@@ -231,9 +238,9 @@ class ZigZagReceiver:
             # successful standard decode of a clean packet ends here.
             return [result]
 
-        if len(verdict.peaks) >= 2:
+        if probe.n_peaks >= 2:
             self.stats.collisions_detected += 1
-            return self._handle_collision(y, verdict)
+            return self._handle_collision(probe)
         # Single peak, standard decode failed: nothing recovered. (This
         # used to leak the *failed* DecodeResult into the return list
         # whenever it carried bits, breaking the successes-only
@@ -256,31 +263,61 @@ class ZigZagReceiver:
             self.clients.update(result.header.src,
                                 result.estimate.freq_offset)
 
-    def _acquire_placements(self, y: np.ndarray, verdict,
+    def _standard_decode(self, record: CollisionRecord,
+                         peak) -> DecodeResult:
+        """The standard decoder at *peak*, acquiring through the record's
+        shared matched-filter outputs."""
+        estimate = self.synchronizer.acquire(
+            record.samples, peak.position,
+            coarse_freq=self.standard.coarse_freq,
+            noise_power=self.config.noise_power, sampled=record.sampled)
+        return self.standard.decode(record.samples,
+                                    start_position=peak.position,
+                                    estimate=estimate)
+
+    def _estimates(self, record: CollisionRecord,
+                   position: int) -> list[ChannelEstimate]:
+        """Acquisition at one peak of *record* under every client-table
+        frequency (§4.2.4), in candidate order.
+
+        Memoized on the record: the SIC attempt, every pair or k-way
+        decode attempt, and later retries against a stored record all
+        reuse one acquisition per (peak, frequency). Frequencies not yet
+        memoized share one timing-grid pass, itself taken from the
+        record's matched-filter outputs where an earlier call sampled
+        them.
+        """
+        candidates = self.clients.candidates()
+        memo = record.estimates
+        missing = [f for f in candidates if (position, f) not in memo]
+        if missing:
+            fresh = self.synchronizer.acquire(
+                record.samples, position, coarse_freq=missing,
+                noise_power=self.config.noise_power, sampled=record.sampled)
+            memo.update(((position, f), est)
+                        for f, est in zip(missing, fresh))
+        return [memo[(position, f)] for f in candidates]
+
+    def _acquire_placements(self, record: CollisionRecord, peaks: list,
                             collision_index: int
                             ) -> list[PlacementParams]:
-        """Channel placements for every detected peak in one capture.
+        """Channel placements for the given peaks of one capture.
 
         Packet identity is positional: peak *i* (in arrival order) is
         packet ``p{i}`` across every capture of a collision set — the
         per-peak match scores are what validate that correspondence.
         """
         placements = []
-        for i, peak in enumerate(verdict.peaks):
-            best: ChannelEstimate | None = None
-            for freq in self.clients.candidates():
-                est = self.synchronizer.acquire(
-                    y, peak.position, coarse_freq=freq,
-                    noise_power=self.config.noise_power)
-                if best is None or abs(est.gain) > abs(best.gain):
-                    best = est
+        for i, peak in enumerate(peaks):
+            best = max(self._estimates(record, peak.position),
+                       key=lambda est: abs(est.gain))
             placements.append(PlacementParams(
                 packet=f"p{i}", collision=collision_index,
                 start=peak.position + best.sampling_offset,
                 estimate=best))
         return placements
 
-    def _frame_symbols(self, y: np.ndarray, peak) -> int | None:
+    def _frame_symbols(self, probe: CollisionRecord) -> int | None:
         """Frame extent in symbols for the packets of this collision.
 
         When the deployment pins a uniform frame length
@@ -294,7 +331,7 @@ class ZigZagReceiver:
         if self.config.expected_symbols is not None:
             return self.config.expected_symbols
         try:
-            result = self.standard.decode(y, start_position=peak.position)
+            result = self._standard_decode(probe, probe.peaks[0])
         except ReproError:
             result = DecodeResult.failure("peek failed")
         if result.header is not None:
@@ -436,7 +473,8 @@ class ZigZagReceiver:
             matches.append(record)
         return matches, alignments
 
-    def _acquire_set_placements(self, layers: list[tuple[np.ndarray, list]],
+    def _acquire_set_placements(self,
+                                layers: list[tuple[CollisionRecord, list]],
                                 max_assignments: int = 2
                                 ) -> list[list[PlacementParams]]:
         """Ranked placement hypotheses for a k-way collision set, each
@@ -458,16 +496,15 @@ class ZigZagReceiver:
         candidates = self.clients.candidates()
         k = len(layers[0][1])
         estimates: dict[tuple[int, int, int], ChannelEstimate] = {}
-        for ci, (samples, peaks) in enumerate(layers):
+        for ci, (record, peaks) in enumerate(layers):
             for i, peak in enumerate(peaks):
-                for fi, freq in enumerate(candidates):
-                    estimates[(ci, i, fi)] = self.synchronizer.acquire(
-                        samples, peak.position, coarse_freq=freq,
-                        noise_power=self.config.noise_power)
+                for fi, est in enumerate(self._estimates(record,
+                                                         peak.position)):
+                    estimates[(ci, i, fi)] = est
 
         def build(chooser) -> list[PlacementParams]:
             placements = []
-            for ci, (samples, peaks) in enumerate(layers):
+            for ci, (_, peaks) in enumerate(layers):
                 for i, peak in enumerate(peaks):
                     est = chooser(ci, i)
                     placements.append(PlacementParams(
@@ -517,35 +554,27 @@ class ZigZagReceiver:
 
     def _decode_collision_set(self, records: list[CollisionRecord],
                               perms: dict[int, tuple[int, ...]],
-                              y: np.ndarray, verdict,
+                              probe: CollisionRecord,
                               n_symbols: int) -> list[DecodeResult]:
         """ZigZag-decode stored collisions plus the new one as one set.
 
-        *records* are ordered oldest first; the new capture is the last
-        collision index. Each record's peaks are reordered by its
-        *perms* entry so packet ``p{i}`` names the same sender in every
-        capture. Returns the successful results (consuming the stored
-        records) or an empty list.
+        *records* are ordered oldest first; the new capture (*probe*) is
+        the last collision index. Each record's peaks are reordered by
+        its *perms* entry so packet ``p{i}`` names the same sender in
+        every capture. Returns the successful results (consuming the
+        stored records) or an empty list.
         """
-        k = len(verdict.peaks)
-        if k >= 3:
-            layers = [
-                (record.samples,
-                 [record.peaks[p] for p in perms[id(record)]])
-                for record in records
-            ] + [(y, list(verdict.peaks))]
+        layers = [(record, [record.peaks[p] for p in perms[id(record)]])
+                  for record in records] + [(probe, probe.peaks)]
+        if probe.n_peaks >= 3:
             hypotheses = self._acquire_set_placements(layers)
         else:
-            placements = []
-            for ci, record in enumerate(records):
-                perm = perms[id(record)]
-                ordered = [record.peaks[p] for p in perm]
-                placements.extend(self._acquire_placements(
-                    record.samples, _VerdictView(ordered), ci))
-            placements.extend(self._acquire_placements(
-                y, verdict, len(records)))
-            hypotheses = [placements]
-        captures = [record.samples for record in records] + [y]
+            hypotheses = [[
+                placement
+                for ci, (record, peaks) in enumerate(layers)
+                for placement in self._acquire_placements(record, peaks, ci)
+            ]]
+        captures = [record.samples for record, _ in layers]
         successes: list[DecodeResult] = []
         for placements in hypotheses:
             specs = {p.packet: PacketSpec(p.packet, n_symbols)
@@ -590,8 +619,7 @@ class ZigZagReceiver:
                       matches: list[CollisionRecord],
                       alignments: dict[int, tuple[float,
                                                   tuple[int, ...]]],
-                      y: np.ndarray,
-                      verdict, n_symbols: int) -> list[DecodeResult]:
+                      n_symbols: int) -> list[DecodeResult]:
         """Assemble and decode a k-way collision set (§4.5).
 
         Grows the direct matches by the buffer's match-graph component
@@ -640,23 +668,22 @@ class ZigZagReceiver:
         self.stats.multiway_attempts += 1
         # Oldest first, so collision indices follow arrival order.
         chosen.reverse()
-        return self._decode_collision_set(chosen, perms, y, verdict,
-                                          n_symbols)
+        return self._decode_collision_set(chosen, perms, probe, n_symbols)
 
-    def _handle_collision(self, y: np.ndarray,
-                          verdict) -> list[DecodeResult]:
+    def _handle_collision(self,
+                          probe: CollisionRecord) -> list[DecodeResult]:
         cfg = self.config
-        k = len(verdict.peaks)
-        n_symbols = self._frame_symbols(y, verdict.peaks[0])
+        k = probe.n_peaks
+        n_symbols = self._frame_symbols(probe)
 
         # (a) capture-effect SIC on this single collision (Fig 4-1e).
         if cfg.enable_sic and n_symbols is not None and k == 2:
-            placements = self._acquire_placements(y, verdict, 0)
+            placements = self._acquire_placements(probe, probe.peaks, 0)
             gains = [abs(p.estimate.gain) for p in placements]
             if max(gains) > 2.5 * min(gains):
                 specs = {p.packet: PacketSpec(p.packet, n_symbols)
                          for p in placements}
-                results = self.sic.decode(y, specs, placements)
+                results = self.sic.decode(probe.samples, specs, placements)
                 if all(r.success for r in results.values()):
                     self.stats.sic_decodes += 1
                     return list(results.values())
@@ -666,12 +693,10 @@ class ZigZagReceiver:
         # three or more packets, the classic newest-first pair scan for
         # two (each match attempted until one decodes).
         if n_symbols is not None:
-            probe = CollisionRecord(samples=y, peaks=list(verdict.peaks),
-                                    sequence=-1)
             matches, alignments = self._direct_matches(probe)
             if k >= 3 and matches:
                 results = self._try_multiway(probe, matches, alignments,
-                                             y, verdict, n_symbols)
+                                             n_symbols)
                 if results:
                     return results
             elif k == 2:
@@ -679,20 +704,13 @@ class ZigZagReceiver:
                     results = self._decode_collision_set(
                         [record],
                         {id(record): alignments[id(record)][1]},
-                        y, verdict, n_symbols)
+                        probe, n_symbols)
                     if results:
                         return results
 
         # (c) no match: store and wait for the retransmissions.
         if len(self.buffer) == self.config.buffer_capacity:
             self.stats.evictions_capacity += 1
-        self.buffer.add(y, verdict.peaks, meta={"rx": self.stats.captures})
+        self.buffer.store(probe)
         self.stats.collisions_stored += 1
         return []
-
-
-@dataclass
-class _VerdictView:
-    """Adapter giving stored peaks the .peaks attribute acquire expects."""
-
-    peaks: list

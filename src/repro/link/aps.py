@@ -103,13 +103,11 @@ class StandardAp:
         results: list[DecodeResult] = []
         seen_src: set[int] = set()
         for peak in strongest:
-            best = None
-            for freq in self.clients.candidates():
-                est = self._sync.acquire(
-                    y, peak.position, coarse_freq=freq,
-                    noise_power=self.config.noise_power)
-                if best is None or abs(est.gain) > abs(best.gain):
-                    best = est
+            # One timing-grid pass per peak serves every client frequency.
+            best = max(self._sync.acquire(
+                y, peak.position, coarse_freq=self.clients.candidates(),
+                noise_power=self.config.noise_power),
+                key=lambda est: abs(est.gain))
             try:
                 result = self._decoder.decode(
                     y, start_position=peak.position, estimate=best)

@@ -245,52 +245,6 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
     return reencoder.estimate.gain * wave * ramp, base
 
 
-def synchronizer_preamble_score(sync, signal, start: float,
-                                coarse_freq: float) -> float:
-    """Original ``Synchronizer._preamble_score`` (rebuilds the derotation
-    vector, including the score-irrelevant start phase, on every call)."""
-    symbols = sync._sampler.sample(signal, start, len(sync.preamble))
-    k = np.arange(len(sync.preamble))
-    rot = np.exp(-2j * np.pi * coarse_freq *
-                 (start + sync.shaper.sps * k))
-    return abs(np.sum(np.conj(sync.preamble.symbols) * symbols * rot))
-
-
-def synchronizer_detect(sync, signal, coarse_freq: float = 0.0,
-                        max_peaks=None, min_separation: int = 16):
-    """Original ``Synchronizer.detect`` (runs the sliding correlation twice
-    — once raw, once inside the score normalization)."""
-    from repro.phy.correlation import CorrelationPeak
-
-    corr = sync.correlate(signal, coarse_freq)
-    y = np.asarray(signal, dtype=complex).ravel()
-    corr2 = sync.correlate(y, coarse_freq)  # the duplicated pass
-    window = sync._waveform.size
-    energy = np.convolve(np.abs(y) ** 2, np.ones(window), mode="valid")
-    denom = np.sqrt(sync.reference_energy * np.maximum(energy, 1e-30))
-    scores = np.abs(corr2) / denom
-    separation = min_separation
-    candidates = np.flatnonzero(scores >= sync.threshold)
-    used = np.zeros(scores.size, dtype=bool)
-    peaks = []
-    for idx in candidates[np.argsort(-scores[candidates])]:
-        if used[idx]:
-            continue
-        lo = max(0, idx - separation)
-        hi = min(scores.size, idx + separation + 1)
-        used[lo:hi] = True
-        peaks.append(CorrelationPeak(
-            position=int(idx) + sync.shaper.delay,
-            fine_offset=0.0,
-            value=complex(corr[idx]),
-            score=float(scores[idx]),
-        ))
-        if max_peaks is not None and len(peaks) >= max_peaks:
-            break
-    peaks.sort(key=lambda p: p.position)
-    return peaks
-
-
 def channel_apply(channel, symbols, start_sample: int = 0) -> np.ndarray:
     """Original ``Channel.apply`` (designs a fresh fractional-delay kernel
     on every call; the per-tap FIR comes from the patched
@@ -529,15 +483,16 @@ def use_reference_kernels():
 
     This is the honest end-to-end baseline: the tentpole kernels (tracker,
     sampler, Viterbi, re-encoder) *and* the ride-along optimizations
-    (fractional-delay FIR, synchronizer caching/single-pass detect,
-    channel delay-kernel reuse, correction-loop scalarization, backward
-    alignment) all revert together. Class-wide and in-process only: run
-    end-to-end baselines with ``n_workers=1`` so no child process escapes
-    the patch.
+    (fractional-delay FIR, channel delay-kernel reuse, correction-loop
+    scalarization, backward alignment) all revert together. The
+    synchronizer is not swapped: its detection and acquisition now share
+    per-capture work across a whole candidate-frequency list, which the
+    per-frequency originals cannot serve. Class-wide and in-process only:
+    run end-to-end baselines with ``n_workers=1`` so no child process
+    escapes the patch.
     """
     import repro.phy.channel as channel_mod
     import repro.phy.correlation as correlation_mod
-    import repro.phy.sync as sync_mod
     import repro.receiver.frontend as frontend_mod
     import repro.zigzag.decoder as decoder_mod
     import repro.zigzag.engine as engine_mod
@@ -550,8 +505,6 @@ def use_reference_kernels():
         MuellerMullerTracker.process,
         Reencoder.image,
         FractionalDelay.apply,
-        sync_mod.Synchronizer._preamble_score,
-        sync_mod.Synchronizer.detect,
         channel_mod.Channel.apply,
         frontend_mod.SymbolStreamDecoder._static_derotate,
         engine_mod.ZigZagEngine._subtract_chunk,
@@ -568,8 +521,6 @@ def use_reference_kernels():
     MuellerMullerTracker.process = mueller_muller_process
     Reencoder.image = reencoder_image
     FractionalDelay.apply = fractional_delay_apply
-    sync_mod.Synchronizer._preamble_score = synchronizer_preamble_score
-    sync_mod.Synchronizer.detect = synchronizer_detect
     channel_mod.Channel.apply = channel_apply
     frontend_mod.SymbolStreamDecoder._static_derotate = \
         frontend_static_derotate
@@ -585,8 +536,6 @@ def use_reference_kernels():
          ConvolutionalCode.encode, ConvolutionalCode.decode_soft,
          MuellerMullerTracker.process, Reencoder.image,
          FractionalDelay.apply,
-         sync_mod.Synchronizer._preamble_score,
-         sync_mod.Synchronizer.detect,
          channel_mod.Channel.apply,
          frontend_mod.SymbolStreamDecoder._static_derotate,
          engine_mod.ZigZagEngine._subtract_chunk,

@@ -43,6 +43,7 @@ class Synchronizer:
         self._waveform = self.shaper.shape(self.preamble.symbols)
         self._sampler = MatchedSampler(self.shaper)
         self._score_refs: dict[float, np.ndarray] = {}
+        self._detect_refs: dict[float, np.ndarray] = {}
 
     @property
     def reference_energy(self) -> float:
@@ -51,6 +52,26 @@ class Synchronizer:
     # ------------------------------------------------------------------
     # Detection (Fig 4-2)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _candidates(coarse_freq) -> tuple[bool, list]:
+        """``(scalar, freqs)``: a single offset is a one-element list."""
+        if np.ndim(coarse_freq) == 0:
+            return True, [coarse_freq]
+        return False, list(coarse_freq)
+
+    def _reference(self, cache: dict, coarse_freq: float, build
+                   ) -> np.ndarray:
+        """A per-frequency reference, built once and reused: every
+        capture is scored against the same client-table offsets."""
+        reference = cache.get(coarse_freq)
+        if reference is None:
+            if len(cache) >= 1024:
+                # Synchronizers are shared across trials and every trial
+                # estimates a fresh coarse frequency; bound the cache.
+                cache.clear()
+            reference = cache[coarse_freq] = build(coarse_freq)
+        return reference
+
     def correlate(self, signal, coarse_freq: float = 0.0) -> np.ndarray:
         """Complex sliding correlation of the preamble waveform, with
         frequency compensation; index d corresponds to a waveform starting
@@ -60,25 +81,29 @@ class Synchronizer:
             raise CollisionDetectError(
                 "signal shorter than the preamble waveform")
         n = np.arange(self._waveform.size)
-        reference = self._waveform * np.exp(2j * np.pi * coarse_freq * n)
+        reference = self._reference(
+            self._detect_refs, coarse_freq,
+            lambda f: self._waveform * np.exp(2j * np.pi * f * n))
         return np.correlate(y, reference, mode="valid")
 
-    def _normalize_scores(self, corr: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
+    def _score_denominator(self, y: np.ndarray) -> np.ndarray:
+        """Score normalization: preamble energy times the energy of each
+        capture window. Independent of the frequency hypothesis."""
         window = self._waveform.size
         energy = np.convolve(np.abs(y) ** 2, np.ones(window), mode="valid")
-        denom = np.sqrt(self.reference_energy * np.maximum(energy, 1e-30))
-        return np.abs(corr) / denom
+        return np.sqrt(self.reference_energy * np.maximum(energy, 1e-30))
 
     def correlation_scores(self, signal,
                            coarse_freq: float = 0.0) -> np.ndarray:
         """Normalized |correlation| in [0, 1] for thresholding."""
         y = np.asarray(signal, dtype=complex).ravel()
-        return self._normalize_scores(self.correlate(y, coarse_freq), y)
+        corr = self.correlate(y, coarse_freq)
+        return np.abs(corr) / self._score_denominator(y)
 
-    def detect(self, signal, coarse_freq: float = 0.0,
+    def detect(self, signal, coarse_freq=0.0,
                max_peaks: int | None = None,
-               min_separation: int = 16) -> list[CorrelationPeak]:
+               min_separation: int = 16,
+               ) -> list[CorrelationPeak] | list[list[CorrelationPeak]]:
         """All packet starts whose normalized correlation clears threshold.
 
         Returns peaks sorted by position; ``position`` is the integer part
@@ -86,12 +111,25 @@ class Synchronizer:
         detections closer than that many samples into the strongest one —
         it must stay well below a backoff slot so closely-jittered
         colliding packets still register separately.
+
+        *coarse_freq* may also be a sequence of candidate offsets (the
+        AP's client table, §4.2.1): the result is then one peak list per
+        candidate, in order, each identical to a scalar call. The energy
+        normalization is computed once for the whole list.
         """
         y = np.asarray(signal, dtype=complex).ravel()
-        # One correlation pass serves both the peak values and the scores.
-        corr = self.correlate(y, coarse_freq)
-        scores = self._normalize_scores(corr, y)
-        return self._select_peaks(corr, scores, max_peaks, min_separation)
+        scalar, freqs = self._candidates(coarse_freq)
+        found = []
+        denom = None
+        for freq in freqs:
+            # One correlation pass serves both the peak values and the
+            # scores (correlate also rejects a too-short capture first).
+            corr = self.correlate(y, freq)
+            if denom is None:
+                denom = self._score_denominator(y)
+            found.append(self._select_peaks(corr, np.abs(corr) / denom,
+                                            max_peaks, min_separation))
+        return found[0] if scalar else found
 
     def _select_peaks(self, corr: np.ndarray, scores: np.ndarray,
                       max_peaks: int | None,
@@ -122,58 +160,31 @@ class Synchronizer:
     # ------------------------------------------------------------------
     # Acquisition (§4.2.4)
     # ------------------------------------------------------------------
-    def _preamble_score(self, signal, start: float,
-                        coarse_freq: float) -> float:
-        """|correlation| of the matched-filtered symbols against the
-        derotated preamble.
-
-        The ``exp(-2jπ f start)`` phase common to every term has unit
-        modulus and cannot change the score, so the derotated reference
-        depends only on ``coarse_freq`` — cached across the (many) calls
-        the fractional-offset grid search makes per acquisition.
-        """
-        symbols = self._sampler.sample(signal, start, len(self.preamble))
-        reference = self._score_refs.get(coarse_freq)
-        if reference is None:
-            if len(self._score_refs) >= 1024:
-                # Synchronizers are shared across trials and every trial
-                # estimates a fresh coarse frequency; bound the cache.
-                self._score_refs.clear()
-            k = np.arange(len(self.preamble))
-            reference = self.preamble.symbols * np.exp(
-                2j * np.pi * coarse_freq * self.shaper.sps * k)
-            self._score_refs[coarse_freq] = reference
-        return abs(complex(np.vdot(reference, symbols)))
-
-    def refine_start(self, signal, position: int, *,
-                     coarse_freq: float = 0.0, span: float = 0.8,
-                     step: float = 0.2) -> float:
-        """Sub-sample timing refinement by maximizing the matched-filter
-        correlation over a grid of fractional offsets (+ parabolic polish)."""
-        y = np.asarray(signal, dtype=complex).ravel()
-        offsets = np.arange(-span, span + step / 2, step)
-        scores = np.array([
-            self._preamble_score(y, position + d, coarse_freq)
-            for d in offsets
-        ])
-        best = int(np.argmax(scores))
-        frac = 0.0
-        if 0 < best < offsets.size - 1:
-            left, mid, right = scores[best - 1:best + 2]
-            denom = left - 2.0 * mid + right
-            if denom != 0:
-                frac = float(np.clip(0.5 * (left - right) / denom, -1, 1))
-        return float(offsets[best] + frac * step)
-
-    def acquire(self, signal, position: int, *, coarse_freq: float = 0.0,
+    def acquire(self, signal, position: int, *, coarse_freq=0.0,
                 noise_power: float = 1.0, n_segments: int = 4,
-                refine_freq: bool = False) -> ChannelEstimate:
+                refine_freq: bool = False, sampled: dict | None = None,
+                ) -> ChannelEstimate | list[ChannelEstimate]:
         """Estimate (mu, freq offset, gain, SNR) at a detected packet start.
 
         The returned estimate's model is
         ``mf_output[k] ≈ gain * s[k] * exp(j 2π f (start + sps*k))`` with
         ``start = position + sampling_offset`` — exactly what
         :class:`~repro.receiver.frontend.SymbolStreamDecoder` inverts.
+
+        The fractional timing ``sampling_offset`` maximizes the
+        matched-filter correlation with the derotated preamble over a
+        grid of offsets, then a parabolic polish. The grid's samples do
+        not depend on the frequency hypothesis, so *coarse_freq* may also
+        be a sequence of candidate offsets (the AP's client table): the
+        grid is sampled once and scored against each candidate, and the
+        result is one estimate per candidate, in order, each identical to
+        a scalar call.
+
+        *sampled*, when given, keeps the matched-filter preamble outputs
+        taken on this same *signal*, keyed by start sample, across calls:
+        acquire reads it and adds what it samples, so a capture that is
+        acquired again (the standard decode and then the collision path,
+        later decode attempts) never samples the same start twice.
 
         ``refine_freq`` re-fits the frequency offset from the preamble's
         segment-correlation phase slope. A 32-symbol preamble bounds that
@@ -184,18 +195,60 @@ class Synchronizer:
         prior estimate exists.
         """
         y = np.asarray(signal, dtype=complex).ravel()
+        scalar, freqs = self._candidates(coarse_freq)
         length = len(self.preamble)
         sps = self.shaper.sps
-        mu = self.refine_start(y, position, coarse_freq=coarse_freq)
-        start = position + mu
-        aligned = self._sampler.sample(y, start, length)
+        k = np.arange(length)
+        step = 0.2
+        offsets = np.arange(-0.8, 0.8 + step / 2, step)
+        # Matched-filter outputs by start: a refined start that lands on
+        # a grid point, or repeats another candidate's, reuses them.
+        sampled = {} if sampled is None else sampled
 
+        def outputs(start: float) -> np.ndarray:
+            symbols = sampled.get(start)
+            if symbols is None:
+                symbols = sampled[start] = self._sampler.sample(
+                    y, start, length)
+            return symbols
+
+        grid = [outputs(float(position + d)) for d in offsets]
+        estimates = []
+        for coarse in freqs:
+            # The exp(-2jπ f start) phase common to every term has unit
+            # modulus and cannot change a score, so the score reference
+            # depends on the frequency only.
+            reference = self._reference(
+                self._score_refs, coarse, lambda f: self.preamble.symbols
+                * np.exp(2j * np.pi * f * sps * k))
+            scores = np.array([abs(complex(np.vdot(reference, symbols)))
+                               for symbols in grid])
+            best = int(np.argmax(scores))
+            frac = 0.0
+            if 0 < best < offsets.size - 1:
+                left, mid, right = scores[best - 1:best + 2]
+                denom = left - 2.0 * mid + right
+                if denom != 0:
+                    frac = float(np.clip(0.5 * (left - right) / denom, -1, 1))
+            mu = float(offsets[best] + frac * step)
+            start = float(position + mu)
+            estimates.append(self._fit(outputs(start), start, mu, coarse,
+                                       noise_power, n_segments, refine_freq))
+        return estimates[0] if scalar else estimates
+
+    def _fit(self, aligned: np.ndarray, start: float, mu: float,
+             coarse_freq: float, noise_power: float, n_segments: int,
+             refine_freq: bool) -> ChannelEstimate:
+        """Frequency, gain and SNR from the preamble's matched-filter
+        outputs at the refined start."""
+        length = len(self.preamble)
+        sps = self.shaper.sps
         k = np.arange(length)
         sample_pos = start + sps * k
-        derotated = aligned * np.exp(-2j * np.pi * coarse_freq * sample_pos)
-
         freq = coarse_freq
         if refine_freq:
+            derotated = aligned * np.exp(
+                -2j * np.pi * coarse_freq * sample_pos)
             seg = length // n_segments
             correlations = np.empty(n_segments, dtype=complex)
             for m in range(n_segments):

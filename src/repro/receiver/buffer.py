@@ -35,12 +35,22 @@ __all__ = ["CollisionRecord", "CollisionBuffer", "gaps_close"]
 # different record — silently leaving matched records in the buffer.
 @dataclass(eq=False)
 class CollisionRecord:
-    """One stored collision: raw samples plus detected packet starts."""
+    """One stored collision: raw samples plus detected packet starts.
+
+    ``estimates`` memoizes channel acquisitions on these samples, keyed
+    by (peak position, coarse frequency), so every decode attempt the
+    record takes part in reuses them; ``sampled`` keeps the
+    matched-filter preamble outputs those acquisitions took, keyed by
+    start sample. The buffer stores its samples read-only, which is what
+    keeps both memos valid.
+    """
 
     samples: np.ndarray
     peaks: list[CorrelationPeak]
     sequence: int = 0
     meta: dict = field(default_factory=dict)
+    estimates: dict = field(default_factory=dict, repr=False)
+    sampled: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_peaks(self) -> int:
@@ -127,12 +137,23 @@ class CollisionBuffer:
         return iter(self._records)
 
     def add(self, samples, peaks, meta: dict | None = None) -> CollisionRecord:
-        record = CollisionRecord(
+        """Store a new collision; see :meth:`store`."""
+        return self.store(CollisionRecord(
             samples=np.asarray(samples, dtype=complex).ravel(),
             peaks=list(peaks),
-            sequence=self._counter,
             meta=dict(meta or {}),
-        )
+        ))
+
+    def store(self, record: CollisionRecord) -> CollisionRecord:
+        """Store *record* itself (with whatever it has memoized), evicting
+        the oldest records beyond capacity.
+
+        The samples become read-only: a stored collision is evidence for
+        later decodes, so any in-place write to it raises instead of
+        silently invalidating the record's memoized estimates.
+        """
+        record.samples.setflags(write=False)
+        record.sequence = self._counter
         self._counter += 1
         while len(self._records) >= self.capacity:
             self._forget(self._records.popleft())

@@ -64,12 +64,13 @@ class CollisionDetector:
     def find_packets(self, signal, coarse_freqs=(0.0,),
                      max_peaks: int | None = None) -> list[CorrelationPeak]:
         """All packet-start peaks, merging detections across the coarse
-        frequency-offset candidates of the AP's associated clients."""
+        frequency-offset candidates of the AP's associated clients (one
+        shared-normalization detection pass over the whole list)."""
         y = np.asarray(signal, dtype=complex).ravel()
         merged: dict[int, CorrelationPeak] = {}
-        for freq in coarse_freqs:
-            for peak in self._sync.detect(y, coarse_freq=freq,
-                                          max_peaks=max_peaks):
+        for found in self._sync.detect(y, coarse_freq=list(coarse_freqs),
+                                       max_peaks=max_peaks):
+            for peak in found:
                 # Keep the strongest detection near each position.
                 slot = min(merged.keys(),
                            key=lambda pos: abs(pos - peak.position),
