@@ -50,9 +50,9 @@ stream-smoke:
 	$(PYTHON) -m pytest -q tests/test_event_equivalence.py \
 		benchmarks/bench_stream_soak.py
 
-# Chaos soak (docs/resilience.md): worker kills, injected exceptions,
-# hangs and shared-memory corruption against a supervised run — every
-# fault kind at once — asserting zero lost trials, surviving results
+# Chaos soak (docs/resilience.md): worker kills, injected exceptions
+# and hangs against a supervised run — every fault kind at once —
+# asserting zero lost trials, surviving results
 # bit-identical to a fault-free run, and zero leaked /dev/shm arenas.
 # Plus the full supervision test suite (checkpoint/resume, watchdog,
 # SIGKILL-parent recovery).

@@ -2,19 +2,22 @@
 
 Unlike the figure benchmarks this one measures the *supervision layer*
 (``docs/resilience.md``): a Monte-Carlo run is soaked with seeded worker
-kills, injected trial exceptions, hangs, and shared-memory corruption
-(:mod:`repro.runner.chaos`), and must still deliver **every** trial with
-metrics bit-identical to a fault-free run — proving that retries,
-pool respawns, watchdog recovery, and corruption re-synthesis never
-change what a surviving trial computes. The soak also audits
-``/dev/shm`` afterwards: a crashed worker must never leak an arena.
+kills, injected trial exceptions and hangs (:mod:`repro.runner.chaos`),
+and must still deliver **every** trial with metrics bit-identical to a
+fault-free run — proving that retries, pool respawns and watchdog
+recovery never change what a surviving trial computes. The soak also
+audits ``/dev/shm`` afterwards: a crashed worker must never leak an
+arena.
 
 Two soaks cover both execution modes:
 
 - **loop path** — the fast scheduling scenario under the acceptance fault
   mix (5% kills, 2% exceptions, 1% hangs);
-- **batched path** — shared-memory capture handoff under kills plus 10%
-  slot corruption (checksummed, detected, re-synthesized inline).
+- **batched path** — in-worker synthesis and trial-axis decode under
+  kills. Its spec also arms 10% shared-memory corruption, but runner
+  trials never cross processes as samples: that fault applies only to
+  the multi-cell waveform arena (``tests/test_multicell_parallel.py``)
+  and has nothing to corrupt here.
 
 Equivalent CLI::
 
@@ -74,13 +77,14 @@ def test_chaos_soak(benchmark, record_table):
         f"retries={loop_stats['trial_retries']} "
         f"watchdog={loop_stats['watchdog_timeouts']} "
         f"({chaos_loop.elapsed:.1f}s wall)",
-        f"shm soak  : {SHM_SPEC.n_trials} trials, 4 workers, faults "
+        f"batch soak: {SHM_SPEC.n_trials} trials, 4 workers, faults "
         f"kill={SHM_FAULTS.kill_worker_prob:.0%} "
-        f"corrupt={SHM_FAULTS.corrupt_shm_slot_prob:.0%}",
+        f"corrupt={SHM_FAULTS.corrupt_shm_slot_prob:.0%} "
+        "(multi-cell arena only; no-op here)",
         f"            completed={chaos_shm.n_completed} "
         f"failed={chaos_shm.n_failed} "
         f"respawns={shm_stats['pool_respawns']} "
-        f"corruptions recovered={shm_stats['transport_retries']} "
+        f"retries={shm_stats['trial_retries']} "
         f"({chaos_shm.elapsed:.1f}s wall)",
         "bit-identity: chaos == fault-free on every trial (both modes)",
         f"leaked arenas after soak: {len(find_leaked_arenas())}",

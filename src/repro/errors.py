@@ -80,12 +80,12 @@ class WorkerCrashError(ReproError):
 
 
 class CaptureTransportError(ReproError):
-    """A shared-memory capture failed checksum verification on arrival.
+    """A shared-memory waveform failed checksum verification on arrival.
 
-    The batched engine treats this as a transport fault, not a trial
-    failure: the affected trial is re-synthesized inline from its own
-    :class:`~numpy.random.SeedSequence`, so the recovered result is
-    bit-identical to an uncorrupted run.
+    The parallel multi-cell coordinator treats this as a transport fault,
+    not a cell failure: the block degrades to sequential stepping from
+    the parent's untouched sessions, so the result is bit-identical to
+    an uncorrupted run.
     """
 
 

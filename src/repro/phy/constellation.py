@@ -126,6 +126,14 @@ class Constellation:
         return Constellation(self.name + "*", self.bits_per_symbol,
                              np.conj(self.points))
 
+    def __reduce__(self):
+        # Registered constellations unpickle to the module singletons, so
+        # identity checks (``spec.body_constellation is BPSK``) survive a
+        # trip through a process pool. Others (``"bpsk*"``) go by value.
+        if _REGISTRY.get(self.name) is self:
+            return get_constellation, (self.name,)
+        return Constellation, (self.name, self.bits_per_symbol, self.points)
+
 
 def _make_bpsk() -> Constellation:
     # Paper Ch.3: "0" -> e^{j*pi} = -1, "1" -> e^{j0} = +1.

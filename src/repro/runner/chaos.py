@@ -1,8 +1,10 @@
 """Deterministic chaos injection inside Monte-Carlo workers.
 
 The supervision layer (:mod:`repro.runner.resilience`) claims that a run
-survives worker kills, hangs, trial exceptions, and shared-memory
-corruption with surviving results bit-identical to a fault-free run. This
+survives worker kills, hangs and trial exceptions with surviving results
+bit-identical to a fault-free run, and the multi-cell coordinator
+(:mod:`repro.link.parallel`) claims the same under shared-memory
+corruption of its waveform arena. This
 module is how that claim gets *proved* rather than asserted: a
 ``[faults]`` table in the scenario TOML arms a :class:`ChaosInjector`
 inside every worker, which injects exactly those failures at seeded,
@@ -125,7 +127,12 @@ class ChaosInjector:
                 f"injected fault in trial {index} (attempt {attempt})")
 
     def corrupt_slot(self, index: int, attempt: int) -> bool:
-        """Should this trial's shared-memory capture be corrupted?"""
+        """Should this step's shared-memory waveforms be corrupted?
+
+        Only the multi-cell coordinator's waveform arena carries samples
+        across processes; Monte-Carlo runner trials never do, so there
+        the fault has nothing to hit.
+        """
         if self.faults.corrupt_shm_slot_prob == 0.0 or not self.in_worker:
             return False
         return bool(self._draws(index, attempt)[3]

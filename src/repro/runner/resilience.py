@@ -26,9 +26,9 @@ its execution paths:
 
 The chaos-injection harness (:mod:`repro.runner.chaos`) exists to prove
 all of this: ``tests/test_runner_resilience.py`` and
-``benchmarks/bench_chaos_soak.py`` inject worker kills, hangs, trial
-exceptions, and shared-memory corruption, then assert the surviving
-results are bit-identical to a fault-free run. See
+``benchmarks/bench_chaos_soak.py`` inject worker kills, hangs and trial
+exceptions, then assert the surviving results are bit-identical to a
+fault-free run. See
 ``docs/resilience.md``.
 
 The parallel multi-cell coordinator (:mod:`repro.link.parallel`) is the
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 _POLICY_MODES = ("fail_fast", "skip", "retry")
-_VERIFY_MODES = ("auto", "on", "off")
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,7 @@ class FailurePolicy:
     both retry attempts and the pool-crash/watchdog ladders;
     ``backoff_base``/``backoff_cap`` shape the capped exponential delay
     between retry attempts (seconds). ``batch_timeout`` > 0 arms a
-    per-batch watchdog (seconds); ``verify_shm`` controls checksum
-    verification of shared-memory captures (``auto`` = only when a
-    ``[faults]`` table is active).
+    per-batch watchdog (seconds).
     """
 
     mode: str = "fail_fast"
@@ -100,7 +97,6 @@ class FailurePolicy:
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     batch_timeout: float = 0.0
-    verify_shm: str = "auto"
 
     def __post_init__(self) -> None:
         if self.mode not in _POLICY_MODES:
@@ -115,24 +111,12 @@ class FailurePolicy:
         if self.batch_timeout < 0:
             raise ConfigurationError(
                 "[resilience].batch_timeout must be >= 0 (0 disables)")
-        if self.verify_shm not in _VERIFY_MODES:
-            raise ConfigurationError(
-                f"[resilience].verify_shm must be one of {_VERIFY_MODES}, "
-                f"got {self.verify_shm!r}")
 
     def retry_delay(self, attempt: int) -> float:
         """Backoff before re-running a trial that failed *attempt* times."""
         if self.backoff_base == 0.0:
             return 0.0
         return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
-
-    def should_verify_shm(self, faults_active: bool) -> bool:
-        """Checksum shared-memory captures on this run?"""
-        if self.verify_shm == "on":
-            return True
-        if self.verify_shm == "off":
-            return False
-        return faults_active
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,7 @@ class TrialFailure:
     ``error_class`` is the exception's most-derived class name
     (:func:`repro.errors.error_class`); ``stage`` locates the failure in
     the execution pipeline (``trial``, ``synthesis``, ``timeout``,
-    ``worker``, ``transport``). ``exception`` carries the live exception
+    ``worker``). ``exception`` carries the live exception
     when it survived the process boundary (``fail_fast`` re-raises it);
     it is excluded from equality and never serialized.
     """
@@ -203,13 +187,11 @@ class SupervisorStats:
     trial_retries: int = 0
     inline_batches: int = 0
     inline_fallbacks: int = 0
-    transport_retries: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in (
             "pool_respawns", "watchdog_timeouts", "batches_split",
-            "trial_retries", "inline_batches", "inline_fallbacks",
-            "transport_retries")}
+            "trial_retries", "inline_batches", "inline_fallbacks")}
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,14 @@ re-derives the same ``SeedSequence`` child, supervision never changes
 what a surviving trial computes — the chaos harness
 (:mod:`repro.runner.chaos`) proves it bit-identically.
 
-``n_workers=1`` executes inline with zero process overhead (and is the
-reference the parallel path is tested against). The generic :meth:`map`
-drives arbitrary module-level trial functions through the same machinery,
-which is how the deterministic figure benchmarks ride the runner.
+With ``spec.batch_size > 1`` each batch synthesizes its trials and then
+decodes them through the scenario's trial-axis engine in the same
+process, ``spec.batch_size`` trials per group; the parent only collects
+results. ``n_workers=1`` executes inline with zero process overhead (and
+is the reference the parallel path is tested against). The generic
+:meth:`map` drives arbitrary module-level trial functions through the
+same machinery, which is how the deterministic figure benchmarks ride
+the runner.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.errors import CaptureTransportError, ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.runner.chaos import ChaosInjector
 from repro.runner.resilience import (
     BatchTask,
@@ -44,7 +46,6 @@ from repro.runner.resilience import (
     PoolSupervisor,
     SupervisorStats,
     TrialFailure,
-    raise_failure,
 )
 from repro.runner.results import RunResult, SweepResult, TrialResult
 from repro.runner.scenarios import (
@@ -57,7 +58,6 @@ from repro.runner.scenarios import (
     scenario_supports_deployment,
     scenario_supports_impairments,
 )
-from repro.runner.shm import CaptureRef, SharedCaptureArena
 from repro.runner.spec import ScenarioSpec
 
 __all__ = ["MonteCarloRunner"]
@@ -103,69 +103,54 @@ def _scenario_batch(spec_dict: dict, indices: Sequence[int],
     Receives the spec in plain-dict form so the call is spawn-safe; the
     per-process reference-signal cache persists across the batch. Each
     trial is individually guarded — the returned list holds a
-    ``TrialResult`` or ``TrialFailure`` per index, in order.
+    ``TrialResult`` or ``TrialFailure`` per index, in order. Inline runs
+    call this same function in the parent.
     """
     spec = ScenarioSpec.from_dict(spec_dict)
-    fn = get_scenario(spec.kind)
     injector = ChaosInjector(spec.faults)
+    if spec.batch_size > 1:
+        return _batched_trials(spec, indices, attempt, injector)
+    fn = get_scenario(spec.kind)
     return [_run_trial_guarded(fn, spec, i, attempt, injector)
             for i in indices]
 
 
-def _synth_batch_shm(spec_dict: dict, indices: Sequence[int], attempt: int,
-                     arena_name: str | None, n_slots: int,
-                     slot_samples: int, captures_per_trial: int,
-                     checksum: bool) -> list:
-    """Worker entry point: synthesize a batch of trials for batched decode.
+def _batched_trials(spec: ScenarioSpec, indices: Sequence[int],
+                    attempt: int, injector: ChaosInjector) -> list:
+    """Synthesize a batch of trials, then decode it through the trial axis.
 
-    Runs the scenario's rng-bound synthesis hook per trial (same
-    per-trial :class:`TrialContext` streams as the loop path) and writes
-    each capture into its preassigned shared-memory slot — trial *i*'s
-    capture *j* owns slot ``i * captures_per_trial + j``, so workers
-    never contend and need no locking. Captures that overflow their slot
-    (or exceed the per-trial slot count) travel pickled instead. With
-    *checksum*, each ref carries a CRC32 the parent verifies on arrival.
-
-    Per-trial synthesis is guarded like the loop path: a failed trial
-    yields a ``TrialFailure`` in its list position instead of poisoning
-    the batch.
+    Synthesis draws from the same per-trial :class:`TrialContext`
+    streams as the loop path and is guarded per trial: a failed trial
+    yields a ``TrialFailure`` in its list position. The survivors are
+    decoded ``spec.batch_size`` at a time by the scenario's batched
+    engine, so a group never spans two runner batches. A group whose
+    decode raises replays through the per-trial loop path, which is
+    bit-identical by the batched engine's equivalence contract.
     """
-    spec = ScenarioSpec.from_dict(spec_dict)
     hooks = get_batched_scenario(spec.kind)
-    injector = ChaosInjector(spec.faults)
-    arena = None
-    if arena_name is not None:
-        arena = SharedCaptureArena.attach(arena_name, n_slots,
-                                          slot_samples)
-    try:
-        out = []
-        for i in indices:
-            try:
-                injector.pre_trial(i, attempt)
-                payload = hooks.synthesize(
-                    spec, TrialContext.for_trial(spec.seed, i))
-                if arena is not None:
-                    corrupt = injector.corrupt_slot(i, attempt)
-                    refs = []
-                    for j, capture in enumerate(payload.captures):
-                        slot = (i * captures_per_trial + j
-                                if j < captures_per_trial else -1)
-                        ref = arena.write(slot, capture, checksum=checksum)
-                        if corrupt and ref.slot >= 0 and ref.size > 0:
-                            # Chaos: flip a sample *after* the checksum
-                            # was computed, as real corruption would.
-                            arena.grid[ref.slot, 0] += 1.0 + 1.0j
-                            corrupt = False
-                        refs.append(ref)
-                    payload.captures = refs
-                out.append(payload)
-            except Exception as exc:
-                out.append(TrialFailure.from_exception(
-                    i, exc, attempts=attempt + 1, stage="synthesis"))
-        return out
-    finally:
-        if arena is not None:
-            arena.close()
+    outcomes: dict[int, TrialResult | TrialFailure] = {}
+    payloads = []
+    for i in indices:
+        try:
+            injector.pre_trial(i, attempt)
+            payloads.append(hooks.synthesize(
+                spec, TrialContext.for_trial(spec.seed, i)))
+        except Exception as exc:
+            outcomes[i] = TrialFailure.from_exception(
+                i, exc, attempts=attempt + 1, stage="synthesis")
+    for lo in range(0, len(payloads), spec.batch_size):
+        group = payloads[lo:lo + spec.batch_size]
+        try:
+            decoded = hooks.decode(spec, group)
+            for payload, result in zip(group, decoded):
+                outcomes[payload.index] = _coerce_trial(result,
+                                                        payload.index)
+        except Exception:
+            loop_fn = get_scenario(spec.kind)
+            for payload in group:
+                outcomes[payload.index] = _run_trial_guarded(
+                    loop_fn, spec, payload.index, attempt, None)
+    return [outcomes[i] for i in indices]
 
 
 def _map_batch(fn: Callable, root_seed: int,
@@ -246,6 +231,8 @@ class MonteCarloRunner:
                 "back to the default topology (deployment scenarios: "
                 f"{', '.join(deployment_scenarios())})")
         spec.deployment.validate()
+        if spec.batch_size > 1:
+            get_batched_scenario(spec.kind)  # raise on unbatched kinds
         journal = self._ensure_journal(spec)
         indices = list(range(spec.n_trials))
         completed: dict[int, TrialResult] = {}
@@ -257,22 +244,18 @@ class MonteCarloRunner:
         if journal is not None:
             record = lambda index, trial: journal.record(_point, trial)  # noqa: E731
         started = time.perf_counter()
-        if spec.batch_size > 1:
-            trials, failures, stats = self._run_batched(spec, indices,
-                                                        record)
-        else:
-            trials, failures, stats = self._run_loop(spec, indices, record)
+        trials, failures, stats = self._execute(spec, indices, record)
         return RunResult(spec=spec,
                          trials=list(completed.values()) + trials,
                          n_workers=self.n_workers,
                          elapsed=time.perf_counter() - started,
                          failures=failures, supervision=stats)
 
-    # -- loop-path execution -------------------------------------------
-    def _run_loop(self, spec: ScenarioSpec, indices: list[int],
-                  record: Callable[[int, TrialResult], None] | None
-                  ) -> tuple[list[TrialResult], list[TrialFailure],
-                             SupervisorStats | None]:
+    # -- supervised execution ------------------------------------------
+    def _execute(self, spec: ScenarioSpec, indices: list[int],
+                 record: Callable[[int, TrialResult], None] | None
+                 ) -> tuple[list[TrialResult], list[TrialFailure],
+                            SupervisorStats | None]:
         if not indices:
             return [], [], None
         spec_dict = spec.to_dict()
@@ -289,110 +272,6 @@ class MonteCarloRunner:
         results, failures = supervisor.execute(task, self._batches(indices))
         return ([results[i] for i in sorted(results)], failures,
                 supervisor.stats)
-
-    # -- batched execution ---------------------------------------------
-    def _run_batched(self, spec: ScenarioSpec, indices: list[int],
-                     record: Callable[[int, TrialResult], None] | None
-                     ) -> tuple[list[TrialResult], list[TrialFailure],
-                                SupervisorStats | None]:
-        """Batched execution: pooled synthesis, trial-axis decode.
-
-        Workers run only the rng-bound synthesis (with per-trial seed
-        streams identical to the loop path) and hand captures over
-        through one parent-owned shared-memory arena; the parent then
-        decodes ``spec.batch_size`` trials per pass through the
-        scenario's batched engine, in trial-index order. Results are
-        bit-identical to the loop path for any batch size or worker
-        count — the batched engine's equivalence contract plus unchanged
-        seeding make the mode a pure throughput knob.
-
-        Degraded-mode ladder: a corrupted shared-memory capture is
-        re-synthesized inline from its own seed; a batched-decode
-        exception drops the affected group to the per-trial loop path
-        (bit-identical by the equivalence contract); only a trial that
-        fails there too becomes a :class:`TrialFailure`. The arena is
-        unlinked on *every* exit path — ``finally`` here plus the
-        module-level ``atexit`` guard in :mod:`repro.runner.shm`.
-        """
-        if not indices:
-            return [], [], None
-        hooks = get_batched_scenario(spec.kind)
-        per_trial = hooks.captures_per_trial
-        policy = spec.resilience
-        checksum = policy.should_verify_shm(not spec.faults.is_empty)
-        use_pool = self.n_workers > 1 and len(indices) > 1
-        spec_dict = spec.to_dict()
-        arena = None
-        trials: list[TrialResult] = []
-        failures: dict[int, TrialFailure] = {}
-        try:
-            if use_pool:
-                arena = SharedCaptureArena.create(
-                    (max(indices) + 1) * per_trial,
-                    hooks.capture_samples_bound(spec))
-            arena_name = arena.name if arena is not None else None
-            n_slots = arena.n_slots if arena is not None else 0
-            slot_samples = arena.slot_samples if arena is not None else 0
-            task = BatchTask(
-                submit=lambda pool, idx, attempt: pool.submit(
-                    _synth_batch_shm, spec_dict, idx, attempt, arena_name,
-                    n_slots, slot_samples, per_trial, checksum),
-                run_inline=lambda idx, attempt: _synth_batch_shm(
-                    spec_dict, idx, attempt, None, 0, 0, per_trial,
-                    False))
-            supervisor = PoolSupervisor(self._pool if use_pool else None,
-                                        policy, window=self.n_workers)
-            payloads, synth_failures = supervisor.execute(
-                task, self._batches(indices))
-            for failure in synth_failures:
-                failures[failure.index] = failure
-            for index in sorted(payloads):
-                payload = payloads[index]
-                try:
-                    payload.captures = [
-                        ref.resolve(arena) if isinstance(ref, CaptureRef)
-                        else np.asarray(ref, dtype=complex).ravel()
-                        for ref in payload.captures]
-                except CaptureTransportError:
-                    # Corrupted slot: re-derive the trial's samples from
-                    # its own SeedSequence child — bit-identical.
-                    supervisor.stats.transport_retries += 1
-                    payloads[index] = hooks.synthesize(
-                        spec, TrialContext.for_trial(spec.seed, index))
-            order = sorted(payloads)
-            loop_fn = None
-            for lo in range(0, len(order), spec.batch_size):
-                group_indices = order[lo:lo + spec.batch_size]
-                group = [payloads[i] for i in group_indices]
-                try:
-                    decoded = hooks.decode(spec, group)
-                    batch_trials = [
-                        _coerce_trial(result, payload.index)
-                        for result, payload in zip(decoded, group)]
-                except Exception:
-                    supervisor.stats.inline_fallbacks += 1
-                    if loop_fn is None:
-                        loop_fn = get_scenario(spec.kind)
-                    batch_trials = []
-                    for index in group_indices:
-                        outcome = _run_trial_guarded(loop_fn, spec, index,
-                                                     0, None)
-                        if isinstance(outcome, TrialFailure):
-                            if policy.mode == "fail_fast":
-                                raise_failure(
-                                    outcome, tuple(failures.values()))
-                            failures[index] = outcome
-                        else:
-                            batch_trials.append(outcome)
-                for trial in batch_trials:
-                    trials.append(trial)
-                    if record is not None:
-                        record(trial.index, trial)
-            return (trials, [failures[i] for i in sorted(failures)],
-                    supervisor.stats)
-        finally:
-            if arena is not None:
-                arena.close()
 
     # ------------------------------------------------------------------
     def sweep(self, spec: ScenarioSpec, param: str,

@@ -24,7 +24,6 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.mac.hidden import HiddenScenario
 from repro.phy.channel import ChannelParams
-from repro.phy.frame import HEADER_BITS
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
@@ -187,12 +186,11 @@ class CollisionPayload:
     """One trial's synthesized collision, ready for decoding.
 
     The batched execution mode splits a trial into rng-bound synthesis
-    (workers) and numpy-bound decoding (the parent's trial-axis engine);
-    this is what crosses the boundary. ``captures`` holds raw sample
-    arrays in the parent, but :class:`~repro.runner.shm.CaptureRef`
-    entries while in flight through shared memory. ``error`` set means
-    synthesis itself failed and the decode stage must skip the trial
-    (the loop path records the same failure metrics).
+    and numpy-bound decoding (the trial-axis engine, run over a group of
+    payloads in the same process); this is what passes between the two.
+    ``error`` set means synthesis itself failed and the decode stage
+    must skip the trial (the loop path records the same failure
+    metrics).
     """
 
     index: int
@@ -211,15 +209,11 @@ class BatchedScenarioHooks:
     drawing ONLY from ``ctx`` — the same per-trial SeedSequence streams
     the loop path uses, which is what keeps results batch-size-invariant.
     ``decode(spec, payloads)`` turns a batch of payloads into
-    per-trial :class:`TrialResult`s (same order). ``captures_per_trial``
-    and ``capture_samples_bound`` size the shared-memory arena; the bound
-    is advisory — oversized captures fall back to pickling.
+    per-trial :class:`TrialResult`s (same order).
     """
 
     synthesize: Callable[[ScenarioSpec, TrialContext], CollisionPayload]
     decode: Callable[[ScenarioSpec, list], list[TrialResult]]
-    captures_per_trial: int
-    capture_samples_bound: Callable[[ScenarioSpec], int]
 
 
 _BATCHED_REGISTRY: dict[str, BatchedScenarioHooks] = {}
@@ -1032,11 +1026,11 @@ def hidden_pair_decode_trial(spec: ScenarioSpec,
     One canonical two-collision hidden pair per trial; metrics are the
     pair-mean BER against ground truth, packets delivered (of 2), and a
     decode-failure flag, plus per-sender :class:`FlowStats`. With
-    ``batch_size > 1`` the runner synthesizes trials in the worker pool
-    and decodes them through the trial-axis
-    :class:`~repro.zigzag.batch.BatchedPairDecoder` in groups — results
-    are bit-identical to this loop path by the batched engine's
-    equivalence contract.
+    ``batch_size > 1`` each runner batch synthesizes its trials and
+    decodes them through the trial-axis
+    :class:`~repro.zigzag.batch.BatchedPairDecoder` in groups, in the
+    same worker — results are bit-identical to this loop path by the
+    batched engine's equivalence contract.
     """
     payload = _hidden_pair_decode_synth(spec, ctx)
     outcome = None
@@ -1080,20 +1074,7 @@ def _hidden_pair_decode_batch(spec: ScenarioSpec,
             for p in payloads]
 
 
-def _hidden_pair_capture_bound(spec: ScenarioSpec) -> int:
-    """Upper bound on one capture's sample count (arena slot sizing)."""
-    shaper = cached_shaper()
-    n_symbols = (spec.preamble_length + HEADER_BITS
-                 + spec.payload_bits + 32)
-    waveform = shaper.sps * (n_symbols - 1) + shaper.taps.size
-    # leading=8 + max offset 160 + waveform + tail=40, with slack for
-    # alternate offsets via params; overflow just falls back to pickle.
-    return int(1.25 * (8 + 160 + waveform + 40)) + 64
-
-
 _BATCHED_REGISTRY["hidden_pair_decode"] = BatchedScenarioHooks(
     synthesize=_hidden_pair_decode_synth,
     decode=_hidden_pair_decode_batch,
-    captures_per_trial=2,
-    capture_samples_bound=_hidden_pair_capture_bound,
 )

@@ -1,22 +1,20 @@
-"""Shared-memory capture handoff between synthesis workers and the
-batched decode engine.
+"""Shared-memory waveform exchange between multi-cell workers.
 
-The batched execution mode splits each trial in two: workers synthesize
-captures (the rng-bound half) while the parent runs the trial-axis decode
-engine (the numpy-bound half). Captures are a few hundred kilobytes of
-complex samples each; pickling them through the pool's result queue would
-copy every byte twice. Instead the parent creates **one**
-:class:`~multiprocessing.shared_memory.SharedMemory` block shaped as an
-``(n_slots, slot_samples)`` complex grid, workers attach by name and write
-their captures into preassigned rows, and the parent hands zero-copy row
-views straight to the ``(N, samples)`` engine.
+The parallel multi-cell coordinator (:mod:`repro.link.parallel`) swaps
+every cell's transmitted waveforms at each horizon barrier. Waveforms are
+tens of kilobytes of complex samples each; pickling them through a pipe
+would copy every byte twice. Instead the parent creates **one**
+:class:`~multiprocessing.shared_memory.SharedMemory` block split into
+per-writer regions, workers attach by name and bump-allocate their
+waveforms into their own region, and readers resolve small
+:class:`WaveformRef` handles into zero-copy views.
 
-The parent owns the block: it creates it before the pool fans out and
-unlinks it after decoding. Worker-side segments would be torn down by the
-resource tracker at worker exit — parent ownership sidesteps that whole
-class of lifetime bugs. A capture that outgrows its slot (or arrives after
-the arena filled) falls back to pickling, flagged with ``slot == -1``, so
-the arena is purely an optimization and never a correctness constraint.
+The parent owns the block: it creates it before the workers start and
+unlinks it at the end of the run. Worker-side segments would be torn
+down by the resource tracker at worker exit — parent ownership sidesteps
+that whole class of lifetime bugs. A waveform that outgrows its region
+falls back to pickling, flagged with ``region == -1``, so the arena is
+purely an optimization and never a correctness constraint.
 
 Three resilience guarantees ride on top (see ``docs/resilience.md``):
 
@@ -24,15 +22,14 @@ Three resilience guarantees ride on top (see ``docs/resilience.md``):
   ``repro-arena-*`` name so :func:`find_leaked_arenas` can audit
   ``/dev/shm`` after a crashed run, and tests can assert zero leaks.
 - **Guaranteed unlink.** Every live parent-owned arena is registered in
-  a module table; :meth:`SharedCaptureArena.close` on all error paths
-  plus an ``atexit`` guard (:func:`cleanup_arenas`) unlink leftovers
-  even when the run aborts mid-decode.
-- **Optional checksums.** :meth:`SharedCaptureArena.write` can stamp a
-  CRC32 into the :class:`CaptureRef`; :meth:`CaptureRef.resolve`
-  verifies it, so a corrupted slot (worker crash mid-write, or the chaos
-  harness's ``corrupt_shm_slot_prob``) surfaces as a
-  :class:`~repro.errors.CaptureTransportError` instead of silently
-  feeding garbage samples to the decoder.
+  a module table; :meth:`WaveformArena.close` on all error paths plus an
+  ``atexit`` guard (:func:`cleanup_arenas`) unlink leftovers even when
+  the run aborts mid-step.
+- **Checksums.** :meth:`WaveformArena.write` can stamp a CRC32 into the
+  :class:`WaveformRef`; :meth:`WaveformRef.resolve` verifies it, so a
+  corrupted region (the chaos harness's ``corrupt_shm_slot_prob``)
+  surfaces as a :class:`~repro.errors.CaptureTransportError` instead of
+  silently feeding garbage samples to a victim cell.
 """
 
 from __future__ import annotations
@@ -49,137 +46,22 @@ import numpy as np
 
 from repro.errors import CaptureTransportError, ConfigurationError
 
-__all__ = ["CaptureRef", "SharedCaptureArena", "WaveformRef",
-           "WaveformArena", "cleanup_arenas", "find_leaked_arenas"]
+__all__ = ["WaveformRef", "WaveformArena", "cleanup_arenas",
+           "find_leaked_arenas"]
 
 _ITEMSIZE = np.dtype(complex).itemsize
 
-# Arena segments carry this prefix so a leak audit can tell the runner's
+# Arena segments carry this prefix so a leak audit can tell this package's
 # segments apart from anything else living in /dev/shm.
 ARENA_PREFIX = "repro-arena"
 
 # Parent-owned arenas still open in this process, by name. close()
 # removes entries; the atexit guard unlinks whatever remains.
-_LIVE_ARENAS: dict[str, "SharedCaptureArena"] = {}
+_LIVE_ARENAS: dict[str, "WaveformArena"] = {}
 
 
 def _checksum(view: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(view).tobytes())
-
-
-@dataclass(frozen=True)
-class CaptureRef:
-    """Where one capture's samples live: an arena slot, or inline.
-
-    ``slot >= 0`` means rows ``arena.view(slot, size)``; ``slot == -1``
-    means the samples travelled pickled in ``inline`` (overflow path).
-    ``checksum``, when set, is the CRC32 of the payload bytes at write
-    time; :meth:`resolve` verifies it on arrival.
-    """
-
-    slot: int
-    size: int
-    inline: np.ndarray | None = None
-    checksum: int | None = None
-
-    def resolve(self, arena: "SharedCaptureArena | None") -> np.ndarray:
-        if self.slot < 0:
-            if self.inline is None:
-                raise ConfigurationError("inline capture ref has no data")
-            return self.inline
-        if arena is None:
-            raise ConfigurationError(
-                "arena-backed capture ref but no arena attached")
-        view = arena.view(self.slot, self.size)
-        if self.checksum is not None and _checksum(view) != self.checksum:
-            raise CaptureTransportError(
-                f"arena slot {self.slot} failed checksum verification "
-                f"({self.size} samples); capture corrupted in transport")
-        return view
-
-
-class SharedCaptureArena:
-    """A fixed ``(n_slots, slot_samples)`` complex grid in shared memory.
-
-    Create in the parent with :meth:`create`; workers :meth:`attach` by
-    name. Slot assignment is the caller's business (the runner assigns
-    ``captures_per_trial`` consecutive slots per trial index, so workers
-    never contend for slots and need no locking).
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, n_slots: int,
-                 slot_samples: int, *, owner: bool) -> None:
-        self._shm = shm
-        self.n_slots = n_slots
-        self.slot_samples = slot_samples
-        self._owner = owner
-        self.grid = np.ndarray((n_slots, slot_samples), dtype=complex,
-                               buffer=shm.buf)
-        if owner:
-            _LIVE_ARENAS[shm.name] = self
-
-    # -- lifecycle ------------------------------------------------------
-    @classmethod
-    def create(cls, n_slots: int,
-               slot_samples: int) -> "SharedCaptureArena":
-        if n_slots < 1 or slot_samples < 1:
-            raise ConfigurationError("arena needs positive dimensions")
-        name = f"{ARENA_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
-        shm = shared_memory.SharedMemory(
-            create=True, name=name,
-            size=n_slots * slot_samples * _ITEMSIZE)
-        return cls(shm, n_slots, slot_samples, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, n_slots: int,
-               slot_samples: int) -> "SharedCaptureArena":
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, n_slots, slot_samples, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        """Release this process's mapping (owner additionally unlinks)."""
-        # Views into the buffer must be dropped before close(); the
-        # runner copies anything it keeps past decode.
-        self.grid = None
-        _LIVE_ARENAS.pop(self._shm.name, None)
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked
-                pass
-
-    # -- access ---------------------------------------------------------
-    def write(self, slot: int, samples: np.ndarray, *,
-              checksum: bool = False) -> CaptureRef:
-        """Store *samples* into *slot*, or fall back to an inline ref.
-
-        Zero-fills the slot's tail so stale bytes from arena reuse can
-        never alias into a later, shorter capture. With ``checksum`` the
-        returned ref carries a CRC32 of the payload for end-to-end
-        transport verification.
-        """
-        arr = np.asarray(samples, dtype=complex).ravel()
-        if not 0 <= slot < self.n_slots or arr.size > self.slot_samples:
-            return CaptureRef(slot=-1, size=arr.size, inline=arr)
-        row = self.grid[slot]
-        row[:arr.size] = arr
-        row[arr.size:] = 0
-        crc = _checksum(arr) if checksum else None
-        return CaptureRef(slot=slot, size=arr.size, checksum=crc)
-
-    def view(self, slot: int, size: int) -> np.ndarray:
-        """Zero-copy view of the first *size* samples of *slot*."""
-        if not 0 <= slot < self.n_slots:
-            raise ConfigurationError(f"slot {slot} out of range")
-        if size > self.slot_samples:
-            raise ConfigurationError(
-                f"size {size} exceeds slot capacity {self.slot_samples}")
-        return self.grid[slot, :size]
 
 
 @dataclass(frozen=True)
@@ -188,7 +70,7 @@ class WaveformRef:
 
     ``region >= 0`` means ``arena.view(region, offset, size)``;
     ``region == -1`` means the samples travelled pickled in ``inline``
-    (region-full overflow path, same contract as :class:`CaptureRef`).
+    (region-full overflow path).
     ``checksum`` is the CRC32 of the payload at write time, verified by
     :meth:`resolve` so corruption in transport surfaces as a
     :class:`~repro.errors.CaptureTransportError`.
@@ -220,10 +102,9 @@ class WaveformRef:
 class WaveformArena:
     """Variable-length complex waveforms in shared memory, by region.
 
-    The capture arena's fixed slot grid fits same-sized captures; the
-    multi-cell coordinator instead exchanges *waveforms* whose lengths
-    vary with payload, modulation and channel dispersion. This arena
-    gives each writer (one cell worker) its own **region** — a
+    The multi-cell coordinator exchanges *waveforms* whose lengths vary
+    with payload, modulation and channel dispersion. This arena gives
+    each writer (one cell worker) its own **region** — a
     contiguous complex span bump-allocated front to back — so writers
     never contend and need no locking. :meth:`reset` rewinds one
     region's cursor at the start of each horizon window, after every
@@ -231,8 +112,7 @@ class WaveformArena:
 
     A waveform that outgrows its region's remaining space falls back to
     an inline (pickled) ref, so the arena is purely an optimization and
-    never a correctness constraint. Ownership, naming, leak detection
-    and the atexit guard are shared with :class:`SharedCaptureArena`.
+    never a correctness constraint.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, n_regions: int,

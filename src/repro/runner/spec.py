@@ -451,6 +451,13 @@ class ScenarioSpec:
         ``params`` table, so sweeping an extra does not require the
         ``params.`` prefix.
         """
+        try:
+            return self._override(key, value)
+        except TypeError as exc:  # a nested table has no such field
+            raise ConfigurationError(
+                f"bad override {key}={value!r}: {exc}") from exc
+
+    def _override(self, key: str, value: Any) -> "ScenarioSpec":
         head, _, rest = key.partition(".")
         if head == "impairments" and rest:
             return replace(self, impairments=self.impairments

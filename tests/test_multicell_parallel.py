@@ -275,6 +275,11 @@ class TestWaveformArena:
         finally:
             arena.close()
 
+    def test_close_is_idempotent(self):
+        arena = WaveformArena.create(1, 4)
+        arena.close()
+        arena.close()
+
     def test_close_unlinks_no_leak(self):
         arena = WaveformArena.create(2, 64)
         name = arena.name

@@ -1,25 +1,28 @@
-"""Batched runner execution: seed invariance, spec plumbing, shared memory.
+"""Batched runner execution: seed invariance, supervision, spec plumbing.
 
 ``ScenarioSpec.batch_size`` is a throughput knob, never a semantics
 knob: per-trial randomness is still ``SeedSequence(root_seed,
 spawn_key=(i,))`` drawn in the loop path's order, so for a given seed
 the per-trial FlowStats and metrics are identical for any batch size ×
 worker count combination (the batched analogue of the runner's existing
-1-vs-N-workers guarantee). These tests pin that, plus the
-``SharedCaptureArena`` handoff the pooled synthesis rides on and the
-spec/registry plumbing around the opt-in.
+1-vs-N-workers guarantee). Each runner batch synthesizes and decodes
+its own trials, so these tests also pin pooled runs whose decode groups
+are cut short by the runner batch, supervised retries and checkpoint
+resume of batched runs, and the spec/registry plumbing around the
+opt-in.
 """
 
-import numpy as np
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import MonteCarloRunner, ScenarioSpec
+from repro.runner import FailurePolicy, FaultSpec, MonteCarloRunner, ScenarioSpec
 from repro.runner.scenarios import (
     get_batched_scenario,
     scenario_supports_batching,
 )
-from repro.runner.shm import CaptureRef, SharedCaptureArena
 
 
 def _spec(batch_size: int = 1, n_trials: int = 10,
@@ -58,8 +61,8 @@ class TestBatchSizeInvariance:
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_worker_count_does_not_change_results(self, n_workers,
                                                   loop_reference):
-        """The pooled-synthesis + shared-memory path (workers > 1) is
-        exercised here and must agree with the inline path."""
+        """Pooled batched decode (workers > 1) must agree with the
+        inline path."""
         result = MonteCarloRunner(n_workers=n_workers).run(_spec(4))
         assert _flow_fingerprint(result) == loop_reference
 
@@ -112,67 +115,58 @@ class TestSpecPlumbing:
             runner.run(ScenarioSpec(kind="pair", n_trials=2,
                                     batch_size=4))
 
+    def test_removed_verify_shm_knob_rejected(self):
+        data = _spec(batch_size=4).to_dict()
+        data["resilience"] = {"mode": "retry", "verify_shm": "on"}
+        with pytest.raises(ConfigurationError, match="verify_shm"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(ConfigurationError, match="verify_shm"):
+            _spec().with_override("resilience.verify_shm", "on")
 
-class TestSharedCaptureArena:
-    def test_write_view_round_trip(self):
-        arena = SharedCaptureArena.create(n_slots=4, slot_samples=32)
-        try:
-            samples = np.arange(20) * (1 - 2j)
-            ref = arena.write(2, samples)
-            assert ref.slot == 2 and ref.size == 20
-            assert ref.inline is None
-            view = ref.resolve(arena)
-            assert np.array_equal(view, samples)
-            # Zero-copy: the view aliases the shared grid.
-            assert view.base is not None
-        finally:
-            arena.close()
 
-    def test_stale_bytes_zeroed_between_writes(self):
-        arena = SharedCaptureArena.create(n_slots=1, slot_samples=16)
-        try:
-            arena.write(0, np.ones(16, dtype=complex))
-            short = arena.write(0, np.ones(4, dtype=complex))
-            assert np.array_equal(arena.view(0, 16)[4:], np.zeros(12))
-            assert np.array_equal(short.resolve(arena),
-                                  np.ones(4, dtype=complex))
-        finally:
-            arena.close()
+class TestPooledBatches:
+    """Decode groups live inside one runner batch: with a runner
+    ``batch_size`` of 3 and ``spec.batch_size`` 8, every group is cut to
+    3 trials and each worker handles several batches."""
 
-    def test_overflow_travels_inline(self):
-        arena = SharedCaptureArena.create(n_slots=2, slot_samples=8)
-        try:
-            big = np.arange(20).astype(complex)
-            ref = arena.write(0, big)  # oversize for the slot
-            assert ref.slot == -1
-            assert np.array_equal(ref.resolve(arena), big)
-            ref2 = arena.write(-1, big[:4])  # out-of-range slot
-            assert ref2.slot == -1
-            assert np.array_equal(ref2.resolve(arena), big[:4])
-        finally:
-            arena.close()
+    @pytest.fixture(scope="class")
+    def inline_reference(self):
+        return _flow_fingerprint(
+            MonteCarloRunner(n_workers=1).run(_spec(8, n_trials=12)))
 
-    def test_attach_sees_owner_writes(self):
-        arena = SharedCaptureArena.create(n_slots=2, slot_samples=8)
-        try:
-            samples = (np.arange(6) - 3j).astype(complex)
-            ref = arena.write(1, samples)
-            other = SharedCaptureArena.attach(arena.name, 2, 8)
-            try:
-                assert np.array_equal(ref.resolve(other), samples)
-            finally:
-                other.close()
-        finally:
-            arena.close()
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_short_groups_equal_inline(self, n_workers, inline_reference):
+        runner = MonteCarloRunner(n_workers=n_workers, batch_size=3)
+        result = runner.run(_spec(8, n_trials=12))
+        assert _flow_fingerprint(result) == inline_reference
 
-    def test_close_is_idempotent(self):
-        arena = SharedCaptureArena.create(n_slots=1, slot_samples=4)
-        arena.close()
-        arena.close()
+    def test_killed_worker_redoes_synthesis_and_decode(self,
+                                                       inline_reference):
+        chaotic = replace(
+            _spec(8, n_trials=12),
+            resilience=FailurePolicy(mode="retry", max_retries=3,
+                                     backoff_base=0.0),
+            faults=FaultSpec(kill_worker_prob=0.15, seed=5))
+        result = MonteCarloRunner(n_workers=2, batch_size=3).run(chaotic)
+        assert result.supervision.pool_respawns >= 1
+        assert result.n_failed == 0
+        assert _flow_fingerprint(result) == inline_reference
 
-    def test_capture_ref_is_plain_data(self):
-        import pickle
-        ref = CaptureRef(slot=-1, size=3,
-                         inline=np.ones(3, dtype=complex))
-        again = pickle.loads(pickle.dumps(ref))
-        assert np.array_equal(again.inline, ref.inline)
+    def test_checkpoint_resumes_at_first_missing_trial(self, tmp_path,
+                                                       inline_reference):
+        spec = _spec(8, n_trials=12)
+        journal = tmp_path / "batched.jsonl"
+        MonteCarloRunner(n_workers=2, batch_size=3,
+                         checkpoint=journal).run(spec, n_trials=5)
+        resumed = MonteCarloRunner(n_workers=2, batch_size=3,
+                                   checkpoint=journal,
+                                   resume=True).run(spec)
+        assert _flow_fingerprint(resumed) == inline_reference
+        lines = [json.loads(line)
+                 for line in journal.read_text().splitlines()[1:]]
+        # Trials 0-4 were journaled once by the first run; the resumed
+        # run journaled only 5-11, each exactly once.
+        assert sorted(entry["index"] for entry in lines[:5]) == \
+            list(range(5))
+        assert sorted(entry["index"] for entry in lines[5:]) == \
+            list(range(5, 12))
