@@ -9,6 +9,13 @@ both AP designs:
   payloads (the shape of the benchmark's ``hidden_stream`` workload);
 - ``clique``: the same three clients mutually hidden, so k = 3
   collision sets (§4.5) form and decode;
+- ``default7``: the same clients with no ``topology=`` argument, so
+  the session's default (probabilistic, p = 0) sense draw runs;
+- ``probabilistic7``: every pair senses with probability 0.5, drawn
+  once per session;
+- ``spec_clique7``: an ``ap_stream``-shaped spec with
+  ``params.hidden_cliques = "A:B:C"``, built through
+  :func:`~repro.runner.builders.build_stream_session`;
 - ``block3``: a coupled 3-AP ``city_multicell`` block, stepped
   sequentially.
 
@@ -29,6 +36,7 @@ import dataclasses
 import json
 import pathlib
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +48,10 @@ from repro.link import (  # noqa: E402
     StreamClient,
     Topology,
 )
-from repro.runner.builders import build_city_session  # noqa: E402
+from repro.runner.builders import (  # noqa: E402
+    build_city_session,
+    build_stream_session,
+)
 from repro.runner.cache import cached_preamble, cached_shaper  # noqa: E402
 from repro.runner.spec import ScenarioSpec  # noqa: E402
 
@@ -48,12 +59,6 @@ FIXTURE = pathlib.Path(__file__).resolve().parent / "closed_loop.json"
 DESIGNS = ("zigzag", "802.11")
 
 STREAM_CLIENTS = (("A", 12.0), ("B", 12.0), ("C", 11.0))
-# case name -> (session seed, topology)
-STREAM_CASES = {
-    "hidden_stream7": (7, Topology.explicit((("A", "B"),))),
-    "hidden_stream8": (8, Topology.explicit((("A", "B"),))),
-    "clique7": (7, Topology.explicit(None, (("A", "B", "C"),))),
-}
 STREAM_PACKETS = 6
 BLOCK_SEED = 5
 
@@ -76,17 +81,47 @@ def summarize(report) -> dict:
     })
 
 
-def stream_session(seed: int, topology: Topology,
+def stream_session(seed: int, topology: Topology | None,
                    design: str) -> LinkSession:
+    """A hand-built session; *topology* None leaves the config default."""
     rng = np.random.default_rng(seed)
     clients = [StreamClient(name=name, src=i + 1, snr_db=snr,
                             freq_offset=float(rng.uniform(-4e-3, 4e-3)))
                for i, (name, snr) in enumerate(STREAM_CLIENTS)]
+    extra = {} if topology is None else {"topology": topology}
     config = SessionConfig(payload_bits=200, n_packets=STREAM_PACKETS,
-                           topology=topology)
+                           **extra)
     return LinkSession(config, clients, design=design, rng=rng,
                        preamble=cached_preamble(config.preamble_length),
                        shaper=cached_shaper())
+
+
+def spec_session(seed: int, design: str) -> LinkSession:
+    """The same three clients declared the ``ap_stream`` way, mutually
+    hidden through ``params.hidden_cliques``."""
+    spec = ScenarioSpec.from_dict({
+        "scenario": {"kind": "ap_stream", "payload_bits": 200,
+                     "n_packets": STREAM_PACKETS},
+        "sender": [{"name": name, "snr_db": snr}
+                   for name, snr in STREAM_CLIENTS],
+        "params": {"hidden_cliques": "A:B:C"},
+    })
+    return build_stream_session(spec, np.random.default_rng(seed), design)
+
+
+# case name -> session factory taking the AP design
+STREAM_CASES = {
+    "hidden_stream7": partial(stream_session, 7,
+                              Topology.explicit((("A", "B"),))),
+    "hidden_stream8": partial(stream_session, 8,
+                              Topology.explicit((("A", "B"),))),
+    "clique7": partial(stream_session, 7,
+                       Topology.explicit(None, (("A", "B", "C"),))),
+    "default7": partial(stream_session, 7, None),
+    "probabilistic7": partial(stream_session, 7,
+                              Topology.probabilistic(0.5)),
+    "spec_clique7": partial(spec_session, 7),
+}
 
 
 def block_spec() -> ScenarioSpec:
@@ -103,8 +138,8 @@ def run_all() -> dict:
     """Every case's summary, keyed ``case/design``."""
     out = {}
     for design in DESIGNS:
-        for name, (seed, topology) in STREAM_CASES.items():
-            report = stream_session(seed, topology, design).run()
+        for name, make_session in STREAM_CASES.items():
+            report = make_session(design).run()
             out[f"{name}/{design}"] = summarize(report)
         city = build_city_session(block_spec(),
                                   np.random.default_rng(BLOCK_SEED), design)

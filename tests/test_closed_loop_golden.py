@@ -2,8 +2,9 @@
 
 ``tests/golden/closed_loop.json`` pins the flows, counters and receiver
 stats of short fixed-seed sessions — a single hidden-stream cell, a
-mutually hidden clique and a coupled 3-AP block, each under the ZigZag
-and 802.11 designs (see ``tests/golden/closed_loop.py``). Receive-path
+mutually hidden clique, the default and probabilistic sense draws, a
+spec-built clique and a coupled 3-AP block, each under the ZigZag and
+802.11 designs (see ``tests/golden/closed_loop.py``). Receive-path
 optimizations promise identical output; these tests hold them to it
 across the whole loop, not just the offline decode the ``.npz`` vectors
 pin.
