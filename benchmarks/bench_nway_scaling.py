@@ -15,7 +15,7 @@ CLI::
 
 import numpy as np
 
-from repro.link import LinkSession, SessionConfig, StreamClient
+from repro.link import LinkSession, SessionConfig, StreamClient, Topology
 
 N_PACKETS = 4
 SNR_DB = 13.0
@@ -29,7 +29,7 @@ def build(k: int, seed: int) -> LinkSession:
                for i in range(k)]
     config = SessionConfig(
         n_packets=N_PACKETS, payload_bits=200,
-        hidden_cliques=(tuple(NAMES[:k]),))
+        topology=Topology.explicit(hidden_cliques=(tuple(NAMES[:k]),)))
     return LinkSession(config, clients, design="zigzag",
                        rng=np.random.default_rng(seed))
 

@@ -13,7 +13,7 @@ on identically-seeded air. Equivalent CLI::
 
 import numpy as np
 
-from repro.link import LinkSession, SessionConfig, StreamClient
+from repro.link import LinkSession, SessionConfig, StreamClient, Topology
 
 N_PACKETS = 10
 SEED = 3
@@ -34,7 +34,7 @@ def build(design: str) -> LinkSession:
         StreamClient("C", 3, 11.0, 1e-3),
     ]
     config = SessionConfig(n_packets=N_PACKETS, payload_bits=200,
-                           hidden_pairs=(("A", "B"),))
+                           topology=Topology.explicit((("A", "B"),)))
     return LinkSession(config, clients, design=design,
                        rng=np.random.default_rng(SEED))
 
@@ -45,8 +45,8 @@ def build_idle(engine: str) -> LinkSession:
                             offered_load=IDLE_LOAD)
                for i in range(IDLE_CLIENTS)]
     config = SessionConfig(n_packets=IDLE_PACKETS, payload_bits=200,
-                           hidden_pairs=(("A", "B"),), engine=engine,
-                           max_samples=IDLE_MAX_SAMPLES)
+                           topology=Topology.explicit((("A", "B"),)),
+                           engine=engine, max_samples=IDLE_MAX_SAMPLES)
     return LinkSession(config, clients, design="zigzag",
                        rng=np.random.default_rng(SEED))
 

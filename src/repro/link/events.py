@@ -42,11 +42,8 @@ __all__ = ["RadioState", "EventQueue", "EventEngine",
 
 
 class RadioState(IntEnum):
-    """Per-client MAC radio state (IDLE/CONTEND/TX/AWAIT_ACK machine).
-
-    The numeric order matches the session's historical constants, so
-    slot-clocked code comparing states keeps working unchanged.
-    """
+    """Per-client MAC radio state (IDLE/CONTEND/TX/AWAIT_ACK machine),
+    shared by the event and slot-clocked cores."""
 
     IDLE = 0        # no packet pending; waiting for the next arrival
     CONTEND = 1     # backoff counting down on idle slot boundaries
@@ -227,9 +224,6 @@ class EventEngine:
         hi = (end + self._tail) // self.chunk
         for k in range(lo, hi + 1):
             self._schedule_chunk((k + 1) * self.chunk)
-
-    # Backward-compatible alias for the pre-public spelling.
-    _cover_air = cover_air
 
     def _on_chunk(self, chunk_end: int, now: int) -> None:
         s = self.s

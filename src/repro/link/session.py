@@ -43,10 +43,10 @@ from repro.link.air import AirConfig, ContinuousAir
 from repro.link.aps import build_ap
 from repro.link.events import EventEngine, RadioState
 from repro.link.segmenter import BurstSegmenter, SegmenterConfig
-from repro.link.topology import Topology, max_clique_size
+from repro.link.topology import Topology
 from repro.mac.ack import plan_synchronous_acks
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
-from repro.mac.timing import TIMING_80211G, Timing
+from repro.mac.timing import TIMING_80211G
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.impairments import ImpairmentPipeline
@@ -57,20 +57,6 @@ from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import random_bits
 
 __all__ = ["StreamClient", "SessionConfig", "SessionReport", "LinkSession"]
-
-# Client MAC states: the RadioState machine, under the session's
-# historical private names (numeric order is preserved).
-_WAIT = RadioState.IDLE
-_CONTEND = RadioState.CONTEND
-_TX = RadioState.TX
-_AWAIT_ACK = RadioState.AWAIT_ACK
-_DONE = RadioState.DONE
-
-
-# Kept under the session's historical private name; the implementation
-# moved to repro.link.topology alongside the rest of the topology logic.
-_max_clique_size = max_clique_size
-
 
 @dataclass(frozen=True)
 class StreamClient:
@@ -100,44 +86,27 @@ class SessionConfig:
     max_attempts: int = 6            # transmissions per packet before drop
     noise_power: float = 1.0
     slot_samples: int = 20
-    timing: Timing = TIMING_80211G
     backoff: BackoffPicker = field(
         default_factory=lambda: FixedWindowBackoff(16))
     phase_noise_std: float = 1e-3
     tx_evm: float = 0.03
     coarse_freq_error: float = 1.5e-5
-    sense_probability: float = 0.0   # pairwise, drawn once per session
-    # The preferred way to declare who senses whom: a
-    # :class:`~repro.link.topology.Topology` (explicit, probabilistic,
-    # or derived from a deployment's geometry). When None, the legacy
-    # fields below are routed through the matching Topology constructor
-    # — bit-compatible with the historical inline code paths.
-    topology: Topology | None = None
-    # Legacy explicit topology: client-name pairs that can NOT sense
-    # each other, with every other pair sensing perfectly. Overrides
-    # sense_probability. This is how a "hidden-pair-dominated" scenario
-    # is pinned down deterministically.
-    hidden_pairs: tuple[tuple[str, str], ...] | None = None
-    # Hidden *cliques*: groups of n mutually-hidden clients (each listed
-    # group expands to all its pairs, on top of hidden_pairs). An
-    # n-clique is the §4.5 N-collision regime — its collisions carry n
-    # packets, and the receiver's k-way collision-set matcher resolves
-    # them across n stored collisions. The AP's max_collision_packets is
-    # derived from the largest mutually-hidden group.
-    hidden_cliques: tuple[tuple[str, ...], ...] | None = None
+    # Who senses whom (:class:`~repro.link.topology.Topology`:
+    # explicit hidden pairs/cliques, one shared sense probability, or
+    # derived from a deployment's geometry), fixed for the session. The
+    # default draws every pair as hidden.
+    topology: Topology = Topology.probabilistic(0.0)
     # k of the AP's k-way collision resolution. None: derived as the
-    # largest mutually-hidden group in the *explicit* topology
-    # (hidden_pairs + hidden_cliques); random sense_probability
-    # topologies keep the pairwise default unless this is set.
+    # largest deterministically mutually-hidden group in the topology;
+    # probabilistic topologies keep the pairwise default unless this is
+    # set.
     max_collision_packets: int | None = None
     modulation: str = "bpsk"
     preamble_length: int = 32
     chunk_samples: int = 1024
     buffer_max_age: int = 24         # receiver prunes older stored collisions
-    segmenter: SegmenterConfig | None = None   # None: derived defaults
     sender_impairments: ImpairmentPipeline | None = None
     capture_impairments: ImpairmentPipeline | None = None
-    ack_timeout_samples: int | None = None     # None: derived (see below)
     max_samples: int | None = None             # safety cap; None: derived
     # Which core drives the loop: "event" (heap-ordered scheduler, idle
     # air skipped symbolically) or "slot" (the reference per-slot walk).
@@ -155,33 +124,13 @@ class SessionConfig:
                 and self.max_collision_packets < 2:
             raise ConfigurationError(
                 "max_collision_packets must be >= 2")
-        if self.topology is not None and (
-                self.hidden_pairs is not None
-                or self.hidden_cliques is not None
-                or self.sense_probability != 0.0):
-            raise ConfigurationError(
-                "give either topology= or the legacy hidden_pairs/"
-                "hidden_cliques/sense_probability fields, not both")
-
-    def effective_topology(self) -> Topology:
-        """The session's topology, with the legacy fields routed through
-        the matching (bit-compatible) Topology constructor."""
-        if self.topology is not None:
-            return self.topology
-        if self.hidden_pairs is not None or self.hidden_cliques is not None:
-            return Topology.explicit(self.hidden_pairs, self.hidden_cliques)
-        return Topology.probabilistic(self.sense_probability)
-
-    def hidden_edges(self) -> set[frozenset[str]]:
-        """Every deterministically-hidden client pair, as name sets."""
-        return self.effective_topology().hidden_edges()
 
     def collision_packets(self) -> int:
         """The AP's k: explicit override, or the largest mutually-hidden
         group in the declared topology (at least the pairwise 2)."""
         if self.max_collision_packets is not None:
             return self.max_collision_packets
-        return self.effective_topology().collision_packets()
+        return self.topology.collision_packets()
 
 
 @dataclass
@@ -222,7 +171,7 @@ class _ClientState:
         self.client = client
         self.session = session
         self.index = index          # position in the session's client list
-        self.state = _WAIT
+        self.state = RadioState.IDLE
         self.packets_done = 0
         self.seq = -1
         self.frame: Frame | None = None
@@ -260,7 +209,7 @@ class _ClientState:
         self.attempt = 0
         self.attempts_used = 0
         self.backoff = s.config.backoff.pick(0, s.rng)
-        self.state = _CONTEND
+        self.state = RadioState.CONTEND
         if self.client.offered_load is not None:
             gap = s.rng.exponential(
                 s.packet_samples / self.client.offered_load)
@@ -282,19 +231,19 @@ class _ClientState:
         self.packets_done += 1
         self.frame = None
         if self.packets_done >= s.config.n_packets:
-            self.state = _DONE
+            self.state = RadioState.DONE
         else:
-            self.state = _WAIT
+            self.state = RadioState.IDLE
 
     def step(self, now: int) -> None:
         s = self.session
-        if self.state == _DONE:
+        if self.state == RadioState.DONE:
             return
-        if self.state == _WAIT:
+        if self.state == RadioState.IDLE:
             if now >= self.next_arrival:
                 self._begin_packet(now)
             return
-        if self.state == _CONTEND:
+        if self.state == RadioState.CONTEND:
             if self.key in s.acked:       # late ACK beat the retransmission
                 self._resolve(now)
                 return
@@ -305,15 +254,15 @@ class _ClientState:
                 return
             self._transmit(now)
             return
-        if self.state == _TX:
+        if self.state == RadioState.TX:
             if now >= self.tx_end:
                 if self.key in s.acked:   # ACK landed mid-transmission
                     self._resolve(now)
                 else:
-                    self.state = _AWAIT_ACK
+                    self.state = RadioState.AWAIT_ACK
                     self.ack_deadline = self.tx_end + s.ack_timeout
             return
-        if self.state == _AWAIT_ACK:
+        if self.state == RadioState.AWAIT_ACK:
             if self.key in s.acked:
                 self._resolve(now)
                 return
@@ -325,7 +274,7 @@ class _ClientState:
                     self._resolve(now)
                 else:
                     self.backoff = s.config.backoff.pick(self.attempt, s.rng)
-                    self.state = _CONTEND
+                    self.state = RadioState.CONTEND
 
     def _transmit(self, now: int) -> None:
         s = self.session
@@ -347,7 +296,7 @@ class _ClientState:
         self.attempts_used += 1
         s.tx_log[self.key] = (now, self.tx_end)
         s.counters["transmissions"] += 1
-        self.state = _TX
+        self.state = RadioState.TX
 
 
 class LinkSession:
@@ -372,9 +321,9 @@ class LinkSession:
         self.shaper = shaper or PulseShaper()
 
         # Sample-clocked 802.11 timing.
-        spu = config.slot_samples / config.timing.slot_us
-        self.sifs = max(1, round(config.timing.sifs_us * spu))
-        self.ack_air = max(1, round(config.timing.ack_us * spu))
+        spu = config.slot_samples / TIMING_80211G.slot_us
+        self.sifs = max(1, round(TIMING_80211G.sifs_us * spu))
+        self.ack_air = max(1, round(TIMING_80211G.ack_us * spu))
 
         # Every packet in a session is the same length: probe it once.
         probe = Frame.make(np.zeros(config.payload_bits, dtype=np.uint8),
@@ -383,19 +332,15 @@ class LinkSession:
         self.packet_samples = self.shaper.shape(probe.symbols).size
         self.expected_symbols = probe.n_symbols
 
-        seg_cfg = config.segmenter or SegmenterConfig(
-            noise_power=config.noise_power)
-        if config.ack_timeout_samples is not None:
-            self.ack_timeout = config.ack_timeout_samples
-        else:
-            # Worst-case ACK lag: the colliding partner may finish up to a
-            # contention window later, the segmenter closes a hang window
-            # after silence, and the burst is only processed at the next
-            # chunk boundary.
-            jitter = config.backoff.window(0) * config.slot_samples
-            self.ack_timeout = (jitter + seg_cfg.hang_window
-                                + config.chunk_samples + self.sifs
-                                + self.ack_air + 4 * config.slot_samples)
+        seg_cfg = SegmenterConfig(noise_power=config.noise_power)
+        # Worst-case ACK lag: the colliding partner may finish up to a
+        # contention window later, the segmenter closes a hang window
+        # after silence, and the burst is only processed at the next
+        # chunk boundary.
+        jitter = config.backoff.window(0) * config.slot_samples
+        self.ack_timeout = (jitter + seg_cfg.hang_window
+                            + config.chunk_samples + self.sifs
+                            + self.ack_air + 4 * config.slot_samples)
 
         self.air = ContinuousAir(
             AirConfig(noise_power=config.noise_power,
@@ -429,10 +374,9 @@ class LinkSession:
 
         # Pairwise sensing, fixed for the whole session: hidden pairs
         # (and cliques of n mutually-hidden clients) stay hidden, which
-        # is the paper's topology model. The Topology object owns both
-        # the legacy-compatible paths and the geometry-derived one.
+        # is the paper's topology model.
         names = [c.name for c in clients]
-        self.topology = config.effective_topology()
+        self.topology = config.topology
         self._sense = self.topology.sense_matrix(names, self.rng)
         self._index = {c.client.src: i for i, c in enumerate(self.clients)}
 
@@ -458,13 +402,13 @@ class LinkSession:
         """Fix the set of in-flight transmissions for this boundary.
 
         A transmission occupies ``[start, tx_end)``: a client still in
-        ``_TX`` whose ``tx_end <= now`` has already left the air at this
+        ``TX`` whose ``tx_end <= now`` has already left the air at this
         boundary (it just has not stepped yet), so it is excluded. All
         clients then sense against this one snapshot, making the outcome
         independent of the order in which they step within the slot.
         """
         self._tx_snapshot = {c.index for c in self.clients
-                             if c.state == _TX and c.tx_end > now}
+                             if c.state == RadioState.TX and c.tx_end > now}
 
     def medium_busy_for(self, state: _ClientState) -> bool:
         i = state.index
@@ -576,7 +520,7 @@ class LinkSession:
         next_chunk_end = cfg.chunk_samples
         max_samples = self._max_samples()
         timed_out = False
-        while any(c.state != _DONE for c in self.clients):
+        while any(c.state != RadioState.DONE for c in self.clients):
             if now >= max_samples:
                 timed_out = True
                 break
@@ -613,15 +557,16 @@ class LinkSession:
             else:
                 self.counters["acks_dropped"] += 1
         for client in self.clients:
-            if client.state in (_CONTEND, _TX, _AWAIT_ACK) \
+            if client.state in (RadioState.CONTEND, RadioState.TX,
+                                RadioState.AWAIT_ACK) \
                     and client.key in self.acked:
                 client._resolve(now)
         if timed_out:
             for client in self.clients:
-                if client.state == _DONE:
+                if client.state == RadioState.DONE:
                     continue
                 # Every client cut off by the cap is accounted for —
-                # including ones idling in _WAIT between arrivals, whose
+                # including ones idling in IDLE between arrivals, whose
                 # remaining traffic would otherwise silently vanish from
                 # the offered-load bookkeeping.
                 self.counters["unresolved_at_cap"] += 1
@@ -631,7 +576,7 @@ class LinkSession:
                     pending -= 1
                 self.counters["packets_unoffered_at_cap"] += max(pending, 0)
                 client.packets_done = self.config.n_packets
-                client.state = _DONE
+                client.state = RadioState.DONE
 
         stats = self.ap.stats
         counters = dict(self.counters)

@@ -1,26 +1,26 @@
 """Who can sense whom: the session's pairwise carrier-sense topology.
 
-Historically :class:`~repro.link.session.SessionConfig` carried three
-loose fields — ``hidden_pairs``, ``hidden_cliques``,
-``sense_probability`` — and the session hand-rolled a sense matrix from
-them. :class:`Topology` packages the same information behind three
-constructors:
+A :class:`Topology` is the one way to tell a
+:class:`~repro.link.session.LinkSession` (via ``SessionConfig.topology``)
+which clients sense each other. Three constructors:
 
 - :meth:`Topology.explicit` — hand-declared hidden pairs/cliques, every
-  other pair sensing perfectly. Bit-compatible with the legacy fields:
-  building the matrix consumes **no** rng draws.
+  other pair sensing perfectly. Building the matrix consumes **no** rng
+  draws.
 - :meth:`Topology.probabilistic` — each unordered pair senses with one
-  shared probability, drawn once per session. Bit-compatible with the
-  legacy ``sense_probability`` path: one ``rng.uniform()`` per ``i < j``
-  pair in index order, *including* the degenerate 0.0/1.0 endpoints.
+  shared probability, drawn once per session: one ``rng.uniform()`` per
+  ``i < j`` pair in index order, *including* the degenerate 0.0/1.0
+  endpoints. ``Topology.probabilistic(0.0)`` is the session default.
 - :meth:`Topology.from_cell` / :meth:`Topology.from_deployment` —
   *derived from geometry*: per-pair sense probabilities computed from a
   :class:`~repro.testbed.deployment.Deployment`'s inter-client SNRs.
   Deterministic pairs (probability 0 or 1) consume no randomness;
   partial pairs draw once per session.
 
-The session keeps its legacy fields working by routing them through the
-matching constructor, so every existing scenario is unchanged.
+Scenario specs reach the same constructors through
+:mod:`repro.runner.builders` (``params.hidden_pairs``/``hidden_cliques``
+or ``sense_probability`` for stream scenarios, the deployment for city
+scenarios).
 """
 
 from __future__ import annotations
@@ -158,9 +158,8 @@ class Topology:
         """The symmetric boolean can-sense matrix over *names*.
 
         Explicit mode consumes no rng draws; probabilistic mode draws
-        one uniform per ``i < j`` pair in order (bit-compatible with the
-        legacy session paths); derived mode draws only for partial
-        (0 < p < 1) pairs, in ``i < j`` order.
+        one uniform per ``i < j`` pair in order; derived mode draws only
+        for partial (0 < p < 1) pairs, in ``i < j`` order.
         """
         n = len(names)
         if self.mode == EXPLICIT:

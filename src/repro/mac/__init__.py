@@ -1,15 +1,15 @@
-"""802.11 MAC substrate: DCF timing, backoff, retransmissions, ACKs.
+"""802.11 MAC substrate: DCF timing, backoff, ACKs.
 
-Used three ways in the reproduction:
+The pieces the rest of the reproduction builds on:
 
+- 802.11 timing constants (:mod:`~repro.mac.timing`) and contention
+  windows (:mod:`~repro.mac.backoff`), which the closed-loop session
+  cores in :mod:`repro.link` run live as DCF contention;
 - Monte-Carlo evaluation of the greedy decoder's failure probability versus
   the number of colliding senders (Fig 4-7), driven by
-  :mod:`~repro.mac.backoff` slot picks;
+  :mod:`~repro.mac.backoff` slot picks (:mod:`~repro.mac.hidden`);
 - the synchronous-ACK feasibility analysis of Lemma 4.4.1
-  (:mod:`~repro.mac.ack`);
-- the slotted DCF simulator (:mod:`~repro.mac.dcf`) that generates the
-  §5.2-style CSMA traces replayed at the signal level by the testbed
-  experiments.
+  (:mod:`~repro.mac.ack`), shared with the sessions' ACK planner.
 """
 
 from repro.mac.timing import Timing, TIMING_80211A, TIMING_80211B, TIMING_80211G
@@ -20,7 +20,6 @@ from repro.mac.ack import (
     ack_offset_probability,
     plan_synchronous_acks,
 )
-from repro.mac.dcf import DcfConfig, DcfSimulator, TransmissionEvent, DcfTrace
 from repro.mac.hidden import HiddenScenario, collision_offset_pairs
 
 __all__ = [
@@ -35,10 +34,6 @@ __all__ = [
     "ack_offset_lower_bound",
     "plan_synchronous_acks",
     "AckPlanner",
-    "DcfConfig",
-    "DcfSimulator",
-    "TransmissionEvent",
-    "DcfTrace",
     "HiddenScenario",
     "collision_offset_pairs",
 ]

@@ -6,11 +6,15 @@ below the :class:`~repro.testbed.experiment.PairExperiment` level.
 Promoted from the test helpers so benchmarks no longer reach into
 ``tests/``; ``tests/helpers.py`` re-exports them.
 
-:func:`build_stream_session` is the declarative front of the streaming
-closed-loop subsystem: it maps a :class:`~repro.runner.spec.ScenarioSpec`
-onto a :class:`~repro.link.LinkSession` (clients from ``[[sender]]``
-entries or ``params.n_clients``, topology from ``params.hidden_pairs``,
-session knobs from ``[params]``).
+:func:`build_stream_session` and :func:`build_cell_session` are the
+declarative front of the streaming closed-loop subsystem: they map a
+:class:`~repro.runner.spec.ScenarioSpec` onto a
+:class:`~repro.link.LinkSession`. Both share one spec→config path
+(:func:`_spec_session`); they differ only in where clients and the
+:class:`~repro.link.Topology` come from — ``[[sender]]`` entries or
+``params.n_clients`` with ``params.hidden_pairs``/``hidden_cliques`` or
+``sense_probability`` (:func:`_stream_topology`), or one cell of a
+generated deployment.
 """
 
 from __future__ import annotations
@@ -143,6 +147,66 @@ def _parse_hidden_cliques(text) -> tuple[tuple[str, ...], ...]:
     return tuple(cliques)
 
 
+def _stream_topology(spec) -> Topology:
+    """The :class:`~repro.link.Topology` a stream spec declares.
+
+    ``params.hidden_pairs``/``params.hidden_cliques`` pin an explicit
+    topology (every unlisted pair senses perfectly); otherwise every
+    pair senses with the scenario's ``sense_probability``. Giving both
+    is an error: the probability would have no pair left to apply to.
+    """
+    hidden = spec.param("hidden_pairs")
+    cliques = spec.param("hidden_cliques")
+    if hidden is None and cliques is None:
+        return Topology.probabilistic(spec.sense_probability)
+    if spec.sense_probability != 0.0:
+        raise ConfigurationError(
+            "params.hidden_pairs/hidden_cliques already declare who "
+            "senses whom; drop sense_probability "
+            f"(= {spec.sense_probability}) or the hidden lists")
+    return Topology.explicit(
+        _parse_hidden_pairs(hidden) if hidden is not None else None,
+        _parse_hidden_cliques(cliques) if cliques is not None else None)
+
+
+def _spec_session(spec, rng: np.random.Generator, design: str,
+                  clients: list[StreamClient], topology: Topology,
+                  max_collision_packets: int | None,
+                  interference: list | tuple = ()) -> LinkSession:
+    """The one spec→:class:`~repro.link.LinkSession` path: session knobs
+    from the spec's scenario, ``[channel]``, ``[backoff]``,
+    ``[impairments]`` and ``[params]`` tables, with any *interference*
+    stages appended to the capture pipeline."""
+    imp = spec.impairments
+    capture = imp.capture_pipeline() if imp.capture else None
+    if interference:
+        capture = ImpairmentPipeline(
+            tuple(capture.stages if capture else ()) + tuple(interference))
+    config = SessionConfig(
+        payload_bits=spec.payload_bits,
+        n_packets=spec.n_packets,
+        max_attempts=int(spec.param("max_attempts", 6)),
+        noise_power=spec.channel.noise_power,
+        slot_samples=spec.slot_samples,
+        backoff=spec.backoff.build(),
+        phase_noise_std=spec.channel.phase_noise_std,
+        tx_evm=spec.channel.tx_evm,
+        coarse_freq_error=spec.channel.coarse_freq_error,
+        topology=topology,
+        max_collision_packets=max_collision_packets,
+        modulation=spec.modulation,
+        preamble_length=spec.preamble_length,
+        chunk_samples=int(spec.param("chunk_samples", 1024)),
+        buffer_max_age=int(spec.param("buffer_max_age", 24)),
+        engine=str(spec.param("engine", "event")),
+        sender_impairments=(imp.sender_pipeline() if imp.sender else None),
+        capture_impairments=capture,
+    )
+    return LinkSession(config, clients, design=design, rng=rng,
+                       preamble=cached_preamble(spec.preamble_length),
+                       shaper=cached_shaper())
+
+
 def build_stream_session(spec, rng: np.random.Generator, design: str,
                          default_load: float | None = None) -> LinkSession:
     """A :class:`~repro.link.LinkSession` from a declarative spec.
@@ -160,10 +224,11 @@ def build_stream_session(spec, rng: np.random.Generator, design: str,
     ``hidden_pairs`` (e.g. ``"A:B"``; every unlisted pair then senses
     perfectly), ``hidden_cliques`` (e.g. ``"A:B:C"``: groups of
     mutually-hidden clients, enabling the AP's k-way collision
-    resolution), ``max_collision_packets`` (override the derived k),
-    ``offered_load`` (via *default_load*), ``engine`` (``"event"``, the
-    default heap-scheduled core, or ``"slot"``, the reference per-slot
-    walk — see :mod:`repro.link.events`).
+    resolution; either list excludes a nonzero ``sense_probability``),
+    ``max_collision_packets`` (override the derived k), ``offered_load``
+    (via *default_load*), ``engine`` (``"event"``, the default
+    heap-scheduled core, or ``"slot"``, the reference per-slot walk —
+    see :mod:`repro.link.events`).
     """
     spread = spec.channel.freq_spread
     if spec.senders:
@@ -187,39 +252,9 @@ def build_stream_session(spec, rng: np.random.Generator, design: str,
             offered_load=load)
         for i, (name, snr, freq, load) in enumerate(entries)
     ]
-    hidden = spec.param("hidden_pairs")
-    cliques = spec.param("hidden_cliques")
     max_k = spec.param("max_collision_packets")
-    imp = spec.impairments
-    config = SessionConfig(
-        payload_bits=spec.payload_bits,
-        n_packets=spec.n_packets,
-        max_attempts=int(spec.param("max_attempts", 6)),
-        noise_power=spec.channel.noise_power,
-        slot_samples=spec.slot_samples,
-        backoff=spec.backoff.build(),
-        phase_noise_std=spec.channel.phase_noise_std,
-        tx_evm=spec.channel.tx_evm,
-        coarse_freq_error=spec.channel.coarse_freq_error,
-        sense_probability=spec.sense_probability,
-        hidden_pairs=(_parse_hidden_pairs(hidden)
-                      if hidden is not None else None),
-        hidden_cliques=(_parse_hidden_cliques(cliques)
-                        if cliques is not None else None),
-        max_collision_packets=(int(max_k)
-                               if max_k is not None else None),
-        modulation=spec.modulation,
-        preamble_length=spec.preamble_length,
-        chunk_samples=int(spec.param("chunk_samples", 1024)),
-        buffer_max_age=int(spec.param("buffer_max_age", 24)),
-        engine=str(spec.param("engine", "event")),
-        sender_impairments=(imp.sender_pipeline() if imp.sender else None),
-        capture_impairments=(imp.capture_pipeline()
-                             if imp.capture else None),
-    )
-    return LinkSession(config, clients, design=design, rng=rng,
-                       preamble=cached_preamble(spec.preamble_length),
-                       shaper=cached_shaper())
+    return _spec_session(spec, rng, design, clients, _stream_topology(spec),
+                         int(max_k) if max_k is not None else None)
 
 
 # ----------------------------------------------------------------------
@@ -299,40 +334,14 @@ def build_cell_session(spec, rng: np.random.Generator, design: str,
         in zip(plan.names, plan.srcs, plan.snr_db, plan.clients)
     ]
     topology = Topology.from_cell(plan)
-    imp = spec.impairments
-    capture = imp.capture_pipeline() if imp.capture else None
-    if approximate_interference:
-        stages = _interference_stages(spec, deployment, plan)
-        if stages:
-            capture = ImpairmentPipeline(
-                tuple(capture.stages if capture else ()) + tuple(stages))
     # Big derived cells can contain large hidden cliques; cap the AP's
     # k-way resolution cost unless the spec raises it explicitly.
     max_k = min(topology.collision_packets(),
                 int(spec.param("max_collision_packets", 4)))
-    config = SessionConfig(
-        payload_bits=spec.payload_bits,
-        n_packets=spec.n_packets,
-        max_attempts=int(spec.param("max_attempts", 6)),
-        noise_power=spec.channel.noise_power,
-        slot_samples=spec.slot_samples,
-        backoff=spec.backoff.build(),
-        phase_noise_std=spec.channel.phase_noise_std,
-        tx_evm=spec.channel.tx_evm,
-        coarse_freq_error=spec.channel.coarse_freq_error,
-        topology=topology,
-        max_collision_packets=max_k,
-        modulation=spec.modulation,
-        preamble_length=spec.preamble_length,
-        chunk_samples=int(spec.param("chunk_samples", 1024)),
-        buffer_max_age=int(spec.param("buffer_max_age", 24)),
-        engine=str(spec.param("engine", "event")),
-        sender_impairments=(imp.sender_pipeline() if imp.sender else None),
-        capture_impairments=capture,
-    )
-    return LinkSession(config, clients, design=design, rng=rng,
-                       preamble=cached_preamble(spec.preamble_length),
-                       shaper=cached_shaper())
+    interference = (_interference_stages(spec, deployment, plan)
+                    if approximate_interference else ())
+    return _spec_session(spec, rng, design, clients, topology, max_k,
+                         interference)
 
 
 def build_city_session(spec, rng: np.random.Generator,

@@ -4,10 +4,16 @@ Replaces the paper's physical GNURadio testbed with: a log-distance
 path-loss + shadowing propagation model (:mod:`~repro.testbed.pathloss`), a
 node topology whose SNR matrix and carrier-sense classification mirror the
 paper's mix of hidden/partial/perfect sender pairs
-(:mod:`~repro.testbed.topology`), and a signal-level experiment runner
-(:mod:`~repro.testbed.experiment`) that replays MAC-level collision plans
+(:mod:`~repro.testbed.topology`, home of the one SNR → sense-probability
+rule), generated multi-cell deployments
+(:mod:`~repro.testbed.deployment`), and a signal-level experiment runner
+(:mod:`~repro.testbed.experiment`) that plays hidden-pair collision rounds
 through the full PHY + receiver stack for the three compared designs:
 ZigZag, Current 802.11, and the Collision-Free Scheduler (§5.1e).
+
+The paper replays 802.11 MAC traces (§5.2) because its radios could not
+run CSMA; here the closed-loop sessions of :mod:`repro.link` run DCF
+contention live, so the testbed carries no trace replay.
 """
 
 from repro.testbed.pathloss import LogDistancePathLoss
@@ -19,12 +25,6 @@ from repro.testbed.deployment import (
     client_name,
 )
 from repro.testbed.metrics import FlowStats, normalized_throughput, loss_rate
-from repro.testbed.csma import (
-    CleanTransmission,
-    CollisionEvent,
-    ReplayPlan,
-    plan_from_trace,
-)
 from repro.testbed.experiment import (
     Design,
     PairExperiment,
@@ -45,10 +45,6 @@ __all__ = [
     "FlowStats",
     "normalized_throughput",
     "loss_rate",
-    "CleanTransmission",
-    "CollisionEvent",
-    "ReplayPlan",
-    "plan_from_trace",
     "Design",
     "PairExperiment",
     "PairExperimentConfig",

@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.testbed.pathloss import LogDistancePathLoss
-from repro.testbed.topology import SensingClass
+from repro.testbed.topology import (
+    SensingClass,
+    classify_sensing,
+    snr_sense_probability,
+)
 from repro.utils.rng import make_rng
 
 __all__ = ["CellPlan", "Deployment", "DeploymentConfig", "client_name"]
@@ -202,23 +206,14 @@ class Deployment:
         return float(self.snr_db[self.n_aps + a, self.n_aps + b])
 
     def sense_probability(self, a: int, b: int) -> float:
-        """P(client *a* detects client *b*): the Testbed rule — 1 above
-        ``cs_full_db``, 0 below ``cs_none_db``, linear in between."""
-        snr = self.client_snr(a, b)
-        cfg = self.config
-        if snr >= cfg.cs_full_db:
-            return 1.0
-        if snr <= cfg.cs_none_db:
-            return 0.0
-        return (snr - cfg.cs_none_db) / (cfg.cs_full_db - cfg.cs_none_db)
+        """P(client *a* detects client *b*): the Testbed rule
+        (:func:`~repro.testbed.topology.snr_sense_probability`)."""
+        return snr_sense_probability(self.client_snr(a, b),
+                                     self.config.cs_none_db,
+                                     self.config.cs_full_db)
 
     def sensing_class(self, a: int, b: int) -> SensingClass:
-        p = self.sense_probability(a, b)
-        if p >= 1.0:
-            return SensingClass.PERFECT
-        if p <= 0.0:
-            return SensingClass.HIDDEN
-        return SensingClass.PARTIAL
+        return classify_sensing(self.sense_probability(a, b))
 
     def serving_ap(self, client: int) -> int | None:
         """The AP this client associates with (strongest link above the

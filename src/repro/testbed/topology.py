@@ -17,7 +17,7 @@ comparable mix.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +26,8 @@ from repro.errors import ConfigurationError
 from repro.testbed.pathloss import LogDistancePathLoss
 from repro.utils.rng import make_rng
 
-__all__ = ["SensingClass", "Testbed", "default_testbed"]
+__all__ = ["SensingClass", "Testbed", "classify_sensing",
+           "default_testbed", "snr_sense_probability"]
 
 
 class SensingClass(enum.Enum):
@@ -35,6 +36,28 @@ class SensingClass(enum.Enum):
     PERFECT = "perfect"
     PARTIAL = "partial"
     HIDDEN = "hidden"
+
+
+def snr_sense_probability(snr: float, cs_none_db: float,
+                          cs_full_db: float) -> float:
+    """P(a sender detects another heard at *snr* dB): 1 at or above
+    *cs_full_db*, 0 at or below *cs_none_db*, linear in between. The one
+    carrier-sense rule of both :class:`Testbed` and
+    :class:`~repro.testbed.deployment.Deployment`."""
+    if snr >= cs_full_db:
+        return 1.0
+    if snr <= cs_none_db:
+        return 0.0
+    return (snr - cs_none_db) / (cs_full_db - cs_none_db)
+
+
+def classify_sensing(p: float) -> SensingClass:
+    """The sensing class of a pair that senses with probability *p*."""
+    if p >= 1.0:
+        return SensingClass.PERFECT
+    if p <= 0.0:
+        return SensingClass.HIDDEN
+    return SensingClass.PARTIAL
 
 
 @dataclass
@@ -76,20 +99,12 @@ class Testbed:
     # ------------------------------------------------------------------
     def sense_probability(self, a: int, b: int) -> float:
         """Probability that sender a detects sender b's transmission."""
-        snr = self.snr_db[a, b]
-        if snr >= self.cs_full_db:
-            return 1.0
-        if snr <= self.cs_none_db:
-            return 0.0
-        return (snr - self.cs_none_db) / (self.cs_full_db - self.cs_none_db)
+        return snr_sense_probability(self.snr_db[a, b], self.cs_none_db,
+                                     self.cs_full_db)
 
     def sensing_class(self, a: int, b: int) -> SensingClass:
-        p = min(self.sense_probability(a, b), self.sense_probability(b, a))
-        if p >= 1.0:
-            return SensingClass.PERFECT
-        if p <= 0.0:
-            return SensingClass.HIDDEN
-        return SensingClass.PARTIAL
+        return classify_sensing(min(self.sense_probability(a, b),
+                                    self.sense_probability(b, a)))
 
     def sensing_mix(self, reachable_db: float = 3.0) -> dict[SensingClass, float]:
         """Fraction of usable sender pairs in each sensing class.

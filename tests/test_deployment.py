@@ -208,20 +208,6 @@ class TestTopology:
         with pytest.raises(ConfigurationError, match="unknown clients"):
             topo.sense_matrix(["A", "B"], np.random.default_rng(0))
 
-    def test_config_rejects_both_topology_and_legacy(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SessionConfig(topology=Topology.explicit(),
-                          hidden_pairs=(("A", "B"),))
-
-    def test_effective_topology_routes_legacy_fields(self):
-        legacy = SessionConfig(hidden_pairs=(("A", "B"),))
-        topo = legacy.effective_topology()
-        assert topo.mode == "explicit"
-        assert topo.hidden_edges() == {frozenset("AB")}
-        prob = SessionConfig(sense_probability=0.3).effective_topology()
-        assert prob.mode == "probabilistic"
-        assert prob.sense_probability == 0.3
-
 
 class TestDeploymentProperties:
     @given(st.floats(2.0, 4.5), st.floats(0.1, 80.0), st.floats(1.0, 5.0))

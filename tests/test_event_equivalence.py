@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.link import LinkSession, SessionConfig, StreamClient
+from repro.link import LinkSession, SessionConfig, StreamClient, Topology
 from repro.link.events import PRIO_ACK, PRIO_AIR, PRIO_CLIENT, EventQueue
 
 ENGINES = ("event", "slot")
@@ -57,7 +57,7 @@ class TestPairEquivalence:
 
     def test_sensing_pair_serializes_on_both_clocks(self):
         for seed in (1, 2, 3):
-            event, slot = twins(seed, sense_probability=1.0)
+            event, slot = twins(seed, topology=Topology.probabilistic(1.0))
             for report in (event, slot):
                 assert report.total_delivered == 6
                 assert report.receiver_stats.zigzag_matches == 0
@@ -94,7 +94,8 @@ class TestCliqueEquivalence:
         for seed in range(6):
             for engine in ENGINES:
                 report = run_one(engine, seed, clients=self.clique(),
-                                 hidden_cliques=(("A", "B", "C"),))
+                                 topology=Topology.explicit(
+                                     None, (("A", "B", "C"),)))
                 pooled[engine] += report.total_delivered
                 multiway[engine] += report.receiver_stats.multiway_matches
         # 54 packets offered per engine; both clocks resolve most and
@@ -110,7 +111,7 @@ class TestLazyAir:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_low_load_sessions_agree_and_skip(self, seed):
         event, slot = twins(seed, clients_fn=lambda: pair_clients(0.02),
-                            n_packets=2, sense_probability=1.0)
+                            n_packets=2, topology=Topology.probabilistic(1.0))
         assert event.total_delivered == slot.total_delivered
         assert abs(event.samples_elapsed - slot.samples_elapsed) \
             <= 0.05 * slot.samples_elapsed

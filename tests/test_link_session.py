@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.link import LinkSession, SessionConfig, StreamClient
+from repro.link import LinkSession, SessionConfig, StreamClient, Topology
 
 
 def hidden_pair_clients():
@@ -43,7 +43,7 @@ class TestClosedLoop:
     def test_sensing_clients_never_collide(self):
         """With perfect carrier sensing the DCF serializes the medium:
         packets decode standalone and ZigZag never engages."""
-        report = run_session("zigzag", sense_probability=1.0)
+        report = run_session("zigzag", topology=Topology.probabilistic(1.0))
         assert report.receiver_stats.zigzag_matches == 0
         assert report.total_delivered == 6
         assert all(s.loss_rate == 0.0 for s in report.flows.values())
@@ -51,7 +51,7 @@ class TestClosedLoop:
     def test_three_clients_hidden_pair_dominated(self):
         clients = hidden_pair_clients() + [StreamClient("C", 3, 11.0, 1e-3)]
         report = run_session("zigzag", clients=clients,
-                             hidden_pairs=(("A", "B"),))
+                             topology=Topology.explicit((("A", "B"),)))
         assert not report.timed_out
         assert report.total_delivered >= 8   # out of 9
         assert report.receiver_stats.zigzag_matches > 0
@@ -76,9 +76,9 @@ class TestClosedLoop:
     def test_low_offered_load_stretches_the_session(self):
         """Poisson arrivals at low load leave the medium idle between
         packets, so the same packet count takes more air."""
-        saturated = run_session("zigzag", sense_probability=1.0)
+        saturated = run_session("zigzag", topology=Topology.probabilistic(1.0))
         trickle = run_session(
-            "zigzag", sense_probability=1.0,
+            "zigzag", topology=Topology.probabilistic(1.0),
             clients=[StreamClient("A", 1, 12.0, 3e-3, offered_load=0.05),
                      StreamClient("B", 2, 12.0, -2e-3, offered_load=0.05)])
         assert trickle.samples_elapsed > 1.5 * saturated.samples_elapsed
@@ -102,25 +102,19 @@ class TestHiddenCliques:
                 StreamClient("C", 3, 13.0, 1e-3)]
 
     def test_collision_packets_derived_from_topology(self):
-        assert SessionConfig().collision_packets() == 2
-        assert SessionConfig(
-            hidden_pairs=(("A", "B"),)).collision_packets() == 2
-        assert SessionConfig(
-            hidden_cliques=(("A", "B", "C"),)).collision_packets() == 3
-        # A triangle declared pairwise is still a 3-clique.
-        assert SessionConfig(
-            hidden_pairs=(("A", "B"), ("B", "C"),
-                          ("A", "C"))).collision_packets() == 3
-        # Explicit override wins.
-        assert SessionConfig(
-            hidden_cliques=(("A", "B", "C", "D"),),
-            max_collision_packets=2).collision_packets() == 2
+        def k(topology, **kw):
+            return SessionConfig(topology=topology,
+                                 **kw).collision_packets()
 
-    def test_clique_expands_to_all_pairs(self):
-        edges = SessionConfig(
-            hidden_cliques=(("A", "B", "C"),)).hidden_edges()
-        assert edges == {frozenset(p) for p in
-                         (("A", "B"), ("A", "C"), ("B", "C"))}
+        assert SessionConfig().collision_packets() == 2
+        assert k(Topology.explicit((("A", "B"),))) == 2
+        assert k(Topology.explicit(None, (("A", "B", "C"),))) == 3
+        # A triangle declared pairwise is still a 3-clique.
+        assert k(Topology.explicit((("A", "B"), ("B", "C"),
+                                    ("A", "C")))) == 3
+        # Explicit override wins.
+        assert k(Topology.explicit(None, (("A", "B", "C", "D"),)),
+                 max_collision_packets=2) == 2
 
     def test_three_way_clique_session_resolves_multiway(self):
         """The closed loop resolves k-way collision sets end to end:
@@ -128,7 +122,8 @@ class TestHiddenCliques:
         three packets, decoded through the buffer's match graph."""
         report = run_session("zigzag", clients=self.clique_clients(),
                              seed=2,
-                             hidden_cliques=(("A", "B", "C"),))
+                             topology=Topology.explicit(
+                                 None, (("A", "B", "C"),)))
         rx = report.receiver_stats
         assert rx.multiway_matches > 0
         assert rx.packets_multiway >= 3
@@ -137,12 +132,13 @@ class TestHiddenCliques:
 
     def test_short_clique_rejected(self):
         with pytest.raises(ConfigurationError):
-            SessionConfig(hidden_cliques=(("A",),)).collision_packets()
+            SessionConfig(topology=Topology.explicit(
+                None, (("A",),))).collision_packets()
 
     def test_unknown_clique_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            LinkSession(SessionConfig(hidden_cliques=(("A", "B", "Z"),)),
-                        self.clique_clients())
+            LinkSession(SessionConfig(topology=Topology.explicit(
+                None, (("A", "B", "Z"),))), self.clique_clients())
 
 
 class TestAckPlanning:
@@ -209,7 +205,7 @@ class TestBugfixRegressions:
     def _sensing_session(self):
         return LinkSession(
             SessionConfig(n_packets=1, payload_bits=200,
-                          sense_probability=1.0),
+                          topology=Topology.probabilistic(1.0)),
             [StreamClient("A", 1, 12.0),
              StreamClient("B", 2, 12.0),
              StreamClient("C", 3, 12.0)],
@@ -253,7 +249,7 @@ class TestBugfixRegressions:
         for engine in ("event", "slot"):
             report = run_session(
                 "zigzag", engine=engine, n_packets=3,
-                sense_probability=1.0, max_samples=20_000,
+                topology=Topology.probabilistic(1.0), max_samples=20_000,
                 clients=[StreamClient("A", 1, 12.0, 3e-3,
                                       offered_load=0.001)])
             assert report.timed_out
@@ -322,8 +318,9 @@ class TestValidation:
 
     def test_unknown_hidden_pair_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            LinkSession(SessionConfig(hidden_pairs=(("A", "Z"),)),
-                        hidden_pair_clients())
+            LinkSession(SessionConfig(
+                topology=Topology.explicit((("A", "Z"),))),
+                hidden_pair_clients())
 
     def test_offered_load_range(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""MAC substrate tests: timing, backoff, ACK lemma, DCF, hidden scenarios."""
+"""MAC substrate tests: timing, backoff, ACK lemma, hidden scenarios."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.mac.ack import (
     plan_synchronous_acks,
 )
 from repro.mac.backoff import ExponentialBackoff, FixedWindowBackoff
-from repro.mac.dcf import DcfConfig, DcfSimulator, TransmissionEvent
 from repro.mac.hidden import HiddenScenario, collision_offset_pairs, slot_to_samples
 from repro.mac.timing import TIMING_80211A, TIMING_80211G, Timing
 
@@ -140,40 +139,6 @@ class TestSynchronousAckSet:
         flags = plan_synchronous_acks([0.0, 300.0], 400.0,
                                       self.SIFS, self.ACK)
         assert flags == [True, True]
-
-
-class TestDcf:
-    def make_sim(self, hidden, seed=0, duration=300.0):
-        sense = np.array([[True, not hidden], [not hidden, True]])
-        return DcfSimulator(2, sense,
-                            DcfConfig(packet_duration_us=duration),
-                            np.random.default_rng(seed))
-
-    def test_hidden_pair_collides(self):
-        trace = self.make_sim(hidden=True).run(10)
-        assert len(trace.collision_groups()) > 0
-
-    def test_sensing_pair_rarely_collides(self):
-        trace = self.make_sim(hidden=False).run(10)
-        clean = len(trace.clean_events())
-        collided = sum(len(g) for g in trace.collision_groups())
-        assert clean > collided
-
-    def test_all_packets_resolved(self):
-        trace = self.make_sim(hidden=True).run(5)
-        resolved = len(trace.delivered) + len(trace.dropped)
-        assert resolved == 10  # 2 senders x 5 packets
-
-    def test_event_overlap_helper(self):
-        a = TransmissionEvent(0, 0, 0, 0.0, 10.0)
-        b = TransmissionEvent(1, 0, 0, 5.0, 15.0)
-        c = TransmissionEvent(1, 1, 0, 10.0, 20.0)
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)
-
-    def test_sense_matrix_validation(self):
-        with pytest.raises(ConfigurationError):
-            DcfSimulator(3, np.eye(2, dtype=bool))
 
 
 class TestHiddenScenario:

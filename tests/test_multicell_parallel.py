@@ -22,7 +22,6 @@ import pytest
 
 from repro.errors import CaptureTransportError, ConfigurationError
 from repro.link import MultiCellConfig
-from repro.link.events import EventEngine
 from repro.runner.builders import build_city_session
 from repro.runner.chaos import FaultSpec
 from repro.runner.shm import WaveformArena, find_leaked_arenas
@@ -149,12 +148,6 @@ class TestPhaseKeying:
                     and city.deployment.ap_client_snr(dst.plan.ap,
                                                       client) >= floor]
                 assert list(city._victims[client]) == expected
-
-    def test_cover_air_is_public(self):
-        city = self._session()
-        engine = city.cells[0].engine
-        assert isinstance(engine, EventEngine)
-        assert engine.cover_air.__func__ is EventEngine._cover_air
 
 
 class TestDegradeToSequential:

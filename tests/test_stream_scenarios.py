@@ -1,11 +1,14 @@
 """Runner wiring of the streaming scenarios (ap_stream / offered_load)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner import MonteCarloRunner, ScenarioSpec
 from repro.runner.builders import _parse_hidden_pairs, build_stream_session
+from repro.runner.cli import main
 from repro.runner.scenarios import _fairness_ratio
 
 
@@ -82,6 +85,36 @@ class TestApStreamScenario:
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec
         assert again.senders[0].offered_load == 0.4
+
+
+class TestSpecTopology:
+    """A stream spec declares who senses whom one way: hidden lists or a
+    shared sense probability."""
+
+    def test_sense_probability_without_hidden_lists(self):
+        spec = ScenarioSpec(kind="ap_stream", sense_probability=0.4,
+                            params={"n_clients": 3})
+        session = build_stream_session(spec, np.random.default_rng(0),
+                                       "zigzag")
+        assert session.topology.mode == "probabilistic"
+        assert session.topology.sense_probability == 0.4
+
+    @pytest.mark.parametrize("hidden", [{"hidden_pairs": "A:B"},
+                                        {"hidden_cliques": "A:B:C"}])
+    def test_hidden_lists_and_sense_probability_rejected(self, hidden):
+        """Regression: the probability used to be silently dropped."""
+        spec = ScenarioSpec(kind="ap_stream", sense_probability=0.9,
+                            params=hidden)
+        with pytest.raises(ConfigurationError, match="sense_probability"):
+            build_stream_session(spec, np.random.default_rng(0), "zigzag")
+
+    def test_cli_reports_both_topologies_as_a_spec_error(self, capsys):
+        scenario = (pathlib.Path(__file__).resolve().parents[1]
+                    / "examples" / "scenarios" / "ap_stream.toml")
+        code = main(["run", str(scenario), "--trials", "1",
+                     "--set", "sense_probability=0.9"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
 
 
 class TestHiddenPairsParsing:
