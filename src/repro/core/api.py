@@ -28,11 +28,11 @@ supported experiment entry point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigurationError, ReproError
 from repro.phy.constellation import get_constellation
@@ -174,6 +174,77 @@ class ReceiverStats:
     multiway_attempts: int = 0
     multiway_matches: int = 0
     packets_multiway: int = 0   # packets recovered by k-way decodes
+
+
+# Weight of an assignment edge that must not be used: the runner-up
+# search forbids one edge of the optimum at a time.
+_FORBIDDEN = -1e12
+
+
+def _max_assignment(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Exact maximum-weight injective assignment of rows to columns.
+
+    *weights* is ``(k, n)`` with ``k <= n``. Returns ``(total, cols)``:
+    row i takes column ``cols[i]`` and *total* sums the chosen weights.
+    Entries at or below :data:`_FORBIDDEN` are forbidden edges; the
+    assignment uses as few as the shape allows and, among those, has the
+    largest total, so a forbidden edge shows in *total* only when every
+    assignment needs one.
+
+    The Hungarian method in its shortest-augmenting-path form: rows join
+    one at a time, each by a Dijkstra search over reduced costs kept
+    non-negative by row and column potentials, so every partial matching
+    is optimal for the rows it holds. O(k²n); k is at most the receiver's
+    ``max_collision_packets``. A forbidden edge costs more than any
+    reshuffle of allowed ones can gain, but only just, so the potentials
+    stay at the scale of the real weights.
+    """
+    weights = np.asarray(weights, dtype=float)
+    k, n = weights.shape
+    if k > n:
+        raise ConfigurationError("assignment needs at least as many "
+                                 "columns as rows")
+    allowed = weights > _FORBIDDEN
+    scale = float(np.abs(weights[allowed]).max(initial=0.0))
+    cost = np.where(allowed, -weights, 2.0 * k * scale + 1.0).tolist()
+    row_pot = [0.0] * (k + 1)
+    col_pot = [0.0] * (n + 1)
+    # owner[j]: 1-based row holding column j (0: free); column 0 is the
+    # search root, holding the row being added.
+    owner = [0] * (n + 1)
+    for row in range(1, k + 1):
+        owner[0] = row
+        col = 0
+        dist = [math.inf] * (n + 1)
+        prev = [0] * (n + 1)
+        seen = [False] * (n + 1)
+        while owner[col]:
+            seen[col] = True
+            i = owner[col]
+            line = cost[i - 1]
+            delta, nearest = math.inf, 0
+            for j in range(1, n + 1):
+                if not seen[j]:
+                    reduced = line[j - 1] - row_pot[i] - col_pot[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, col
+                    if dist[j] < delta:
+                        delta, nearest = dist[j], j
+            for j in range(n + 1):
+                if seen[j]:
+                    row_pot[owner[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    dist[j] -= delta
+            col = nearest
+        while col:  # augment along the shortest path back to the root
+            owner[col] = owner[prev[col]]
+            col = prev[col]
+    cols = [0] * k
+    for j in range(1, n + 1):
+        if owner[j]:
+            cols[owner[j] - 1] = j - 1
+    return float(weights[np.arange(k), cols].sum()), tuple(cols)
 
 
 class ZigZagReceiver:
@@ -527,20 +598,18 @@ class ZigZagReceiver:
         weights = np.zeros((k, len(candidates)))
         for (ci, i, fi), est in estimates.items():
             weights[i, fi] += abs(est.gain)
-        forbidden = -1e12  # finite: scipy rejects inf entries
 
         def solve(matrix) -> tuple[float, tuple[int, ...]] | None:
-            rows, cols = linear_sum_assignment(matrix, maximize=True)
-            total = float(matrix[rows, cols].sum())
-            if total < 0.5 * forbidden:
+            total, cols = _max_assignment(matrix)
+            if total < 0.5 * _FORBIDDEN:
                 return None  # forced through a forbidden edge
-            return total, tuple(int(c) for c in cols)
+            return total, cols
         _, best = solve(weights)
         assignments = [best]
         runners: list[tuple[float, tuple[int, ...]]] = []
         for i in range(k):
             reduced = weights.copy()
-            reduced[i, best[i]] = forbidden
+            reduced[i, best[i]] = _FORBIDDEN
             solved = solve(reduced)
             if solved is not None:
                 runners.append(solved)

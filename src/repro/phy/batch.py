@@ -18,26 +18,31 @@ Two ideas carry all the weight:
   Once each θ_k is unwrapped onto the branch nearest the loop phase
   (``θ'_k = θ_k + 2πm`` with ``m = rint((phase_k − θ_k)/2π)`` — exactly
   what ``math.remainder`` does inside the scalar loop), the recurrence is
-  *linear* in θ', with transfer function
+  *linear* in θ'. With state ``x = (phase, freq)`` it is the two-state
+  system
 
-      H(z) = ((kp+ki) z⁻¹ − kp z⁻²) / (1 + (kp+ki−2) z⁻¹ + (1−kp) z⁻²)
+      x_{k+1} = A x_k + B θ'_k,   A = [[1−kp−ki, 1], [−ki, 1]],
+                                  B = [kp+ki, ki]
 
-  so a whole segment's phases come from one ``scipy.signal.lfilter`` call
-  along the time axis, batched over trials, with the loop state carried in
-  the filter's initial conditions (``zi = [phase₀, freq₀ − phase₀]`` in
-  direct-form II transposed). The unwrap branch (and, decision-directed,
-  the decision itself) depends on the phases being solved for, so both are
-  speculated from the coasted phase and iterated to a fixed point: filter,
-  re-derive branches/decisions at the filtered phases, repeat. Lanes that
-  fail to converge, hit an exactly-zero sample, or land within 1e-6 of a
-  wrap or decision boundary (where the scalar trajectory, a few ulp away,
-  could branch differently) replay through the exact scalar
-  :class:`PhaseTracker` — bit-compatible with the loop path by
-  construction, so divergent lanes cost only their own time.
+  whose output is ``phase_k = x_k[0]``. Over a block of L ≤ 64 symbols
+  the phases and the final state are one linear map of the block's θ'
+  and its starting state, so each block is a single matrix product
+  batched over trials; longer segments chain blocks, carrying the state
+  exactly as the scalar loop does. The maps depend only on
+  ``(kp, ki, L)`` and are built once per process. The unwrap branch
+  (and, decision-directed, the decision itself) depends on the phases
+  being solved for, so both are speculated from the coasted phase and
+  iterated to a fixed point: filter, re-derive branches/decisions at the
+  filtered phases, repeat. Lanes that fail to converge, hit an
+  exactly-zero sample, or land within 1e-6 of a wrap or decision
+  boundary (where the scalar trajectory, a few ulp away, could branch
+  differently) replay through the exact scalar :class:`PhaseTracker` —
+  bit-compatible with the loop path by construction, so divergent lanes
+  cost only their own time.
 
 Equivalence policy (matches the repo's perf-harness precedent): decoded
 bits/decisions are identical to the scalar path; float internals (phases,
-soft symbols) agree to ~1e-9, since the LTI filter evaluates the same
+soft symbols) agree to ~1e-9, since the block maps evaluate the same
 recurrence in a different association order.
 """
 
@@ -45,9 +50,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import ConfigurationError
 from repro.phy.constellation import Constellation
@@ -158,14 +163,39 @@ class BatchedMatchedSampler:
         return np.matmul(windows, kernels[:, :, None])[:, :, 0]
 
 
-# Loop-filter transfer function θ' → phase (direct-form coefficients).
-# From f_{k+1} = f_k + ki·e_k, p_{k+1} = p_k + f_{k+1} + kp·e_k with
-# e_k = θ'_k − p_k, eliminating f:
-#   p_k = (2−kp−ki) p_{k−1} − (1−kp) p_{k−2} + (kp+ki) θ'_{k−1} − kp θ'_{k−2}
-def _pll_ba(kp: float, ki: float) -> tuple[np.ndarray, np.ndarray]:
-    b = np.array([0.0, kp + ki, -kp])
-    a = np.array([1.0, kp + ki - 2.0, 1.0 - kp])
-    return b, a
+# Longest block the loop filter maps in one product: long enough that a
+# segment costs few Python steps, short enough that the L² map stays
+# cheap next to the L-step recurrence it replaces.
+_BLOCK = 64
+# Lanes per product. A (256 × 66) @ (66 × 66) product crosses OpenBLAS's
+# threading threshold and took ~530 µs on a 2-vCPU x86-64 VM, against
+# ~60 µs single-threaded; two 128-lane products stay below it.
+_LANES = 128
+
+
+@lru_cache(maxsize=128)
+def _loop_map(kp: float, ki: float, length: int) -> np.ndarray:
+    """``(L+2, L+2)`` map of the in-lock loop over one block.
+
+    Row-vector form: ``[θ'_0 … θ'_{L−1}, phase_0, freq_0] @ map`` gives
+    ``[phase_0 … phase_{L−1}, phase_L, freq_L]``. Built by running the
+    recurrence ``x_{k+1} = A x_k + B θ'_k`` on every unit input, so each
+    column is the scalar loop's own response. Read-only: the cached
+    array is shared by every tracker in the process.
+    """
+    a = np.array([[1.0 - kp - ki, 1.0], [-ki, 1.0]])
+    b = np.array([kp + ki, ki])
+    # state[r] is the (phase, freq) response to unit input row r.
+    state = np.zeros((length + 2, 2))
+    state[length, 0] = state[length + 1, 1] = 1.0
+    out = np.empty((length + 2, length + 2))
+    for k in range(length):
+        out[:, k] = state[:, 0]
+        state = state @ a.T
+        state[k] += b
+    out[:, length:] = state
+    out.flags.writeable = False
+    return out
 
 
 # Branch-safety margin: a lane whose error comes within this of the ±π
@@ -193,14 +223,12 @@ class BatchedPhaseTracker:
     freq: np.ndarray
     enabled: bool = True
     last_error: np.ndarray = None
-    _ba: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.phase = np.array(self.phase, dtype=float).ravel().copy()
         self.freq = np.array(self.freq, dtype=float).ravel().copy()
         if self.last_error is None:
             self.last_error = np.zeros_like(self.phase)
-        self._ba = _pll_ba(self.kp, self.ki)
 
     @property
     def n_lanes(self) -> int:
@@ -211,10 +239,19 @@ class BatchedPhaseTracker:
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the loop filter over θ ``(N, L)``; returns
         ``(phases, final_phase, final_freq)`` without touching state."""
-        b, a = self._ba
-        zi = np.stack([self.phase, self.freq - self.phase], axis=1)
-        phases, zf = lfilter(b, a, theta, axis=1, zi=zi)
-        return phases, zf[:, 0], zf[:, 1] + zf[:, 0]
+        length = theta.shape[1]
+        phases = np.empty(theta.shape)
+        state = np.stack([self.phase, self.freq], axis=1)
+        for start in range(0, length, _BLOCK):
+            stop = min(start + _BLOCK, length)
+            step = _loop_map(self.kp, self.ki, stop - start)
+            x = np.concatenate([theta[:, start:stop], state], axis=1)
+            out = np.empty_like(x)
+            for lo in range(0, x.shape[0], _LANES):
+                np.matmul(x[lo:lo + _LANES], step, out=out[lo:lo + _LANES])
+            phases[:, start:stop] = out[:, :-2]
+            state = out[:, -2:]
+        return phases, state[:, 0], state[:, 1]
 
     # -- public API ----------------------------------------------------
     def process(self, symbols: np.ndarray, constellation: Constellation,

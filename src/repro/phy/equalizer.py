@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lstsq
 
 from repro.errors import ConfigurationError
 from repro.phy.isi import IsiFilter, invert_fir
@@ -93,7 +92,9 @@ class LmsEqualizer:
         identity = np.zeros(self.n_taps, dtype=complex)
         identity[self.n_taps // 2] = 1.0
         if ridge is None or ridge == 0.0:
-            solution, *_ = lstsq(matrix, d, lapack_driver="gelsd")
+            # LAPACK gelsd with singular values below eps·σ_max cut.
+            solution, *_ = np.linalg.lstsq(matrix, d,
+                                           rcond=np.finfo(float).eps)
         else:
             if ridge < 0:
                 raise ConfigurationError("ridge must be non-negative")

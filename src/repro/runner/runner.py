@@ -174,7 +174,8 @@ class MonteCarloRunner:
     """Runs scenario trials, fanning out across processes when asked.
 
     - ``n_workers``: process count; 1 (default) runs inline. ``0`` means
-      "one per CPU".
+      "one per CPU". The pool never starts more processes than CPUs; the
+      batches and the supervisor's window still follow ``n_workers``.
     - ``batch_size``: trials per submitted batch; defaults to an even
       split across workers so each process gets one warm batch.
     - ``start_method``: ``fork``/``spawn``/``forkserver``; default picks
@@ -359,5 +360,8 @@ class MonteCarloRunner:
     def _pool(self) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(
             self.start_method or _default_start_method())
-        return ProcessPoolExecutor(max_workers=self.n_workers,
-                                   mp_context=context)
+        # More processes than CPUs only time-slice the same cores; the
+        # batches (split by n_workers) queue on the ones started.
+        return ProcessPoolExecutor(
+            max_workers=min(self.n_workers, os.cpu_count() or 1),
+            mp_context=context)

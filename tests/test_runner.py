@@ -310,16 +310,22 @@ class TestPortRegression:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="needs >1 CPU to measure a speedup")
     def test_parallel_is_faster(self):
-        spec = ScenarioSpec(kind="pair", n_trials=8, seed=0,
+        # Enough trials that the work is several times the pool's
+        # start-up; each mode's best of three drops host-load spikes.
+        spec = ScenarioSpec(kind="pair", n_trials=32, seed=0,
                             n_packets=4, max_rounds=3,
                             senders=(SenderSpec("A", 12.0),
                                      SenderSpec("B", 9.0)))
-        t0 = time.perf_counter()
-        MonteCarloRunner(n_workers=1).run(spec)
-        serial = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        MonteCarloRunner(n_workers=4).run(spec)
-        parallel = time.perf_counter() - t0
+
+        def best_of_three(n_workers: int) -> float:
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                MonteCarloRunner(n_workers=n_workers).run(spec)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+        serial = best_of_three(1)
+        parallel = best_of_three(4)
         assert parallel < serial
 
 
