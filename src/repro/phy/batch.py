@@ -167,10 +167,6 @@ class BatchedMatchedSampler:
 # segment costs few Python steps, short enough that the L² map stays
 # cheap next to the L-step recurrence it replaces.
 _BLOCK = 64
-# Lanes per product. A (256 × 66) @ (66 × 66) product crosses OpenBLAS's
-# threading threshold and took ~530 µs on a 2-vCPU x86-64 VM, against
-# ~60 µs single-threaded; two 128-lane products stay below it.
-_LANES = 128
 
 
 @lru_cache(maxsize=128)
@@ -246,9 +242,7 @@ class BatchedPhaseTracker:
             stop = min(start + _BLOCK, length)
             step = _loop_map(self.kp, self.ki, stop - start)
             x = np.concatenate([theta[:, start:stop], state], axis=1)
-            out = np.empty_like(x)
-            for lo in range(0, x.shape[0], _LANES):
-                np.matmul(x[lo:lo + _LANES], step, out=out[lo:lo + _LANES])
+            out = x @ step
             phases[:, start:stop] = out[:, :-2]
             state = out[:, -2:]
         return phases, state[:, 0], state[:, 1]

@@ -174,8 +174,9 @@ class MonteCarloRunner:
     """Runs scenario trials, fanning out across processes when asked.
 
     - ``n_workers``: process count; 1 (default) runs inline. ``0`` means
-      "one per CPU". The pool never starts more processes than CPUs; the
-      batches and the supervisor's window still follow ``n_workers``.
+      "one per CPU". The pool never starts more processes than CPUs, and
+      the supervisor keeps no more batches in flight than it started;
+      the batch split still follows ``n_workers``.
     - ``batch_size``: trials per submitted batch; defaults to an even
       split across workers so each process gets one warm batch.
     - ``start_method``: ``fork``/``spawn``/``forkserver``; default picks
@@ -268,7 +269,7 @@ class MonteCarloRunner:
                 spec_dict, idx, attempt))
         supervisor = PoolSupervisor(self._pool if use_pool else None,
                                     spec.resilience,
-                                    window=self.n_workers,
+                                    window=self._processes(),
                                     on_success=record)
         results, failures = supervisor.execute(task, self._batches(indices))
         return ([results[i] for i in sorted(results)], failures,
@@ -357,11 +358,13 @@ class MonteCarloRunner:
             size = max(1, -(-len(items) // self.n_workers))
         return [items[i:i + size] for i in range(0, len(items), size)]
 
+    def _processes(self) -> int:
+        # More processes than CPUs only time-slice the same cores; the
+        # batches (split by n_workers) queue on the ones started.
+        return min(self.n_workers, os.cpu_count() or 1)
+
     def _pool(self) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(
             self.start_method or _default_start_method())
-        # More processes than CPUs only time-slice the same cores; the
-        # batches (split by n_workers) queue on the ones started.
-        return ProcessPoolExecutor(
-            max_workers=min(self.n_workers, os.cpu_count() or 1),
-            mp_context=context)
+        return ProcessPoolExecutor(max_workers=self._processes(),
+                                   mp_context=context)

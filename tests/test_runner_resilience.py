@@ -188,6 +188,20 @@ class TestPoolSupervision:
         assert result.n_failed == 2
         assert set(result.failure_classes()) == {"TrialTimeoutError"}
 
+    def test_watchdog_spares_batches_queued_behind_a_hang(self, monkeypatch):
+        # More workers than CPUs: the pool starts one process, so the
+        # healthy batch must wait unsubmitted rather than queue inside
+        # the executor, where the hung batch's deadline would take it too.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        policy = FailurePolicy(mode="skip", batch_timeout=0.5)
+        spec = _spec(n_trials=2, resilience=policy,
+                     faults=FaultSpec(hang_trial_prob=0.5,
+                                      hang_seconds=20.0, seed=2))
+        result = MonteCarloRunner(n_workers=2, batch_size=1).run(spec)
+        assert [f.index for f in result.failures] == [0]
+        assert set(result.failure_classes()) == {"TrialTimeoutError"}
+        assert [t.index for t in result.trials] == [1]
+
 
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
