@@ -16,6 +16,10 @@ both AP designs:
 - ``spec_clique7``: an ``ap_stream``-shaped spec with
   ``params.hidden_cliques = "A:B:C"``, built through
   :func:`~repro.runner.builders.build_stream_session`;
+- ``idle_load7``: the hidden-stream cell with Poisson arrivals at a
+  2% offered load per client, so most of the air is idle: pins the
+  arrival path and the split of air into skipped and synthesized
+  samples;
 - ``block3``: a coupled 3-AP ``city_multicell`` block, stepped
   sequentially.
 
@@ -60,6 +64,7 @@ DESIGNS = ("zigzag", "802.11")
 
 STREAM_CLIENTS = (("A", 12.0), ("B", 12.0), ("C", 11.0))
 STREAM_PACKETS = 6
+IDLE_LOAD = 0.02
 BLOCK_SEED = 5
 
 
@@ -81,12 +86,14 @@ def summarize(report) -> dict:
     })
 
 
-def stream_session(seed: int, topology: Topology | None,
-                   design: str) -> LinkSession:
-    """A hand-built session; *topology* None leaves the config default."""
+def stream_session(seed: int, topology: Topology | None, design: str,
+                   offered_load: float | None = None) -> LinkSession:
+    """A hand-built session; *topology* None leaves the config default,
+    *offered_load* None keeps the clients saturated."""
     rng = np.random.default_rng(seed)
     clients = [StreamClient(name=name, src=i + 1, snr_db=snr,
-                            freq_offset=float(rng.uniform(-4e-3, 4e-3)))
+                            freq_offset=float(rng.uniform(-4e-3, 4e-3)),
+                            offered_load=offered_load)
                for i, (name, snr) in enumerate(STREAM_CLIENTS)]
     extra = {} if topology is None else {"topology": topology}
     config = SessionConfig(payload_bits=200, n_packets=STREAM_PACKETS,
@@ -121,6 +128,9 @@ STREAM_CASES = {
     "probabilistic7": partial(stream_session, 7,
                               Topology.probabilistic(0.5)),
     "spec_clique7": partial(spec_session, 7),
+    "idle_load7": partial(stream_session, 7,
+                          Topology.explicit((("A", "B"),)),
+                          offered_load=IDLE_LOAD),
 }
 
 

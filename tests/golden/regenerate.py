@@ -32,6 +32,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
 from repro.phy.channel import ChannelParams  # noqa: E402
+from repro.phy.estimation import ChannelEstimate  # noqa: E402
 from repro.phy.frame import Frame  # noqa: E402
 from repro.phy.impairments import ImpairmentPipeline  # noqa: E402
 from repro.phy.medium import Transmission, synthesize  # noqa: E402
@@ -83,6 +84,21 @@ THREE_SENDER_FIXTURES: dict[str, tuple[int, float]] = {
 THREE_SENDER_ROUNDS = ((0, 80, 180), (60, 0, 140), (100, 40, 0))
 
 
+# Fixtures that keep the placements hidden_pair_scenario acquired
+# itself (its own coarse guesses, its own sync.acquire), so the decode
+# starts from exactly the scenario's output: a 240-bit hidden pair
+# decoded forward + backward + MRC.
+# name -> (seed, snr_db, payload_bits)
+SCENARIO_FIXTURES: dict[str, tuple[int, float, int]] = {
+    "hidden_pair_scenario": (424242, 12.0, 240),
+}
+
+# Stored fields of one acquired placement (PlacementParams.start and
+# the ChannelEstimate it carries).
+PLACEMENT_FIELDS = ("start", "gain", "freq_offset", "sampling_offset",
+                    "snr_db")
+
+
 def fixture_labels(name: str) -> tuple[str, ...]:
     """Packet labels stored in fixture *name*."""
     return ("A", "B", "C") if name in THREE_SENDER_FIXTURES \
@@ -90,7 +106,7 @@ def fixture_labels(name: str) -> tuple[str, ...]:
 
 
 def all_fixture_names() -> list[str]:
-    return sorted([*FIXTURES, *THREE_SENDER_FIXTURES])
+    return sorted([*FIXTURES, *THREE_SENDER_FIXTURES, *SCENARIO_FIXTURES])
 
 
 def _build_three_senders(name: str) -> dict[str, np.ndarray]:
@@ -138,10 +154,53 @@ def _build_three_senders(name: str) -> dict[str, np.ndarray]:
     return data
 
 
+def _build_scenario(name: str) -> dict[str, np.ndarray]:
+    seed, snr_db, payload_bits = SCENARIO_FIXTURES[name]
+    rng = np.random.default_rng(seed)
+    captures, frames, _, placements = hidden_pair_scenario(
+        rng, default_preamble(PREAMBLE_LENGTH), PulseShaper(),
+        snr_db=snr_db, payload_bits=payload_bits, noise_power=NOISE_POWER)
+    data: dict[str, np.ndarray] = {
+        "payload_bits": np.array(payload_bits),
+        "preamble_length": np.array(PREAMBLE_LENGTH),
+        "noise_power": np.array(NOISE_POWER),
+        "seed": np.array(seed),
+        "n_symbols": np.array(frames["A"].n_symbols),
+    }
+    for ci, capture in enumerate(captures):
+        data[f"capture{ci}"] = capture.samples
+    for p in placements:
+        est = p.estimate
+        values = (p.start, est.gain, est.freq_offset, est.sampling_offset,
+                  est.snr_db)
+        for field, value in zip(PLACEMENT_FIELDS, values):
+            data[f"{field}_c{p.collision}_{p.packet}"] = np.array(value)
+    for label, frame in frames.items():
+        data[f"body_{label}"] = frame.body_bits.astype(np.uint8)
+    return data
+
+
+def _stored_placements(name: str, data: dict) -> list[PlacementParams]:
+    placements = []
+    for ci in range(len(fixture_labels(name))):
+        for label in fixture_labels(name):
+            start, gain, freq, sampling, snr = (
+                data[f"{field}_c{ci}_{label}"][()]
+                for field in PLACEMENT_FIELDS)
+            placements.append(PlacementParams(
+                label, ci, float(start),
+                ChannelEstimate(gain=complex(gain), freq_offset=float(freq),
+                                sampling_offset=float(sampling),
+                                snr_db=float(snr))))
+    return placements
+
+
 def build_fixture(name: str) -> dict[str, np.ndarray]:
     """Synthesize one fixture's captures + acquisition inputs + truth."""
     if name in THREE_SENDER_FIXTURES:
         return _build_three_senders(name)
+    if name in SCENARIO_FIXTURES:
+        return _build_scenario(name)
     seed, snr_db, sender_stages, capture_stages = FIXTURES[name]
     rng = np.random.default_rng(seed)
     preamble = default_preamble(PREAMBLE_LENGTH)
@@ -174,36 +233,46 @@ def build_fixture(name: str) -> dict[str, np.ndarray]:
     return data
 
 
-def decode_fixture(name: str, data: dict) -> dict[str, np.ndarray]:
-    """Sync + ZigZag-decode a fixture's stored waveforms from scratch."""
+def fixture_trial(name: str, data: dict):
+    """A fixture's decoder config and ``(captures, specs, placements)``
+    trial: sync runs on the *stored* waveforms from scratch (scenario
+    fixtures use their stored placements instead)."""
     preamble = default_preamble(int(data["preamble_length"]))
     shaper = PulseShaper()
     noise_power = float(data["noise_power"])
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
     n_symbols = int(data["n_symbols"])
     labels = fixture_labels(name)
     n_captures = len(labels)  # one collision per packet of the set
-    placements = []
-    captures = []
-    for ci in range(n_captures):
-        samples = np.asarray(data[f"capture{ci}"])
-        captures.append(samples)
-        for label in labels:
-            key = f"c{ci}_{label}"
-            symbol0 = int(data[f"symbol0_{key}"])
-            est = sync.acquire(samples, symbol0,
-                               coarse_freq=float(data[f"coarse_{key}"]),
-                               noise_power=noise_power)
-            placements.append(PlacementParams(
-                label, ci, symbol0 + est.sampling_offset, est))
+    captures = [np.asarray(data[f"capture{ci}"])
+                for ci in range(n_captures)]
+    if name in SCENARIO_FIXTURES:
+        placements = _stored_placements(name, data)
+    else:
+        sync = Synchronizer(preamble, shaper, threshold=0.3)
+        placements = []
+        for ci, samples in enumerate(captures):
+            for label in labels:
+                key = f"c{ci}_{label}"
+                symbol0 = int(data[f"symbol0_{key}"])
+                est = sync.acquire(samples, symbol0,
+                                   coarse_freq=float(data[f"coarse_{key}"]),
+                                   noise_power=noise_power)
+                placements.append(PlacementParams(
+                    label, ci, symbol0 + est.sampling_offset, est))
     config = StreamConfig(preamble=preamble, shaper=shaper,
                           noise_power=noise_power)
     specs = {label: PacketSpec(label, n_symbols) for label in labels}
+    return config, (captures, specs, placements)
+
+
+def decode_fixture(name: str, data: dict) -> dict[str, np.ndarray]:
+    """ZigZag-decode a fixture's trial (see :func:`fixture_trial`)."""
+    config, trial = fixture_trial(name, data)
     decoder_cls = ZigZagMultiDecoder if name in THREE_SENDER_FIXTURES \
         else ZigZagPairDecoder
-    outcome = decoder_cls(config).decode(captures, specs, placements)
+    outcome = decoder_cls(config).decode(*trial)
     return {label: outcome.results[label].bits.astype(np.uint8)
-            for label in labels}
+            for label in fixture_labels(name)}
 
 
 def regenerate(names: list[str] | None = None) -> None:

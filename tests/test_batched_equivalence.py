@@ -28,12 +28,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.phy.preamble import default_preamble
 from repro.phy.pulse import PulseShaper
-from repro.phy.sync import Synchronizer
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
 from repro.zigzag.decoder import ZigZagPairDecoder
-from repro.zigzag.engine import PacketSpec, PlacementParams
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -55,33 +53,6 @@ def _load(name: str) -> dict:
         return {key: np.array(data[key]) for key in data.files}
 
 
-def _fixture_trial(name: str, data: dict):
-    """Rebuild a fixture's (captures, specs, placements) trial tuple via
-    the same acquisition path ``decode_fixture`` runs."""
-    preamble = default_preamble(int(data["preamble_length"]))
-    shaper = PulseShaper()
-    noise_power = float(data["noise_power"])
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
-    n_symbols = int(data["n_symbols"])
-    labels = golden.fixture_labels(name)
-    captures, placements = [], []
-    for ci in range(len(labels)):
-        samples = np.asarray(data[f"capture{ci}"])
-        captures.append(samples)
-        for label in labels:
-            key = f"c{ci}_{label}"
-            symbol0 = int(data[f"symbol0_{key}"])
-            est = sync.acquire(samples, symbol0,
-                               coarse_freq=float(data[f"coarse_{key}"]),
-                               noise_power=noise_power)
-            placements.append(PlacementParams(
-                label, ci, symbol0 + est.sampling_offset, est))
-    specs = {label: PacketSpec(label, n_symbols) for label in labels}
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=noise_power)
-    return config, (captures, specs, placements)
-
-
 def _fingerprints(outcome) -> dict:
     return {name: (result.success,
                    np.asarray(result.bits, dtype=np.uint8).copy())
@@ -101,7 +72,7 @@ class TestGoldenBatchEquality:
     def test_all_fixtures_stacked_into_one_batch(self):
         """Every golden fixture decoded in a single ``decode_batch`` call
         matches the per-trial scalar decode bit-exactly."""
-        loaded = [(name, *_fixture_trial(name, _load(name)))
+        loaded = [(name, *golden.fixture_trial(name, _load(name)))
                   for name in FIXTURE_NAMES]
         config = loaded[0][1]
         decoder = BatchedPairDecoder(config)
@@ -117,7 +88,7 @@ class TestGoldenBatchEquality:
         """The batched decode reproduces the committed golden bits, not
         just whatever the current scalar path emits."""
         data = _load(name)
-        config, trial = _fixture_trial(name, data)
+        config, trial = golden.fixture_trial(name, data)
         outcome = BatchedPairDecoder(config).decode_batch([trial])[0]
         for label in golden.fixture_labels(name):
             got = np.asarray(outcome.results[label].bits, dtype=np.uint8)
@@ -128,7 +99,7 @@ class TestGoldenBatchEquality:
         """k = 3 trials cannot run lockstep; the fallback must be the
         scalar path, unchanged."""
         name = next(iter(golden.THREE_SENDER_FIXTURES))
-        config, trial = _fixture_trial(name, _load(name))
+        config, trial = golden.fixture_trial(name, _load(name))
         decoder = BatchedPairDecoder(config)
         outcome = decoder.decode_batch([trial])[0]
         assert decoder.last_stats.fallback == 1

@@ -3,8 +3,8 @@
 ``tests/golden/closed_loop.json`` pins the flows, counters and receiver
 stats of short fixed-seed sessions — a single hidden-stream cell, a
 mutually hidden clique, the default and probabilistic sense draws, a
-spec-built clique and a coupled 3-AP block, each under the ZigZag and
-802.11 designs (see ``tests/golden/closed_loop.py``). Receive-path
+spec-built clique, an idle offered-load cell and a coupled 3-AP block,
+each under the ZigZag and 802.11 designs (see ``tests/golden/closed_loop.py``). Receive-path
 optimizations promise identical output; these tests hold them to it
 across the whole loop, not just the offline decode the ``.npz`` vectors
 pin.
@@ -55,7 +55,8 @@ def test_session_matches_fixture(pinned, fresh, case):
 
 def test_fixture_exercises_the_zigzag_paths(pinned):
     """The pinned sessions are not trivially clean: ZigZag resolves
-    pairs and k = 3 sets, and beats 802.11 on the hidden pair."""
+    pairs and k = 3 sets, and beats 802.11 on the hidden pair; the idle
+    cell skips most of its air."""
     stream = pinned["hidden_stream7/zigzag"]["receiver_stats"]
     assert stream["zigzag_matches"] > 0
     assert pinned["clique7/zigzag"]["receiver_stats"][
@@ -66,3 +67,6 @@ def test_fixture_exercises_the_zigzag_paths(pinned):
         for design in closed_loop.DESIGNS
     }
     assert delivered["zigzag"] > delivered["802.11"]
+    for design in closed_loop.DESIGNS:
+        counters = pinned[f"idle_load7/{design}"]["counters"]
+        assert counters["samples_skipped"] > counters["samples_emitted"]

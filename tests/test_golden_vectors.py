@@ -87,3 +87,10 @@ class TestGoldenVectors:
         for label in labels:
             assert np.array_equal(rebuilt[f"body_{label}"],
                                   data[f"body_{label}"])
+        # Scenario fixtures also store the placements the scenario
+        # acquired; they must regenerate exactly too.
+        for key in rebuilt:
+            if key.startswith(golden.PLACEMENT_FIELDS):
+                assert np.array_equal(rebuilt[key], data[key]), (
+                    f"{name}: {key} no longer regenerates bit-exactly — "
+                    f"acquisition numerics changed.")
