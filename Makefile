@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test cov lint smoke stream-smoke chaos-smoke city-smoke bench examples perfbench perfbench-smoke bench-smoke
+.PHONY: verify test cov lint smoke stream-smoke chaos-smoke city-smoke bench examples bench-smoke
 
 # The full gate: tier-1 tests plus a fast runner smoke sweep.
 verify: test smoke
@@ -81,17 +81,6 @@ city-smoke:
 # Regenerate every paper figure/table (slow; writes benchmarks/results/).
 bench:
 	$(PYTHON) -m pytest -q benchmarks/bench_*.py
-
-# Tracked DSP performance benchmarks: every vectorized kernel timed
-# against its preserved pre-optimization reference, plus an end-to-end
-# hidden-pair decode and a runner sweep. Writes BENCH_perf.json at the
-# repo root (schema: docs/performance.md).
-perfbench:
-	$(PYTHON) -m repro perf --out BENCH_perf.json
-
-# Tiny sizes — proves the harness runs (CI); numbers are not meaningful.
-perfbench-smoke:
-	$(PYTHON) -m repro perf --smoke --out BENCH_perf.smoke.json
 
 # The closed-loop benchmark (perfbench/, BENCHMARK.json) at tiny sizes:
 # every workload untraced and traced, metric names and units checked

@@ -40,10 +40,10 @@ Two ideas carry all the weight:
   bit-compatible with the loop path by construction, so divergent lanes
   cost only their own time.
 
-Equivalence policy (matches the repo's perf-harness precedent): decoded
-bits/decisions are identical to the scalar path; float internals (phases,
-soft symbols) agree to ~1e-9, since the block maps evaluate the same
-recurrence in a different association order.
+Equivalence policy (the same as the scalar kernels' against their
+oracles): decoded bits/decisions are identical to the scalar path; float
+internals (phases, soft symbols) agree to ~1e-9, since the block maps
+evaluate the same recurrence in a different association order.
 """
 
 from __future__ import annotations

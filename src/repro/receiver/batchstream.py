@@ -22,8 +22,9 @@ Differences from the scalar path, by design:
   raises :class:`BatchDivergence` and the engine falls back to the loop
   path for the whole group (bit-identical results, just slower).
 
-Float policy matches the repo's perf-harness precedent: decisions/bits are
-identical to the scalar path, float internals agree to ~1e-9. The
+Float policy matches the scalar kernels' against their oracles:
+decisions/bits are identical to the scalar path, float internals agree
+to ~1e-9. The
 derotation constants are built with the same ``cmath``/cumprod operations
 as the scalar decoder so the tracker sees bit-identical inputs wherever
 that is cheap to arrange.

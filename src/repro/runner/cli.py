@@ -8,7 +8,6 @@ Commands::
     repro sweep SCENARIO.toml --param snr_db=0:20:2 [--metrics a,b] ...
     repro list
     repro demo [--seed S]
-    repro perf [--smoke] [--out PATH] [--json]
 
 ``run`` executes one scenario file and prints a metric table (mean, 95%
 CI per metric) plus merged per-flow counters. ``sweep`` re-runs the
@@ -82,16 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="decode one hidden-terminal "
                                          "collision pair end to end")
     demo_p.add_argument("--seed", type=int, default=1)
-
-    perf_p = sub.add_parser(
-        "perf", help="benchmark the DSP hot paths against their "
-                     "pre-optimization references (writes BENCH_perf.json)")
-    perf_p.add_argument("--smoke", action="store_true",
-                        help="tiny sizes; exercises the harness only")
-    perf_p.add_argument("--out", default=None,
-                        help="report path (default BENCH_perf.json)")
-    perf_p.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON instead of a table")
     return parser
 
 
@@ -158,18 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list":
             for name, doc in available_scenarios().items():
                 print(f"{name:<18} {doc}")
-            return 0
-        if args.command == "perf":
-            # Imported lazily: the perf suite pulls in the whole DSP stack.
-            from repro.perf import bench
-            payload = bench.run_perf_suite(smoke=args.smoke)
-            out = args.out if args.out is not None else bench.DEFAULT_REPORT
-            bench.write_report(payload, out)
-            if args.json:
-                print(json.dumps(payload, indent=2, sort_keys=True))
-            else:
-                print(bench.format_summary(payload))
-                print(f"wrote {out}")
             return 0
         if args.command == "demo":
             from repro import quick_hidden_terminal_demo

@@ -11,7 +11,10 @@ three-sender fixture pins the §4.5 k-way path (three captures,
 decoding on the *stored* waveforms and asserts the recovered bits match
 **bit-exactly**, pinning the whole receive chain (sync.acquire through
 engine/re-encode/subtract/tracking) across future refactors — the
-end-to-end analogue of :mod:`repro.perf.reference`'s kernel oracles.
+end-to-end analogue of the kernel oracles in ``tests/kernel_oracles.py``.
+The scenario fixture instead stores the placements
+:func:`~repro.runner.builders.hidden_pair_scenario` acquired itself and
+decodes from them, so it pins that builder's exact end-to-end case.
 
 Regenerate (only after an *intentional* behavior change, and eyeball the
 reported BERs before committing)::

@@ -1,22 +1,17 @@
 """Pre-optimization ("before") implementations of the DSP hot paths.
 
 These are the scalar/per-tap loops the vectorized kernels in
-:mod:`repro.phy` and :mod:`repro.zigzag` replaced, preserved verbatim so
-
-- the perf harness (:mod:`repro.perf.bench`) can measure honest
-  before/after deltas in the same run on the same machine, and
-- the golden-equivalence tests (``tests/test_perf_equivalence.py``) can
-  assert that the optimized kernels produce numerically identical output.
+:mod:`repro.phy` and :mod:`repro.zigzag` replaced, kept verbatim as the
+oracles the equivalence tests compare against: the optimized kernels
+must produce numerically identical output (``test_perf_equivalence.py``),
+and the trial-axis batched kernels must equal one scalar call per lane
+(``test_batched_kernels.py``).
 
 Each function takes the live object as its first argument and mutates its
-state exactly as the original method did. :func:`use_reference_kernels`
-temporarily swaps them in class-wide, which is how the end-to-end baseline
-(whole ZigZag pair decode, runner sweep) is timed.
+state exactly as the original method did.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -30,15 +25,16 @@ from repro.zigzag.reencode import Reencoder
 
 __all__ = [
     "phase_tracker_process",
+    "shaper_kernel_at",
     "matched_sampler_sample",
     "convolutional_encode",
     "convolutional_decode_soft",
     "mueller_muller_process",
+    "fractional_delay_apply",
     "reencoder_image",
     "batched_matched_sampler_loop",
     "batched_phase_tracker_loop",
     "batched_viterbi_loop",
-    "use_reference_kernels",
 ]
 
 
@@ -245,192 +241,12 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
     return reencoder.estimate.gain * wave * ramp, base
 
 
-def channel_apply(channel, symbols, start_sample: int = 0) -> np.ndarray:
-    """Original ``Channel.apply`` (designs a fresh fractional-delay kernel
-    on every call; the per-tap FIR comes from the patched
-    ``FractionalDelay.apply``)."""
-    x = np.asarray(symbols, dtype=complex).ravel()
-    if x.size == 0:
-        return x
-    p = channel.params
-    out = x
-    if p.tx_evm > 0.0:
-        distortion = (channel.rng.standard_normal(out.size)
-                      + 1j * channel.rng.standard_normal(out.size))
-        out = out * (1.0 + p.tx_evm / np.sqrt(2.0) * distortion)
-    out = p.isi_filter().apply(out)
-    if p.sampling_offset != 0.0:
-        out = FractionalDelay(p.sampling_offset).apply(out)
-    n = np.arange(start_sample, start_sample + out.size, dtype=float)
-    phase_ramp = np.exp(2j * np.pi * p.freq_offset * n)
-    out = p.gain * out * phase_ramp
-    if p.phase_noise_std > 0.0:
-        steps = channel.rng.normal(0.0, p.phase_noise_std, out.size)
-        out = out * np.exp(1j * np.cumsum(steps))
-    return out
-
-
-def frontend_static_derotate(stream, raw: np.ndarray, i0: int) -> np.ndarray:
-    """Original ``SymbolStreamDecoder._static_derotate`` (fresh arange and
-    complex exponential per chunk)."""
-    est = stream.estimate
-    sps = stream.config.shaper.sps
-    n = stream.start + sps * np.arange(i0, i0 + raw.size)
-    ramp = np.exp(-2j * np.pi * est.freq_offset * n)
-    gain = est.gain if est.gain != 0 else 1e-12
-    return raw * ramp / gain
-
-
-def engine_subtract_chunk(engine, packet: str, target: int,
-                          decoded_from: int, chunk) -> None:
-    """Original ``ZigZagEngine._subtract_chunk`` (per-call arange and
-    unconditional intra-chunk ramp on the cross-capture path)."""
-    from repro.zigzag.reencode import add_segment, subtract_segment
-
-    key = (packet, target)
-    reencoder = engine._get_reencoder(packet, target)
-    if target == decoded_from:
-        stream = engine.streams[key]
-        reencoder.estimate = stream.estimate
-        if stream.channel_isi is not None:
-            reencoder.symbol_isi = stream.channel_isi
-        effective = chunk.effective_symbols
-        segment, base = reencoder.image(effective, chunk.i0)
-    else:
-        sub = engine.subtraction[key]
-        sps = engine.config.shaper.sps
-        center = reencoder.start + sps * 0.5 * (chunk.i0 + chunk.i1)
-        predicted = sub.predict(center)
-        effective = chunk.decisions * predicted * np.exp(
-            1j * sub.freq * sps
-            * (np.arange(chunk.i0, chunk.i1)
-               - 0.5 * (chunk.i0 + chunk.i1)))
-        segment, base = reencoder.image(effective, chunk.i0)
-        if engine.measure_correction:
-            correction = engine._measure_and_update(
-                key, segment, base, chunk, reencoder, predicted, center)
-            if correction != 1.0:
-                segment = segment * correction
-    subtract_segment(engine.residual[target], segment, base)
-    add_segment(engine.images[key], segment, base)
-
-
-def engine_measure_and_update(engine, key, segment, base, chunk, reencoder,
-                              predicted: complex, center: float) -> complex:
-    """Original numpy-scalar ``ZigZagEngine._measure_and_update``."""
-    sub = engine.subtraction[key]
-    residual = engine.residual[key[1]]
-    core = reencoder.core_slice(chunk.i0, chunk.i1, base, segment.size)
-    lo = base + core.start
-    hi = base + core.stop
-    if lo < 0 or hi > residual.size or hi <= lo:
-        return 1.0
-    seg_core = segment[core]
-    denom = float(np.sum(np.abs(seg_core) ** 2))
-    noise_floor = engine.config.noise_power * (hi - lo)
-    if denom < 4.0 * noise_floor:
-        return 1.0
-    window = residual[lo:hi]
-    rho = complex(np.vdot(seg_core, window) / denom)
-    own_power = denom / (hi - lo)
-    window_power = float(np.mean(np.abs(window) ** 2))
-    contamination = max(window_power - own_power * abs(rho) ** 2, 0.0)
-    measurement_var = contamination / max(denom, 1e-30)
-    prior_var = 0.02
-    gain = engine.correction_alpha * prior_var / (prior_var
-                                                  + measurement_var)
-    magnitude = float(np.clip(abs(rho), 0.5, 2.0))
-    angle = float(np.angle(rho))
-    correction = (magnitude ** gain) * np.exp(1j * gain * angle)
-    sub.multiplier = predicted * correction
-    if sub.last_position is not None:
-        dt = center - sub.last_position
-        if dt > 0:
-            max_step = 0.1 / dt
-            sub.freq += float(np.clip(
-                engine.correction_beta * gain * angle / dt,
-                -max_step, max_step))
-    sub.last_position = center
-    return correction
-
-
-def decoder_align_backward(forward_soft, forward_decisions, backward_soft,
-                           block: int = 32, min_agreement: float = 0.6):
-    """Original ``ZigZagPairDecoder._align_backward`` (numpy-scalar
-    reductions per block)."""
-    n = backward_soft.size
-    aligned = np.array(backward_soft, copy=True)
-    weights = np.zeros(n, dtype=float)
-    for start in range(0, n, block):
-        sl = slice(start, min(start + block, n))
-        dec = forward_decisions[sl]
-        denom = np.sum(np.abs(dec) ** 2)
-        if denom <= 0:
-            continue
-        rho = np.vdot(dec, backward_soft[sl]) / denom
-        if abs(rho) < 1e-9:
-            continue
-        aligned[sl] = backward_soft[sl] * np.exp(-1j * np.angle(rho))
-        agreement = float(min(abs(rho), 1.0))
-        if agreement < min_agreement:
-            continue
-        var_f = float(np.mean(np.abs(forward_soft[sl] - dec) ** 2))
-        var_b = float(np.mean(np.abs(aligned[sl] - dec) ** 2))
-        if var_b <= 0:
-            weights[sl] = 1.0
-        else:
-            weights[sl] = float(np.clip(var_f / var_b, 0.0, 1.0))
-    return aligned, weights
-
-
-def find_correlation_peaks(signal, preamble, *, freq_offset: float = 0.0,
-                           threshold: float = 0.6, min_separation=None,
-                           max_peaks=None):
-    """Original ``find_correlation_peaks`` (computes the sliding
-    correlation twice and |corr| once per accepted peak)."""
-    from repro.phy.correlation import (
-        CorrelationPeak,
-        normalized_sliding_correlation,
-        refine_peak_position,
-        sliding_correlation,
-    )
-
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError("threshold must lie in (0, 1]")
-    corr = sliding_correlation(signal, preamble, freq_offset)
-    scores = normalized_sliding_correlation(signal, preamble, freq_offset)
-    separation = min_separation if min_separation is not None \
-        else len(preamble)
-    candidates = np.flatnonzero(scores >= threshold)
-    peaks = []
-    used = np.zeros(scores.size, dtype=bool)
-    order = candidates[np.argsort(-scores[candidates])]
-    for idx in order:
-        if used[idx]:
-            continue
-        lo = max(0, idx - separation)
-        hi = min(scores.size, idx + separation + 1)
-        used[lo:hi] = True
-        fine = refine_peak_position(np.abs(corr), int(idx))
-        peaks.append(CorrelationPeak(
-            position=int(idx),
-            fine_offset=fine,
-            value=complex(corr[idx]),
-            score=float(scores[idx]),
-        ))
-        if max_peaks is not None and len(peaks) >= max_peaks:
-            break
-    peaks.sort(key=lambda p: p.position)
-    return peaks
-
-
 # ----------------------------------------------------------------------
 # Batched-vs-loop pairs (trial-axis kernels)
 # ----------------------------------------------------------------------
 # The trial-axis kernels in repro.phy.batch did not *replace* scalar
 # code — the scalar loop over lanes IS their baseline. These loops are
-# the before side of the batched microbenches and the oracle the batched
-# equivalence tests compare against.
+# the oracle the batched equivalence tests compare against.
 def batched_matched_sampler_loop(shaper, padded, origin, starts,
                                  count: int) -> np.ndarray:
     """One scalar :class:`MatchedSampler` call per lane — the baseline of
@@ -475,70 +291,3 @@ def batched_viterbi_loop(code: ConvolutionalCode, soft,
     soft = np.asarray(soft, dtype=float)
     return np.stack([code.decode_soft(row, terminated=terminated)
                      for row in soft])
-
-
-@contextlib.contextmanager
-def use_reference_kernels():
-    """Swap every DSP path this PR optimized for its pre-PR version.
-
-    This is the honest end-to-end baseline: the tentpole kernels (tracker,
-    sampler, Viterbi, re-encoder) *and* the ride-along optimizations
-    (fractional-delay FIR, channel delay-kernel reuse, correction-loop
-    scalarization, backward alignment) all revert together. The
-    synchronizer is not swapped: its detection and acquisition now share
-    per-capture work across a whole candidate-frequency list, which the
-    per-frequency originals cannot serve. Class-wide and in-process only:
-    run end-to-end baselines with ``n_workers=1`` so no child process
-    escapes the patch.
-    """
-    import repro.phy.channel as channel_mod
-    import repro.phy.correlation as correlation_mod
-    import repro.receiver.frontend as frontend_mod
-    import repro.zigzag.decoder as decoder_mod
-    import repro.zigzag.engine as engine_mod
-
-    saved = (
-        PhaseTracker.process,
-        MatchedSampler.sample,
-        ConvolutionalCode.encode,
-        ConvolutionalCode.decode_soft,
-        MuellerMullerTracker.process,
-        Reencoder.image,
-        FractionalDelay.apply,
-        channel_mod.Channel.apply,
-        frontend_mod.SymbolStreamDecoder._static_derotate,
-        engine_mod.ZigZagEngine._subtract_chunk,
-        engine_mod.ZigZagEngine._measure_and_update,
-        # Fetch the staticmethod descriptor itself so restoring it does
-        # not turn the original back into a bound method.
-        decoder_mod.ZigZagMultiDecoder.__dict__["_align_backward"],
-        correlation_mod.find_correlation_peaks,
-    )
-    PhaseTracker.process = phase_tracker_process
-    MatchedSampler.sample = matched_sampler_sample
-    ConvolutionalCode.encode = convolutional_encode
-    ConvolutionalCode.decode_soft = convolutional_decode_soft
-    MuellerMullerTracker.process = mueller_muller_process
-    Reencoder.image = reencoder_image
-    FractionalDelay.apply = fractional_delay_apply
-    channel_mod.Channel.apply = channel_apply
-    frontend_mod.SymbolStreamDecoder._static_derotate = \
-        frontend_static_derotate
-    engine_mod.ZigZagEngine._subtract_chunk = engine_subtract_chunk
-    engine_mod.ZigZagEngine._measure_and_update = engine_measure_and_update
-    decoder_mod.ZigZagMultiDecoder._align_backward = staticmethod(
-        decoder_align_backward)
-    correlation_mod.find_correlation_peaks = find_correlation_peaks
-    try:
-        yield
-    finally:
-        (PhaseTracker.process, MatchedSampler.sample,
-         ConvolutionalCode.encode, ConvolutionalCode.decode_soft,
-         MuellerMullerTracker.process, Reencoder.image,
-         FractionalDelay.apply,
-         channel_mod.Channel.apply,
-         frontend_mod.SymbolStreamDecoder._static_derotate,
-         engine_mod.ZigZagEngine._subtract_chunk,
-         engine_mod.ZigZagEngine._measure_and_update,
-         decoder_mod.ZigZagMultiDecoder._align_backward,
-         correlation_mod.find_correlation_peaks) = saved

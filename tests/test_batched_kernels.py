@@ -2,7 +2,7 @@
 
 The batched kernels in ``repro.phy.batch`` / the batched synchronizer
 methods did not replace scalar code — the loop over lanes IS their
-baseline, preserved in ``repro.perf.reference`` as
+baseline, preserved in ``tests/kernel_oracles.py`` as
 ``batched_*_loop``. These tests pin the equivalence contract that makes
 the batch axis safe (and batch-size-invariant):
 
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.perf import reference
 from repro.phy.batch import (
     BatchedMatchedSampler,
     BatchedPhaseTracker,
@@ -41,6 +40,8 @@ from repro.phy.preamble import default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
 from repro.utils.bits import random_bits
+
+import kernel_oracles as reference
 
 TOL = 1e-9
 

@@ -8,8 +8,11 @@ pairs through the §4.2.3 pair path, and a three-sender set through the
 on the *stored* waveforms must reproduce those bits exactly — any
 numerical drift anywhere in the chain (sync.acquire, chunk scheduling,
 re-encode/subtract, tracking, slicing, k-copy MRC) trips these tests.
-This is the end-to-end complement of the kernel-level oracles in
-``tests/test_perf_equivalence.py``.
+The ``hidden_pair_scenario`` fixture decodes from the placements the
+scenario builder acquired, a 240-bit pair through forward + backward +
+MRC; its pinned bits equal the decode with every pre-optimization
+kernel patched in. This is the end-to-end complement of the kernel-level
+oracles in ``tests/kernel_oracles.py``.
 
 After an *intentional* behavior change, regenerate with::
 

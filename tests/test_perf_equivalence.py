@@ -9,21 +9,22 @@ implementations — exact for the integer paths (encode, Viterbi decode),
 within 1e-12 for the float paths.
 
 The reference implementations are kept verbatim in
-``repro.perf.reference`` (a single source of truth shared with the perf
-harness, which times them as the "before" baseline); the module-level
-``_reference_*`` aliases bind them for the assertions here.
+``tests/kernel_oracles.py``; the module-level ``_reference_*`` aliases
+bind them for the assertions here. The end-to-end decode these kernels
+feed is pinned by the golden fixtures (``tests/golden/``).
 """
 
 import numpy as np
 import pytest
 
-from repro.perf import reference
 from repro.phy.coding.convolutional import ConvolutionalCode
 from repro.phy.constellation import BPSK, QAM16, QPSK
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.pulse import MatchedSampler, PulseShaper
 from repro.phy.tracking import MuellerMullerTracker, PhaseTracker
 from repro.utils.bits import random_bits
+
+import kernel_oracles as reference
 
 _reference_phase_tracker_process = reference.phase_tracker_process
 _reference_matched_sampler_sample = reference.matched_sampler_sample
@@ -297,19 +298,3 @@ class TestReencoderEquivalence:
         np.testing.assert_allclose(total[whole_seg.size:], 0,
                                    atol=1e-10, rtol=0)
 
-
-class TestEndToEndGolden:
-    def test_hidden_pair_decode_bits_identical(self):
-        """A full seeded hidden-pair ZigZag decode recovers bit-identical
-        frames with the optimized kernels and with every pre-PR reference
-        implementation patched in."""
-        from repro.perf.bench import _decode_outcome_fingerprint
-
-        fast = _decode_outcome_fingerprint(seed=424242, payload_bits=240)
-        with reference.use_reference_kernels():
-            ref = _decode_outcome_fingerprint(seed=424242, payload_bits=240)
-        assert fast.keys() == ref.keys()
-        for name in fast:
-            assert fast[name]["success"] == ref[name]["success"]
-            assert np.array_equal(fast[name]["bits"], ref[name]["bits"]), \
-                f"decoded bits diverged for packet {name}"
