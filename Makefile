@@ -41,13 +41,13 @@ smoke:
 # Tiny closed-loop soak through the CLI: continuous air, streaming
 # segmentation, collision-buffer matching and ACK feedback end to end
 # (the repro.link subsystem), ZigZag vs current-802.11 AP in one run.
-# Then the two session cores head to head: the equivalence suite plus
-# the idle-heavy benchmark pinning the event core's >=5x wall-clock win
-# over the slot-clocked reference (writes benchmarks/results/).
+# Then the session core's suite plus the stream soaks, including the
+# idle-heavy one that bounds how much idle air is synthesized instead
+# of skipped (writes benchmarks/results/).
 stream-smoke:
 	$(PYTHON) -m repro run examples/scenarios/ap_stream.toml \
 		--trials 1 --set n_packets=2
-	$(PYTHON) -m pytest -q tests/test_event_equivalence.py \
+	$(PYTHON) -m pytest -q tests/test_event_core.py \
 		benchmarks/bench_stream_soak.py
 
 # Chaos soak (docs/resilience.md): worker kills, injected exceptions

@@ -1,33 +1,28 @@
 """Event-driven session core: symbolic MAC time, DSP only where signal is.
 
-The slot-clocked :meth:`~repro.link.session.LinkSession.run` loop walks
-``now`` forward one slot at a time, so wall time scales with *simulated
-air* even when the medium is idle.  This module replaces that walk with a
-heap-ordered event loop in the style of SimPy networking stacks: client
-arrivals, backoff expiries, TX starts/ends, ACK deliveries and ACK
-timeouts are discrete events carrying absolute sample indices, and the
-medium advances *lazily* — noise and burst segmentation are synthesized
-only over chunks that overlap a scheduled waveform (or an open burst),
-while idle gaps are skipped symbolically in O(1) via
-:meth:`ContinuousAir.skip` / :meth:`BurstSegmenter.skip`.
+:meth:`~repro.link.session.LinkSession.run` runs a heap-ordered event
+loop in the style of SimPy networking stacks instead of visiting every
+slot boundary, so wall time scales with *busy* air rather than with
+simulated air. Client arrivals, backoff expiries, TX starts/ends, ACK
+deliveries and ACK timeouts are discrete events carrying absolute
+sample indices, and the medium advances *lazily* — noise and burst
+segmentation are synthesized only over chunks that overlap a scheduled
+waveform (or an open burst), while idle gaps are skipped symbolically in
+O(1) via :meth:`ContinuousAir.skip` / :meth:`BurstSegmenter.skip`.
 
-Timing semantics are kept bit-compatible with the slot-clocked core:
+Timing follows slotted 802.11 MAC semantics:
 
-- every MAC decision still lands on the global slot grid (events are
-  pushed at the smallest slot boundary >= their raw time, exactly where
-  the slot loop would have observed the condition);
+- every MAC decision lands on the global slot grid (events are pushed at
+  the smallest slot boundary >= their raw time, the first boundary at
+  which a slotted MAC observes the condition);
 - at one boundary, chunk processing runs before ACK delivery, which runs
-  before client decisions — the same intra-slot order as the ``run``
-  loop (emit -> ``_deliver_acks`` -> ``step``);
+  before client decisions (in client list order);
 - carrier sense uses the slot-consistent snapshot rule: a transmission
   occupies ``[start, tx_end)`` and is sensed at boundary ``t`` iff
   ``start < t < tx_end``, so same-boundary decisions are independent of
-  client order.
-
-What is *not* preserved is the RNG draw order (idle noise is never
-drawn), so an event-driven session equals its slot-clocked twin
-statistically, not sample-for-sample — the equivalence suite pins the
-reports of both cores on identically-seeded scenarios.
+  client order — two contenders whose backoff expires on the same
+  boundary both transmit, and a transmission that ends at ``t`` is no
+  longer sensed at ``t``.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ __all__ = ["RadioState", "EventQueue", "EventEngine",
 
 
 class RadioState(IntEnum):
-    """Per-client MAC radio state (IDLE/CONTEND/TX/AWAIT_ACK machine),
-    shared by the event and slot-clocked cores."""
+    """Per-client MAC radio state (IDLE/CONTEND/TX/AWAIT_ACK machine)."""
 
     IDLE = 0        # no packet pending; waiting for the next arrival
     CONTEND = 1     # backoff counting down on idle slot boundaries
@@ -60,8 +54,8 @@ ACK_TIMEOUT = "ack_timeout"  # no ACK within the timeout window
 ACK_DELIVERY = "ack"         # a planned ACK reaches its sender
 AIR_CHUNK = "air_chunk"      # synthesize/segment one chunk of medium
 
-# Same-boundary ordering, mirroring the slot loop's intra-slot order
-# (chunk emission, then _deliver_acks, then client steps in list order).
+# Same-boundary ordering: chunk emission, then ACK delivery, then client
+# decisions in list order.
 PRIO_AIR, PRIO_ACK, PRIO_CLIENT = range(3)
 
 
@@ -71,7 +65,7 @@ class EventQueue:
     ``time`` is an absolute sample index; ``priority`` orders co-timed
     events across layers (air < ACK < client); ``tiebreak`` orders
     co-timed events inside a layer (client list index, or chunk end for
-    air events — the slot loop's sequential-step order); ``seq`` makes
+    air events — a slotted MAC's sequential-step order); ``seq`` makes
     the ordering total and FIFO-stable.
     """
 
@@ -103,8 +97,7 @@ class EventEngine:
 
     The engine owns the event heap and the lazy-air bookkeeping; all
     domain state (client states, flows, counters, the AP, the air, the
-    segmenter, ACK planning) lives on the session and is shared verbatim
-    with the slot-clocked core.
+    segmenter, ACK planning) lives on the session.
     """
 
     def __init__(self, session) -> None:
@@ -128,8 +121,8 @@ class EventEngine:
 
     # ------------------------------------------------------------------
     def _boundary(self, t: int) -> int:
-        """Smallest slot-grid boundary >= *t* (where the slot loop would
-        first observe a condition raised at raw time *t*)."""
+        """Smallest slot-grid boundary >= *t* (where a slotted MAC first
+        observes a condition raised at raw time *t*)."""
         return -(-int(t) // self.slot) * self.slot
 
     # ------------------------------------------------------------------
@@ -255,7 +248,7 @@ class EventEngine:
             s._process_burst(burst, now)
         # _process_burst plans ACKs onto the session's time-ordered
         # queue; lift them onto the event heap (delivered at the first
-        # boundary >= their air time, like _deliver_acks would).
+        # boundary >= their air time).
         while s._ack_queue:
             at, src, seq = heapq.heappop(s._ack_queue)
             self.q.push(max(self._boundary(at), now), PRIO_ACK, 0,

@@ -172,8 +172,7 @@ class MultiCellSession:
     *cells* pairs each :class:`~repro.testbed.deployment.CellPlan` with
     a ready-built :class:`LinkSession` whose clients carry the plan's
     names and serving-AP SNRs (see
-    ``repro.runner.builders.build_cell_session``). Sessions must use the
-    event engine — the slot-clocked core has no step-wise API.
+    ``repro.runner.builders.build_cell_session``).
 
     With ``config.workers != 1`` the block is stepped by a pool of
     persistent cell-worker processes (:mod:`repro.link.parallel`); a
@@ -205,10 +204,6 @@ class MultiCellSession:
                 raise ConfigurationError(
                     f"duplicate cell for AP {plan.ap}")
             seen.add(plan.ap)
-            if session.config.engine != "event":
-                raise ConfigurationError(
-                    "multi-cell coordination needs engine='event' "
-                    "sessions (the slot core has no step-wise API)")
             lookup = {}
             for state in session.clients:
                 name = state.client.name

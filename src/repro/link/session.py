@@ -20,13 +20,12 @@ and ACK timeouts. Memory stays bounded for arbitrarily long sessions —
 the air holds only in-flight waveforms, the segmenter only the open
 burst, and the collision buffer ages out stale records.
 
-Two interchangeable cores drive the loop (``SessionConfig.engine``):
-the event-driven scheduler of :mod:`repro.link.events` (the default —
-symbolic MAC time, DSP only over actual burst extents, wall time scales
-with *busy* air) and the original slot-clocked ``while`` loop (every
-slot boundary visited explicitly — the reference semantics the event
-core is pinned against). Both share every piece of domain logic below;
-only the advancement of time differs.
+The loop is driven by the event-driven scheduler of
+:mod:`repro.link.events`: MAC time advances symbolically from event to
+event (every decision still on the slot grid), and the DSP runs only
+over actual burst extents, so wall time scales with *busy* air. The
+domain logic it drives (client state machine, burst processing, ACK
+planning, end-of-session accounting) lives here.
 """
 
 from __future__ import annotations
@@ -108,16 +107,10 @@ class SessionConfig:
     sender_impairments: ImpairmentPipeline | None = None
     capture_impairments: ImpairmentPipeline | None = None
     max_samples: int | None = None             # safety cap; None: derived
-    # Which core drives the loop: "event" (heap-ordered scheduler, idle
-    # air skipped symbolically) or "slot" (the reference per-slot walk).
-    engine: str = "event"
 
     def __post_init__(self) -> None:
         if self.n_packets < 1 or self.max_attempts < 1:
             raise ConfigurationError("counts must be positive")
-        if self.engine not in ("event", "slot"):
-            raise ConfigurationError(
-                f"engine must be 'event' or 'slot', got {self.engine!r}")
         if self.slot_samples < 1 or self.chunk_samples < 1:
             raise ConfigurationError("sample counts must be positive")
         if self.max_collision_packets is not None \
@@ -181,9 +174,9 @@ class _ClientState:
         self.tx_end = 0
         self.ack_deadline = 0
         self.next_arrival = 0
-        # Event-engine bookkeeping (unused by the slot-clocked core):
-        # generation counter invalidating stale heap events, and the
-        # anchor/expiry of the currently-scheduled backoff countdown.
+        # Event-engine bookkeeping: generation counter invalidating
+        # stale heap events, and the anchor/expiry of the
+        # currently-scheduled backoff countdown.
         self.gen = 0
         self.contend_anchor = 0
         self.pending_tx_time = 0
@@ -234,47 +227,6 @@ class _ClientState:
             self.state = RadioState.DONE
         else:
             self.state = RadioState.IDLE
-
-    def step(self, now: int) -> None:
-        s = self.session
-        if self.state == RadioState.DONE:
-            return
-        if self.state == RadioState.IDLE:
-            if now >= self.next_arrival:
-                self._begin_packet(now)
-            return
-        if self.state == RadioState.CONTEND:
-            if self.key in s.acked:       # late ACK beat the retransmission
-                self._resolve(now)
-                return
-            if s.medium_busy_for(self):
-                return                    # freeze backoff, medium sensed busy
-            if self.backoff > 0:
-                self.backoff -= 1
-                return
-            self._transmit(now)
-            return
-        if self.state == RadioState.TX:
-            if now >= self.tx_end:
-                if self.key in s.acked:   # ACK landed mid-transmission
-                    self._resolve(now)
-                else:
-                    self.state = RadioState.AWAIT_ACK
-                    self.ack_deadline = self.tx_end + s.ack_timeout
-            return
-        if self.state == RadioState.AWAIT_ACK:
-            if self.key in s.acked:
-                self._resolve(now)
-                return
-            if now >= self.ack_deadline:
-                s.counters["ack_timeouts"] += 1
-                self.attempt += 1
-                if self.attempt >= s.config.max_attempts:
-                    s.counters["packets_dropped"] += 1
-                    self._resolve(now)
-                else:
-                    self.backoff = s.config.backoff.pick(self.attempt, s.rng)
-                    self.state = RadioState.CONTEND
 
     def _transmit(self, now: int) -> None:
         s = self.session
@@ -358,7 +310,6 @@ class LinkSession:
             buffer_max_age=config.buffer_max_age,
             buffer_capacity=max(4, 2 * (k - 1)),
             max_collision_packets=k))
-        self._spu = spu
 
         # Association (§4.2.1): the AP holds a coarse frequency estimate
         # for every client, as obtained at association time.
@@ -378,7 +329,6 @@ class LinkSession:
         names = [c.name for c in clients]
         self.topology = config.topology
         self._sense = self.topology.sense_matrix(names, self.rng)
-        self._index = {c.client.src: i for i, c in enumerate(self.clients)}
 
         self.flows = {c.name: FlowStats() for c in clients}
         self.truth: dict[tuple[int, int], np.ndarray] = {}
@@ -392,27 +342,6 @@ class LinkSession:
             "ack_timeouts": 0, "packets_dropped": 0, "packets_lost": 0,
             "unresolved_at_cap": 0, "packets_unoffered_at_cap": 0,
         }
-        # Slot-consistent carrier-sense snapshot (list indices of clients
-        # transmitting at the current boundary), refreshed once per slot
-        # before any client steps.
-        self._tx_snapshot: set[int] = set()
-
-    # ------------------------------------------------------------------
-    def _refresh_tx_snapshot(self, now: int) -> None:
-        """Fix the set of in-flight transmissions for this boundary.
-
-        A transmission occupies ``[start, tx_end)``: a client still in
-        ``TX`` whose ``tx_end <= now`` has already left the air at this
-        boundary (it just has not stepped yet), so it is excluded. All
-        clients then sense against this one snapshot, making the outcome
-        independent of the order in which they step within the slot.
-        """
-        self._tx_snapshot = {c.index for c in self.clients
-                             if c.state == RadioState.TX and c.tx_end > now}
-
-    def medium_busy_for(self, state: _ClientState) -> bool:
-        i = state.index
-        return any(self._sense[i, j] for j in self._tx_snapshot if j != i)
 
     # ------------------------------------------------------------------
     def _process_burst(self, burst, now: int) -> None:
@@ -483,15 +412,6 @@ class LinkSession:
                 self.counters["acks_infeasible"] += 1
         return [keys[i] for i in range(len(keys)) if i in ackable]
 
-    def _deliver_acks(self, now: int) -> None:
-        while self._ack_queue and self._ack_queue[0][0] <= now:
-            _, src, seq = heapq.heappop(self._ack_queue)
-            # ACKs for already-resolved packets are dropped rather than
-            # remembered: a stale entry would otherwise satisfy the same
-            # (src, seq mod 4096) key when it is reused much later.
-            if (src, seq) in self.truth:
-                self.acked.add((src, seq))
-
     # ------------------------------------------------------------------
     def _max_samples(self) -> int:
         """The runaway cap: explicit, or derived from worst-case MAC
@@ -507,38 +427,11 @@ class LinkSession:
         return 2 * total_attempts * per_attempt + 8 * cfg.chunk_samples
 
     def run(self) -> SessionReport:
-        started = time.perf_counter()
-        if self.config.engine == "event":
-            return EventEngine(self).run(started)
-        return self._run_slot(started)
-
-    def _run_slot(self, started: float) -> SessionReport:
-        """The reference core: visit every slot boundary explicitly."""
-        cfg = self.config
-        slot = cfg.slot_samples
-        now = 0
-        next_chunk_end = cfg.chunk_samples
-        max_samples = self._max_samples()
-        timed_out = False
-        while any(c.state != RadioState.DONE for c in self.clients):
-            if now >= max_samples:
-                timed_out = True
-                break
-            self._deliver_acks(now)
-            self._refresh_tx_snapshot(now)
-            for client in self.clients:
-                client.step(now)
-            now += slot
-            while now >= next_chunk_end:
-                chunk = self.air.emit(cfg.chunk_samples)
-                for burst in self.segmenter.push(chunk):
-                    self._process_burst(burst, now)
-                next_chunk_end += cfg.chunk_samples
-        return self._finalize(now, timed_out, started)
+        return EventEngine(self).run(time.perf_counter())
 
     def _finalize(self, now: int, timed_out: bool,
                   started: float) -> SessionReport:
-        """Shared end-of-session accounting for both cores.
+        """End-of-session accounting.
 
         Order matters: flush the segmenter first (a still-open burst may
         decode and plan ACKs), then deliver-or-drop everything queued,

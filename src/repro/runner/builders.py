@@ -177,6 +177,13 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
     from the spec's scenario, ``[channel]``, ``[backoff]``,
     ``[impairments]`` and ``[params]`` tables, with any *interference*
     stages appended to the capture pipeline."""
+    if spec.param("engine") is not None:
+        # [params] is free-form, so a stale key would otherwise be
+        # silently ignored.
+        raise ConfigurationError(
+            "params.engine is no longer accepted: the slot-clocked "
+            "session core was removed and every session runs on the "
+            "event core; drop the key")
     imp = spec.impairments
     capture = imp.capture_pipeline() if imp.capture else None
     if interference:
@@ -198,7 +205,6 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
         preamble_length=spec.preamble_length,
         chunk_samples=int(spec.param("chunk_samples", 1024)),
         buffer_max_age=int(spec.param("buffer_max_age", 24)),
-        engine=str(spec.param("engine", "event")),
         sender_impairments=(imp.sender_pipeline() if imp.sender else None),
         capture_impairments=capture,
     )
@@ -225,10 +231,9 @@ def build_stream_session(spec, rng: np.random.Generator, design: str,
     perfectly), ``hidden_cliques`` (e.g. ``"A:B:C"``: groups of
     mutually-hidden clients, enabling the AP's k-way collision
     resolution; either list excludes a nonzero ``sense_probability``),
-    ``max_collision_packets`` (override the derived k), ``offered_load``
-    (via *default_load*), ``engine`` (``"event"``, the default
-    heap-scheduled core, or ``"slot"``, the reference per-slot walk —
-    see :mod:`repro.link.events`).
+    ``max_collision_packets`` (override the derived k) and
+    ``offered_load`` (via *default_load*). ``engine`` is rejected: the
+    slot-clocked core it selected was removed.
     """
     spread = spec.channel.freq_spread
     if spec.senders:

@@ -321,19 +321,17 @@ class TestMultiCell:
                 == runs[1].cells[ap].samples_elapsed
 
     def test_rejects_slot_engine_sessions(self):
+        """Cell sessions reject the removed slot core's params.engine
+        (the city_multicell path builds every cell through here)."""
         spec = city_spec()
-        dep_spec = spec.deployment
         from repro.runner.builders import get_deployment
         deployment = get_deployment(spec)
         plan = deployment.cells()[0]
         slot_spec = spec.with_override("params.engine", "slot")
-        session = build_cell_session(slot_spec,
-                                     np.random.default_rng(0), "zigzag",
-                                     deployment, plan)
-        from repro.link import MultiCellSession
-        with pytest.raises(ConfigurationError, match="event"):
-            MultiCellSession(deployment, [(plan, session)])
-        assert dep_spec.horizon_chunks >= 1
+        with pytest.raises(ConfigurationError, match="slot-clocked"):
+            build_cell_session(slot_spec, np.random.default_rng(0),
+                               "zigzag", deployment, plan)
+        assert spec.deployment.horizon_chunks >= 1
 
     def test_horizon_config_validated(self):
         with pytest.raises(ConfigurationError):

@@ -213,50 +213,59 @@ class TestBugfixRegressions:
 
     def test_sense_snapshot_excludes_departed_tx(self):
         """A transmission occupies [start, tx_end): at the boundary
-        where it ends it is no longer on the air, whether or not its
-        owner has stepped yet."""
+        where it ends it is no longer on the air, so a contender that
+        senses it may transmit on exactly that boundary."""
         from repro.link import RadioState
+        from repro.link.events import EventEngine
         s = self._sensing_session()
+        engine = EventEngine(s)
         a, b, c = s.clients
-        b.state = RadioState.TX
-        b.tx_end = 1000
-        s._refresh_tx_snapshot(980)
-        assert s.medium_busy_for(a) and s.medium_busy_for(c)
-        assert not s.medium_busy_for(b)       # never senses itself
-        s._refresh_tx_snapshot(1000)
-        assert not s.medium_busy_for(a) and not s.medium_busy_for(c)
+        engine.active_tx[b.index] = (0, 1000)
+        assert engine._busy_until(a) == engine._busy_until(c) == 1000
+        a.state = RadioState.CONTEND
+        a.backoff = 0
+        engine._schedule_tx(a, 500)
+        assert a.pending_tx_time == 1000
+        # One sample more of b's waveform and boundary 1000 is busy.
+        engine.active_tx[b.index] = (0, 1001)
+        engine._schedule_tx(a, 500)
+        assert a.pending_tx_time == 1020
 
     def test_sense_snapshot_is_step_order_independent(self):
-        """Clients stepping earlier in the slot must not change what
-        later clients sense: the snapshot is fixed once per boundary.
-        Pre-fix, B leaving _TX during its step made C (stepping after)
-        see an idle medium in the same slot where A (stepping before)
-        saw it busy."""
+        """Two sensing clients whose backoff expires on the same
+        boundary both transmit: the first one's TX start must not
+        freeze the second, which decided on the same boundary."""
         from repro.link import RadioState
+        from repro.link.events import EventEngine
         s = self._sensing_session()
         a, b, c = s.clients
-        b.state = RadioState.TX
-        b.tx_end = 990                         # ends mid-slot
-        s._refresh_tx_snapshot(980)
-        assert s.medium_busy_for(a)
-        b.state = RadioState.AWAIT_ACK         # b "steps" first
-        assert s.medium_busy_for(c)            # c still senses the TX
+        for st in (a, c):
+            st._begin_packet(0)
+            st.backoff = 2
+        b.state = RadioState.DONE
+        engine = EventEngine(s)
+        engine.start()
+        for st in (a, c):
+            engine._schedule_tx(st, 0)
+        assert a.pending_tx_time == c.pending_tx_time == 60
+        engine.step_until(61)
+        assert a.state == c.state == RadioState.TX
+        assert s.counters["transmissions"] == 2
 
     def test_cap_accounts_for_waiting_clients(self):
         """A client idling between Poisson arrivals at the sample cap
         was invisible to the old accounting: it was neither unresolved
         nor had its unoffered packets charged anywhere."""
-        for engine in ("event", "slot"):
-            report = run_session(
-                "zigzag", engine=engine, n_packets=3,
-                topology=Topology.probabilistic(1.0), max_samples=20_000,
-                clients=[StreamClient("A", 1, 12.0, 3e-3,
-                                      offered_load=0.001)])
-            assert report.timed_out
-            assert report.counters["unresolved_at_cap"] == 1
-            assert report.counters["packets_unoffered_at_cap"] == 2
-            assert report.flows["A"].sent == 1
-            assert report.flows["A"].delivered == 1
+        report = run_session(
+            "zigzag", n_packets=3,
+            topology=Topology.probabilistic(1.0), max_samples=20_000,
+            clients=[StreamClient("A", 1, 12.0, 3e-3,
+                                  offered_load=0.001)])
+        assert report.timed_out
+        assert report.counters["unresolved_at_cap"] == 1
+        assert report.counters["packets_unoffered_at_cap"] == 2
+        assert report.flows["A"].sent == 1
+        assert report.flows["A"].delivered == 1
 
     def test_finalize_delivers_queued_acks(self):
         """An ACK still queued when the session is cut off (planned by

@@ -35,18 +35,19 @@ class TestApStreamScenario:
         flows = result.flows()
         assert "zigzag_A" in flows and "80211_A" in flows
 
-    def test_engine_param_threads_through(self):
-        """params.engine selects the session core; event is the default
-        and the slot-clocked reference stays reachable."""
-        default = build_stream_session(
-            stream_spec(), np.random.default_rng(0), "zigzag")
-        assert default.config.engine == "event"
-        slot = build_stream_session(
-            stream_spec(engine="slot"), np.random.default_rng(0), "zigzag")
-        assert slot.config.engine == "slot"
-        with pytest.raises(ConfigurationError):
-            build_stream_session(stream_spec(engine="nope"),
-                                 np.random.default_rng(0), "zigzag")
+    def test_engine_param_rejected(self, capsys):
+        """The slot-clocked core is gone; a stale params.engine must fail
+        loudly rather than be ignored by the free-form [params] table."""
+        with pytest.raises(ConfigurationError, match="slot-clocked"):
+            build_stream_session(
+                stream_spec().with_override("params.engine", "slot"),
+                np.random.default_rng(0), "zigzag")
+        scenario = (pathlib.Path(__file__).resolve().parents[1]
+                    / "examples" / "scenarios" / "ap_stream.toml")
+        code = main(["run", str(scenario), "--set", "params.engine=slot"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "engine" in err
 
     def test_default_clients_from_params(self):
         """Without [[sender]] entries, params.n_clients symmetric clients
