@@ -53,7 +53,8 @@ stream-smoke:
 # Chaos soak (docs/resilience.md): worker kills, injected exceptions
 # and hangs against a supervised run — every fault kind at once —
 # asserting zero lost trials, surviving results
-# bit-identical to a fault-free run, and zero leaked /dev/shm arenas.
+# bit-identical to a fault-free run, and no shared-memory segment left
+# in /dev/shm (no run path creates one).
 # Plus the full supervision test suite (checkpoint/resume, watchdog,
 # SIGKILL-parent recovery).
 chaos-smoke:

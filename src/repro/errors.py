@@ -79,16 +79,6 @@ class WorkerCrashError(ReproError):
     """
 
 
-class CaptureTransportError(ReproError):
-    """A shared-memory waveform failed checksum verification on arrival.
-
-    The parallel multi-cell coordinator treats this as a transport fault,
-    not a cell failure: the block degrades to sequential stepping from
-    the parent's untouched sessions, so the result is bit-identical to
-    an uncorrupted run.
-    """
-
-
 class RunAbortedError(ReproError):
     """A run stopped early under the ``fail_fast`` failure policy.
 

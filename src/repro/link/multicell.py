@@ -252,20 +252,19 @@ class MultiCellSession:
         return float(np.random.default_rng(sequence)
                      .uniform(0.0, 2.0 * np.pi))
 
-    def _iter_exchange(self, window: int, meta, live_mask):
-        """Yield ``(src_idx, seq, dst_idx, offset, scale)`` in canonical
-        order: source cells in block order, each source's transmissions
-        in schedule order, victims in block order.
+    def _iter_exchange(self, window: int, windows, live_mask):
+        """Yield ``(dst_idx, offset, wave, scale)`` in canonical order:
+        source cells in block order, each source's transmissions in
+        schedule order, victims in block order.
 
-        ``meta[src_idx]`` is that cell's window metadata — a sequence of
-        ``(offset, global client index, home snr_db)`` — which is all
-        the planner needs; the waveform samples themselves stay wherever
-        the executing mode keeps them (in-process lists, or the shared
-        waveform arena).
+        ``windows[src_idx]`` is that cell's window of scheduled
+        waveforms, ``(offset, wave, global client index, home snr_db)``
+        entries — the same layout in both execution modes.
         """
-        for src_idx, entries in enumerate(meta):
+        for src_idx, entries in enumerate(windows):
             src_ap = self.cells[src_idx].plan.ap
-            for seq, (offset, client, snr_home) in enumerate(entries):
+            for seq, (offset, wave, client, snr_home) in \
+                    enumerate(entries):
                 for dst_idx, snr_vic in self._victims.get(client, ()):
                     if not live_mask[dst_idx]:
                         continue
@@ -275,19 +274,16 @@ class MultiCellSession:
                     scale = 10.0 ** ((snr_vic - snr_home) / 20.0) \
                         * np.exp(1j * self._injected_phase(
                             window, src_ap, dst_ap, seq))
-                    yield src_idx, seq, dst_idx, offset, scale
+                    yield dst_idx, offset, wave, scale
 
     def _exchange(self, live: list[_CellRuntime]) -> None:
         """Inject every window-scheduled waveform into the other cells
         whose AP hears its transmitter above the interference floor."""
         window = int(self.counters["windows"])
         live_mask = [rt in live for rt in self.cells]
-        meta = [[(offset, client, snr_home)
-                 for offset, _wave, client, snr_home in rt.window]
-                for rt in self.cells]
-        for src_idx, seq, dst_idx, offset, scale in \
-                self._iter_exchange(window, meta, live_mask):
-            wave = self.cells[src_idx].window[seq][1]
+        windows = [rt.window for rt in self.cells]
+        for dst_idx, offset, wave, scale in \
+                self._iter_exchange(window, windows, live_mask):
             dst = self.cells[dst_idx]
             apply_injection(dst.session, dst.engine, offset, wave,
                             scale, self.counters)

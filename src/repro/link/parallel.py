@@ -1,5 +1,5 @@
 """Process-parallel multi-cell execution: pinned cell workers, one
-barrier per horizon window, zero-copy waveform exchange.
+barrier per horizon window, waveforms exchanged over the worker pipes.
 
 The sequential :class:`~repro.link.multicell.MultiCellSession` steps
 every cell's :class:`~repro.link.events.EventEngine` inside one process,
@@ -10,18 +10,20 @@ move), workers step their cells to each horizon boundary concurrently,
 and the parent coordinator — which keeps all exchange *planning* —
 synchronizes them at a barrier per window:
 
-1. **step** — every worker advances its live cells to ``window_end``,
-   writes the window's scheduled waveforms into its own region of a
-   shared-memory :class:`~repro.runner.shm.WaveformArena` (bump
-   allocator, CRC-stamped refs, inline-pickle overflow fallback) and
-   replies with metadata only: ``(offset, client, snr_home, ref)``.
+1. **step** — every worker advances its live cells to ``window_end``
+   and replies with each cell's window of scheduled waveforms,
+   ``(offset, wave, client, snr_home)`` entries whose samples travel
+   pickled over the worker's pipe.
 2. **inject** — the parent plans the exchange with
    ``MultiCellSession._iter_exchange`` (victim prefilter + keyed
-   phases, canonical order) and sends each worker the ordered injection
-   list for its cells; workers resolve refs straight out of the arena
-   (zero-copy), apply them through the shared
-   :func:`~repro.link.multicell.apply_injection` path, and reply with
-   counter deltas and refreshed next-event times.
+   phases, canonical order) and sends each worker the ordered
+   ``(offset, wave, scale)`` list for its cells; workers apply them
+   through the shared :func:`~repro.link.multicell.apply_injection`
+   path and reply with counter deltas and refreshed next-event times.
+
+The parent sends no ``inject`` message until every worker has answered
+``step``, so a worker that hangs mid-step trips the watchdog before any
+waveform is sent down to a worker.
 
 Because the exchange is order-independent (phases are keyed, not drawn
 sequentially) and each victim's injections are applied in the canonical
@@ -33,11 +35,10 @@ Resilience follows :class:`repro.runner.resilience.PoolSupervisor`'s
 watchdog idiom rather than its pool: every barrier wait carries
 ``MultiCellConfig.step_timeout_s``; a worker that hangs (e.g. a
 ``chaos.FaultSpec`` injected hang), crashes, or reports an error raises
-:class:`ParallelDegraded`, the pool and arena are torn down, and the
-caller reruns the block **sequentially from the parent's untouched
-sessions** — workers only ever mutate their own (forked or pickled)
-copies, so degradation costs wall-clock, never correctness. The parent
-owns the arena, so even a chaos-killed run leaks no shm segments.
+:class:`ParallelDegraded`, the pool is torn down, and the caller reruns
+the block **sequentially from the parent's untouched sessions** —
+workers only ever mutate their own (forked or pickled) copies, so
+degradation costs wall-clock, never correctness.
 """
 
 from __future__ import annotations
@@ -48,20 +49,13 @@ from dataclasses import dataclass, field
 
 from repro.link.events import EventEngine
 from repro.link.multicell import MultiCellReport, apply_injection
-from repro.runner.shm import WaveformArena
 
 __all__ = ["ParallelDegraded", "run_parallel"]
 
-# Per-waveform slack over packet_samples for channel dispersion, and
-# scheduled-waveforms-per-client-per-window headroom for the region
-# budget. Undershooting either only costs inline-pickle fallbacks.
-_WAVE_SLACK = 256
-_WAVES_PER_CLIENT = 4
-
 
 class ParallelDegraded(RuntimeError):
-    """The parallel mode gave up (hang/crash/corruption); rerun
-    sequentially from the parent's pristine sessions."""
+    """The parallel mode gave up (hang/crash/error); rerun sequentially
+    from the parent's pristine sessions."""
 
 
 # ----------------------------------------------------------------------
@@ -87,22 +81,11 @@ def _make_recorder(host: _CellHost):
     return record
 
 
-def _corrupt_one(arena: WaveformArena, entries: list) -> None:
-    """Chaos hook: flip one sample of the first arena-backed waveform
-    so its CRC no longer matches (exercises the transport checksum)."""
-    for _offset, _client, _snr, ref in entries:
-        if ref.region >= 0 and ref.size > 0:
-            view = arena.view(ref.region, ref.offset, ref.size)
-            view[0] += 1.0 + 1.0j
-            return
-
-
-def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
-                 n_regions: int, region_samples: int, faults) -> None:
+def _worker_main(conn, cells: list, faults) -> None:
     """One pinned cell worker: owns its cells' engines start to finish.
 
     Protocol (parent -> worker): ``("step", window, window_end)``,
-    ``("inject", {cell: [(offset, ref, scale), ...]})``, ``("finish",)``,
+    ``("inject", {cell: [(offset, wave, scale), ...]})``, ``("finish",)``,
     ``("stop",)``. Any exception becomes an ``("error", repr)`` reply;
     the parent degrades the run instead of deadlocking the barrier.
     """
@@ -112,14 +95,11 @@ def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
         # module load from the worker's unpickling path.
         from repro.runner.chaos import ChaosInjector
         injector = ChaosInjector(faults)
-    arena = None
     hosts: list[_CellHost] = []
     by_index: dict[int, _CellHost] = {}
     started = time.perf_counter()
     try:
         try:
-            arena = WaveformArena.attach(arena_name, n_regions,
-                                         region_samples)
             for index, lookup, session in cells:
                 host = _CellHost(index=index, lookup=lookup,
                                  session=session,
@@ -149,9 +129,6 @@ def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
             try:
                 if cmd == "step":
                     _cmd, window, window_end = msg
-                    # The previous window's refs were all consumed at
-                    # the last barrier; reclaim this worker's region.
-                    arena.reset(worker_id)
                     out = {}
                     for host in hosts:
                         if host.report is not None:
@@ -161,17 +138,9 @@ def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
                             injector.pre_trial(host.index, window)
                         if not host.engine.step_until(window_end):
                             host.report = host.engine.finish(started)
-                        entries = []
-                        for offset, wave, client, snr_home in host.window:
-                            ref = arena.write(worker_id, wave,
-                                              checksum=True)
-                            entries.append((offset, client, snr_home,
-                                            ref))
-                        host.window.clear()
-                        if injector is not None and injector.corrupt_slot(
-                                host.index, window):
-                            _corrupt_one(arena, entries)
-                        out[host.index] = (host.report is None, entries)
+                        out[host.index] = (host.report is None,
+                                           host.window)
+                        host.window = []
                     conn.send(("stepped", out))
                 elif cmd == "inject":
                     plan = msg[1]
@@ -183,8 +152,7 @@ def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
                               "samples_clipped": 0}
                     for index, entries in plan.items():
                         host = by_index[index]
-                        for offset, ref, scale in entries:
-                            wave = ref.resolve(arena)
+                        for offset, wave, scale in entries:
                             apply_injection(host.session, host.engine,
                                             offset, wave, scale, deltas)
                     conn.send(("injected", {
@@ -203,8 +171,6 @@ def _worker_main(conn, worker_id: int, cells: list, arena_name: str,
                 except (BrokenPipeError, OSError):
                     return
     finally:
-        if arena is not None:
-            arena.close()
         conn.close()
 
 
@@ -220,7 +186,7 @@ class _Worker:
 
 
 class _CellWorkerPool:
-    """Parent handle on the pinned cell workers and the shared arena."""
+    """Parent handle on the pinned cell workers."""
 
     def __init__(self, mc, n_workers: int) -> None:
         self.timeout = mc.config.step_timeout_s
@@ -228,14 +194,6 @@ class _CellWorkerPool:
         # the whole run.
         self.owner_of = {rt.index: rt.index % n_workers
                          for rt in mc.cells}
-        region_samples = 1
-        for wid in range(n_workers):
-            budget = sum(
-                _WAVES_PER_CLIENT * max(1, len(rt.session.clients))
-                * (rt.session.packet_samples + _WAVE_SLACK)
-                for rt in mc.cells if self.owner_of[rt.index] == wid)
-            region_samples = max(region_samples, budget)
-        self.arena = WaveformArena.create(n_workers, region_samples)
         ctx = multiprocessing.get_context()
         self.workers: list[_Worker] = []
         try:
@@ -246,8 +204,7 @@ class _CellWorkerPool:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, wid, payload, self.arena.name,
-                          n_workers, region_samples, mc.config.faults),
+                    args=(child_conn, payload, mc.config.faults),
                     daemon=True)
                 process.start()
                 child_conn.close()
@@ -287,7 +244,7 @@ class _CellWorkerPool:
                     f"{exc!r}") from exc
 
     def shutdown(self) -> None:
-        """Tear everything down; never raises, never leaks the arena."""
+        """Tear everything down; never raises."""
         for worker in self.workers:
             try:
                 worker.conn.send(("stop",))
@@ -305,17 +262,14 @@ class _CellWorkerPool:
                 worker.conn.close()
             except OSError:  # pragma: no cover - already gone
                 pass
-        if self.arena is not None:
-            self.arena.close()
-            self.arena = None
 
 
 def run_parallel(mc, n_workers: int) -> MultiCellReport:
     """Run *mc*'s block on *n_workers* pinned cell workers.
 
     Bit-identical to ``mc._run_sequential()``. Raises
-    :class:`ParallelDegraded` — with the pool and arena already torn
-    down and ``mc`` untouched — when any worker hangs, dies, or reports
+    :class:`ParallelDegraded` — with the pool already torn down and
+    ``mc`` untouched — when any worker hangs, dies, or reports
     an error; the caller falls back to sequential stepping.
     """
     started = time.perf_counter()
@@ -356,27 +310,24 @@ def _coordinate(mc, pool: _CellWorkerPool, started: float,
                    if t is not None]
         window_end = mc._aligned_window_end(window_end, pending)
         pool._broadcast(("step", window, window_end))
-        meta = [[] for _ in range(n_cells)]
-        refs = [[] for _ in range(n_cells)]
+        windows = [[] for _ in range(n_cells)]
         for worker in pool.workers:
             _tag, stepped = pool._recv(worker, "stepped")
             for index, (alive, entries) in stepped.items():
                 if not alive:
                     live.discard(index)
                     next_map.pop(index, None)
-                meta[index] = [(offset, client, snr_home)
-                               for offset, client, snr_home, _r in entries]
-                refs[index] = [entry[3] for entry in entries]
+                windows[index] = entries
         # Plan the exchange exactly as the sequential coordinator
         # would, then route each victim's ordered injection list to the
         # worker that owns it.
         live_mask = [index in live for index in range(n_cells)]
         plans: dict[int, dict[int, list]] = {
             worker.id: {} for worker in pool.workers}
-        for src_idx, seq, dst_idx, offset, scale in \
-                mc._iter_exchange(window, meta, live_mask):
+        for dst_idx, offset, wave, scale in \
+                mc._iter_exchange(window, windows, live_mask):
             plans[pool.owner_of[dst_idx]].setdefault(dst_idx, []).append(
-                (offset, refs[src_idx][seq], scale))
+                (offset, wave, scale))
         for worker in pool.workers:
             worker.conn.send(("inject", plans[worker.id]))
         for worker in pool.workers:

@@ -416,7 +416,9 @@ class LinkSession:
     def _max_samples(self) -> int:
         """The runaway cap: explicit, or derived from worst-case MAC
         arithmetic (every packet retried to the limit, each attempt
-        paying full airtime, timeout and contention)."""
+        paying full airtime, timeout and contention) plus twice the
+        slowest client's expected arrival span (Poisson gaps of mean
+        ``packet_samples / offered_load``)."""
         cfg = self.config
         if cfg.max_samples is not None:
             return cfg.max_samples
@@ -424,7 +426,12 @@ class LinkSession:
                        + cfg.backoff.window(0) * cfg.slot_samples)
         total_attempts = (len(self.clients) * cfg.n_packets
                           * cfg.max_attempts)
-        return 2 * total_attempts * per_attempt + 8 * cfg.chunk_samples
+        loads = [c.client.offered_load for c in self.clients
+                 if c.client.offered_load is not None]
+        arrival_span = (cfg.n_packets * self.packet_samples / min(loads)
+                        if loads else 0)
+        return (2 * total_attempts * per_attempt + int(2 * arrival_span)
+                + 8 * cfg.chunk_samples)
 
     def run(self) -> SessionReport:
         return EventEngine(self).run(time.perf_counter())

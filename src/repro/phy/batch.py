@@ -59,8 +59,7 @@ from repro.phy.constellation import Constellation
 from repro.phy.pulse import PulseShaper
 from repro.phy.tracking import PhaseTracker
 
-__all__ = ["wrap_pi", "stack_rows", "BatchedMatchedSampler",
-           "BatchedPhaseTracker"]
+__all__ = ["wrap_pi", "BatchedMatchedSampler", "BatchedPhaseTracker"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,22 +74,6 @@ def wrap_pi(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     return x - _TWO_PI * np.rint(x / _TWO_PI)
-
-
-def stack_rows(rows, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
-    """Stack equal-or-ragged 1-D arrays into ``(N, max_len)`` plus lengths.
-
-    Shorter rows are zero-padded on the right; the returned ``lengths``
-    array is the mask needed to recover the ragged layout.
-    """
-    arrays = [np.asarray(r, dtype=dtype).ravel() for r in rows]
-    if not arrays:
-        raise ConfigurationError("stack_rows needs at least one row")
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
-    out = np.zeros((len(arrays), int(lengths.max())), dtype=dtype)
-    for i, a in enumerate(arrays):
-        out[i, :a.size] = a
-    return out, lengths
 
 
 @dataclass

@@ -209,72 +209,3 @@ class ConvolutionalCode:
         if terminated:
             decoded = decoded[:n_steps - (self.constraint_length - 1)]
         return decoded
-
-    def decode_soft_batch(self, soft, terminated: bool = True) -> np.ndarray:
-        """Trial-axis Viterbi: decode ``(N, coded_len)`` lanes in lockstep.
-
-        Each row is an independent codeword of the same length (callers
-        stack equal-length lanes; ragged batches are grouped upstream).
-        Bit-identical to :meth:`decode_soft` row by row: the ACS keeps the
-        same stacked-gather layout and strict-greater tie-break, only with
-        a leading lane axis, and the traceback pointer chase runs across
-        all lanes per step instead of per codeword.
-        """
-        values = np.asarray(soft, dtype=float)
-        if values.ndim != 2:
-            raise ConfigurationError("expected (n_lanes, coded_len) soft")
-        n_lanes = values.shape[0]
-        n_out = self.rate_inverse
-        if values.shape[1] % n_out != 0:
-            raise ConfigurationError(
-                f"soft length {values.shape[1]} not a multiple of {n_out}")
-        n_steps = values.shape[1] // n_out
-        if n_steps == 0 or n_lanes == 0:
-            tail = (self.constraint_length - 1) if terminated else 0
-            return np.zeros((n_lanes, max(n_steps - tail, 0)),
-                            dtype=np.uint8)
-        n_states = self.n_states
-
-        # branch_all[l, t, s*2+b] = expected[s, b] . values[l, t]
-        branch_all = (values.reshape(n_lanes, n_steps, n_out)
-                      @ self._expected_t)
-
-        metrics = np.full((n_lanes, n_states), -np.inf)
-        metrics[:, 0] = 0.0
-        cand = np.empty((n_lanes, 2 * n_states))
-        cand0 = cand[:, :n_states]
-        cand1 = cand[:, n_states:]
-        # Gathering branch metrics per step keeps the working set at two
-        # (n_lanes, 2*n_states) rows; pre-permuting all of branch_all into
-        # candidate order costs an (N, steps, 2*states) copy that dwarfs
-        # the ACS itself on long codewords.
-        branch_step = np.empty((n_lanes, 2 * n_states))
-        take_second = np.empty((n_steps, n_lanes, n_states), dtype=bool)
-        pred = self._pred_stacked
-        gather = self._gather_stacked
-        take = np.take
-        add = np.add
-        greater = np.greater
-        maximum = np.maximum
-        for step in range(n_steps):
-            take(metrics, pred, axis=1, out=cand)
-            take(branch_all[:, step], gather, axis=1, out=branch_step)
-            add(cand, branch_step, out=cand)
-            greater(cand1, cand0, out=take_second[step])
-            maximum(cand0, cand1, out=metrics)
-
-        if terminated:
-            state = np.zeros(n_lanes, dtype=np.int64)
-        else:
-            state = np.argmax(metrics, axis=1)
-        prev_state = np.array(self._prev_state_flat, dtype=np.int64)
-        prev_bit = np.array(self._prev_bit_flat, dtype=np.uint8)
-        lanes = np.arange(n_lanes)
-        decoded = np.empty((n_lanes, n_steps), dtype=np.uint8)
-        for step in range(n_steps - 1, -1, -1):
-            j = 2 * state + take_second[step, lanes, state]
-            decoded[:, step] = prev_bit[j]
-            state = prev_state[j]
-        if terminated:
-            decoded = decoded[:, :n_steps - (self.constraint_length - 1)]
-        return decoded

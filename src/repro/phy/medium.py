@@ -17,8 +17,7 @@ from repro.phy.channel import Channel, ChannelParams
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.noise import awgn
 
-__all__ = ["Transmission", "Capture", "channel_waveform", "synthesize",
-           "synthesize_batch"]
+__all__ = ["Transmission", "Capture", "channel_waveform", "synthesize"]
 
 
 @dataclass(frozen=True)
@@ -146,72 +145,3 @@ def synthesize(transmissions: list[Transmission], noise_power: float,
         for t in transmissions
     ]
     return Capture(buffer, noise_power, shifted, components)
-
-
-def synthesize_batch(batch: list[list[Transmission]], noise_power: float,
-                     rngs, *, tail: int = 16, leading: int = 0,
-                     impairments: ImpairmentPipeline | None = None,
-                     ) -> tuple[np.ndarray, list[Capture]]:
-    """Synthesize N same-geometry trials into one ``(N, total)`` stack.
-
-    ``batch[i]`` is trial *i*'s transmission list and ``rngs[i]`` its
-    generator. Capture *i* is sample-identical to
-    ``synthesize(batch[i], noise_power, rngs[i], ...)``: each trial's
-    randomness comes from its own rng in the scalar draw order (channels
-    in transmission order, then AWGN, then the capture front end), so a
-    batched run never perturbs per-trial seed streams.
-
-    Every trial must share the capture geometry — the same number of
-    transmissions with slot-wise equal offsets and waveform lengths (lane
-    content, channels and noise differ freely). The channel and
-    impairment draws are inherently per-rng and stay as per-trial loops;
-    the accumulation, noise add and output buffers are stacked, and each
-    returned capture's ``samples`` is a zero-copy row view of the stack
-    that downstream batched DSP consumes directly.
-    """
-    if not batch:
-        raise ConfigurationError("need at least one trial")
-    n = len(batch)
-    if len(rngs) != n:
-        raise ConfigurationError("need one rng per trial")
-    first = batch[0]
-    if not first:
-        raise ConfigurationError("need at least one transmission")
-    for trial in batch[1:]:
-        if len(trial) != len(first):
-            raise ConfigurationError(
-                "batched synthesis needs a uniform transmission count")
-        for t, ref in zip(trial, first):
-            if t.offset != ref.offset or t.samples.size != ref.samples.size:
-                raise ConfigurationError(
-                    "batched synthesis needs slot-wise equal placement; "
-                    "group trials by geometry first")
-    total = max(t.end for t in first) + tail + leading
-    stacked = np.zeros((n, total), dtype=complex)
-    components: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for slot, ref in enumerate(first):
-        start = leading + ref.offset
-        size = ref.samples.size
-        waveforms = np.stack([
-            channel_waveform(trial[slot], rngs[i])
-            for i, trial in enumerate(batch)
-        ])
-        stacked[:, start:start + size] += waveforms
-        for i in range(n):
-            component = np.zeros(total, dtype=complex)
-            component[start:start + size] = waveforms[i]
-            components[i].append(component)
-    stacked += np.stack([awgn(total, noise_power, rng) for rng in rngs])
-    if impairments is not None and not impairments.is_identity:
-        for i in range(n):
-            stacked[i] = impairments.apply(stacked[i], rngs[i], 0)
-    captures = []
-    for i, trial in enumerate(batch):
-        shifted = [
-            Transmission(t.samples, t.params, t.offset + leading, t.label,
-                         t.symbol0 + leading, t.n_symbols)
-            for t in trial
-        ]
-        captures.append(Capture(stacked[i], noise_power, shifted,
-                                components[i]))
-    return stacked, captures

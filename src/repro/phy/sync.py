@@ -134,8 +134,7 @@ class Synchronizer:
     def _select_peaks(self, corr: np.ndarray, scores: np.ndarray,
                       max_peaks: int | None,
                       min_separation: int) -> list[CorrelationPeak]:
-        """Greedy strongest-first selection with merge suppression —
-        shared by the scalar and batched detectors."""
+        """Greedy strongest-first selection with merge suppression."""
         separation = min_separation
         candidates = np.flatnonzero(scores >= self.threshold)
         used = np.zeros(scores.size, dtype=bool)
@@ -279,179 +278,3 @@ class Synchronizer:
             sampling_offset=float(mu),
             snr_db=float(snr_db),
         )
-
-    # ------------------------------------------------------------------
-    # Trial-axis batched variants
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _as_lanes(signals) -> np.ndarray:
-        stacked = np.asarray(signals, dtype=complex)
-        if stacked.ndim == 1:
-            stacked = stacked[None, :]
-        if stacked.ndim != 2:
-            raise ConfigurationError(
-                "batched sync needs equal-length lanes (N, samples)")
-        return stacked
-
-    def correlate_batch(self, signals,
-                        coarse_freqs=None) -> np.ndarray:
-        """:meth:`correlate` over ``(N, samples)`` lanes in one pass.
-
-        *coarse_freqs* is per-lane (scalar broadcasts). Row n agrees with
-        the scalar ``correlate(signals[n], coarse_freqs[n])`` to float
-        association order (~1e-9 relative).
-        """
-        y = self._as_lanes(signals)
-        if y.shape[1] < self._waveform.size:
-            raise CollisionDetectError(
-                "signal shorter than the preamble waveform")
-        n_lanes = y.shape[0]
-        freqs = np.broadcast_to(
-            np.asarray(0.0 if coarse_freqs is None else coarse_freqs,
-                       dtype=float), (n_lanes,))
-        k = np.arange(self._waveform.size)
-        references = self._waveform[None, :] * np.exp(
-            2j * np.pi * freqs[:, None] * k)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            y, self._waveform.size, axis=1)
-        return np.einsum("ntw,nw->nt", windows, np.conj(references))
-
-    def correlation_scores_batch(self, signals,
-                                 coarse_freqs=None) -> np.ndarray:
-        """Normalized |correlation| rows in [0, 1] for thresholding."""
-        y = self._as_lanes(signals)
-        corr = self.correlate_batch(y, coarse_freqs)
-        window = self._waveform.size
-        power = np.abs(y) ** 2
-        csum = np.concatenate(
-            [np.zeros((y.shape[0], 1)), np.cumsum(power, axis=1)], axis=1)
-        energy = csum[:, window:] - csum[:, :-window]
-        denom = np.sqrt(self.reference_energy * np.maximum(energy, 1e-30))
-        return np.abs(corr) / denom
-
-    def detect_batch(self, signals, coarse_freqs=None,
-                     max_peaks: int | None = None,
-                     min_separation: int = 16,
-                     ) -> list[list[CorrelationPeak]]:
-        """:meth:`detect` over ``(N, samples)`` lanes.
-
-        The correlation and score normalization run as one stacked pass;
-        only the (tiny) greedy suppression loops per lane. Peak counts may
-        differ across lanes — the result is one peak list per lane.
-        """
-        y = self._as_lanes(signals)
-        corr = self.correlate_batch(y, coarse_freqs)
-        window = self._waveform.size
-        power = np.abs(y) ** 2
-        csum = np.concatenate(
-            [np.zeros((y.shape[0], 1)), np.cumsum(power, axis=1)], axis=1)
-        energy = csum[:, window:] - csum[:, :-window]
-        denom = np.sqrt(self.reference_energy * np.maximum(energy, 1e-30))
-        scores = np.abs(corr) / denom
-        return [
-            self._select_peaks(corr[lane], scores[lane], max_peaks,
-                               min_separation)
-            for lane in range(y.shape[0])
-        ]
-
-    def acquire_batch(self, signals, positions, *, coarse_freqs=None,
-                      noise_power: float = 1.0, n_segments: int = 4,
-                      refine_freq: bool = False,
-                      ) -> list[ChannelEstimate]:
-        """:meth:`acquire` over ``(N, samples)`` lanes in lockstep.
-
-        Every lane runs the same fractional-offset grid; the 9 × N scalar
-        matched-filter calls of the loop path collapse into 9 batched
-        gathers plus vectorized parabolic polish, derotation and gain/SNR
-        estimation. Estimates match the scalar path to float association
-        order (~1e-9); decisions downstream are unaffected because the
-        stream decoders re-lock from the preamble anyway.
-        """
-        from repro.phy.batch import BatchedMatchedSampler
-
-        y = self._as_lanes(signals)
-        n_lanes, n_samples = y.shape
-        length = len(self.preamble)
-        sps = self.shaper.sps
-        positions = np.broadcast_to(
-            np.asarray(positions, dtype=float), (n_lanes,))
-        freqs0 = np.broadcast_to(
-            np.asarray(0.0 if coarse_freqs is None else coarse_freqs,
-                       dtype=float), (n_lanes,)).copy()
-        # Zero margin wide enough that every grid offset's window stays
-        # inside the buffer — reproduces the scalar sampler's implicit
-        # zero-padding at the capture edges.
-        pad = self.shaper.delay + self.shaper.taps.size
-        padded = np.zeros((n_lanes, n_samples + 2 * pad), dtype=complex)
-        padded[:, pad:pad + n_samples] = y
-        sampler = BatchedMatchedSampler(self.shaper)
-
-        # refine_start, batched: grid search + parabolic polish.
-        span, step = 0.8, 0.2
-        offsets = np.arange(-span, span + step / 2, step)
-        k = np.arange(length)
-        score_refs = self.preamble.symbols[None, :] * np.exp(
-            2j * np.pi * freqs0[:, None] * sps * k)
-        scores = np.empty((offsets.size, n_lanes))
-        for j, d in enumerate(offsets):
-            raw = sampler.sample(padded, pad, positions + d, length)
-            scores[j] = np.abs(np.sum(np.conj(score_refs) * raw, axis=1))
-        best = np.argmax(scores, axis=0)
-        frac = np.zeros(n_lanes)
-        interior = np.flatnonzero((best > 0) & (best < offsets.size - 1))
-        if interior.size:
-            left = scores[best[interior] - 1, interior]
-            mid = scores[best[interior], interior]
-            right = scores[best[interior] + 1, interior]
-            denom = left - 2.0 * mid + right
-            nz = denom != 0
-            frac[interior[nz]] = np.clip(
-                0.5 * (left - right)[nz] / denom[nz], -1, 1)
-        mu = offsets[best] + frac * step
-        start = positions + mu
-
-        aligned = sampler.sample(padded, pad, start, length)
-        sample_pos = start[:, None] + sps * k
-        derotated = aligned * np.exp(
-            -2j * np.pi * freqs0[:, None] * sample_pos)
-
-        freqs = freqs0.copy()
-        if refine_freq:
-            seg = length // n_segments
-            correlations = np.empty((n_lanes, n_segments), dtype=complex)
-            for m in range(n_segments):
-                sl = slice(m * seg, (m + 1) * seg)
-                correlations[:, m] = np.sum(
-                    np.conj(self.preamble.symbols[sl]) * derotated[:, sl],
-                    axis=1)
-            centers = np.arange(n_segments, dtype=float) * seg * sps
-            # Tiny per-lane fit; loops to mirror the scalar guard branches.
-            for lane in range(n_lanes):
-                weights = np.abs(correlations[lane])
-                if not np.any(weights > 0):
-                    continue
-                phases = np.unwrap(np.angle(correlations[lane]))
-                w = weights / weights.sum()
-                xm = np.sum(w * centers)
-                ym = np.sum(w * phases)
-                var = np.sum(w * (centers - xm) ** 2)
-                if var > 0:
-                    slope = np.sum(
-                        w * (centers - xm) * (phases - ym)) / var
-                    freqs[lane] = freqs0[lane] + slope / (2.0 * np.pi)
-
-        references = self.preamble.symbols[None, :] * np.exp(
-            2j * np.pi * freqs[:, None] * sample_pos)
-        gains = np.sum(np.conj(references) * aligned, axis=1) / length
-        power = np.abs(gains) ** 2
-        snr_db = 10.0 * np.log10(np.maximum(
-            power / max(noise_power, 1e-30), 1e-12))
-        return [
-            ChannelEstimate(
-                gain=complex(gains[lane]),
-                freq_offset=float(freqs[lane]),
-                sampling_offset=float(mu[lane]),
-                snr_db=float(snr_db[lane]),
-            )
-            for lane in range(n_lanes)
-        ]

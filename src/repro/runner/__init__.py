@@ -47,7 +47,7 @@ from repro.runner.results import (
     merge_flow_stats,
 )
 from repro.runner.runner import MonteCarloRunner
-from repro.runner.shm import cleanup_arenas, find_leaked_arenas
+from repro.runner.shm import find_leaked_arenas
 from repro.runner.scenarios import (
     TrialContext,
     available_scenarios,
@@ -84,7 +84,6 @@ __all__ = [
     "TrialResult",
     "available_scenarios",
     "cache_stats",
-    "cleanup_arenas",
     "find_leaked_arenas",
     "get_scenario",
     "hidden_pair_scenario",

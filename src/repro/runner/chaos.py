@@ -3,8 +3,7 @@
 The supervision layer (:mod:`repro.runner.resilience`) claims that a run
 survives worker kills, hangs and trial exceptions with surviving results
 bit-identical to a fault-free run, and the multi-cell coordinator
-(:mod:`repro.link.parallel`) claims the same under shared-memory
-corruption of its waveform arena. This
+(:mod:`repro.link.parallel`) claims the same for its cell workers. This
 module is how that claim gets *proved* rather than asserted: a
 ``[faults]`` table in the scenario TOML arms a :class:`ChaosInjector`
 inside every worker, which injects exactly those failures at seeded,
@@ -65,13 +64,12 @@ class FaultSpec:
     kill_worker_prob: float = 0.0
     hang_trial_prob: float = 0.0
     raise_in_trial_prob: float = 0.0
-    corrupt_shm_slot_prob: float = 0.0
     hang_seconds: float = 30.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("kill_worker_prob", "hang_trial_prob",
-                     "raise_in_trial_prob", "corrupt_shm_slot_prob"):
+                     "raise_in_trial_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
@@ -84,8 +82,7 @@ class FaultSpec:
         """True when no fault kind can ever fire."""
         return (self.kill_worker_prob == 0.0
                 and self.hang_trial_prob == 0.0
-                and self.raise_in_trial_prob == 0.0
-                and self.corrupt_shm_slot_prob == 0.0)
+                and self.raise_in_trial_prob == 0.0)
 
 
 class ChaosInjector:
@@ -109,15 +106,15 @@ class ChaosInjector:
         sequence = np.random.SeedSequence(
             entropy=int(self.faults.seed),
             spawn_key=(_FAULT_SALT, int(index), int(attempt)))
-        # Fixed draw order (kill, hang, raise, corrupt) so adding a fault
-        # kind later cannot silently reshuffle existing soak baselines.
-        return np.random.default_rng(sequence).uniform(size=4)
+        # Fixed draw order (kill, hang, raise) so adding a fault kind
+        # later cannot silently reshuffle existing soak baselines.
+        return np.random.default_rng(sequence).uniform(size=3)
 
     def pre_trial(self, index: int, attempt: int) -> None:
         """Maybe kill, hang, or raise before trial *index* runs."""
         if self.faults.is_empty:
             return
-        kill, hang, raise_, _ = self._draws(index, attempt)
+        kill, hang, raise_ = self._draws(index, attempt)
         if self.in_worker and kill < self.faults.kill_worker_prob:
             os._exit(KILL_EXIT_CODE)
         if self.in_worker and hang < self.faults.hang_trial_prob:
@@ -125,15 +122,3 @@ class ChaosInjector:
         if raise_ < self.faults.raise_in_trial_prob:
             raise FaultInjectionError(
                 f"injected fault in trial {index} (attempt {attempt})")
-
-    def corrupt_slot(self, index: int, attempt: int) -> bool:
-        """Should this step's shared-memory waveforms be corrupted?
-
-        Only the multi-cell coordinator's waveform arena carries samples
-        across processes; Monte-Carlo runner trials never do, so there
-        the fault has nothing to hit.
-        """
-        if self.faults.corrupt_shm_slot_prob == 0.0 or not self.in_worker:
-            return False
-        return bool(self._draws(index, attempt)[3]
-                    < self.faults.corrupt_shm_slot_prob)

@@ -35,7 +35,7 @@ The parallel multi-cell coordinator (:mod:`repro.link.parallel`) is the
 second supervised surface and follows :class:`PoolSupervisor`'s
 watchdog idiom one level down: every horizon-barrier wait carries a
 timeout (``MultiCellConfig.step_timeout_s``), and a hung, killed, or
-corrupting cell worker tears the pool down and degrades the block to
+raising cell worker tears the pool down and degrades the block to
 sequential stepping in the parent — bit-identical results, wall-clock
 cost only. Its inline-degradation ladder mirrors this module's "run the
 offending trials inline" last rung, and ``tests/test_multicell_parallel.py``

@@ -20,6 +20,9 @@ both AP designs:
   2% offered load per client, so most of the air is idle: pins the
   arrival path and the split of air into skipped and synthesized
   samples;
+- ``sparse_load7``: the same cell at a 0.5% offered load, whose
+  arrivals span more air than the MAC's worst case: pins the runaway
+  cap's arrival allowance (the session must end, not time out);
 - ``block3``: a coupled 3-AP ``city_multicell`` block, stepped
   sequentially.
 
@@ -65,6 +68,7 @@ DESIGNS = ("zigzag", "802.11")
 STREAM_CLIENTS = (("A", 12.0), ("B", 12.0), ("C", 11.0))
 STREAM_PACKETS = 6
 IDLE_LOAD = 0.02
+SPARSE_LOAD = 0.005
 BLOCK_SEED = 5
 
 
@@ -131,6 +135,9 @@ STREAM_CASES = {
     "idle_load7": partial(stream_session, 7,
                           Topology.explicit((("A", "B"),)),
                           offered_load=IDLE_LOAD),
+    "sparse_load7": partial(stream_session, 7,
+                            Topology.explicit((("A", "B"),)),
+                            offered_load=SPARSE_LOAD),
 }
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "reencoder_image",
     "batched_matched_sampler_loop",
     "batched_phase_tracker_loop",
-    "batched_viterbi_loop",
 ]
 
 
@@ -282,12 +281,3 @@ def batched_phase_tracker_loop(kp: float, ki: float, phase, freq,
         soft[lane], decisions[lane], phases[lane] = tracker.process(
             z[lane], constellation, known=lane_known)
     return soft, decisions, phases
-
-
-def batched_viterbi_loop(code: ConvolutionalCode, soft,
-                         terminated: bool = True) -> np.ndarray:
-    """One scalar Viterbi pass per lane — the baseline of
-    ``ConvolutionalCode.decode_soft_batch``."""
-    soft = np.asarray(soft, dtype=float)
-    return np.stack([code.decode_soft(row, terminated=terminated)
-                     for row in soft])

@@ -1,21 +1,17 @@
 """Trial-axis batched kernels against their scalar-loop oracles.
 
-The batched kernels in ``repro.phy.batch`` / the batched synchronizer
-methods did not replace scalar code — the loop over lanes IS their
-baseline, preserved in ``tests/kernel_oracles.py`` as
-``batched_*_loop``. These tests pin the equivalence contract that makes
-the batch axis safe (and batch-size-invariant):
+The batched kernels in ``repro.phy.batch`` did not replace scalar code —
+the loop over lanes IS their baseline, preserved in
+``tests/kernel_oracles.py`` as ``batched_*_loop``. These tests pin the
+equivalence contract that makes the batch axis safe (and
+batch-size-invariant):
 
-- decisions/decoded bits are **identical** to the per-lane scalar path;
-- float internals (soft symbols, tracked phases, channel estimates)
-  agree to ~1e-9 — the batched paths evaluate the same recurrences in a
-  different association order;
+- decisions are **identical** to the per-lane scalar path;
+- float internals (soft symbols, tracked phases) agree to ~1e-9 — the
+  batched paths evaluate the same recurrences in a different
+  association order;
 - a lane's outputs depend only on its own samples: batch-of-N equals
-  per-lane batch-of-1, and batch-of-1 equals the unbatched scalar call.
-
-``repro.phy.medium.synthesize_batch`` is held to a stricter standard:
-sample-identical to per-trial ``synthesize`` (same rng, same draw
-order), because per-trial seed streams must not depend on batching.
+  per-lane batch-of-1.
 """
 
 import math
@@ -25,21 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.phy.batch import (
-    BatchedMatchedSampler,
-    BatchedPhaseTracker,
-    stack_rows,
-    wrap_pi,
-)
-from repro.phy.channel import ChannelParams
-from repro.phy.coding.convolutional import ConvolutionalCode
+from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker, wrap_pi
 from repro.phy.constellation import BPSK, QPSK
-from repro.phy.frame import Frame
-from repro.phy.medium import Transmission, synthesize, synthesize_batch
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
-from repro.phy.sync import Synchronizer
-from repro.utils.bits import random_bits
 
 import kernel_oracles as reference
 
@@ -62,21 +45,6 @@ class TestWrapPi:
     @settings(max_examples=60)
     def test_matches_math_remainder(self, x):
         assert wrap_pi(x) == math.remainder(x, 2.0 * math.pi)
-
-
-class TestStackRows:
-    def test_ragged_padding_and_lengths(self):
-        rows = [np.arange(3) + 1j, np.arange(5), np.arange(1)]
-        out, lengths = stack_rows(rows)
-        assert out.shape == (3, 5)
-        assert np.array_equal(lengths, [3, 5, 1])
-        for i, row in enumerate(rows):
-            assert np.array_equal(out[i, :lengths[i]], np.asarray(row))
-            assert np.all(out[i, lengths[i]:] == 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            stack_rows([])
 
 
 class TestBatchedMatchedSampler:
@@ -214,175 +182,3 @@ class TestBatchedPhaseTracker:
                             known=np.zeros((3, 9), complex))
         with pytest.raises(ConfigurationError):
             batched.advance(-1)
-
-
-class TestBatchedViterbi:
-    def test_matches_scalar_loop_exactly(self, rng):
-        code = ConvolutionalCode()
-        bits = np.stack([random_bits(96, rng) for _ in range(7)])
-        coded = np.stack([code.encode(row) for row in bits])
-        soft = (1.0 - 2.0 * coded.astype(float)
-                + rng.normal(scale=0.45, size=coded.shape))
-        for terminated in (True, False):
-            fast = code.decode_soft_batch(soft, terminated=terminated)
-            ref = reference.batched_viterbi_loop(code, soft,
-                                                 terminated=terminated)
-            assert np.array_equal(fast, ref)
-
-    def test_batch_of_one_equals_unbatched(self, rng):
-        code = ConvolutionalCode()
-        coded = code.encode(random_bits(120, rng))
-        soft = (1.0 - 2.0 * coded.astype(float)
-                + rng.normal(scale=0.4, size=coded.size))
-        assert np.array_equal(code.decode_soft_batch(soft[None, :])[0],
-                              code.decode_soft(soft))
-
-    def test_empty_and_validation(self):
-        code = ConvolutionalCode()
-        assert code.decode_soft_batch(
-            np.zeros((3, 0))).shape == (3, 0)
-        with pytest.raises(ConfigurationError):
-            code.decode_soft_batch(np.zeros(8))
-        with pytest.raises(ConfigurationError):
-            code.decode_soft_batch(np.zeros((2, 7)))
-
-
-def _equal_length_captures(preamble, shaper, seeds, payload_bits=80):
-    """One single-sender capture per seed, all with identical geometry."""
-    captures = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        frame = Frame.make(random_bits(payload_bits, rng), src=1,
-                           preamble=preamble)
-        params = ChannelParams(
-            gain=1.2 * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-            freq_offset=float(rng.uniform(-3e-3, 3e-3)),
-            sampling_offset=float(rng.uniform(0, 1)))
-        captures.append(synthesize(
-            [Transmission.from_symbols(frame.symbols, shaper, params,
-                                       24, "A")],
-            0.05, rng, leading=8, tail=32))
-    return captures
-
-
-class TestBatchedSynchronizer:
-    @pytest.fixture
-    def sync(self, preamble, shaper):
-        return Synchronizer(preamble, shaper, threshold=0.3)
-
-    @pytest.fixture
-    def lanes(self, preamble, shaper):
-        captures = _equal_length_captures(preamble, shaper,
-                                          range(100, 106))
-        return np.stack([c.samples for c in captures]), captures
-
-    def test_correlate_batch_matches_scalar(self, sync, lanes):
-        stacked, _ = lanes
-        freqs = np.linspace(-2e-3, 2e-3, stacked.shape[0])
-        batch = sync.correlate_batch(stacked, coarse_freqs=freqs)
-        scale = np.abs(batch).max()
-        for lane in range(stacked.shape[0]):
-            scalar = sync.correlate(stacked[lane], float(freqs[lane]))
-            np.testing.assert_allclose(batch[lane], scalar,
-                                       atol=TOL * scale, rtol=0)
-
-    def test_scores_batch_matches_scalar(self, sync, lanes):
-        stacked, _ = lanes
-        batch = sync.correlation_scores_batch(stacked)
-        for lane in range(stacked.shape[0]):
-            scalar = sync.correlation_scores(stacked[lane])
-            np.testing.assert_allclose(batch[lane], scalar, atol=1e-7,
-                                       rtol=0)
-
-    def test_detect_batch_peaks_identical(self, sync, lanes):
-        stacked, _ = lanes
-        batch = sync.detect_batch(stacked)
-        for lane in range(stacked.shape[0]):
-            scalar = sync.detect(stacked[lane])
-            assert [p.position for p in batch[lane]] \
-                == [p.position for p in scalar]
-            for got, ref in zip(batch[lane], scalar):
-                assert got.score == pytest.approx(ref.score, abs=TOL)
-                assert got.value == pytest.approx(ref.value, abs=TOL)
-
-    @pytest.mark.parametrize("refine_freq", [False, True])
-    def test_acquire_batch_matches_scalar(self, sync, lanes, refine_freq):
-        stacked, captures = lanes
-        positions = np.array([c.transmissions[0].symbol0
-                              for c in captures])
-        estimates = sync.acquire_batch(
-            stacked, positions, noise_power=0.05,
-            refine_freq=refine_freq)
-        for lane, est in enumerate(estimates):
-            ref = sync.acquire(stacked[lane], int(positions[lane]),
-                               noise_power=0.05,
-                               refine_freq=refine_freq)
-            assert est.sampling_offset == pytest.approx(
-                ref.sampling_offset, abs=TOL)
-            assert est.freq_offset == pytest.approx(ref.freq_offset,
-                                                    abs=1e-12)
-            assert est.gain == pytest.approx(ref.gain, abs=TOL)
-            assert est.snr_db == pytest.approx(ref.snr_db, abs=1e-6)
-
-    def test_single_lane_promotion(self, sync, lanes):
-        stacked, _ = lanes
-        promoted = sync.correlate_batch(stacked[0])
-        assert promoted.shape[0] == 1
-        with pytest.raises(ConfigurationError):
-            sync.correlate_batch(np.zeros((2, 3, 4), complex))
-
-
-class TestSynthesizeBatch:
-    def _trial(self, preamble, shaper, seed, n_bits=64, offset=40):
-        rng = np.random.default_rng(seed)
-        frame = Frame.make(random_bits(n_bits, rng), src=1,
-                           preamble=preamble)
-        params = ChannelParams(
-            gain=1.0 + 0.3j,
-            freq_offset=1e-3,
-            sampling_offset=0.3,
-            phase_noise_std=1e-3)
-        return [Transmission.from_symbols(frame.symbols, shaper, params,
-                                          offset, "A")]
-
-    def test_sample_identical_to_scalar(self, preamble, shaper):
-        seeds = [11, 12, 13]
-        batch = [self._trial(preamble, shaper, s) for s in seeds]
-        stacked, captures = synthesize_batch(
-            batch, 0.5, [np.random.default_rng(1000 + s) for s in seeds],
-            tail=24, leading=8)
-        for i, seed in enumerate(seeds):
-            scalar = synthesize(self._trial(preamble, shaper, seed), 0.5,
-                                np.random.default_rng(1000 + seed),
-                                tail=24, leading=8)
-            assert np.array_equal(captures[i].samples, scalar.samples)
-            assert np.array_equal(captures[i].clean_components[0],
-                                  scalar.clean_components[0])
-            assert captures[i].transmissions[0].symbol0 \
-                == scalar.transmissions[0].symbol0
-
-    def test_rows_are_zero_copy_views(self, preamble, shaper):
-        batch = [self._trial(preamble, shaper, s) for s in (1, 2)]
-        stacked, captures = synthesize_batch(
-            batch, 0.1, [np.random.default_rng(s) for s in (1, 2)])
-        for capture in captures:
-            assert capture.samples.base is stacked
-
-    def test_geometry_validation(self, preamble, shaper):
-        base = self._trial(preamble, shaper, 1)
-        with pytest.raises(ConfigurationError):
-            synthesize_batch([], 0.1, [])
-        with pytest.raises(ConfigurationError):
-            synthesize_batch([base], 0.1, [])  # rng count mismatch
-        shifted = self._trial(preamble, shaper, 2, offset=41)
-        with pytest.raises(ConfigurationError):
-            synthesize_batch([base, shifted], 0.1,
-                             [np.random.default_rng(s) for s in (1, 2)])
-        longer = self._trial(preamble, shaper, 2, n_bits=80)
-        with pytest.raises(ConfigurationError):
-            synthesize_batch([base, longer], 0.1,
-                             [np.random.default_rng(s) for s in (1, 2)])
-        two_tx = base + self._trial(preamble, shaper, 3, offset=90)
-        with pytest.raises(ConfigurationError):
-            synthesize_batch([base, two_tx], 0.1,
-                             [np.random.default_rng(s) for s in (1, 2)])

@@ -3,8 +3,9 @@
 ``tests/golden/closed_loop.json`` pins the flows, counters and receiver
 stats of short fixed-seed sessions — a single hidden-stream cell, a
 mutually hidden clique, the default and probabilistic sense draws, a
-spec-built clique, an idle offered-load cell and a coupled 3-AP block,
-each under the ZigZag and 802.11 designs (see ``tests/golden/closed_loop.py``). Receive-path
+spec-built clique, an idle and a sparse offered-load cell and a
+coupled 3-AP block, each under the ZigZag and 802.11 designs (see
+``tests/golden/closed_loop.py``). Receive-path
 optimizations promise identical output; these tests hold them to it
 across the whole loop, not just the offline decode the ``.npz`` vectors
 pin.
@@ -70,3 +71,14 @@ def test_fixture_exercises_the_zigzag_paths(pinned):
     for design in closed_loop.DESIGNS:
         counters = pinned[f"idle_load7/{design}"]["counters"]
         assert counters["samples_skipped"] > counters["samples_emitted"]
+
+
+@pytest.mark.parametrize("design", closed_loop.DESIGNS)
+def test_sparse_load_session_ends_before_the_cap(fresh, design):
+    """At a 0.5% offered load, six Poisson arrivals per client span
+    more air than the MAC's worst case. The derived runaway cap must
+    allow for the arrival gaps: every packet resolves, none is cut off."""
+    case = fresh[f"sparse_load7/{design}"]
+    assert not case["timed_out"]
+    assert all(flow[0] == closed_loop.STREAM_PACKETS
+               for flow in case["flows"].values())

@@ -1,6 +1,6 @@
-"""The parallel multi-cell coordinator: bit-identity, watchdogs, arena.
+"""The parallel multi-cell coordinator: bit-identity and watchdogs.
 
-Three contracts under test (see ``repro.link.parallel``):
+Two contracts under test (see ``repro.link.parallel``):
 
 - **Bit-identity** — the process-parallel coupled coordinator produces
   a :class:`~repro.link.MultiCellReport` identical to the sequential
@@ -8,23 +8,20 @@ Three contracts under test (see ``repro.link.parallel``):
   at *any* worker count, because injected phases are keyed by
   (window, src AP, dst AP, transmission seq) rather than drawn from a
   shared stream and every victim's injections apply in canonical order.
-- **Degrade-to-sequential** — a hung, killed, raising, or corrupting
-  cell worker (``chaos.FaultSpec``) trips the barrier watchdog; the
-  block reruns sequentially in the parent with identical results and
-  zero leaked shared-memory segments.
-- **Waveform arena** — the variable-length shared-memory exchange path
-  round-trips exact samples, falls back to inline refs on overflow,
-  and surfaces corruption through CRC verification.
+- **Degrade-to-sequential** — a hung, killed, or raising cell worker
+  (``chaos.FaultSpec``) trips the barrier watchdog; the block reruns
+  sequentially in the parent with identical results and zero leaked
+  shared-memory segments.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import CaptureTransportError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.link import MultiCellConfig
 from repro.runner.builders import build_city_session
 from repro.runner.chaos import FaultSpec
-from repro.runner.shm import WaveformArena, find_leaked_arenas
+from repro.runner.shm import find_leaked_arenas
 from repro.runner.spec import ScenarioSpec
 
 
@@ -182,100 +179,3 @@ class TestDegradeToSequential:
         city = self._degraded_run(
             FaultSpec(raise_in_trial_prob=1.0, seed=3), sequential)
         assert "FaultInjectionError" in city.degrade_reason
-
-    def test_corrupted_waveform_fails_checksum_then_degrades(
-            self, sequential):
-        city = self._degraded_run(
-            FaultSpec(corrupt_shm_slot_prob=1.0, seed=3), sequential)
-        assert "checksum" in city.degrade_reason
-
-
-class TestWaveformArena:
-    def test_round_trip_variable_lengths(self):
-        arena = WaveformArena.create(2, 256)
-        try:
-            rng = np.random.default_rng(0)
-            waves = [rng.normal(size=n) + 1j * rng.normal(size=n)
-                     for n in (3, 100, 153)]
-            refs = [arena.write(0, w, checksum=True) for w in waves]
-            for ref, wave in zip(refs, waves):
-                assert ref.region == 0
-                np.testing.assert_array_equal(ref.resolve(arena), wave)
-        finally:
-            arena.close()
-
-    def test_reset_reclaims_region(self):
-        arena = WaveformArena.create(1, 16)
-        try:
-            first = arena.write(0, np.ones(10, dtype=complex))
-            assert first.offset == 0
-            arena.reset(0)
-            second = arena.write(0, np.full(12, 2.0, dtype=complex))
-            assert second.offset == 0
-            np.testing.assert_array_equal(
-                second.resolve(arena), np.full(12, 2.0, dtype=complex))
-        finally:
-            arena.close()
-
-    def test_overflow_falls_back_inline(self):
-        arena = WaveformArena.create(1, 8)
-        try:
-            arena.write(0, np.ones(6, dtype=complex))
-            wave = np.arange(5, dtype=complex)
-            ref = arena.write(0, wave)
-            assert ref.region == -1 and ref.inline is not None
-            np.testing.assert_array_equal(ref.resolve(arena), wave)
-            # An oversized waveform never fits, inline from the start.
-            big = arena.write(0, np.ones(64, dtype=complex))
-            assert big.region == -1
-        finally:
-            arena.close()
-
-    def test_corruption_detected_by_checksum(self):
-        arena = WaveformArena.create(1, 32)
-        try:
-            wave = np.ones(8, dtype=complex)
-            ref = arena.write(0, wave, checksum=True)
-            arena.view(0, ref.offset, ref.size)[2] += 1.0
-            with pytest.raises(CaptureTransportError, match="checksum"):
-                ref.resolve(arena)
-        finally:
-            arena.close()
-
-    def test_attach_shares_bytes(self):
-        arena = WaveformArena.create(1, 16)
-        try:
-            ref = arena.write(0, np.arange(4, dtype=complex),
-                              checksum=True)
-            other = WaveformArena.attach(arena.name, 1, 16)
-            try:
-                np.testing.assert_array_equal(
-                    ref.resolve(other), np.arange(4, dtype=complex))
-            finally:
-                other.close()
-        finally:
-            arena.close()
-
-    def test_bounds_checked(self):
-        arena = WaveformArena.create(1, 8)
-        try:
-            with pytest.raises(ConfigurationError):
-                arena.view(1, 0, 4)
-            with pytest.raises(ConfigurationError):
-                arena.view(0, 6, 4)
-            with pytest.raises(ConfigurationError):
-                arena.reset(5)
-        finally:
-            arena.close()
-
-    def test_close_is_idempotent(self):
-        arena = WaveformArena.create(1, 4)
-        arena.close()
-        arena.close()
-
-    def test_close_unlinks_no_leak(self):
-        arena = WaveformArena.create(2, 64)
-        name = arena.name
-        assert name in find_leaked_arenas()
-        arena.close()
-        assert name not in find_leaked_arenas()
