@@ -29,7 +29,7 @@ from repro.phy.noise import (
     snr_db,
     snr_db_to_ebn0_db,
 )
-from repro.phy.resample import FractionalDelay, sinc_interpolate
+from repro.phy.resample import FractionalDelay
 from repro.phy.isi import IsiFilter, default_isi_taps, invert_fir
 from repro.phy.impairments import (
     AdcQuantizer,
@@ -46,17 +46,8 @@ from repro.phy.impairments import (
     make_impairment,
 )
 from repro.phy.channel import Channel, ChannelParams
-from repro.phy.correlation import (
-    CorrelationPeak,
-    find_correlation_peaks,
-    normalized_sliding_correlation,
-    sliding_correlation,
-)
-from repro.phy.estimation import (
-    ChannelEstimate,
-    estimate_channel_from_preamble,
-    estimate_frequency_offset,
-)
+from repro.phy.correlation import CorrelationPeak
+from repro.phy.estimation import ChannelEstimate
 from repro.phy.tracking import MuellerMullerTracker, PhaseTracker
 from repro.phy.equalizer import LmsEqualizer
 
@@ -85,7 +76,6 @@ __all__ = [
     "ebn0_db_to_snr_db",
     "snr_db_to_ebn0_db",
     "FractionalDelay",
-    "sinc_interpolate",
     "IsiFilter",
     "default_isi_taps",
     "invert_fir",
@@ -104,12 +94,7 @@ __all__ = [
     "Channel",
     "ChannelParams",
     "CorrelationPeak",
-    "sliding_correlation",
-    "normalized_sliding_correlation",
-    "find_correlation_peaks",
     "ChannelEstimate",
-    "estimate_channel_from_preamble",
-    "estimate_frequency_offset",
     "PhaseTracker",
     "MuellerMullerTracker",
     "LmsEqualizer",

@@ -1,70 +1,19 @@
-"""Sliding preamble correlation — the paper's collision-detection primitive.
+"""The detected-preamble record shared by detection and matching.
 
 §4.2.1: the AP slides the known L-sample preamble across the received
 buffer; after compensating for the colliding sender's frequency offset, the
 correlation magnitude spikes exactly where a packet (and only a packet)
-begins. The same trick powers packet sync, collision detection (Fig 4-2),
-collision *matching* (§4.2.2), and channel estimation (§4.2.4a).
+begins. :meth:`repro.phy.sync.Synchronizer.detect` runs that correlation
+on the sample stream; each spike it reports is a :class:`CorrelationPeak`,
+the unit of packet sync, collision detection (Fig 4-2) and collision
+*matching* (§4.2.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import CollisionDetectError, ConfigurationError
-from repro.phy.preamble import Preamble
-
-__all__ = [
-    "sliding_correlation",
-    "normalized_sliding_correlation",
-    "CorrelationPeak",
-    "find_correlation_peaks",
-    "refine_peak_position",
-]
-
-
-def sliding_correlation(signal, preamble: Preamble,
-                        freq_offset: float = 0.0) -> np.ndarray:
-    """Γ'(Δ) for every alignment Δ: ``sum_k s*[k] y[k+Δ] e^{-j2πk·δf}``.
-
-    *freq_offset* is the coarse estimate of the colliding sender's offset in
-    cycles per sample (the AP keeps these per associated client, §4.2.1).
-    Returns a complex array of length ``len(signal) - L + 1``.
-    """
-    y = np.asarray(signal, dtype=complex).ravel()
-    length = len(preamble)
-    if y.size < length:
-        raise CollisionDetectError(
-            f"signal ({y.size}) shorter than preamble ({length})"
-        )
-    k = np.arange(length)
-    reference = preamble.symbols * np.exp(2j * np.pi * freq_offset * k)
-    # np.correlate(y, v)[d] = sum_k y[d+k] * conj(v[k]).
-    return np.correlate(y, reference, mode="valid")
-
-
-def _normalize_correlation(abs_corr: np.ndarray, signal: np.ndarray,
-                           preamble: Preamble) -> np.ndarray:
-    """Scale |Γ'(Δ)| to [0, 1] by preamble and local signal energy."""
-    length = len(preamble)
-    energy = np.convolve(np.abs(signal) ** 2, np.ones(length), mode="valid")
-    denom = np.sqrt(preamble.energy * np.maximum(energy, 1e-30))
-    return abs_corr / denom
-
-
-def normalized_sliding_correlation(signal, preamble: Preamble,
-                                   freq_offset: float = 0.0) -> np.ndarray:
-    """|Γ'(Δ)| normalized to [0, 1] by preamble and local signal energy.
-
-    The normalized metric is what thresholds compare against: it is
-    invariant to the colliding sender's power, which makes a single β work
-    across the SNR range (§5.3a).
-    """
-    y = np.asarray(signal, dtype=complex).ravel()
-    corr = sliding_correlation(y, preamble, freq_offset)
-    return _normalize_correlation(np.abs(corr), y, preamble)
+__all__ = ["CorrelationPeak"]
 
 
 @dataclass(frozen=True)
@@ -75,10 +24,6 @@ class CorrelationPeak:
     ----------
     position:
         Integer sample index of the packet start.
-    fine_offset:
-        Sub-sample refinement in (-0.5, 0.5); ``position + fine_offset`` is
-        the best fractional start estimate (this is the sampling-offset
-        estimate μ for that packet).
     value:
         Complex correlation Γ'(Δ) at the peak — its magnitude over the
         preamble energy is the channel gain estimate (§4.2.4a).
@@ -87,63 +32,5 @@ class CorrelationPeak:
     """
 
     position: int
-    fine_offset: float
     value: complex
     score: float
-
-
-def refine_peak_position(magnitudes: np.ndarray, index: int) -> float:
-    """Parabolic interpolation of a peak to sub-sample accuracy."""
-    if index <= 0 or index >= magnitudes.size - 1:
-        return 0.0
-    left, mid, right = magnitudes[index - 1:index + 2]
-    denom = left - 2.0 * mid + right
-    if denom == 0:
-        return 0.0
-    delta = 0.5 * (left - right) / denom
-    return float(np.clip(delta, -0.5, 0.5))
-
-
-def find_correlation_peaks(signal, preamble: Preamble, *,
-                           freq_offset: float = 0.0,
-                           threshold: float = 0.6,
-                           min_separation: int | None = None,
-                           max_peaks: int | None = None) -> list[CorrelationPeak]:
-    """All positions where the normalized correlation exceeds *threshold*.
-
-    Peaks closer than *min_separation* (default: preamble length) collapse
-    to the strongest one, preventing one packet start from registering as
-    several detections.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError("threshold must lie in (0, 1]")
-    y = np.asarray(signal, dtype=complex).ravel()
-    # One correlation pass serves both the raw peak values and the
-    # normalized scores (it used to be computed twice).
-    corr = sliding_correlation(y, preamble, freq_offset)
-    abs_corr = np.abs(corr)
-    scores = _normalize_correlation(abs_corr, y, preamble)
-    separation = min_separation if min_separation is not None else len(preamble)
-
-    candidates = np.flatnonzero(scores >= threshold)
-    peaks: list[CorrelationPeak] = []
-    used = np.zeros(scores.size, dtype=bool)
-    # Greedily take the strongest remaining candidate, mask its neighborhood.
-    order = candidates[np.argsort(-scores[candidates])]
-    for idx in order:
-        if used[idx]:
-            continue
-        lo = max(0, idx - separation)
-        hi = min(scores.size, idx + separation + 1)
-        used[lo:hi] = True
-        fine = refine_peak_position(abs_corr, int(idx))
-        peaks.append(CorrelationPeak(
-            position=int(idx),
-            fine_offset=fine,
-            value=complex(corr[idx]),
-            score=float(scores[idx]),
-        ))
-        if max_peaks is not None and len(peaks) >= max_peaks:
-            break
-    peaks.sort(key=lambda p: p.position)
-    return peaks

@@ -1,15 +1,10 @@
-"""Channel and frequency-offset estimation from the known preamble (§4.2.4).
+"""Receiver-side link estimates (§4.2.4) and the blind noise floor.
 
-(a) Channel: at the correlation peak, Γ'(Δ) = H · Σ|s[k]|², so the complex
-    gain estimate is the peak value over the preamble energy.
-(b) Frequency offset: the preamble is split into segments; each segment's
-    correlation phase advances linearly with δf, so a weighted fit of the
-    inter-segment phase slope yields δf. An optional coarse prior (the AP's
-    stored per-client estimate) is compensated first so the fit only has to
-    resolve the small residual.
-(c) Sampling offset: sub-sample peak interpolation (see
-    :func:`repro.phy.correlation.refine_peak_position`) plus decision-
-    directed Mueller–Müller tracking during decoding.
+:meth:`repro.phy.sync.Synchronizer.acquire` estimates a sender's complex
+gain, frequency offset and fractional sampling offset from the known
+preamble on the sample stream and returns them as a
+:class:`ChannelEstimate`; decision-directed phase and Mueller–Müller
+timing tracking refine them during decoding.
 """
 
 from __future__ import annotations
@@ -19,17 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.phy.channel import ChannelParams
-from repro.phy.preamble import Preamble
 
-__all__ = [
-    "ChannelEstimate",
-    "estimate_channel_from_preamble",
-    "estimate_frequency_offset",
-    "estimate_noise_power",
-    "refine_fractional_start",
-    "acquire",
-]
+__all__ = ["ChannelEstimate", "estimate_noise_power"]
 
 
 @dataclass(frozen=True)
@@ -42,188 +28,11 @@ class ChannelEstimate:
     snr_db: float
     isi_taps: tuple | None = None
 
-    def to_params(self) -> ChannelParams:
-        """Convert to :class:`ChannelParams` for re-encoding a chunk image."""
-        return ChannelParams(
-            gain=self.gain,
-            freq_offset=self.freq_offset,
-            sampling_offset=self.sampling_offset,
-            phase_noise_std=0.0,
-            isi_taps=self.isi_taps,
-        )
-
     def with_freq_offset(self, freq_offset: float) -> "ChannelEstimate":
         return replace(self, freq_offset=freq_offset)
 
     def with_gain(self, gain: complex) -> "ChannelEstimate":
         return replace(self, gain=gain)
-
-
-def estimate_channel_from_preamble(signal, preamble: Preamble, position: int,
-                                   freq_offset: float = 0.0,
-                                   noise_power: float = 1.0) -> ChannelEstimate:
-    """Estimate H (and SNR) from the preamble at a known start position.
-
-    Implements §4.2.4(a): H = Γ'(Δ_peak) / Σ|s[k]|². The frequency offset
-    passed in is the (possibly refined) estimate used for compensation; it
-    is stored in the returned estimate unchanged.
-    """
-    y = np.asarray(signal, dtype=complex).ravel()
-    gamma = preamble.correlate_at(y, position, freq_offset)
-    gain = gamma / preamble.energy
-    power = abs(gain) ** 2
-    snr_db = 10.0 * np.log10(max(power / max(noise_power, 1e-30), 1e-12))
-    return ChannelEstimate(
-        gain=gain,
-        freq_offset=freq_offset,
-        sampling_offset=0.0,
-        snr_db=float(snr_db),
-    )
-
-
-def estimate_frequency_offset(signal, preamble: Preamble, position: int, *,
-                              coarse: float = 0.0,
-                              n_segments: int = 4) -> float:
-    """Estimate δf (cycles/sample) from inter-segment correlation phases.
-
-    Splits the preamble into *n_segments* equal pieces. With residual offset
-    r, the m-th segment's correlation carries phase ``2π r m (L/n)`` plus a
-    common term; a least-squares fit of the unwrapped phase slope over the
-    segment index recovers r. The returned value is ``coarse + r``.
-    """
-    if n_segments < 2:
-        raise ConfigurationError("need at least 2 segments to fit a slope")
-    y = np.asarray(signal, dtype=complex).ravel()
-    length = len(preamble)
-    seg = length // n_segments
-    if seg < 2:
-        raise ConfigurationError("preamble too short for that many segments")
-
-    k = np.arange(length)
-    rotator = np.exp(-2j * np.pi * coarse * k)
-    window = y[position:position + length]
-    if window.size < length:
-        raise ConfigurationError("signal too short for preamble at position")
-    derotated = window * rotator
-
-    correlations = np.empty(n_segments, dtype=complex)
-    for m in range(n_segments):
-        sl = slice(m * seg, (m + 1) * seg)
-        correlations[m] = np.sum(np.conj(preamble.symbols[sl]) * derotated[sl])
-
-    phases = np.unwrap(np.angle(correlations))
-    weights = np.abs(correlations)
-    if np.all(weights == 0):
-        return coarse
-    centers = np.arange(n_segments, dtype=float) * seg
-    # Weighted least-squares line fit phase = a + b * center.
-    w = weights / weights.sum()
-    xm = np.sum(w * centers)
-    ym = np.sum(w * phases)
-    cov = np.sum(w * (centers - xm) * (phases - ym))
-    var = np.sum(w * (centers - xm) ** 2)
-    slope = cov / var if var > 0 else 0.0
-    residual = slope / (2.0 * np.pi)
-    return float(coarse + residual)
-
-
-def _aligned_segment_freq(aligned: np.ndarray, preamble: Preamble,
-                          n_segments: int) -> float:
-    """Residual frequency from segment-correlation phase slope, on samples
-    already interpolated onto the preamble grid."""
-    length = len(preamble)
-    seg = length // n_segments
-    correlations = np.empty(n_segments, dtype=complex)
-    for m in range(n_segments):
-        sl = slice(m * seg, (m + 1) * seg)
-        correlations[m] = np.sum(np.conj(preamble.symbols[sl]) * aligned[sl])
-    phases = np.unwrap(np.angle(correlations))
-    weights = np.abs(correlations)
-    if np.all(weights == 0):
-        return 0.0
-    centers = np.arange(n_segments, dtype=float) * seg
-    w = weights / weights.sum()
-    xm = np.sum(w * centers)
-    ym = np.sum(w * phases)
-    cov = np.sum(w * (centers - xm) * (phases - ym))
-    var = np.sum(w * (centers - xm) ** 2)
-    slope = cov / var if var > 0 else 0.0
-    return float(slope / (2.0 * np.pi))
-
-
-def refine_fractional_start(signal, preamble: Preamble, position: int, *,
-                            coarse_freq: float = 0.0,
-                            span: float = 0.6, step: float = 0.2,
-                            half_width: int = 4) -> float:
-    """Sub-sample start offset that maximizes the *interpolated* correlation.
-
-    The naive 3-point parabolic refinement over the raw discrete
-    correlation is biased by the preamble's aperiodic autocorrelation
-    sidelobes; interpolating the received samples onto candidate fractional
-    grids and correlating there is sidelobe-free. A final parabolic fit over
-    the best grid point and its neighbours polishes the estimate.
-    """
-    from repro.phy.resample import sinc_interpolate_uniform
-
-    y = np.asarray(signal, dtype=complex).ravel()
-    length = len(preamble)
-    k = np.arange(length)
-    rotator = np.exp(-2j * np.pi * coarse_freq * k)
-    offsets = np.arange(-span, span + step / 2, step)
-    scores = np.empty(offsets.size)
-    for i, delta in enumerate(offsets):
-        seg = sinc_interpolate_uniform(y, position + delta, length,
-                                       half_width)
-        scores[i] = abs(np.sum(np.conj(preamble.symbols) * seg * rotator))
-    best = int(np.argmax(scores))
-    if 0 < best < offsets.size - 1:
-        left, mid, right = scores[best - 1:best + 2]
-        denom = left - 2.0 * mid + right
-        frac = 0.5 * (left - right) / denom if denom != 0 else 0.0
-        frac = float(np.clip(frac, -1.0, 1.0))
-    else:
-        frac = 0.0
-    return float(offsets[best] + frac * step)
-
-
-def acquire(signal, preamble: Preamble, position: int, *,
-            coarse_freq: float = 0.0, noise_power: float = 1.0,
-            n_segments: int = 4, half_width: int = 4) -> ChannelEstimate:
-    """Full acquisition at a detected packet start (§4.2.4 a–c).
-
-    Refines the fractional start offset, then estimates the frequency
-    offset and complex gain on the offset-aligned, interpolated preamble.
-    The returned gain satisfies
-    ``aligned[k] ≈ gain * s[k] * exp(j 2π f (position + mu + k))`` —
-    the exact model :class:`~repro.receiver.frontend.SymbolStreamDecoder`
-    inverts.
-    """
-    from repro.phy.resample import sinc_interpolate_uniform
-
-    y = np.asarray(signal, dtype=complex).ravel()
-    length = len(preamble)
-    mu = refine_fractional_start(
-        y, preamble, position, coarse_freq=coarse_freq,
-        half_width=half_width)
-    start = position + mu
-    aligned = sinc_interpolate_uniform(y, start, length, half_width)
-
-    k = np.arange(length)
-    derotated = aligned * np.exp(-2j * np.pi * coarse_freq * (start + k))
-    residual = _aligned_segment_freq(derotated, preamble, n_segments)
-    freq = coarse_freq + residual
-
-    reference = preamble.symbols * np.exp(2j * np.pi * freq * (start + k))
-    gain = np.vdot(reference, aligned) / np.vdot(preamble.symbols,
-                                                 preamble.symbols)
-    power = abs(gain) ** 2
-    snr_db = 10.0 * np.log10(max(power / max(noise_power, 1e-30), 1e-12))
-    return ChannelEstimate(
-        gain=complex(gain),
-        freq_offset=float(freq),
-        sampling_offset=float(mu),
-        snr_db=float(snr_db),
-    )
 
 
 def estimate_noise_power(signal, quiet_span: slice | None = None) -> float:

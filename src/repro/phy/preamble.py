@@ -82,28 +82,6 @@ class Preamble:
     def __len__(self) -> int:
         return self.symbols.size
 
-    @property
-    def energy(self) -> float:
-        """Sum of |s[k]|^2 over the preamble — the correlation peak scale."""
-        return float(np.sum(np.abs(self.symbols) ** 2))
-
-    def correlate_at(self, signal: np.ndarray, position: int,
-                     freq_offset_cycles_per_sample: float = 0.0) -> complex:
-        """The paper's Γ'(Δ): preamble correlation at one alignment.
-
-        Computes ``sum_k s*[k] y[k+Δ] e^{-j 2π k δf T}`` — the frequency-
-        offset-compensated correlation of §4.2.1.
-        """
-        length = len(self)
-        segment = signal[position:position + length]
-        if segment.size < length:
-            raise ConfigurationError(
-                f"signal too short for correlation at position {position}"
-            )
-        k = np.arange(length)
-        rotator = np.exp(-2j * np.pi * k * freq_offset_cycles_per_sample)
-        return complex(np.sum(np.conj(self.symbols) * segment * rotator))
-
 
 def default_preamble(length: int = 32) -> Preamble:
     """The library-wide default preamble (32 symbols, like the paper's 32-bit)."""

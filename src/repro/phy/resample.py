@@ -17,12 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "sinc_kernel",
-    "sinc_interpolate",
-    "sinc_interpolate_uniform",
-    "FractionalDelay",
-]
+__all__ = ["sinc_kernel", "FractionalDelay"]
 
 
 def sinc_kernel(fraction: float, half_width: int = 4) -> np.ndarray:
@@ -40,62 +35,6 @@ def sinc_kernel(fraction: float, half_width: int = 4) -> np.ndarray:
     taps = taps * window
     # Normalize DC gain so a constant signal passes through unchanged.
     return taps / np.sum(taps)
-
-
-def sinc_interpolate(signal, positions, half_width: int = 4) -> np.ndarray:
-    """Evaluate *signal* at arbitrary (fractional) sample *positions*.
-
-    Positions outside the support use zero-padding, matching how a packet's
-    samples are embedded in a longer received buffer.
-    """
-    sig = np.asarray(signal, dtype=complex).ravel()
-    pos = np.asarray(positions, dtype=float).ravel()
-    out = np.zeros(pos.size, dtype=complex)
-    padded = np.concatenate([
-        np.zeros(half_width + 1, dtype=complex),
-        sig,
-        np.zeros(half_width + 1, dtype=complex),
-    ])
-    base = np.floor(pos).astype(int)
-    frac = pos - base
-    for i in range(pos.size):
-        # x(base + frac) = x(base - (-frac)) -> kernel fraction is -frac.
-        taps = sinc_kernel(-frac[i], half_width)
-        center = base[i] + half_width + 1
-        window = padded[center - half_width:center + half_width + 1]
-        out[i] = np.dot(taps, window)
-    return out
-
-
-def sinc_interpolate_uniform(signal, start: float, count: int,
-                             half_width: int = 4) -> np.ndarray:
-    """Evaluate *signal* at ``start, start+1, ..., start+count-1``.
-
-    Fast path for the common case of a uniformly-spaced grid: every
-    position shares the same fractional part, so a single kernel serves all
-    of them and the whole operation reduces to a strided dot product.
-    """
-    if count < 0:
-        raise ConfigurationError("count must be non-negative")
-    sig = np.asarray(signal, dtype=complex).ravel()
-    if count == 0:
-        return np.zeros(0, dtype=complex)
-    base = int(np.floor(start))
-    frac = start - base
-    # x(base + frac) = x(base - (-frac)) -> kernel fraction is -frac.
-    taps = sinc_kernel(-frac, half_width)
-    w = half_width
-    pad_left = max(0, w - base)
-    pad_right = max(0, (base + count - 1 + w + 1) - sig.size)
-    padded = np.concatenate([
-        np.zeros(pad_left, dtype=complex), sig,
-        np.zeros(pad_right, dtype=complex),
-    ])
-    origin = base + pad_left
-    out = np.zeros(count, dtype=complex)
-    for k, tap in zip(range(-w, w + 1), taps):
-        out += tap * padded[origin + k: origin + k + count]
-    return out
 
 
 @dataclass

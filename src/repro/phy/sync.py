@@ -147,7 +147,6 @@ class Synchronizer:
             used[lo:hi] = True
             peaks.append(CorrelationPeak(
                 position=int(idx) + self.shaper.delay,
-                fine_offset=0.0,
                 value=complex(corr[idx]),
                 score=float(scores[idx]),
             ))

@@ -9,8 +9,7 @@ from repro.receiver.buffer import CollisionBuffer, CollisionRecord, gaps_close
 
 
 def peak(position):
-    return CorrelationPeak(position=position, fine_offset=0.0,
-                           value=1.0 + 0j, score=0.9)
+    return CorrelationPeak(position=position, value=1.0 + 0j, score=0.9)
 
 
 class TestBuffer:

@@ -252,10 +252,8 @@ class TestCollisionBufferLifecycle:
         short = (rng.standard_normal(400)
                  + 1j * rng.standard_normal(400)) / np.sqrt(2)
         receiver.buffer.add(short, [
-            CorrelationPeak(position=0, fine_offset=0.0,
-                            value=1.0 + 0j, score=0.9),
-            CorrelationPeak(position=397, fine_offset=0.0,
-                            value=1.0 + 0j, score=0.8)])
+            CorrelationPeak(position=0, value=1.0 + 0j, score=0.9),
+            CorrelationPeak(position=397, value=1.0 + 0j, score=0.8)])
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
         capture = collision_capture(frames, shaper, rng, (0, 160),
                                     named_freqs)

@@ -1,73 +1,18 @@
-"""Channel/frequency/noise estimation tests (§4.2.4)."""
+"""ChannelEstimate and noise-floor estimation tests (§4.2.4)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.estimation import (
-    ChannelEstimate,
-    estimate_channel_from_preamble,
-    estimate_frequency_offset,
-    estimate_noise_power,
-)
+from repro.phy.estimation import ChannelEstimate, estimate_noise_power
 from repro.phy.noise import awgn
 
 
 class TestChannelEstimate:
-    def test_to_params_roundtrip(self):
-        est = ChannelEstimate(gain=2.0 + 1j, freq_offset=1e-4,
-                              sampling_offset=0.25, snr_db=12.0)
-        params = est.to_params()
-        assert params.gain == 2.0 + 1j
-        assert params.freq_offset == 1e-4
-        assert params.sampling_offset == 0.25
-        assert params.phase_noise_std == 0.0
-
     def test_with_gain(self):
         est = ChannelEstimate(1.0, 0.0, 0.0, 10.0)
         assert est.with_gain(3.0).gain == 3.0
         assert est.with_freq_offset(2e-4).freq_offset == 2e-4
-
-
-class TestGainEstimation:
-    def test_recovers_gain_symbol_domain(self, preamble, rng):
-        gain = 3.0 * np.exp(1j * 0.9)
-        signal = np.concatenate([
-            np.zeros(12, complex),
-            gain * preamble.symbols,
-            np.zeros(12, complex),
-        ]) + awgn(56, 0.01, rng)
-        est = estimate_channel_from_preamble(signal, preamble, 12,
-                                             noise_power=0.01)
-        assert abs(est.gain - gain) < 0.15
-
-    def test_snr_reported(self, preamble, rng):
-        signal = np.concatenate([2.0 * preamble.symbols,
-                                 np.zeros(8, complex)])
-        est = estimate_channel_from_preamble(signal, preamble, 0,
-                                             noise_power=1.0)
-        assert est.snr_db == pytest.approx(6.0, abs=1.0)
-
-
-class TestFrequencyEstimation:
-    def test_recovers_offset(self, preamble):
-        f = 3e-3
-        k = np.arange(len(preamble))
-        signal = np.concatenate([
-            preamble.symbols * np.exp(2j * np.pi * f * k),
-            np.zeros(4, complex),
-        ])
-        est = estimate_frequency_offset(signal, preamble, 0, coarse=2.5e-3)
-        assert est == pytest.approx(f, abs=2e-4)
-
-    def test_segment_count_validation(self, preamble):
-        signal = np.ones(64, complex)
-        with pytest.raises(ConfigurationError):
-            estimate_frequency_offset(signal, preamble, 0, n_segments=1)
-
-    def test_signal_too_short(self, preamble):
-        with pytest.raises(ConfigurationError):
-            estimate_frequency_offset(np.ones(16, complex), preamble, 0)
 
 
 class TestNoiseEstimation:

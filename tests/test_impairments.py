@@ -110,13 +110,21 @@ class TestSfoDrift:
         assert not np.allclose(late, early)
 
     def test_matches_scalar_sinc_interpolation(self):
-        from repro.phy.resample import sinc_interpolate
+        from repro.phy.resample import sinc_kernel
 
         x = tone(300)
         delta = 400e-6
         out = SfoDrift(drift_ppm=400.0).apply(x, np.random.default_rng(0))
-        positions = np.arange(x.size) * (1.0 + delta)
-        expected = sinc_interpolate(x, positions)
+        # Scalar reference: one windowed-sinc kernel per position, the
+        # signal zero-padded outside its support.
+        w = 4
+        padded = np.concatenate([np.zeros(w + 1), x, np.zeros(w + 1)])
+        expected = np.empty(x.size, dtype=complex)
+        for i, pos in enumerate(np.arange(x.size) * (1.0 + delta)):
+            base = int(np.floor(pos))
+            centre = base + w + 1
+            expected[i] = np.dot(sinc_kernel(-(pos - base), w),
+                                 padded[centre - w:centre + w + 1])
         assert np.allclose(out, expected, atol=1e-9)
 
 

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.phy.resample import (
-    FractionalDelay,
-    sinc_interpolate,
-    sinc_interpolate_uniform,
-    sinc_kernel,
-)
+from repro.phy.resample import FractionalDelay, sinc_kernel
 
 
 def narrowband(n, freqs=(0.07, -0.11)):
@@ -39,37 +34,14 @@ class TestKernel:
 
 
 class TestInterpolation:
-    def test_integer_positions_exact(self):
-        x = narrowband(64)
-        out = sinc_interpolate(x, [10.0, 20.0, 30.0], half_width=6)
-        assert np.allclose(out, x[[10, 20, 30]], atol=1e-6)
-
-    def test_fractional_positions_accurate(self):
-        x = narrowband(128)
-        positions = np.array([30.3, 51.75, 77.5])
-        out = sinc_interpolate(x, positions, half_width=6)
-        assert np.allclose(out, narrowband_at(positions), atol=2e-3)
-
-    def test_uniform_matches_general(self):
-        x = narrowband(128)
-        uniform = sinc_interpolate_uniform(x, 20.37, 50, half_width=5)
-        general = sinc_interpolate(x, 20.37 + np.arange(50), half_width=5)
-        assert np.allclose(uniform, general, atol=1e-9)
-
-    def test_out_of_range_zero_padded(self):
-        x = np.ones(10, complex)
-        out = sinc_interpolate_uniform(x, -30.0, 5)
-        assert np.allclose(out, 0.0, atol=1e-9)
-
-    def test_empty_count(self):
-        assert sinc_interpolate_uniform(np.ones(4, complex), 0, 0).size == 0
-
     @given(st.floats(-0.49, 0.49))
     @settings(max_examples=20, deadline=None)
     def test_fraction_property(self, frac):
+        """The kernel's taps evaluate a band-limited signal between its
+        samples: x(40 + frac) from x[32..48]."""
         x = narrowband(80)
-        out = sinc_interpolate_uniform(x, 40 + frac, 1, half_width=8)
-        assert abs(out[0] - narrowband_at(40 + frac)) < 5e-3
+        out = np.dot(sinc_kernel(-frac, 8), x[32:49])
+        assert abs(out - narrowband_at(40 + frac)) < 5e-3
 
 
 class TestFractionalDelay:
