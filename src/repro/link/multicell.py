@@ -12,6 +12,12 @@ into each other cell whose AP hears that client above a floor, scaled
 by the cross-link/home-link SNR ratio with a fresh carrier phase (the
 cross channel is a different path), via :meth:`ContinuousAir.inject`.
 
+One coordinator loop (:meth:`MultiCellSession._drive`) serves every
+execution mode. It plans the exchange; the cells themselves are stepped
+by :class:`CellGroup` objects that speak a four-command protocol. With
+``workers == 1`` one group runs in this process; otherwise each cell
+worker of :mod:`repro.link.parallel` runs one behind its pipe.
+
 The exchange is **order-independent by construction**: every injected
 carrier phase is derived from a :class:`numpy.random.SeedSequence`
 keyed by ``(window, src AP, dst AP, transmission seq)`` rather than
@@ -48,8 +54,8 @@ from repro.errors import ConfigurationError
 from repro.link.events import EventEngine
 from repro.link.session import LinkSession, SessionReport
 
-__all__ = ["MultiCellConfig", "MultiCellReport", "MultiCellSession",
-           "apply_injection"]
+__all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
+           "MultiCellSession", "apply_injection"]
 
 
 @dataclass(frozen=True)
@@ -130,29 +136,23 @@ class MultiCellReport:
 
 @dataclass
 class _CellRuntime:
-    """One cell's live state inside the coordinator."""
+    """One cell of the block, as the coordinator plans it."""
 
     index: int                          # position in the cell list
     plan: object                        # CellPlan
     session: LinkSession
-    engine: EventEngine
     # name -> (global client index, SNR at the serving AP)
     lookup: dict[str, tuple[int, float]] = field(default_factory=dict)
-    # Waveforms scheduled during the current window:
-    # (offset, waveform, global client index, home-link snr_db).
-    window: list = field(default_factory=list)
-    report: SessionReport | None = None
 
 
 def apply_injection(session, engine, offset: int, wave, scale,
                     counters: dict[str, float]) -> None:
     """Inject ``wave * scale`` at *offset* into one victim cell.
 
-    The one true injection path, shared by the sequential coordinator
-    and the parallel cell workers so their accounting (and their float
-    arithmetic) cannot drift apart: clip accounting, skip-vs-live
-    counters, and the forced chunk coverage that makes the victim
-    engine synthesize what it would otherwise skip symbolically.
+    Clip accounting, skip-vs-live counters, and the forced chunk
+    coverage that makes the victim engine synthesize what it would
+    otherwise skip symbolically. :meth:`CellGroup.inject` is its one
+    caller, in-process or inside a cell worker.
     """
     air = session.air
     clipped_before = air.samples_clipped
@@ -166,6 +166,112 @@ def apply_injection(session, engine, offset: int, wave, scale,
     engine.cover_air(lo, end)
 
 
+# Command -> reply tag of the cell-group protocol.
+_REPLIES = {"start": "ready", "step": "stepped", "inject": "injected",
+            "finish": "reports"}
+
+
+class CellGroup:
+    """The cells one process steps: the cell side of the coordinator.
+
+    The coordinator talks to every group through one message protocol,
+    ``send((command, *args))`` then ``recv(tag)``:
+
+    - ``start`` -> ``ready``: ``{cell: next event time}`` of live cells;
+    - ``step(window, window_end)`` -> ``stepped``: ``{cell: (alive,
+      window)}`` for every cell that was live, where *window* lists the
+      waveforms scheduled since the last step as ``(offset, wave, global
+      client index, home snr_db)`` entries;
+    - ``inject({cell: [(offset, wave, scale), ...]})`` -> ``injected``:
+      ``({cell: next event time}, counter deltas)``;
+    - ``finish`` -> ``reports``: ``{cell: SessionReport}``.
+
+    In process (``workers == 1`` and the degraded rerun) :meth:`send`
+    handles the message at once and :meth:`recv` hands back the reply;
+    a cell worker (:mod:`repro.link.parallel`) runs :meth:`handle`
+    behind its pipe. *before_step* (a chaos hook, worker side only) is
+    called with ``(cell, window)`` before each live cell steps.
+    """
+
+    def __init__(self, cells: list[_CellRuntime],
+                 before_step=None) -> None:
+        self.cell_indices = [rt.index for rt in cells]
+        self.before_step = before_step
+        self.started = time.perf_counter()
+        self.sessions = {rt.index: rt.session for rt in cells}
+        self.engines = {rt.index: EventEngine(rt.session) for rt in cells}
+        self.windows: dict[int, list] = {rt.index: [] for rt in cells}
+        self.reports: dict[int, SessionReport] = {}
+        self._reply: tuple | None = None
+        for rt in cells:
+            rt.session.air.on_schedule = self._recorder(rt)
+
+    def _recorder(self, rt: _CellRuntime):
+        def record(transmission, waveform) -> None:
+            client, snr_home = rt.lookup[transmission.label]
+            self.windows[rt.index].append(
+                (transmission.offset, waveform, client, snr_home))
+        return record
+
+    # -- the in-process transport --------------------------------------
+    def send(self, message: tuple) -> None:
+        self._reply = self.handle(message)
+
+    def recv(self, expected: str):
+        _tag, payload = self._reply
+        self._reply = None
+        return payload
+
+    def handle(self, message: tuple) -> tuple:
+        """Run one protocol command; returns ``(tag, payload)``."""
+        command, *args = message
+        if command not in _REPLIES:
+            raise ValueError(f"unknown command {command!r}")
+        return _REPLIES[command], getattr(self, command)(*args)
+
+    # -- the commands ---------------------------------------------------
+    def _next_times(self) -> dict[int, int | None]:
+        return {index: engine.next_time()
+                for index, engine in self.engines.items()
+                if index not in self.reports}
+
+    def start(self) -> dict[int, int | None]:
+        for index, engine in self.engines.items():
+            engine.start()
+            if engine.finished:
+                self.reports[index] = engine.finish(self.started)
+        return self._next_times()
+
+    def step(self, window: int, window_end: int) -> dict:
+        out = {}
+        for index, engine in self.engines.items():
+            if index in self.reports:
+                continue
+            if self.before_step is not None:
+                self.before_step(index, window)
+            if not engine.step_until(window_end):
+                self.reports[index] = engine.finish(self.started)
+            out[index] = (index not in self.reports, self.windows[index])
+            self.windows[index] = []
+        return out
+
+    def inject(self, plan: dict[int, list]) -> tuple:
+        # Integer-valued deltas: the merge order across groups cannot
+        # perturb them.
+        deltas = {"injections": 0, "injections_skipped": 0,
+                  "samples_injected": 0, "samples_clipped": 0}
+        for index, entries in plan.items():
+            for offset, wave, scale in entries:
+                apply_injection(self.sessions[index], self.engines[index],
+                                offset, wave, scale, deltas)
+        return self._next_times(), deltas
+
+    def finish(self) -> dict[int, SessionReport]:
+        for session in self.sessions.values():
+            session.air.on_schedule = None
+        return dict(self.reports)
+
+
 class MultiCellSession:
     """Drive every cell of a deployment to completion, coupled.
 
@@ -174,11 +280,13 @@ class MultiCellSession:
     names and serving-AP SNRs (see
     ``repro.runner.builders.build_cell_session``).
 
-    With ``config.workers != 1`` the block is stepped by a pool of
-    persistent cell-worker processes (:mod:`repro.link.parallel`); a
-    hung or crashed worker degrades the run to sequential stepping with
-    identical results (the parent's sessions are never mutated until a
-    mode commits).
+    One coordinator loop (:meth:`_drive`) steps a list of
+    :class:`CellGroup` objects: a single in-process group with
+    ``config.workers == 1``, one group per persistent cell-worker
+    process otherwise (:mod:`repro.link.parallel`). A hung or crashed
+    worker degrades the run to one in-process group with identical
+    results (the parent's sessions are never mutated until a mode
+    commits).
     """
 
     def __init__(self, deployment, cells, *,
@@ -211,7 +319,7 @@ class MultiCellSession:
                                 state.client.snr_db)
             self.cells.append(_CellRuntime(
                 index=len(self.cells), plan=plan, session=session,
-                engine=EventEngine(session), lookup=lookup))
+                lookup=lookup))
         # The shared horizon rides the largest chunk size in the block.
         chunk = max(rt.session.config.chunk_samples for rt in self.cells)
         self.horizon = self.config.horizon_chunks * chunk
@@ -239,7 +347,7 @@ class MultiCellSession:
         self.degrade_reason: str | None = None
 
     # ------------------------------------------------------------------
-    # Exchange planning (shared by the sequential and parallel modes)
+    # Exchange planning
     # ------------------------------------------------------------------
     def _injected_phase(self, window: int, src_ap: int, dst_ap: int,
                         seq: int) -> float:
@@ -259,7 +367,7 @@ class MultiCellSession:
 
         ``windows[src_idx]`` is that cell's window of scheduled
         waveforms, ``(offset, wave, global client index, home snr_db)``
-        entries — the same layout in both execution modes.
+        entries.
         """
         for src_idx, entries in enumerate(windows):
             src_ap = self.cells[src_idx].plan.ap
@@ -276,25 +384,11 @@ class MultiCellSession:
                             window, src_ap, dst_ap, seq))
                     yield dst_idx, offset, wave, scale
 
-    def _exchange(self, live: list[_CellRuntime]) -> None:
-        """Inject every window-scheduled waveform into the other cells
-        whose AP hears its transmitter above the interference floor."""
-        window = int(self.counters["windows"])
-        live_mask = [rt in live for rt in self.cells]
-        windows = [rt.window for rt in self.cells]
-        for dst_idx, offset, wave, scale in \
-                self._iter_exchange(window, windows, live_mask):
-            dst = self.cells[dst_idx]
-            apply_injection(dst.session, dst.engine, offset, wave,
-                            scale, self.counters)
-        for rt in self.cells:
-            rt.window.clear()
-
     def _aligned_window_end(self, window_end: int,
                             pending: list[int]) -> int:
         """Advance to the window containing the earliest pending event,
         so a block-wide idle span costs one iteration, not one per
-        horizon. Shared verbatim with the parallel coordinator."""
+        horizon."""
         window_end += self.horizon
         if pending:
             aligned = (min(pending) // self.horizon) * self.horizon
@@ -319,52 +413,76 @@ class MultiCellSession:
                 return parallel.run_parallel(self, workers)
             except parallel.ParallelDegraded as exc:
                 # The pool is gone but this process's sessions were
-                # never stepped; rerun the whole block sequentially —
+                # never stepped; rerun the whole block in process —
                 # bit-identical by construction, just slower.
                 self.degrade_reason = str(exc)
-                return self._run_sequential(workers=workers,
-                                            degraded=True)
-        return self._run_sequential()
+                return self._drive([CellGroup(self.cells)],
+                                   workers=workers, degraded=True)
+        return self._drive([CellGroup(self.cells)])
 
-    def _run_sequential(self, *, workers: int = 1,
-                        degraded: bool = False) -> MultiCellReport:
+    def _drive(self, groups, *, workers: int = 1,
+               degraded: bool = False) -> MultiCellReport:
+        """The coordinator loop: one barrier per horizon window.
+
+        Every group is sent ``step`` before any reply is collected, so
+        remote groups step concurrently, and no ``inject`` goes out
+        before every group answered ``step``, so a group that hangs
+        mid-step trips the worker watchdog before any waveform is sent.
+        """
         started = time.perf_counter()
-        for rt in self.cells:
-            recorder = self._make_recorder(rt)
-            rt.session.air.on_schedule = recorder
-            rt.engine.start()
-        live = [rt for rt in self.cells if not rt.engine.finished]
-        for rt in self.cells:
-            if rt.engine.finished and rt.report is None:
-                rt.report = rt.engine.finish(started)
+        owner = {index: position for position, group in enumerate(groups)
+                 for index in group.cell_indices}
+        # Fresh counters, committed only when this attempt finishes.
+        counters = dict.fromkeys(self.counters, 0)
+        # Live cells -> their earliest pending event time.
+        next_times: dict[int, int | None] = {}
+        for group in groups:
+            group.send(("start",))
+        for group in groups:
+            next_times.update(group.recv("ready"))
         window_end = 0
-        while live:
-            self.counters["windows"] += 1
-            pending = [t for t in (rt.engine.next_time() for rt in live)
-                       if t is not None]
+        while next_times:
+            counters["windows"] += 1
+            window = counters["windows"]
+            pending = [t for t in next_times.values() if t is not None]
             window_end = self._aligned_window_end(window_end, pending)
-            for rt in live:
-                if not rt.engine.step_until(window_end):
-                    rt.report = rt.engine.finish(started)
+            for group in groups:
+                group.send(("step", window, window_end))
+            windows = [[] for _ in self.cells]
+            for group in groups:
+                for index, (alive, entries) in group.recv("stepped").items():
+                    if not alive:
+                        del next_times[index]
+                    windows[index] = entries
             # Exchange after every cell reached the boundary — including
             # the final window of a cell that just finished, whose last
-            # transmissions still interfere with its neighbours.
-            live = [rt for rt in self.cells if rt.report is None]
-            self._exchange(live)
-        for rt in self.cells:
-            rt.session.air.on_schedule = None
+            # transmissions still interfere with its neighbours. Each
+            # victim's injections keep the canonical order.
+            live_mask = [index in next_times
+                         for index in range(len(self.cells))]
+            plans = [{} for _ in groups]
+            for dst_idx, offset, wave, scale in \
+                    self._iter_exchange(window, windows, live_mask):
+                plans[owner[dst_idx]].setdefault(dst_idx, []).append(
+                    (offset, wave, scale))
+            for group, plan in zip(groups, plans):
+                group.send(("inject", plan))
+            for group in groups:
+                nexts, deltas = group.recv("injected")
+                next_times.update(nexts)
+                for key, value in deltas.items():
+                    counters[key] += value
+        for group in groups:
+            group.send(("finish",))
+        reports = {}
+        for group in groups:
+            reports.update(group.recv("reports"))
+        self.counters = counters
         return MultiCellReport(
             design=self.cells[0].session.design,
-            cells={rt.plan.ap: rt.report for rt in self.cells},
-            counters=dict(self.counters),
+            cells={rt.plan.ap: reports[rt.index] for rt in self.cells},
+            counters=dict(counters),
             elapsed_s=time.perf_counter() - started,
             workers=workers,
             degraded=degraded,
         )
-
-    def _make_recorder(self, rt: _CellRuntime):
-        def record(transmission, waveform) -> None:
-            client, snr_home = rt.lookup[transmission.label]
-            rt.window.append(
-                (transmission.offset, waveform, client, snr_home))
-        return record

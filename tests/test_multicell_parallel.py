@@ -103,6 +103,30 @@ class TestParallelEquivalence:
             city_spec(coupled_workers=-2).deployment.validate()
 
 
+class TestInjectionSite:
+    def test_every_injection_goes_through_the_module_global(
+            self, monkeypatch):
+        """The coordinator has one injection site, and it looks
+        ``apply_injection`` up in ``repro.link.multicell`` at call time
+        (the name a tracer patches)."""
+        from repro.link import multicell
+
+        calls = []
+        real = multicell.apply_injection
+
+        def counting(*args):
+            calls.append(args)
+            real(*args)
+
+        monkeypatch.setattr(multicell, "apply_injection", counting)
+        _, report = run_block(1, n_aps=4, n_clients=24, area_m=80.0,
+                              n_packets=2)
+        counters = report.counters
+        assert counters["injections"] > 0
+        assert len(calls) == (counters["injections"]
+                              + counters["injections_skipped"])
+
+
 class TestPhaseKeying:
     """Satellite regression: injected phases are a pure function of
     (window, src AP, dst AP, seq) — evaluation order cannot matter."""
