@@ -81,8 +81,12 @@ class ClientTable:
         return self._freqs.get(src, default)
 
     def candidates(self) -> list[float]:
-        """Frequency hypotheses for collision detection; always includes 0
-        so unknown clients can still be found."""
+        """Frequency hypotheses for collision detection: the distinct
+        per-client estimates, sorted.
+
+        Only an empty table falls back to ``[0.0]``. Once a client is
+        known, 0 is not added: sessions seed the table at association, so
+        every client already has its own hypothesis."""
         values = sorted(set(round(v, 9) for v in self._freqs.values()))
         if not values:
             return [0.0]

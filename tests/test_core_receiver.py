@@ -53,6 +53,14 @@ class TestClientTable:
         table.update(1, 3e-3)
         assert 3e-3 in table.candidates()
 
+    def test_candidates_fall_back_to_zero_only_while_empty(self):
+        table = ClientTable()
+        assert table.candidates() == [0.0]
+        table.update(1, 3e-3)
+        table.update(2, -2e-3)
+        table.update(3, 3e-3)
+        assert table.candidates() == [-2e-3, 3e-3]
+
 
 class TestReceiverFlow:
     def test_clean_packet_decoded_and_learned(self, preamble, shaper, rng):
