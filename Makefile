@@ -65,7 +65,9 @@ chaos-smoke:
 # block through the CLI (positions -> pathloss -> hidden pairs ->
 # per-cell closed-loop sessions, sharded over the worker pool), plus
 # the derived-topology test suite (fixed-seed regression, Hypothesis
-# properties, multi-cell coordinator).
+# properties, multi-cell coordinator) and the coupled 3-AP block's
+# closed-loop golden (block3), named next to the parallel-equivalence
+# suite.
 city-smoke:
 	$(PYTHON) -m repro run examples/scenarios/city_scale.toml \
 		--workers 0 --set n_trials=3 \
@@ -78,6 +80,7 @@ city-smoke:
 		--set deployment.coupled_workers=2
 	$(PYTHON) -m pytest -q tests/test_deployment.py \
 		tests/test_multicell_parallel.py
+	$(PYTHON) -m pytest -q tests/test_closed_loop_golden.py -k block3
 
 # Regenerate every paper figure/table (slow; writes benchmarks/results/).
 bench:
