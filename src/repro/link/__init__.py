@@ -2,15 +2,16 @@
 
 The online system of §4.2.2/§4.4: a bounded-memory sample stream
 (:mod:`~repro.link.air`), a streaming burst segmenter
-(:mod:`~repro.link.segmenter`), design-agnostic AP adapters
-(:mod:`~repro.link.aps`) and the N-client closed-loop session driver
-(:mod:`~repro.link.session`). The runner's ``ap_stream`` and
-``offered_load`` scenarios are built on :class:`LinkSession`.
+(:mod:`~repro.link.segmenter`), design-agnostic APs
+(:mod:`~repro.link.aps`) and the N-client closed-loop session, which
+runs its own event loop (:mod:`~repro.link.session`). The runner's
+``ap_stream`` and ``offered_load`` scenarios are built on
+:class:`LinkSession`.
 """
 
 from repro.link.air import AirConfig, ContinuousAir
-from repro.link.aps import StandardAp, ZigZagAp, build_ap
-from repro.link.events import EventEngine, EventQueue, RadioState
+from repro.link.aps import StandardAp, build_ap
+from repro.link.events import EventQueue, RadioState
 from repro.link.multicell import (
     MultiCellConfig,
     MultiCellReport,
@@ -30,7 +31,6 @@ __all__ = [
     "Burst",
     "BurstSegmenter",
     "ContinuousAir",
-    "EventEngine",
     "EventQueue",
     "LinkSession",
     "MultiCellConfig",
@@ -43,6 +43,5 @@ __all__ = [
     "StandardAp",
     "StreamClient",
     "Topology",
-    "ZigZagAp",
     "build_ap",
 ]

@@ -1,11 +1,11 @@
-"""Access-point adapters: one burst-level interface, two receiver designs.
+"""Access points: one burst-level interface, two receiver designs.
 
 The session driver is design-agnostic — it hands each segmented burst to
-an AP object and acts on the decode results. Two adapters implement the
-interface:
+an AP object's ``receive`` and acts on the decode results. Two designs
+implement the interface:
 
-- :class:`ZigZagAp` wraps the full :class:`~repro.core.ZigZagReceiver`
-  flow control (§5.1d): standard decode first, capture-effect SIC,
+- ``zigzag`` is the :class:`~repro.core.ZigZagReceiver` itself, with its
+  full flow control (§5.1d): standard decode first, capture-effect SIC,
   collision-buffer matching and ZigZag pair decoding.
 - :class:`StandardAp` is the Current-802.11 baseline (§5.1e): it syncs on
   preamble spikes and applies the plain standard decoder to the strongest
@@ -32,38 +32,7 @@ from repro.receiver.decoder import StandardDecoder
 from repro.receiver.result import DecodeResult
 from repro.zigzag.detect import CollisionDetector
 
-__all__ = ["ZigZagAp", "StandardAp", "build_ap"]
-
-
-class ZigZagAp:
-    """The paper's AP: ZigZagReceiver behind the burst interface."""
-
-    design = "zigzag"
-
-    def __init__(self, config: ReceiverConfig) -> None:
-        self.receiver = ZigZagReceiver(config)
-
-    @property
-    def clients(self) -> ClientTable:
-        return self.receiver.clients
-
-    @property
-    def stats(self) -> ReceiverStats:
-        return self.receiver.stats
-
-    def receive(self, samples) -> list[DecodeResult]:
-        """Successful decodes from one burst (possibly from earlier
-        bursts too: a matched collision resolves its whole set).
-
-        ``ZigZagReceiver.receive`` guarantees successes-only, so the
-        results pass through unfiltered — it used to leak a failed
-        DecodeResult on the single-peak decode-failure path, which this
-        adapter had to filter defensively.
-        """
-        try:
-            return self.receiver.receive(samples)
-        except ReproError:
-            return []
+__all__ = ["StandardAp", "build_ap"]
 
 
 class StandardAp:
@@ -125,10 +94,11 @@ class StandardAp:
         return results
 
 
-def build_ap(design: str, config: ReceiverConfig) -> "ZigZagAp | StandardAp":
-    """The adapter for a ``spec.design`` name (zigzag / 802.11)."""
+def build_ap(design: str,
+             config: ReceiverConfig) -> "ZigZagReceiver | StandardAp":
+    """The AP for a ``spec.design`` name (zigzag / 802.11)."""
     if design == "zigzag":
-        return ZigZagAp(config)
+        return ZigZagReceiver(config)
     if design == "802.11":
         return StandardAp(config)
     raise ReproError(

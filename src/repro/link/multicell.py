@@ -1,12 +1,11 @@
-"""Multi-cell coordinator: one EventEngine per AP, one shared horizon.
+"""Multi-cell coordinator: one LinkSession per AP, one shared horizon.
 
 Scales the closed-loop session from one AP to a city block: every cell
 of a :class:`~repro.testbed.deployment.Deployment` runs its own
 :class:`~repro.link.session.LinkSession` (own clients, own
-:class:`~repro.link.air.ContinuousAir`, own AP) driven by its own
-:class:`~repro.link.events.EventEngine`, and a coordinator advances all
-engines in lockstep windows of a common *event horizon* (a fixed number
-of air chunks). At each horizon boundary the cells exchange inter-cell
+:class:`~repro.link.air.ContinuousAir`, own AP, own event loop), and a
+coordinator advances all sessions in lockstep windows of a common
+*event horizon* (a fixed number of air chunks). At each horizon boundary the cells exchange inter-cell
 interference: every waveform scheduled during the window is injected
 into each other cell whose AP hears that client above a floor, scaled
 by the cross-link/home-link SNR ratio with a fresh carrier phase (the
@@ -39,7 +38,7 @@ horizon boundaries rather than per sample:
   cross-cell energy appears at the victim **AP** as decode-degrading
   interference, not at its clients as channel-busy.
 
-Each engine keeps its own runaway cap, so a stuck cell times out alone
+Each session keeps its own runaway cap, so a stuck cell times out alone
 without stalling the block.
 """
 
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.link.events import EventEngine
 from repro.link.session import LinkSession, SessionReport
 
 __all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
@@ -62,7 +60,7 @@ __all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
 class MultiCellConfig:
     """Knobs of the coordinator."""
 
-    # Horizon window length, in air chunks: engines run independently
+    # Horizon window length, in air chunks: sessions run independently
     # inside a window and exchange interference at its end.
     horizon_chunks: int = 4
     # Inject a cross-cell waveform only when the transmitting client's
@@ -145,12 +143,12 @@ class _CellRuntime:
     lookup: dict[str, tuple[int, float]] = field(default_factory=dict)
 
 
-def apply_injection(session, engine, offset: int, wave, scale,
+def apply_injection(session, offset: int, wave, scale,
                     counters: dict[str, float]) -> None:
     """Inject ``wave * scale`` at *offset* into one victim cell.
 
     Clip accounting, skip-vs-live counters, and the forced chunk
-    coverage that makes the victim engine synthesize what it would
+    coverage that makes the victim session synthesize what it would
     otherwise skip symbolically. :meth:`CellGroup.inject` is its one
     caller, in-process or inside a cell worker.
     """
@@ -163,7 +161,7 @@ def apply_injection(session, engine, offset: int, wave, scale,
         return
     counters["injections"] += 1
     counters["samples_injected"] += end - lo
-    engine.cover_air(lo, end)
+    session.cover_air(lo, end)
 
 
 # Command -> reply tag of the cell-group protocol.
@@ -199,7 +197,6 @@ class CellGroup:
         self.before_step = before_step
         self.started = time.perf_counter()
         self.sessions = {rt.index: rt.session for rt in cells}
-        self.engines = {rt.index: EventEngine(rt.session) for rt in cells}
         self.windows: dict[int, list] = {rt.index: [] for rt in cells}
         self.reports: dict[int, SessionReport] = {}
         self._reply: tuple | None = None
@@ -231,26 +228,26 @@ class CellGroup:
 
     # -- the commands ---------------------------------------------------
     def _next_times(self) -> dict[int, int | None]:
-        return {index: engine.next_time()
-                for index, engine in self.engines.items()
+        return {index: session.next_time()
+                for index, session in self.sessions.items()
                 if index not in self.reports}
 
     def start(self) -> dict[int, int | None]:
-        for index, engine in self.engines.items():
-            engine.start()
-            if engine.finished:
-                self.reports[index] = engine.finish(self.started)
+        for index, session in self.sessions.items():
+            session.start()
+            if session.finished:
+                self.reports[index] = session.finish(self.started)
         return self._next_times()
 
     def step(self, window: int, window_end: int) -> dict:
         out = {}
-        for index, engine in self.engines.items():
+        for index, session in self.sessions.items():
             if index in self.reports:
                 continue
             if self.before_step is not None:
                 self.before_step(index, window)
-            if not engine.step_until(window_end):
-                self.reports[index] = engine.finish(self.started)
+            if not session.step_until(window_end):
+                self.reports[index] = session.finish(self.started)
             out[index] = (index not in self.reports, self.windows[index])
             self.windows[index] = []
         return out
@@ -262,8 +259,8 @@ class CellGroup:
                   "samples_injected": 0, "samples_clipped": 0}
         for index, entries in plan.items():
             for offset, wave, scale in entries:
-                apply_injection(self.sessions[index], self.engines[index],
-                                offset, wave, scale, deltas)
+                apply_injection(self.sessions[index], offset, wave, scale,
+                                deltas)
         return self._next_times(), deltas
 
     def finish(self) -> dict[int, SessionReport]:

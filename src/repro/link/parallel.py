@@ -7,7 +7,7 @@ The coupled block's one coordinator loop
 ``MultiCellConfig.workers == 1`` the list holds one in-process group.
 This module supplies the other case: a persistent pool of **cell
 workers**, each running one group behind a pipe. Each cell is pinned
-to one worker for its lifetime (its engine, air and rng state never
+to one worker for its lifetime (its session, air and rng state never
 move); the parent sends ``step`` to every worker before collecting any
 reply, so workers step their cells to each horizon boundary
 concurrently, and keeps all exchange *planning*. Window waveforms

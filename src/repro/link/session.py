@@ -20,27 +20,59 @@ and ACK timeouts. Memory stays bounded for arbitrarily long sessions —
 the air holds only in-flight waveforms, the segmenter only the open
 burst, and the collision buffer ages out stale records.
 
-The loop is driven by the event-driven scheduler of
-:mod:`repro.link.events`: MAC time advances symbolically from event to
-event (every decision still on the slot grid), and the DSP runs only
-over actual burst extents, so wall time scales with *busy* air. The
-domain logic it drives (client state machine, burst processing, ACK
-planning, end-of-session accounting) lives here.
+The session runs its own heap-ordered event loop (kinds and priorities
+in :mod:`repro.link.events`) instead of visiting every slot boundary,
+so wall time scales with *busy* air rather than with simulated air.
+Client arrivals, backoff expiries, TX starts/ends, ACK deliveries and
+ACK timeouts are discrete events carrying absolute sample indices, and
+the medium advances *lazily*: noise and burst segmentation are
+synthesized only over chunks that overlap a scheduled waveform (or an
+open burst), while idle gaps are skipped in O(1) via
+:meth:`ContinuousAir.skip` / :meth:`BurstSegmenter.skip`.
+
+Timing follows slotted 802.11 MAC semantics:
+
+- every MAC decision lands on the global slot grid (events are pushed at
+  the smallest slot boundary >= their raw time, the first boundary at
+  which a slotted MAC observes the condition);
+- at one boundary, chunk processing runs before ACK delivery, which runs
+  before client decisions (in client list order);
+- carrier sense uses the slot-consistent snapshot rule: a transmission
+  occupies ``[start, tx_end)`` and is sensed at boundary ``t`` iff
+  ``start < t < tx_end``, so same-boundary decisions are independent of
+  client order — two contenders whose backoff expires on the same
+  boundary both transmit, and a transmission that ends at ``t`` is no
+  longer sensed at ``t``.
+
+A packet's terminal fate is decided here and nowhere else: ACK
+delivery, the ``max_attempts`` drop, and :meth:`LinkSession.finish` at
+the runaway cap.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.api import ReceiverConfig, ReceiverStats
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.link.air import AirConfig, ContinuousAir
 from repro.link.aps import build_ap
-from repro.link.events import EventEngine, RadioState
+from repro.link.events import (
+    ACK_DELIVERY,
+    ACK_TIMEOUT,
+    AIR_CHUNK,
+    ARRIVAL,
+    PRIO_ACK,
+    PRIO_AIR,
+    PRIO_CLIENT,
+    TX_END,
+    TX_START,
+    EventQueue,
+    RadioState,
+)
 from repro.link.segmenter import BurstSegmenter, SegmenterConfig
 from repro.link.topology import Topology
 from repro.mac.ack import plan_synchronous_acks
@@ -159,10 +191,8 @@ class SessionReport:
 class _ClientState:
     """Mutable MAC state of one client inside a running session."""
 
-    def __init__(self, client: StreamClient, session: "LinkSession",
-                 index: int = 0) -> None:
+    def __init__(self, client: StreamClient, index: int = 0) -> None:
         self.client = client
-        self.session = session
         self.index = index          # position in the session's client list
         self.state = RadioState.IDLE
         self.packets_done = 0
@@ -174,14 +204,13 @@ class _ClientState:
         self.tx_end = 0
         self.ack_deadline = 0
         self.next_arrival = 0
-        # Event-engine bookkeeping: generation counter invalidating
-        # stale heap events, and the anchor/expiry of the
-        # currently-scheduled backoff countdown.
+        # Event-loop bookkeeping: generation counter invalidating stale
+        # heap events, and the anchor/expiry of the currently-scheduled
+        # backoff countdown.
         self.gen = 0
         self.contend_anchor = 0
         self.pending_tx_time = 0
 
-    # ------------------------------------------------------------------
     @property
     def key(self) -> tuple[int, int]:
         # Wrapped like the on-air header's seq field, so AP-side decode
@@ -190,69 +219,14 @@ class _ClientState:
         # per-packet state is pruned at resolution, so reuse is safe.
         return (self.client.src, self.seq % 4096)
 
-    def _begin_packet(self, now: int) -> None:
-        s = self.session
-        self.seq += 1
-        payload = random_bits(s.config.payload_bits, s.rng)
-        self.frame = Frame.make(payload, src=self.client.src,
-                                seq=self.seq % 4096,
-                                modulation=s.config.modulation,
-                                preamble=s.preamble)
-        s.truth[self.key] = self.frame.body_bits
-        self.attempt = 0
-        self.attempts_used = 0
-        self.backoff = s.config.backoff.pick(0, s.rng)
-        self.state = RadioState.CONTEND
-        if self.client.offered_load is not None:
-            gap = s.rng.exponential(
-                s.packet_samples / self.client.offered_load)
-            self.next_arrival = self.next_arrival + int(gap)
-
-    def _resolve(self, now: int) -> None:
-        """Close out the current packet (acked, dropped, or cut off)."""
-        s = self.session
-        ber = s.decode_ber.pop(self.key, 1.0)
-        s.flows[self.client.name].record(ber, airtime=self.attempts_used)
-        if ber >= BER_DELIVERY_THRESHOLD:
-            s.counters["packets_lost"] += 1
-        # Per-packet bookkeeping dies with the packet — sessions stay
-        # bounded in memory no matter how long they run (late ACKs and
-        # duplicate decodes for a resolved key are simply ignored).
-        s.truth.pop(self.key, None)
-        s.tx_log.pop(self.key, None)
-        s.acked.discard(self.key)
-        self.packets_done += 1
-        self.frame = None
-        if self.packets_done >= s.config.n_packets:
-            self.state = RadioState.DONE
-        else:
-            self.state = RadioState.IDLE
-
-    def _transmit(self, now: int) -> None:
-        s = self.session
-        cfg = s.config
-        amplitude = np.sqrt(10.0 ** (self.client.snr_db / 10.0)
-                            * cfg.noise_power)
-        params = ChannelParams(
-            gain=amplitude * np.exp(1j * s.rng.uniform(0, 2 * np.pi)),
-            freq_offset=self.client.freq_offset,
-            sampling_offset=float(s.rng.uniform(0, 1)),
-            phase_noise_std=cfg.phase_noise_std,
-            tx_evm=cfg.tx_evm,
-            impairments=cfg.sender_impairments,
-        )
-        tx = Transmission.from_symbols(self.frame.symbols, s.shaper,
-                                       params, now, self.client.name)
-        length = s.air.schedule(tx)
-        self.tx_end = now + length
-        self.attempts_used += 1
-        s.tx_log[self.key] = (now, self.tx_end)
-        s.counters["transmissions"] += 1
-        self.state = RadioState.TX
-
 
 class LinkSession:
-    """Drive one closed-loop session to completion (see module docstring)."""
+    """Drive one closed-loop session to completion (see module docstring).
+
+    :meth:`run` is :meth:`start`, then :meth:`step_until` with no
+    horizon, then :meth:`finish`. A multi-cell coordinator calls the
+    three itself to interleave several sessions on one shared horizon.
+    """
 
     def __init__(self, config: SessionConfig, clients: list[StreamClient],
                  design: str = "zigzag",
@@ -319,8 +293,7 @@ class LinkSession:
                 client.freq_offset
                 + float(self.rng.normal(0, config.coarse_freq_error)))
 
-        self.clients = [_ClientState(c, self, i)
-                        for i, c in enumerate(clients)]
+        self.clients = [_ClientState(c, i) for i, c in enumerate(clients)]
         self._by_src = {c.client.src: c for c in self.clients}
 
         # Pairwise sensing, fixed for the whole session: hidden pairs
@@ -335,7 +308,6 @@ class LinkSession:
         self.decode_ber: dict[tuple[int, int], float] = {}
         self.acked: set[tuple[int, int]] = set()
         self.tx_log: dict[tuple[int, int], tuple[int, int]] = {}
-        self._ack_queue: list[tuple[int, int, int]] = []  # (time, src, seq)
         self.counters: dict[str, float] = {
             "transmissions": 0, "bursts": 0, "acks": 0, "acks_dropped": 0,
             "acks_infeasible": 0, "duplicate_decodes": 0,
@@ -343,14 +315,239 @@ class LinkSession:
             "unresolved_at_cap": 0, "packets_unoffered_at_cap": 0,
         }
 
+        # The event loop.
+        self.q = EventQueue()
+        self.slot = config.slot_samples
+        self.chunk = config.chunk_samples
+        self.now = 0
+        self.timed_out = False
+        # Client list index -> (start, tx_end) of its in-flight waveform.
+        self.active_tx: dict[int, tuple[int, int]] = {}
+        # Chunk-end indices with a pending AIR_CHUNK event.
+        self.pending_chunks: set[int] = set()
+        # Noise context synthesized around each waveform: enough history
+        # ahead of the edge for the open detector's reach-back, enough
+        # tail for the hang window to confirm silence and close.
+        self._lead = seg_cfg.open_window + seg_cfg.pad
+        self._tail = 2 * seg_cfg.hang_window
+
     # ------------------------------------------------------------------
-    def _process_burst(self, burst, now: int) -> None:
+    # Driving the loop.
+    def run(self) -> SessionReport:
+        started = time.perf_counter()
+        self.start()
+        self.step_until(None)
+        return self.finish(started)
+
+    def start(self) -> None:
+        """Arm the loop: seed initial arrivals, derive the runaway cap."""
+        self.max_samples = self._max_samples()
+        self.done = sum(1 for c in self.clients
+                        if c.state == RadioState.DONE)
+        self.finished = self.done >= len(self.clients)
+        for c in self.clients:
+            if c.state == RadioState.IDLE:
+                self.q.push(max(self._boundary(c.next_arrival), 0),
+                            PRIO_CLIENT, c.index, ARRIVAL, (c.index, c.gen))
+
+    def next_time(self) -> int | None:
+        """Earliest pending event time (None when finished or drained)."""
+        if self.finished:
+            return None
+        return self.q.peek_time()
+
+    def step_until(self, t_stop: int | None) -> bool:
+        """Dispatch every event with time < *t_stop* (all, when None).
+
+        Returns True while the session is still live (events at or past
+        *t_stop* remain); False once every client resolved, the queue
+        drained, or the runaway cap fired — after which only
+        :meth:`finish` remains to be called.
+        """
+        while not self.finished:
+            if self.done >= len(self.clients) or not len(self.q):
+                self.finished = True
+                break
+            if t_stop is not None and self.q.peek_time() >= t_stop:
+                return True
+            time_, _prio, _tie, _seq, kind, data = self.q.pop()
+            if time_ >= self.max_samples:
+                self.timed_out = True
+                self.now = self._boundary(self.max_samples)
+                self.finished = True
+                break
+            self.now = max(self.now, time_)
+            if kind == AIR_CHUNK:
+                self._on_chunk(data, self.now)
+            elif kind == ACK_DELIVERY:
+                self._on_ack(data, self.now)
+            elif kind == ARRIVAL:
+                self._on_arrival(data, self.now)
+            elif kind == TX_START:
+                self._on_tx_start(data, self.now)
+            elif kind == TX_END:
+                self._on_tx_end(data, self.now)
+            elif kind == ACK_TIMEOUT:
+                self._on_ack_timeout(data, self.now)
+        return False
+
+    def finish(self, started: float) -> SessionReport:
+        """End-of-session accounting.
+
+        Order matters: flush the segmenter first (a still-open burst may
+        decode and plan ACKs), then deliver-or-drop every late ACK, then
+        let in-flight clients act on them — and only then charge
+        whatever is still unresolved to the cap.
+        """
+        now = self.now
+        late = []
+        for burst in self.segmenter.flush():
+            late += self._process_burst(burst, now)
+        # Late ACKs (the ones the flush just planned) are delivered out
+        # of band; entries for already-resolved keys are explicitly
+        # dropped rather than left queued.
+        for _at, src, seq in late:
+            if (src, seq) in self.truth:
+                self.acked.add((src, seq))
+            else:
+                self.counters["acks_dropped"] += 1
+        for client in self.clients:
+            if client.state in (RadioState.CONTEND, RadioState.TX,
+                                RadioState.AWAIT_ACK) \
+                    and client.key in self.acked:
+                self._close_packet(client)
+        if self.timed_out:
+            for client in self.clients:
+                if client.state == RadioState.DONE:
+                    continue
+                # Every client cut off by the cap is accounted for —
+                # including ones idling in IDLE between arrivals, whose
+                # remaining traffic would otherwise silently vanish from
+                # the offered-load bookkeeping.
+                self.counters["unresolved_at_cap"] += 1
+                pending = self.config.n_packets - client.packets_done
+                if client.frame is not None:
+                    self._close_packet(client)
+                    pending -= 1
+                self.counters["packets_unoffered_at_cap"] += max(pending, 0)
+                client.packets_done = self.config.n_packets
+                client.state = RadioState.DONE
+
+        counters = dict(self.counters)
+        counters["max_resident_samples"] = float(
+            self.air.max_resident_samples
+            + self.segmenter.max_resident_samples)
+        counters["samples_emitted"] = float(self.air.samples_emitted)
+        counters["samples_skipped"] = float(self.air.samples_skipped)
+        counters["forced_closes"] = float(self.segmenter.forced_closes)
+        return SessionReport(
+            design=self.design,
+            flows=self.flows,
+            samples_elapsed=now,
+            packet_samples=self.packet_samples,
+            receiver_stats=self.ap.stats,
+            counters=counters,
+            timed_out=self.timed_out,
+            elapsed_s=time.perf_counter() - started,
+        )
+
+    def _max_samples(self) -> int:
+        """The runaway cap: explicit, or derived from worst-case MAC
+        arithmetic (every packet retried to the limit, each attempt
+        paying full airtime, timeout and contention) plus twice the
+        slowest client's expected arrival span (Poisson gaps of mean
+        ``packet_samples / offered_load``)."""
+        cfg = self.config
+        if cfg.max_samples is not None:
+            return cfg.max_samples
+        per_attempt = (self.packet_samples + self.ack_timeout
+                       + cfg.backoff.window(0) * cfg.slot_samples)
+        total_attempts = (len(self.clients) * cfg.n_packets
+                          * cfg.max_attempts)
+        loads = [c.client.offered_load for c in self.clients
+                 if c.client.offered_load is not None]
+        arrival_span = (cfg.n_packets * self.packet_samples / min(loads)
+                        if loads else 0)
+        return (2 * total_attempts * per_attempt + int(2 * arrival_span)
+                + 8 * cfg.chunk_samples)
+
+    def _boundary(self, t: int) -> int:
+        """Smallest slot-grid boundary >= *t* (where a slotted MAC first
+        observes a condition raised at raw time *t*)."""
+        return -(-int(t) // self.slot) * self.slot
+
+    # ------------------------------------------------------------------
+    # Medium: lazy synthesis over covered chunks only.
+    def _schedule_chunk(self, chunk_end: int) -> None:
+        if chunk_end in self.pending_chunks or chunk_end <= self.air.cursor:
+            return
+        self.pending_chunks.add(chunk_end)
+        self.q.push(max(self._boundary(chunk_end), self.now),
+                    PRIO_AIR, chunk_end, AIR_CHUNK, chunk_end)
+
+    def cover_air(self, start: int, end: int) -> None:
+        """Schedule synthesis for every chunk a waveform (plus noise
+        context) touches; everything between stays symbolic.
+
+        Public because it is the injection contract of the multi-cell
+        coordinator: after :meth:`ContinuousAir.inject` lands foreign
+        energy on ``[start, end)``, the victim session must synthesize
+        the touched chunks instead of skipping them symbolically.
+        """
+        lo = max((start - self._lead) // self.chunk, 0)
+        hi = (end + self._tail) // self.chunk
+        for k in range(lo, hi + 1):
+            self._schedule_chunk((k + 1) * self.chunk)
+
+    def _on_chunk(self, chunk_end: int, now: int) -> None:
+        air, segmenter = self.air, self.segmenter
+        self.pending_chunks.discard(chunk_end)
+        if chunk_end <= air.cursor:
+            return
+        gap = chunk_end - self.chunk - air.cursor
+        if gap > 0:
+            if segmenter.is_open:
+                # An open burst must see a gapless stream; synthesize the
+                # uncovered span instead of skipping it. (Continuation
+                # scheduling makes this path unreachable in practice.)
+                while air.cursor < chunk_end - self.chunk:
+                    step = min(self.chunk,
+                               chunk_end - self.chunk - air.cursor)
+                    self._feed(air.emit(step), now)
+            else:
+                air.skip(gap)
+                segmenter.skip(gap)
+        self._feed(air.emit(self.chunk), now)
+        if segmenter.is_open:
+            # A burst outlived its scheduled coverage (e.g. back-to-back
+            # collisions): keep the air flowing until it closes.
+            self._schedule_chunk(chunk_end + self.chunk)
+
+    def _feed(self, samples, now: int) -> None:
+        acks = []
+        for burst in self.segmenter.push(samples):
+            acks += self._process_burst(burst, now)
+        # Delivered at the first boundary >= their air time, in air-time
+        # order.
+        for at, src, seq in sorted(acks):
+            self.q.push(max(self._boundary(at), now), PRIO_ACK, 0,
+                        ACK_DELIVERY, (src, seq))
+
+    # ------------------------------------------------------------------
+    # The AP.
+    def _process_burst(self, burst, now: int) -> list[tuple[int, int, int]]:
+        """Decode one burst; returns its planned ACKs as ``(air time,
+        src, seq)``."""
         self.counters["bursts"] += 1
-        results = [r for r in self.ap.receive(burst.samples)
+        try:
+            decoded = self.ap.receive(burst.samples)
+        except ReproError:
+            return []
+        results = [r for r in decoded
                    if r.header is not None
                    and r.header.src in self._by_src]
         if not results:
-            return
+            return []
         for result in results:
             key = (result.header.src, result.header.seq)
             truth = self.truth.get(key)
@@ -365,14 +562,14 @@ class LinkSession:
                 self.counters["duplicate_decodes"] += 1
             self.decode_ber[key] = min(self.decode_ber.get(key, 1.0), ber)
 
-        ackable = self._plan_acks(results)
+        acks = []
         base = max(now, burst.end + self.sifs)
-        for rank, key in enumerate(ackable):
+        for rank, (src, seq) in enumerate(self._plan_acks(results)):
             # Successive ACKs are serialized on the air (Fig 4-5): SIFS +
             # ACK per earlier ACK of the same burst.
-            at = base + rank * (self.sifs + self.ack_air)
-            heapq.heappush(self._ack_queue, (at, key[0], key[1]))
+            acks.append((base + rank * (self.sifs + self.ack_air), src, seq))
             self.counters["acks"] += 1
+        return acks
 
     def _plan_acks(self, results) -> list[tuple[int, int]]:
         """Which decoded packets can be synchronously ACKed (§4.4).
@@ -413,86 +610,182 @@ class LinkSession:
         return [keys[i] for i in range(len(keys)) if i in ackable]
 
     # ------------------------------------------------------------------
-    def _max_samples(self) -> int:
-        """The runaway cap: explicit, or derived from worst-case MAC
-        arithmetic (every packet retried to the limit, each attempt
-        paying full airtime, timeout and contention) plus twice the
-        slowest client's expected arrival span (Poisson gaps of mean
-        ``packet_samples / offered_load``)."""
+    # MAC events.
+    def _on_ack(self, key: tuple[int, int], now: int) -> None:
+        if key not in self.truth:
+            return              # stale ACK for a resolved key: dropped
+        self.acked.add(key)
+        client = self._by_src.get(key[0])
+        if client is None or client.key != key:
+            return
+        if client.state in (RadioState.CONTEND, RadioState.AWAIT_ACK):
+            self._resolve(client, now)
+        # In TX the client acts on the ACK at its own TX_END boundary.
+
+    def _on_arrival(self, data: tuple[int, int], now: int) -> None:
+        idx, gen = data
+        client = self.clients[idx]
+        if client.gen != gen or client.state != RadioState.IDLE:
+            return
+        self._begin_packet(client)
+        self._schedule_tx(client, now)
+
+    def _on_tx_start(self, data: tuple[int, int], now: int) -> None:
+        idx, gen = data
+        client = self.clients[idx]
+        if client.gen != gen or client.state != RadioState.CONTEND:
+            return
+        self._transmit(client, now)
+        self.active_tx[idx] = (now, client.tx_end)
+        self.q.push(self._boundary(client.tx_end), PRIO_CLIENT, idx,
+                    TX_END, (idx, client.gen))
+        self.cover_air(now, client.tx_end)
+        # Freeze the backoff of contenders that sense this transmission.
+        # Snapshot rule: the new waveform is not sensed at its own start
+        # boundary, so a pending same-boundary TX_START still fires (a
+        # genuine same-slot collision) and decrements through *now* have
+        # already happened.
+        for other in self.clients:
+            if other.index == idx \
+                    or other.state != RadioState.CONTEND \
+                    or not self._sense[other.index, idx] \
+                    or other.pending_tx_time <= now:
+                continue
+            consumed = 0
+            if now >= other.contend_anchor:
+                consumed = (now - other.contend_anchor) // self.slot + 1
+            other.backoff = max(other.backoff - consumed, 0)
+            self._schedule_tx(other, now)
+
+    def _on_tx_end(self, data: tuple[int, int], now: int) -> None:
+        idx, gen = data
+        client = self.clients[idx]
+        if client.gen != gen or client.state != RadioState.TX:
+            return
+        self.active_tx.pop(idx, None)
+        if client.key in self.acked:    # ACK landed mid-transmission
+            self._resolve(client, now)
+            return
+        client.state = RadioState.AWAIT_ACK
+        client.ack_deadline = client.tx_end + self.ack_timeout
+        self.q.push(self._boundary(client.ack_deadline), PRIO_CLIENT, idx,
+                    ACK_TIMEOUT, (idx, client.gen))
+
+    def _on_ack_timeout(self, data: tuple[int, int], now: int) -> None:
+        idx, gen = data
+        client = self.clients[idx]
+        if client.gen != gen or client.state != RadioState.AWAIT_ACK:
+            return
+        if client.key in self.acked:    # pragma: no cover - ACK events
+            self._resolve(client, now)  # at this boundary resolve first
+            return
+        self.counters["ack_timeouts"] += 1
+        client.attempt += 1
+        if client.attempt >= self.config.max_attempts:
+            self.counters["packets_dropped"] += 1
+            self._resolve(client, now)
+        else:
+            client.backoff = self.config.backoff.pick(client.attempt,
+                                                      self.rng)
+            client.state = RadioState.CONTEND
+            self._schedule_tx(client, now)
+
+    # ------------------------------------------------------------------
+    def _begin_packet(self, client: _ClientState) -> None:
+        """Draw *client*'s next frame and its first backoff."""
+        client.seq += 1
+        payload = random_bits(self.config.payload_bits, self.rng)
+        client.frame = Frame.make(payload, src=client.client.src,
+                                  seq=client.seq % 4096,
+                                  modulation=self.config.modulation,
+                                  preamble=self.preamble)
+        self.truth[client.key] = client.frame.body_bits
+        client.attempt = 0
+        client.attempts_used = 0
+        client.backoff = self.config.backoff.pick(0, self.rng)
+        client.state = RadioState.CONTEND
+        if client.client.offered_load is not None:
+            gap = self.rng.exponential(
+                self.packet_samples / client.client.offered_load)
+            client.next_arrival += int(gap)
+
+    def _transmit(self, client: _ClientState, now: int) -> None:
+        """Put *client*'s frame on the air with a fresh channel draw."""
         cfg = self.config
-        if cfg.max_samples is not None:
-            return cfg.max_samples
-        per_attempt = (self.packet_samples + self.ack_timeout
-                       + cfg.backoff.window(0) * cfg.slot_samples)
-        total_attempts = (len(self.clients) * cfg.n_packets
-                          * cfg.max_attempts)
-        loads = [c.client.offered_load for c in self.clients
-                 if c.client.offered_load is not None]
-        arrival_span = (cfg.n_packets * self.packet_samples / min(loads)
-                        if loads else 0)
-        return (2 * total_attempts * per_attempt + int(2 * arrival_span)
-                + 8 * cfg.chunk_samples)
-
-    def run(self) -> SessionReport:
-        return EventEngine(self).run(time.perf_counter())
-
-    def _finalize(self, now: int, timed_out: bool,
-                  started: float) -> SessionReport:
-        """End-of-session accounting.
-
-        Order matters: flush the segmenter first (a still-open burst may
-        decode and plan ACKs), then deliver-or-drop everything queued,
-        then let in-flight clients act on late ACKs — and only then
-        charge whatever is still unresolved to the cap.
-        """
-        for burst in self.segmenter.flush():
-            self._process_burst(burst, now)
-        # Late ACKs (including ones the flush just planned) are delivered
-        # out of band; entries for already-resolved keys are explicitly
-        # dropped rather than left queued.
-        while self._ack_queue:
-            _, src, seq = heapq.heappop(self._ack_queue)
-            if (src, seq) in self.truth:
-                self.acked.add((src, seq))
-            else:
-                self.counters["acks_dropped"] += 1
-        for client in self.clients:
-            if client.state in (RadioState.CONTEND, RadioState.TX,
-                                RadioState.AWAIT_ACK) \
-                    and client.key in self.acked:
-                client._resolve(now)
-        if timed_out:
-            for client in self.clients:
-                if client.state == RadioState.DONE:
-                    continue
-                # Every client cut off by the cap is accounted for —
-                # including ones idling in IDLE between arrivals, whose
-                # remaining traffic would otherwise silently vanish from
-                # the offered-load bookkeeping.
-                self.counters["unresolved_at_cap"] += 1
-                pending = self.config.n_packets - client.packets_done
-                if client.frame is not None:
-                    client._resolve(now)
-                    pending -= 1
-                self.counters["packets_unoffered_at_cap"] += max(pending, 0)
-                client.packets_done = self.config.n_packets
-                client.state = RadioState.DONE
-
-        stats = self.ap.stats
-        counters = dict(self.counters)
-        counters["max_resident_samples"] = float(
-            self.air.max_resident_samples
-            + self.segmenter.max_resident_samples)
-        counters["samples_emitted"] = float(self.air.samples_emitted)
-        counters["samples_skipped"] = float(self.air.samples_skipped)
-        counters["forced_closes"] = float(self.segmenter.forced_closes)
-        return SessionReport(
-            design=self.design,
-            flows=self.flows,
-            samples_elapsed=now,
-            packet_samples=self.packet_samples,
-            receiver_stats=stats,
-            counters=counters,
-            timed_out=timed_out,
-            elapsed_s=time.perf_counter() - started,
+        amplitude = np.sqrt(10.0 ** (client.client.snr_db / 10.0)
+                            * cfg.noise_power)
+        params = ChannelParams(
+            gain=amplitude * np.exp(1j * self.rng.uniform(0, 2 * np.pi)),
+            freq_offset=client.client.freq_offset,
+            sampling_offset=float(self.rng.uniform(0, 1)),
+            phase_noise_std=cfg.phase_noise_std,
+            tx_evm=cfg.tx_evm,
+            impairments=cfg.sender_impairments,
         )
+        tx = Transmission.from_symbols(client.frame.symbols, self.shaper,
+                                       params, now, client.client.name)
+        client.tx_end = now + self.air.schedule(tx)
+        client.attempts_used += 1
+        self.tx_log[client.key] = (now, client.tx_end)
+        self.counters["transmissions"] += 1
+        client.state = RadioState.TX
+
+    def _busy_until(self, client: _ClientState) -> int:
+        """Absolute end of the latest in-flight transmission this client
+        senses (0 when its medium is idle)."""
+        ends = [end for idx, (_start, end) in self.active_tx.items()
+                if self._sense[client.index, idx]]
+        return max(ends, default=0)
+
+    def _schedule_tx(self, client: _ClientState, now: int) -> None:
+        """(Re)compute when *client*'s backoff expires and push TX_START.
+
+        The first decrement boundary is the first boundary after *now*
+        at which the client's sensed medium is idle (boundary >= every
+        sensed transmission's end); with ``backoff`` decrements left the
+        transmission fires ``backoff`` slots after that. Any sensed TX
+        starting in between re-invokes this with the decrements consumed
+        so far subtracted — the frozen-backoff rule, computed in O(1)
+        instead of slot by slot.
+        """
+        anchor = now + self.slot
+        busy_until = self._busy_until(client)
+        if busy_until > anchor:
+            anchor = self._boundary(busy_until)
+        client.contend_anchor = anchor
+        client.pending_tx_time = anchor + client.backoff * self.slot
+        client.gen += 1
+        self.q.push(client.pending_tx_time, PRIO_CLIENT, client.index,
+                    TX_START, (client.index, client.gen))
+
+    def _resolve(self, client: _ClientState, now: int) -> None:
+        """Close the client's current packet and schedule what follows."""
+        client.gen += 1             # invalidate in-flight MAC events
+        self._close_packet(client)
+        if client.state == RadioState.DONE:
+            self.done += 1
+            return
+        self.q.push(max(self._boundary(client.next_arrival),
+                        now + self.slot),
+                    PRIO_CLIENT, client.index, ARRIVAL,
+                    (client.index, client.gen))
+
+    def _close_packet(self, client: _ClientState) -> None:
+        """Account the current packet (acked, dropped, or cut off)."""
+        ber = self.decode_ber.pop(client.key, 1.0)
+        self.flows[client.client.name].record(ber,
+                                              airtime=client.attempts_used)
+        if ber >= BER_DELIVERY_THRESHOLD:
+            self.counters["packets_lost"] += 1
+        # Per-packet bookkeeping dies with the packet — sessions stay
+        # bounded in memory no matter how long they run (late ACKs and
+        # duplicate decodes for a resolved key are simply ignored).
+        self.truth.pop(client.key, None)
+        self.tx_log.pop(client.key, None)
+        self.acked.discard(client.key)
+        client.packets_done += 1
+        client.frame = None
+        if client.packets_done >= self.config.n_packets:
+            client.state = RadioState.DONE
+        else:
+            client.state = RadioState.IDLE

@@ -353,7 +353,7 @@ def build_city_session(spec, rng: np.random.Generator,
                        design: str) -> MultiCellSession:
     """Every populated cell of the spec's deployment, coupled.
 
-    Builds one event-engine session per cell (each from its own child
+    Builds one closed-loop session per cell (each from its own child
     generator of *rng*, so the cell count doesn't perturb per-cell
     streams) and wraps them in a :class:`~repro.link.MultiCellSession`
     that exchanges real inter-cell interference waveforms at horizon

@@ -1,7 +1,11 @@
 """LinkSession: the closed loop actually closing (§4.2.2, §4.4)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.link import LinkSession, SessionConfig, StreamClient, Topology
@@ -91,6 +95,37 @@ class TestClosedLoop:
         assert a.counters == b.counters
         assert {n: s.delivered for n, s in a.flows.items()} \
             == {n: s.delivered for n, s in b.flows.items()}
+
+
+class TestSteppedLoop:
+    """start / step_until / finish compose to run(): the contract the
+    multi-cell coordinator relies on when it steps each cell to a
+    shared horizon."""
+
+    @staticmethod
+    def _session(design, seed, cap):
+        return LinkSession(
+            SessionConfig(n_packets=2, payload_bits=200, max_samples=cap,
+                          topology=Topology.explicit((("A", "B"),))),
+            hidden_pair_clients() + [StreamClient("C", 3, 11.0, 2e-3)],
+            design=design, rng=np.random.default_rng(seed))
+
+    @settings(max_examples=20, deadline=None)
+    @given(design=st.sampled_from(["zigzag", "802.11"]),
+           seed=st.integers(0, 3),
+           cap=st.none() | st.integers(2_000, 30_000),
+           horizons=st.lists(st.integers(1, 40_000), max_size=8))
+    def test_stepped_report_equals_run(self, design, seed, cap, horizons):
+        whole = self._session(design, seed, cap).run()
+        session = self._session(design, seed, cap)
+        session.start()
+        for t_stop in sorted(horizons):
+            if not session.step_until(t_stop):
+                break
+        session.step_until(None)
+        stepped = session.finish(0.0)
+        assert dataclasses.replace(stepped, elapsed_s=0.0) \
+            == dataclasses.replace(whole, elapsed_s=0.0)
 
 
 class TestHiddenCliques:
@@ -211,24 +246,34 @@ class TestBugfixRegressions:
              StreamClient("C", 3, 12.0)],
             rng=np.random.default_rng(0))
 
+    def _flush_decodes(self, s, src, seq):
+        """Make the end-of-session flush yield one burst that decodes
+        ``(src, seq)``, so :meth:`LinkSession.finish` plans its ACK."""
+        from types import SimpleNamespace
+
+        from repro.link import Burst
+        result = SimpleNamespace(header=SimpleNamespace(src=src, seq=seq),
+                                 ber_against=lambda truth: 0.0)
+        s.ap.receive = lambda samples: [result]
+        burst = Burst(samples=np.zeros(8, dtype=complex), start=0)
+        s.segmenter.flush = lambda: [burst]
+
     def test_sense_snapshot_excludes_departed_tx(self):
         """A transmission occupies [start, tx_end): at the boundary
         where it ends it is no longer on the air, so a contender that
         senses it may transmit on exactly that boundary."""
         from repro.link import RadioState
-        from repro.link.events import EventEngine
         s = self._sensing_session()
-        engine = EventEngine(s)
         a, b, c = s.clients
-        engine.active_tx[b.index] = (0, 1000)
-        assert engine._busy_until(a) == engine._busy_until(c) == 1000
+        s.active_tx[b.index] = (0, 1000)
+        assert s._busy_until(a) == s._busy_until(c) == 1000
         a.state = RadioState.CONTEND
         a.backoff = 0
-        engine._schedule_tx(a, 500)
+        s._schedule_tx(a, 500)
         assert a.pending_tx_time == 1000
         # One sample more of b's waveform and boundary 1000 is busy.
-        engine.active_tx[b.index] = (0, 1001)
-        engine._schedule_tx(a, 500)
+        s.active_tx[b.index] = (0, 1001)
+        s._schedule_tx(a, 500)
         assert a.pending_tx_time == 1020
 
     def test_sense_snapshot_is_step_order_independent(self):
@@ -236,19 +281,17 @@ class TestBugfixRegressions:
         boundary both transmit: the first one's TX start must not
         freeze the second, which decided on the same boundary."""
         from repro.link import RadioState
-        from repro.link.events import EventEngine
         s = self._sensing_session()
         a, b, c = s.clients
         for st in (a, c):
-            st._begin_packet(0)
+            s._begin_packet(st)
             st.backoff = 2
         b.state = RadioState.DONE
-        engine = EventEngine(s)
-        engine.start()
+        s.start()
         for st in (a, c):
-            engine._schedule_tx(st, 0)
+            s._schedule_tx(st, 0)
         assert a.pending_tx_time == c.pending_tx_time == 60
-        engine.step_until(61)
+        s.step_until(61)
         assert a.state == c.state == RadioState.TX
         assert s.counters["transmissions"] == 2
 
@@ -271,15 +314,14 @@ class TestBugfixRegressions:
         """An ACK still queued when the session is cut off (planned by
         the flushed final burst, or pending past the cap) reaches its
         sender instead of evaporating."""
-        import heapq
         import time
         s = self._sensing_session()
         st = s.clients[0]
-        st._begin_packet(0)
-        st._transmit(20)
-        s.decode_ber[st.key] = 0.0            # the AP holds the packet
-        heapq.heappush(s._ack_queue, (10 ** 9, *st.key))
-        report = s._finalize(st.tx_end, True, time.perf_counter())
+        s._begin_packet(st)
+        s._transmit(st, 20)
+        self._flush_decodes(s, *st.key)
+        s.now, s.timed_out = st.tx_end, True
+        report = s.finish(time.perf_counter())
         assert report.flows["A"].delivered == 1
         # A resolved on the late ACK; only the two never-started
         # clients are charged to the cap.
@@ -287,11 +329,11 @@ class TestBugfixRegressions:
         assert report.counters["acks_dropped"] == 0
 
     def test_finalize_drops_stale_acks(self):
-        import heapq
         import time
         s = self._sensing_session()
-        heapq.heappush(s._ack_queue, (500, 9, 9))   # no such packet
-        report = s._finalize(1000, False, time.perf_counter())
+        self._flush_decodes(s, 1, 9)              # no such packet
+        s.now = 1000
+        report = s.finish(time.perf_counter())
         assert report.counters["acks_dropped"] == 1
 
     def test_duplicate_decode_counter(self):
@@ -304,8 +346,8 @@ class TestBugfixRegressions:
         from repro.link import Burst
         s = self._sensing_session()
         st = s.clients[0]
-        st._begin_packet(0)
-        st._transmit(20)
+        s._begin_packet(st)
+        s._transmit(st, 20)
         result = SimpleNamespace(
             header=SimpleNamespace(src=1, seq=0),
             ber_against=lambda truth: 0.0)
