@@ -368,15 +368,19 @@ class LinkSession:
             if self.done >= len(self.clients) or not len(self.q):
                 self.finished = True
                 break
-            if t_stop is not None and self.q.peek_time() >= t_stop:
+            next_time = self.q.peek_time()
+            if t_stop is not None and next_time >= t_stop:
                 return True
-            time_, _prio, _tie, _seq, kind, data = self.q.pop()
-            if time_ >= self.max_samples:
+            if next_time >= self.max_samples:
+                # The event at the cap stays queued: an ACK among the
+                # queued events is still delivered (or dropped) by
+                # finish.
                 self.timed_out = True
                 self.now = self._boundary(self.max_samples)
                 self.finished = True
                 break
-            self.now = max(self.now, time_)
+            _time, _prio, _tie, _seq, kind, data = self.q.pop()
+            self.now = max(self.now, next_time)
             if kind == AIR_CHUNK:
                 self._on_chunk(data, self.now)
             elif kind == ACK_DELIVERY:
@@ -403,9 +407,15 @@ class LinkSession:
         late = []
         for burst in self.segmenter.flush():
             late += self._process_burst(burst, now)
-        # Late ACKs (the ones the flush just planned) are delivered out
-        # of band; entries for already-resolved keys are explicitly
-        # dropped rather than left queued.
+        if self.timed_out:
+            # ACKs planned before the cap but due after it.
+            while len(self.q):
+                at, _prio, _tie, _seq, kind, data = self.q.pop()
+                if kind == ACK_DELIVERY:
+                    late.append((at, *data))
+        # Late ACKs are delivered out of band; entries for
+        # already-resolved keys are explicitly dropped rather than left
+        # queued.
         for _at, src, seq in late:
             if (src, seq) in self.truth:
                 self.acked.add((src, seq))

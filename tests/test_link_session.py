@@ -311,9 +311,8 @@ class TestBugfixRegressions:
         assert report.flows["A"].delivered == 1
 
     def test_finalize_delivers_queued_acks(self):
-        """An ACK still queued when the session is cut off (planned by
-        the flushed final burst, or pending past the cap) reaches its
-        sender instead of evaporating."""
+        """An ACK planned by the flushed final burst of a session cut
+        off by the cap reaches its sender instead of evaporating."""
         import time
         s = self._sensing_session()
         st = s.clients[0]
@@ -327,6 +326,23 @@ class TestBugfixRegressions:
         # clients are charged to the cap.
         assert report.counters["unresolved_at_cap"] == 2
         assert report.counters["acks_dropped"] == 0
+
+    def test_ack_queued_past_the_cap_is_delivered(self):
+        """An ACK planned before the cap but due after it stays queued
+        when the cap fires and is delivered by finish; pre-fix the cap
+        popped it unseen and charged its sender to the cap."""
+        session = LinkSession(
+            SessionConfig(n_packets=2, payload_bits=200, max_samples=10275,
+                          topology=Topology.explicit((("A", "B"),))),
+            [StreamClient("A", 1, 12.0, 1e-3),
+             StreamClient("B", 2, 12.0, -2e-3),
+             StreamClient("C", 3, 11.0, 2e-3)],
+            rng=np.random.default_rng(2))
+        report = session.run()
+        assert report.timed_out
+        assert report.counters["unresolved_at_cap"] == 0
+        assert report.counters["acks_dropped"] == 0
+        assert report.total_delivered == 6
 
     def test_finalize_drops_stale_acks(self):
         import time
