@@ -20,7 +20,7 @@ from repro.mac.ack import (
     ack_offset_probability,
     plan_synchronous_acks,
 )
-from repro.mac.hidden import HiddenScenario, collision_offset_pairs
+from repro.mac.hidden import HiddenScenario
 
 __all__ = [
     "Timing",
@@ -35,5 +35,4 @@ __all__ = [
     "plan_synchronous_acks",
     "AckPlanner",
     "HiddenScenario",
-    "collision_offset_pairs",
 ]

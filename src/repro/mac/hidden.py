@@ -1,7 +1,6 @@
-"""Hidden-terminal scenario helpers.
+"""Hidden-terminal scenario: the canonical Fig 1-1 setup.
 
-Provides the canonical Fig 1-1 two-sender scenario plus utilities for
-drawing the random inter-collision offsets that 802.11 jitter produces —
+It draws the random inter-collision offsets that 802.11 jitter produces —
 "802.11 senders jitter every transmission by a short random interval, and
 hence collisions start with a random stretch of interference free bits".
 """
@@ -16,48 +15,7 @@ from repro.errors import ConfigurationError
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
 from repro.mac.timing import TIMING_80211G, Timing
 
-__all__ = ["HiddenScenario", "collision_offset_pairs", "slot_to_samples"]
-
-
-def slot_to_samples(timing: Timing, bitrate_bps: float,
-                    samples_per_symbol: int = 2,
-                    bits_per_symbol: int = 1) -> int:
-    """How many receiver samples one backoff slot spans.
-
-    At the paper's 500 kb/s BPSK with 2 samples/symbol, a 20 us slot is
-    20e-6 * 500e3 = 10 bits -> 10 symbols -> 20 samples.
-    """
-    if bitrate_bps <= 0:
-        raise ConfigurationError("bitrate must be positive")
-    bits = timing.slot_us * 1e-6 * bitrate_bps
-    symbols = bits / bits_per_symbol
-    return max(1, int(round(symbols * samples_per_symbol)))
-
-
-def collision_offset_pairs(rng: np.random.Generator, *,
-                           n_pairs: int,
-                           picker: BackoffPicker | None = None,
-                           slot_samples: int = 20,
-                           attempt_base: int = 0) -> list[tuple[int, int]]:
-    """Draw (Δ1, Δ2) sample offsets for successive collisions of a packet
-    pair, from backoff jitter.
-
-    Each collision's offset is ``|slotA - slotB| * slot_samples``; pairs
-    where Δ1 == Δ2 are kept (they are genuine undecodable events whose
-    probability the evaluation must preserve).
-    """
-    if n_pairs < 1:
-        raise ConfigurationError("n_pairs must be >= 1")
-    picker = picker or FixedWindowBackoff(cw=16)
-    out = []
-    for _ in range(n_pairs):
-        offsets = []
-        for attempt in (attempt_base, attempt_base + 1):
-            slot_a = picker.pick(attempt, rng)
-            slot_b = picker.pick(attempt, rng)
-            offsets.append(abs(slot_a - slot_b) * slot_samples)
-        out.append((offsets[0], offsets[1]))
-    return out
+__all__ = ["HiddenScenario"]
 
 
 @dataclass

@@ -6,7 +6,7 @@ framing, the flat-fading quasi-static channel of the paper's Chapter 3
 (complex gain, carrier frequency offset, fractional sampling offset, phase
 noise, multipath ISI, AWGN), windowed-sinc interpolation, preamble
 correlation, channel/frequency estimation, decision-directed phase tracking,
-Mueller–Müller timing tracking, and linear equalization.
+and linear equalization.
 """
 
 from repro.phy.constellation import (
@@ -48,7 +48,7 @@ from repro.phy.impairments import (
 from repro.phy.channel import Channel, ChannelParams
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.tracking import MuellerMullerTracker, PhaseTracker
+from repro.phy.tracking import PhaseTracker
 from repro.phy.equalizer import LmsEqualizer
 
 __all__ = [
@@ -96,6 +96,5 @@ __all__ = [
     "CorrelationPeak",
     "ChannelEstimate",
     "PhaseTracker",
-    "MuellerMullerTracker",
     "LmsEqualizer",
 ]

@@ -1,7 +1,7 @@
 """Linear equalization (§3.1.3) and its inversion for re-encoding (§4.2.4d).
 
 The black-box decoder trains a short linear equalizer on the known preamble
-(least-squares by default, optional LMS refinement) to undo multipath ISI.
+(a least-squares fit, optionally ridged) to undo multipath ISI.
 ZigZag then *inverts* that equalizer to re-apply the channel's distortion
 when reconstructing a chunk image: "we can take the filter from the decoder
 and invert it."
@@ -48,12 +48,9 @@ class LmsEqualizer:
     ----------
     n_taps:
         Filter length (odd recommended; the centre tap is the cursor).
-    step:
-        LMS step size for decision-directed refinement.
     """
 
     n_taps: int = 7
-    step: float = 0.01
     taps: np.ndarray = field(default=None)
 
     def __post_init__(self) -> None:
@@ -103,22 +100,6 @@ class LmsEqualizer:
             solution = identity + np.linalg.solve(gram, rhs)
         self.taps = solution
 
-    def adapt_lms(self, received, desired) -> None:
-        """One LMS pass over a (received, desired) training pair sequence."""
-        y = np.asarray(received, dtype=complex).ravel()
-        d = np.asarray(desired, dtype=complex).ravel()
-        if y.size != d.size:
-            raise ConfigurationError("received/desired length mismatch")
-        half = self.n_taps // 2
-        padded = np.concatenate([
-            np.zeros(half, dtype=complex), y, np.zeros(half, dtype=complex)
-        ])
-        for n in range(y.size):
-            window = padded[n:n + self.n_taps][::-1]
-            estimate = np.dot(self.taps, window)
-            error = d[n] - estimate
-            self.taps = self.taps + self.step * error * np.conj(window)
-
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
@@ -130,9 +111,6 @@ class LmsEqualizer:
         half = self.n_taps // 2
         full = np.convolve(y, self.taps)
         return full[half:half + y.size]
-
-    def as_isi_filter(self) -> IsiFilter:
-        return IsiFilter(self.taps)
 
     def inverse_channel(self, length: int | None = None) -> IsiFilter:
         """Invert the equalizer back into a channel (distortion) filter.

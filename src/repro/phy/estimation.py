@@ -3,8 +3,8 @@
 :meth:`repro.phy.sync.Synchronizer.acquire` estimates a sender's complex
 gain, frequency offset and fractional sampling offset from the known
 preamble on the sample stream and returns them as a
-:class:`ChannelEstimate`; decision-directed phase and Mueller–Müller
-timing tracking refine them during decoding.
+:class:`ChannelEstimate`; decision-directed phase tracking refines
+them during decoding.
 """
 
 from __future__ import annotations

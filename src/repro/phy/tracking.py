@@ -1,11 +1,10 @@
-"""Decision-directed tracking loops: phase/frequency PLL and Mueller–Müller.
+"""Decision-directed phase/frequency tracking loop.
 
 §4.2.4(b): "Any typical decoder tracks the signal phase and corrects for the
 residual errors in the frequency offset." Our black-box decoder embeds a
 second-order decision-directed PLL; without it, residual δf accumulates into
 total phase rotation and long packets become undecodable (Table 5.1,
-Fig 5-2a). §4.2.4(c): sampling-offset residuals are tracked with the
-Mueller-and-Muller timing error detector.
+Fig 5-2a).
 
 Hot-path note: ``PhaseTracker.process`` is the single most-executed loop in
 a Monte-Carlo trial (every symbol of every chunk of every packet). The
@@ -26,7 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.constellation import Constellation
 
-__all__ = ["PhaseTracker", "MuellerMullerTracker"]
+__all__ = ["PhaseTracker"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -400,55 +399,3 @@ class PhaseTracker:
 
     def restore(self, state: tuple[float, float]) -> None:
         self.phase, self.freq = state
-
-
-@dataclass
-class MuellerMullerTracker:
-    """Mueller-and-Muller decision-directed timing error detector (§4.2.4c).
-
-    At symbol rate, the timing error for symbol n is
-    ``e[n] = Re( d*[n-1] y[n] - d*[n] y[n-1] )``; a first-order loop
-    integrates it into a running fractional-offset estimate. The standard
-    decoder polls :attr:`offset_estimate` and re-interpolates when the
-    accumulated offset exceeds a threshold.
-    """
-
-    gain: float = 0.01
-    offset_estimate: float = 0.0
-    _prev_y: complex = field(default=0j, repr=False)
-    _prev_d: complex = field(default=0j, repr=False)
-
-    def update(self, received: complex, decision: complex) -> float:
-        """Feed one (received, decision) pair; returns the current estimate."""
-        error = (self._prev_d.conjugate() * received
-                 - decision.conjugate() * self._prev_y).real
-        self.offset_estimate += self.gain * error
-        self._prev_y = received
-        self._prev_d = decision
-        return self.offset_estimate
-
-    def process(self, received, decisions) -> float:
-        """Feed a whole segment; returns the final offset estimate.
-
-        The error sequence is a shifted elementwise product (each term sees
-        only its predecessor), so the whole segment reduces to two array
-        products and a sum — no per-pair loop.
-        """
-        y = np.asarray(received, dtype=complex).ravel()
-        d = np.asarray(decisions, dtype=complex).ravel()
-        if y.size != d.size:
-            raise ConfigurationError("received/decisions length mismatch")
-        if y.size == 0:
-            return self.offset_estimate
-        prev_y = np.concatenate([[self._prev_y], y[:-1]])
-        prev_d = np.concatenate([[self._prev_d], d[:-1]])
-        errors = (np.conj(prev_d) * y - np.conj(d) * prev_y).real
-        self.offset_estimate += self.gain * float(np.sum(errors))
-        self._prev_y = complex(y[-1])
-        self._prev_d = complex(d[-1])
-        return self.offset_estimate
-
-    def reset(self) -> None:
-        self.offset_estimate = 0.0
-        self._prev_y = 0j
-        self._prev_d = 0j

@@ -8,7 +8,7 @@ maximal ratio combining; :mod:`~repro.receiver.buffer` stores recent
 unmatched collisions (§4.2.2).
 """
 
-from repro.receiver.result import DecodeResult, PacketObservation
+from repro.receiver.result import DecodeResult
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.mrc import mrc_combine, mrc_decide
@@ -16,7 +16,6 @@ from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 
 __all__ = [
     "DecodeResult",
-    "PacketObservation",
     "StreamConfig",
     "SymbolStreamDecoder",
     "StandardDecoder",

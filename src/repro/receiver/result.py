@@ -10,7 +10,7 @@ from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import FrameHeader
 from repro.utils.bits import bit_error_rate
 
-__all__ = ["DecodeResult", "PacketObservation"]
+__all__ = ["DecodeResult"]
 
 
 @dataclass
@@ -71,13 +71,3 @@ class DecodeResult:
     @classmethod
     def failure(cls, detail: str, via: str = "standard") -> "DecodeResult":
         return cls(success=False, via=via, detail=detail)
-
-
-@dataclass
-class PacketObservation:
-    """Ground truth about one transmitted packet, for evaluation only."""
-
-    body_bits: np.ndarray
-    label: str = ""
-    offset: int = 0
-    n_symbols: int = 0

@@ -32,7 +32,7 @@ agree bit-for-bit with fault-free runs on every surviving trial.
 """
 
 from repro.runner.builders import hidden_pair_scenario
-from repro.runner.cache import SignalCache, cache_stats, shared_cache
+from repro.runner.cache import SignalCache, shared_cache
 from repro.runner.chaos import FaultSpec
 from repro.runner.resilience import (
     CheckpointJournal,
@@ -83,7 +83,6 @@ __all__ = [
     "TrialFailure",
     "TrialResult",
     "available_scenarios",
-    "cache_stats",
     "find_leaked_arenas",
     "get_scenario",
     "hidden_pair_scenario",

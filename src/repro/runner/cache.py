@@ -24,10 +24,8 @@ from repro.zigzag.detect import CollisionDetector
 
 __all__ = [
     "SignalCache",
-    "cache_stats",
     "cached_detector",
     "cached_preamble",
-    "cached_reference_waveform",
     "cached_shaper",
     "cached_synchronizer",
     "shared_cache",
@@ -71,12 +69,6 @@ def shared_cache() -> SignalCache:
     return _SHARED
 
 
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters of the shared cache (diagnostics, tests)."""
-    return {"hits": _SHARED.hits, "misses": _SHARED.misses,
-            "size": len(_SHARED)}
-
-
 def cached_preamble(length: int = 32) -> Preamble:
     """The default PN preamble of *length* symbols (LFSR run memoized)."""
     return _SHARED.get(("preamble", length),
@@ -105,11 +97,3 @@ def cached_detector(preamble_length: int = 32, *,
         ("detector", preamble_length, beta),
         lambda: CollisionDetector(cached_preamble(preamble_length),
                                   cached_shaper(), beta=beta))
-
-
-def cached_reference_waveform(preamble_length: int = 32):
-    """The shaped preamble waveform — the re-encoded reference signal."""
-    return _SHARED.get(
-        ("reference", preamble_length),
-        lambda: cached_shaper().shape(
-            cached_preamble(preamble_length).symbols))

@@ -24,7 +24,7 @@ from repro.testbed.deployment import (
     DeploymentConfig,
     client_name,
 )
-from repro.testbed.metrics import FlowStats, normalized_throughput, loss_rate
+from repro.testbed.metrics import FlowStats, loss_rate
 from repro.testbed.experiment import (
     Design,
     PairExperiment,
@@ -43,7 +43,6 @@ __all__ = [
     "client_name",
     "default_testbed",
     "FlowStats",
-    "normalized_throughput",
     "loss_rate",
     "Design",
     "PairExperiment",

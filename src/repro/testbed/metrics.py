@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
-
-__all__ = ["FlowStats", "normalized_throughput", "loss_rate",
-           "BER_DELIVERY_THRESHOLD"]
+__all__ = ["FlowStats", "loss_rate", "BER_DELIVERY_THRESHOLD"]
 
 # §5.1f: maximum uncoded BER considered correctable by channel coding.
 BER_DELIVERY_THRESHOLD = 1e-3
@@ -53,14 +50,6 @@ class FlowStats:
         if airtime <= 0:
             return 0.0
         return self.delivered / airtime
-
-
-def normalized_throughput(flows: dict, total_airtime: float) -> dict:
-    """Per-flow normalized throughput over shared airtime."""
-    if total_airtime <= 0:
-        raise ConfigurationError("total airtime must be positive")
-    return {name: stats.delivered / total_airtime
-            for name, stats in flows.items()}
 
 
 def loss_rate(flows: dict) -> float:

@@ -10,10 +10,8 @@ from repro.utils.bits import (
     hamming_distance,
     random_bits,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.stats import (
-    RunningMean,
-    cdf_points,
     confidence_interval_mean,
     empirical_cdf,
     geometric_mean,
@@ -30,9 +28,6 @@ __all__ = [
     "hamming_distance",
     "random_bits",
     "make_rng",
-    "spawn_rngs",
-    "RunningMean",
-    "cdf_points",
     "confidence_interval_mean",
     "empirical_cdf",
     "geometric_mean",

@@ -1,15 +1,15 @@
-"""Seeded random-number-generator helpers.
+"""Seeded random-number-generator helper.
 
 Every stochastic component in the library takes an explicit
-``numpy.random.Generator`` so experiments are reproducible end to end. These
-helpers centralize construction and deterministic splitting of generators.
+``numpy.random.Generator`` so experiments are reproducible end to end. This
+helper centralizes their construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -21,12 +21,3 @@ def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split *rng* into *n* statistically independent child generators.
-
-    Uses ``Generator.spawn`` so the children are independent of both each
-    other and the parent's future output.
-    """
-    return list(rng.spawn(n))

@@ -3,19 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "empirical_cdf",
-    "cdf_points",
     "percentile",
     "geometric_mean",
     "confidence_interval_mean",
-    "RunningMean",
 ]
 
 
@@ -29,15 +25,6 @@ def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
         return values, values
     fractions = np.arange(1, values.size + 1, dtype=float) / values.size
     return values, fractions
-
-
-def cdf_points(samples, grid) -> np.ndarray:
-    """Evaluate the empirical CDF of *samples* at each point of *grid*."""
-    values = np.sort(np.asarray(samples, dtype=float).ravel())
-    grid_arr = np.asarray(grid, dtype=float)
-    if values.size == 0:
-        return np.zeros_like(grid_arr)
-    return np.searchsorted(values, grid_arr, side="right") / values.size
 
 
 def percentile(samples, q: float) -> float:
@@ -67,33 +54,3 @@ def confidence_interval_mean(samples, z: float = 1.96) -> tuple[float, float, fl
         return mean, mean, mean
     half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
     return mean, mean - half, mean + half
-
-
-@dataclass
-class RunningMean:
-    """Numerically stable streaming mean/variance (Welford's algorithm)."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def extend(self, values) -> None:
-        for value in np.asarray(values, dtype=float).ravel():
-            self.update(float(value))
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 until two samples are seen)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)

@@ -24,13 +24,12 @@ from repro.zigzag.schedule import (
     DecodeStep,
     Placement,
     greedy_schedule,
-    pairwise_offsets_distinct,
     schedule_is_complete,
 )
 from repro.zigzag.reencode import Reencoder
 from repro.zigzag.engine import PacketSpec, PlacementParams, ZigZagEngine
 from repro.zigzag.detect import CollisionDetector
-from repro.zigzag.match import match_score, collisions_match
+from repro.zigzag.match import match_score
 from repro.zigzag.decoder import (
     ZigZagMultiDecoder,
     ZigZagOutcome,
@@ -42,7 +41,6 @@ __all__ = [
     "DecodeStep",
     "Placement",
     "greedy_schedule",
-    "pairwise_offsets_distinct",
     "schedule_is_complete",
     "Reencoder",
     "PacketSpec",
@@ -50,7 +48,6 @@ __all__ = [
     "ZigZagEngine",
     "CollisionDetector",
     "match_score",
-    "collisions_match",
     "ZigZagMultiDecoder",
     "ZigZagPairDecoder",
     "ZigZagOutcome",

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["match_score", "collisions_match"]
+__all__ = ["match_score"]
 
 
 def match_score(signal_a, position_a: int, signal_b, position_b: int,
@@ -45,15 +45,3 @@ def match_score(signal_a, position_a: int, signal_b, position_b: int,
     if denom == 0:
         return 0.0
     return float(abs(np.vdot(seg_a, seg_b)) / denom)
-
-
-def collisions_match(signal_a, position_a: int, signal_b, position_b: int,
-                     *, window: int = 256, threshold: float = 0.25) -> bool:
-    """True when the aligned-correlation score clears *threshold*.
-
-    The default threshold sits well above the ~1/sqrt(window) score of
-    unrelated content and below the typical score of a true match at any
-    reasonable SINR.
-    """
-    return match_score(signal_a, position_a, signal_b, position_b,
-                       window) >= threshold

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from repro.errors import ConfigurationError, ScheduleError
 
@@ -32,7 +31,6 @@ __all__ = [
     "DecodeStep",
     "greedy_schedule",
     "schedule_is_complete",
-    "pairwise_offsets_distinct",
 ]
 
 
@@ -182,41 +180,3 @@ def schedule_is_complete(placements: list[Placement],
             return False
         cursor[step.packet] = step.i1
     return all(cursor[p] == lengths[p] for p in lengths)
-
-
-def pairwise_offsets_distinct(placements: list[Placement],
-                              tolerance: float = 0.5) -> bool:
-    """Assertion 4.5.1's condition: for every packet pair that collides,
-    some two collisions combine them with different relative offsets.
-
-    Packet pairs that never appear together in any collision are
-    unconstrained.
-    """
-    by_collision: dict[int, dict[str, Placement]] = {}
-    packets = set()
-    for pl in placements:
-        by_collision.setdefault(pl.collision, {})[pl.packet] = pl
-        packets.add(pl.packet)
-    for a, b in combinations(sorted(packets), 2):
-        offsets = []
-        for group in by_collision.values():
-            if a in group and b in group:
-                offsets.append(group[b].start - group[a].start)
-        if not offsets:
-            continue
-        if len(offsets) == 1:
-            # A single joint collision is fine only if they don't overlap;
-            # overlap with one equation and two unknowns is undecodable
-            # unless capture-effect SIC applies (handled elsewhere).
-            group_a = [g for g in by_collision.values()
-                       if a in g and b in g][0]
-            pa, pb = group_a[a], group_a[b]
-            a_span = (pa.start, pa.symbol_position(pa.n_symbols - 1))
-            b_span = (pb.start, pb.symbol_position(pb.n_symbols - 1))
-            if a_span[0] <= b_span[1] and b_span[0] <= a_span[1]:
-                return False
-            continue
-        spread = max(offsets) - min(offsets)
-        if spread <= tolerance:
-            return False
-    return True

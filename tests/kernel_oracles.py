@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.phy.coding.convolutional import ConvolutionalCode
 from repro.phy.pulse import MatchedSampler
 from repro.phy.resample import FractionalDelay
-from repro.phy.tracking import MuellerMullerTracker, PhaseTracker
+from repro.phy.tracking import PhaseTracker
 from repro.utils.bits import as_bit_array
 from repro.zigzag.reencode import Reencoder
 
@@ -29,7 +29,6 @@ __all__ = [
     "matched_sampler_sample",
     "convolutional_encode",
     "convolutional_decode_soft",
-    "mueller_muller_process",
     "fractional_delay_apply",
     "reencoder_image",
     "batched_matched_sampler_loop",
@@ -166,18 +165,6 @@ def convolutional_decode_soft(code: ConvolutionalCode, soft,
     if terminated:
         decoded = decoded[:n_steps - (code.constraint_length - 1)]
     return decoded
-
-
-def mueller_muller_process(tracker: MuellerMullerTracker, received,
-                           decisions) -> float:
-    """Original per-pair ``MuellerMullerTracker.process`` loop."""
-    y = np.asarray(received, dtype=complex).ravel()
-    d = np.asarray(decisions, dtype=complex).ravel()
-    if y.size != d.size:
-        raise ConfigurationError("received/decisions length mismatch")
-    for yi, di in zip(y, d):
-        tracker.update(complex(yi), complex(di))
-    return tracker.offset_estimate
 
 
 def fractional_delay_apply(fd: FractionalDelay, signal) -> np.ndarray:

@@ -11,7 +11,7 @@ from repro.mac.ack import (
     plan_synchronous_acks,
 )
 from repro.mac.backoff import ExponentialBackoff, FixedWindowBackoff
-from repro.mac.hidden import HiddenScenario, collision_offset_pairs, slot_to_samples
+from repro.mac.hidden import HiddenScenario
 from repro.mac.timing import TIMING_80211A, TIMING_80211G, Timing
 
 
@@ -142,10 +142,6 @@ class TestSynchronousAckSet:
 
 
 class TestHiddenScenario:
-    def test_slot_to_samples_paper_config(self):
-        # 20us slot at 500 kb/s BPSK, 2 samples/symbol -> 20 samples.
-        assert slot_to_samples(TIMING_80211G, 500e3) == 20
-
     def test_offsets_multiple_of_slot(self):
         scenario = HiddenScenario(n_senders=3, slot_samples=20)
         rounds = scenario.collision_offsets(np.random.default_rng(0), 4)
@@ -153,12 +149,6 @@ class TestHiddenScenario:
         for offsets in rounds:
             assert min(offsets) == 0
             assert all(o % 20 == 0 for o in offsets)
-
-    def test_offset_pairs(self):
-        pairs = collision_offset_pairs(np.random.default_rng(1), n_pairs=50,
-                                       slot_samples=20)
-        assert len(pairs) == 50
-        assert all(d1 % 20 == 0 and d2 % 20 == 0 for d1, d2 in pairs)
 
     def test_needs_two_senders(self):
         with pytest.raises(ConfigurationError):

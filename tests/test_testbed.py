@@ -8,7 +8,6 @@ from repro.testbed.metrics import (
     BER_DELIVERY_THRESHOLD,
     FlowStats,
     loss_rate,
-    normalized_throughput,
 )
 from repro.testbed.pathloss import LogDistancePathLoss
 from repro.testbed.topology import SensingClass, Testbed, default_testbed
@@ -107,7 +106,3 @@ class TestMetrics:
         flows["A"].record(0.0, 1.0)
         flows["B"].record(1.0, 1.0)
         assert loss_rate(flows) == pytest.approx(0.5)
-        tput = normalized_throughput(flows, total_airtime=2.0)
-        assert tput["A"] == pytest.approx(0.5)
-        with pytest.raises(ConfigurationError):
-            normalized_throughput(flows, total_airtime=0.0)

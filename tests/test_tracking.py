@@ -1,11 +1,11 @@
-"""Phase tracker and Mueller–Müller timing tracker tests (§4.2.4b,c)."""
+"""Phase tracker tests (§4.2.4b)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.phy.constellation import BPSK, QPSK
-from repro.phy.tracking import MuellerMullerTracker, PhaseTracker
+from repro.phy.tracking import PhaseTracker
 
 
 class TestPhaseTracker:
@@ -88,37 +88,3 @@ class TestPhaseTracker:
         y = x * np.exp(1j * (0.2 + 0.0005 * np.arange(x.size)))
         corrected, decisions, _ = PhaseTracker().process(y, QPSK)
         assert np.allclose(decisions[100:], x[100:])
-
-
-class TestMuellerMuller:
-    def test_zero_error_on_perfect_timing(self, rng):
-        d = BPSK.modulate(rng.integers(0, 2, 500))
-        tracker = MuellerMullerTracker()
-        final = tracker.process(d, d)
-        assert abs(final) < 0.05
-
-    def test_detects_timing_error_sign(self, shaper, rng):
-        """A late sampling phase produces a consistent nonzero estimate."""
-        from repro.phy.pulse import MatchedSampler
-        d = BPSK.modulate(rng.integers(0, 2, 600))
-        wave = shaper.shape(d)
-        sampler = MatchedSampler(shaper)
-        early = sampler.sample(wave, shaper.delay - 0.3, 600)
-        late = sampler.sample(wave, shaper.delay + 0.3, 600)
-        t_early = MuellerMullerTracker().process(early,
-                                                 BPSK.slice_symbols(early))
-        t_late = MuellerMullerTracker().process(late,
-                                                BPSK.slice_symbols(late))
-        assert np.sign(t_early) != np.sign(t_late)
-
-    def test_reset(self):
-        tracker = MuellerMullerTracker()
-        tracker.update(1.0 + 0j, 1.0 + 0j)
-        tracker.offset_estimate = 0.5
-        tracker.reset()
-        assert tracker.offset_estimate == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            MuellerMullerTracker().process(np.ones(3, complex),
-                                           np.ones(2, complex))

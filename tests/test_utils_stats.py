@@ -1,13 +1,9 @@
-"""Tests for statistics helpers (CDFs, intervals, running moments)."""
+"""Tests for statistics helpers (CDFs, percentiles, intervals)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.utils.stats import (
-    RunningMean,
-    cdf_points,
     confidence_interval_mean,
     empirical_cdf,
     geometric_mean,
@@ -24,12 +20,6 @@ class TestEmpiricalCdf:
     def test_empty(self):
         values, fractions = empirical_cdf([])
         assert values.size == 0 and fractions.size == 0
-
-    def test_cdf_points_monotone(self):
-        grid = np.linspace(-1, 4, 20)
-        points = cdf_points([0.0, 1.0, 2.0, 3.0], grid)
-        assert np.all(np.diff(points) >= 0)
-        assert points[0] == 0.0 and points[-1] == 1.0
 
 
 class TestPercentile:
@@ -66,23 +56,3 @@ class TestConfidenceInterval:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             confidence_interval_mean([])
-
-
-class TestRunningMean:
-    def test_matches_numpy(self, rng):
-        data = rng.normal(size=100)
-        rm = RunningMean()
-        rm.extend(data)
-        assert rm.mean == pytest.approx(float(data.mean()))
-        assert rm.variance == pytest.approx(float(data.var(ddof=1)))
-
-    def test_variance_zero_before_two(self):
-        rm = RunningMean()
-        rm.update(1.0)
-        assert rm.variance == 0.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_mean_within_range(self, values):
-        rm = RunningMean()
-        rm.extend(values)
-        assert min(values) - 1e-6 <= rm.mean <= max(values) + 1e-6
