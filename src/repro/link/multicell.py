@@ -5,15 +5,17 @@ of a :class:`~repro.testbed.deployment.Deployment` runs its own
 :class:`~repro.link.session.LinkSession` (own clients, own
 :class:`~repro.link.air.ContinuousAir`, own AP, own event loop), and a
 coordinator advances all sessions in lockstep windows of a common
-*event horizon* (a fixed number of air chunks). At each horizon boundary the cells exchange inter-cell
-interference: every waveform scheduled during the window is injected
-into each other cell whose AP hears that client above a floor, scaled
-by the cross-link/home-link SNR ratio with a fresh carrier phase (the
-cross channel is a different path), via :meth:`ContinuousAir.inject`.
+*event horizon* (a fixed number of air chunks). At each horizon
+boundary the cells exchange inter-cell interference: every waveform
+scheduled during the window is injected into each other cell whose AP
+hears that client above a floor, scaled by the cross-link/home-link SNR
+ratio with a fresh carrier phase (the cross channel is a different
+path), via :meth:`ContinuousAir.inject`.
 
 One coordinator loop (:meth:`MultiCellSession._drive`) serves every
 execution mode. It plans the exchange; the cells themselves are stepped
-by :class:`CellGroup` objects that speak a four-command protocol. With
+by :class:`CellGroup` objects that speak a four-command protocol and
+call each session's ``start``/``step_until``/``finish`` directly. With
 ``workers == 1`` one group runs in this process; otherwise each cell
 worker of :mod:`repro.link.parallel` runs one behind its pipe.
 
