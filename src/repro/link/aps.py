@@ -38,8 +38,6 @@ __all__ = ["StandardAp", "build_ap"]
 class StandardAp:
     """Current 802.11: per-spike standard decoding, nothing else."""
 
-    design = "802.11"
-
     def __init__(self, config: ReceiverConfig) -> None:
         self.config = config
         self.clients = ClientTable()
