@@ -73,6 +73,9 @@ FIXTURES: dict[str, tuple[int, float, tuple, tuple]] = {
          {"kind": "quantize", "enob": 8.0, "full_scale": 24.0},
          {"kind": "iq_imbalance", "amplitude_db": 0.15,
           "phase_deg": 0.8})),
+    # Low SNR: the forward pass alone fails A's CRC, and the backward
+    # pass plus MRC recovers it (B passes after the forward pass).
+    "hidden_pair_rescue": (7, 6.5, (), ()),
 }
 
 # Fixtures decoded through the k-way multi decoder (§4.5): three
@@ -80,6 +83,9 @@ FIXTURES: dict[str, tuple[int, float, tuple, tuple]] = {
 # pair fixtures above stay byte-identical to their pre-k-way form.
 THREE_SENDER_FIXTURES: dict[str, tuple[int, float]] = {
     "three_senders_clean": (404, 13.0),
+    # The same geometry 3 dB lower: the forward pass alone fails B's
+    # CRC, and backward + k-copy MRC recovers it.
+    "three_senders_rescue": (404, 10.0),
 }
 
 # Per-round start offsets of the three senders (samples) — distinct
