@@ -74,6 +74,9 @@ class BatchStats:
     lockstep: int = 0
     fallback: int = 0
     groups: int = 0
+    # Lockstep lanes that ran the batched backward pass (a lane whose
+    # packets all pass CRC after the forward pass skips it).
+    backward: int = 0
 
 
 def _stack_padded(rows, length: int, pad: int) -> np.ndarray:
@@ -747,47 +750,51 @@ class BatchedPairDecoder(ZigZagPairDecoder):
         fwd_out = forward.run(schedule)
         eject = forward.wants_equalizer()
 
-        backward_soft: dict[str, np.ndarray] | None = None
-        if self.use_backward and plan0.rev_schedule is not None:
-            backward_soft = self._batched_backward(
-                group, specs, forward, cap_sizes, pad)
-
+        # Forward-pass finality, per lane: a packet that passes CRC here
+        # is final, so the backward pass runs only on the sub-batch of
+        # lanes holding a failing packet (ejected lanes are replayed by
+        # the scalar path anyway). Every batched operation is
+        # lane-elementwise, so the sub-batch decodes exactly as the full
+        # group would.
         pre_len = len(self.config.preamble)
         n_lanes = len(group)
         lane_results: list[dict[str, DecodeResult]] = [
             {} for _ in range(n_lanes)]
-        for name, spec in specs.items():
-            fwd_soft = fwd_out[name]["soft"]
-            fwd_dec = fwd_out[name]["decisions"]
-            if backward_soft is not None and name in backward_soft:
+        estimates = {name: self._final_estimates(forward, name)
+                     for name in specs}
+        failing: dict[str, np.ndarray] = {}
+        for name in specs:
+            soft = fwd_out[name]["soft"]
+            extracted = _extract_bits_batch(soft, pre_len)
+            self._fill_results(lane_results, name, range(n_lanes), soft,
+                               extracted, estimates[name])
+            failing[name] = np.flatnonzero(~extracted[1] & ~eject)
+        lanes = np.unique(np.concatenate(list(failing.values())))
+
+        backward_soft: dict[str, np.ndarray] | None = None
+        if lanes.size and self.use_backward \
+                and plan0.rev_schedule is not None:
+            backward_soft = self._batched_backward(
+                [group[lane] for lane in lanes], lanes, specs, forward,
+                cap_sizes, pad)
+            for name, rows in failing.items():
+                if not rows.size:
+                    continue
+                fwd_soft = fwd_out[name]["soft"][rows]
                 aligned, weights = self._align_backward_batch(
-                    fwd_soft, fwd_dec, backward_soft[name])
+                    fwd_soft, fwd_out[name]["decisions"][rows],
+                    backward_soft[name][np.searchsorted(lanes, rows)])
                 combined = (fwd_soft + weights * aligned) / (1.0 + weights)
-            else:
-                combined = fwd_soft
-            estimates = self._final_estimates(forward, name)
-            bits2d, crc_oks, headers = _extract_bits_batch(
-                combined, pre_len)
-            for lane in range(n_lanes):
-                bits = bits2d[lane]
-                crc_ok = bool(crc_oks[lane])
-                payload = bits[HEADER_BITS:-32] \
-                    if bits.size >= HEADER_BITS + 32 \
-                    else np.zeros(0, np.uint8)
-                lane_results[lane][name] = DecodeResult(
-                    success=crc_ok,
-                    bits=bits,
-                    header=headers[lane],
-                    payload=payload,
-                    soft_symbols=combined[lane],
-                    estimate=estimates[lane],
-                    via="zigzag",
-                    detail="" if crc_ok else "CRC mismatch",
-                )
+                self._fill_results(
+                    lane_results, name, rows, combined,
+                    _extract_bits_batch(combined, pre_len),
+                    [estimates[name][lane] for lane in rows])
+            stats.backward += int(lanes.size)
 
         residual_powers = np.stack(
             [forward.residual_power(c) for c in range(len(cap_sizes))],
             axis=1)
+        sub_index = {int(lane): i for i, lane in enumerate(lanes)}
         for lane, plan in enumerate(group):
             if eject[lane]:
                 continue  # replayed through the scalar path by the caller
@@ -802,8 +809,9 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                 )
                 for name in specs
             }
-            bwd = None if backward_soft is None else {
-                name: backward_soft[name][lane]
+            row = sub_index.get(lane)
+            bwd = None if backward_soft is None or row is None else {
+                name: backward_soft[name][row]
                 for name in backward_soft
             }
             outcomes[plan.index] = ZigZagOutcome(
@@ -815,8 +823,35 @@ class BatchedPairDecoder(ZigZagPairDecoder):
             )
         return True
 
-    def _batched_backward(self, group, specs, forward_engine,
-                          cap_sizes, pad) -> dict[str, np.ndarray] | None:
+    @staticmethod
+    def _fill_results(lane_results: list[dict[str, DecodeResult]],
+                      name: str, lanes, soft: np.ndarray, extracted,
+                      estimates) -> None:
+        """Store packet *name*'s ``DecodeResult`` for each of *lanes*;
+        row i of *soft*, *extracted* and *estimates* belongs to lanes[i]."""
+        bits2d, crc_oks, headers = extracted
+        for i, lane in enumerate(lanes):
+            bits = bits2d[i]
+            crc_ok = bool(crc_oks[i])
+            payload = bits[HEADER_BITS:-32] \
+                if bits.size >= HEADER_BITS + 32 \
+                else np.zeros(0, np.uint8)
+            lane_results[lane][name] = DecodeResult(
+                success=crc_ok,
+                bits=bits,
+                header=headers[i],
+                payload=payload,
+                soft_symbols=soft[i],
+                estimate=estimates[i],
+                via="zigzag",
+                detail="" if crc_ok else "CRC mismatch",
+            )
+
+    def _batched_backward(self, group, lanes: np.ndarray, specs,
+                          forward_engine, cap_sizes,
+                          pad) -> dict[str, np.ndarray]:
+        """Backward pass over *group*, the plans of the forward engine's
+        *lanes*; its end state is indexed by those lanes."""
         plan0 = group[0]
         sps = self.config.shaper.sps
         reversed_padded = [
@@ -831,8 +866,8 @@ class BatchedPairDecoder(ZigZagPairDecoder):
             spec = specs[pl0.packet]
             n_c = cap_sizes[pl0.collision]
             gain_r = np.conj(
-                forward_engine.final_multiplier(*key))
-            freq_r = forward_engine.final_freq(*key)
+                forward_engine.final_multiplier(*key))[lanes]
+            freq_r = forward_engine.final_freq(*key)[lanes]
             for lane, plan in enumerate(group):
                 pl = plan.placements[slot]
                 last_pos = pl.start + sps * (spec.n_symbols - 1)
@@ -857,7 +892,7 @@ class BatchedPairDecoder(ZigZagPairDecoder):
         }
         pilots = {
             name: np.conj(
-                forward_engine.packets[name]["decisions"][:, ::-1])
+                forward_engine.packets[name]["decisions"][lanes, ::-1])
             for name in specs
         }
         engine = BatchedZigZagEngine(

@@ -171,56 +171,53 @@ class ZigZagMultiDecoder:
             correction_beta=self.correction_beta)
         forward = forward_engine.run(schedule)
 
+        # A packet that passes CRC after the forward pass is final: the
+        # backward pass and MRC exist "to reduce errors" (§4.3b), so they
+        # run only when some packet still fails, and only those packets
+        # get the extra copies combined in.
+        results = {name: self._result(forward[name].soft, spec,
+                                      forward_engine, name)
+                   for name, spec in specs.items()}
+        failing = [name for name, r in results.items() if not r.success]
+
         backward_soft: dict[str, np.ndarray] | None = None
-        if self.use_backward:
-            backward_soft = self._backward_pass(
-                captures, specs, placements, forward_engine)
-
-        # k-copy MRC (§4.5): with three or more captures, each cleaned
-        # capture is an additional independent reading of every packet.
-        capture_copies: dict[str, list] = {}
         capture_soft: dict[str, list[tuple[int, np.ndarray]]] | None = None
-        if self.mrc_all_copies and len(captures) >= 3:
-            capture_copies = self._capture_copies(specs, forward_engine)
-            capture_soft = {
-                name: [(c, aligned) for c, aligned, _ in entries]
-                for name, entries in capture_copies.items()
-            }
-
-        results: dict[str, DecodeResult] = {}
-        pre_len = len(self.config.preamble)
-        for name, spec in specs.items():
-            streams = [forward[name].soft]
-            weights: list = [1.0]
-            if backward_soft is not None and name in backward_soft:
-                aligned, block_weights = self._align_backward(
-                    forward[name].soft, forward[name].decisions,
-                    backward_soft[name])
-                # A backward pass that lost phase lock (e.g. a BPSK π slip)
-                # or degraded toward its far end would poison the MRC
-                # average; gate it blockwise on agreement with the forward
-                # decisions and weight inverse to its measured variance so
-                # a noisier stream can only help, never hurt.
-                if np.any(block_weights > 0):
+        if failing:
+            if self.use_backward:
+                backward_soft = self._backward_pass(
+                    captures, specs, placements, forward_engine)
+            # k-copy MRC (§4.5): with three or more captures, each cleaned
+            # capture is an additional independent reading of a packet.
+            capture_copies: dict[str, list] = {}
+            if self.mrc_all_copies and len(captures) >= 3:
+                capture_copies = self._capture_copies(
+                    specs, forward_engine, failing)
+                capture_soft = {
+                    name: [(c, aligned) for c, aligned, _ in entries]
+                    for name, entries in capture_copies.items()
+                }
+            for name in failing:
+                streams = [forward[name].soft]
+                weights: list = [1.0]
+                if backward_soft is not None and name in backward_soft:
+                    aligned, block_weights = self._align_backward(
+                        forward[name].soft, forward[name].decisions,
+                        backward_soft[name])
+                    # A backward pass that lost phase lock (e.g. a BPSK π
+                    # slip) or degraded toward its far end would poison
+                    # the MRC average; gate it blockwise on agreement with
+                    # the forward decisions and weight inverse to its
+                    # measured variance so a noisier stream can only help.
+                    if np.any(block_weights > 0):
+                        streams.append(aligned)
+                        weights.append(block_weights)
+                for _, aligned, copy_weights in capture_copies.get(name, []):
                     streams.append(aligned)
-                    weights.append(block_weights)
-            for _, aligned, copy_weights in capture_copies.get(name, []):
-                streams.append(aligned)
-                weights.append(copy_weights)
-            combined = mrc_combine(streams, weights)
-            bits, crc_ok, header = extract_bits(combined, spec, pre_len)
-            payload = bits[HEADER_BITS:-32] if bits.size >= HEADER_BITS + 32 \
-                else np.zeros(0, np.uint8)
-            results[name] = DecodeResult(
-                success=crc_ok,
-                bits=bits,
-                header=header,
-                payload=payload,
-                soft_symbols=combined,
-                estimate=self._final_estimate(forward_engine, name),
-                via="zigzag",
-                detail="" if crc_ok else "CRC mismatch",
-            )
+                    weights.append(copy_weights)
+                if len(streams) > 1:
+                    results[name] = self._result(
+                        mrc_combine(streams, weights), specs[name],
+                        forward_engine, name)
         return ZigZagOutcome(
             results=results,
             forward=forward,
@@ -231,12 +228,30 @@ class ZigZagMultiDecoder:
                              for c in range(len(captures))],
         )
 
+    def _result(self, soft: np.ndarray, spec: PacketSpec,
+                engine: ZigZagEngine, packet: str) -> DecodeResult:
+        """Demodulate one packet's soft symbols into a ``DecodeResult``."""
+        bits, crc_ok, header = extract_bits(
+            soft, spec, len(self.config.preamble))
+        payload = bits[HEADER_BITS:-32] if bits.size >= HEADER_BITS + 32 \
+            else np.zeros(0, np.uint8)
+        return DecodeResult(
+            success=crc_ok,
+            bits=bits,
+            header=header,
+            payload=payload,
+            soft_symbols=soft,
+            estimate=self._final_estimate(engine, packet),
+            via="zigzag",
+            detail="" if crc_ok else "CRC mismatch",
+        )
+
     # ------------------------------------------------------------------
     def _capture_copies(self, specs: dict[str, PacketSpec],
-                        engine: ZigZagEngine
+                        engine: ZigZagEngine, packets: list[str]
                         ) -> dict[str, list[tuple[int, np.ndarray,
                                                   np.ndarray]]]:
-        """Re-read every packet from each cleaned capture it appears in.
+        """Re-read each of *packets* from every cleaned capture it is in.
 
         After the forward pass, ``residual[c] + images[(p, c)]`` is
         capture *c* with every packet except *p* subtracted — a full
@@ -253,6 +268,8 @@ class ZigZagMultiDecoder:
         """
         copies: dict[str, list[tuple[int, np.ndarray, np.ndarray]]] = {}
         for (name, c), pl in engine.placements.items():
+            if name not in packets:
+                continue
             spec = specs[name]
             acc = engine.packets[name]
             cleaned = engine.residual[c] + engine.images[(name, c)]

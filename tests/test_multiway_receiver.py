@@ -83,13 +83,15 @@ class TestMultiEqualsPairAtK2:
     def test_pair_wrapper_keeps_copies_off_at_k3(self, rng, preamble,
                                                  shaper, stream_config):
         """Legacy call sites may hand the *pair* decoder three captures;
-        its behavior must stay the historical forward+backward MRC."""
+        its behavior must stay the historical forward+backward MRC. The
+        set is at 8 dB so the forward pass leaves a packet failing: only
+        then does either decoder combine extra copies at all."""
         frames = {n: Frame.make(random_bits(160, rng), src=i + 1,
                                 preamble=preamble)
                   for i, n in enumerate(NAMES)}
         captures = three_way_captures(rng, frames,
                                       [(0, 80, 180), (60, 0, 140),
-                                       (100, 40, 0)])
+                                       (100, 40, 0)], snr_db=8.0)
         from repro.phy.sync import Synchronizer
         from repro.zigzag.engine import PacketSpec, PlacementParams
         sync = Synchronizer(preamble, shaper, threshold=0.3)
@@ -103,8 +105,13 @@ class TestMultiEqualsPairAtK2:
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols) for n in NAMES}
         caps = [c.samples for c in captures]
+        forward = ZigZagMultiDecoder(
+            stream_config, use_backward=False,
+            mrc_all_copies=False).decode(caps, specs, placements)
+        assert not forward.all_decoded
         pair = ZigZagPairDecoder(stream_config).decode(
             caps, specs, placements)
+        assert pair.backward_soft is not None
         assert pair.capture_soft is None
         multi = ZigZagMultiDecoder(stream_config).decode(
             caps, specs, placements)
