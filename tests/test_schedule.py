@@ -146,8 +146,9 @@ class TestProperties:
                     min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_assertion_4_5_1(self, slot_rounds):
-        """If the pairwise-distinct condition holds, the greedy algorithm
-        must succeed for three packets (Assertion 4.5.1).
+        """If the pairwise-distinct condition holds over three distinct
+        collisions, the greedy algorithm must succeed for three packets
+        (Assertion 4.5.1).
 
         The paper's proof implicitly assumes non-degenerate geometry: when
         offsets align symbols of two packets to the *same sample*, those
@@ -155,8 +156,24 @@ class TestProperties:
         even though the stated condition holds (these ties are part of
         Fig 4-7's measured failure probability). Real offsets carry
         fractional timing, which we model with an off-grid slot size.
+        That slot size (2.7 samples, sps 2) is off-grid for every slot
+        difference but multiples of 20: 2.7 * 20 = 54 samples is exactly
+        27 symbols, the same-sample tie, so those rounds are skipped.
         """
         if any(len(set(slots)) < 3 for slots in slot_rounds):
+            return
+        if any((slots[j] - slots[i]) % 20 == 0 for slots in slot_rounds
+               for i, j in combinations(range(3), 2)):
+            return
+        # Three packets need three distinct collisions: a round that
+        # repeats another's arrival pattern adds no equation, so the
+        # overlap of all three packets stays two equations for three
+        # unknowns. The receiver's k-way matcher (ZigZagReceiver.
+        # _try_multiway) refuses such a repeated collision for the same
+        # reason.
+        patterns = {tuple(slot - min(slots) for slot in slots)
+                    for slots in slot_rounds}
+        if len(patterns) < len(slot_rounds):
             return
         # The pairwise-distinct condition: every packet pair collides in
         # every round, so it needs two rounds with different offsets.
