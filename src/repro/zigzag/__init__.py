@@ -11,8 +11,9 @@ Submodules:
   accumulated images, and the cross-collision amplitude/phase/frequency
   correction loop of §4.2.4(b).
 - :mod:`~repro.zigzag.decoder`: the user-facing decoders — the general
-  k-way :class:`~repro.zigzag.decoder.ZigZagMultiDecoder` (§4.5) with
-  forward + backward passes and k-copy MRC (§4.3b), and its k = 2
+  k-way :class:`~repro.zigzag.decoder.ZigZagMultiDecoder` (§4.5): a
+  forward pass, plus backward pass and k-copy MRC (§4.3b) for packets
+  that still fail CRC, and its k = 2
   :class:`~repro.zigzag.decoder.ZigZagPairDecoder` wrapper.
 - :mod:`~repro.zigzag.detect` / :mod:`~repro.zigzag.match`: is-it-a-
   collision (§4.2.1) and did-we-get-matching-collisions (§4.2.2).

@@ -633,10 +633,14 @@ class BatchedPairDecoder(ZigZagPairDecoder):
     """Batched hidden-pair ZigZag decoder (§4.2.3 over a trial axis).
 
     ``decode_batch`` groups trials by schedule signature, runs each group
-    through :class:`BatchedZigZagEngine` (forward + backward + MRC), and
-    replays any lane the lockstep path cannot reproduce bit-exactly
-    through the inherited scalar :meth:`decode`. ``last_stats`` records
-    the split.
+    through :class:`BatchedZigZagEngine`, and replays any lane the
+    lockstep path cannot reproduce bit-exactly through the inherited
+    scalar :meth:`decode`. ``last_stats`` records the split.
+
+    The forward pass runs on the whole group. As in the scalar decoder, a
+    packet that passes CRC there is final: the backward pass runs only on
+    the sub-batch of lanes that hold a failing packet, and MRC combines
+    only the failing (lane, packet) rows.
     """
 
     last_stats: BatchStats = field(default_factory=BatchStats)
@@ -770,6 +774,8 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                                extracted, estimates[name])
             failing[name] = np.flatnonzero(~extracted[1] & ~eject)
         lanes = np.unique(np.concatenate(list(failing.values())))
+        sub_row = np.full(n_lanes, -1)  # lane -> row of the sub-batch
+        sub_row[lanes] = np.arange(lanes.size)
 
         backward_soft: dict[str, np.ndarray] | None = None
         if lanes.size and self.use_backward \
@@ -783,7 +789,7 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                 fwd_soft = fwd_out[name]["soft"][rows]
                 aligned, weights = self._align_backward_batch(
                     fwd_soft, fwd_out[name]["decisions"][rows],
-                    backward_soft[name][np.searchsorted(lanes, rows)])
+                    backward_soft[name][sub_row[rows]])
                 combined = (fwd_soft + weights * aligned) / (1.0 + weights)
                 self._fill_results(
                     lane_results, name, rows, combined,
@@ -794,7 +800,6 @@ class BatchedPairDecoder(ZigZagPairDecoder):
         residual_powers = np.stack(
             [forward.residual_power(c) for c in range(len(cap_sizes))],
             axis=1)
-        sub_index = {int(lane): i for i, lane in enumerate(lanes)}
         for lane, plan in enumerate(group):
             if eject[lane]:
                 continue  # replayed through the scalar path by the caller
@@ -809,9 +814,8 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                 )
                 for name in specs
             }
-            row = sub_index.get(lane)
-            bwd = None if backward_soft is None or row is None else {
-                name: backward_soft[name][row]
+            bwd = None if backward_soft is None or sub_row[lane] < 0 else {
+                name: backward_soft[name][sub_row[lane]]
                 for name in backward_soft
             }
             outcomes[plan.index] = ZigZagOutcome(

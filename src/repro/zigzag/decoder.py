@@ -1,4 +1,4 @@
-"""The user-facing ZigZag decoders: forward + backward passes + MRC.
+"""The user-facing ZigZag decoders: a forward pass, then backward + MRC.
 
 :class:`ZigZagMultiDecoder` decodes k packets from k matching collisions
 (§4.5) — the pair of §4.2.3 is simply its k = 2 configuration, exposed as
@@ -20,15 +20,24 @@ engine, scheduler, trackers and re-encoders therefore run unchanged on the
 reversed captures; the per-(packet, capture) end states of the forward run
 (tracked phase, equalizer taps) seed the reversed estimates. Forward and
 backward soft symbols are then combined with maximal ratio combining, which
-is why ZigZag's BER beats interference-free transmission (Fig 5-3): every
-symbol is effectively received twice, once per collision.
+is why ZigZag's BER beats interference-free transmission (Fig 5-3): a
+symbol the forward pass got wrong is received a second time, from the
+other collision.
+
+The backward pass and MRC exist "to reduce errors", so they run only where
+errors are left: a packet that passes CRC after the forward pass is final,
+and its result comes from the forward pass. When some packet of the set
+still fails, the backward pass runs and its copy is combined into the
+failing packets only. A clean set costs one forward pass, and MRC can never
+turn a forward-pass success into a failure.
 
 With k > 2 collisions every symbol is received *k* times, and the multi
 decoder extends the same idea: once the forward pass has cleaned every
 capture, each packet's waveform can be re-read from each capture it
 appears in (residual plus that packet's own re-added image), giving up to
-k independent soft copies per symbol. Copies are gated blockwise against
-the forward decisions and weighted by measured inverse variance — the
+k independent soft copies per symbol for each packet that still fails
+after the forward pass. Copies are gated blockwise against the forward
+decisions and weighted by measured inverse variance — the
 same guard that keeps a degraded backward pass from poisoning the
 combine — and symbols the forward pass already decoded from that very
 capture get zero weight (they carry the same noise, not new information).
@@ -94,7 +103,12 @@ def extract_bits(soft: np.ndarray, spec: PacketSpec,
 
 @dataclass
 class ZigZagOutcome:
-    """Everything a ZigZag decode of one collision set produced."""
+    """Everything a ZigZag decode of one collision set produced.
+
+    ``backward_soft`` and ``capture_soft`` are None when every packet
+    passed CRC after the forward pass: neither the backward pass nor the
+    k-copy re-reads ran. ``capture_soft`` holds the failing packets only.
+    """
 
     results: dict[str, DecodeResult]
     forward: dict[str, PacketAccumulator] | None = None
@@ -127,16 +141,18 @@ class ZigZagMultiDecoder:
         The shared :class:`StreamConfig` (preamble, shaping, noise floor,
         tracking/equalizer ablation switches).
     use_backward:
-        Enable the backward pass + MRC (§4.3b). Disable to reproduce the
-        forward-only ablation of Fig 5-3.
+        Enable the backward pass + MRC (§4.3b) for packets that fail CRC
+        after the forward pass. Disable to reproduce the forward-only
+        ablation of Fig 5-3.
     margin_symbols:
         Scheduling guard between a decodable symbol and the nearest
         undecoded interferer, in symbols (pulse-overlap protection).
     mrc_all_copies:
-        With three or more captures, re-read each packet from every
-        cleaned capture it appears in and fold the extra soft copies into
-        the MRC (k-copy combining). Never engages at k = 2, where forward
-        and backward already supply both per-collision copies.
+        With three or more captures, re-read each packet that fails after
+        the forward pass from every cleaned capture it appears in and fold
+        the extra soft copies into its MRC (k-copy combining). Never
+        engages at k = 2, where forward and backward already supply both
+        per-collision copies.
     """
 
     config: StreamConfig

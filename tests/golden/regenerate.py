@@ -5,8 +5,11 @@ buffers, the acquisition inputs (symbol-0 positions and coarse frequency
 guesses), the ground-truth body bits, and the bits the ZigZag decoder
 recovered when the fixture was generated. The hidden-pair fixtures pin
 the §4.2.3 pair path (two captures, :class:`ZigZagPairDecoder`); the
-three-sender fixture pins the §4.5 k-way path (three captures,
-:class:`ZigZagMultiDecoder` with k-copy MRC). The companion test
+three-sender fixtures pin the §4.5 k-way path (three captures,
+:class:`ZigZagMultiDecoder`). The ``*_rescue`` fixtures are the ones
+whose forward pass leaves a packet failing CRC, so they alone pin the
+backward pass and MRC (k-copy MRC for the three-sender one). The
+companion test
 (``tests/test_golden_vectors.py``) re-runs synchronization + ZigZag
 decoding on the *stored* waveforms and asserts the recovered bits match
 **bit-exactly**, pinning the whole receive chain (sync.acquire through
@@ -95,8 +98,8 @@ THREE_SENDER_ROUNDS = ((0, 80, 180), (60, 0, 140), (100, 40, 0))
 
 # Fixtures that keep the placements hidden_pair_scenario acquired
 # itself (its own coarse guesses, its own sync.acquire), so the decode
-# starts from exactly the scenario's output: a 240-bit hidden pair
-# decoded forward + backward + MRC.
+# starts from exactly the scenario's output: a 240-bit hidden pair whose
+# packets both pass CRC after the forward pass.
 # name -> (seed, snr_db, payload_bits)
 SCENARIO_FIXTURES: dict[str, tuple[int, float, int]] = {
     "hidden_pair_scenario": (424242, 12.0, 240),

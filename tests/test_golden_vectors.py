@@ -9,10 +9,15 @@ on the *stored* waveforms must reproduce those bits exactly — any
 numerical drift anywhere in the chain (sync.acquire, chunk scheduling,
 re-encode/subtract, tracking, slicing, k-copy MRC) trips these tests.
 The ``hidden_pair_scenario`` fixture decodes from the placements the
-scenario builder acquired, a 240-bit pair through forward + backward +
-MRC; its pinned bits equal the decode with every pre-optimization
-kernel patched in. This is the end-to-end complement of the kernel-level
-oracles in ``tests/kernel_oracles.py``.
+scenario builder acquired, a 240-bit pair whose packets both pass CRC
+after the forward pass, so no backward pass or MRC runs; its pinned bits
+equal the decode with every pre-optimization kernel patched in. The
+backward pass and MRC run only for packets that fail after the forward
+pass, and only the two ``*_rescue`` fixtures have one:
+``hidden_pair_rescue`` (backward + MRC) and ``three_senders_rescue``
+(backward + k-copy MRC) each recover a packet that way. This is the
+end-to-end complement of the kernel-level oracles in
+``tests/kernel_oracles.py``.
 
 After an *intentional* behavior change, regenerate with::
 
