@@ -1,24 +1,37 @@
-"""The ZigZag access point: end-to-end receive-path orchestration.
+"""The access points: one receive path for the 802.11 and ZigZag designs.
 
-Implements the paper's implementation flow control (§5.1d):
+:class:`StandardAp` is the Current-802.11 baseline (§5.1e) and the first
+stage of every AP. It owns the one detector (``collision_beta``), the
+one client-table acquisition (memoized on the capture's
+:class:`~repro.receiver.buffer.CollisionRecord`) and the one standard
+stage: standard-decode the two strongest peaks that score at least
+``sync_threshold``, each at its best-gain client frequency, keeping one
+success per source.
 
-1. Detect a reception and try the standard decoder; a success ends the
+:class:`ZigZagReceiver` extends it with the paper's implementation flow
+control (§5.1d):
+
+1. Run the standard stage. A success at the strongest peak ends the
    flow (a correlation spike elsewhere in a cleanly-decoded packet is
    treated as the false positive it almost always is).
-2. When standard decoding fails on a two-packet collision dominated by
-   one sender, try capture-effect SIC (Fig 4-1e): decode the strong
-   packet through the interference, subtract it, recover the weak one.
-3. Otherwise, run collision detection (§4.2.1). On a
-   collision, search stored collisions for matches (§4.2.2); on a match,
+2. Otherwise a capture with two or more peaks is a collision. On a
+   two-packet collision dominated by one sender, try capture-effect SIC
+   (Fig 4-1e): decode the strong packet through the interference,
+   subtract it, recover the weak one.
+3. Otherwise search stored collisions for matches (§4.2.2) under the
+   best peak correspondence, since jitter reorders arrivals; on a match,
    ZigZag-decode the collision set — pairs per §4.2.3, and k mutually
    hidden senders across k collisions per §4.5, assembling the set from
    the collision buffer's match graph; otherwise store the collision in
    case it helps decode a future one.
 
-The receiver also maintains the per-client coarse frequency-offset table
-the paper describes ("the AP can maintain coarse estimates of the frequency
-offsets of active clients as obtained at the time of association"), updated
-from every successful decode.
+Successes of steps 2–3 are merged with the stage's by source, so on the
+same capture the ZigZag AP returns every packet the baseline returns.
+
+Both maintain the per-client coarse frequency-offset table the paper
+describes ("the AP can maintain coarse estimates of the frequency
+offsets of active clients as obtained at the time of association"),
+updated from every successful decode.
 
 For running this receiver over Monte-Carlo experiment campaigns, use the
 :mod:`repro.runner` subsystem (its ``receiver_stream`` scenario drives
@@ -34,14 +47,14 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import CollisionDetectError, ConfigurationError, ReproError
 from repro.phy.constellation import get_constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
 from repro.phy.preamble import Preamble, default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
-from repro.receiver.buffer import CollisionBuffer, CollisionRecord, gaps_close
+from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig
 from repro.receiver.result import DecodeResult
@@ -51,7 +64,7 @@ from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.match import match_score
 from repro.zigzag.sic import SicDecoder
 
-__all__ = ["ClientTable", "ReceiverConfig", "ReceiverStats",
+__all__ = ["ClientTable", "ReceiverConfig", "ReceiverStats", "StandardAp",
            "ZigZagReceiver"]
 
 
@@ -251,15 +264,22 @@ def _max_assignment(weights: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(weights[np.arange(k), cols].sum()), tuple(cols)
 
 
-class ZigZagReceiver:
-    """A best-effort 802.11 AP receiver with ZigZag collision decoding."""
+class StandardAp:
+    """Current 802.11 (§5.1e), and the first stage of every AP.
+
+    Standard-decodes the strongest packet starts of each capture, with no
+    collision buffer and no interference cancellation; capture-effect
+    receptions emerge when one sender dominates.
+    :class:`ZigZagReceiver` inherits the detector, the client-table
+    acquisition and :meth:`_standard_stage`, so on the same capture it
+    decodes everything this AP decodes.
+    """
 
     def __init__(self, config: ReceiverConfig | None = None) -> None:
         self.config = config or ReceiverConfig()
         cfg = self.config
         self.clients = ClientTable()
         self.stats = ReceiverStats()
-        self.buffer = CollisionBuffer(cfg.buffer_capacity)
         self.detector = CollisionDetector(cfg.preamble, cfg.shaper,
                                           beta=cfg.collision_beta)
         self.synchronizer = Synchronizer(cfg.preamble, cfg.shaper,
@@ -268,6 +288,116 @@ class ZigZagReceiver:
             cfg.preamble, cfg.shaper, noise_power=cfg.noise_power,
             sync_threshold=cfg.sync_threshold,
             track_phase=cfg.track_phase, use_equalizer=cfg.use_equalizer)
+
+    def receive(self, samples) -> list[DecodeResult]:
+        """Process one capture; returns the packets it standard-decodes."""
+        probe = self._detect(samples)
+        if probe is None:
+            return []
+        peaks = self._stage_peaks(probe)
+        if len(peaks) >= 2:
+            self.stats.collisions_detected += 1
+        return list(self._standard_stage(probe, peaks).values())
+
+    def _detect(self, samples) -> CollisionRecord | None:
+        """Count the capture and detect its packet starts at
+        ``collision_beta``; None when nothing is detected."""
+        y = np.asarray(samples, dtype=complex).ravel()
+        self.stats.captures += 1
+        try:
+            verdict = self.detector.inspect(
+                y, self.clients.candidates(),
+                max_packets=self.config.max_collision_packets)
+        except CollisionDetectError:
+            return None   # burst shorter than the preamble waveform
+        if not verdict.peaks:
+            return None
+        # The capture as a record from the start: every acquisition on it
+        # (standard stage, SIC, each decode attempt) shares its memoized
+        # work, and a ZigZag AP stores this same record if nothing
+        # resolves it.
+        return CollisionRecord(samples=y, peaks=list(verdict.peaks),
+                               sequence=-1,
+                               meta={"rx": self.stats.captures})
+
+    def _stage_peaks(self, probe: CollisionRecord) -> list:
+        """The peaks the standard stage decodes: the two strongest that
+        score at least ``sync_threshold``, strongest first. A plain AP
+        does not hunt for buried preambles."""
+        threshold = self.config.sync_threshold
+        return sorted((p for p in probe.peaks if p.score >= threshold),
+                      key=lambda p: -p.score)[:2]
+
+    def _standard_stage(self, probe: CollisionRecord,
+                        peaks: list) -> dict[int, DecodeResult]:
+        """Standard-decode *peaks*, each at its best-gain client
+        frequency; the successes by peak position, one per source."""
+        decoded: dict[int, DecodeResult] = {}
+        sources: set[int] = set()
+        for peak in peaks:
+            try:
+                result = self._decode_peak(probe, peak)
+            except ReproError:
+                continue
+            if not result.success or result.header is None \
+                    or result.header.src in sources:
+                continue
+            sources.add(result.header.src)
+            self._learn(result)
+            self.stats.clean_decodes += 1
+            decoded[peak.position] = result
+        return decoded
+
+    def _learn(self, result: DecodeResult) -> None:
+        if result.success and result.header is not None \
+                and result.estimate is not None:
+            self.clients.update(result.header.src,
+                                result.estimate.freq_offset)
+
+    def _estimates(self, record: CollisionRecord,
+                   position: int) -> list[ChannelEstimate]:
+        """Acquisition at one peak of *record* under every client-table
+        frequency (§4.2.4), in candidate order.
+
+        Memoized on the record: the standard stage, the SIC attempt,
+        every pair or k-way decode attempt, and later retries against a
+        stored record all reuse one acquisition per (peak, frequency).
+        Frequencies not yet memoized share one timing-grid pass, itself
+        taken from the record's matched-filter outputs where an earlier
+        call sampled them.
+        """
+        candidates = self.clients.candidates()
+        memo = record.estimates
+        missing = [f for f in candidates if (position, f) not in memo]
+        if missing:
+            fresh = self.synchronizer.acquire(
+                record.samples, position, coarse_freq=missing,
+                noise_power=self.config.noise_power, sampled=record.sampled)
+            memo.update(((position, f), est)
+                        for f, est in zip(missing, fresh))
+        return [memo[(position, f)] for f in candidates]
+
+    def _best_estimate(self, record: CollisionRecord,
+                       position: int) -> ChannelEstimate:
+        """The client-table acquisition with the largest fitted gain."""
+        return max(self._estimates(record, position),
+                   key=lambda est: abs(est.gain))
+
+    def _decode_peak(self, record: CollisionRecord, peak) -> DecodeResult:
+        """The standard decoder at *peak*, at its best-gain client
+        frequency."""
+        return self.standard.decode(
+            record.samples, start_position=peak.position,
+            estimate=self._best_estimate(record, peak.position))
+
+
+class ZigZagReceiver(StandardAp):
+    """A best-effort 802.11 AP receiver with ZigZag collision decoding."""
+
+    def __init__(self, config: ReceiverConfig | None = None) -> None:
+        super().__init__(config)
+        cfg = self.config
+        self.buffer = CollisionBuffer(cfg.buffer_capacity)
         # One decoder serves every set size: the k-copy MRC only engages
         # at three or more captures, so two-capture decodes are
         # bit-identical to the historical ZigZagPairDecoder path.
@@ -283,44 +413,23 @@ class ZigZagReceiver:
         May return packets from *earlier* captures too: a collision that
         matches stored ones resolves the whole collision set at once.
         """
-        y = np.asarray(samples, dtype=complex).ravel()
-        self.stats.captures += 1
+        probe = self._detect(samples)
         self._prune_stale()
-        verdict = self.detector.inspect(
-            y, self.clients.candidates(),
-            max_packets=self.config.max_collision_packets)
-        if not verdict.peaks:
+        if probe is None:
             return []
-        # The capture as a record from the start: every acquisition on it
-        # below (standard decode, SIC, each decode attempt) shares its
-        # memoized work, and this same record is what gets stored if
-        # nothing resolves it.
-        probe = CollisionRecord(samples=y, peaks=list(verdict.peaks),
-                                sequence=-1,
-                                meta={"rx": self.stats.captures})
-
-        # §5.1(d): always try the standard decoder first — a correlation
-        # spike elsewhere in the packet may be a false positive, which
-        # "does not prevent correct decoding of that packet".
+        # §5.1(d): always run the standard stage first. A success at the
+        # strongest peak ends the flow: a correlation spike elsewhere in
+        # the packet is almost always a false positive, which "does not
+        # prevent correct decoding of that packet".
+        decoded = self._standard_stage(probe, self._stage_peaks(probe))
+        results = list(decoded.values())
         strongest = max(probe.peaks, key=lambda p: p.score)
-        result = self._standard_decode(probe, strongest)
-        if result.success:
-            self._learn(result)
-            self.stats.clean_decodes += 1
-            # Even on success, a genuinely buried second packet may be
-            # recoverable (capture scenario); the SIC path inside
-            # _handle_collision covers that when decoding *fails*, and a
-            # successful standard decode of a clean packet ends here.
-            return [result]
-
-        if probe.n_peaks >= 2:
-            self.stats.collisions_detected += 1
-            return self._handle_collision(probe)
-        # Single peak, standard decode failed: nothing recovered. (This
-        # used to leak the *failed* DecodeResult into the return list
-        # whenever it carried bits, breaking the successes-only
-        # contract and inflating naive len() packet counts downstream.)
-        return []
+        if strongest.position in decoded or probe.n_peaks < 2:
+            return results
+        self.stats.collisions_detected += 1
+        sources = {result.header.src for result in results}
+        return results + [result for result in self._handle_collision(probe)
+                          if result.header.src not in sources]
 
     def _prune_stale(self) -> None:
         """Age out stored collisions whose match window has passed."""
@@ -331,61 +440,19 @@ class ZigZagReceiver:
         self.stats.evictions_age += self.buffer.prune(
             lambda record: record.meta.get("rx", cutoff) >= cutoff)
 
-    # ------------------------------------------------------------------
-    def _learn(self, result: DecodeResult) -> None:
-        if result.success and result.header is not None \
-                and result.estimate is not None:
-            self.clients.update(result.header.src,
-                                result.estimate.freq_offset)
-
-    def _standard_decode(self, record: CollisionRecord,
-                         peak) -> DecodeResult:
-        """The standard decoder at *peak*, acquiring through the record's
-        shared matched-filter outputs."""
-        estimate = self.synchronizer.acquire(
-            record.samples, peak.position,
-            coarse_freq=self.standard.coarse_freq,
-            noise_power=self.config.noise_power, sampled=record.sampled)
-        return self.standard.decode(record.samples,
-                                    start_position=peak.position,
-                                    estimate=estimate)
-
-    def _estimates(self, record: CollisionRecord,
-                   position: int) -> list[ChannelEstimate]:
-        """Acquisition at one peak of *record* under every client-table
-        frequency (§4.2.4), in candidate order.
-
-        Memoized on the record: the SIC attempt, every pair or k-way
-        decode attempt, and later retries against a stored record all
-        reuse one acquisition per (peak, frequency). Frequencies not yet
-        memoized share one timing-grid pass, itself taken from the
-        record's matched-filter outputs where an earlier call sampled
-        them.
-        """
-        candidates = self.clients.candidates()
-        memo = record.estimates
-        missing = [f for f in candidates if (position, f) not in memo]
-        if missing:
-            fresh = self.synchronizer.acquire(
-                record.samples, position, coarse_freq=missing,
-                noise_power=self.config.noise_power, sampled=record.sampled)
-            memo.update(((position, f), est)
-                        for f, est in zip(missing, fresh))
-        return [memo[(position, f)] for f in candidates]
-
     def _acquire_placements(self, record: CollisionRecord, peaks: list,
                             collision_index: int
                             ) -> list[PlacementParams]:
         """Channel placements for the given peaks of one capture.
 
-        Packet identity is positional: peak *i* (in arrival order) is
-        packet ``p{i}`` across every capture of a collision set — the
-        per-peak match scores are what validate that correspondence.
+        Packet identity is positional: peak *i* of *peaks* is packet
+        ``p{i}`` across every capture of a collision set, so callers
+        order each capture's peaks by its §4.2.2 correspondence with the
+        new collision.
         """
         placements = []
         for i, peak in enumerate(peaks):
-            best = max(self._estimates(record, peak.position),
-                       key=lambda est: abs(est.gain))
+            best = self._best_estimate(record, peak.position)
             placements.append(PlacementParams(
                 packet=f"p{i}", collision=collision_index,
                 start=peak.position + best.sampling_offset,
@@ -406,7 +473,7 @@ class ZigZagReceiver:
         if self.config.expected_symbols is not None:
             return self.config.expected_symbols
         try:
-            result = self._standard_decode(probe, probe.peaks[0])
+            result = self._decode_peak(probe, probe.peaks[0])
         except ReproError:
             result = DecodeResult.failure("peek failed")
         if result.header is not None:
@@ -415,15 +482,6 @@ class ZigZagReceiver:
             return (len(self.config.preamble) + HEADER_BITS
                     + (tail + k - 1) // k)
         return None
-
-    def _pair_score(self, record: CollisionRecord,
-                    probe: CollisionRecord) -> float:
-        """The historical §4.2.2 identity score: align the two captures
-        at their second-peak positions and correlate. Raises
-        :class:`ConfigurationError` on a short alignment."""
-        window = self.config.match_window
-        return match_score(record.samples, record.peaks[1].position,
-                           probe.samples, probe.peaks[1].position, window)
 
     def _peak_alignment(self, record: CollisionRecord,
                         probe: CollisionRecord
@@ -498,49 +556,32 @@ class ZigZagReceiver:
         Returns the matches plus every scored record's
         ``(score, permutation)`` (by ``id``) mapping probe packet order
         onto the record's peaks — below-threshold alignments included,
-        so the k-way assembly never recomputes one. Pairs keep the
-        historical identity alignment; k >= 3 records are matched under
-        the best peak correspondence.
+        so the k-way assembly never recomputes one. Every k, pairs
+        included, is matched under the best peak correspondence.
 
         Counter semantics (soak observability): ``match_attempts`` =
         ``short_alignments`` + ``match_rejects_threshold`` + accepted
         matches; degenerate same-arrival-pattern records are skipped
-        before counting, exactly like the pairwise path.
+        before counting.
         """
         k = probe.n_peaks
+        probe_offsets = self._aligned_offsets(probe, tuple(range(k)))
         matches: list[CollisionRecord] = []
         alignments: dict[int, tuple[float, tuple[int, ...]]] = {}
         for record in self.buffer.newest_first():
-            if record.n_peaks < 2 or record.n_peaks != k:
+            if record.n_peaks != k:
                 continue
-            if k == 2:
-                if gaps_close(record, probe):
-                    continue  # identical offsets are undecodable (§4.5)
+            score, perm = self._peak_alignment(record, probe)
+            if perm is None:
+                # A buried peak near the tail of either capture leaves
+                # too few aligned samples to score: no match.
                 self.stats.match_attempts += 1
-                try:
-                    score = self._pair_score(record, probe)
-                except ConfigurationError:
-                    # A buried peak near the tail of either capture
-                    # leaves fewer than the minimum aligned samples to
-                    # score — that record simply cannot be matched
-                    # against this collision. Treat it as "no match" and
-                    # keep scanning instead of aborting the receive call.
-                    self.stats.short_alignments += 1
-                    continue
-                perm: tuple[int, ...] | None = (0, 1)
-            else:
-                score, perm = self._peak_alignment(record, probe)
-                if perm is None:
-                    self.stats.match_attempts += 1
-                    self.stats.short_alignments += 1
-                    continue
-                probe_offsets = self._aligned_offsets(
-                    probe, tuple(range(k)))
-                if all(abs(a - b) < 2 for a, b in zip(
-                        self._aligned_offsets(record, perm),
-                        probe_offsets)):
-                    continue  # same arrival pattern: degenerate (§4.5)
-                self.stats.match_attempts += 1
+                self.stats.short_alignments += 1
+                continue
+            if all(abs(a - b) < 2 for a, b in zip(
+                    self._aligned_offsets(record, perm), probe_offsets)):
+                continue  # same arrival pattern: degenerate (§4.5)
+            self.stats.match_attempts += 1
             alignments[id(record)] = (score, perm)
             if score < self._set_threshold(k):
                 self.stats.match_rejects_threshold += 1
@@ -677,12 +718,10 @@ class ZigZagReceiver:
     def _link_scorer(self, a: CollisionRecord,
                      b: CollisionRecord) -> float:
         """Identity score between two *stored* collisions, for the
-        buffer's match graph. Permutation-invariant for k >= 3; raises
+        buffer's match graph, under the best peak correspondence; raises
         :class:`ConfigurationError` when unscoreable (cached as such)."""
         if a.n_peaks != b.n_peaks:
             return 0.0
-        if a.n_peaks == 2:
-            return self._pair_score(a, b)
         score, perm = self._peak_alignment(a, b)
         if perm is None:
             raise ConfigurationError("no scoreable peak correspondence")

@@ -38,8 +38,11 @@ class StandardDecoder:
     sync_threshold:
         Normalized-correlation detection threshold for packet start.
     coarse_freq:
-        Coarse frequency-offset prior for the expected sender (the AP keeps
-        one per associated client, §4.2.1); refined from the preamble.
+        Coarse frequency-offset prior for the expected sender, used only
+        when :meth:`decode` acquires the packet itself (no *estimate*).
+        Offline experiments set it per sender; the APs never do — they
+        pass an estimate acquired at their client-table frequencies
+        (§4.2.1).
     track_phase / use_equalizer:
         Ablation switches (Table 5.1).
     """
