@@ -41,17 +41,19 @@ smoke:
 # Tiny closed-loop soak through the CLI: continuous air, streaming
 # segmentation, collision-buffer matching and ACK feedback end to end
 # (the repro.link subsystem), ZigZag vs current-802.11 AP in one run.
-# Then the session core's suites plus the stream soaks, including the
-# idle-heavy one that bounds how much idle air is synthesized instead
-# of skipped (writes benchmarks/results/), and the single-session
-# closed-loop goldens (every case but the coupled block3, which
-# city-smoke runs), named so a drift of the session loop shows up in
-# the log.
+# Then the session core's suites, the receiver superset suite (the
+# ZigZag AP returns every packet the 802.11 AP returns on the same
+# capture), plus the stream soaks, including the idle-heavy one that
+# bounds how much idle air is synthesized instead of skipped (writes
+# benchmarks/results/), and the single-session closed-loop goldens
+# (every case but the coupled block3, which city-smoke runs), named so
+# a drift of the session loop shows up in the log.
 stream-smoke:
 	$(PYTHON) -m repro run examples/scenarios/ap_stream.toml \
 		--trials 1 --set n_packets=2
 	$(PYTHON) -m pytest -q tests/test_event_core.py \
-		tests/test_link_session.py benchmarks/bench_stream_soak.py
+		tests/test_link_session.py tests/test_receiver_superset.py \
+		benchmarks/bench_stream_soak.py
 	$(PYTHON) -m pytest -q tests/test_closed_loop_golden.py -k "not block3"
 
 # Chaos soak (docs/resilience.md): worker kills, injected exceptions
