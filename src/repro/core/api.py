@@ -1,11 +1,11 @@
 """The access points: one receive path for the 802.11 and ZigZag designs.
 
 :class:`StandardAp` is the Current-802.11 baseline (§5.1e) and the first
-stage of every AP. It owns the one detector (``collision_beta``), the
+stage of every AP. It owns the one detector (:data:`COLLISION_BETA`), the
 one client-table acquisition (memoized on the capture's
 :class:`~repro.receiver.buffer.CollisionRecord`) and the one standard
 stage: standard-decode the two strongest peaks that score at least
-``sync_threshold``, each at its best-gain client frequency, keeping one
+:data:`SYNC_THRESHOLD`, each at its best-gain client frequency, keeping one
 success per source.
 
 :class:`ZigZagReceiver` extends it with the paper's implementation flow
@@ -33,10 +33,11 @@ describes ("the AP can maintain coarse estimates of the frequency
 offsets of active clients as obtained at the time of association"),
 updated from every successful decode.
 
-For running this receiver over Monte-Carlo experiment campaigns, use the
-:mod:`repro.runner` subsystem (its ``receiver_stream`` scenario drives
-exactly this flow control); ``python -m repro run scenario.toml`` is the
-supported experiment entry point.
+Both run inside the closed-loop sessions of :mod:`repro.link`. For
+Monte-Carlo campaigns over them use the :mod:`repro.runner` subsystem
+(its ``ap_stream`` scenario compares the two APs on the same air);
+``python -m repro run scenario.toml`` is the supported experiment entry
+point.
 """
 
 from __future__ import annotations
@@ -109,6 +110,18 @@ class ClientTable:
         return len(self._freqs)
 
 
+# Preamble-correlation score a peak needs for the standard stage to
+# decode it (the standard decoder's own default is 0.6).
+SYNC_THRESHOLD = 0.5
+# Detection threshold of every packet start. Collision decoding runs only
+# after the standard stage fails, so a liberal beta is safe: false
+# positives cost compute, not packets (§5.3a), while false negatives
+# forfeit ZigZag opportunities.
+COLLISION_BETA = 0.42
+# Samples of the §4.2.2 aligned correlation that scores a match.
+MATCH_WINDOW = 256
+
+
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Knobs of a ZigZag AP."""
@@ -116,17 +129,8 @@ class ReceiverConfig:
     preamble: Preamble = field(default_factory=default_preamble)
     shaper: PulseShaper = field(default_factory=PulseShaper)
     noise_power: float = 1.0
-    sync_threshold: float = 0.5
-    # Collision detection runs only after standard decoding fails, so a
-    # liberal beta is safe: false positives cost compute, not packets
-    # (§5.3a), while false negatives forfeit ZigZag opportunities.
-    collision_beta: float = 0.42
     match_threshold: float = 0.25
-    match_window: int = 256
-    use_backward: bool = True
     enable_sic: bool = True
-    track_phase: bool = True
-    use_equalizer: bool = True
     buffer_capacity: int = 4
     # Age (in receive() calls) after which a stored collision is pruned.
     # 802.11 retransmissions arrive within a few receptions of the
@@ -150,13 +154,8 @@ class ReceiverConfig:
 
     def stream_config(self) -> StreamConfig:
         """The equivalent chunk-decoder configuration."""
-        return StreamConfig(
-            preamble=self.preamble,
-            shaper=self.shaper,
-            noise_power=self.noise_power,
-            track_phase=self.track_phase,
-            use_equalizer=self.use_equalizer,
-        )
+        return StreamConfig(preamble=self.preamble, shaper=self.shaper,
+                            noise_power=self.noise_power)
 
 
 @dataclass
@@ -281,13 +280,12 @@ class StandardAp:
         self.clients = ClientTable()
         self.stats = ReceiverStats()
         self.detector = CollisionDetector(cfg.preamble, cfg.shaper,
-                                          beta=cfg.collision_beta)
+                                          beta=COLLISION_BETA)
         self.synchronizer = Synchronizer(cfg.preamble, cfg.shaper,
-                                         threshold=cfg.collision_beta)
+                                         threshold=COLLISION_BETA)
         self.standard = StandardDecoder(
             cfg.preamble, cfg.shaper, noise_power=cfg.noise_power,
-            sync_threshold=cfg.sync_threshold,
-            track_phase=cfg.track_phase, use_equalizer=cfg.use_equalizer)
+            sync_threshold=SYNC_THRESHOLD)
 
     def receive(self, samples) -> list[DecodeResult]:
         """Process one capture; returns the packets it standard-decodes."""
@@ -301,7 +299,7 @@ class StandardAp:
 
     def _detect(self, samples) -> CollisionRecord | None:
         """Count the capture and detect its packet starts at
-        ``collision_beta``; None when nothing is detected."""
+        :data:`COLLISION_BETA`; None when nothing is detected."""
         y = np.asarray(samples, dtype=complex).ravel()
         self.stats.captures += 1
         try:
@@ -322,10 +320,9 @@ class StandardAp:
 
     def _stage_peaks(self, probe: CollisionRecord) -> list:
         """The peaks the standard stage decodes: the two strongest that
-        score at least ``sync_threshold``, strongest first. A plain AP
+        score at least :data:`SYNC_THRESHOLD`, strongest first. A plain AP
         does not hunt for buried preambles."""
-        threshold = self.config.sync_threshold
-        return sorted((p for p in probe.peaks if p.score >= threshold),
+        return sorted((p for p in probe.peaks if p.score >= SYNC_THRESHOLD),
                       key=lambda p: -p.score)[:2]
 
     def _standard_stage(self, probe: CollisionRecord,
@@ -401,8 +398,7 @@ class ZigZagReceiver(StandardAp):
         # One decoder serves every set size: the k-copy MRC only engages
         # at three or more captures, so two-capture decodes are
         # bit-identical to the historical ZigZagPairDecoder path.
-        self.multi_decoder = ZigZagMultiDecoder(
-            cfg.stream_config(), use_backward=cfg.use_backward)
+        self.multi_decoder = ZigZagMultiDecoder(cfg.stream_config())
         self.sic = SicDecoder(cfg.stream_config())
 
     # ------------------------------------------------------------------
@@ -503,7 +499,6 @@ class ZigZagReceiver(StandardAp):
         carrying probe packet *i*; ``(−1, None)`` when no fully
         scoreable correspondence exists (short alignments).
         """
-        window = self.config.match_window
         k = probe.n_peaks
         scores = np.full((k, k), np.nan)
         for i in range(k):
@@ -511,7 +506,8 @@ class ZigZagReceiver(StandardAp):
                 try:
                     scores[i, j] = match_score(
                         record.samples, record.peaks[j].position,
-                        probe.samples, probe.peaks[i].position, window)
+                        probe.samples, probe.peaks[i].position,
+                        MATCH_WINDOW)
                 except ConfigurationError:
                     pass  # stays nan: that alignment is unscoreable
         best_score, best_perm = -1.0, None

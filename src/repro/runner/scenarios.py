@@ -46,7 +46,6 @@ from repro.testbed.experiment import (
     PairExperiment,
     PairExperimentConfig,
     run_capture_sweep_point,
-    run_three_sender_experiment,
 )
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.testbed.topology import SensingClass, default_testbed
@@ -333,27 +332,6 @@ def capture_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         shaper=cached_shaper())
 
 
-@scenario("three_senders", designs=("zigzag",))
-def three_senders_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
-    """Three mutually-hidden senders, ZigZag AP (Fig 5-9, §4.5).
-
-    Metrics: per-sender normalized throughput, their total, and the
-    max/min fairness ratio.
-    """
-    tput = run_three_sender_experiment(
-        snr_db=float(spec.param("snr_db", 12.0)),
-        n_packets=spec.n_packets, payload_bits=spec.payload_bits,
-        seed=ctx.seed, slot_samples=spec.slot_samples,
-        noise_power=spec.channel.noise_power,
-        preamble=cached_preamble(spec.preamble_length),
-        shaper=cached_shaper())
-    metrics = {f"throughput_{name}": value for name, value in tput.items()}
-    values = list(tput.values())
-    metrics["throughput_total"] = float(sum(values))
-    metrics["fairness_ratio"] = _fairness_ratio(values)
-    return metrics
-
-
 @scenario("zigzag_ber", designs=None)
 def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     """Fig 5-3 BER micro-benchmark: ZigZag vs the Collision-Free Scheduler.
@@ -492,87 +470,6 @@ def testbed_pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
                        extra=extra)
 
 
-@scenario("receiver_stream", designs=("zigzag",))
-def receiver_stream_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
-    """The assembled §5.1(d) AP on a two-collision hidden-pair stream.
-
-    Feeds the high-level :class:`repro.ZigZagReceiver` the two captures of
-    a hidden pair; metrics are the number of packets recovered (0..2), the
-    mean BER over the recovered ones, and — as a measured baseline — the
-    packets a current-802.11 AP (plain :class:`StandardDecoder` per
-    transmission) delivers from the same captures.
-    """
-    from repro.core import ReceiverConfig, ZigZagReceiver
-    from repro.phy.frame import Frame
-    from repro.utils.bits import random_bits
-
-    rng = ctx.rng
-    preamble = cached_preamble(spec.preamble_length)
-    shaper = cached_shaper()
-    noise_power = spec.channel.noise_power
-    snr_db = float(spec.param("snr_db", 13.0))
-    amplitude = np.sqrt(10 ** (snr_db / 10) * noise_power)
-    spread = spec.channel.freq_spread
-    frames = {
-        "A": Frame.make(random_bits(spec.payload_bits, rng), src=1,
-                        preamble=preamble),
-        "B": Frame.make(random_bits(spec.payload_bits, rng), src=2,
-                        preamble=preamble),
-    }
-    freqs = {n: float(rng.uniform(-spread, spread)) for n in frames}
-    receiver = ZigZagReceiver(ReceiverConfig(
-        preamble=preamble, shaper=shaper, noise_power=noise_power,
-        expected_symbols=frames["A"].n_symbols))
-    # The AP knows each client's coarse frequency offset from association
-    # time (§4.2.1) — seed the table the way _learn() would.
-    for src, name in ((1, "A"), (2, "B")):
-        receiver.clients.update(src, freqs[name])
-    captures = []
-    for offsets in ((0, 160), (0, 60)):
-        txs = []
-        for (name, frame), offset in zip(frames.items(), offsets):
-            params = ChannelParams(
-                gain=amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                freq_offset=freqs[name],
-                sampling_offset=float(rng.uniform(0, 1)),
-                phase_noise_std=spec.channel.phase_noise_std)
-            txs.append(Transmission.from_symbols(
-                frame.symbols, shaper, params, offset, name))
-        captures.append(synthesize(txs, noise_power, rng,
-                                   leading=8, tail=30))
-    decoded = []
-    for capture in captures:
-        try:
-            decoded.extend(r for r in receiver.receive(capture.samples)
-                           if r.success)
-        except ReproError:
-            continue
-    bers = []
-    for result in decoded:
-        if result.header is not None and result.header.src in (1, 2):
-            truth = frames["A" if result.header.src == 1 else "B"]
-            bers.append(result.ber_against(truth.body_bits))
-    # Measured current-802.11 baseline on the same air: a plain
-    # StandardDecoder applied to each transmission in each collision.
-    baseline_delivered = 0
-    for capture in captures:
-        for t in capture.transmissions:
-            decoder = StandardDecoder(
-                preamble, shaper, noise_power=noise_power,
-                coarse_freq=freqs[t.label])
-            try:
-                result = decoder.decode(capture.samples,
-                                        start_position=t.symbol0)
-            except ReproError:
-                continue
-            if result.ber_against(frames[t.label].body_bits) \
-                    < BER_DELIVERY_THRESHOLD:
-                baseline_delivered += 1
-    return {"packets_recovered": float(len(decoded)),
-            "mean_ber": float(np.mean(bers)) if bers else 1.0,
-            "packets_recovered_80211": float(baseline_delivered)}
-
-
 # ----------------------------------------------------------------------
 # Streaming closed-loop scenarios (the repro.link subsystem)
 # ----------------------------------------------------------------------
@@ -648,15 +545,12 @@ def three_senders_stream_trial(spec: ScenarioSpec,
     ``params.n_senders`` (default 3) saturated clients form one hidden
     clique over continuous air; each collision then carries all n
     packets, and the closed-loop ZigZag AP resolves the k-way collision
-    sets assembled from its buffer's match graph (§4.5) — the same
-    physics as the offline ``three_senders`` testbed loop, but running
-    through the streaming ``link`` subsystem with real segmentation,
-    matching, ACKs and retransmissions. Metrics: per-sender and total
-    wall-clock normalized throughput, ``collision_throughput_*``
-    (delivered packets per detected-collision airtime, the offline Fig
-    5-9 normalization basis), ``fairness_ratio``, and the receiver's
-    match/k-way counters. Sweep ``--param n_senders=2:4`` for the
-    throughput-vs-k curve.
+    sets assembled from its buffer's match graph (§4.5), with real
+    segmentation, matching, ACKs and retransmissions. Metrics: per-sender
+    and total wall-clock normalized throughput, ``collision_throughput_*``
+    (delivered packets per detected collision, Fig 5-9's normalization),
+    ``fairness_ratio``, and the receiver's match/k-way counters. Sweep
+    ``--param n_senders=2:4`` for the throughput-vs-k curve.
     """
     if spec.senders:
         raise ConfigurationError(
@@ -686,9 +580,8 @@ def three_senders_stream_trial(spec: ScenarioSpec,
     metrics["throughput_total"] = report.throughput()
     metrics["fairness_ratio"] = _fairness_ratio(
         [report.throughput(name) for name in names])
-    # The offline three_senders scenario normalizes by collision count
-    # (each collision is one packet-airtime of fully-overlapped medium);
-    # report the same basis so the two paths are directly comparable.
+    # Fig 5-9 normalizes by collision count: each collision is one
+    # packet-airtime of fully-overlapped medium.
     collisions = max(float(rx.collisions_detected), 1.0)
     for name in names:
         metrics[f"collision_throughput_{name}"] = \

@@ -9,7 +9,9 @@ rule), generated multi-cell deployments
 (:mod:`~repro.testbed.deployment`), and a signal-level experiment runner
 (:mod:`~repro.testbed.experiment`) that plays hidden-pair collision rounds
 through the full PHY + receiver stack for the three compared designs:
-ZigZag, Current 802.11, and the Collision-Free Scheduler (§5.1e).
+ZigZag, Current 802.11, and the Collision-Free Scheduler (§5.1e). The
+hidden-pair figures (Figs 5-4 to 5-8) run on it; Fig 5-9's three hidden
+senders run on the closed-loop sessions of :mod:`repro.link`.
 
 The paper replays 802.11 MAC traces (§5.2) because its radios could not
 run CSMA; here the closed-loop sessions of :mod:`repro.link` run DCF
@@ -30,7 +32,6 @@ from repro.testbed.experiment import (
     PairExperiment,
     PairExperimentConfig,
     run_capture_sweep_point,
-    run_three_sender_experiment,
 )
 
 __all__ = [
@@ -48,5 +49,4 @@ __all__ = [
     "PairExperiment",
     "PairExperimentConfig",
     "run_capture_sweep_point",
-    "run_three_sender_experiment",
 ]

@@ -22,7 +22,7 @@ point for running them at scale — parallel trial fan-out, deterministic
 per-trial seeding, confidence intervals, TOML scenario files — is the
 :mod:`repro.runner` subsystem (``python -m repro run scenario.toml``);
 see ``docs/scenarios.md``. The drivers here are what the runner's
-``pair``/``capture``/``three_senders`` scenarios wrap.
+``pair``/``capture``/``testbed_pair`` scenarios wrap.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ from repro.receiver.frontend import StreamConfig
 from repro.receiver.mrc import mrc_combine
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import bit_error_rate, random_bits
-from repro.zigzag.decoder import (
-    ZigZagMultiDecoder,
-    ZigZagPairDecoder,
-    extract_bits,
-)
+from repro.zigzag.decoder import ZigZagPairDecoder, extract_bits
 from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.sic import SicDecoder
 
@@ -60,8 +56,12 @@ __all__ = [
     "PairExperimentConfig",
     "PairExperiment",
     "run_capture_sweep_point",
-    "run_three_sender_experiment",
 ]
+
+
+# Capture-effect SIC is tried only when the strongest packet's fitted
+# gain is at least this multiple of the weakest one's.
+SIC_GAIN_RATIO = 2.0
 
 
 class Design(enum.Enum):
@@ -93,8 +93,6 @@ class PairExperimentConfig:
     freq_spread: float = 4e-3
     coarse_freq_error: float = 1.5e-5
     modulation: str = "bpsk"
-    use_backward: bool = True
-    sic_gain_ratio: float = 2.0
     preamble_length: int = 32
     # Optional impairment pipelines beyond the quasi-static model: the
     # sender pipeline rides on every transmission's channel; the capture
@@ -162,8 +160,7 @@ class PairExperiment:
         self.stream_config = StreamConfig(
             preamble=self.preamble, shaper=self.shaper,
             noise_power=cfg.noise_power)
-        self.pair_decoder = ZigZagPairDecoder(
-            self.stream_config, use_backward=cfg.use_backward)
+        self.pair_decoder = ZigZagPairDecoder(self.stream_config)
         self.sic = SicDecoder(self.stream_config)
         spread = cfg.freq_spread
         self.senders = {
@@ -260,7 +257,7 @@ class PairExperiment:
         gains = {p.packet: abs(p.estimate.gain) for p in placements}
         names = list(gains)
         ratio = max(gains.values()) / max(min(gains.values()), 1e-12)
-        if ratio < self.cfg.sic_gain_ratio:
+        if ratio < SIC_GAIN_RATIO:
             return {name: 1.0 for name in names}
         n_symbols = frames[names[0]].n_symbols
         specs = {p.packet: PacketSpec(
@@ -423,76 +420,3 @@ def run_capture_sweep_point(sinr_db: float, design: Design, *,
     tput["total"] = sum(v for k, v in tput.items())
     return tput
 
-
-def run_three_sender_experiment(snr_db: float = 12.0, *,
-                                n_packets: int = 8,
-                                payload_bits: int = 256,
-                                seed: int = 0,
-                                slot_samples: int = 20,
-                                noise_power: float = 1.0,
-                                preamble: Preamble | None = None,
-                                shaper: PulseShaper | None = None
-                                ) -> dict[str, float]:
-    """Fig 5-9: three mutually-hidden senders, ZigZag AP.
-
-    Each round the three senders collide three times (three
-    retransmissions with fresh jitter); the general N-collision engine
-    decodes all three packets. Returns per-sender normalized throughput.
-    *preamble*/*shaper* allow callers (the runner) to inject cached
-    reference objects instead of rebuilding them per call.
-    """
-    rng = np.random.default_rng(seed)
-    preamble = preamble or default_preamble(32)
-    shaper = shaper or PulseShaper()
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=noise_power)
-    # The general k-way decoder (§4.5): three captures per round, with
-    # MRC across every cleaned capture copy of each packet.
-    decoder = ZigZagMultiDecoder(config, use_backward=True)
-    picker = FixedWindowBackoff(16)
-    names = ["A", "B", "C"]
-    freqs = {n: float(rng.uniform(-4e-3, 4e-3)) for n in names}
-    delivered = {n: 0 for n in names}
-    airtime = 0.0
-    amplitude = np.sqrt(10.0 ** (snr_db / 10.0) * noise_power)
-    for index in range(n_packets):
-        frames = {n: Frame.make(random_bits(payload_bits, rng),
-                                src=i + 1, seq=index, preamble=preamble)
-                  for i, n in enumerate(names)}
-        captures = []
-        for _ in range(3):
-            slots = [picker.pick(0, rng) for _ in names]
-            base = min(slots)
-            txs = []
-            for n, slot in zip(names, slots):
-                params = ChannelParams(
-                    gain=amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                    freq_offset=freqs[n],
-                    sampling_offset=float(rng.uniform(0, 1)),
-                    phase_noise_std=1e-3, tx_evm=0.03)
-                txs.append(Transmission.from_symbols(
-                    frames[n].symbols, shaper, params,
-                    (slot - base) * slot_samples, n))
-            captures.append(synthesize(txs, noise_power, rng,
-                                       leading=8, tail=30))
-            airtime += 1.0
-        placements = []
-        for ci, capture in enumerate(captures):
-            for t in capture.transmissions:
-                est = sync.acquire(
-                    capture.samples, t.symbol0,
-                    coarse_freq=freqs[t.label] + rng.normal(0, 1.5e-5),
-                    noise_power=noise_power)
-                placements.append(PlacementParams(
-                    t.label, ci, t.symbol0 + est.sampling_offset, est))
-        specs = {n: PacketSpec(n, frames[n].n_symbols) for n in names}
-        outcome = decoder.decode([c.samples for c in captures], specs,
-                                 placements)
-        for n in names:
-            if outcome.results[n].ber_against(
-                    frames[n].body_bits) < BER_DELIVERY_THRESHOLD:
-                delivered[n] += 1
-    if airtime == 0:
-        return {n: 0.0 for n in names}
-    return {n: delivered[n] / airtime for n in names}

@@ -198,8 +198,8 @@ SPEC = ScenarioSpec(kind="schedule_failure", n_trials=16, seed=5,
 class TestRunnerExecution:
     def test_registry_exposes_builtins(self):
         names = available_scenarios()
-        for expected in ("pair", "capture", "three_senders", "zigzag_ber",
-                         "schedule_failure", "testbed_pair"):
+        for expected in ("pair", "capture", "three_senders_stream",
+                         "zigzag_ber", "schedule_failure", "testbed_pair"):
             assert expected in names
 
     def test_identical_across_worker_counts(self):
@@ -260,7 +260,7 @@ class TestRunnerExecution:
     def test_unsupported_design_rejected(self):
         """A scenario that would silently ignore the design must refuse
         it instead of mislabeling the results."""
-        spec = ScenarioSpec(kind="three_senders", design="802.11",
+        spec = ScenarioSpec(kind="three_senders_stream", design="802.11",
                             n_trials=1)
         with pytest.raises(ConfigurationError, match="does not support"):
             MonteCarloRunner().run(spec)
