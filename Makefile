@@ -44,7 +44,8 @@ smoke:
 # Then the session core's suites, the receiver superset suite (the
 # ZigZag AP returns every packet the 802.11 AP returns on the same
 # capture), plus the stream soaks, including the idle-heavy one that
-# bounds how much idle air is synthesized instead of skipped (writes
+# bounds how much idle air is synthesized instead of skipped, and the
+# Fig 5-9 three-hidden-sender floor on the closed loop (both write
 # benchmarks/results/), and the single-session closed-loop goldens
 # (every case but the coupled block3, which city-smoke runs), named so
 # a drift of the session loop shows up in the log.
@@ -53,7 +54,8 @@ stream-smoke:
 		--trials 1 --set n_packets=2
 	$(PYTHON) -m pytest -q tests/test_event_core.py \
 		tests/test_link_session.py tests/test_receiver_superset.py \
-		benchmarks/bench_stream_soak.py
+		benchmarks/bench_stream_soak.py \
+		benchmarks/bench_fig5_9_three_senders.py
 	$(PYTHON) -m pytest -q tests/test_closed_loop_golden.py -k "not block3"
 
 # Chaos soak (docs/resilience.md): worker kills, injected exceptions
