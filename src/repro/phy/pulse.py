@@ -15,6 +15,7 @@ kernels are accurate — unlike critically-sampled streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["rrc_function", "rrc_taps", "PulseShaper", "MatchedSampler"]
+
+# Fractional-offset kernels a shaper keeps before it starts over.
+_KERNEL_CACHE_SIZE = 4096
 
 
 def rrc_function(t, beta: float) -> np.ndarray:
@@ -127,7 +131,7 @@ class PulseShaper:
         key = int(fraction * 1e12)
         kernel = self._kernel_cache.get(key)
         if kernel is None:
-            if len(self._kernel_cache) >= 4096:
+            if len(self._kernel_cache) >= _KERNEL_CACHE_SIZE:
                 # Shapers are shared across Monte-Carlo trials and every
                 # trial draws new sub-sample offsets; bound the cache so
                 # million-trial runs cannot grow it without limit.
@@ -138,6 +142,44 @@ class PulseShaper:
             kernel.setflags(write=False)
             self._kernel_cache[key] = kernel
         return kernel
+
+    def kernels_at(self, fractions) -> list[np.ndarray]:
+        """:meth:`kernel_at` for each of *fractions*, in order, with one
+        RRC evaluation for all the kernels the cache is missing.
+
+        The cache sees the same keys, insertions and clears as one
+        ``kernel_at`` call per fraction, so every kernel returned, and
+        every kernel left in the cache, is the one those calls give.
+        (``kernel_at`` keeps its own miss path: a lone fraction, as a
+        decoder or a one-candidate acquisition asks for, costs less
+        there.)
+        """
+        cache = self._kernel_cache
+        kernels: list = []
+        fresh: list[tuple[int, float]] = []
+        for fraction in fractions:
+            key = int(fraction * 1e12)
+            kernel = cache.get(key)
+            if kernel is None:
+                if len(cache) >= _KERNEL_CACHE_SIZE:
+                    cache.clear()
+                # A placeholder: the row of the evaluation below.
+                kernel = cache[key] = len(fresh)
+                fresh.append((key, fraction))
+            kernels.append(kernel)
+        if not fresh:
+            return kernels
+        j = np.arange(-self.delay, self.delay + 1)
+        column = np.array([fraction for _, fraction in fresh])[:, None]
+        rows = rrc_function((j + column) / self.sps, self.beta) * self._scale
+        rows.setflags(write=False)
+        for row, (key, _) in enumerate(fresh):
+            # A clear later in the loop may have dropped this placeholder
+            # (and a repeat re-added the key under a later row).
+            placeholder = cache.get(key)
+            if isinstance(placeholder, int) and placeholder == row:
+                cache[key] = rows[row]
+        return [rows[k] if isinstance(k, int) else k for k in kernels]
 
 
 @dataclass(frozen=True)
@@ -165,25 +207,75 @@ class MatchedSampler:
         frac = start - base
         kernel = self.shaper.kernel_at(-frac)
         first = base - delay
-        last = base + (count - 1) * sps + delay
-        pad_left = max(0, -first)
-        pad_right = max(0, last + 1 - y.size)
-        if pad_left or pad_right:
-            padded = np.concatenate([
-                np.zeros(pad_left, dtype=complex), y,
-                np.zeros(pad_right, dtype=complex),
-            ])
-        else:
-            padded = y
-        origin = first + pad_left
+        padded, shift = _zero_extended(
+            y, first, base + (count - 1) * sps + delay)
         # Every output symbol reads the same kernel against a window that
         # advances by `sps` samples, i.e. a matrix-vector product against a
         # strided view of the padded buffer — one call, no Python per-tap
-        # loop, no data copied. (Direct np.ndarray construction rather
-        # than as_strided: this runs once per decoded chunk and the
-        # wrapper overhead is measurable.)
-        stride = padded.strides[0]
-        windows = np.ndarray(
-            (count, kernel.size), dtype=padded.dtype, buffer=padded,
-            offset=origin * stride, strides=(sps * stride, stride))
+        # loop, no data copied.
+        windows = _windows(padded, first + shift, count, kernel.size, sps)
         return windows @ kernel
+
+    def sample_many(self, signal, starts, count: int) -> np.ndarray:
+        """:meth:`sample` at each of *starts*: row i equals
+        ``sample(signal, starts[i], count)`` exactly.
+
+        The kernels come from one :meth:`PulseShaper.kernels_at` call in
+        *starts* order, and the starts that share an integer part read
+        one strided window view in one stacked product.
+        """
+        if count < 0:
+            raise ConfigurationError("count must be non-negative")
+        if len(starts) == 1:
+            return self.sample(signal, starts[0], count)[None]
+        y = np.asarray(signal, dtype=complex).ravel()
+        if not len(starts) or count == 0:
+            return np.zeros((len(starts), count), dtype=complex)
+        sps = self.shaper.sps
+        delay = self.shaper.delay
+        bases = [math.floor(start) for start in starts]
+        kernels = self.shaper.kernels_at(
+            [-(start - base) for start, base in zip(starts, bases)])
+        padded, shift = _zero_extended(
+            y, min(bases) - delay, max(bases) + (count - 1) * sps + delay)
+        order = sorted(range(len(starts)), key=bases.__getitem__)
+        stack = np.array([kernels[i] for i in order])[:, :, None]
+        out = np.empty((len(starts), count, 1), dtype=complex)
+        end = 0
+        for base, run in itertools.groupby(order, key=bases.__getitem__):
+            begin, end = end, end + len(list(run))
+            windows = _windows(padded, base - delay + shift, count,
+                               stack.shape[1], sps)
+            # A stack of matrix-vector products, not one matrix product:
+            # each output then sums its taps in order as sample() does,
+            # where a matrix product may go to BLAS and round otherwise.
+            np.matmul(windows, stack[begin:end], out=out[begin:end])
+        out = out[:, :, 0]
+        if order != list(range(len(order))):
+            out = out[np.argsort(order)]
+        return out
+
+
+def _zero_extended(y: np.ndarray, first: int,
+                   last: int) -> tuple[np.ndarray, int]:
+    """*y* with zeros added so that samples *first* .. *last* exist, and
+    the index of ``y[0]`` in the result."""
+    pad_left = max(0, -first)
+    pad_right = max(0, last + 1 - y.size)
+    if pad_left or pad_right:
+        y = np.concatenate([
+            np.zeros(pad_left, dtype=complex), y,
+            np.zeros(pad_right, dtype=complex),
+        ])
+    return y, pad_left
+
+
+def _windows(padded: np.ndarray, origin: int, count: int, taps: int,
+             sps: int) -> np.ndarray:
+    """The ``(count, taps)`` view of *padded* whose row k starts at
+    sample ``origin + k*sps``. (Direct np.ndarray construction rather
+    than as_strided: this runs once per decoded chunk and the wrapper
+    overhead is measurable.)"""
+    stride = padded.strides[0]
+    return np.ndarray((count, taps), dtype=padded.dtype, buffer=padded,
+                      offset=origin * stride, strides=(sps * stride, stride))

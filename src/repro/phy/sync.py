@@ -21,6 +21,20 @@ from repro.phy.pulse import MatchedSampler, PulseShaper
 
 __all__ = ["Synchronizer"]
 
+# Acquisition's fractional-timing grid, in samples around the detected
+# start. Python floats: the same IEEE arithmetic as numpy scalars, at a
+# fraction of the per-operation cost.
+_GRID_STEP = 0.2
+_GRID_OFFSETS = np.arange(-0.8, 0.8 + _GRID_STEP / 2, _GRID_STEP).tolist()
+# Up to this many candidates, acquisition scores every grid point with
+# np.vdot directly: cheaper than the shared product and its checks.
+_EXACT_ROWS_UP_TO = 1
+# Near-tie guard of the shared scoring product, relative to the l1 norm
+# of the grid's outputs. Either way of summing a preamble correlation
+# rounds by at most about (length + 4) * 2**-53 of its grid point's l1
+# norm, many orders of magnitude below this.
+_TIE_GUARD = 1e-9
+
 
 @dataclass
 class Synchronizer:
@@ -43,6 +57,9 @@ class Synchronizer:
         self._waveform = self.shaper.shape(self.preamble.symbols)
         self._sampler = MatchedSampler(self.shaper)
         self._score_refs: dict[float, np.ndarray] = {}
+        # Sample offset of each preamble symbol from symbol 0.
+        self._symbol_steps = self.shaper.sps * np.arange(
+            len(self.preamble), dtype=float)
         self._detect_refs: dict[float, np.ndarray] = {}
 
     @property
@@ -174,9 +191,9 @@ class Synchronizer:
         grid of offsets, then a parabolic polish. The grid's samples do
         not depend on the frequency hypothesis, so *coarse_freq* may also
         be a sequence of candidate offsets (the AP's client table): the
-        grid is sampled once and scored against each candidate, and the
-        result is one estimate per candidate, in order, each identical to
-        a scalar call.
+        grid is sampled once, every candidate is scored against it in one
+        pass, and the result is one estimate per candidate, in order, each
+        identical to a scalar call.
 
         *sampled*, when given, keeps the matched-filter preamble outputs
         taken on this same *signal*, keyed by start sample, across calls:
@@ -194,86 +211,144 @@ class Synchronizer:
         """
         y = np.asarray(signal, dtype=complex).ravel()
         scalar, freqs = self._candidates(coarse_freq)
-        length = len(self.preamble)
-        sps = self.shaper.sps
-        k = np.arange(length)
-        step = 0.2
-        offsets = np.arange(-0.8, 0.8 + step / 2, step)
         # Matched-filter outputs by start: a refined start that lands on
         # a grid point, or repeats another candidate's, reuses them.
         sampled = {} if sampled is None else sampled
-
-        def outputs(start: float) -> np.ndarray:
-            symbols = sampled.get(start)
-            if symbols is None:
-                symbols = sampled[start] = self._sampler.sample(
-                    y, start, length)
-            return symbols
-
-        grid = [outputs(float(position + d)) for d in offsets]
-        estimates = []
-        for coarse in freqs:
-            # The exp(-2jπ f start) phase common to every term has unit
-            # modulus and cannot change a score, so the score reference
-            # depends on the frequency only.
-            reference = self._reference(
-                self._score_refs, coarse, lambda f: self.preamble.symbols
-                * np.exp(2j * np.pi * f * sps * k))
-            scores = np.array([abs(complex(np.vdot(reference, symbols)))
-                               for symbols in grid])
-            best = int(np.argmax(scores))
+        grid = self._outputs(
+            y, [float(position + d) for d in _GRID_OFFSETS], sampled)
+        mus = []
+        for best, scores in self._grid_peaks(grid, freqs):
             frac = 0.0
-            if 0 < best < offsets.size - 1:
+            if 0 < best < len(_GRID_OFFSETS) - 1:
                 left, mid, right = scores[best - 1:best + 2]
                 denom = left - 2.0 * mid + right
                 if denom != 0:
-                    frac = float(np.clip(0.5 * (left - right) / denom, -1, 1))
-            mu = float(offsets[best] + frac * step)
-            start = float(position + mu)
-            estimates.append(self._fit(outputs(start), start, mu, coarse,
-                                       noise_power, n_segments, refine_freq))
+                    frac = min(max(0.5 * (left - right) / denom, -1.0), 1.0)
+            mus.append(_GRID_OFFSETS[best] + frac * _GRID_STEP)
+        starts = [float(position + mu) for mu in mus]
+        estimates = self._fit(self._outputs(y, starts, sampled), starts,
+                              mus, freqs, noise_power, n_segments,
+                              refine_freq)
         return estimates[0] if scalar else estimates
 
-    def _fit(self, aligned: np.ndarray, start: float, mu: float,
-             coarse_freq: float, noise_power: float, n_segments: int,
-             refine_freq: bool) -> ChannelEstimate:
-        """Frequency, gain and SNR from the preamble's matched-filter
-        outputs at the refined start."""
+    def _outputs(self, y: np.ndarray, starts: list[float],
+                 sampled: dict) -> list[np.ndarray]:
+        """The preamble's matched-filter outputs at each of *starts*:
+        from *sampled* where it has them, the rest sampled in one pass
+        (in order, as one ``sample`` call each would) and added to it."""
+        missing = [start for start in dict.fromkeys(starts)
+                   if start not in sampled]
+        if missing:
+            sampled.update(zip(missing, self._sampler.sample_many(
+                y, missing, len(self.preamble))))
+        return [sampled[start] for start in starts]
+
+    def _score_reference(self, coarse_freq: float) -> np.ndarray:
+        # The exp(-2jπ f start) phase common to every term has unit
+        # modulus and cannot change a score, so the score reference
+        # depends on the frequency only.
+        k = np.arange(len(self.preamble))
+        return self.preamble.symbols * np.exp(
+            2j * np.pi * coarse_freq * self.shaper.sps * k)
+
+    def _grid_peaks(self, grid: list[np.ndarray],
+                    freqs: list) -> list[tuple[int, list[float]]]:
+        """Per candidate: the grid index of the largest |correlation|
+        with its score reference, and the scores, each one ``np.vdot``,
+        at that index and its two neighbours (the parabola's points).
+
+        With more than ``_EXACT_ROWS_UP_TO`` candidates, one product
+        scores every grid point against every candidate. It sums in
+        another order than ``np.vdot``, so it only picks each
+        candidate's argmax; the values come from ``np.vdot``. Both
+        roundings are far below ``_TIE_GUARD`` times the grid outputs'
+        l1 norm, so a runner-up within that of the top, or a non-finite
+        score, sends the whole row to ``np.vdot`` and ``np.argmax``.
+        """
+        references = [self._reference(self._score_refs, freq,
+                                      self._score_reference)
+                      for freq in freqs]
+        size = len(grid)
+        best = [0] * len(references)
+        clear = [False] * len(references)
+        if len(references) > _EXACT_ROWS_UP_TO:
+            outputs = np.array(grid)
+            approx = np.abs(np.conj(np.array(references)) @ outputs.T)
+            best = approx.argmax(axis=1).tolist()
+            ranked = np.sort(approx, axis=1)
+            guard = _TIE_GUARD * np.abs(outputs).sum()
+            clear = (ranked[:, -1] - ranked[:, -2] > guard).tolist()
+        peaks = []
+        for reference, index, is_clear in zip(references, best, clear):
+            if is_clear:
+                scores = [0.0] * size
+                if 0 < index < size - 1:
+                    for g in (index - 1, index, index + 1):
+                        scores[g] = abs(complex(np.vdot(reference, grid[g])))
+            else:
+                scores = [abs(complex(np.vdot(reference, symbols)))
+                          for symbols in grid]
+                index = int(np.argmax(scores))
+            peaks.append((index, scores))
+        return peaks
+
+    def _fit(self, aligned: list[np.ndarray], starts: list[float],
+             mus: list[float], freqs: list, noise_power: float,
+             n_segments: int, refine_freq: bool) -> list[ChannelEstimate]:
+        """Frequency, gain and SNR per candidate from the preamble's
+        matched-filter outputs at its refined start. The gain
+        references of all candidates are built in one pass; each gain
+        is one ``np.vdot``."""
+        if not freqs:
+            return []
+        length = len(self.preamble)
+        sample_pos = np.array(starts)[:, None] + self._symbol_steps
+        if refine_freq:
+            freqs = [self._refined_freq(outputs, pos, coarse, n_segments)
+                     for outputs, pos, coarse
+                     in zip(aligned, sample_pos, freqs)]
+        # Each candidate's 2jπf is the scalar product a one-candidate
+        # fit takes, so every row matches it exactly.
+        rates = np.array([2j * np.pi * freq for freq in freqs])
+        references = self.preamble.symbols * np.exp(
+            rates[:, None] * sample_pos)
+        estimates = []
+        for reference, outputs, freq, mu in zip(references, aligned, freqs,
+                                                mus):
+            gain = np.vdot(reference, outputs) / length
+            power = abs(gain) ** 2
+            snr_db = 10.0 * np.log10(
+                max(power / max(noise_power, 1e-30), 1e-12))
+            estimates.append(ChannelEstimate(
+                gain=complex(gain),
+                freq_offset=float(freq),
+                sampling_offset=float(mu),
+                snr_db=float(snr_db),
+            ))
+        return estimates
+
+    def _refined_freq(self, aligned: np.ndarray, sample_pos: np.ndarray,
+                      coarse_freq: float, n_segments: int) -> float:
+        """The frequency offset re-fitted from the phase slope of the
+        preamble's segment correlations (``refine_freq``)."""
         length = len(self.preamble)
         sps = self.shaper.sps
-        k = np.arange(length)
-        sample_pos = start + sps * k
-        freq = coarse_freq
-        if refine_freq:
-            derotated = aligned * np.exp(
-                -2j * np.pi * coarse_freq * sample_pos)
-            seg = length // n_segments
-            correlations = np.empty(n_segments, dtype=complex)
-            for m in range(n_segments):
-                sl = slice(m * seg, (m + 1) * seg)
-                correlations[m] = np.sum(
-                    np.conj(self.preamble.symbols[sl]) * derotated[sl])
-            phases = np.unwrap(np.angle(correlations))
-            weights = np.abs(correlations)
-            if np.any(weights > 0):
-                centers = np.arange(n_segments, dtype=float) * seg * sps
-                w = weights / weights.sum()
-                xm = np.sum(w * centers)
-                ym = np.sum(w * phases)
-                var = np.sum(w * (centers - xm) ** 2)
-                if var > 0:
-                    slope = np.sum(
-                        w * (centers - xm) * (phases - ym)) / var
-                    freq = coarse_freq + slope / (2.0 * np.pi)
-
-        reference = self.preamble.symbols * np.exp(
-            2j * np.pi * freq * sample_pos)
-        gain = np.vdot(reference, aligned) / len(self.preamble)
-        power = abs(gain) ** 2
-        snr_db = 10.0 * np.log10(max(power / max(noise_power, 1e-30), 1e-12))
-        return ChannelEstimate(
-            gain=complex(gain),
-            freq_offset=float(freq),
-            sampling_offset=float(mu),
-            snr_db=float(snr_db),
-        )
+        derotated = aligned * np.exp(-2j * np.pi * coarse_freq * sample_pos)
+        seg = length // n_segments
+        correlations = np.empty(n_segments, dtype=complex)
+        for m in range(n_segments):
+            sl = slice(m * seg, (m + 1) * seg)
+            correlations[m] = np.sum(
+                np.conj(self.preamble.symbols[sl]) * derotated[sl])
+        phases = np.unwrap(np.angle(correlations))
+        weights = np.abs(correlations)
+        if np.any(weights > 0):
+            centers = np.arange(n_segments, dtype=float) * seg * sps
+            w = weights / weights.sum()
+            xm = np.sum(w * centers)
+            ym = np.sum(w * phases)
+            var = np.sum(w * (centers - xm) ** 2)
+            if var > 0:
+                slope = np.sum(w * (centers - xm) * (phases - ym)) / var
+                return coarse_freq + slope / (2.0 * np.pi)
+        return coarse_freq

@@ -19,6 +19,8 @@ generated deployment.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -36,7 +38,12 @@ from repro.phy.frame import Frame
 from repro.phy.impairments import BurstNoise, ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
-from repro.runner.cache import cached_preamble, cached_shaper, shared_cache
+from repro.runner.cache import (
+    cached_preamble,
+    cached_shaper,
+    cached_synchronizer,
+    shared_cache,
+)
 from repro.testbed.deployment import CellPlan, Deployment
 from repro.utils.bits import random_bits
 from repro.zigzag.engine import PacketSpec, PlacementParams
@@ -82,16 +89,24 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
             phase_noise_std=phase_noise,
             impairments=sender_impairments),
     }
+    # Both collisions carry the same two frames: shape each once.
+    alice, bob = (Transmission.from_symbols(frames[name].symbols, shaper,
+                                            params[name], 0, name)
+                  for name in ("A", "B"))
     captures = []
     for bob_offset in offsets:
         captures.append(synthesize(
-            [Transmission.from_symbols(frames["A"].symbols, shaper,
-                                       params["A"], 0, "A"),
-             Transmission.from_symbols(frames["B"].symbols, shaper,
-                                       params["B"], bob_offset, "B")],
+            [alice, dataclasses.replace(bob, offset=bob_offset,
+                                        symbol0=bob.symbol0 + bob_offset)],
             noise_power, rng, leading=8, tail=40,
             impairments=capture_impairments))
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
+    # Built-in scenarios pass the cached preamble and shaper, so the
+    # process's cached synchronizer serves every trial.
+    if preamble is cached_preamble(len(preamble)) \
+            and shaper is cached_shaper():
+        sync = cached_synchronizer(len(preamble), threshold=0.3)
+    else:
+        sync = Synchronizer(preamble, shaper, threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:

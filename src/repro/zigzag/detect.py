@@ -11,6 +11,7 @@ and local signal energy so one β works across the SNR range.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,21 +68,27 @@ class CollisionDetector:
         frequency-offset candidates of the AP's associated clients (one
         shared-normalization detection pass over the whole list)."""
         y = np.asarray(signal, dtype=complex).ravel()
-        merged: dict[int, CorrelationPeak] = {}
+        # Slot position -> (insertion ticket, peak). At equal distance the
+        # slot inserted first wins; a replacing peak is inserted anew.
+        merged: dict[int, tuple[int, CorrelationPeak]] = {}
+        ticket = itertools.count()
         for found in self._sync.detect(y, coarse_freq=list(coarse_freqs),
                                        max_peaks=max_peaks):
             for peak in found:
-                # Keep the strongest detection near each position.
-                slot = min(merged.keys(),
-                           key=lambda pos: abs(pos - peak.position),
+                # Keep the strongest detection near each position: the
+                # nearest merged slot within 2 samples takes the peak.
+                position = peak.position
+                slot = min((pos for pos in range(position - 2, position + 3)
+                            if pos in merged),
+                           key=lambda pos: (abs(pos - position),
+                                            merged[pos][0]),
                            default=None)
-                if slot is not None and abs(slot - peak.position) <= 2:
-                    if merged[slot].score < peak.score:
+                if slot is None or merged[slot][1].score < peak.score:
+                    if slot is not None:
                         del merged[slot]
-                        merged[peak.position] = peak
-                else:
-                    merged[peak.position] = peak
-        peaks = sorted(merged.values(), key=lambda p: p.position)
+                    merged[position] = (next(ticket), peak)
+        peaks = sorted((peak for _, peak in merged.values()),
+                       key=lambda p: p.position)
         if max_peaks is not None:
             peaks = peaks[:max_peaks]
         return peaks

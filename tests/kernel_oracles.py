@@ -4,8 +4,9 @@ These are the scalar/per-tap loops the vectorized kernels in
 :mod:`repro.phy` and :mod:`repro.zigzag` replaced, kept verbatim as the
 oracles the equivalence tests compare against: the optimized kernels
 must produce numerically identical output (``test_perf_equivalence.py``),
-and the trial-axis batched kernels must equal one scalar call per lane
-(``test_batched_kernels.py``).
+the trial-axis batched kernels must equal one scalar call per lane
+(``test_batched_kernels.py``), and one-pass client-table acquisition
+must equal the per-frequency loop (``test_shared_acquisition.py``).
 
 Each function takes the live object as its first argument and mutates its
 state exactly as the original method did.
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.coding.convolutional import ConvolutionalCode
+from repro.phy.estimation import ChannelEstimate
 from repro.phy.pulse import MatchedSampler
 from repro.phy.resample import FractionalDelay
 from repro.phy.tracking import PhaseTracker
@@ -33,6 +35,7 @@ __all__ = [
     "reencoder_image",
     "batched_matched_sampler_loop",
     "batched_phase_tracker_loop",
+    "synchronizer_acquire",
 ]
 
 
@@ -268,3 +271,98 @@ def batched_phase_tracker_loop(kp: float, ki: float, phase, freq,
         soft[lane], decisions[lane], phases[lane] = tracker.process(
             z[lane], constellation, known=lane_known)
     return soft, decisions, phases
+
+
+# ----------------------------------------------------------------------
+# Per-frequency acquisition (client-table candidates)
+# ----------------------------------------------------------------------
+def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
+                         noise_power: float = 1.0, n_segments: int = 4,
+                         refine_freq: bool = False,
+                         sampled: dict | None = None):
+    """Original ``Synchronizer.acquire``: the grid sampled one offset at
+    a time, every candidate scored at every grid point with its own
+    ``np.vdot``, and one fit per candidate. Reads and fills *sync*'s
+    score-reference cache and its shaper's kernel cache, and *sampled*,
+    exactly as the original method did."""
+    y = np.asarray(signal, dtype=complex).ravel()
+    scalar, freqs = sync._candidates(coarse_freq)
+    length = len(sync.preamble)
+    sps = sync.shaper.sps
+    k = np.arange(length)
+    step = 0.2
+    offsets = np.arange(-0.8, 0.8 + step / 2, step)
+    sampled = {} if sampled is None else sampled
+
+    def outputs(start: float) -> np.ndarray:
+        symbols = sampled.get(start)
+        if symbols is None:
+            symbols = sampled[start] = sync._sampler.sample(
+                y, start, length)
+        return symbols
+
+    grid = [outputs(float(position + d)) for d in offsets]
+    estimates = []
+    for coarse in freqs:
+        reference = sync._reference(
+            sync._score_refs, coarse, lambda f: sync.preamble.symbols
+            * np.exp(2j * np.pi * f * sps * k))
+        scores = np.array([abs(complex(np.vdot(reference, symbols)))
+                           for symbols in grid])
+        best = int(np.argmax(scores))
+        frac = 0.0
+        if 0 < best < offsets.size - 1:
+            left, mid, right = scores[best - 1:best + 2]
+            denom = left - 2.0 * mid + right
+            if denom != 0:
+                frac = float(np.clip(0.5 * (left - right) / denom, -1, 1))
+        mu = float(offsets[best] + frac * step)
+        start = float(position + mu)
+        estimates.append(_synchronizer_fit(
+            sync, outputs(start), start, mu, coarse, noise_power,
+            n_segments, refine_freq))
+    return estimates[0] if scalar else estimates
+
+
+def _synchronizer_fit(sync, aligned, start: float, mu: float,
+                      coarse_freq: float, noise_power: float,
+                      n_segments: int, refine_freq: bool):
+    """Original ``Synchronizer._fit`` (one candidate)."""
+    length = len(sync.preamble)
+    sps = sync.shaper.sps
+    k = np.arange(length)
+    sample_pos = start + sps * k
+    freq = coarse_freq
+    if refine_freq:
+        derotated = aligned * np.exp(
+            -2j * np.pi * coarse_freq * sample_pos)
+        seg = length // n_segments
+        correlations = np.empty(n_segments, dtype=complex)
+        for m in range(n_segments):
+            sl = slice(m * seg, (m + 1) * seg)
+            correlations[m] = np.sum(
+                np.conj(sync.preamble.symbols[sl]) * derotated[sl])
+        phases = np.unwrap(np.angle(correlations))
+        weights = np.abs(correlations)
+        if np.any(weights > 0):
+            centers = np.arange(n_segments, dtype=float) * seg * sps
+            w = weights / weights.sum()
+            xm = np.sum(w * centers)
+            ym = np.sum(w * phases)
+            var = np.sum(w * (centers - xm) ** 2)
+            if var > 0:
+                slope = np.sum(
+                    w * (centers - xm) * (phases - ym)) / var
+                freq = coarse_freq + slope / (2.0 * np.pi)
+
+    reference = sync.preamble.symbols * np.exp(
+        2j * np.pi * freq * sample_pos)
+    gain = np.vdot(reference, aligned) / len(sync.preamble)
+    power = abs(gain) ** 2
+    snr_db = 10.0 * np.log10(max(power / max(noise_power, 1e-30), 1e-12))
+    return ChannelEstimate(
+        gain=complex(gain),
+        freq_offset=float(freq),
+        sampling_offset=float(mu),
+        snr_db=float(snr_db),
+    )

@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ReceiverConfig, ZigZagReceiver
 from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.pulse import MatchedSampler, PulseShaper
 from repro.phy.sync import Synchronizer
 from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 from repro.zigzag.detect import CollisionDetector
 from repro.zigzag.engine import PacketSpec
 
+from kernel_oracles import synchronizer_acquire
 from test_core_receiver import collision_capture, make_frames
 
 PREAMBLE = default_preamble(32)
@@ -111,6 +112,142 @@ class TestSharedGridAcquisition:
         listed = sync.acquire(y, 100, coarse_freq=[1e-3])
         assert fields(listed[0]) == fields(single)
         assert sync.acquire(y, 100, coarse_freq=[]) == []
+
+
+def twin_synchronizers(cache_entries: int = 0):
+    """Two synchronizers on fresh shapers whose kernel caches hold the
+    same *cache_entries* kernels in the same order."""
+    old, new = PulseShaper(), PulseShaper()
+    rng = np.random.default_rng(cache_entries)
+    for fraction in rng.uniform(-1.0, 1.0, cache_entries):
+        old.kernel_at(float(fraction))
+    new._kernel_cache.update(old._kernel_cache)
+    return Synchronizer(PREAMBLE, old), Synchronizer(PREAMBLE, new)
+
+
+def assert_same_state(old: Synchronizer, new: Synchronizer,
+                      old_sampled: dict, new_sampled: dict) -> None:
+    """Same kernels cached in the same order, same outputs kept."""
+    old_cache, new_cache = old.shaper._kernel_cache, new.shaper._kernel_cache
+    assert list(old_cache) == list(new_cache)
+    assert all(np.array_equal(old_cache[key], new_cache[key])
+               for key in old_cache)
+    assert list(old_sampled) == list(new_sampled)
+    assert all(np.array_equal(old_sampled[start], new_sampled[start])
+               for start in old_sampled)
+
+
+@st.composite
+def oracle_cases(draw):
+    seed, n, position, _, true_freq, refine = draw(acquisition_cases())
+    # K = 0-16 candidates: repeats and any order from the pool, and
+    # offsets no other candidate shares.
+    freqs = draw(st.lists(
+        st.one_of(st.sampled_from(FREQ_POOL), st.floats(-5e-3, 5e-3)),
+        min_size=0, max_size=16))
+    return seed, n, position, freqs, true_freq, refine
+
+
+class TestAcquireEqualsPerFrequencyLoop:
+    """``acquire`` scores every candidate in one pass; the oracle is the
+    per-frequency loop it replaced. Equal estimates, and the same
+    kernel-cache and ``sampled`` side effects, in every case."""
+
+    @given(oracle_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_candidate_list_equals_oracle(self, case):
+        seed, n, position, freqs, true_freq, refine = case
+        y = capture(seed, n, [position], true_freq)
+        old, new = twin_synchronizers()
+        old_sampled, new_sampled = {}, {}
+        expected = synchronizer_acquire(
+            old, y, position, coarse_freq=freqs, noise_power=1.0,
+            refine_freq=refine, sampled=old_sampled)
+        got = new.acquire(y, position, coarse_freq=freqs, noise_power=1.0,
+                          refine_freq=refine, sampled=new_sampled)
+        assert got == expected
+        assert_same_state(old, new, old_sampled, new_sampled)
+
+    @given(oracle_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_sampled_memo_equals_oracle(self, case):
+        """One ``sampled`` dict across calls at the same and at another
+        peak, as a collision record keeps it."""
+        seed, n, position, freqs, true_freq, refine = case
+        y = capture(seed, n, [position], true_freq)
+        other = (position + 7) % n
+        old, new = twin_synchronizers()
+        old_sampled, new_sampled = {}, {}
+        for at, candidates in ((position, freqs[:1]), (position, freqs),
+                               (other, freqs[::-1])):
+            expected = synchronizer_acquire(
+                old, y, at, coarse_freq=candidates, refine_freq=refine,
+                sampled=old_sampled)
+            got = new.acquire(y, at, coarse_freq=candidates,
+                              refine_freq=refine, sampled=new_sampled)
+            assert got == expected
+        assert_same_state(old, new, old_sampled, new_sampled)
+
+    @pytest.mark.parametrize("cache_entries", [4095, 4088, 4080])
+    def test_kernel_cache_clear_mid_call_equals_oracle(self, cache_entries):
+        """A cache at or near its 4096-kernel bound is cleared part way
+        through the grid's or the refined starts' kernels."""
+        y = capture(5, 300, [150], 1e-3)
+        freqs = list(np.linspace(-4e-3, 4e-3, 16))
+        old, new = twin_synchronizers(cache_entries)
+        old_sampled, new_sampled = {}, {}
+        for position in (150, 151):
+            expected = synchronizer_acquire(
+                old, y, position, coarse_freq=freqs, sampled=old_sampled)
+            got = new.acquire(y, position, coarse_freq=freqs,
+                              sampled=new_sampled)
+            assert got == expected
+        assert_same_state(old, new, old_sampled, new_sampled)
+
+    def test_near_tie_on_the_grid_equals_oracle(self):
+        """A constant capture gives grid points one sample apart (-0.2
+        and +0.8) the same fraction, so their scores tie to rounding at
+        the top of the grid: the row is scored exactly, and np.argmax
+        keeps the first."""
+        y = np.full(300, 0.7 - 0.2j)
+        position = 150
+        reference = PREAMBLE.symbols
+        sampler = Synchronizer(PREAMBLE, SHAPER)._sampler
+        scores = [abs(complex(np.vdot(reference, sampler.sample(
+            y, float(position + d), len(PREAMBLE)))))
+            for d in np.arange(-0.8, 0.9, 0.2)]
+        top = sorted(range(9), key=lambda g: -scores[g])[:2]
+        assert sorted(top) == [3, 8]
+        assert abs(scores[3] - scores[8]) <= 1e-12 * scores[3]
+        freqs = [0.0, 1e-3, -2e-3, 0.0]
+        old, new = twin_synchronizers()
+        old_sampled, new_sampled = {}, {}
+        expected = synchronizer_acquire(old, y, position, coarse_freq=freqs,
+                                        sampled=old_sampled)
+        assert new.acquire(y, position, coarse_freq=freqs,
+                           sampled=new_sampled) == expected
+        assert_same_state(old, new, old_sampled, new_sampled)
+
+
+class TestSampleMany:
+    @given(st.integers(0, 2**32 - 1), st.integers(40, 200),
+           st.lists(st.floats(-20.0, 220.0), max_size=12),
+           st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_sample_call_each(self, seed, n, starts, count):
+        """Any number of bases, any order, repeats, and windows off
+        either end of the capture; the kernel caches end up alike."""
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        starts = starts + starts[:2]
+        one, many = PulseShaper(), PulseShaper()
+        expected = [MatchedSampler(one).sample(y, start, count)
+                    for start in starts]
+        got = MatchedSampler(many).sample_many(y, starts, count)
+        assert got.shape == (len(starts), count)
+        for row, want in zip(got, expected):
+            assert np.array_equal(row, want)
+        assert list(one._kernel_cache) == list(many._kernel_cache)
 
 
 def merged_per_frequency(sync: Synchronizer, y, freqs, max_peaks=None):
