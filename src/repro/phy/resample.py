@@ -6,7 +6,8 @@ by the sampling offset μ. "Nyquist says that under these conditions, one can
 interpolate the signal at any discrete position with complete accuracy ...
 In practice, the above equation is approximated by taking the summation over
 few symbols (about 8 symbols) in the neighborhood of n." We use a Hann-
-windowed sinc kernel with a configurable half-width (default 4 → 8 taps).
+windowed sinc kernel with a configurable half-width W (default 4 → 2W + 1
+= 9 taps).
 """
 
 from __future__ import annotations
