@@ -198,6 +198,7 @@ class _ClientState:
         self.packets_done = 0
         self.seq = -1
         self.frame: Frame | None = None
+        self.waveform: np.ndarray | None = None   # the frame, shaped
         self.attempt = 0
         self.attempts_used = 0
         self.backoff = 0
@@ -709,6 +710,10 @@ class LinkSession:
                                   seq=client.seq % 4096,
                                   modulation=self.config.modulation,
                                   preamble=self.preamble)
+        # Every attempt sends the same waveform, and shaping draws no
+        # randomness: shape once per packet. Read-only, as it is shared.
+        client.waveform = self.shaper.shape(client.frame.symbols)
+        client.waveform.flags.writeable = False
         self.truth[client.key] = client.frame.body_bits
         client.attempt = 0
         client.attempts_used = 0
@@ -732,8 +737,10 @@ class LinkSession:
             tx_evm=cfg.tx_evm,
             impairments=cfg.sender_impairments,
         )
-        tx = Transmission.from_symbols(client.frame.symbols, self.shaper,
-                                       params, now, client.client.name)
+        tx = Transmission(samples=client.waveform, params=params,
+                          offset=now, label=client.client.name,
+                          symbol0=now + self.shaper.delay,
+                          n_symbols=client.frame.symbols.size)
         client.tx_end = now + self.air.schedule(tx)
         client.attempts_used += 1
         self.tx_log[client.key] = (now, client.tx_end)
@@ -795,6 +802,7 @@ class LinkSession:
         self.acked.discard(client.key)
         client.packets_done += 1
         client.frame = None
+        client.waveform = None
         if client.packets_done >= self.config.n_packets:
             client.state = RadioState.DONE
         else:

@@ -19,7 +19,7 @@ from repro.phy.estimation import ChannelEstimate
 from repro.phy.preamble import Preamble
 from repro.phy.pulse import MatchedSampler, PulseShaper
 
-__all__ = ["Synchronizer"]
+__all__ = ["Synchronizer", "correlate_at"]
 
 # Acquisition's fractional-timing grid, in samples around the detected
 # start. Python floats: the same IEEE arithmetic as numpy scalars, at a
@@ -34,6 +34,23 @@ _EXACT_ROWS_UP_TO = 1
 # rounds by at most about (length + 4) * 2**-53 of its grid point's l1
 # norm, many orders of magnitude below this.
 _TIE_GUARD = 1e-9
+
+
+def correlate_at(y: np.ndarray, references: np.ndarray,
+                 lags: np.ndarray) -> np.ndarray:
+    """``np.correlate(y, reference, mode="valid")[lags]`` for every row
+    of *references*, as one ``(len(references), len(lags))`` array.
+
+    Row d of a read-only window view is the capture under a reference
+    starting at sample d; ``np.vecdot`` conjugates the reference and sums
+    each row as ``np.correlate``'s dot product at lag d does, so every
+    value is bit-identical to it.
+    """
+    step = y.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        y, shape=(y.size - references.shape[-1] + 1, references.shape[-1]),
+        strides=(step, step), writeable=False)
+    return np.vecdot(references[:, None, :], windows[lags][None])
 
 
 @dataclass
@@ -61,6 +78,17 @@ class Synchronizer:
         self._symbol_steps = self.shaper.sps * np.arange(
             len(self.preamble), dtype=float)
         self._detect_refs: dict[float, np.ndarray] = {}
+        # Detection's correlation bound (see _correlation_bound): the
+        # waveform's two segments as (start, samples), and |w[n]| |n - c_s|
+        # with c_s the centre of n's segment.
+        size = self._waveform.size
+        half = size // 2
+        self._segments = [(a, self._waveform[a:b])
+                          for a, b in ((0, half), (half, size)) if a < b]
+        n = np.arange(size, dtype=float)
+        centres = np.where(n < half, (half - 1) / 2.0,
+                           (half + size - 1) / 2.0)
+        self._spread = np.abs(self._waveform) * np.abs(n - centres)
 
     @property
     def reference_energy(self) -> float:
@@ -97,11 +125,15 @@ class Synchronizer:
         if y.size < self._waveform.size:
             raise CollisionDetectError(
                 "signal shorter than the preamble waveform")
+        return np.correlate(y, self._detect_reference(coarse_freq),
+                            mode="valid")
+
+    def _detect_reference(self, coarse_freq: float) -> np.ndarray:
+        """The preamble waveform shifted by *coarse_freq*, cached."""
         n = np.arange(self._waveform.size)
-        reference = self._reference(
+        return self._reference(
             self._detect_refs, coarse_freq,
             lambda f: self._waveform * np.exp(2j * np.pi * f * n))
-        return np.correlate(y, reference, mode="valid")
 
     def _score_denominator(self, y: np.ndarray) -> np.ndarray:
         """Score normalization: preamble energy times the energy of each
@@ -131,46 +163,109 @@ class Synchronizer:
 
         *coarse_freq* may also be a sequence of candidate offsets (the
         AP's client table, §4.2.1): the result is then one peak list per
-        candidate, in order, each identical to a scalar call. The energy
-        normalization is computed once for the whole list.
+        candidate, in order, each identical to a scalar call.
         """
         y = np.asarray(signal, dtype=complex).ravel()
         scalar, freqs = self._candidates(coarse_freq)
-        found = []
-        denom = None
-        for freq in freqs:
-            # One correlation pass serves both the peak values and the
-            # scores (correlate also rejects a too-short capture first).
-            corr = self.correlate(y, freq)
-            if denom is None:
-                denom = self._score_denominator(y)
-            found.append(self._select_peaks(corr, np.abs(corr) / denom,
-                                            max_peaks, min_separation))
+        found = [[self.peak(hit) for hit in hits]
+                 for hits in self.hits(y, freqs, max_peaks, min_separation)]
         return found[0] if scalar else found
 
-    def _select_peaks(self, corr: np.ndarray, scores: np.ndarray,
-                      max_peaks: int | None,
-                      min_separation: int) -> list[CorrelationPeak]:
-        """Greedy strongest-first selection with merge suppression."""
-        separation = min_separation
-        candidates = np.flatnonzero(scores >= self.threshold)
-        used = np.zeros(scores.size, dtype=bool)
-        peaks: list[CorrelationPeak] = []
-        for idx in candidates[np.argsort(-scores[candidates])]:
-            if used[idx]:
+    def peak(self, hit: tuple[int, float, complex]) -> CorrelationPeak:
+        """The :class:`CorrelationPeak` of one ``(lag, score, value)``
+        hit from :meth:`hits`."""
+        lag, score, value = hit
+        return CorrelationPeak(position=lag + self.shaper.delay,
+                               value=value, score=score)
+
+    def hits(self, y: np.ndarray, freqs: list, max_peaks: int | None = None,
+             min_separation: int = 16,
+             ) -> list[list[tuple[int, float, complex]]]:
+        """:meth:`detect`'s peaks as ``(lag, score, value)`` tuples, one
+        list per candidate in *freqs*, in one pass over all of them.
+
+        The correlation of every candidate is bounded at every lag by
+        one frequency-independent pass (:meth:`_correlation_bound`);
+        only the lags whose bound can reach the threshold are correlated,
+        each with the same dot product ``np.correlate`` takes there, so
+        the values, scores and selected peaks are exactly those of one
+        full ``np.correlate`` per candidate.
+        """
+        if not freqs:
+            return []
+        if y.size < self._waveform.size:
+            raise CollisionDetectError(
+                "signal shorter than the preamble waveform")
+        denom = self._score_denominator(y)
+        # Keep every lag whose bound can reach the threshold (a NaN one
+        # too); the guard covers the rounding of bound and correlation.
+        lags = np.flatnonzero(~(self._correlation_bound(y, freqs)
+                                < (self.threshold - 1e-9) * denom))
+        values = correlate_at(
+            y, np.array([self._detect_reference(f) for f in freqs]), lags)
+        scores = np.abs(values) / denom[lags]
+        # Row-major, so each candidate's above-threshold lags come out
+        # in ascending order, as a full-length selection finds them.
+        rows, cols = np.nonzero(scores >= self.threshold)
+        ends = np.cumsum(np.bincount(rows, minlength=len(freqs))).tolist()
+        above_lags = lags[cols].tolist()
+        above_scores = scores[rows, cols]
+        above_values = values[rows, cols].tolist()
+        found = []
+        start = 0
+        for end in ends:
+            found.append(self._select(
+                above_lags[start:end], above_scores[start:end],
+                above_values[start:end], denom.size, max_peaks,
+                min_separation))
+            start = end
+        return found
+
+    def _correlation_bound(self, y: np.ndarray, freqs: list) -> np.ndarray:
+        """An upper bound, at every lag, on |correlation| for every
+        candidate in *freqs*, from one frequency-independent pass.
+
+        With the waveform w split into segments s centred at c_s, and
+        |e^{-jx} - 1| <= |x|, every candidate f satisfies
+        ``|corr_f[d]| <= sum_s |A_s[d]| + |2 pi f| R[d]``, where A_s
+        correlates the capture with segment s and R correlates |y| with
+        |w[n]| |n - c_s|. Computed, the bound and each correlation round
+        by at most about L * eps * sum|y||w| <= L * eps * denom.
+        """
+        size = y.size - self._waveform.size + 1
+        bound = np.correlate(np.abs(y), self._spread, mode="valid")
+        bound *= 2.0 * np.pi * np.max(np.abs(freqs))
+        for start, segment in self._segments:
+            bound += np.abs(np.correlate(
+                y[start:start + size + segment.size - 1], segment,
+                mode="valid"))
+        return bound
+
+    @staticmethod
+    def _select(lags: list[int], scores: np.ndarray, values: list[complex],
+                size: int, max_peaks: int | None,
+                min_separation: int) -> list[tuple[int, float, complex]]:
+        """Greedy strongest-first selection with merge suppression over
+        the above-threshold lags (ascending) of *size* lags in all,
+        sorted by lag. The order is ``np.argsort`` of the same negated
+        scores a full-length selection sorts, so ties break alike."""
+        if not lags:
+            return []
+        order = np.argsort(-scores).tolist()
+        score_list = scores.tolist()
+        used = np.zeros(size, dtype=bool)
+        hits = []
+        for i in order:
+            lag = lags[i]
+            if used[lag]:
                 continue
-            lo = max(0, idx - separation)
-            hi = min(scores.size, idx + separation + 1)
-            used[lo:hi] = True
-            peaks.append(CorrelationPeak(
-                position=int(idx) + self.shaper.delay,
-                value=complex(corr[idx]),
-                score=float(scores[idx]),
-            ))
-            if max_peaks is not None and len(peaks) >= max_peaks:
+            used[max(0, lag - min_separation):
+                 min(size, lag + min_separation + 1)] = True
+            hits.append((lag, score_list[i], values[i]))
+            if max_peaks is not None and len(hits) >= max_peaks:
                 break
-        peaks.sort(key=lambda p: p.position)
-        return peaks
+        hits.sort()
+        return hits
 
     # ------------------------------------------------------------------
     # Acquisition (§4.2.4)

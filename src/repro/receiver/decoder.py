@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import FrameError
+from repro.errors import CollisionDetectError, FrameError
 from repro.phy.constellation import BPSK, get_constellation
 from repro.phy.crc import strip_crc32
 from repro.phy.estimation import ChannelEstimate, estimate_noise_power
@@ -85,7 +85,7 @@ class StandardDecoder:
             try:
                 peaks = self._sync.detect(y, coarse_freq=self.coarse_freq,
                                           max_peaks=1)
-            except Exception:
+            except CollisionDetectError:
                 return DecodeResult.failure("capture too short for sync")
             if not peaks:
                 return DecodeResult.failure("no preamble found")

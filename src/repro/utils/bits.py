@@ -31,7 +31,7 @@ def as_bit_array(bits) -> np.ndarray:
     Raises :class:`ConfigurationError` if any element is not 0 or 1.
     """
     arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if arr.size and arr.max() > 1:
         raise ConfigurationError("bit arrays may contain only 0s and 1s")
     return arr
 
@@ -71,10 +71,9 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
 def bits_to_int(bits) -> int:
     """Decode an MSB-first bit array into a non-negative integer."""
     arr = as_bit_array(bits)
-    out = 0
-    for bit in arr:
-        out = (out << 1) | int(bit)
-    return out
+    # packbits pads the last byte with zeros on the right: shift them off.
+    return int.from_bytes(np.packbits(arr).tobytes(), "big") \
+        >> (-arr.size % 8)
 
 
 def hamming_distance(a, b) -> int:

@@ -66,29 +66,32 @@ class CollisionDetector:
                      max_peaks: int | None = None) -> list[CorrelationPeak]:
         """All packet-start peaks, merging detections across the coarse
         frequency-offset candidates of the AP's associated clients (one
-        shared-normalization detection pass over the whole list)."""
+        pruned detection pass over the whole list,
+        :meth:`Synchronizer.hits`)."""
         y = np.asarray(signal, dtype=complex).ravel()
-        # Slot position -> (insertion ticket, peak). At equal distance the
-        # slot inserted first wins; a replacing peak is inserted anew.
-        merged: dict[int, tuple[int, CorrelationPeak]] = {}
+        # Slot lag -> (insertion ticket, (lag, score, value)). At equal
+        # distance the slot inserted first wins; a replacing hit is
+        # inserted anew. Peaks are built for the survivors only.
+        merged: dict[int, tuple[int, tuple[int, float, complex]]] = {}
         ticket = itertools.count()
-        for found in self._sync.detect(y, coarse_freq=list(coarse_freqs),
-                                       max_peaks=max_peaks):
-            for peak in found:
+        for found in self._sync.hits(y, list(coarse_freqs), max_peaks):
+            for hit in found:
                 # Keep the strongest detection near each position: the
-                # nearest merged slot within 2 samples takes the peak.
-                position = peak.position
-                slot = min((pos for pos in range(position - 2, position + 3)
-                            if pos in merged),
-                           key=lambda pos: (abs(pos - position),
-                                            merged[pos][0]),
-                           default=None)
-                if slot is None or merged[slot][1].score < peak.score:
+                # nearest merged slot within 2 samples takes the hit.
+                lag = hit[0]
+                if lag in merged:
+                    slot = lag
+                else:
+                    slot = min((pos for pos in range(lag - 2, lag + 3)
+                                if pos in merged),
+                               key=lambda pos: (abs(pos - lag),
+                                                merged[pos][0]),
+                               default=None)
+                if slot is None or merged[slot][1][1] < hit[1]:
                     if slot is not None:
                         del merged[slot]
-                    merged[position] = (next(ticket), peak)
-        peaks = sorted((peak for _, peak in merged.values()),
-                       key=lambda p: p.position)
+                    merged[lag] = (next(ticket), hit)
+        peaks = [self._sync.peak(merged[lag][1]) for lag in sorted(merged)]
         if max_peaks is not None:
             peaks = peaks[:max_peaks]
         return peaks

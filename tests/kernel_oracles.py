@@ -5,8 +5,10 @@ These are the scalar/per-tap loops the vectorized kernels in
 oracles the equivalence tests compare against: the optimized kernels
 must produce numerically identical output (``test_perf_equivalence.py``),
 the trial-axis batched kernels must equal one scalar call per lane
-(``test_batched_kernels.py``), and one-pass client-table acquisition
-must equal the per-frequency loop (``test_shared_acquisition.py``).
+(``test_batched_kernels.py``), one-pass client-table acquisition
+must equal the per-frequency loop (``test_shared_acquisition.py``), and
+one-pass pruned detection must equal one full correlation per candidate
+(``test_pruned_detection.py``).
 
 Each function takes the live object as its first argument and mutates its
 state exactly as the original method did.
@@ -18,6 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.coding.convolutional import ConvolutionalCode
+from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.pulse import MatchedSampler
 from repro.phy.resample import FractionalDelay
@@ -36,6 +39,10 @@ __all__ = [
     "batched_matched_sampler_loop",
     "batched_phase_tracker_loop",
     "synchronizer_acquire",
+    "synchronizer_detect",
+    "detector_find_packets",
+    "bits_as_bit_array",
+    "bits_to_int",
 ]
 
 
@@ -366,3 +373,94 @@ def _synchronizer_fit(sync, aligned, start: float, mu: float,
         sampling_offset=float(mu),
         snr_db=float(snr_db),
     )
+
+
+# ----------------------------------------------------------------------
+# Per-frequency detection (client-table candidates)
+# ----------------------------------------------------------------------
+def synchronizer_detect(sync, signal, coarse_freq=0.0,
+                        max_peaks: int | None = None,
+                        min_separation: int = 16):
+    """Original ``Synchronizer.detect``: one full ``np.correlate`` of the
+    capture per candidate, its scores over the shared normalization, and
+    the greedy selection over every lag. Reads and fills *sync*'s
+    detection-reference cache exactly as the original method did."""
+    y = np.asarray(signal, dtype=complex).ravel()
+    scalar, freqs = sync._candidates(coarse_freq)
+    found = []
+    denom = None
+    for freq in freqs:
+        corr = sync.correlate(y, freq)
+        if denom is None:
+            denom = sync._score_denominator(y)
+        found.append(_synchronizer_select_peaks(
+            sync, corr, np.abs(corr) / denom, max_peaks, min_separation))
+    return found[0] if scalar else found
+
+
+def _synchronizer_select_peaks(sync, corr, scores, max_peaks,
+                               min_separation):
+    """Original ``Synchronizer._select_peaks``."""
+    separation = min_separation
+    candidates = np.flatnonzero(scores >= sync.threshold)
+    used = np.zeros(scores.size, dtype=bool)
+    peaks = []
+    for idx in candidates[np.argsort(-scores[candidates])]:
+        if used[idx]:
+            continue
+        lo = max(0, idx - separation)
+        hi = min(scores.size, idx + separation + 1)
+        used[lo:hi] = True
+        peaks.append(CorrelationPeak(
+            position=int(idx) + sync.shaper.delay,
+            value=complex(corr[idx]),
+            score=float(scores[idx]),
+        ))
+        if max_peaks is not None and len(peaks) >= max_peaks:
+            break
+    peaks.sort(key=lambda p: p.position)
+    return peaks
+
+
+def detector_find_packets(sync, signal, coarse_freqs,
+                          max_peaks: int | None = None):
+    """Original ``CollisionDetector.find_packets``: one
+    :func:`synchronizer_detect` per frequency, each peak merged into the
+    nearest kept position within 2 samples by scanning every slot."""
+    y = np.asarray(signal, dtype=complex).ravel()
+    merged = {}
+    for freq in coarse_freqs:
+        for peak in synchronizer_detect(sync, y, coarse_freq=freq,
+                                        max_peaks=max_peaks):
+            slot = min(merged.keys(),
+                       key=lambda pos: abs(pos - peak.position),
+                       default=None)
+            if slot is not None and abs(slot - peak.position) <= 2:
+                if merged[slot].score < peak.score:
+                    del merged[slot]
+                    merged[peak.position] = peak
+            else:
+                merged[peak.position] = peak
+    peaks = sorted(merged.values(), key=lambda p: p.position)
+    return peaks[:max_peaks] if max_peaks is not None else peaks
+
+
+# ----------------------------------------------------------------------
+# Bit helpers
+# ----------------------------------------------------------------------
+def bits_as_bit_array(bits) -> np.ndarray:
+    """Original ``as_bit_array``: an elementwise 0-or-1 mask, then
+    ``np.all``."""
+    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    if arr.size and not np.all((arr == 0) | (arr == 1)):
+        raise ConfigurationError("bit arrays may contain only 0s and 1s")
+    return arr
+
+
+def bits_to_int(bits) -> int:
+    """Original ``bits_to_int``: one shift per numpy scalar."""
+    arr = bits_as_bit_array(bits)
+    out = 0
+    for bit in arr:
+        out = (out << 1) | int(bit)
+    return out

@@ -24,7 +24,11 @@ from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 from repro.zigzag.detect import CollisionDetector
 from repro.zigzag.engine import PacketSpec
 
-from kernel_oracles import synchronizer_acquire
+from kernel_oracles import (
+    detector_find_packets,
+    synchronizer_acquire,
+    synchronizer_detect,
+)
 from test_core_receiver import collision_capture, make_frames
 
 PREAMBLE = default_preamble(32)
@@ -250,25 +254,6 @@ class TestSampleMany:
         assert list(one._kernel_cache) == list(many._kernel_cache)
 
 
-def merged_per_frequency(sync: Synchronizer, y, freqs, max_peaks=None):
-    """The detect-and-merge loop as it ran before detection shared its
-    normalization: one scalar detect per frequency."""
-    merged = {}
-    for freq in freqs:
-        for peak in sync.detect(y, coarse_freq=freq, max_peaks=max_peaks):
-            slot = min(merged.keys(),
-                       key=lambda pos: abs(pos - peak.position),
-                       default=None)
-            if slot is not None and abs(slot - peak.position) <= 2:
-                if merged[slot].score < peak.score:
-                    del merged[slot]
-                    merged[peak.position] = peak
-            else:
-                merged[peak.position] = peak
-    peaks = sorted(merged.values(), key=lambda p: p.position)
-    return peaks[:max_peaks] if max_peaks is not None else peaks
-
-
 class TestSharedNormalizationDetection:
     @given(st.integers(0, 2**32 - 1), st.integers(200, 700),
            st.lists(st.integers(0, 700), min_size=0, max_size=3),
@@ -282,11 +267,11 @@ class TestSharedNormalizationDetection:
         detector = CollisionDetector(PREAMBLE, SHAPER, beta=0.4)
         oracle = Synchronizer(PREAMBLE, SHAPER, threshold=0.4)
         assert detector.find_packets(y, freqs, max_peaks=max_peaks) == \
-            merged_per_frequency(oracle, y, freqs, max_peaks)
+            detector_find_packets(oracle, y, freqs, max_peaks)
         per_freq = Synchronizer(PREAMBLE, SHAPER, threshold=0.4).detect(
             y, coarse_freq=freqs, max_peaks=max_peaks)
-        assert per_freq == [oracle.detect(y, coarse_freq=f,
-                                          max_peaks=max_peaks)
+        assert per_freq == [synchronizer_detect(oracle, y, coarse_freq=f,
+                                                max_peaks=max_peaks)
                             for f in freqs]
 
     def test_short_capture_still_rejected(self):

@@ -109,6 +109,26 @@ class TestFailureModes:
             cap.samples[:300])
         assert not result.success
 
+    def test_capture_shorter_than_preamble_fails_softly(self, preamble,
+                                                        shaper):
+        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+            np.ones(10, complex))
+        assert not result.success
+        assert result.detail == "capture too short for sync"
+
+    def test_detection_fault_propagates(self, preamble, shaper, rng,
+                                        monkeypatch):
+        """Only a too-short capture is a decode failure; any other fault
+        in detection is a bug and must surface."""
+        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("detection fault")
+
+        monkeypatch.setattr(decoder._sync, "detect", broken)
+        with pytest.raises(RuntimeError, match="detection fault"):
+            decoder.decode(rng.standard_normal(800) + 0j)
+
     def test_ber_counts_missing_bits(self, preamble, shaper, rng):
         frame = Frame.make(random_bits(64, rng), preamble=preamble)
         from repro.receiver.result import DecodeResult

@@ -17,6 +17,8 @@ from repro.utils.bits import (
     random_bits,
 )
 
+import kernel_oracles
+
 
 class TestBitArrays:
     def test_as_bit_array_accepts_lists(self):
@@ -103,3 +105,45 @@ class TestRandomBits:
     def test_negative_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             random_bits(-1, rng)
+
+
+def outcome(fn, value):
+    """What *fn* does with *value*: its result, or its exception type."""
+    try:
+        return fn(value)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+# Bit-like inputs, invalid ones included: values up to 3, 2-D lists,
+# bools, floats and several integer dtypes.
+bit_inputs = st.one_of(
+    st.lists(st.integers(0, 3), max_size=80),
+    st.lists(st.integers(0, 1), max_size=80),
+    st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3),
+             max_size=10),
+    st.lists(st.booleans(), max_size=80),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), max_size=20),
+    st.tuples(st.lists(st.integers(0, 2), max_size=80),
+              st.sampled_from([np.uint8, np.int64, np.int8])).map(
+        lambda case: np.array(case[0], dtype=case[1])),
+)
+
+
+class TestHelpersEqualOriginals:
+    @given(bit_inputs)
+    def test_as_bit_array(self, bits):
+        got = outcome(as_bit_array, bits)
+        want = outcome(kernel_oracles.bits_as_bit_array, bits)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        else:
+            assert got is want is ConfigurationError
+
+    @given(bit_inputs)
+    def test_bits_to_int(self, bits):
+        got = outcome(bits_to_int, bits)
+        want = outcome(kernel_oracles.bits_to_int, bits)
+        assert got == want
+        assert type(got) is type(want)
