@@ -737,10 +737,9 @@ class LinkSession:
             tx_evm=cfg.tx_evm,
             impairments=cfg.sender_impairments,
         )
-        tx = Transmission(samples=client.waveform, params=params,
-                          offset=now, label=client.client.name,
-                          symbol0=now + self.shaper.delay,
-                          n_symbols=client.frame.symbols.size)
+        tx = Transmission.from_waveform(
+            client.waveform, client.frame.symbols.size, self.shaper, params,
+            now, client.client.name)
         client.tx_end = now + self.air.schedule(tx)
         client.attempts_used += 1
         self.tx_log[client.key] = (now, client.tx_end)

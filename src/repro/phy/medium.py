@@ -50,13 +50,22 @@ class Transmission:
                      offset: int, label: str = "") -> "Transmission":
         """Shape a symbol stream and place it at *offset* samples."""
         sym = np.asarray(symbols, dtype=complex).ravel()
+        return cls.from_waveform(shaper.shape(sym), sym.size, shaper, params,
+                                 offset, label)
+
+    @classmethod
+    def from_waveform(cls, waveform, n_symbols: int, shaper,
+                      params: ChannelParams, offset: int,
+                      label: str = "") -> "Transmission":
+        """Place *waveform*, *shaper*'s shaping of *n_symbols* symbols,
+        at *offset* samples."""
         return cls(
-            samples=shaper.shape(sym),
+            samples=waveform,
             params=params,
             offset=offset,
             label=label,
             symbol0=offset + shaper.delay,
-            n_symbols=sym.size,
+            n_symbols=n_symbols,
         )
 
     @property

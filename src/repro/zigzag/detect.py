@@ -79,14 +79,10 @@ class CollisionDetector:
                 # Keep the strongest detection near each position: the
                 # nearest merged slot within 2 samples takes the hit.
                 lag = hit[0]
-                if lag in merged:
-                    slot = lag
-                else:
-                    slot = min((pos for pos in range(lag - 2, lag + 3)
-                                if pos in merged),
-                               key=lambda pos: (abs(pos - lag),
-                                                merged[pos][0]),
-                               default=None)
+                slot = min((pos for pos in range(lag - 2, lag + 3)
+                            if pos in merged),
+                           key=lambda pos: (abs(pos - lag), merged[pos][0]),
+                           default=None)
                 if slot is None or merged[slot][1][1] < hit[1]:
                     if slot is not None:
                         del merged[slot]

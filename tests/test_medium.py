@@ -15,6 +15,12 @@ class TestTransmission:
         assert t.symbol0 == 17 + shaper.delay
         assert t.n_symbols == 40
         assert t.end == 17 + shaper.waveform_length(40)
+        # An already-shaped waveform is placed by the same rule.
+        placed = Transmission.from_waveform(shaper.shape(sym), sym.size,
+                                            shaper, t.params, 17, "x")
+        assert (placed.symbol0, placed.n_symbols, placed.label) == \
+            (t.symbol0, t.n_symbols, t.label)
+        assert np.array_equal(placed.samples, t.samples)
 
     def test_negative_offset_rejected(self, shaper):
         with pytest.raises(ConfigurationError):
