@@ -118,7 +118,9 @@ SYNC_THRESHOLD = 0.5
 # positives cost compute, not packets (§5.3a), while false negatives
 # forfeit ZigZag opportunities.
 COLLISION_BETA = 0.42
-# Samples of the §4.2.2 aligned correlation that scores a match.
+# Samples of the §4.2.2 aligned correlation that scores a match. The
+# window opens after each packet's preamble and header
+# (ZigZagReceiver._peak_alignment), so it holds payload only.
 MATCH_WINDOW = 256
 
 
@@ -129,7 +131,12 @@ class ReceiverConfig:
     preamble: Preamble = field(default_factory=default_preamble)
     shaper: PulseShaper = field(default_factory=PulseShaper)
     noise_power: float = 1.0
-    match_threshold: float = 0.25
+    # §4.2.2 identity threshold on the mean payload-window score, at
+    # every k. A true match scores about each packet's share of the
+    # capture power (~1/k); different packets score at the floor of a
+    # 256-sample correlation (median ~0.1 at k = 2-4), which does not
+    # shrink with k (docs/performance.md, "False identity matches").
+    match_threshold: float = 0.15
     enable_sic: bool = True
     buffer_capacity: int = 4
     # Age (in receive() calls) after which a stored collision is pruned.
@@ -400,6 +407,10 @@ class ZigZagReceiver(StandardAp):
         # bit-identical to the historical ZigZagPairDecoder path.
         self.multi_decoder = ZigZagMultiDecoder(cfg.stream_config())
         self.sic = SicDecoder(cfg.stream_config())
+        # Samples from a packet's start to its payload: every packet
+        # opens with the same preamble and a near-identical header.
+        self._payload_lead = ((len(cfg.preamble) + HEADER_BITS)
+                              * cfg.shaper.sps)
 
     # ------------------------------------------------------------------
     def receive(self, samples) -> list[DecodeResult]:
@@ -495,18 +506,27 @@ class ZigZagReceiver(StandardAp):
         k − 1 packets as interference, leaving every score near 1/k
         with substantial variance).
 
+        Each window opens ``len(preamble) + HEADER_BITS`` symbols after
+        its peak, on the payload. Every packet carries the same preamble,
+        and one sender's headers differ only in a few bits, so a window
+        at the packet start correlates two *different* packets of the
+        same senders almost as well as two copies of one packet: on the
+        closed loop most such false matches clear the threshold and cost
+        a ZigZag decode that cannot succeed.
+
         Returns ``(score, perm)`` with ``perm[i]`` the record peak index
         carrying probe packet *i*; ``(−1, None)`` when no fully
         scoreable correspondence exists (short alignments).
         """
         k = probe.n_peaks
+        lead = self._payload_lead
         scores = np.full((k, k), np.nan)
         for i in range(k):
             for j in range(k):
                 try:
                     scores[i, j] = match_score(
-                        record.samples, record.peaks[j].position,
-                        probe.samples, probe.peaks[i].position,
+                        record.samples, record.peaks[j].position + lead,
+                        probe.samples, probe.peaks[i].position + lead,
                         MATCH_WINDOW)
                 except ConfigurationError:
                     pass  # stays nan: that alignment is unscoreable
@@ -521,17 +541,6 @@ class ZigZagReceiver(StandardAp):
         if best_perm is None:
             return -1.0, None
         return best_score, best_perm
-
-    def _set_threshold(self, k: int) -> float:
-        """Match threshold for a k-packet collision set.
-
-        The aligned-correlation score of a true match concentrates
-        around the matched packet's share of the capture power — about
-        1/2 for a pair, 1/k in general — so the configured pairwise
-        threshold is scaled by ``2/k`` to keep the same accept margin at
-        every k (and exactly ``match_threshold`` at k = 2).
-        """
-        return self.config.match_threshold * 2.0 / k
 
     @staticmethod
     def _aligned_offsets(record: CollisionRecord,
@@ -569,8 +578,9 @@ class ZigZagReceiver(StandardAp):
                 continue
             score, perm = self._peak_alignment(record, probe)
             if perm is None:
-                # A buried peak near the tail of either capture leaves
-                # too few aligned samples to score: no match.
+                # A peak too near the end of either capture to hold a
+                # payload window (a late or spurious peak) leaves no
+                # scoreable correspondence: no match.
                 self.stats.match_attempts += 1
                 self.stats.short_alignments += 1
                 continue
@@ -579,7 +589,7 @@ class ZigZagReceiver(StandardAp):
                 continue  # same arrival pattern: degenerate (§4.5)
             self.stats.match_attempts += 1
             alignments[id(record)] = (score, perm)
-            if score < self._set_threshold(k):
+            if score < self.config.match_threshold:
                 self.stats.match_rejects_threshold += 1
                 continue
             matches.append(record)
@@ -741,7 +751,7 @@ class ZigZagReceiver(StandardAp):
         waits for the next retransmission.
         """
         k = probe.n_peaks
-        threshold = self._set_threshold(k)
+        threshold = self.config.match_threshold
         component = self.buffer.component(
             matches, self._link_scorer, threshold)
         candidates = sorted(

@@ -10,6 +10,15 @@ Retransmitted 802.11 frames are bit-identical except the retry flag, so
 sample-level correlation between the aligned regions is high even though
 each collision superimposes a *different* alignment of the other packet
 (which acts as uncorrelated noise in this test).
+
+Where the aligned window starts decides what the score can tell apart.
+Every packet opens with the same preamble, and one sender's headers
+differ from packet to packet only in a few bits (sequence number, retry
+flag), so a window anchored at the packet start scores two *different*
+packets of the same senders almost as high as two copies of one packet.
+The AP (:meth:`repro.core.api.ZigZagReceiver._peak_alignment`) therefore
+opens each window ``len(preamble) + HEADER_BITS`` symbols past the
+packet start, on the payload alone.
 """
 
 from __future__ import annotations

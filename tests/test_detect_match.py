@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.api import ReceiverConfig, ZigZagReceiver
 from repro.errors import ConfigurationError
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
@@ -12,25 +13,33 @@ from repro.zigzag.detect import CollisionDetector
 from repro.zigzag.match import match_score
 
 
+# Client frequency offsets of the senders in the collisions below.
+SENDER_FREQS = (2e-3, -3e-3, 1e-3)
+
+
+def sender_collision(rng, shaper, frames, offsets, snr_db=12.0,
+                     freqs=SENDER_FREQS):
+    """One capture in which sender *i* (frequency ``freqs[i]``) transmits
+    ``frames[i]`` starting ``offsets[i]`` samples in."""
+    amp = np.sqrt(10 ** (snr_db / 10))
+    txs = [Transmission.from_symbols(
+        frame.symbols, shaper,
+        ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
+                      freq_offset=freq,
+                      sampling_offset=rng.uniform(0, 1)),
+        offset, "ABC"[i])
+        for i, (frame, freq, offset) in enumerate(
+            zip(frames, freqs, offsets))]
+    return synthesize(txs, 1.0, rng, leading=8, tail=30)
+
+
 def collision_capture(rng, preamble, shaper, offset=150, snr_db=12.0,
                       frames=None, freqs=(2e-3, -3e-3)):
-    amp = np.sqrt(10 ** (snr_db / 10))
     if frames is None:
         frames = [Frame.make(random_bits(200, rng), src=i + 1,
                              preamble=preamble) for i in range(2)]
-    txs = [
-        Transmission.from_symbols(
-            frames[0].symbols, shaper,
-            ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
-                          freq_offset=freqs[0],
-                          sampling_offset=rng.uniform(0, 1)), 0, "A"),
-        Transmission.from_symbols(
-            frames[1].symbols, shaper,
-            ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
-                          freq_offset=freqs[1],
-                          sampling_offset=rng.uniform(0, 1)), offset, "B"),
-    ]
-    return synthesize(txs, 1.0, rng, leading=8, tail=30), frames
+    return sender_collision(rng, shaper, frames, (0, offset), snr_db,
+                            freqs), frames
 
 
 class TestDetection:
@@ -111,3 +120,60 @@ class TestMatching:
         with pytest.raises(ConfigurationError):
             match_score(np.ones(10, complex), 8, np.ones(10, complex), 8,
                         window=16)
+
+
+class TestIdentityGroundTruth:
+    """§4.2.2 on known packets: two collisions of the same senders match
+    only when they carry the same packets.
+
+    Every packet opens with the shared preamble, and one sender's
+    consecutive packets differ in the header only in the sequence
+    number, so these are the hardest different-packet collisions the
+    AP meets: the retransmission differs from its original by the retry
+    bit alone."""
+
+    @staticmethod
+    def _frames(rng, preamble, k, seq):
+        return [Frame.make(random_bits(200, rng), src=i + 1, seq=seq,
+                           preamble=preamble) for i in range(k)]
+
+    @staticmethod
+    def _matches(preamble, shaper, stored, probe, k):
+        receiver = ZigZagReceiver(ReceiverConfig(
+            preamble=preamble, shaper=shaper, max_collision_packets=k))
+        for src, freq in enumerate(SENDER_FREQS[:k], start=1):
+            receiver.clients.update(src, freq)
+        record = receiver._detect(stored.samples)
+        new = receiver._detect(probe.samples)
+        assert record.n_peaks == new.n_peaks == k
+        receiver.buffer.store(record)
+        matches, _ = receiver._direct_matches(new)
+        return matches, record
+
+    @pytest.mark.parametrize("k, first, second", [
+        (2, (0, 150), (0, 90)),
+        (3, (0, 130, 260), (0, 220, 80)),
+    ])
+    def test_different_packets_of_the_same_senders_do_not_match(
+            self, rng, preamble, shaper, k, first, second):
+        earlier = self._frames(rng, preamble, k, seq=5)
+        later = self._frames(rng, preamble, k, seq=6)
+        matches, _ = self._matches(
+            preamble, shaper,
+            sender_collision(rng, shaper, earlier, first),
+            sender_collision(rng, shaper, later, second), k)
+        assert matches == []
+
+    @pytest.mark.parametrize("k, first, second", [
+        (2, (0, 150), (0, 90)),
+        (3, (0, 130, 260), (0, 220, 80)),
+    ])
+    def test_retransmitted_packets_match(self, rng, preamble, shaper, k,
+                                         first, second):
+        frames = self._frames(rng, preamble, k, seq=5)
+        retries = [frame.retransmission() for frame in frames]
+        matches, record = self._matches(
+            preamble, shaper,
+            sender_collision(rng, shaper, frames, first),
+            sender_collision(rng, shaper, retries, second), k)
+        assert matches == [record]
