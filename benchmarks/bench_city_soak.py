@@ -10,8 +10,8 @@ each seed's delivered totals and block throughput per design, the
 derived sensing mix, and the per-cell resident-sample peak — the bound
 that keeps a city-scale soak in constant memory per worker. On the same
 air the ZigZag AP must deliver at least what the 802.11 AP delivers,
-summed over the session seeds (§5.1d: it runs the standard decoder
-first). Equivalent CLI for one seed::
+on every session seed and summed over them (§5.1d: it runs the standard
+decoder first). Equivalent CLI for one seed::
 
     python -m repro run examples/scenarios/city_scale.toml
 
@@ -96,19 +96,25 @@ def test_city_soak(benchmark, record_table):
           for row in rows),
         f"total {delivered['zigzag']:16d}          "
         f"{delivered['80211']:16d}",
-        f"sharding  : {len(cells)} trials per session seed over "
-        f"{runner.n_workers} workers (one cell per worker)",
-        f"wall      : {sum(result.elapsed for result in results):.1f}s",
+        f"sharding  : {len(cells)} trials per session seed "
+        "(one cell per worker)",
     ]
-    record_table("city_soak", "Geometry-derived city block soak", lines)
+    record_table("city_soak", "Geometry-derived city block soak", lines,
+                 host=[f"{runner.n_workers} workers, "
+                       f"{sum(r.elapsed for r in results):.1f}s wall"])
     # The derivation must produce a real multi-cell hidden-terminal
     # block, and both designs must actually move packets through it.
     assert len(cells) >= 10 and associated >= 0.5 * N_CLIENTS
     assert hidden_pairs > 0
     assert delivered["zigzag"] > 0 and delivered["80211"] > 0
     # On the same air ZigZag delivers at least what 802.11 delivers:
-    # it runs the same standard stage first (§5.1d).
+    # it runs the same standard stage first (§5.1d). On one capture
+    # that is a superset by construction; across a session the two
+    # designs diverge (different ACKs, then different air), so the
+    # per-seed bound is measured on these seeds, not proven.
     assert delivered["zigzag"] >= delivered["80211"]
+    for row in rows:
+        assert row["delivered_zigzag"] >= row["delivered_80211"], row
     # Bounded memory: the largest resident-air peak in any cell is a
     # handful of packets, far below the block's emitted stream —
     # sessions never materialize the air they soak through.
@@ -158,15 +164,16 @@ def test_city_multicell_coupled(benchmark, record_table):
         f"{int(report.counters['samples_clipped'])} clipped)",
         f"memory    : {int(report.max_resident_samples)} resident "
         "samples summed over cells",
-        f"parallel  : {parallel.workers} cell workers in {parallel_s:.1f}s "
-        f"vs {report.elapsed_s:.1f}s sequential "
-        f"({report.elapsed_s / max(parallel_s, 1e-9):.2f}x on "
-        f"{os.cpu_count()} cpus), reports "
+        f"parallel  : {parallel.workers} cell workers, reports "
         f"{'identical' if identical else 'DIVERGED'}, "
         f"degraded={parallel.degraded}",
     ]
     record_table("city_soak_coupled",
-                 "Coupled multi-cell block (waveform exchange)", lines)
+                 "Coupled multi-cell block (waveform exchange)", lines,
+                 host=[f"parallel {parallel_s:.1f}s vs "
+                       f"{report.elapsed_s:.1f}s sequential "
+                       f"({report.elapsed_s / max(parallel_s, 1e-9):.2f}x "
+                       f"on {os.cpu_count()} cpus)"])
     assert report.total_delivered > 0
     assert report.timed_out_cells == 0
     assert report.counters["windows"] > 0

@@ -24,11 +24,16 @@ def results_dir():
 
 @pytest.fixture
 def record_table(results_dir):
-    """Write (and echo) a reproduced table/figure as plain text."""
+    """Write (and echo) a reproduced table/figure as plain text.
 
-    def _record(name: str, title: str, lines: list[str]) -> None:
+    *host* lines (wall-clock timings) are echoed to the log only: they
+    differ run to run, and the tracked tables hold simulated outputs, so
+    rerunning a benchmark leaves them unchanged."""
+
+    def _record(name: str, title: str, lines: list[str],
+                host: list[str] = ()) -> None:
         text = "\n".join([title, "=" * len(title), *lines, ""])
         (results_dir / f"{name}.txt").write_text(text)
-        print("\n" + text)
+        print("\n" + text + "".join(f"host: {line}\n" for line in host))
 
     return _record
