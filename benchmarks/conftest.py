@@ -26,9 +26,10 @@ def results_dir():
 def record_table(results_dir):
     """Write (and echo) a reproduced table/figure as plain text.
 
-    *host* lines (wall-clock timings) are echoed to the log only: they
-    differ run to run, and the tracked tables hold simulated outputs, so
-    rerunning a benchmark leaves them unchanged."""
+    *host* lines (wall clocks, worker counts, anything that depends on
+    the machine or on process scheduling) are echoed to the log only:
+    the tracked tables hold simulated outputs, so rerunning a benchmark
+    leaves them unchanged."""
 
     def _record(name: str, title: str, lines: list[str],
                 host: list[str] = ()) -> None:
