@@ -5,8 +5,9 @@ A :class:`Topology` is the one way to tell a
 which clients sense each other. Three constructors:
 
 - :meth:`Topology.explicit` — hand-declared hidden pairs/cliques, every
-  other pair sensing perfectly. Building the matrix consumes **no** rng
-  draws.
+  other pair sensing perfectly: the same per-pair table as
+  :meth:`Topology.from_cell`, with every listed pair at probability 0,
+  so building the matrix consumes **no** rng draws.
 - :meth:`Topology.probabilistic` — each unordered pair senses with one
   shared probability, drawn once per session: one ``rng.uniform()`` per
   ``i < j`` pair in index order, *including* the degenerate 0.0/1.0
@@ -33,7 +34,6 @@ from repro.errors import ConfigurationError
 
 __all__ = ["Topology", "max_clique_size"]
 
-EXPLICIT = "explicit"
 PROBABILISTIC = "probabilistic"
 DERIVED = "derived"
 
@@ -68,8 +68,6 @@ class Topology:
     """Pairwise carrier-sense relations among a session's clients."""
 
     mode: str
-    hidden_pairs: tuple[tuple[str, str], ...] | None = None
-    hidden_cliques: tuple[tuple[str, ...], ...] | None = None
     sense_probability: float = 0.0
     # Derived mode: every known pair with its sense probability, as
     # ``(name_a, name_b, p)``; pairs not listed sense perfectly.
@@ -78,7 +76,7 @@ class Topology:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.mode not in (EXPLICIT, PROBABILISTIC, DERIVED):
+        if self.mode not in (PROBABILISTIC, DERIVED):
             raise ConfigurationError(
                 f"unknown topology mode {self.mode!r}")
         if not 0.0 <= self.sense_probability <= 1.0:
@@ -90,11 +88,15 @@ class Topology:
     def explicit(cls, hidden_pairs=None, hidden_cliques=None) -> "Topology":
         """Hand-declared topology: listed pairs (and every pair inside
         each clique) are hidden; all other pairs sense perfectly."""
-        return cls(mode=EXPLICIT,
-                   hidden_pairs=(tuple(tuple(p) for p in hidden_pairs)
-                                 if hidden_pairs is not None else None),
-                   hidden_cliques=(tuple(tuple(c) for c in hidden_cliques)
-                                   if hidden_cliques is not None else None))
+        pairs = [tuple(pair) for pair in (hidden_pairs or ())]
+        for clique in (hidden_cliques or ()):
+            if len(clique) < 2:
+                raise ConfigurationError(
+                    "hidden cliques need at least two clients")
+            pairs.extend((a, b) for i, a in enumerate(clique)
+                         for b in clique[i + 1:])
+        return cls(mode=DERIVED,
+                   pair_probabilities=tuple((a, b, 0.0) for a, b in pairs))
 
     @classmethod
     def probabilistic(cls, sense_probability: float) -> "Topology":
@@ -120,24 +122,14 @@ class Topology:
     def hidden_edges(self) -> set[frozenset[str]]:
         """Every *deterministically* hidden client pair, as name sets.
 
-        Explicit mode: the declared pairs plus expanded cliques.
-        Derived mode: pairs whose sense probability is 0. Probabilistic
-        mode: empty (nothing is pinned before the per-session draw).
+        Derived mode (which :meth:`explicit` builds): pairs whose sense
+        probability is 0. Probabilistic mode: empty (nothing is pinned
+        before the per-session draw).
         """
         if self.mode == PROBABILISTIC:
             return set()
-        if self.mode == DERIVED:
-            return {frozenset((a, b))
-                    for a, b, p in self.pair_probabilities if p <= 0.0}
-        edges = {frozenset(pair) for pair in (self.hidden_pairs or ())}
-        for clique in (self.hidden_cliques or ()):
-            if len(clique) < 2:
-                raise ConfigurationError(
-                    "hidden cliques need at least two clients")
-            edges.update(frozenset((a, b))
-                         for i, a in enumerate(clique)
-                         for b in clique[i + 1:])
-        return edges
+        return {frozenset((a, b))
+                for a, b, p in self.pair_probabilities if p <= 0.0}
 
     def collision_packets(self) -> int:
         """The AP's k: the largest mutually-hidden group among the
@@ -146,32 +138,15 @@ class Topology:
         names = sorted({name for edge in edges for name in edge})
         return max(2, max_clique_size(names, edges))
 
-    def _check_names(self, known: set[str], used: set[str]) -> None:
-        unknown = used - known
-        if unknown:
-            raise ConfigurationError(
-                f"hidden topology names unknown clients: "
-                f"{sorted(unknown)}")
-
     def sense_matrix(self, names: list[str],
                      rng: np.random.Generator) -> np.ndarray:
         """The symmetric boolean can-sense matrix over *names*.
 
-        Explicit mode consumes no rng draws; probabilistic mode draws
-        one uniform per ``i < j`` pair in order; derived mode draws only
-        for partial (0 < p < 1) pairs, in ``i < j`` order.
+        Probabilistic mode draws one uniform per ``i < j`` pair in
+        order; derived mode draws only for partial (0 < p < 1) pairs, in
+        ``i < j`` order, so an explicit topology draws none.
         """
         n = len(names)
-        if self.mode == EXPLICIT:
-            hidden = self.hidden_edges()
-            self._check_names(set(names),
-                              {name for pair in hidden for name in pair})
-            sense = np.ones((n, n), dtype=bool)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if frozenset((names[i], names[j])) in hidden:
-                        sense[i, j] = sense[j, i] = False
-            return sense
         if self.mode == PROBABILISTIC:
             sense = np.zeros((n, n), dtype=bool)
             for i in range(n):
@@ -180,11 +155,15 @@ class Topology:
                         rng.uniform() < self.sense_probability
             return sense
         # Derived: per-pair probabilities; unlisted pairs sense
-        # perfectly (co-cell pairs are always listed by from_cell).
+        # perfectly (co-cell pairs are always listed by from_cell;
+        # explicit lists only its hidden pairs).
         lookup = {frozenset((a, b)): p
                   for a, b, p in self.pair_probabilities}
-        self._check_names(set(names),
-                          {name for pair in lookup for name in pair})
+        unknown = {name for pair in lookup for name in pair} - set(names)
+        if unknown:
+            raise ConfigurationError(
+                f"hidden topology names unknown clients: "
+                f"{sorted(unknown)}")
         sense = np.ones((n, n), dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):

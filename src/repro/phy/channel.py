@@ -93,10 +93,6 @@ class ChannelParams:
         magnitude = np.sqrt(db_to_linear(snr_db_value) * noise_power)
         return cls(gain=magnitude * np.exp(1j * phase), **kwargs)
 
-    @property
-    def snr_linear_vs_unit_noise(self) -> float:
-        return abs(self.gain) ** 2
-
     def with_gain(self, gain: complex) -> "ChannelParams":
         return replace(self, gain=gain)
 

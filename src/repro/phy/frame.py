@@ -236,9 +236,3 @@ class Frame:
     @property
     def n_body_symbols(self) -> int:
         return self.symbols.size - len(self.preamble)
-
-    def body_symbol_layout(self) -> tuple[int, int]:
-        """(header_symbols, payload_symbols) counts within the body."""
-        if self.header.modulation == "bpsk":
-            return HEADER_BITS, self.n_body_symbols - HEADER_BITS
-        return HEADER_BITS, self.n_body_symbols - HEADER_BITS

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.phy.constellation import Constellation, get_constellation
+from repro.phy.constellation import Constellation
 from repro.utils.bits import as_bit_array
 
 __all__ = ["Modulator"]
@@ -26,25 +26,14 @@ class Modulator:
     Parameters
     ----------
     constellation:
-        A :class:`Constellation` instance or its registry name.
+        The :class:`Constellation` to map onto.
     """
 
     constellation: Constellation
 
-    @classmethod
-    def from_name(cls, name: str) -> "Modulator":
-        return cls(get_constellation(name))
-
     @property
     def bits_per_symbol(self) -> int:
         return self.constellation.bits_per_symbol
-
-    def symbol_count(self, n_bits: int) -> int:
-        """Number of symbols needed to carry *n_bits* (with padding)."""
-        if n_bits < 0:
-            raise ConfigurationError("n_bits must be non-negative")
-        k = self.bits_per_symbol
-        return (n_bits + k - 1) // k
 
     def pad_bits(self, bits) -> np.ndarray:
         """Zero-pad *bits* up to a whole number of symbols."""
@@ -69,7 +58,3 @@ class Modulator:
                 )
             bits = bits[:n_bits]
         return bits
-
-    def remodulate(self, symbols) -> np.ndarray:
-        """Snap noisy symbols to the constellation (decision feedback)."""
-        return self.constellation.slice_symbols(symbols)

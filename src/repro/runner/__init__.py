@@ -53,7 +53,6 @@ from repro.runner.scenarios import (
     available_scenarios,
     get_scenario,
     scenario,
-    scenario_designs,
 )
 from repro.runner.seeding import trial_rng, trial_seed, trial_seed_sequence
 from repro.runner.spec import (
@@ -89,7 +88,6 @@ __all__ = [
     "merge_flow_stats",
     "parse_sweep",
     "scenario",
-    "scenario_designs",
     "shared_cache",
     "trial_rng",
     "trial_seed",

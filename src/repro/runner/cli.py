@@ -33,7 +33,7 @@ import sys
 from repro.errors import ReproError, RunAbortedError
 from repro.runner.results import RunResult
 from repro.runner.runner import MonteCarloRunner
-from repro.runner.scenarios import available_scenarios, scenario_designs
+from repro.runner.scenarios import available_scenarios, get_scenario
 from repro.runner.spec import ScenarioSpec, _coerce, parse_sweep
 
 __all__ = ["main"]
@@ -102,7 +102,7 @@ def _print_run(result: RunResult, as_json: bool) -> None:
     # Design-independent scenarios ignore spec.design; label them "n/a"
     # rather than implying a design comparison that never ran.
     design = result.spec.design \
-        if scenario_designs(result.spec.kind) is not None else "n/a"
+        if get_scenario(result.spec.kind).designs is not None else "n/a"
     if as_json:
         payload = {
             "scenario": result.spec.kind,

@@ -296,8 +296,16 @@ class PoolSupervisor:
             if job is None:
                 return
             pending.remove(job)
-            future = task.submit(self._ensure_pool(), job.indices,
-                                 job.attempt)
+            try:
+                future = task.submit(self._ensure_pool(), job.indices,
+                                     job.attempt)
+            except BrokenExecutor:
+                # A worker died since the last collect, so the pool
+                # refuses new work. This job never ran: it requeues as
+                # it was, and the in-flight ones as after any crash.
+                pending.append(job)
+                self._recover_from_crash(active, pending)
+                return
             deadline = (now + self.policy.batch_timeout
                         if self.policy.batch_timeout > 0 else math.inf)
             active[future] = (job, deadline)

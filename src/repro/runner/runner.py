@@ -24,7 +24,7 @@ process, ``spec.batch_size`` trials per group; the parent only collects
 results. ``n_workers=1`` executes inline with zero process overhead (and
 is the reference the parallel path is tested against). The generic
 :meth:`map` drives arbitrary module-level trial functions through the
-same machinery, which is how the deterministic figure benchmarks ride
+same supervisor, which is how the deterministic figure benchmarks ride
 the runner.
 """
 
@@ -33,16 +33,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.runner.chaos import ChaosInjector
 from repro.runner.resilience import (
     BatchTask,
     CheckpointJournal,
+    FailurePolicy,
     PoolSupervisor,
     SupervisorStats,
     TrialFailure,
@@ -50,13 +51,8 @@ from repro.runner.resilience import (
 from repro.runner.results import RunResult, SweepResult, TrialResult
 from repro.runner.scenarios import (
     TrialContext,
-    deployment_scenarios,
-    get_batched_scenario,
+    available_scenarios,
     get_scenario,
-    impairment_scenarios,
-    scenario_designs,
-    scenario_supports_deployment,
-    scenario_supports_impairments,
 )
 from repro.runner.spec import ScenarioSpec
 
@@ -110,7 +106,7 @@ def _scenario_batch(spec_dict: dict, indices: Sequence[int],
     injector = ChaosInjector(spec.faults)
     if spec.batch_size > 1:
         return _batched_trials(spec, indices, attempt, injector)
-    fn = get_scenario(spec.kind)
+    fn = get_scenario(spec.kind).trial
     return [_run_trial_guarded(fn, spec, i, attempt, injector)
             for i in indices]
 
@@ -127,7 +123,8 @@ def _batched_trials(spec: ScenarioSpec, indices: Sequence[int],
     decode raises replays through the per-trial loop path, which is
     bit-identical by the batched engine's equivalence contract.
     """
-    hooks = get_batched_scenario(spec.kind)
+    entry = get_scenario(spec.kind)
+    hooks = entry.batched
     outcomes: dict[int, TrialResult | TrialFailure] = {}
     payloads = []
     for i in indices:
@@ -146,22 +143,35 @@ def _batched_trials(spec: ScenarioSpec, indices: Sequence[int],
                 outcomes[payload.index] = _coerce_trial(result,
                                                         payload.index)
         except Exception:
-            loop_fn = get_scenario(spec.kind)
             for payload in group:
                 outcomes[payload.index] = _run_trial_guarded(
-                    loop_fn, spec, payload.index, attempt, None)
+                    entry.trial, spec, payload.index, attempt, None)
     return [outcomes[i] for i in indices]
 
 
 def _map_batch(fn: Callable, root_seed: int,
-               items: Sequence[tuple[int, Any]], with_values: bool
-               ) -> list[tuple[int, Any]]:
-    """Worker entry point for :meth:`MonteCarloRunner.map`."""
+               items: Sequence[tuple[int, tuple]], attempt: int = 0
+               ) -> list:
+    """Worker entry point for :meth:`MonteCarloRunner.map`.
+
+    Calls ``fn(ctx, *args)`` per ``(index, args)`` item; like
+    :func:`_scenario_batch`, each call is guarded and the list holds a
+    result or ``TrialFailure`` per item, in order.
+    """
     out = []
-    for index, value in items:
-        ctx = TrialContext.for_trial(root_seed, index)
-        out.append((index, fn(ctx, value) if with_values else fn(ctx)))
+    for index, args in items:
+        try:
+            out.append(fn(TrialContext.for_trial(root_seed, index), *args))
+        except Exception as exc:
+            out.append(TrialFailure.from_exception(index, exc,
+                                                   attempts=attempt + 1))
     return out
+
+
+def _kinds_with(flag: str) -> list[str]:
+    """Sorted registered kinds whose record sets *flag* (for messages)."""
+    return [kind for kind in available_scenarios()
+            if getattr(get_scenario(kind), flag)]
 
 
 def _default_start_method() -> str:
@@ -213,28 +223,28 @@ class MonteCarloRunner:
         """Run every trial of *spec* and aggregate (see RunResult)."""
         if n_trials is not None:
             spec = replace(spec, n_trials=n_trials)
-        supported = scenario_designs(spec.kind)
-        if supported is not None and spec.design not in supported:
+        entry = get_scenario(spec.kind)
+        if entry.designs is not None and spec.design not in entry.designs:
             raise ConfigurationError(
                 f"scenario {spec.kind!r} does not support design "
-                f"{spec.design!r} (supported: {list(supported)})")
-        if not spec.impairments.is_empty \
-                and not scenario_supports_impairments(spec.kind):
+                f"{spec.design!r} (supported: {list(entry.designs)})")
+        if not spec.impairments.is_empty and not entry.impairments:
             raise ConfigurationError(
                 f"scenario {spec.kind!r} does not apply the spec's "
                 "[impairments] table; running it would silently ignore "
                 "the pipelines (impairment-aware scenarios: "
-                f"{', '.join(impairment_scenarios())})")
-        if not spec.deployment.is_empty \
-                and not scenario_supports_deployment(spec.kind):
+                f"{', '.join(_kinds_with('impairments'))})")
+        if not spec.deployment.is_empty and not entry.deployment:
             raise ConfigurationError(
                 f"scenario {spec.kind!r} does not consume the spec's "
                 "[deployment] table; running it would silently fall "
                 "back to the default topology (deployment scenarios: "
-                f"{', '.join(deployment_scenarios())})")
+                f"{', '.join(_kinds_with('deployment'))})")
         spec.deployment.validate()
-        if spec.batch_size > 1:
-            get_batched_scenario(spec.kind)  # raise on unbatched kinds
+        if spec.batch_size > 1 and entry.batched is None:
+            raise ConfigurationError(
+                f"scenario {spec.kind!r} has no batched engine; set "
+                f"batch_size = 1 (batched kinds: {_kinds_with('batched')})")
         journal = self._ensure_journal(spec)
         indices = list(range(spec.n_trials))
         completed: dict[int, TrialResult] = {}
@@ -261,16 +271,24 @@ class MonteCarloRunner:
         if not indices:
             return [], [], None
         spec_dict = spec.to_dict()
-        use_pool = self.n_workers > 1 and len(indices) > 1
         task = BatchTask(
             submit=lambda pool, idx, attempt: pool.submit(
                 _scenario_batch, spec_dict, idx, attempt),
             run_inline=lambda idx, attempt: _scenario_batch(
                 spec_dict, idx, attempt))
+        return self._supervise(task, indices, spec.resilience, record)
+
+    def _supervise(self, task: BatchTask, indices: list[int],
+                   policy: FailurePolicy,
+                   on_success: Callable[[int, Any], None] | None = None
+                   ) -> tuple[list, list[TrialFailure], SupervisorStats]:
+        """The one fan-out path: *indices* in batches under *policy*,
+        on the process pool when there is more than one worker and item.
+        Returns the results in index order, the failures and the stats."""
+        use_pool = self.n_workers > 1 and len(indices) > 1
         supervisor = PoolSupervisor(self._pool if use_pool else None,
-                                    spec.resilience,
-                                    window=self._processes(),
-                                    on_success=record)
+                                    policy, window=self._processes(),
+                                    on_success=on_success)
         results, failures = supervisor.execute(task, self._batches(indices))
         return ([results[i] for i in sorted(results)], failures,
                 supervisor.stats)
@@ -305,42 +323,30 @@ class MonteCarloRunner:
         grid). *fn* must be module-level (picklable) to use more than one
         worker. Returns results in index order.
 
-        A failed batch cancels every batch still queued and raises a
-        :class:`ReproError` naming the batch (and first item index) that
-        failed, chained to the original exception.
+        Items run through the same supervisor as :meth:`run`, under the
+        default ``fail_fast`` policy, so a failure raises the same way at
+        one worker and at N: a :class:`ReproError` from *fn* unchanged,
+        anything else as :class:`~repro.errors.RunAbortedError` naming
+        the failing item's index, chained to the original exception.
         """
         if values is None:
             if n_trials is None or n_trials < 1:
                 raise ConfigurationError("map needs n_trials or values")
-            items = [(i, None) for i in range(n_trials)]
-            with_values = False
+            args = [()] * n_trials
         else:
-            items = list(enumerate(values))
-            with_values = True
-        if self.n_workers == 1 or len(items) <= 1:
-            pairs = _map_batch(fn, seed, items, with_values)
-        else:
-            pairs = []
-            batches = self._batches(items)
-            with self._pool() as pool:
-                futures = {
-                    pool.submit(_map_batch, fn, seed, batch, with_values):
-                    number for number, batch in enumerate(batches)}
-                current = None
-                try:
-                    for future in as_completed(futures):
-                        current = future
-                        pairs.extend(future.result())
-                except Exception as exc:
-                    for other in futures:
-                        other.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    number = futures.get(current, -1)
-                    first = batches[number][0][0] if number >= 0 else "?"
-                    raise ReproError(
-                        f"map batch {number} (first item index {first}) "
-                        f"failed: {exc}") from exc
-        return [result for _, result in sorted(pairs, key=lambda p: p[0])]
+            args = [(value,) for value in values]
+
+        def items(idx: list[int]) -> list[tuple[int, tuple]]:
+            return [(i, args[i]) for i in idx]
+
+        task = BatchTask(
+            submit=lambda pool, idx, attempt: pool.submit(
+                _map_batch, fn, seed, items(idx), attempt),
+            run_inline=lambda idx, attempt: _map_batch(
+                fn, seed, items(idx), attempt))
+        results, _, _ = self._supervise(task, list(range(len(args))),
+                                        FailurePolicy())
+        return results
 
     # ------------------------------------------------------------------
     def _ensure_journal(self, spec: ScenarioSpec

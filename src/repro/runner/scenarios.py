@@ -9,8 +9,9 @@ the design under test, and return scalar metrics (plus optional
 fan-out, seeding, and aggregation; scenario functions stay single-trial
 and pure-in-their-context.
 
-Register new scenarios with the :func:`scenario` decorator; list them
-with :func:`available_scenarios` or ``python -m repro list``.
+Register new scenarios with the :func:`scenario` decorator, which files
+one :class:`ScenarioRecord` per kind; :func:`get_scenario` returns it.
+List them with :func:`available_scenarios` or ``python -m repro list``.
 """
 
 from __future__ import annotations
@@ -58,35 +59,15 @@ from repro.zigzag.schedule import Placement, greedy_schedule
 __all__ = [
     "BatchedScenarioHooks",
     "CollisionPayload",
+    "ScenarioRecord",
     "TrialContext",
     "available_scenarios",
-    "deployment_scenarios",
     "get_scenario",
-    "get_batched_scenario",
-    "impairment_scenarios",
     "scenario",
-    "scenario_supports_batching",
-    "scenario_supports_deployment",
-    "scenario_supports_impairments",
 ]
 
 ScenarioFn = Callable[[ScenarioSpec, "TrialContext"], Any]
 
-_REGISTRY: dict[str, ScenarioFn] = {}
-# Which spec.design values a scenario honors. None means the scenario is
-# design-independent (it ignores the field or compares designs
-# internally); the runner rejects specs whose design a scenario would
-# silently ignore, and the CLI labels design-independent runs "n/a".
-_DESIGN_SUPPORT: dict[str, tuple[str, ...] | None] = {}
-# Whether a scenario threads spec.impairments through its signal path.
-# The runner rejects specs carrying an [impairments] table for scenarios
-# that would silently ignore it — an un-applied impairment reads as
-# "ZigZag is robust to X" when X never happened.
-_IMPAIRMENT_SUPPORT: dict[str, bool] = {}
-# Whether a scenario consumes the spec's [deployment] table (a geometry-
-# derived multi-cell topology). Same rejection logic: a deployment table
-# a scenario ignores would silently run the default topology instead.
-_DEPLOYMENT_SUPPORT: dict[str, bool] = {}
 _ALL_DESIGNS = ("zigzag", "802.11", "collision-free")
 
 
@@ -105,76 +86,6 @@ class TrialContext:
         sequence = trial_seed_sequence(root_seed, index)
         return cls(index=index, seed=trial_seed(root_seed, index),
                    seed_sequence=sequence, rng=trial_rng(root_seed, index))
-
-
-def scenario(name: str, *, designs: tuple[str, ...] | None = _ALL_DESIGNS,
-             impairments: bool = False, deployment: bool = False
-             ) -> Callable[[ScenarioFn], ScenarioFn]:
-    """Register a trial function under a spec ``kind``.
-
-    *designs* lists the ``spec.design`` values the scenario honors
-    (default: all three); pass ``None`` for scenarios that are
-    design-independent. *impairments* declares that the scenario threads
-    the spec's ``[impairments]`` pipelines through its signal path;
-    *deployment* that it builds its topology from the spec's
-    ``[deployment]`` table. The runner rejects specs carrying either
-    table for scenarios that don't consume it.
-    """
-
-    def register(fn: ScenarioFn) -> ScenarioFn:
-        if name in _REGISTRY:
-            raise ConfigurationError(f"scenario {name!r} already registered")
-        _REGISTRY[name] = fn
-        _DESIGN_SUPPORT[name] = designs
-        _IMPAIRMENT_SUPPORT[name] = impairments
-        _DEPLOYMENT_SUPPORT[name] = deployment
-        return fn
-
-    return register
-
-
-def scenario_designs(name: str) -> tuple[str, ...] | None:
-    """Designs the scenario honors, or None if design-independent."""
-    get_scenario(name)  # raise on unknown kinds
-    return _DESIGN_SUPPORT[name]
-
-
-def scenario_supports_impairments(name: str) -> bool:
-    """Does the scenario apply the spec's ``[impairments]`` pipelines?"""
-    get_scenario(name)  # raise on unknown kinds
-    return _IMPAIRMENT_SUPPORT[name]
-
-
-def scenario_supports_deployment(name: str) -> bool:
-    """Does the scenario consume the spec's ``[deployment]`` table?"""
-    get_scenario(name)  # raise on unknown kinds
-    return _DEPLOYMENT_SUPPORT[name]
-
-
-def impairment_scenarios() -> list[str]:
-    """Sorted kinds that apply ``[impairments]`` (for error messages)."""
-    return sorted(n for n, ok in _IMPAIRMENT_SUPPORT.items() if ok)
-
-
-def deployment_scenarios() -> list[str]:
-    """Sorted kinds that consume ``[deployment]`` (for error messages)."""
-    return sorted(n for n, ok in _DEPLOYMENT_SUPPORT.items() if ok)
-
-
-def get_scenario(name: str) -> ScenarioFn:
-    """Look up a registered trial function by ``kind``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; available: "
-            f"{sorted(_REGISTRY)}") from None
-
-
-def available_scenarios() -> dict[str, str]:
-    """``{kind: first docstring line}`` for every registered scenario."""
-    return {name: (fn.__doc__ or "").strip().splitlines()[0]
-            for name, fn in sorted(_REGISTRY.items())}
 
 
 # ----------------------------------------------------------------------
@@ -215,24 +126,71 @@ class BatchedScenarioHooks:
     decode: Callable[[ScenarioSpec, list], list[TrialResult]]
 
 
-_BATCHED_REGISTRY: dict[str, BatchedScenarioHooks] = {}
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ScenarioRecord:
+    """One registered ``kind``, as :func:`scenario` filed it.
+
+    ``trial`` is the decorated trial function; the other fields are the
+    decorator's keywords. The runner rejects a spec asking for a design,
+    an ``[impairments]`` or ``[deployment]`` table, or a
+    ``batch_size > 1`` that the record does not honor (an un-applied
+    impairment would read as "ZigZag is robust to X" when X never
+    happened), and the CLI labels a ``designs=None`` run "n/a".
+    """
+
+    trial: ScenarioFn
+    designs: tuple[str, ...] | None
+    impairments: bool
+    deployment: bool
+    batched: BatchedScenarioHooks | None = None
 
 
-def scenario_supports_batching(name: str) -> bool:
-    """Does the scenario register a trial-axis batched engine?"""
-    get_scenario(name)  # raise on unknown kinds
-    return name in _BATCHED_REGISTRY
+_REGISTRY: dict[str, ScenarioRecord] = {}
 
 
-def get_batched_scenario(name: str) -> BatchedScenarioHooks:
-    """Look up a scenario's batched hooks by ``kind``."""
-    get_scenario(name)  # raise on unknown kinds
+def scenario(name: str, *, designs: tuple[str, ...] | None = _ALL_DESIGNS,
+             impairments: bool = False, deployment: bool = False,
+             batched: BatchedScenarioHooks | None = None
+             ) -> Callable[[ScenarioFn], ScenarioFn]:
+    """Register a trial function under a spec ``kind``.
+
+    *designs* lists the ``spec.design`` values the scenario honors
+    (default: all three); pass ``None`` for scenarios that are
+    design-independent. *impairments* declares that the scenario threads
+    the spec's ``[impairments]`` pipelines through its signal path;
+    *deployment* that it builds its topology from the spec's
+    ``[deployment]`` table. The runner rejects specs carrying either
+    table for scenarios that don't consume it. *batched* registers the
+    scenario's trial-axis engine for ``batch_size > 1`` runs.
+    """
+
+    def register(fn: ScenarioFn) -> ScenarioFn:
+        if name in _REGISTRY:
+            raise ConfigurationError(f"scenario {name!r} already registered")
+        _REGISTRY[name] = ScenarioRecord(fn, designs, impairments,
+                                         deployment, batched)
+        return fn
+
+    return register
+
+
+def get_scenario(name: str) -> ScenarioRecord:
+    """Look up a registered scenario's record by ``kind``."""
     try:
-        return _BATCHED_REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
-            f"scenario {name!r} has no batched engine; set batch_size = 1 "
-            f"(batched kinds: {sorted(_BATCHED_REGISTRY)})") from None
+            f"unknown scenario {name!r}; available: "
+            f"{sorted(_REGISTRY)}") from None
+
+
+def available_scenarios() -> dict[str, str]:
+    """``{kind: first docstring line}`` for every registered scenario."""
+    return {name: (record.trial.__doc__ or "").strip().splitlines()[0]
+            for name, record in sorted(_REGISTRY.items())}
 
 
 # ----------------------------------------------------------------------
@@ -473,26 +431,24 @@ def testbed_pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
 # ----------------------------------------------------------------------
 # Streaming closed-loop scenarios (the repro.link subsystem)
 # ----------------------------------------------------------------------
-def _stream_designs_trial(spec: ScenarioSpec, ctx: TrialContext,
-                          default_load: float | None) -> TrialResult:
-    """One closed-loop soak under BOTH AP designs, common random numbers.
+def _run_both_designs(seed: int, build: Callable) -> tuple[dict, dict, dict]:
+    """One session per AP design, common random numbers.
 
-    Each design's session is built from an identically-seeded generator,
-    so the air starts out the same and differences are the receiver's
-    doing (the closed loop then diverges through its own feedback). The
-    per-client metrics describe the ZigZag session — the design under
-    study — while aggregate throughput/loss/delivered pairs compare it
-    with the Current-802.11 AP on the same scenario.
+    ``build(rng, design)`` makes each design's session from an
+    identically-seeded generator, so the air starts out the same and
+    differences are the receiver's doing (the closed loop then diverges
+    through its own feedback). Returns ``(reports, metrics, flows)``:
+    the reports by tag (``zigzag``, ``80211``), the per-design
+    ``throughput/delivered/loss/timed_out_{tag}`` metrics in that
+    insertion order (tables list metrics first-seen), and every flow as
+    ``{tag}_{client}``.
     """
     reports = {}
-    for design, tag in (("zigzag", "zigzag"), ("802.11", "80211")):
-        session = build_stream_session(
-            spec, np.random.default_rng(ctx.seed), design,
-            default_load=default_load)
-        reports[tag] = session.run()
     metrics: dict[str, float] = {}
     flows = {}
-    for tag, report in reports.items():
+    for design, tag in (("zigzag", "zigzag"), ("802.11", "80211")):
+        report = build(np.random.default_rng(seed), design).run()
+        reports[tag] = report
         stats_all = list(report.flows.values())
         metrics[f"throughput_{tag}"] = report.throughput()
         metrics[f"delivered_{tag}"] = float(report.total_delivered)
@@ -501,6 +457,20 @@ def _stream_designs_trial(spec: ScenarioSpec, ctx: TrialContext,
         metrics[f"timed_out_{tag}"] = float(report.timed_out)
         for name, stats in report.flows.items():
             flows[f"{tag}_{name}"] = stats
+    return reports, metrics, flows
+
+
+def _stream_designs_trial(spec: ScenarioSpec, ctx: TrialContext,
+                          default_load: float | None) -> TrialResult:
+    """One closed-loop soak under BOTH AP designs, common random numbers.
+
+    The per-client metrics describe the ZigZag session — the design
+    under study — while aggregate throughput/loss/delivered pairs
+    compare it with the Current-802.11 AP on the same scenario.
+    """
+    reports, metrics, flows = _run_both_designs(
+        ctx.seed, lambda rng, design: build_stream_session(
+            spec, rng, design, default_load=default_load))
     zz = reports["zigzag"]
     for name in zz.flows:
         metrics[f"throughput_{name}"] = zz.throughput(name)
@@ -637,24 +607,10 @@ def city_scale_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     deployment = get_deployment(spec)
     cells = deployment.cells()
     plan = cells[ctx.index % len(cells)]
-    metrics: dict[str, float] = {}
-    flows = {}
-    extra: dict[str, Any] = {"ap": plan.ap, "clients": plan.names}
-    reports = {}
-    for design, tag in (("zigzag", "zigzag"), ("802.11", "80211")):
-        session = build_cell_session(
-            spec, np.random.default_rng(ctx.seed), design, deployment,
-            plan, approximate_interference=True)
-        report = session.run()
-        reports[tag] = report
-        stats_all = list(report.flows.values())
-        metrics[f"throughput_{tag}"] = report.throughput()
-        metrics[f"delivered_{tag}"] = float(report.total_delivered)
-        metrics[f"loss_{tag}"] = float(np.mean(
-            [s.loss_rate for s in stats_all])) if stats_all else 0.0
-        metrics[f"timed_out_{tag}"] = float(report.timed_out)
-        for name, stats in report.flows.items():
-            flows[f"{tag}_{name}"] = stats
+    reports, metrics, flows = _run_both_designs(
+        ctx.seed, lambda rng, design: build_cell_session(
+            spec, rng, design, deployment, plan,
+            approximate_interference=True))
     zz = reports["zigzag"]
     rx = zz.receiver_stats
     metrics["zigzag_matches"] = float(rx.zigzag_matches)
@@ -662,8 +618,9 @@ def city_scale_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     metrics["max_resident_samples"] = zz.counters["max_resident_samples"]
     metrics["cell_clients"] = float(plan.n_clients)
     metrics["cell_hidden_pairs"] = float(len(plan.hidden_pairs))
-    extra["counters"] = {tag: dict(r.counters)
-                         for tag, r in reports.items()}
+    extra = {"ap": plan.ap, "clients": plan.names,
+             "counters": {tag: dict(r.counters)
+                          for tag, r in reports.items()}}
     return TrialResult(index=ctx.index, metrics=metrics, flows=flows,
                        airtime=zz.airtime_packets, extra=extra)
 
@@ -911,7 +868,27 @@ def _pair_payload_result(payload: CollisionPayload,
         flows=flows)
 
 
-@scenario("hidden_pair_decode", designs=None, impairments=True)
+def _hidden_pair_decode_batch(spec: ScenarioSpec,
+                              payloads: list) -> list[TrialResult]:
+    """Decode a batch of hidden-pair payloads through the trial axis.
+
+    A batch whose decode raises propagates: the runner replays that
+    group through the per-trial loop path, whose own try/except gives a
+    failing trial the identical failure metrics.
+    """
+    live = [p for p in payloads if p.error is None]
+    outcomes: dict[int, Any] = {}
+    if live:
+        results = BatchedPairDecoder(_pair_stream_config(spec)).decode_batch(
+            [(p.captures, p.specs, p.placements) for p in live])
+        outcomes = {p.index: outcome for p, outcome in zip(live, results)}
+    return [_pair_payload_result(p, outcomes.get(p.index))
+            for p in payloads]
+
+
+@scenario("hidden_pair_decode", designs=None, impairments=True,
+          batched=BatchedScenarioHooks(synthesize=_hidden_pair_decode_synth,
+                                       decode=_hidden_pair_decode_batch))
 def hidden_pair_decode_trial(spec: ScenarioSpec,
                              ctx: TrialContext) -> TrialResult:
     """ZigZag hidden-pair decode with an optional batched engine.
@@ -934,40 +911,3 @@ def hidden_pair_decode_trial(spec: ScenarioSpec,
         except ReproError:
             outcome = None
     return _pair_payload_result(payload, outcome)
-
-
-def _hidden_pair_decode_batch(spec: ScenarioSpec,
-                              payloads: list) -> list[TrialResult]:
-    """Decode a batch of hidden-pair payloads through the trial axis.
-
-    Error parity with the loop path: a whole-batch failure (or a trial
-    whose scalar fallback raises inside ``decode_batch``) replays every
-    trial through the scalar decoder with the loop path's own per-trial
-    try/except, so a failing trial yields the identical failure metrics
-    instead of poisoning its batch.
-    """
-    config = _pair_stream_config(spec)
-    live = [p for p in payloads if p.error is None]
-    outcomes: dict[int, Any] = {}
-    if live:
-        trials = [(p.captures, p.specs, p.placements) for p in live]
-        try:
-            results = BatchedPairDecoder(config).decode_batch(trials)
-        except ReproError:
-            scalar = ZigZagPairDecoder(config)
-            results = []
-            for trial in trials:
-                try:
-                    results.append(scalar.decode(*trial))
-                except ReproError:
-                    results.append(None)
-        for payload, outcome in zip(live, results):
-            outcomes[payload.index] = outcome
-    return [_pair_payload_result(p, outcomes.get(p.index))
-            for p in payloads]
-
-
-_BATCHED_REGISTRY["hidden_pair_decode"] = BatchedScenarioHooks(
-    synthesize=_hidden_pair_decode_synth,
-    decode=_hidden_pair_decode_batch,
-)

@@ -349,13 +349,10 @@ enob = 6.0
             MonteCarloRunner().run(unaware)
 
     def test_impairment_aware_flags_match_registry(self):
-        from repro.runner.scenarios import (
-            available_scenarios,
-            scenario_supports_impairments,
-        )
+        from repro.runner.scenarios import available_scenarios, get_scenario
 
         aware = {name for name in available_scenarios()
-                 if scenario_supports_impairments(name)}
+                 if get_scenario(name).impairments}
         assert aware == {"pair", "capture", "testbed_pair",
                          "hidden_pair_decode",
                          "hidden_pair_impaired", "hidden_pair_fading",

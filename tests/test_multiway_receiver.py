@@ -249,7 +249,7 @@ class TestStreamMatchesOffline:
         spec = ScenarioSpec(kind="three_senders_stream", design="zigzag",
                             payload_bits=200, n_packets=3,
                             params={"n_senders": 3, "snr_db": 13.0})
-        fn = get_scenario("three_senders_stream")
+        fn = get_scenario("three_senders_stream").trial
         online = []
         for index in range(4):
             metrics = fn(spec, TrialContext.for_trial(0, index)).metrics

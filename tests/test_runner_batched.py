@@ -17,12 +17,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.runner import FailurePolicy, FaultSpec, MonteCarloRunner, ScenarioSpec
-from repro.runner.scenarios import (
-    get_batched_scenario,
-    scenario_supports_batching,
-)
+from repro.runner.scenarios import get_scenario
+from repro.zigzag.batch import BatchedPairDecoder
 
 
 def _spec(batch_size: int = 1, n_trials: int = 10,
@@ -88,6 +86,22 @@ class TestBatchSizeInvariance:
                 MonteCarloRunner(n_workers=1).run(spec))
         assert noisy(3) != noisy(4)
 
+    def test_raising_batch_decode_replays_loop_path(self, monkeypatch,
+                                                    loop_reference):
+        """A group whose trial-axis decode raises is replayed through the
+        per-trial loop path, bit-identically and without failures."""
+        calls = []
+
+        def boom(self, trials):
+            calls.append(len(trials))
+            raise ReproError("injected batch decode failure")
+
+        monkeypatch.setattr(BatchedPairDecoder, "decode_batch", boom)
+        result = MonteCarloRunner(n_workers=1).run(_spec(batch_size=4))
+        assert calls == [4, 4, 2]
+        assert result.failures == []
+        assert _flow_fingerprint(result) == loop_reference
+
 
 class TestSpecPlumbing:
     def test_batch_size_round_trips(self):
@@ -106,12 +120,10 @@ class TestSpecPlumbing:
             ScenarioSpec(kind="pair", batch_size=-2)
 
     def test_registry_gates_unbatched_scenarios(self):
-        assert scenario_supports_batching("hidden_pair_decode")
-        assert not scenario_supports_batching("pair")
-        with pytest.raises(ConfigurationError):
-            get_batched_scenario("pair")
+        assert get_scenario("hidden_pair_decode").batched is not None
+        assert get_scenario("pair").batched is None
         runner = MonteCarloRunner(n_workers=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no batched engine"):
             runner.run(ScenarioSpec(kind="pair", n_trials=2,
                                     batch_size=4))
 

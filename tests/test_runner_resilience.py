@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,6 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
-    ReproError,
     RunAbortedError,
 )
 from repro.runner import (
@@ -34,6 +34,7 @@ from repro.runner import (
 )
 from repro.runner.chaos import ChaosInjector
 from repro.runner.cli import main
+from repro.runner.resilience import BatchTask, PoolSupervisor
 
 
 def _spec(n_trials=10, seed=7, **kwargs):
@@ -229,6 +230,24 @@ class TestPoolSupervision:
         assert set(result.failure_classes()) == {"TrialTimeoutError"}
         assert [t.index for t in result.trials] == [1]
 
+    def test_submit_to_broken_pool_respawns(self):
+        # A worker can die after the last collect: the pool then fails
+        # the next submit itself, which must cost a respawn, not the run.
+        broken = ProcessPoolExecutor(max_workers=1)
+        with pytest.raises(BrokenExecutor):
+            broken.submit(os._exit, 1).result(timeout=30)
+        pools = [broken]
+        supervisor = PoolSupervisor(
+            lambda: pools.pop() if pools else ProcessPoolExecutor(1),
+            FailurePolicy())
+        task = BatchTask(
+            submit=lambda pool, idx, attempt: pool.submit(list, idx),
+            run_inline=lambda idx, attempt: list(idx))
+        results, failures = supervisor.execute(task, [[0, 1], [2]])
+        assert results == {0: 0, 1: 1, 2: 2}
+        assert failures == []
+        assert supervisor.stats.pool_respawns == 1
+
 
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
@@ -376,17 +395,35 @@ def _map_boom(ctx, value):
     return value
 
 
-class TestMapCancellation:
-    def test_failed_batch_is_named_and_rest_cancelled(self):
-        runner = MonteCarloRunner(n_workers=2, batch_size=1)
-        values = ["ok0", "boom", "ok2", "ok3", "ok4", "ok5"]
-        with pytest.raises(ReproError, match=r"map batch \d+"):
-            runner.map(_map_boom, values=values)
+def _map_config_boom(ctx, value):
+    if value == "boom":
+        raise ConfigurationError("injected repro failure")
+    return value
 
-    def test_map_inline_failure_still_raises(self):
-        runner = MonteCarloRunner(n_workers=1)
-        with pytest.raises(ValueError, match="injected map failure"):
-            runner.map(_map_boom, values=["boom"])
+
+class TestMapFailures:
+    """``map`` runs under the same supervisor as ``run``: a failure
+    raises the same exception, naming the failing item, at any worker
+    count."""
+
+    VALUES = ["ok0", "boom", "ok2", "ok3", "ok4", "ok5"]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failed_item_is_named(self, n_workers):
+        runner = MonteCarloRunner(n_workers=n_workers, batch_size=1)
+        with pytest.raises(RunAbortedError,
+                           match=r"trial 1 failed .*injected map failure"
+                           ) as info:
+            runner.map(_map_boom, values=self.VALUES)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert [f.index for f in info.value.failures] == [1]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_repro_error_raises_unchanged(self, n_workers):
+        runner = MonteCarloRunner(n_workers=n_workers, batch_size=1)
+        with pytest.raises(ConfigurationError,
+                           match="injected repro failure"):
+            runner.map(_map_config_boom, values=self.VALUES)
 
 
 # ----------------------------------------------------------------------
