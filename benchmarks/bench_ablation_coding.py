@@ -21,7 +21,7 @@ from repro.phy.coding.iterative import decode_coded_soft
 from repro.receiver.frontend import StreamConfig
 from repro.runner import MonteCarloRunner
 from repro.runner.cache import cached_preamble, cached_shaper
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 
 N_TRIALS = 6
 SNR_DB = 6.5
@@ -36,7 +36,7 @@ def coding_trial(ctx):
     shaper = cached_shaper()
     config = StreamConfig(preamble=preamble, shaper=shaper,
                           noise_power=1.0)
-    decoder = ZigZagPairDecoder(config)
+    decoder = ZigZagMultiDecoder(config)
     captures, frames, payloads, specs, placements = coded_collision_pair(
         ctx.rng, preamble, shaper, SNR_DB, payload_bits=PAYLOAD_BITS)
     outcome = decoder.decode([c.samples for c in captures], specs,

@@ -20,7 +20,7 @@ from repro.receiver.frontend import StreamConfig
 from repro.runner import MonteCarloRunner, hidden_pair_scenario
 from repro.runner.cache import cached_preamble, cached_shaper
 from repro.zigzag.engine import ZigZagEngine
-from repro.zigzag.schedule import Placement, greedy_schedule
+from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
 N_TRIALS = 6
 SNR_DB = 10.0
@@ -38,7 +38,7 @@ def correction_trial(ctx):
     schedule = greedy_schedule(
         [Placement(p.packet, p.collision, p.start,
                    specs[p.packet].n_symbols, shaper.sps)
-         for p in placements], margin_symbols=1.0)
+         for p in placements], margin_symbols=MARGIN_SYMBOLS)
     metrics = {}
     for measure, tag in ((True, "on"), (False, "off")):
         engine = ZigZagEngine(

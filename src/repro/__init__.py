@@ -95,7 +95,7 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
     from repro.receiver.frontend import StreamConfig
     from repro.utils.bits import random_bits
     from repro.utils.rng import make_rng
-    from repro.zigzag.decoder import ZigZagPairDecoder
+    from repro.zigzag.decoder import ZigZagMultiDecoder
     from repro.zigzag.engine import PacketSpec, PlacementParams
 
     rng = make_rng(seed)
@@ -137,7 +137,7 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
              for name in frames}
     config = StreamConfig(preamble=preamble, shaper=shaper,
                           noise_power=1.0)
-    outcome = ZigZagPairDecoder(config).decode(
+    outcome = ZigZagMultiDecoder(config).decode(
         [c.samples for c in captures], specs, placements)
     return {
         name: {

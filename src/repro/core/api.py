@@ -68,25 +68,28 @@ from repro.zigzag.sic import SicDecoder
 __all__ = ["ClientTable", "ReceiverConfig", "ReceiverStats", "StandardAp",
            "ZigZagReceiver"]
 
+# EWMA weight of each fresh decode in the client table's offset estimate.
+CLIENT_SMOOTHING = 0.25
+
 
 @dataclass
 class ClientTable:
     """Per-client coarse frequency-offset estimates (§4.2.1, §4.2.4b).
 
-    Updated with an EWMA from every successful decode; the long-run
-    accuracy is far better than a single 32-symbol preamble fit, which is
-    exactly why the paper leans on it for collision decoding.
+    Updated with an EWMA (weight :data:`CLIENT_SMOOTHING`) from every
+    successful decode; the long-run accuracy is far better than a single
+    32-symbol preamble fit, which is exactly why the paper leans on it
+    for collision decoding.
     """
 
-    smoothing: float = 0.25
     _freqs: dict[int, float] = field(default_factory=dict)
 
     def update(self, src: int, freq_offset: float) -> None:
         """Fold a fresh per-decode offset estimate into the EWMA."""
         if src in self._freqs:
             old = self._freqs[src]
-            self._freqs[src] = (1 - self.smoothing) * old \
-                + self.smoothing * freq_offset
+            self._freqs[src] = (1 - CLIENT_SMOOTHING) * old \
+                + CLIENT_SMOOTHING * freq_offset
         else:
             self._freqs[src] = freq_offset
 
@@ -122,6 +125,12 @@ COLLISION_BETA = 0.42
 # window opens after each packet's preamble and header
 # (ZigZagReceiver._peak_alignment), so it holds payload only.
 MATCH_WINDOW = 256
+# §4.2.2 identity threshold on the mean payload-window score, at every k.
+# A true match scores about each packet's share of the capture power
+# (~1/k); different packets score at the floor of a MATCH_WINDOW-sample
+# correlation (median ~0.1 at k = 2-4), which does not shrink with k
+# (docs/performance.md, "False identity matches").
+MATCH_THRESHOLD = 0.15
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,6 @@ class ReceiverConfig:
     preamble: Preamble = field(default_factory=default_preamble)
     shaper: PulseShaper = field(default_factory=PulseShaper)
     noise_power: float = 1.0
-    # §4.2.2 identity threshold on the mean payload-window score, at
-    # every k. A true match scores about each packet's share of the
-    # capture power (~1/k); different packets score at the floor of a
-    # 256-sample correlation (median ~0.1 at k = 2-4), which does not
-    # shrink with k (docs/performance.md, "False identity matches").
-    match_threshold: float = 0.15
-    enable_sic: bool = True
     buffer_capacity: int = 4
     # Age (in receive() calls) after which a stored collision is pruned.
     # 802.11 retransmissions arrive within a few receptions of the
@@ -403,8 +405,7 @@ class ZigZagReceiver(StandardAp):
         cfg = self.config
         self.buffer = CollisionBuffer(cfg.buffer_capacity)
         # One decoder serves every set size: the k-copy MRC only engages
-        # at three or more captures, so two-capture decodes are
-        # bit-identical to the historical ZigZagPairDecoder path.
+        # at three or more captures.
         self.multi_decoder = ZigZagMultiDecoder(cfg.stream_config())
         self.sic = SicDecoder(cfg.stream_config())
         # Samples from a packet's start to its payload: every packet
@@ -589,7 +590,7 @@ class ZigZagReceiver(StandardAp):
                 continue  # same arrival pattern: degenerate (§4.5)
             self.stats.match_attempts += 1
             alignments[id(record)] = (score, perm)
-            if score < self.config.match_threshold:
+            if score < MATCH_THRESHOLD:
                 self.stats.match_rejects_threshold += 1
                 continue
             matches.append(record)
@@ -751,9 +752,8 @@ class ZigZagReceiver(StandardAp):
         waits for the next retransmission.
         """
         k = probe.n_peaks
-        threshold = self.config.match_threshold
         component = self.buffer.component(
-            matches, self._link_scorer, threshold)
+            matches, self._link_scorer, MATCH_THRESHOLD)
         candidates = sorted(
             (r for r in matches + component if r.n_peaks == k),
             key=lambda r: -r.sequence)
@@ -767,7 +767,7 @@ class ZigZagReceiver(StandardAp):
             if entry is None:
                 continue  # unscoreable against the probe
             score, perm = entry
-            if id(record) not in direct and score < 0.5 * threshold:
+            if id(record) not in direct and score < 0.5 * MATCH_THRESHOLD:
                 # Transitively linked only: its direct probe alignment
                 # still has to clear a sanity bar for the peak
                 # correspondence to be trusted.
@@ -790,12 +790,11 @@ class ZigZagReceiver(StandardAp):
 
     def _handle_collision(self,
                           probe: CollisionRecord) -> list[DecodeResult]:
-        cfg = self.config
         k = probe.n_peaks
         n_symbols = self._frame_symbols(probe)
 
         # (a) capture-effect SIC on this single collision (Fig 4-1e).
-        if cfg.enable_sic and n_symbols is not None and k == 2:
+        if n_symbols is not None and k == 2:
             placements = self._acquire_placements(probe, probe.peaks, 0)
             gains = [abs(p.estimate.gain) for p in placements]
             if max(gains) > 2.5 * min(gains):

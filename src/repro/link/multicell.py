@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.link.session import LinkSession, SessionReport
+from repro.testbed.deployment import INTERFERENCE_FLOOR_DB
 
 __all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
            "MultiCellSession", "apply_injection"]
@@ -65,10 +66,6 @@ class MultiCellConfig:
     # Horizon window length, in air chunks: sessions run independently
     # inside a window and exchange interference at its end.
     horizon_chunks: int = 4
-    # Inject a cross-cell waveform only when the transmitting client's
-    # SNR at the victim AP is at least this (dB); weaker cross links
-    # stay below the noise the victim already synthesizes.
-    interference_floor_db: float = -2.0
     # Cell worker processes: 1 steps every cell sequentially in this
     # process, N > 1 pins cells to N persistent workers that step each
     # window concurrently (see repro.link.parallel), 0 means one worker
@@ -329,7 +326,6 @@ class MultiCellSession:
         # Victim prefilter: for every transmitting client, the cells
         # whose AP hears it above the interference floor — resolved
         # once from the deployment SNR matrix instead of per waveform.
-        floor = self.config.interference_floor_db
         self._victims: dict[int, tuple[tuple[int, float], ...]] = {}
         for src in self.cells:
             for client, _snr_home in src.lookup.values():
@@ -339,7 +335,7 @@ class MultiCellSession:
                         continue
                     snr_vic = float(self.deployment.ap_client_snr(
                         dst.plan.ap, client))
-                    if snr_vic >= floor:
+                    if snr_vic >= INTERFERENCE_FLOOR_DB:
                         hearers.append((dst.index, snr_vic))
                 self._victims[client] = tuple(hearers)
         # Set when a parallel run degraded to sequential (diagnostics).

@@ -23,28 +23,28 @@ from repro.errors import ConfigurationError
 
 __all__ = ["SegmenterConfig", "Burst", "BurstSegmenter"]
 
+# Energy hysteresis, relative to the known noise floor: an OPEN_WINDOW
+# mean of OPEN_FACTOR × noise opens a burst, a HANG_WINDOW mean below
+# CLOSE_FACTOR × noise closes it (0 < CLOSE_FACTOR < OPEN_FACTOR).
+OPEN_FACTOR = 3.0
+CLOSE_FACTOR = 1.8
+OPEN_WINDOW = 16
+HANG_WINDOW = 64
+# Leading context samples kept ahead of each burst.
+PAD = 16
+
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    """Energy-hysteresis knobs, all relative to the known noise floor."""
+    """The noise floor the hysteresis is relative to, and the burst cap."""
 
     noise_power: float = 1.0
-    open_factor: float = 3.0    # short-window power to open a burst
-    close_factor: float = 1.8   # hang-window power to close it again
-    open_window: int = 16
-    hang_window: int = 64
-    pad: int = 16               # leading context samples kept per burst
     max_burst_samples: int = 1 << 17
 
     def __post_init__(self) -> None:
         if self.noise_power <= 0:
             raise ConfigurationError("noise_power must be positive")
-        if not 0 < self.close_factor < self.open_factor:
-            raise ConfigurationError(
-                "need 0 < close_factor < open_factor (hysteresis)")
-        if min(self.open_window, self.hang_window, self.pad) < 1:
-            raise ConfigurationError("windows and pad must be >= 1")
-        if self.max_burst_samples < 4 * self.hang_window:
+        if self.max_burst_samples < 4 * HANG_WINDOW:
             raise ConfigurationError("max_burst_samples too small")
 
 
@@ -67,16 +67,16 @@ class BurstSegmenter:
     ``push`` returns every burst *completed* by that chunk (possibly
     none, possibly several); ``flush`` closes a still-open burst at end
     of stream. Samples are float-compared against two causal moving
-    averages of instantaneous power — an ``open_window`` mean crossing
-    ``open_factor × noise`` opens, a ``hang_window`` mean dropping below
-    ``close_factor × noise`` closes, so the close point trails the true
+    averages of instantaneous power — an :data:`OPEN_WINDOW` mean crossing
+    ``OPEN_FACTOR × noise`` opens, a :data:`HANG_WINDOW` mean dropping below
+    ``CLOSE_FACTOR × noise`` closes, so the close point trails the true
     packet end by roughly one hang window of silence (which the decode
     chain wants as tail context anyway).
     """
 
     def __init__(self, config: SegmenterConfig) -> None:
         self.config = config
-        k = max(config.open_window, config.hang_window) + config.pad
+        k = max(OPEN_WINDOW, HANG_WINDOW) + PAD
         self._history = np.zeros(0, dtype=complex)  # last k stream samples
         self._history_len = k
         self._pos = 0               # absolute index of the next pushed sample
@@ -115,10 +115,10 @@ class BurstSegmenter:
         joined = np.concatenate([self._history, chunk])
         carry = joined.size - chunk.size      # history samples prepended
         power = np.abs(joined) ** 2
-        open_cond = (self._causal_mean(power, cfg.open_window, chunk.size)
-                     >= cfg.open_factor * cfg.noise_power)
-        close_cond = (self._causal_mean(power, cfg.hang_window, chunk.size)
-                      < cfg.close_factor * cfg.noise_power)
+        open_cond = (self._causal_mean(power, OPEN_WINDOW, chunk.size)
+                     >= OPEN_FACTOR * cfg.noise_power)
+        close_cond = (self._causal_mean(power, HANG_WINDOW, chunk.size)
+                      < CLOSE_FACTOR * cfg.noise_power)
 
         out: list[Burst] = []
         i = 0
@@ -131,7 +131,7 @@ class BurstSegmenter:
                 # Reach back for leading context: the detector fired one
                 # open-window after the packet edge, so pull window + pad
                 # samples of history (never into the previous burst).
-                back = cfg.open_window + cfg.pad
+                back = OPEN_WINDOW + PAD
                 # Never reach past retained history (after a skip() the
                 # stream before ``_pos - carry`` was never materialized).
                 start_abs = max(self._pos + j - back, self._prev_end,
@@ -144,7 +144,7 @@ class BurstSegmenter:
             else:
                 # Don't allow the leading silence still inside the hang
                 # window to close a burst that just opened.
-                guard = self._open_start + cfg.hang_window - self._pos
+                guard = self._open_start + HANG_WINDOW - self._pos
                 lo = max(i, guard, 0)
                 hits = np.flatnonzero(close_cond[lo:]) \
                     if lo < chunk.size else np.zeros(0, int)

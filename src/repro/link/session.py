@@ -73,12 +73,19 @@ from repro.link.events import (
     EventQueue,
     RadioState,
 )
-from repro.link.segmenter import BurstSegmenter, SegmenterConfig
+from repro.link.segmenter import (
+    HANG_WINDOW,
+    OPEN_WINDOW,
+    PAD,
+    BurstSegmenter,
+    SegmenterConfig,
+)
 from repro.link.topology import Topology
 from repro.mac.ack import plan_synchronous_acks
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
 from repro.mac.timing import TIMING_80211G
 from repro.phy.channel import ChannelParams
+from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission
@@ -121,7 +128,6 @@ class SessionConfig:
         default_factory=lambda: FixedWindowBackoff(16))
     phase_noise_std: float = 1e-3
     tx_evm: float = 0.03
-    coarse_freq_error: float = 1.5e-5
     # Who senses whom (:class:`~repro.link.topology.Topology`:
     # explicit hidden pairs/cliques, one shared sense probability, or
     # derived from a deployment's geometry), fixed for the session. The
@@ -265,7 +271,7 @@ class LinkSession:
         # after silence, and the burst is only processed at the next
         # chunk boundary.
         jitter = config.backoff.window(0) * config.slot_samples
-        self.ack_timeout = (jitter + seg_cfg.hang_window
+        self.ack_timeout = (jitter + HANG_WINDOW
                             + config.chunk_samples + self.sifs
                             + self.ack_air + 4 * config.slot_samples)
 
@@ -292,7 +298,7 @@ class LinkSession:
             self.ap.clients.update(
                 client.src,
                 client.freq_offset
-                + float(self.rng.normal(0, config.coarse_freq_error)))
+                + float(self.rng.normal(0, COARSE_FREQ_ERROR)))
 
         self.clients = [_ClientState(c, i) for i, c in enumerate(clients)]
         self._by_src = {c.client.src: c for c in self.clients}
@@ -329,8 +335,8 @@ class LinkSession:
         # Noise context synthesized around each waveform: enough history
         # ahead of the edge for the open detector's reach-back, enough
         # tail for the hang window to confirm silence and close.
-        self._lead = seg_cfg.open_window + seg_cfg.pad
-        self._tail = 2 * seg_cfg.hang_window
+        self._lead = OPEN_WINDOW + PAD
+        self._tail = 2 * HANG_WINDOW
 
     # ------------------------------------------------------------------
     # Driving the loop.
@@ -624,7 +630,9 @@ class LinkSession:
     # MAC events.
     def _on_ack(self, key: tuple[int, int], now: int) -> None:
         if key not in self.truth:
-            return              # stale ACK for a resolved key: dropped
+            # Stale ACK for a resolved key, counted like finish() does.
+            self.counters["acks_dropped"] += 1
+            return
         self.acked.add(key)
         client = self._by_src.get(key[0])
         if client is None or client.key != key:

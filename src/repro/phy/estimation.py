@@ -17,6 +17,11 @@ from repro.errors import ConfigurationError
 
 __all__ = ["ChannelEstimate", "estimate_noise_power"]
 
+# Standard deviation, in cycles per sample, of the AP's coarse
+# per-client frequency-offset estimate: the client-table entry "obtained
+# at the time of association" (§4.2.1) that acquisition starts from.
+COARSE_FREQ_ERROR = 1.5e-5
+
 
 @dataclass(frozen=True)
 class ChannelEstimate:

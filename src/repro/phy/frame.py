@@ -232,7 +232,3 @@ class Frame:
     @property
     def n_symbols(self) -> int:
         return self.symbols.size
-
-    @property
-    def n_body_symbols(self) -> int:
-        return self.symbols.size - len(self.preamble)

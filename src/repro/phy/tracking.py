@@ -83,6 +83,12 @@ def _scalar_slicer(constellation: Constellation):
     return slice_generic
 
 
+# The receive chain's loop gains: a bandwidth that tracks 802.11-class
+# residual offsets without amplifying decision noise.
+LOOP_KP = 0.08
+LOOP_KI = 0.004
+
+
 @dataclass
 class PhaseTracker:
     """Second-order decision-directed phase-locked loop.
@@ -95,17 +101,16 @@ class PhaseTracker:
     Parameters
     ----------
     kp, ki:
-        Proportional and integral loop gains. Defaults give a loop
-        bandwidth that tracks 802.11-class residual offsets without
-        amplifying decision noise.
+        Proportional and integral loop gains (default :data:`LOOP_KP`,
+        :data:`LOOP_KI`).
     enabled:
         When False the tracker applies only its initial phase/freq and
         never updates — used to reproduce the "tracking disabled" ablation
         of Table 5.1 / Fig 5-2a.
     """
 
-    kp: float = 0.08
-    ki: float = 0.004
+    kp: float = LOOP_KP
+    ki: float = LOOP_KI
     phase: float = 0.0
     freq: float = 0.0
     enabled: bool = True

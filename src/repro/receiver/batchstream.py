@@ -41,7 +41,8 @@ from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
-from repro.receiver.frontend import StreamConfig
+from repro.phy.tracking import LOOP_KI, LOOP_KP
+from repro.receiver.frontend import EQUALIZER_TAPS, StreamConfig
 
 __all__ = ["BatchDivergence", "BatchChunkDecode", "BatchedStreamDecoder"]
 
@@ -106,7 +107,7 @@ class BatchedStreamDecoder:
             raise ConfigurationError("pilots must have one row per lane")
         self.sampler = BatchedMatchedSampler(config.shaper)
         self.tracker = BatchedPhaseTracker(
-            kp=config.kp, ki=config.ki, phase=np.zeros(n),
+            kp=LOOP_KP, ki=LOOP_KI, phase=np.zeros(n),
             freq=np.zeros(n), enabled=config.track_phase)
         self.cursor = 0
         self._preamble_len = (len(config.preamble)
@@ -252,7 +253,7 @@ class BatchedStreamDecoder:
             z = z.copy()
             z[update] = z[update] / residual_gain[update, None]
         if self.config.use_equalizer \
-                and z.shape[1] >= self.config.equalizer_taps:
+                and z.shape[1] >= EQUALIZER_TAPS:
             residual_power = np.mean(np.abs(z - s) ** 2, axis=1)
             gain_power = np.abs(self.gains) ** 2
             noise_in_symbol_domain = (self.config.noise_power

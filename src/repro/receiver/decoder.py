@@ -54,7 +54,6 @@ class StandardDecoder:
     coarse_freq: float = 0.0
     track_phase: bool = True
     use_equalizer: bool = True
-    equalizer_taps: int = 5
 
     def __post_init__(self) -> None:
         self._sync = Synchronizer(self.preamble, self.shaper,
@@ -67,7 +66,6 @@ class StandardDecoder:
             noise_power=noise_power,
             track_phase=self.track_phase,
             use_equalizer=self.use_equalizer,
-            equalizer_taps=self.equalizer_taps,
         )
 
     def decode(self, signal, start_position: int | None = None,

@@ -33,6 +33,11 @@ from repro.phy.tracking import PhaseTracker
 
 __all__ = ["StreamConfig", "ChunkDecode", "SymbolStreamDecoder"]
 
+# Taps of the linear equalizer trained on the preamble (§5.1a ISI filter).
+EQUALIZER_TAPS = 5
+# Symbols sampled past each chunk edge to feed the equalizer's FIR edges.
+EDGE_GUARD = 3
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -47,10 +52,6 @@ class StreamConfig:
     noise_power: float = 1.0
     track_phase: bool = True
     use_equalizer: bool = True
-    equalizer_taps: int = 5
-    kp: float = 0.08
-    ki: float = 0.004
-    edge_guard: int = 3
 
 
 @dataclass
@@ -111,8 +112,7 @@ class SymbolStreamDecoder:
         self.pilots = None if pilots is None \
             else np.asarray(pilots, dtype=complex).ravel()
         self.sampler = MatchedSampler(config.shaper)
-        self.tracker = PhaseTracker(kp=config.kp, ki=config.ki,
-                                    enabled=config.track_phase)
+        self.tracker = PhaseTracker(enabled=config.track_phase)
         self.equalizer: LmsEqualizer | None = None
         self.channel_isi = None  # IsiFilter for re-encoding, once trained
         self.cursor = 0
@@ -189,7 +189,7 @@ class SymbolStreamDecoder:
         # The guard region only feeds the equalizer's FIR edges; when no
         # equalizer has been trained (clean channels at moderate SNR) the
         # guard symbols would be sampled, derotated, and sliced away.
-        guard = self.config.edge_guard \
+        guard = EDGE_GUARD \
             if self.config.use_equalizer and self.equalizer is not None \
             else 0
         lo = max(0, i0 - guard)
@@ -268,7 +268,7 @@ class SymbolStreamDecoder:
             # next chunk is not double-corrected.
             self.tracker.phase -= float(np.angle(residual_gain))
             z = z / residual_gain
-        if self.config.use_equalizer and z.size >= self.config.equalizer_taps:
+        if self.config.use_equalizer and z.size >= EQUALIZER_TAPS:
             # Only train when the preamble residual exceeds what receiver
             # noise alone explains — otherwise a 32-symbol fit would add
             # pure misadjustment noise (no ISI to remove).
@@ -277,12 +277,12 @@ class SymbolStreamDecoder:
             noise_in_symbol_domain = self.config.noise_power / max(
                 gain_power, 1e-30)
             if residual_power > 1.5 * noise_in_symbol_domain:
-                eq = LmsEqualizer(n_taps=self.config.equalizer_taps)
+                eq = LmsEqualizer(n_taps=EQUALIZER_TAPS)
                 eq.fit_least_squares(
                     z, s, ridge=2.0 * z.size * residual_power)
                 self.equalizer = eq
                 self.channel_isi = eq.inverse_channel(
-                    max(9, 2 * self.config.equalizer_taps + 1))
+                    max(9, 2 * EQUALIZER_TAPS + 1))
 
     # ------------------------------------------------------------------
     # State export for backward decoding / re-encoding

@@ -34,6 +34,7 @@ from repro.link import (
 )
 from repro.phy.channel import ChannelParams
 from repro.phy.constellation import BPSK
+from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
 from repro.phy.impairments import BurstNoise, ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
@@ -119,7 +120,7 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
                     snr_db=snr_db)
             else:
                 coarse = params[t.label].freq_offset \
-                    + rng.normal(0, 1.5e-5)
+                    + rng.normal(0, COARSE_FREQ_ERROR)
                 est = sync.acquire(capture.samples, t.symbol0,
                                    coarse_freq=coarse,
                                    noise_power=noise_power)
@@ -213,7 +214,6 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
         backoff=spec.backoff.build(),
         phase_noise_std=spec.channel.phase_noise_std,
         tx_evm=spec.channel.tx_evm,
-        coarse_freq_error=spec.channel.coarse_freq_error,
         topology=topology,
         max_collision_packets=max_collision_packets,
         modulation=spec.modulation,
@@ -318,7 +318,7 @@ def _interference_stages(spec, deployment: Deployment,
     """
     dep = spec.deployment
     stages = []
-    heard = deployment.interferers(plan.ap, dep.interference_floor_db)
+    heard = deployment.interferers(plan.ap)
     for client, snr in heard[:_MAX_APPROX_INTERFERERS]:
         load = dep.client_offered_load(client)
         duty = 0.35 if load is None else min(1.0, float(load))
@@ -389,7 +389,6 @@ def build_city_session(spec, rng: np.random.Generator,
         deployment, cells,
         config=MultiCellConfig(
             horizon_chunks=dep.horizon_chunks,
-            interference_floor_db=dep.interference_floor_db,
             workers=dep.coupled_workers,
             faults=(spec.faults if not spec.faults.is_empty else None)),
         rng=np.random.default_rng(int(rng.integers(1 << 63))))

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.mac.hidden import HiddenScenario
 from repro.phy.channel import ChannelParams
+from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
@@ -52,9 +53,9 @@ from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.testbed.topology import SensingClass, default_testbed
 from repro.utils.bits import bit_error_rate
 from repro.zigzag.batch import BatchedPairDecoder
-from repro.zigzag.decoder import ZigZagPairDecoder, extract_bits
+from repro.zigzag.decoder import ZigZagMultiDecoder, extract_bits
 from repro.zigzag.engine import PacketSpec
-from repro.zigzag.schedule import Placement, greedy_schedule
+from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
 __all__ = [
     "BatchedScenarioHooks",
@@ -224,7 +225,6 @@ def _experiment_config(spec: ScenarioSpec) -> PairExperimentConfig:
         phase_noise_std=ch.phase_noise_std,
         tx_evm=ch.tx_evm,
         freq_spread=ch.freq_spread,
-        coarse_freq_error=ch.coarse_freq_error,
         modulation=spec.modulation,
         preamble_length=spec.preamble_length,
         sender_impairments=(imp.sender_pipeline()
@@ -311,7 +311,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         payload_bits=spec.payload_bits, noise_power=noise_power)
     metrics = {}
     for use_backward, key in ((False, "ber_fwd"), (True, "ber_both")):
-        outcome = ZigZagPairDecoder(
+        outcome = ZigZagMultiDecoder(
             config, use_backward=use_backward).decode(
             [c.samples for c in captures], specs, placements)
         metrics[key] = float(np.mean(
@@ -334,7 +334,8 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         t = cap.transmissions[0]
         est = sync.acquire(
             cap.samples, t.symbol0,
-            coarse_freq=params.freq_offset + rng.normal(0, 1.5e-5),
+            coarse_freq=params.freq_offset
+            + rng.normal(0, COARSE_FREQ_ERROR),
             noise_power=noise_power)
         stream = SymbolStreamDecoder(
             config, est, t.symbol0 + est.sampling_offset)
@@ -372,9 +373,7 @@ def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         for name, off in zip(names, offsets)
     ]
     try:
-        # The 1-symbol margin matches the physical engine: packets closer
-        # than a symbol (same slot, fractional gap) are undecodable.
-        greedy_schedule(placements, margin_symbols=1.0)
+        greedy_schedule(placements, margin_symbols=MARGIN_SYMBOLS)
     except ScheduleError:
         return {"failed": 1.0}
     return {"failed": 0.0}
@@ -599,10 +598,11 @@ def city_scale_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     whose ``n_trials`` is a multiple of the cell count covers the block
     evenly and the runner's process pool shards one cell per worker.
     Out-of-cell transmitters the AP hears above
-    ``deployment.interference_floor_db`` are approximated as bursty
-    noise on the capture path (the coupled alternative is
-    ``city_multicell``). Metrics mirror ``ap_stream`` aggregates plus
-    the cell's derived shape (``cell_clients``, ``cell_hidden_pairs``).
+    :data:`~repro.testbed.deployment.INTERFERENCE_FLOOR_DB` are
+    approximated as bursty noise on the capture path (the coupled
+    alternative is ``city_multicell``). Metrics mirror ``ap_stream``
+    aggregates plus the cell's derived shape (``cell_clients``,
+    ``cell_hidden_pairs``).
     """
     deployment = get_deployment(spec)
     cells = deployment.cells()
@@ -708,7 +708,7 @@ def _impaired_pair_metrics(spec: ScenarioSpec, ctx: TrialContext,
         config = StreamConfig(preamble=preamble, shaper=shaper,
                               noise_power=noise_power)
         try:
-            outcome = ZigZagPairDecoder(config).decode(
+            outcome = ZigZagMultiDecoder(config).decode(
                 [c.samples for c in captures], specs, placements)
             bers_z = {n: outcome.results[n].ber_against(
                 frames[n].body_bits) for n in frames}
@@ -717,7 +717,7 @@ def _impaired_pair_metrics(spec: ScenarioSpec, ctx: TrialContext,
         for capture in captures:
             for t in capture.transmissions:
                 coarse = t.params.freq_offset + rng.normal(
-                    0, spec.channel.coarse_freq_error)
+                    0, COARSE_FREQ_ERROR)
                 decoder = StandardDecoder(
                     preamble, shaper, noise_power=noise_power,
                     coarse_freq=coarse)
@@ -906,7 +906,7 @@ def hidden_pair_decode_trial(spec: ScenarioSpec,
     outcome = None
     if payload.error is None:
         try:
-            outcome = ZigZagPairDecoder(_pair_stream_config(spec)).decode(
+            outcome = ZigZagMultiDecoder(_pair_stream_config(spec)).decode(
                 payload.captures, payload.specs, payload.placements)
         except ReproError:
             outcome = None

@@ -89,7 +89,6 @@ class ChannelSpec:
     phase_noise_std: float = 1e-3
     tx_evm: float = 0.03
     freq_spread: float = 4e-3
-    coarse_freq_error: float = 1.5e-5
 
     def __post_init__(self) -> None:
         if self.noise_power <= 0:
@@ -189,9 +188,12 @@ class DeploymentSpec:
     Declares the city block the ``city_*`` scenarios simulate: AP and
     client counts, area, the log-distance path-loss model, carrier-sense
     and association thresholds, the traffic mix, and the coordinator's
-    interference-exchange knobs. The default-constructed spec
-    (``n_aps == 0``) means "no deployment declared" — scenarios that
-    need one reject it, scenarios that don't reject anything else.
+    horizon and worker count. The link budget and the interference floor
+    are constants (:mod:`repro.testbed.pathloss`,
+    :data:`repro.testbed.deployment.INTERFERENCE_FLOOR_DB`). The
+    default-constructed spec (``n_aps == 0``) means "no deployment
+    declared" — scenarios that need one reject it, scenarios that don't
+    reject anything else.
 
     The layout itself (positions, shadowing, association) is drawn from
     ``seed`` alone — independent of the trial seed, so every trial of a
@@ -205,16 +207,11 @@ class DeploymentSpec:
     seed: int = 7
     # Path-loss model (repro.testbed.pathloss.LogDistancePathLoss).
     exponent: float = 3.2
-    reference_db: float = 40.0
-    reference_m: float = 1.0
     shadowing_db: float = 4.0
-    # Link budget and thresholds (repro.testbed.deployment).
-    tx_power_dbm: float = 0.0
-    noise_floor_dbm: float = -86.0
+    # Carrier-sense and association thresholds (repro.testbed.deployment).
     cs_full_db: float = 4.0
     cs_none_db: float = 2.0
     reachable_db: float = 3.0
-    max_snr_db: float = 25.0
     # Traffic mix: `saturated_fraction` of the clients are saturated
     # heavy hitters; the rest offer `offered_load` of a packet-airtime
     # each (0 = everyone saturated). Assignment is a deterministic hash
@@ -222,8 +219,7 @@ class DeploymentSpec:
     # designs and worker counts.
     offered_load: float = 0.0
     saturated_fraction: float = 0.0
-    # Coordinator knobs (multi-cell exchange / sharded approximation).
-    interference_floor_db: float = -2.0
+    # Coordinator horizon window, in air chunks (repro.link.multicell).
     horizon_chunks: int = 4
     # Cell worker processes for the coupled coordinator
     # (``city_multicell``): 1 steps cells sequentially, N > 1 pins
@@ -270,17 +266,12 @@ class DeploymentSpec:
             n_aps=self.n_aps,
             n_clients=self.n_clients,
             area_m=self.area_m,
-            tx_power_dbm=self.tx_power_dbm,
-            noise_floor_dbm=self.noise_floor_dbm,
             pathloss=LogDistancePathLoss(
                 exponent=self.exponent,
-                reference_db=self.reference_db,
-                reference_m=self.reference_m,
                 shadowing_db=self.shadowing_db),
             cs_full_db=self.cs_full_db,
             cs_none_db=self.cs_none_db,
             reachable_db=self.reachable_db,
-            max_snr_db=self.max_snr_db,
         )
 
     def client_offered_load(self, client: int) -> float | None:
@@ -298,6 +289,14 @@ class DeploymentSpec:
 
 
 _DESIGNS = ("zigzag", "802.11", "collision-free")
+
+
+def _table(cls, name: str, entries):
+    """Build *cls* from one TOML table; an unknown key names the table."""
+    try:
+        return cls(**entries)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {name} table: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -366,10 +365,10 @@ class ScenarioSpec:
         """Build a spec from the nested-dict form (the TOML layout)."""
         data = dict(data)
         scalar = dict(data.pop("scenario", {}))
-        senders = tuple(
-            SenderSpec(**entry) for entry in data.pop("sender", ()))
-        channel = ChannelSpec(**data.pop("channel", {}))
-        backoff = BackoffSpec(**data.pop("backoff", {}))
+        senders = tuple(_table(SenderSpec, "[[sender]]", entry)
+                        for entry in data.pop("sender", ()))
+        channel = _table(ChannelSpec, "[channel]", data.pop("channel", {}))
+        backoff = _table(BackoffSpec, "[backoff]", data.pop("backoff", {}))
         impairments_table = dict(data.pop("impairments", {}))
         unknown_hooks = set(impairments_table) - {"sender", "capture"}
         if unknown_hooks:
@@ -377,18 +376,12 @@ class ScenarioSpec:
                 f"unknown [impairments] hooks: {sorted(unknown_hooks)}; "
                 "use [[impairments.sender]] / [[impairments.capture]]")
         impairments = ImpairmentsSpec(**impairments_table)
-        try:
-            deployment = DeploymentSpec(**data.pop("deployment", {}))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad [deployment] table: {exc}") from exc
+        deployment = _table(DeploymentSpec, "[deployment]",
+                            data.pop("deployment", {}))
         deployment.validate()
-        try:
-            resilience = FailurePolicy(**data.pop("resilience", {}))
-            faults = FaultSpec(**data.pop("faults", {}))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad [resilience]/[faults] table: {exc}") from exc
+        resilience = _table(FailurePolicy, "[resilience]",
+                            data.pop("resilience", {}))
+        faults = _table(FaultSpec, "[faults]", data.pop("faults", {}))
         params = tuple(sorted(dict(data.pop("params", {})).items()))
         if data:
             raise ConfigurationError(

@@ -27,7 +27,12 @@ from itertools import combinations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.testbed.pathloss import LogDistancePathLoss
+from repro.testbed.pathloss import (
+    MAX_SNR_DB,
+    NOISE_FLOOR_DBM,
+    TX_POWER_DBM,
+    LogDistancePathLoss,
+)
 from repro.testbed.topology import (
     SensingClass,
     classify_sensing,
@@ -40,6 +45,11 @@ __all__ = ["CellPlan", "Deployment", "DeploymentConfig", "client_name"]
 # Frame headers carry an 8-bit src field; global client ids are
 # ``index + 1`` so they must fit in one byte.
 _MAX_CLIENTS = 255
+# An out-of-cell client interferes with an AP that hears it at least
+# this strongly (dB); weaker cross links stay below the noise the AP
+# already synthesizes. The coupled coordinator exchanges these
+# waveforms, the sharded runs approximate them as bursty noise.
+INTERFERENCE_FLOOR_DB = -2.0
 
 
 def client_name(index: int) -> str:
@@ -63,14 +73,11 @@ class DeploymentConfig:
     n_aps: int = 2
     n_clients: int = 8
     area_m: float = 120.0
-    tx_power_dbm: float = 0.0
-    noise_floor_dbm: float = -86.0
     pathloss: LogDistancePathLoss = field(
         default_factory=lambda: LogDistancePathLoss())
     cs_full_db: float = 4.0
     cs_none_db: float = 2.0
     reachable_db: float = 3.0
-    max_snr_db: float = 25.0
 
     def __post_init__(self) -> None:
         if self.n_aps < 1 or self.n_clients < 1:
@@ -183,8 +190,8 @@ class Deployment:
             positions[:, None, :] - positions[None, :, :], axis=2)
         loss = cfg.pathloss.sample_loss_db(distances, rng)
         loss = 0.5 * (loss + loss.T)    # reciprocal links
-        snr = cfg.tx_power_dbm - loss - cfg.noise_floor_dbm
-        snr = np.minimum(snr, cfg.max_snr_db)
+        snr = TX_POWER_DBM - loss - NOISE_FLOOR_DBM
+        snr = np.minimum(snr, MAX_SNR_DB)
         np.fill_diagonal(snr, np.inf)   # self-links are not links
         return cls(cfg, ap_positions, client_positions, snr)
 
@@ -255,7 +262,8 @@ class Deployment:
         return tuple(plan for plan in plans if plan.clients)
 
     def interferers(self, ap: int,
-                    floor_db: float) -> tuple[tuple[int, float], ...]:
+                    floor_db: float = INTERFERENCE_FLOOR_DB
+                    ) -> tuple[tuple[int, float], ...]:
         """Out-of-cell clients AP *ap* hears at or above *floor_db*.
 
         Returns ``(client, snr_at_ap)`` pairs sorted strongest first —

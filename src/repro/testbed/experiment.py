@@ -36,6 +36,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
 from repro.phy.channel import ChannelParams
 from repro.phy.constellation import get_constellation
+from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.frame import Frame
 from repro.phy.medium import Capture, Transmission, synthesize
@@ -47,7 +48,7 @@ from repro.receiver.frontend import StreamConfig
 from repro.receiver.mrc import mrc_combine
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import bit_error_rate, random_bits
-from repro.zigzag.decoder import ZigZagPairDecoder, extract_bits
+from repro.zigzag.decoder import ZigZagMultiDecoder, extract_bits
 from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.sic import SicDecoder
 
@@ -91,7 +92,6 @@ class PairExperimentConfig:
     # all alignments within one packet — without it, short BPSK collisions
     # can luck into quadrature and survive, which real hardware never does.
     freq_spread: float = 4e-3
-    coarse_freq_error: float = 1.5e-5
     modulation: str = "bpsk"
     preamble_length: int = 32
     # Optional impairment pipelines beyond the quasi-static model: the
@@ -160,7 +160,7 @@ class PairExperiment:
         self.stream_config = StreamConfig(
             preamble=self.preamble, shaper=self.shaper,
             noise_power=cfg.noise_power)
-        self.pair_decoder = ZigZagPairDecoder(self.stream_config)
+        self.pair_decoder = ZigZagMultiDecoder(self.stream_config)
         self.sic = SicDecoder(self.stream_config)
         spread = cfg.freq_spread
         self.senders = {
@@ -204,7 +204,7 @@ class PairExperiment:
                                 sender: _Sender) -> float:
         capture = self._collide({sender.name: frame}, {sender.name: 0})
         coarse = sender.freq_offset + self.rng.normal(
-            0, self.cfg.coarse_freq_error)
+            0, COARSE_FREQ_ERROR)
         decoder = StandardDecoder(
             self.preamble, self.shaper, noise_power=self.cfg.noise_power,
             coarse_freq=coarse)
@@ -217,7 +217,7 @@ class PairExperiment:
         for t in capture.transmissions:
             sender = self.senders[t.label]
             coarse = sender.freq_offset + self.rng.normal(
-                0, self.cfg.coarse_freq_error)
+                0, COARSE_FREQ_ERROR)
             est = self.sync.acquire(
                 capture.samples, t.symbol0, coarse_freq=coarse,
                 noise_power=self.cfg.noise_power)
@@ -236,7 +236,7 @@ class PairExperiment:
         for t in capture.transmissions:
             sender = self.senders[t.label]
             coarse = sender.freq_offset + self.rng.normal(
-                0, self.cfg.coarse_freq_error)
+                0, COARSE_FREQ_ERROR)
             decoder = StandardDecoder(
                 self.preamble, self.shaper,
                 noise_power=self.cfg.noise_power, coarse_freq=coarse)

@@ -17,29 +17,35 @@ from repro.errors import ConfigurationError
 
 __all__ = ["LogDistancePathLoss"]
 
+# Loss at the reference distance, and that distance.
+REFERENCE_DB = 40.0
+REFERENCE_M = 1.0
+# The link budget every layout shares: SNR = TX_POWER_DBM - loss -
+# NOISE_FLOOR_DBM, clamped to MAX_SNR_DB (receiver front-end saturation;
+# the paper's indoor links rarely exceeded the mid-20s dB).
+TX_POWER_DBM = 0.0
+NOISE_FLOOR_DBM = -86.0
+MAX_SNR_DB = 25.0
+
 
 @dataclass(frozen=True)
 class LogDistancePathLoss:
     """Path loss in dB as a function of distance in meters."""
 
     exponent: float = 3.2
-    reference_db: float = 40.0
-    reference_m: float = 1.0
     shadowing_db: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.exponent <= 0 or self.reference_m <= 0:
-            raise ConfigurationError(
-                "exponent and reference distance must be positive")
+        if self.exponent <= 0:
+            raise ConfigurationError("exponent must be positive")
         if self.shadowing_db < 0:
             raise ConfigurationError("shadowing std must be non-negative")
 
     def mean_loss_db(self, distance_m) -> np.ndarray:
         """Deterministic component of the loss."""
-        d = np.maximum(np.asarray(distance_m, dtype=float),
-                       self.reference_m)
-        return self.reference_db + 10.0 * self.exponent * np.log10(
-            d / self.reference_m)
+        d = np.maximum(np.asarray(distance_m, dtype=float), REFERENCE_M)
+        return REFERENCE_DB + 10.0 * self.exponent * np.log10(
+            d / REFERENCE_M)
 
     def sample_loss_db(self, distance_m,
                        rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,12 @@ from itertools import combinations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.testbed.pathloss import LogDistancePathLoss
+from repro.testbed.pathloss import (
+    MAX_SNR_DB,
+    NOISE_FLOOR_DBM,
+    TX_POWER_DBM,
+    LogDistancePathLoss,
+)
 from repro.utils.rng import make_rng
 
 __all__ = ["SensingClass", "Testbed", "classify_sensing",
@@ -148,18 +153,15 @@ class Testbed:
 def default_testbed(seed: int = 7, *,
                     n_nodes: int = 14,
                     area_m: float = 30.0,
-                    tx_power_dbm: float = 0.0,
-                    noise_floor_dbm: float = -86.0,
-                    model: LogDistancePathLoss | None = None,
-                    max_snr_db: float = 25.0) -> Testbed:
+                    model: LogDistancePathLoss | None = None) -> Testbed:
     """A 14-node indoor layout with a paper-like sensing mix.
 
     Nodes are scattered over an L-shaped office footprint; the path-loss
     exponent, shadowing, and carrier-sense thresholds were calibrated so
     the usable-pair mix lands near the paper's 12% hidden / 8% partial /
-    80% perfect (averaged over seeds: ~11% / 6% / 83%). Link SNRs are
-    clamped to *max_snr_db* (receiver front-end saturation; the paper's
-    indoor links rarely exceeded the mid-20s dB).
+    80% perfect (averaged over seeds: ~11% / 6% / 83%). Link SNRs follow
+    the shared link budget of :mod:`repro.testbed.pathloss`, clamped to
+    :data:`~repro.testbed.pathloss.MAX_SNR_DB`.
     """
     rng = make_rng(seed)
     model = model or LogDistancePathLoss(exponent=3.0, shadowing_db=6.0)
@@ -175,7 +177,7 @@ def default_testbed(seed: int = 7, *,
         positions[:, None, :] - positions[None, :, :], axis=2)
     loss = model.sample_loss_db(distances, rng)
     loss = 0.5 * (loss + loss.T)  # reciprocal links
-    snr = tx_power_dbm - loss - noise_floor_dbm
+    snr = TX_POWER_DBM - loss - NOISE_FLOOR_DBM
     np.fill_diagonal(snr, np.inf)
-    snr = np.minimum(snr, max_snr_db)
+    snr = np.minimum(snr, MAX_SNR_DB)
     return Testbed(positions=positions, snr_db=snr)

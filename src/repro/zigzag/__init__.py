@@ -13,8 +13,7 @@ Submodules:
 - :mod:`~repro.zigzag.decoder`: the user-facing decoders — the general
   k-way :class:`~repro.zigzag.decoder.ZigZagMultiDecoder` (§4.5): a
   forward pass, plus backward pass and k-copy MRC (§4.3b) for packets
-  that still fail CRC, and its k = 2
-  :class:`~repro.zigzag.decoder.ZigZagPairDecoder` wrapper.
+  that still fail CRC; a pair is its k = 2 case.
 - :mod:`~repro.zigzag.detect` / :mod:`~repro.zigzag.match`: is-it-a-
   collision (§4.2.1) and did-we-get-matching-collisions (§4.2.2).
 - :mod:`~repro.zigzag.sic`: capture-effect successive interference
@@ -34,7 +33,6 @@ from repro.zigzag.match import match_score
 from repro.zigzag.decoder import (
     ZigZagMultiDecoder,
     ZigZagOutcome,
-    ZigZagPairDecoder,
 )
 from repro.zigzag.sic import SicDecoder
 
@@ -50,7 +48,6 @@ __all__ = [
     "CollisionDetector",
     "match_score",
     "ZigZagMultiDecoder",
-    "ZigZagPairDecoder",
     "ZigZagOutcome",
     "SicDecoder",
 ]

@@ -1,7 +1,7 @@
 """Trial-axis batched ZigZag: decode N independent collision trials at once.
 
 Monte-Carlo sweeps (§5) decode thousands of *independent* hidden-pair
-trials; the scalar :class:`~repro.zigzag.decoder.ZigZagPairDecoder` costs
+trials; the scalar :class:`~repro.zigzag.decoder.ZigZagMultiDecoder` costs
 one Python orchestration pass per trial. This module runs N trials in
 lockstep through batched counterparts of every stage — matched sampling,
 phase tracking (:mod:`repro.phy.batch`), the stream decoder
@@ -52,9 +52,15 @@ from repro.phy.frame import HEADER_BITS, FrameHeader, scrambler_sequence
 from repro.phy.pulse import PulseShaper
 from repro.receiver.batchstream import BatchDivergence, BatchedStreamDecoder
 from repro.receiver.result import DecodeResult
-from repro.zigzag.decoder import ZigZagOutcome, ZigZagPairDecoder
-from repro.zigzag.engine import PacketAccumulator, PacketSpec, PlacementParams
-from repro.zigzag.schedule import Placement, greedy_schedule
+from repro.zigzag.decoder import ZigZagMultiDecoder, ZigZagOutcome
+from repro.zigzag.engine import (
+    CORRECTION_ALPHA,
+    CORRECTION_BETA,
+    PacketAccumulator,
+    PacketSpec,
+    PlacementParams,
+)
+from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
 __all__ = ["BatchStats", "BatchedReencoder", "BatchedZigZagEngine",
            "BatchedPairDecoder", "CAPTURE_PAD"]
@@ -250,8 +256,6 @@ class BatchedZigZagEngine:
                  capture_sizes: list[int], pad: int,
                  specs: dict[str, PacketSpec],
                  lane_placements: list[list[PlacementParams]], *,
-                 correction_alpha: float = 0.7,
-                 correction_beta: float = 0.4,
                  reversed_totals: bool = False,
                  pilots: dict[str, np.ndarray] | None = None) -> None:
         self.config = config
@@ -259,8 +263,6 @@ class BatchedZigZagEngine:
         self.capture_sizes = list(capture_sizes)
         self.residual = [c.copy() for c in padded_captures]
         self.specs = specs
-        self.correction_alpha = correction_alpha
-        self.correction_beta = correction_beta
         self.reversed_totals = reversed_totals
         self._pilots = dict(pilots or {})
         self.n_lanes = padded_captures[0].shape[0]
@@ -493,8 +495,7 @@ class BatchedZigZagEngine:
             window_power - own_power * abs_rho * abs_rho, 0.0)
         measurement_var = contamination / np.maximum(denom, 1e-30)
         prior_var = 0.02
-        gain = (self.correction_alpha * prior_var
-                / (prior_var + measurement_var))
+        gain = CORRECTION_ALPHA * prior_var / (prior_var + measurement_var)
         magnitude = np.clip(abs_rho, 0.5, 2.0)
         angle = np.arctan2(rho.imag, rho.real)
         scaled = gain * angle
@@ -507,7 +508,7 @@ class BatchedZigZagEngine:
         if step_live.any():
             safe_dt = np.where(step_live, dt, 1.0)
             max_step = 0.1 / safe_dt
-            step = self.correction_beta * gain * angle / safe_dt
+            step = CORRECTION_BETA * gain * angle / safe_dt
             step = np.clip(step, -max_step, max_step)
             sub.freq[step_live] += step[step_live]
         sub.last_position[live] = center[live]
@@ -629,7 +630,7 @@ def _extract_bits_batch(combined: np.ndarray, pre_len: int):
 
 
 @dataclass
-class BatchedPairDecoder(ZigZagPairDecoder):
+class BatchedPairDecoder(ZigZagMultiDecoder):
     """Batched hidden-pair ZigZag decoder (§4.2.3 over a trial axis).
 
     ``decode_batch`` groups trials by schedule signature, runs each group
@@ -701,7 +702,7 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                 [Placement(pl.packet, pl.collision, pl.start,
                            plan.specs[pl.packet].n_symbols, sps)
                  for pl in plan.placements],
-                margin_symbols=self.margin_symbols)
+                margin_symbols=MARGIN_SYMBOLS)
         except ScheduleError:
             return False
         rev_sig: tuple | None = None
@@ -715,7 +716,7 @@ class BatchedPairDecoder(ZigZagPairDecoder):
                            + sps * (plan.specs[pl.packet].n_symbols - 1)),
                         plan.specs[pl.packet].n_symbols, sps)
                      for pl in plan.placements],
-                    margin_symbols=self.margin_symbols)
+                    margin_symbols=MARGIN_SYMBOLS)
                 rev_sig = tuple((s.packet, s.collision, s.i0, s.i1)
                                 for s in plan.rev_schedule)
             except ScheduleError:
@@ -748,9 +749,7 @@ class BatchedPairDecoder(ZigZagPairDecoder):
         lane_placements = [p.placements for p in group]
 
         forward = BatchedZigZagEngine(
-            self.config, padded, cap_sizes, pad, specs, lane_placements,
-            correction_alpha=self.correction_alpha,
-            correction_beta=self.correction_beta)
+            self.config, padded, cap_sizes, pad, specs, lane_placements)
         fwd_out = forward.run(schedule)
         eject = forward.wants_equalizer()
 
@@ -902,8 +901,6 @@ class BatchedPairDecoder(ZigZagPairDecoder):
         engine = BatchedZigZagEngine(
             self.config, reversed_padded, cap_sizes, pad, rev_specs,
             rev_lane_placements,
-            correction_alpha=self.correction_alpha,
-            correction_beta=self.correction_beta,
             reversed_totals=True,
             pilots=pilots)
         reversed_out = engine.run(plan0.rev_schedule)

@@ -1,8 +1,7 @@
-"""The user-facing ZigZag decoders: a forward pass, then backward + MRC.
+"""The user-facing ZigZag decoder: a forward pass, then backward + MRC.
 
 :class:`ZigZagMultiDecoder` decodes k packets from k matching collisions
-(§4.5) — the pair of §4.2.3 is simply its k = 2 configuration, exposed as
-the thin :class:`ZigZagPairDecoder` wrapper for historical call sites.
+(§4.5); the pair of §4.2.3 is simply its k = 2 case.
 
 §4.2.3 describes the forward pass; §4.3(b) adds backward decoding: "clearly
 the figure is symmetric. The AP could wait until it received all samples,
@@ -42,8 +41,8 @@ same guard that keeps a degraded backward pass from poisoning the
 combine — and symbols the forward pass already decoded from that very
 capture get zero weight (they carry the same noise, not new information).
 At k = 2 the forward and backward passes already *are* the two
-per-collision copies, so the extra-copy machinery stays off and the pair
-behaviour (and its golden vectors) is untouched.
+per-collision copies, so the extra-copy machinery runs only from three
+captures up.
 """
 
 from __future__ import annotations
@@ -68,10 +67,14 @@ from repro.zigzag.engine import (
     PlacementParams,
     ZigZagEngine,
 )
-from repro.zigzag.schedule import DecodeStep, Placement, greedy_schedule
+from repro.zigzag.schedule import (
+    MARGIN_SYMBOLS,
+    DecodeStep,
+    Placement,
+    greedy_schedule,
+)
 
-__all__ = ["ZigZagOutcome", "ZigZagMultiDecoder", "ZigZagPairDecoder",
-           "extract_bits"]
+__all__ = ["ZigZagOutcome", "ZigZagMultiDecoder", "extract_bits"]
 
 
 def extract_bits(soft: np.ndarray, spec: PacketSpec,
@@ -106,8 +109,9 @@ class ZigZagOutcome:
     """Everything a ZigZag decode of one collision set produced.
 
     ``backward_soft`` and ``capture_soft`` are None when every packet
-    passed CRC after the forward pass: neither the backward pass nor the
-    k-copy re-reads ran. ``capture_soft`` holds the failing packets only.
+    passed CRC after the forward pass, or ``use_backward`` was off:
+    neither the backward pass nor the k-copy re-reads ran.
+    ``capture_soft`` holds the failing packets only.
     """
 
     results: dict[str, DecodeResult]
@@ -132,8 +136,7 @@ class ZigZagMultiDecoder:
 
     This is the §4.5 general decoder: any number of captures, each holding
     any subset of the packet set, driven through the k-capable greedy
-    scheduler and engine. The §4.2.3 pair decode is its k = 2
-    configuration (see :class:`ZigZagPairDecoder`).
+    scheduler and engine. The §4.2.3 pair decode is its k = 2 case.
 
     Parameters
     ----------
@@ -141,26 +144,15 @@ class ZigZagMultiDecoder:
         The shared :class:`StreamConfig` (preamble, shaping, noise floor,
         tracking/equalizer ablation switches).
     use_backward:
-        Enable the backward pass + MRC (§4.3b) for packets that fail CRC
-        after the forward pass. Disable to reproduce the forward-only
-        ablation of Fig 5-3.
-    margin_symbols:
-        Scheduling guard between a decodable symbol and the nearest
-        undecoded interferer, in symbols (pulse-overlap protection).
-    mrc_all_copies:
-        With three or more captures, re-read each packet that fails after
-        the forward pass from every cleaned capture it appears in and fold
-        the extra soft copies into its MRC (k-copy combining). Never
-        engages at k = 2, where forward and backward already supply both
-        per-collision copies.
+        Combine further copies into each packet that fails CRC after the
+        forward pass: the backward pass (§4.3b) and, with three or more
+        captures, a re-read of the packet from every cleaned capture it
+        appears in (k-copy MRC, §4.5). Disable to reproduce the
+        forward-only ablation of Fig 5-3.
     """
 
     config: StreamConfig
     use_backward: bool = True
-    margin_symbols: float = 1.0
-    correction_alpha: float = 0.7
-    correction_beta: float = 0.4
-    mrc_all_copies: bool = True
 
     # ------------------------------------------------------------------
     def decode(self, captures: list[np.ndarray],
@@ -174,7 +166,7 @@ class ZigZagMultiDecoder:
                 [Placement(pl.packet, pl.collision, pl.start,
                            specs[pl.packet].n_symbols, sps)
                  for pl in placements],
-                margin_symbols=self.margin_symbols)
+                margin_symbols=MARGIN_SYMBOLS)
         except ScheduleError as exc:
             return ZigZagOutcome(
                 results={p: DecodeResult.failure(str(exc), via="zigzag")
@@ -182,9 +174,7 @@ class ZigZagMultiDecoder:
                 detail=f"schedule failure: {exc}")
 
         forward_engine = ZigZagEngine(
-            self.config, captures, specs, placements,
-            correction_alpha=self.correction_alpha,
-            correction_beta=self.correction_beta)
+            self.config, captures, specs, placements)
         forward = forward_engine.run(schedule)
 
         # A packet that passes CRC after the forward pass is final: the
@@ -198,14 +188,13 @@ class ZigZagMultiDecoder:
 
         backward_soft: dict[str, np.ndarray] | None = None
         capture_soft: dict[str, list[tuple[int, np.ndarray]]] | None = None
-        if failing:
-            if self.use_backward:
-                backward_soft = self._backward_pass(
-                    captures, specs, placements, forward_engine)
+        if failing and self.use_backward:
+            backward_soft = self._backward_pass(
+                captures, specs, placements, forward_engine)
             # k-copy MRC (§4.5): with three or more captures, each cleaned
             # capture is an additional independent reading of a packet.
             capture_copies: dict[str, list] = {}
-            if self.mrc_all_copies and len(captures) >= 3:
+            if len(captures) >= 3:
                 capture_copies = self._capture_copies(
                     specs, forward_engine, failing)
                 capture_soft = {
@@ -413,7 +402,7 @@ class ZigZagMultiDecoder:
                 [Placement(pl.packet, pl.collision, pl.start,
                            rev_specs[pl.packet].n_symbols, sps)
                  for pl in rev_placements],
-                margin_symbols=self.margin_symbols)
+                margin_symbols=MARGIN_SYMBOLS)
         except ScheduleError:
             return None
 
@@ -427,8 +416,6 @@ class ZigZagMultiDecoder:
         }
         engine = ZigZagEngine(
             self.config, reversed_captures, rev_specs, rev_placements,
-            correction_alpha=self.correction_alpha,
-            correction_beta=self.correction_beta,
             reversed_totals=True,
             equalizers=equalizers,
             symbol_isi=symbol_isi,
@@ -442,16 +429,3 @@ class ZigZagMultiDecoder:
             for name, acc in reversed_out.items()
         }
 
-
-@dataclass
-class ZigZagPairDecoder(ZigZagMultiDecoder):
-    """The historical §4.2.3 pair entry point: k = 2 configuration of
-    :class:`ZigZagMultiDecoder`.
-
-    Forward + backward + MRC only — ``mrc_all_copies`` stays off so the
-    decode is bit-identical to the pre-multi-decoder pair path (and its
-    golden vectors) even when a caller hands it more than two captures.
-    New k-way call sites should use :class:`ZigZagMultiDecoder` directly.
-    """
-
-    mrc_all_copies: bool = False

@@ -22,7 +22,7 @@ everywhere p appears. Soft symbols, hard decisions and tracked phases are
 accumulated per packet for the caller (bit extraction, MRC, CRC).
 
 This engine is a building block, driven by
-:class:`~repro.zigzag.decoder.ZigZagPairDecoder` per collision set. To
+:class:`~repro.zigzag.decoder.ZigZagMultiDecoder` per collision set. To
 run whole experiments over it — Monte-Carlo trials, process fan-out,
 aggregated statistics — use the :mod:`repro.runner` subsystem
 (``python -m repro run scenario.toml``), the supported entry point.
@@ -45,6 +45,12 @@ from repro.zigzag.schedule import DecodeStep
 
 __all__ = ["PacketSpec", "PlacementParams", "SubtractionState",
            "ZigZagEngine"]
+
+# Loop gains of the §4.2.4(b) correction: the fraction of each measured
+# chunk-image phase/amplitude mismatch folded into the subtraction
+# multiplier (α), and of its rate folded into the frequency term (β).
+CORRECTION_ALPHA = 0.7
+CORRECTION_BETA = 0.4
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,6 @@ class ZigZagEngine:
     def __init__(self, config: StreamConfig, captures: list[np.ndarray],
                  specs: dict[str, PacketSpec],
                  placements: list[PlacementParams], *,
-                 correction_alpha: float = 0.7,
-                 correction_beta: float = 0.4,
                  measure_correction: bool = True,
                  reversed_totals: bool = False,
                  equalizers: dict | None = None,
@@ -121,8 +125,6 @@ class ZigZagEngine:
         self.residual = [np.array(c, dtype=complex, copy=True)
                          for c in captures]
         self.specs = specs
-        self.correction_alpha = correction_alpha
-        self.correction_beta = correction_beta
         self.measure_correction = measure_correction
         self.reversed_totals = reversed_totals
         self._preset_equalizers = dict(equalizers or {})
@@ -342,8 +344,7 @@ class ZigZagEngine:
                             0.0)
         measurement_var = contamination / max(denom, 1e-30)
         prior_var = 0.02  # typical squared relative error of the estimates
-        gain = self.correction_alpha * prior_var / (prior_var
-                                                    + measurement_var)
+        gain = CORRECTION_ALPHA * prior_var / (prior_var + measurement_var)
         magnitude = min(max(abs_rho, 0.5), 2.0)
         angle = math.atan2(rho.imag, rho.real)
         scaled = gain * angle
@@ -354,7 +355,7 @@ class ZigZagEngine:
             dt = center - sub.last_position
             if dt > 0:
                 max_step = 0.1 / dt
-                step = self.correction_beta * gain * angle / dt
+                step = CORRECTION_BETA * gain * angle / dt
                 sub.freq += min(max(step, -max_step), max_step)
         sub.last_position = center
         return correction

@@ -33,6 +33,12 @@ __all__ = [
     "schedule_is_complete",
 ]
 
+# Spacing, in symbols, the physical engine needs between a decodable
+# symbol and the nearest undecoded interferer: packets closer than one
+# symbol (same slot, fractional gap) overlap through the pulse shape and
+# are undecodable. The symbolic Fig 4-7 evaluation uses the same margin.
+MARGIN_SYMBOLS = 1.0
+
 
 @dataclass(frozen=True)
 class Placement:

@@ -3,10 +3,10 @@
 Each fixture is a small fixed-seed collision set — the raw capture
 buffers, the acquisition inputs (symbol-0 positions and coarse frequency
 guesses), the ground-truth body bits, and the bits the ZigZag decoder
-recovered when the fixture was generated. The hidden-pair fixtures pin
-the §4.2.3 pair path (two captures, :class:`ZigZagPairDecoder`); the
-three-sender fixtures pin the §4.5 k-way path (three captures,
-:class:`ZigZagMultiDecoder`). The ``*_rescue`` fixtures are the ones
+recovered when the fixture was generated, all by
+:class:`ZigZagMultiDecoder`. The hidden-pair fixtures pin the §4.2.3 pair
+path (two captures); the three-sender fixtures pin the §4.5 k-way path
+(three captures). The ``*_rescue`` fixtures are the ones
 whose forward pass leaves a packet failing CRC, so they alone pin the
 backward pass and MRC (k-copy MRC for the three-sender one). The
 companion test
@@ -38,7 +38,10 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
 from repro.phy.channel import ChannelParams  # noqa: E402
-from repro.phy.estimation import ChannelEstimate  # noqa: E402
+from repro.phy.estimation import (  # noqa: E402
+    COARSE_FREQ_ERROR,
+    ChannelEstimate,
+)
 from repro.phy.frame import Frame  # noqa: E402
 from repro.phy.impairments import ImpairmentPipeline  # noqa: E402
 from repro.phy.medium import Transmission, synthesize  # noqa: E402
@@ -48,10 +51,7 @@ from repro.phy.sync import Synchronizer  # noqa: E402
 from repro.receiver.frontend import StreamConfig  # noqa: E402
 from repro.runner.builders import hidden_pair_scenario  # noqa: E402
 from repro.utils.bits import bit_error_rate, random_bits  # noqa: E402
-from repro.zigzag.decoder import (  # noqa: E402
-    ZigZagMultiDecoder,
-    ZigZagPairDecoder,
-)
+from repro.zigzag.decoder import ZigZagMultiDecoder  # noqa: E402
 from repro.zigzag.engine import PacketSpec, PlacementParams  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
@@ -59,7 +59,6 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 PAYLOAD_BITS = 160
 PREAMBLE_LENGTH = 32
 NOISE_POWER = 1.0
-COARSE_FREQ_ERROR = 1.5e-5
 
 # name -> (seed, snr_db, sender stage dicts, capture stage dicts)
 FIXTURES: dict[str, tuple[int, float, tuple, tuple]] = {
@@ -280,9 +279,7 @@ def fixture_trial(name: str, data: dict):
 def decode_fixture(name: str, data: dict) -> dict[str, np.ndarray]:
     """ZigZag-decode a fixture's trial (see :func:`fixture_trial`)."""
     config, trial = fixture_trial(name, data)
-    decoder_cls = ZigZagMultiDecoder if name in THREE_SENDER_FIXTURES \
-        else ZigZagPairDecoder
-    outcome = decoder_cls(config).decode(*trial)
+    outcome = ZigZagMultiDecoder(config).decode(*trial)
     return {label: outcome.results[label].bits.astype(np.uint8)
             for label in fixture_labels(name)}
 

@@ -3,7 +3,7 @@
 The contract that makes ``BatchedPairDecoder.decode_batch`` a pure
 throughput knob: for any mix of trials, every trial's decoded bits,
 header, and CRC verdict are identical to running the inherited scalar
-:meth:`ZigZagPairDecoder.decode` on that trial alone. Three layers pin
+:meth:`ZigZagMultiDecoder.decode` on that trial alone. Three layers pin
 it here:
 
 - **Golden fixtures** (``tests/golden/*.npz``): all fixtures stacked
@@ -31,7 +31,7 @@ from repro.phy.pulse import PulseShaper
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -79,7 +79,7 @@ class TestGoldenBatchEquality:
         outcomes = decoder.decode_batch([trial for _, _, trial in loaded])
         assert decoder.last_stats.trials == len(loaded)
         for (name, cfg, trial), outcome in zip(loaded, outcomes):
-            scalar = ZigZagPairDecoder(cfg).decode(*trial)
+            scalar = ZigZagMultiDecoder(cfg).decode(*trial)
             _assert_same_decode(_fingerprints(outcome),
                                 _fingerprints(scalar), name)
 
@@ -104,7 +104,7 @@ class TestGoldenBatchEquality:
         outcome = decoder.decode_batch([trial])[0]
         assert decoder.last_stats.fallback == 1
         assert decoder.last_stats.lockstep == 0
-        scalar = ZigZagPairDecoder(config).decode(*trial)
+        scalar = ZigZagMultiDecoder(config).decode(*trial)
         _assert_same_decode(_fingerprints(outcome),
                             _fingerprints(scalar), name)
 
@@ -143,7 +143,7 @@ class TestBatchAxisProperties:
         batched = decoder.decode_batch(trials)
         for i, trial in enumerate(trials):
             single = BatchedPairDecoder(_CONFIG).decode_batch([trial])[0]
-            scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+            scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
             _assert_same_decode(_fingerprints(batched[i]),
                                 _fingerprints(single),
                                 f"trial {i}: batch-of-{n} vs batch-of-1")
@@ -156,7 +156,7 @@ class TestBatchAxisProperties:
     def test_batch_of_one_equals_unbatched(self, seed):
         trial = _make_trial(seed, 96)
         batched = BatchedPairDecoder(_CONFIG).decode_batch([trial])[0]
-        scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+        scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
         _assert_same_decode(_fingerprints(batched), _fingerprints(scalar),
                             f"seed {seed}")
 
@@ -174,7 +174,7 @@ class TestBatchAxisProperties:
         assert decoder.last_stats.trials == len(sizes)
         assert decoder.last_stats.groups >= len(set(sizes))
         for i, trial in enumerate(trials):
-            scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+            scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
             _assert_same_decode(
                 _fingerprints(batched[i]), _fingerprints(scalar),
                 f"trial {i} (payload {sizes[i]})")

@@ -18,7 +18,7 @@ from repro.phy.sync import Synchronizer
 from repro.receiver.frontend import StreamConfig
 from repro.utils.bits import random_bits
 from repro.utils.rng import make_rng
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
 
@@ -64,7 +64,7 @@ class TestCodedZigZag:
             rng = make_rng(700 + seed)
             captures, frames, payloads, specs, placements = \
                 coded_collision_pair(rng, preamble, shaper, snr_db)
-            outcome = ZigZagPairDecoder(stream_config).decode(
+            outcome = ZigZagMultiDecoder(stream_config).decode(
                 [c.samples for c in captures], specs, placements)
             pre_len = len(preamble)
             for name, payload in payloads.items():
@@ -86,7 +86,7 @@ class TestCodedZigZag:
             rng = make_rng(880 + seed)
             captures, frames, payloads, specs, placements = \
                 coded_collision_pair(rng, preamble, shaper, snr_db=6.5)
-            outcome = ZigZagPairDecoder(stream_config).decode(
+            outcome = ZigZagMultiDecoder(stream_config).decode(
                 [c.samples for c in captures], specs, placements)
             pre_len = len(preamble)
             for name, payload in payloads.items():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClientTable, ReceiverConfig, ZigZagReceiver
+from repro.core.api import CLIENT_SMOOTHING
 from repro.phy.channel import ChannelParams
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.frame import Frame
@@ -42,10 +43,10 @@ class TestClientTable:
         assert table.get(99, default=0.0) == 0.0
 
     def test_ewma_smooths(self):
-        table = ClientTable(smoothing=0.5)
+        table = ClientTable()
         table.update(1, 0.0)
         table.update(1, 1e-3)
-        assert table.get(1) == pytest.approx(5e-4)
+        assert table.get(1) == pytest.approx(CLIENT_SMOOTHING * 1e-3)
 
     def test_candidates_always_nonempty(self):
         table = ClientTable()

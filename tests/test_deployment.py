@@ -27,7 +27,7 @@ from repro.testbed.deployment import (
     DeploymentConfig,
     client_name,
 )
-from repro.testbed.pathloss import LogDistancePathLoss
+from repro.testbed.pathloss import MAX_SNR_DB, LogDistancePathLoss
 from repro.testbed.topology import SensingClass
 
 
@@ -51,7 +51,7 @@ class TestDeploymentGeneration:
         dep = make_deployment()
         off = ~np.eye(dep.snr_db.shape[0], dtype=bool)
         assert np.allclose(dep.snr_db, dep.snr_db.T)
-        assert np.all(dep.snr_db[off] <= dep.config.max_snr_db)
+        assert np.all(dep.snr_db[off] <= MAX_SNR_DB)
         assert np.all(np.isinf(np.diag(dep.snr_db)))
 
     def test_reproducible_from_seed(self):
@@ -361,11 +361,9 @@ class TestCellBuilder:
         from repro.runner.builders import get_deployment
         deployment = get_deployment(spec)
         plans = sorted(deployment.cells(),
-                       key=lambda p: -len(deployment.interferers(
-                           p.ap, spec.deployment.interference_floor_db)))
+                       key=lambda p: -len(deployment.interferers(p.ap)))
         plan = plans[0]
-        heard = deployment.interferers(
-            plan.ap, spec.deployment.interference_floor_db)
+        heard = deployment.interferers(plan.ap)
         base = build_cell_session(spec, np.random.default_rng(0),
                                   "zigzag", deployment, plan)
         approx = build_cell_session(spec, np.random.default_rng(0),

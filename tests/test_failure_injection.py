@@ -17,7 +17,7 @@ from repro.phy.medium import Transmission, synthesize
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import SymbolStreamDecoder
 from repro.utils.bits import random_bits
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
 from helpers import hidden_pair_scenario
@@ -97,7 +97,7 @@ class TestZigZagRobustness:
                                             snr_db=40.0))
             for p in placements
         ]
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, corrupted)
         assert not outcome.all_decoded
 
@@ -106,7 +106,7 @@ class TestZigZagRobustness:
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper)
         short = {n: PacketSpec(n, 64) for n in specs}
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], short, placements)
         # Decodes 64 symbols per packet (prefix) but the CRC cannot pass.
         assert not outcome.all_decoded
@@ -118,7 +118,7 @@ class TestZigZagRobustness:
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper)
         only_first = [p for p in placements if p.collision == 0]
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [captures[0].samples], specs, only_first)
         assert not outcome.all_decoded
 

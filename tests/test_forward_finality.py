@@ -32,7 +32,7 @@ from repro.phy.pulse import PulseShaper
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
-from repro.zigzag.decoder import ZigZagMultiDecoder, ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -47,13 +47,10 @@ _CONFIG = StreamConfig(preamble=_PRE, shaper=_SH, noise_power=1.0)
 
 
 def _fixture(name: str):
-    """``(decoder class, config, trial)`` of golden fixture *name*."""
+    """``(config, trial)`` of golden fixture *name*."""
     with np.load(GOLDEN_DIR / f"{name}.npz") as data:
-        config, trial = golden.fixture_trial(
+        return golden.fixture_trial(
             name, {key: np.array(data[key]) for key in data.files})
-    cls = ZigZagMultiDecoder if name in golden.THREE_SENDER_FIXTURES \
-        else ZigZagPairDecoder
-    return cls, config, trial
 
 
 def _trial(seed: int, snr_db: float = 12.0, offsets=(160, 64),
@@ -65,9 +62,8 @@ def _trial(seed: int, snr_db: float = 12.0, offsets=(160, 64),
     return ([c.samples for c in captures], specs, placements)
 
 
-def _forward_only(cls, config, trial):
-    return cls(config, use_backward=False,
-               mrc_all_copies=False).decode(*trial)
+def _forward_only(config, trial):
+    return ZigZagMultiDecoder(config, use_backward=False).decode(*trial)
 
 
 def _forbid(monkeypatch, owner, attr: str) -> None:
@@ -96,12 +92,12 @@ class TestScalarRule:
     @pytest.mark.parametrize("name", ["hidden_pair_clean",
                                       "three_senders_clean"])
     def test_clean_set_never_runs_backward(self, name, monkeypatch):
-        cls, config, trial = _fixture(name)
-        assert _forward_only(cls, config, trial).all_decoded
+        config, trial = _fixture(name)
+        assert _forward_only(config, trial).all_decoded
         for attr in ("_backward_pass", "_capture_copies",
                      "_align_backward"):
             _forbid(monkeypatch, ZigZagMultiDecoder, attr)
-        outcome = cls(config).decode(*trial)
+        outcome = ZigZagMultiDecoder(config).decode(*trial)
         assert outcome.all_decoded
         assert outcome.backward_soft is None
         assert outcome.capture_soft is None
@@ -109,11 +105,11 @@ class TestScalarRule:
     @pytest.mark.parametrize("name", ["hidden_pair_rescue",
                                       "three_senders_rescue"])
     def test_rescue_fixture_runs_backward_for_failing_packets(self, name):
-        cls, config, trial = _fixture(name)
-        forward = _forward_only(cls, config, trial)
+        config, trial = _fixture(name)
+        forward = _forward_only(config, trial)
         failing = {n for n, r in forward.results.items() if not r.success}
         assert failing and len(failing) < len(forward.results)
-        outcome = cls(config).decode(*trial)
+        outcome = ZigZagMultiDecoder(config).decode(*trial)
         assert outcome.all_decoded
         assert outcome.backward_soft is not None
         if outcome.capture_soft is not None:
@@ -124,11 +120,11 @@ class TestScalarRule:
                                       "three_senders_rescue"])
     def test_garbage_backward_cannot_fail_a_forward_success(
             self, name, monkeypatch):
-        cls, config, trial = _fixture(name)
-        want = _passing(_forward_only(cls, config, trial))
+        config, trial = _fixture(name)
+        want = _passing(_forward_only(config, trial))
         monkeypatch.setattr(ZigZagMultiDecoder, "_align_backward",
                             staticmethod(_garbage_align))
-        outcome = cls(config).decode(*trial)
+        outcome = ZigZagMultiDecoder(config).decode(*trial)
         assert outcome.backward_soft is not None  # the backward pass ran
         for packet, bits in want.items():
             assert outcome.results[packet].success, packet
@@ -139,8 +135,7 @@ class TestBatchedRule:
     def test_clean_batch_never_runs_backward(self, monkeypatch):
         trials = [_trial(9000 + i) for i in range(4)]
         for trial in trials:
-            assert _forward_only(ZigZagPairDecoder, _CONFIG,
-                                 trial).all_decoded
+            assert _forward_only(_CONFIG, trial).all_decoded
         _forbid(monkeypatch, BatchedPairDecoder, "_batched_backward")
         _forbid(monkeypatch, ZigZagMultiDecoder, "_backward_pass")
         decoder = BatchedPairDecoder(_CONFIG)
@@ -152,7 +147,7 @@ class TestBatchedRule:
             assert outcome.backward_soft is None
 
     def test_rescue_fixture_runs_batched_backward(self):
-        _, config, trial = _fixture("hidden_pair_rescue")
+        config, trial = _fixture("hidden_pair_rescue")
         decoder = BatchedPairDecoder(config)
         outcome = decoder.decode_batch([trial])[0]
         assert decoder.last_stats.lockstep == 1
@@ -168,8 +163,7 @@ class TestBatchedRule:
         seeds = (205, 200, 206, 213, 210, 207)
         trials = [_trial(seed, 6.5) for seed in seeds]
         failing = [
-            {n for n, r in _forward_only(ZigZagPairDecoder, _CONFIG,
-                                         t).results.items()
+            {n for n, r in _forward_only(_CONFIG, t).results.items()
              if not r.success}
             for t in trials]
         assert failing == [set(), {"A"}, {"B"}, set(), {"A"}, {"B"}]
@@ -179,7 +173,7 @@ class TestBatchedRule:
         assert decoder.last_stats.lockstep == len(trials)
         assert decoder.last_stats.backward == 4
         for seed, trial, outcome in zip(seeds, trials, outcomes):
-            scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+            scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
             for packet, result in scalar.results.items():
                 got = outcome.results[packet]
                 assert got.success == result.success, (seed, packet)
@@ -187,9 +181,9 @@ class TestBatchedRule:
 
     def test_garbage_backward_cannot_fail_a_forward_success(
             self, monkeypatch):
-        _, config, rescue = _fixture("hidden_pair_rescue")
+        config, rescue = _fixture("hidden_pair_rescue")
         trials = [rescue, _trial(9100)]
-        want = [_passing(_forward_only(ZigZagPairDecoder, config, t))
+        want = [_passing(_forward_only(config, t))
                 for t in trials]
         monkeypatch.setattr(BatchedPairDecoder, "_align_backward_batch",
                             staticmethod(_garbage_align))
@@ -210,8 +204,8 @@ class TestProperties:
         """Every packet the forward-only ablation decodes is decoded, with
         identical bits, by the default scalar and batched decoders."""
         trial = _trial(seed, snr_db, offsets)
-        want = _passing(_forward_only(ZigZagPairDecoder, _CONFIG, trial))
-        scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+        want = _passing(_forward_only(_CONFIG, trial))
+        scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
         batched = BatchedPairDecoder(_CONFIG).decode_batch([trial])[0]
         for outcome in (scalar, batched):
             for packet, bits in want.items():
@@ -230,7 +224,7 @@ class TestProperties:
         outcomes = decoder.decode_batch(trials)
         assert decoder.last_stats.backward <= decoder.last_stats.lockstep
         for i, (trial, outcome) in enumerate(zip(trials, outcomes)):
-            scalar = ZigZagPairDecoder(_CONFIG).decode(*trial)
+            scalar = ZigZagMultiDecoder(_CONFIG).decode(*trial)
             for packet, result in scalar.results.items():
                 got = outcome.results[packet]
                 assert got.success == result.success, (i, packet)

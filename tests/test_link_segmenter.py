@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.link import BurstSegmenter, SegmenterConfig
+from repro.link.segmenter import HANG_WINDOW
 
 
 def push_chunked(segmenter, signal, chunk=128):
@@ -60,7 +61,7 @@ class TestSegmenter:
     def test_envelope_dip_does_not_split(self):
         """Hysteresis: a short dip inside a packet (below the open
         threshold but shorter than the hang window) keeps one burst."""
-        cfg = SegmenterConfig(noise_power=1.0, hang_window=64)
+        cfg = SegmenterConfig(noise_power=1.0)
         signal = block_signal([(200, 500), (520, 800)], 1400)
         bursts = push_chunked(BurstSegmenter(cfg), signal)
         assert len(bursts) == 1
@@ -156,6 +157,6 @@ class TestSegmenter:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            SegmenterConfig(open_factor=1.0, close_factor=2.0)
+            SegmenterConfig(max_burst_samples=4 * HANG_WINDOW - 1)
         with pytest.raises(ConfigurationError):
             SegmenterConfig(noise_power=0.0)

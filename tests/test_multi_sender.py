@@ -9,7 +9,7 @@ from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
 from repro.utils.bits import random_bits
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
 
@@ -52,8 +52,8 @@ class TestThreeSenders:
         offset_rounds = [(0, 80, 180), (60, 0, 140), (100, 40, 0)]
         captures, frames, specs, placements = three_sender_scenario(
             rng, preamble, shaper, offset_rounds)
-        outcome = ZigZagPairDecoder(stream_config,
-                                    use_backward=False).decode(
+        outcome = ZigZagMultiDecoder(stream_config,
+                                     use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
             assert outcome.results[name].ber_against(
@@ -99,8 +99,8 @@ class TestThreeSenders:
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK)
                  for n in names}
-        outcome = ZigZagPairDecoder(stream_config,
-                                    use_backward=False).decode(
+        outcome = ZigZagMultiDecoder(stream_config,
+                                     use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
         for name in names:
             assert outcome.results[name].ber_against(
@@ -111,7 +111,7 @@ class TestThreeSenders:
         offset_rounds = [(0, 60, 120)] * 3
         captures, frames, specs, placements = three_sender_scenario(
             rng, preamble, shaper, offset_rounds)
-        outcome = ZigZagPairDecoder(stream_config,
-                                    use_backward=False).decode(
+        outcome = ZigZagMultiDecoder(stream_config,
+                                     use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
         assert not outcome.all_decoded

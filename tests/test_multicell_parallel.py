@@ -23,6 +23,7 @@ from repro.runner.builders import build_city_session
 from repro.runner.chaos import FaultSpec
 from repro.runner.shm import find_leaked_arenas
 from repro.runner.spec import ScenarioSpec
+from repro.testbed.deployment import INTERFERENCE_FLOOR_DB
 
 
 def city_spec(n_aps=3, n_clients=12, area_m=70.0, seed=11, n_packets=1,
@@ -157,7 +158,7 @@ class TestPhaseKeying:
 
     def test_victim_prefilter_matches_snr_matrix(self):
         city = self._session()
-        floor = city.config.interference_floor_db
+        floor = INTERFERENCE_FLOOR_DB
         for src in city.cells:
             for client, _snr in src.lookup.values():
                 expected = [

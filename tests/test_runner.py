@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -21,11 +22,18 @@ from repro.runner import (
     trial_seed,
 )
 from repro.runner.cache import SignalCache, cached_preamble, cached_shaper
-from repro.runner.scenarios import TrialContext, available_scenarios
+from repro.runner.scenarios import (
+    TrialContext,
+    available_scenarios,
+    get_scenario,
+)
 from repro.runner.seeding import trial_seeds
 from repro.runner.spec import BackoffSpec, ChannelSpec
 from repro.testbed.experiment import Design, run_capture_sweep_point
 from repro.testbed.metrics import FlowStats
+
+EXAMPLE_SCENARIOS = pathlib.Path(__file__).resolve().parents[1] \
+    / "examples" / "scenarios"
 
 
 class TestSeeding:
@@ -86,6 +94,18 @@ snr_b_db = 9.0
         assert spec.senders[0].snr_db == 10.0
         assert spec.backoff.cw_min == 15
         assert spec.param("snr_b_db") == 9.0
+
+    @pytest.mark.parametrize("path", sorted(EXAMPLE_SCENARIOS.glob("*.toml")),
+                             ids=lambda path: path.stem)
+    def test_example_scenario_loads(self, path):
+        """Every shipped example parses, round-trips, and names a
+        registered kind that accepts its design and tables."""
+        spec = ScenarioSpec.from_toml(path)
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        record = get_scenario(spec.kind)
+        assert record.designs is None or spec.design in record.designs
+        assert spec.deployment.is_empty or record.deployment
+        assert spec.impairments.is_empty or record.impairments
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -118,3 +118,20 @@ enob = 8.0
     def test_bad_override_is_an_error(self, scenario_file, capsys):
         assert main(["run", scenario_file, "--set", "nosuch.field=1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, body", [
+        ("[channel]", "bogus = 1"),
+        ("[channel]", "coarse_freq_error = 1.5e-5"),
+        ("[backoff]", "bogus = 1"),
+        ("[[sender]]", 'name = "a"\nsnr_db = 10.0\nbogus = 1'),
+        ("[deployment]", "tx_power_dbm = 0.0"),
+        ("[deployment]", "interference_floor_db = -2.0"),
+    ])
+    def test_unknown_table_key_is_an_error(self, tmp_path, capsys, table,
+                                           body):
+        """An unknown key, or one the schema dropped, names its table."""
+        path = tmp_path / "bad.toml"
+        path.write_text('[scenario]\nkind = "schedule_failure"\n'
+                        f"{table}\n{body}\n")
+        assert main(["run", str(path)]) == 2
+        assert f"bad {table} table" in capsys.readouterr().err

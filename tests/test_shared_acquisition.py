@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ReceiverConfig, ZigZagReceiver
+from repro.core import ReceiverConfig, ZigZagReceiver, api
 from repro.phy.preamble import default_preamble
 from repro.phy.pulse import MatchedSampler, PulseShaper
 from repro.phy.sync import Synchronizer
@@ -300,7 +300,7 @@ class TestStoredRecordsAreReadOnly:
         assert list(buffer) == [record]
         assert not record.samples.flags.writeable
 
-    def test_memo_survives_a_failed_zigzag_attempt(self, rng):
+    def test_memo_survives_a_failed_zigzag_attempt(self, rng, monkeypatch):
         """A stored collision takes part in a ZigZag attempt that fails
         (the new collision holds other packets). The decoders work on
         copies, so the record's samples are untouched, and every
@@ -311,10 +311,10 @@ class TestStoredRecordsAreReadOnly:
         n_symbols = frames1["s1"].n_symbols
         # A zero match threshold makes the unrelated pair "match", so a
         # ZigZag decode is attempted on the stored record and fails.
+        monkeypatch.setattr(api, "MATCH_THRESHOLD", 0.0)
         receiver = ZigZagReceiver(ReceiverConfig(
             preamble=PREAMBLE, shaper=SHAPER, noise_power=1.0,
-            expected_symbols=n_symbols, match_threshold=0.0,
-            enable_sic=False))
+            expected_symbols=n_symbols))
         for src, freq in freqs.items():
             receiver.clients.update(src, freq)
         cap1 = collision_capture(frames1, SHAPER, rng, (0, 160),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.receiver.frontend import StreamConfig
-from repro.zigzag.decoder import ZigZagPairDecoder
+from repro.zigzag.decoder import ZigZagMultiDecoder
 
 from helpers import hidden_pair_scenario
 
@@ -14,7 +14,7 @@ class TestPairDecoding:
                                        stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=12.0)
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
             assert outcome.results[name].success, name
@@ -25,7 +25,7 @@ class TestPairDecoding:
                                              stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=15.0)
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for power in outcome.residual_powers:
             assert power < 2.0  # noise floor is 1.0
@@ -34,7 +34,7 @@ class TestPairDecoding:
                                            stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, offsets=(100, 100))
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         assert not outcome.all_decoded
         assert "schedule" in outcome.detail
@@ -42,8 +42,8 @@ class TestPairDecoding:
     def test_forward_only_mode(self, rng, preamble, shaper, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=12.0)
-        outcome = ZigZagPairDecoder(stream_config,
-                                    use_backward=False).decode(
+        outcome = ZigZagMultiDecoder(stream_config,
+                                     use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
         assert outcome.backward_soft is None
         for name in frames:
@@ -60,7 +60,7 @@ class TestPairDecoding:
             captures, frames, specs, placements = hidden_pair_scenario(
                 rng, preamble, shaper, snr_db=6.5, payload_bits=300)
             for use_backward, bucket in ((False, fwd), (True, both)):
-                outcome = ZigZagPairDecoder(
+                outcome = ZigZagMultiDecoder(
                     config, use_backward=use_backward).decode(
                     [c.samples for c in captures], specs, placements)
                 bucket += [outcome.results[n].ber_against(
@@ -70,7 +70,7 @@ class TestPairDecoding:
     def test_asymmetric_powers(self, rng, preamble, shaper, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=16.0, snr_b_db=10.0)
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
             assert outcome.results[name].ber_against(
@@ -119,7 +119,7 @@ class TestPairDecoding:
                 placements.append(PlacementParams(
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK) for n in "AB"}
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [cap1.samples, cap2.samples], specs, placements)
         for name in frames:
             assert outcome.results[name].ber_against(
@@ -130,7 +130,7 @@ class TestPairDecoding:
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=12.0, oracle=True,
             phase_noise=0.0)
-        outcome = ZigZagPairDecoder(stream_config).decode(
+        outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
             assert outcome.results[name].ber_against(
