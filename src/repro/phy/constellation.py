@@ -92,9 +92,16 @@ class Constellation:
 
     def hard_decision(self, symbols) -> np.ndarray:
         """Nearest-point decision; returns label indices."""
-        sym = np.asarray(symbols, dtype=complex).ravel()
+        sym = np.asarray(symbols, dtype=complex)
+        if self.size == 2:
+            # argmin over two points without the (n, 2) distance matrix;
+            # a tie goes to index 0, as argmin's first-minimum rule has it.
+            # Comparing before ravel() spares a strided input its copy.
+            closer = (np.abs(sym - self.points[1])
+                      < np.abs(sym - self.points[0]))
+            return closer.ravel().astype(np.intp)
         # Distance to every constellation point; fine for M <= 64.
-        dist = np.abs(sym[:, None] - self.points[None, :])
+        dist = np.abs(sym.ravel()[:, None] - self.points[None, :])
         return np.argmin(dist, axis=1)
 
     def demodulate(self, symbols) -> np.ndarray:

@@ -2,18 +2,23 @@
 
 802.11 frames carry a 32-bit FCS computed with the same reflected polynomial
 0xEDB88320 as Ethernet. We implement the table-driven byte-wise algorithm and
-bit-array conveniences used by the framing layer, with no dependency on
-``zlib`` so the whole substrate is self-contained.
+bit-array conveniences used by the framing layer. The one exception is
+:func:`crc32_check_rows`, which checks a whole stack of frames per call:
+it runs ``zlib``'s C implementation of the same checksum, since a Python
+byte loop per row would dominate a batched decode.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.bits import as_bit_array, bits_from_bytes, bits_to_bytes
 
-__all__ = ["crc32", "crc32_bits", "crc32_check", "append_crc32", "strip_crc32"]
+__all__ = ["crc32", "crc32_bits", "crc32_check", "crc32_check_rows",
+           "append_crc32", "strip_crc32"]
 
 _POLY = 0xEDB88320
 
@@ -75,3 +80,20 @@ def strip_crc32(bits) -> tuple[np.ndarray, bool]:
 def crc32_check(bits) -> bool:
     """True iff the trailing 32 bits are the CRC of the preceding bits."""
     return strip_crc32(bits)[1]
+
+
+def crc32_check_rows(rows) -> np.ndarray:
+    """Row-wise :func:`crc32_check` over an ``(N, bits)`` stack.
+
+    Rows shorter than 32 bits fail (``crc32_check`` would raise).
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    n, size = rows.shape
+    if size < 32:
+        return np.zeros(n, dtype=bool)
+    # packbits zero-pads the last partial byte, like crc32_bits does.
+    data = np.packbits(rows[:, :-32], axis=1)
+    checks = np.packbits(rows[:, -32:], axis=1).view(">u4").ravel()
+    return np.fromiter((zlib.crc32(row) == check
+                        for row, check in zip(data, checks.tolist())),
+                       dtype=bool, count=n)

@@ -33,9 +33,6 @@ class ChannelEstimate:
     snr_db: float
     isi_taps: tuple | None = None
 
-    def with_freq_offset(self, freq_offset: float) -> "ChannelEstimate":
-        return replace(self, freq_offset=freq_offset)
-
     def with_gain(self, gain: complex) -> "ChannelEstimate":
         return replace(self, gain=gain)
 

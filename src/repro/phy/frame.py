@@ -22,10 +22,11 @@ from repro.phy.constellation import BPSK, get_constellation
 from repro.phy.crc import append_crc32, strip_crc32
 from repro.phy.modulator import Modulator
 from repro.phy.preamble import Preamble, default_preamble, lfsr_sequence
-from repro.utils.bits import as_bit_array, bits_from_int, bits_to_int
+from repro.utils.bits import as_bit_array, bits_from_int
 
 __all__ = ["FrameHeader", "Frame", "build_frame_bits", "parse_frame_bits",
-           "scramble_bits", "scrambler_sequence", "descramble_soft_bpsk"]
+           "parse_headers", "scramble_bits", "scrambler_sequence",
+           "descramble_soft_bpsk"]
 
 # Additive scrambler PN sequence (order-9 LFSR, fixed seed), regenerated on
 # demand up to the longest frame seen. 802.11 scrambles all PSDU bits for
@@ -76,14 +77,24 @@ def descramble_soft_bpsk(soft, offset: int = 0) -> np.ndarray:
 _MODULATION_IDS = {"bpsk": 0, "qpsk": 1, "qam16": 2, "qam64": 3}
 _MODULATION_NAMES = {v: k for k, v in _MODULATION_IDS.items()}
 
-# Header field widths, in bits.
-_SRC_BITS = 8
-_DST_BITS = 8
-_SEQ_BITS = 12
-_RETRY_BITS = 1
-_MOD_BITS = 3
-_LEN_BITS = 16
-HEADER_BITS = _SRC_BITS + _DST_BITS + _SEQ_BITS + _RETRY_BITS + _MOD_BITS + _LEN_BITS
+# Header layout, MSB-first on air: (FrameHeader field, width in bits), in
+# field order; ``modulation`` travels as its id in _MODULATION_IDS.
+_HEADER_LAYOUT = (("src", 8), ("dst", 8), ("seq", 12), ("retry", 1),
+                  ("modulation", 3), ("payload_bits", 16))
+HEADER_BITS = sum(width for _, width in _HEADER_LAYOUT)
+
+
+def _field_weights() -> np.ndarray:
+    """``(HEADER_BITS, fields)`` place values: header bits @ them = fields."""
+    weights = np.zeros((HEADER_BITS, len(_HEADER_LAYOUT)), dtype=np.int64)
+    pos = 0
+    for column, (_, width) in enumerate(_HEADER_LAYOUT):
+        weights[pos:pos + width, column] = 1 << np.arange(width - 1, -1, -1)
+        pos += width
+    return weights
+
+
+_FIELD_WEIGHTS = _field_weights()
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,9 @@ class FrameHeader:
     payload_bits: int
 
     def __post_init__(self) -> None:
-        checks = [
-            (0 <= self.src < (1 << _SRC_BITS), "src"),
-            (0 <= self.dst < (1 << _DST_BITS), "dst"),
-            (0 <= self.seq < (1 << _SEQ_BITS), "seq"),
-            (0 <= self.payload_bits < (1 << _LEN_BITS), "payload_bits"),
-        ]
-        for ok, name in checks:
-            if not ok:
+        for name, width in _HEADER_LAYOUT:
+            if name != "modulation" \
+                    and not 0 <= getattr(self, name) < (1 << width):
                 raise ConfigurationError(f"header field {name} out of range")
         if self.modulation not in _MODULATION_IDS:
             raise ConfigurationError(
@@ -113,15 +119,11 @@ class FrameHeader:
             )
 
     def to_bits(self) -> np.ndarray:
-        parts = [
-            bits_from_int(self.src, _SRC_BITS),
-            bits_from_int(self.dst, _DST_BITS),
-            bits_from_int(self.seq, _SEQ_BITS),
-            bits_from_int(int(self.retry), _RETRY_BITS),
-            bits_from_int(_MODULATION_IDS[self.modulation], _MOD_BITS),
-            bits_from_int(self.payload_bits, _LEN_BITS),
-        ]
-        return np.concatenate(parts)
+        values = (self.src, self.dst, self.seq, int(self.retry),
+                  _MODULATION_IDS[self.modulation], self.payload_bits)
+        return np.concatenate([bits_from_int(value, width)
+                               for value, (_, width)
+                               in zip(values, _HEADER_LAYOUT)])
 
     @classmethod
     def from_bits(cls, bits) -> "FrameHeader":
@@ -130,29 +132,44 @@ class FrameHeader:
             raise FrameError(
                 f"header needs {HEADER_BITS} bits, got {arr.size}"
             )
-        pos = 0
+        return cls._from_fields(*_field_values(arr[None])[0])
 
-        def take(width: int) -> int:
-            nonlocal pos
-            value = bits_to_int(arr[pos:pos + width])
-            pos += width
-            return value
-
-        src = take(_SRC_BITS)
-        dst = take(_DST_BITS)
-        seq = take(_SEQ_BITS)
-        retry = bool(take(_RETRY_BITS))
-        mod_id = take(_MOD_BITS)
-        payload_bits = take(_LEN_BITS)
+    @classmethod
+    def _from_fields(cls, src: int, dst: int, seq: int, retry: int,
+                     mod_id: int, payload_bits: int) -> "FrameHeader":
         if mod_id not in _MODULATION_NAMES:
             raise FrameError(f"invalid modulation id {mod_id}")
-        return cls(src, dst, seq, retry, _MODULATION_NAMES[mod_id],
+        return cls(src, dst, seq, bool(retry), _MODULATION_NAMES[mod_id],
                    payload_bits)
 
     def with_retry(self, retry: bool = True) -> "FrameHeader":
         """Copy of this header with the 802.11 retry flag set/cleared."""
         return FrameHeader(self.src, self.dst, self.seq, retry,
                            self.modulation, self.payload_bits)
+
+
+def _field_values(rows: np.ndarray) -> list[list[int]]:
+    """Header field values of each row of an ``(N, HEADER_BITS)`` stack."""
+    return (rows.astype(np.int64) @ _FIELD_WEIGHTS).tolist()
+
+
+def parse_headers(rows) -> list[FrameHeader | None]:
+    """Row-wise :meth:`FrameHeader.from_bits` over an ``(N, bits)`` stack.
+
+    Each row's first :data:`HEADER_BITS` bits are parsed; a row that is
+    too short or carries an invalid modulation id gives None, where
+    ``from_bits`` would raise :class:`FrameError`.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.shape[1] < HEADER_BITS:
+        return [None] * rows.shape[0]
+    headers: list[FrameHeader | None] = []
+    for fields in _field_values(rows[:, :HEADER_BITS]):
+        try:
+            headers.append(FrameHeader._from_fields(*fields))
+        except FrameError:
+            headers.append(None)
+    return headers
 
 
 def build_frame_bits(header: FrameHeader, payload) -> np.ndarray:

@@ -397,10 +397,3 @@ class PhaseTracker:
         if n < 0:
             raise ConfigurationError("cannot advance by a negative count")
         self.phase += self.freq * n
-
-    def snapshot(self) -> tuple[float, float]:
-        """(phase, freq) state — lets callers fork the loop for look-ahead."""
-        return self.phase, self.freq
-
-    def restore(self, state: tuple[float, float]) -> None:
-        self.phase, self.freq = state

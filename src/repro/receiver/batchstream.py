@@ -40,9 +40,12 @@ from repro.errors import ConfigurationError, ReproError
 from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.frame import HEADER_BITS
 from repro.phy.tracking import LOOP_KI, LOOP_KP
-from repro.receiver.frontend import EQUALIZER_TAPS, StreamConfig
+from repro.receiver.frontend import (
+    EQUALIZER_TAPS,
+    StreamBookkeeping,
+    StreamConfig,
+)
 
 __all__ = ["BatchDivergence", "BatchChunkDecode", "BatchedStreamDecoder"]
 
@@ -73,7 +76,7 @@ class BatchChunkDecode:
         return self.decisions * np.exp(1j * self.phases)
 
 
-class BatchedStreamDecoder:
+class BatchedStreamDecoder(StreamBookkeeping):
     """Lockstep stream decoder for one (packet, capture) over N trials.
 
     Parameters mirror :class:`SymbolStreamDecoder`, with per-lane arrays
@@ -95,8 +98,8 @@ class BatchedStreamDecoder:
             raise ConfigurationError("estimates/starts length mismatch")
         self.gains = np.array([e.gain for e in self.estimates],
                               dtype=complex)
-        self.freqs = np.array([e.freq_offset for e in self.estimates],
-                              dtype=float)
+        self.freq_offset = np.array(
+            [e.freq_offset for e in self.estimates], dtype=float)
         self.body_constellation = body_constellation
         self.data_aided_preamble = (data_aided_preamble
                                     and reversed_total is None)
@@ -126,33 +129,6 @@ class BatchedStreamDecoder:
         return self.starts.size
 
     # ------------------------------------------------------------------
-    # Region bookkeeping (identical to the scalar decoder)
-    # ------------------------------------------------------------------
-    def constellation_at(self, index: int) -> Constellation:
-        if self.reversed_total is not None:
-            boundary = self.reversed_total - (
-                len(self.config.preamble) + HEADER_BITS)
-            return self.body_constellation if index < boundary else BPSK
-        if index < self._preamble_len + HEADER_BITS:
-            return BPSK
-        return self.body_constellation
-
-    def set_body_constellation(self, constellation: Constellation) -> None:
-        self.body_constellation = constellation
-
-    def _segment_end(self, start: int, limit: int) -> int:
-        if self.reversed_total is not None:
-            pre_hdr = len(self.config.preamble) + HEADER_BITS
-            boundaries = [self.reversed_total - pre_hdr]
-        else:
-            boundaries = [self._preamble_len,
-                          self._preamble_len + HEADER_BITS]
-        for b in boundaries:
-            if start < b < limit:
-                return b
-        return limit
-
-    # ------------------------------------------------------------------
     # Core chunk decode
     # ------------------------------------------------------------------
     def _static_derotate(self, raw: np.ndarray, i0: int) -> np.ndarray:
@@ -170,13 +146,13 @@ class BatchedStreamDecoder:
             capacity = max(size, 64,
                            0 if powers is None else 2 * powers.shape[1])
             steps = np.broadcast_to(
-                np.exp(-2j * np.pi * self.freqs * sps)[:, None],
+                np.exp(-2j * np.pi * self.freq_offset * sps)[:, None],
                 (n, capacity)).copy()
             steps[:, 0] = 1.0 + 0j
             powers = np.cumprod(steps, axis=1)
             self._derotate_powers = powers
         safe_gains = np.where(self.gains != 0, self.gains, 1e-12)
-        rot = (np.exp(-2j * np.pi * self.freqs
+        rot = (np.exp(-2j * np.pi * self.freq_offset
                       * (self.starts + sps * i0))
                / safe_gains)[:, None]
         return raw * (powers[:, :size] * rot)
@@ -260,22 +236,6 @@ class BatchedStreamDecoder:
                                       / np.maximum(gain_power, 1e-30))
             self.wants_equalizer = (
                 residual_power > 1.5 * noise_in_symbol_domain)
-
-    # ------------------------------------------------------------------
-    # State export for backward decoding / re-encoding
-    # ------------------------------------------------------------------
-    @property
-    def tracked_freq_cycles(self) -> np.ndarray:
-        """Residual frequency per lane, cycles/symbol."""
-        return self.tracker.freq / (2.0 * np.pi)
-
-    def total_freq_offset(self) -> np.ndarray:
-        """Static estimate + tracked residual, cycles/sample, per lane."""
-        sps = self.config.shaper.sps
-        return self.freqs + self.tracked_freq_cycles / sps
-
-    def phase_at_cursor(self) -> np.ndarray:
-        return self.tracker.phase
 
     def current_estimate(self, lane: int) -> ChannelEstimate:
         """The lane's estimate with refined gain folded in (what the

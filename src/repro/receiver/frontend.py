@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,60 @@ class ChunkDecode:
         return self.decisions * np.exp(1j * self.phases)
 
 
-class SymbolStreamDecoder:
+class StreamBookkeeping:
+    """Region bookkeeping and state export of a stream decoder.
+
+    Shared by :class:`SymbolStreamDecoder` and the trial-axis
+    :class:`~repro.receiver.batchstream.BatchedStreamDecoder`, whose
+    ``tracker`` and ``freq_offset`` hold one value per lane. A subclass
+    sets ``config``, ``body_constellation``, ``reversed_total``,
+    ``_preamble_len``, ``tracker`` and ``freq_offset``.
+    """
+
+    def constellation_at(self, index: int) -> Constellation:
+        """Constellation used for symbol *index* (BPSK until the payload).
+
+        For time-reversed streams (``reversed_total`` set) the payload
+        region sits at the *front* and the preamble/header (BPSK) at the
+        back.
+        """
+        if self.reversed_total is not None:
+            boundary = self.reversed_total - (
+                len(self.config.preamble) + HEADER_BITS)
+            return self.body_constellation if index < boundary else BPSK
+        if index < self._preamble_len + HEADER_BITS:
+            return BPSK
+        return self.body_constellation
+
+    def _segment_end(self, start: int, limit: int) -> int:
+        """Next boundary where knowledge/constellation changes."""
+        if self.reversed_total is not None:
+            pre_hdr = len(self.config.preamble) + HEADER_BITS
+            boundaries = [self.reversed_total - pre_hdr]
+        else:
+            boundaries = [self._preamble_len,
+                          self._preamble_len + HEADER_BITS]
+        for b in boundaries:
+            if start < b < limit:
+                return b
+        return limit
+
+    @property
+    def tracked_freq_cycles(self):
+        """Residual frequency the tracker converged to, cycles/symbol."""
+        return self.tracker.freq / (2.0 * np.pi)
+
+    def total_freq_offset(self):
+        """Static estimate + tracked residual, cycles per sample."""
+        sps = self.config.shaper.sps
+        return self.freq_offset + self.tracked_freq_cycles / sps
+
+    def phase_at_cursor(self):
+        """Tracker phase that will apply to the next symbol."""
+        return self.tracker.phase
+
+
+class SymbolStreamDecoder(StreamBookkeeping):
     """Stateful per-(packet, capture) decoder; see module docstring.
 
     Parameters
@@ -121,23 +174,10 @@ class SymbolStreamDecoder:
         self._refined = not data_aided_preamble
         self._derotate_powers: dict[float, np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    # Region bookkeeping
-    # ------------------------------------------------------------------
-    def constellation_at(self, index: int) -> Constellation:
-        """Constellation used for symbol *index* (BPSK until the payload).
-
-        For time-reversed streams (``reversed_total`` set) the payload
-        region sits at the *front* and the preamble/header (BPSK) at the
-        back.
-        """
-        if self.reversed_total is not None:
-            boundary = self.reversed_total - (
-                len(self.config.preamble) + HEADER_BITS)
-            return self.body_constellation if index < boundary else BPSK
-        if index < self._preamble_len + HEADER_BITS:
-            return BPSK
-        return self.body_constellation
+    @property
+    def freq_offset(self) -> float:
+        """Static frequency-offset estimate, cycles per sample."""
+        return self.estimate.freq_offset
 
     def set_body_constellation(self, constellation: Constellation) -> None:
         """Install the payload constellation once the header is parsed."""
@@ -231,19 +271,6 @@ class SymbolStreamDecoder:
             self._refine_from_preamble()
         return ChunkDecode(i0, i1, soft, decisions, phases)
 
-    def _segment_end(self, start: int, limit: int) -> int:
-        """Next boundary where knowledge/constellation changes."""
-        if self.reversed_total is not None:
-            pre_hdr = len(self.config.preamble) + HEADER_BITS
-            boundaries = [self.reversed_total - pre_hdr]
-        else:
-            boundaries = [self._preamble_len,
-                          self._preamble_len + HEADER_BITS]
-        for b in boundaries:
-            if start < b < limit:
-                return b
-        return limit
-
     # ------------------------------------------------------------------
     # Preamble-driven refinement (§4.2.4a + equalizer training)
     # ------------------------------------------------------------------
@@ -283,20 +310,3 @@ class SymbolStreamDecoder:
                 self.equalizer = eq
                 self.channel_isi = eq.inverse_channel(
                     max(9, 2 * EQUALIZER_TAPS + 1))
-
-    # ------------------------------------------------------------------
-    # State export for backward decoding / re-encoding
-    # ------------------------------------------------------------------
-    @property
-    def tracked_freq_cycles(self) -> float:
-        """Residual frequency the tracker converged to, cycles/symbol."""
-        return self.tracker.freq / (2.0 * np.pi)
-
-    def total_freq_offset(self) -> float:
-        """Static estimate + tracked residual, cycles per sample."""
-        sps = self.config.shaper.sps
-        return self.estimate.freq_offset + self.tracked_freq_cycles / sps
-
-    def phase_at_cursor(self) -> float:
-        """Tracker phase that will apply to the next symbol."""
-        return self.tracker.phase

@@ -291,6 +291,11 @@ class DeploymentSpec:
 _DESIGNS = ("zigzag", "802.11", "collision-free")
 
 
+# Spec fields holding one flat dataclass table each; ``<table>.<field>``
+# overrides replace the field inside it.
+_FLAT_TABLES = ("channel", "backoff", "deployment", "resilience", "faults")
+
+
 def _table(cls, name: str, entries):
     """Build *cls* from one TOML table; an unknown key names the table."""
     try:
@@ -455,21 +460,9 @@ class ScenarioSpec:
         if head == "impairments" and rest:
             return replace(self, impairments=self.impairments
                            .with_stage_override(rest, value))
-        if head == "channel" and rest:
-            return replace(self, channel=replace(self.channel,
-                                                 **{rest: value}))
-        if head == "backoff" and rest:
-            return replace(self, backoff=replace(self.backoff,
-                                                 **{rest: value}))
-        if head == "deployment" and rest:
-            return replace(self, deployment=replace(self.deployment,
-                                                    **{rest: value}))
-        if head == "resilience" and rest:
-            return replace(self, resilience=replace(self.resilience,
-                                                    **{rest: value}))
-        if head == "faults" and rest:
-            return replace(self, faults=replace(self.faults,
-                                                **{rest: value}))
+        if head in _FLAT_TABLES and rest:
+            table = replace(getattr(self, head), **{rest: value})
+            return replace(self, **{head: table})
         if head == "sender" and rest:
             name, _, attr = rest.partition(".")
             if not attr:
@@ -495,13 +488,6 @@ class ScenarioSpec:
         extras = dict(self.params)
         extras[head] = value
         return replace(self, params=tuple(sorted(extras.items())))
-
-    def with_overrides(self, overrides: dict[str, Any]) -> "ScenarioSpec":
-        """Apply several dotted-path overrides (see :meth:`with_override`)."""
-        spec = self
-        for key, value in overrides.items():
-            spec = spec.with_override(key, value)
-        return spec
 
 
 def _coerce(text: str) -> Any:

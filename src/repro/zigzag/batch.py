@@ -6,13 +6,17 @@ one Python orchestration pass per trial. This module runs N trials in
 lockstep through batched counterparts of every stage — matched sampling,
 phase tracking (:mod:`repro.phy.batch`), the stream decoder
 (:mod:`repro.receiver.batchstream`), re-encoding and the §4.2.4(b)
-correction loop — so each stage is one ``(N, ...)`` array pass.
+correction loop — so each stage is one ``(N, ...)`` array pass. The
+per-trial rules around those engines (bit extraction, each lane's
+result, backward planning, the MRC of a failing packet) are the scalar
+decoder's own.
 
 Lockstep requires every lane to execute the same chunk schedule over
 captures of the same shape, so trials are grouped by **schedule
-signature**: the exact forward (and backward) step sequences, capture
-lengths, and packet geometry. Fractional timing offsets differ freely
-inside a group — they live in per-lane arrays.
+signature**: the exact forward step sequence, capture lengths, and packet
+geometry; the few lanes that run a backward pass regroup by reverse
+schedule. Fractional timing offsets differ freely inside a group — they
+live in per-lane arrays.
 
 Lanes the lockstep path cannot reproduce bit-exactly are re-decoded
 through the scalar path and their batched outputs discarded:
@@ -42,17 +46,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from zlib import crc32
-
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.phy.constellation import BPSK
-from repro.phy.estimation import ChannelEstimate
-from repro.phy import frame as _frame
-from repro.phy.frame import HEADER_BITS, FrameHeader, scrambler_sequence
 from repro.phy.pulse import PulseShaper
 from repro.receiver.batchstream import BatchDivergence, BatchedStreamDecoder
 from repro.receiver.result import DecodeResult
-from repro.zigzag.decoder import ZigZagMultiDecoder, ZigZagOutcome
+from repro.zigzag.decoder import (
+    BackwardPlan,
+    ZigZagMultiDecoder,
+    ZigZagOutcome,
+    plan_backward,
+    schedule_for,
+)
 from repro.zigzag.engine import (
     CORRECTION_ALPHA,
     CORRECTION_BETA,
@@ -60,7 +65,6 @@ from repro.zigzag.engine import (
     PacketSpec,
     PlacementParams,
 )
-from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
 __all__ = ["BatchStats", "BatchedReencoder", "BatchedZigZagEngine",
            "BatchedPairDecoder", "CAPTURE_PAD"]
@@ -525,7 +529,7 @@ class BatchedZigZagEngine:
         stream = self.streams.get(key)
         if stream is not None:
             static = stream.gains * np.exp(
-                2j * np.pi * stream.freqs * last_pos)
+                2j * np.pi * stream.freq_offset * last_pos)
             return static * np.exp(1j * stream.tracker.phase)
         sub = self.subtraction[key]
         gains = np.array([pl.estimate.gain for pl in lanes], dtype=complex)
@@ -569,64 +573,12 @@ class _TrialPlan:
     specs: dict[str, PacketSpec]
     placements: list[PlacementParams]
     schedule: list | None = None
-    rev_schedule: list | None = None
     signature: tuple | None = None
 
 
-# Header field layout (name, width), MSB-first — mirrors
-# FrameHeader.to_bits / from_bits.
-_HEADER_FIELDS = (("src", 8), ("dst", 8), ("seq", 12), ("retry", 1),
-                  ("mod", 3), ("len", 16))
-
-
-def _extract_bits_batch(combined: np.ndarray, pre_len: int):
-    """Batched :func:`~repro.zigzag.decoder.extract_bits` for BPSK frames.
-
-    *combined* is ``(N, n_symbols)`` soft symbols of one packet across the
-    group (lockstep groups are BPSK-only, so header and body demodulate
-    the same way). Returns ``(bits, crc_ok, headers)``: ``(N, bits)``
-    uint8, ``(N,)`` bool, and a list of :class:`FrameHeader` or None —
-    each row identical to what the scalar helper returns for that lane.
-    """
-    soft = combined[:, pre_len:]
-    n, total = soft.shape
-    # BPSK hard decision against points [-1, +1]: argmin's first-index
-    # tie-break means an exactly equidistant sample decodes as bit 0.
-    bits = (np.abs(soft - 1.0) < np.abs(soft + 1.0)).astype(np.uint8)
-    bits ^= scrambler_sequence(total)[None, :]
-
-    headers: list[FrameHeader | None] = [None] * n
-    if total >= HEADER_BITS:
-        fields = {}
-        pos = 0
-        for name, width in _HEADER_FIELDS:
-            weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-            fields[name] = bits[:, pos:pos + width].astype(np.int64) \
-                @ weights
-            pos += width
-        mod_names = _frame._MODULATION_NAMES
-        for lane in range(n):
-            mod = mod_names.get(int(fields["mod"][lane]))
-            if mod is None:
-                continue  # scalar from_bits raises FrameError -> None
-            headers[lane] = FrameHeader(
-                int(fields["src"][lane]), int(fields["dst"][lane]),
-                int(fields["seq"][lane]), bool(fields["retry"][lane]),
-                mod, int(fields["len"][lane]))
-
-    if total < 32:
-        crc_ok = np.zeros(n, dtype=bool)
-    else:
-        # packbits zero-pads the last partial byte, exactly like the
-        # scalar crc32_bits' explicit padding.
-        payload = np.packbits(bits[:, :-32], axis=1)
-        checks = np.ascontiguousarray(
-            np.packbits(bits[:, -32:], axis=1)).view(">u4").ravel()
-        crc_ok = np.fromiter(
-            (crc32(row.tobytes()) == ref
-             for row, ref in zip(payload, checks)),
-            dtype=bool, count=n)
-    return bits, crc_ok, headers
+def _steps(schedule) -> tuple:
+    """A chunk schedule as a hashable grouping key."""
+    return tuple((s.packet, s.collision, s.i0, s.i1) for s in schedule)
 
 
 @dataclass
@@ -638,10 +590,13 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
     lockstep path cannot reproduce bit-exactly through the inherited
     scalar :meth:`decode`. ``last_stats`` records the split.
 
-    The forward pass runs on the whole group. As in the scalar decoder, a
-    packet that passes CRC there is final: the backward pass runs only on
-    the sub-batch of lanes that hold a failing packet, and MRC combines
-    only the failing (lane, packet) rows.
+    Only the engines run batched. Every per-trial rule is the inherited
+    one: bit extraction (:func:`~repro.zigzag.decoder.extract_rows`, over
+    the lane axis), the ``DecodeResult`` of each lane, backward planning
+    (:func:`~repro.zigzag.decoder.plan_backward`) and the MRC of a
+    failing packet. As in the scalar decoder, a packet that passes CRC
+    after the forward pass is final: only lanes holding a failing packet
+    plan a backward pass, and they run it grouped by reverse schedule.
     """
 
     last_stats: BatchStats = field(default_factory=BatchStats)
@@ -671,7 +626,7 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
         for group in groups.values():
             try:
                 self._decode_group(group, outcomes, stats)
-            except (ReproError, ConfigurationError):
+            except ReproError:
                 pass  # whole-group fallback: scalar is bit-identical
             # Ejected lanes (and whole failed groups) replay via scalar.
             scalar_queue.extend(
@@ -688,113 +643,73 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
 
     # ------------------------------------------------------------------
     def _plan_signature(self, plan: _TrialPlan) -> bool:
-        """Compute schedules and the grouping signature; False ⇒ the trial
-        must go through the scalar path (odd geometry or failing
-        schedule — the scalar decoder reproduces the exact failure)."""
+        """Compute the forward schedule and the grouping signature; False
+        ⇒ the trial must go through the scalar path (odd geometry or
+        failing schedule — the scalar decoder reproduces the exact
+        failure)."""
         if len(plan.captures) != 2:
             return False
         if any(spec.body_constellation is not BPSK
                for spec in plan.specs.values()):
             return False
-        sps = self.config.shaper.sps
         try:
-            plan.schedule = greedy_schedule(
-                [Placement(pl.packet, pl.collision, pl.start,
-                           plan.specs[pl.packet].n_symbols, sps)
-                 for pl in plan.placements],
-                margin_symbols=MARGIN_SYMBOLS)
+            plan.schedule = schedule_for(plan.placements, plan.specs,
+                                         self.config.shaper.sps)
         except ScheduleError:
             return False
-        rev_sig: tuple | None = None
-        if self.use_backward:
-            try:
-                plan.rev_schedule = greedy_schedule(
-                    [Placement(
-                        pl.packet, pl.collision,
-                        (plan.captures[pl.collision].size - 1)
-                        - (pl.start
-                           + sps * (plan.specs[pl.packet].n_symbols - 1)),
-                        plan.specs[pl.packet].n_symbols, sps)
-                     for pl in plan.placements],
-                    margin_symbols=MARGIN_SYMBOLS)
-                rev_sig = tuple((s.packet, s.collision, s.i0, s.i1)
-                                for s in plan.rev_schedule)
-            except ScheduleError:
-                plan.rev_schedule = None
         plan.signature = (
             tuple(c.size for c in plan.captures),
             tuple(sorted((name, spec.n_symbols)
                          for name, spec in plan.specs.items())),
             tuple((pl.packet, pl.collision) for pl in plan.placements),
-            tuple((s.packet, s.collision, s.i0, s.i1)
-                  for s in plan.schedule),
-            rev_sig,
+            _steps(plan.schedule),
         )
         return True
 
     # ------------------------------------------------------------------
     def _decode_group(self, group: list[_TrialPlan], outcomes: list,
-                      stats: BatchStats) -> bool:
-        """Lockstep-decode one signature group; returns False if the whole
-        group must fall back (outcomes untouched in that case)."""
+                      stats: BatchStats) -> None:
+        """Lockstep-decode one signature group into *outcomes*; a raise
+        leaves the group's outcomes unset for the scalar replay."""
         plan0 = group[0]
         specs = plan0.specs
-        schedule = plan0.schedule
         cap_sizes = [c.size for c in plan0.captures]
-        pad = CAPTURE_PAD
-        padded = [
-            _stack_padded([p.captures[c] for p in group], cap_sizes[c], pad)
-            for c in range(len(cap_sizes))
-        ]
-        lane_placements = [p.placements for p in group]
-
         forward = BatchedZigZagEngine(
-            self.config, padded, cap_sizes, pad, specs, lane_placements)
-        fwd_out = forward.run(schedule)
+            self.config,
+            [_stack_padded([p.captures[c] for p in group], size, CAPTURE_PAD)
+             for c, size in enumerate(cap_sizes)],
+            cap_sizes, CAPTURE_PAD, specs, [p.placements for p in group])
+        fwd_out = forward.run(plan0.schedule)
         eject = forward.wants_equalizer()
 
-        # Forward-pass finality, per lane: a packet that passes CRC here
-        # is final, so the backward pass runs only on the sub-batch of
-        # lanes holding a failing packet (ejected lanes are replayed by
-        # the scalar path anyway). Every batched operation is
-        # lane-elementwise, so the sub-batch decodes exactly as the full
-        # group would.
-        pre_len = len(self.config.preamble)
         n_lanes = len(group)
         lane_results: list[dict[str, DecodeResult]] = [
             {} for _ in range(n_lanes)]
-        estimates = {name: self._final_estimates(forward, name)
-                     for name in specs}
-        failing: dict[str, np.ndarray] = {}
-        for name in specs:
-            soft = fwd_out[name]["soft"]
-            extracted = _extract_bits_batch(soft, pre_len)
-            self._fill_results(lane_results, name, range(n_lanes), soft,
-                               extracted, estimates[name])
-            failing[name] = np.flatnonzero(~extracted[1] & ~eject)
-        lanes = np.unique(np.concatenate(list(failing.values())))
-        sub_row = np.full(n_lanes, -1)  # lane -> row of the sub-batch
-        sub_row[lanes] = np.arange(lanes.size)
+        for name, spec in specs.items():
+            stream = self._final_stream(forward, name)
+            estimates = [None if stream is None
+                         else stream.current_estimate(lane)
+                         for lane in range(n_lanes)]
+            for results, result in zip(lane_results, self._results(
+                    fwd_out[name]["soft"], spec, estimates)):
+                results[name] = result
+        # Row views, not copies: the engine is discarded after the group,
+        # so nothing else writes these arrays again.
+        lane_forward = [
+            {name: PacketAccumulator(**{key: acc[key][lane] for key in acc})
+             for name, acc in fwd_out.items()}
+            for lane in range(n_lanes)]
 
-        backward_soft: dict[str, np.ndarray] | None = None
-        if lanes.size and self.use_backward \
-                and plan0.rev_schedule is not None:
-            backward_soft = self._batched_backward(
-                [group[lane] for lane in lanes], lanes, specs, forward,
-                cap_sizes, pad)
-            for name, rows in failing.items():
-                if not rows.size:
-                    continue
-                fwd_soft = fwd_out[name]["soft"][rows]
-                aligned, weights = self._align_backward_batch(
-                    fwd_soft, fwd_out[name]["decisions"][rows],
-                    backward_soft[name][sub_row[rows]])
-                combined = (fwd_soft + weights * aligned) / (1.0 + weights)
-                self._fill_results(
-                    lane_results, name, rows, combined,
-                    _extract_bits_batch(combined, pre_len),
-                    [estimates[name][lane] for lane in rows])
-            stats.backward += int(lanes.size)
+        # Forward-pass finality, per lane: a packet that passes CRC here
+        # is final, so only lanes holding a failing packet run the
+        # backward pass (ejected lanes are replayed by the scalar path
+        # anyway). Every batched operation is lane-elementwise, so a
+        # sub-batch decodes exactly as the full group would.
+        failing = [lane for lane in range(n_lanes) if not eject[lane]
+                   and not all(r.success for r in lane_results[lane].values())]
+        backward = self._batched_backward(group, failing, forward) \
+            if failing and self.use_backward else {}
+        stats.backward += len(backward)
 
         residual_powers = np.stack(
             [forward.residual_power(c) for c in range(len(cap_sizes))],
@@ -802,158 +717,61 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
         for lane, plan in enumerate(group):
             if eject[lane]:
                 continue  # replayed through the scalar path by the caller
-            # Row views, not copies: the engine is discarded after the
-            # group, so nothing else writes these arrays again.
-            fwd_acc = {
-                name: PacketAccumulator(
-                    soft=fwd_out[name]["soft"][lane],
-                    decisions=fwd_out[name]["decisions"][lane],
-                    phases=fwd_out[name]["phases"][lane],
-                    source=fwd_out[name]["source"][lane],
-                )
-                for name in specs
-            }
-            bwd = None if backward_soft is None or sub_row[lane] < 0 else {
-                name: backward_soft[name][sub_row[lane]]
-                for name in backward_soft
-            }
+            backward_soft = backward.get(lane)
+            if backward_soft is not None:
+                self._combine_failing(lane_results[lane], specs,
+                                      lane_forward[lane], backward_soft, {})
             outcomes[plan.index] = ZigZagOutcome(
                 results=lane_results[lane],
-                forward=fwd_acc,
-                backward_soft=bwd,
-                schedule=schedule,
+                forward=lane_forward[lane],
+                backward_soft=backward_soft,
+                schedule=plan0.schedule,
                 residual_powers=[float(x) for x in residual_powers[lane]],
             )
-        return True
 
-    @staticmethod
-    def _fill_results(lane_results: list[dict[str, DecodeResult]],
-                      name: str, lanes, soft: np.ndarray, extracted,
-                      estimates) -> None:
-        """Store packet *name*'s ``DecodeResult`` for each of *lanes*;
-        row i of *soft*, *extracted* and *estimates* belongs to lanes[i]."""
-        bits2d, crc_oks, headers = extracted
-        for i, lane in enumerate(lanes):
-            bits = bits2d[i]
-            crc_ok = bool(crc_oks[i])
-            payload = bits[HEADER_BITS:-32] \
-                if bits.size >= HEADER_BITS + 32 \
-                else np.zeros(0, np.uint8)
-            lane_results[lane][name] = DecodeResult(
-                success=crc_ok,
-                bits=bits,
-                header=headers[i],
-                payload=payload,
-                soft_symbols=soft[i],
-                estimate=estimates[i],
-                via="zigzag",
-                detail="" if crc_ok else "CRC mismatch",
-            )
+    def _batched_backward(self, group: list[_TrialPlan], lanes: list[int],
+                          forward: BatchedZigZagEngine
+                          ) -> dict[int, dict[str, np.ndarray]]:
+        """Backward soft symbols of each of *lanes* (rows of *forward*)
+        whose reversed placements have a schedule.
 
-    def _batched_backward(self, group, lanes: np.ndarray, specs,
-                          forward_engine, cap_sizes,
-                          pad) -> dict[str, np.ndarray]:
-        """Backward pass over *group*, the plans of the forward engine's
-        *lanes*; its end state is indexed by those lanes."""
-        plan0 = group[0]
+        Each lane is planned by :func:`plan_backward` from its row of the
+        forward end state; lanes sharing a reverse schedule then decode
+        in lockstep.
+        """
         sps = self.config.shaper.sps
-        reversed_padded = [
-            _stack_padded([np.conj(p.captures[c][::-1]) for p in group],
-                          cap_sizes[c], pad)
-            for c in range(len(cap_sizes))
-        ]
-        rev_lane_placements: list[list[PlacementParams]] = [
-            [] for _ in group]
-        for slot, pl0 in enumerate(plan0.placements):
-            key = (pl0.packet, pl0.collision)
-            spec = specs[pl0.packet]
-            n_c = cap_sizes[pl0.collision]
-            gain_r = np.conj(
-                forward_engine.final_multiplier(*key))[lanes]
-            freq_r = forward_engine.final_freq(*key)[lanes]
-            for lane, plan in enumerate(group):
-                pl = plan.placements[slot]
-                last_pos = pl.start + sps * (spec.n_symbols - 1)
-                rev_lane_placements[lane].append(PlacementParams(
-                    packet=pl.packet,
-                    collision=pl.collision,
-                    start=(n_c - 1) - last_pos,
-                    estimate=ChannelEstimate(
-                        gain=complex(gain_r[lane]),
-                        freq_offset=float(freq_r[lane]),
-                        sampling_offset=0.0,
-                        snr_db=pl.estimate.snr_db,
-                    ),
-                ))
-        rev_specs = {
-            name: PacketSpec(
-                key=name,
-                n_symbols=spec.n_symbols,
-                body_constellation=spec.body_constellation.conjugate(),
-            )
-            for name, spec in specs.items()
-        }
-        pilots = {
-            name: np.conj(
-                forward_engine.packets[name]["decisions"][lanes, ::-1])
-            for name in specs
-        }
-        engine = BatchedZigZagEngine(
-            self.config, reversed_padded, cap_sizes, pad, rev_specs,
-            rev_lane_placements,
-            reversed_totals=True,
-            pilots=pilots)
-        reversed_out = engine.run(plan0.rev_schedule)
-        return {
-            name: np.conj(acc["soft"][:, ::-1])
-            for name, acc in reversed_out.items()
-        }
+        end_state = {key: (forward.final_multiplier(*key),
+                           forward.final_freq(*key))
+                     for key in forward.placements}
+        by_schedule: dict[tuple, list[tuple[int, BackwardPlan]]] = {}
+        for lane in lanes:
+            plan = plan_backward(
+                forward.capture_sizes, group[lane].specs,
+                group[lane].placements,
+                {key: (multiplier[lane], freq[lane])
+                 for key, (multiplier, freq) in end_state.items()},
+                {name: acc["decisions"][lane]
+                 for name, acc in forward.packets.items()},
+                sps)
+            if plan.schedule is not None:
+                by_schedule.setdefault(_steps(plan.schedule), []).append(
+                    (lane, plan))
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _align_backward_batch(forward_soft: np.ndarray,
-                              forward_decisions: np.ndarray,
-                              backward_soft: np.ndarray, block: int = 32,
-                              min_agreement: float = 0.6
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lane counterpart of ``_align_backward`` over (N, S)."""
-        n, total = backward_soft.shape
-        aligned = backward_soft.copy()
-        weights = np.zeros((n, total), dtype=float)
-        for start in range(0, total, block):
-            sl = slice(start, min(start + block, total))
-            dec = forward_decisions[:, sl]
-            bwd = backward_soft[:, sl]
-            denom = (np.einsum("nb,nb->n", dec.real, dec.real)
-                     + np.einsum("nb,nb->n", dec.imag, dec.imag))
-            live = denom > 0
-            safe = np.where(live, denom, 1.0)
-            rho = np.einsum("nb,nb->n", np.conj(dec), bwd) / safe
-            abs_rho = np.abs(rho)
-            rotatable = live & (abs_rho >= 1e-9)
-            rot = np.where(rotatable, np.conj(rho)
-                           / np.where(abs_rho > 0, abs_rho, 1.0), 1.0)
-            blk_aligned = np.where(rotatable[:, None], bwd * rot[:, None],
-                                   bwd)
-            aligned[:, sl] = blk_aligned
-            agree = rotatable & (np.minimum(abs_rho, 1.0) >= min_agreement)
-            diff_f = forward_soft[:, sl] - dec
-            diff_b = blk_aligned - dec
-            var_f = (np.einsum("nb,nb->n", diff_f.real, diff_f.real)
-                     + np.einsum("nb,nb->n", diff_f.imag, diff_f.imag))
-            var_b = (np.einsum("nb,nb->n", diff_b.real, diff_b.real)
-                     + np.einsum("nb,nb->n", diff_b.imag, diff_b.imag))
-            w = np.where(var_b <= 0, 1.0,
-                         np.clip(var_f / np.where(var_b > 0, var_b, 1.0),
-                                 0.0, 1.0))
-            weights[:, sl] = np.where(agree[:, None], w[:, None], 0.0)
-        return aligned, weights
-
-    def _final_estimates(self, engine: BatchedZigZagEngine,
-                         packet: str) -> list[ChannelEstimate | None]:
-        for key in engine.by_packet.get(packet, []):
-            stream = engine.streams.get(key)
-            if stream is not None:
-                return [stream.current_estimate(lane)
-                        for lane in range(engine.n_lanes)]
-        return [None] * engine.n_lanes
+        backward: dict[int, dict[str, np.ndarray]] = {}
+        for members in by_schedule.values():
+            plans = [plan for _, plan in members]
+            engine = BatchedZigZagEngine(
+                self.config,
+                [_stack_padded([np.conj(group[lane].captures[c][::-1])
+                                for lane, _ in members], size, forward.pad)
+                 for c, size in enumerate(forward.capture_sizes)],
+                forward.capture_sizes, forward.pad, plans[0].specs,
+                [plan.placements for plan in plans],
+                reversed_totals=True,
+                pilots={name: np.stack([plan.pilots[name] for plan in plans])
+                        for name in plans[0].pilots})
+            reversed_out = engine.run(plans[0].schedule)
+            for row, (lane, _) in enumerate(members):
+                backward[lane] = {name: np.conj(acc["soft"][row, ::-1])
+                                  for name, acc in reversed_out.items()}
+        return backward

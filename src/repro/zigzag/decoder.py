@@ -53,10 +53,15 @@ import numpy as np
 
 from repro.errors import ReproError, ScheduleError
 from repro.phy.constellation import BPSK
-from repro.phy.crc import strip_crc32
+from repro.phy.crc import crc32_check_rows
 from repro.phy.equalizer import LmsEqualizer
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.frame import HEADER_BITS, FrameHeader, scramble_bits
+from repro.phy.frame import (
+    HEADER_BITS,
+    FrameHeader,
+    parse_headers,
+    scrambler_sequence,
+)
 from repro.phy.isi import IsiFilter
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.mrc import mrc_combine
@@ -74,34 +79,113 @@ from repro.zigzag.schedule import (
     greedy_schedule,
 )
 
-__all__ = ["ZigZagOutcome", "ZigZagMultiDecoder", "extract_bits"]
+__all__ = ["BackwardPlan", "ZigZagOutcome", "ZigZagMultiDecoder",
+           "extract_bits", "extract_rows", "plan_backward", "schedule_for"]
 
 
-def extract_bits(soft: np.ndarray, spec: PacketSpec,
-                 preamble_len: int) -> tuple[np.ndarray, bool, FrameHeader | None]:
-    """Demodulate a packet's soft body symbols into bits and check the CRC.
+def extract_rows(soft: np.ndarray, spec: PacketSpec, preamble_len: int
+                 ) -> tuple[np.ndarray, np.ndarray, list[FrameHeader | None]]:
+    """Demodulate one packet's soft symbols into bits and check the CRC,
+    for each row of an ``(N, n_symbols)`` stack (one row per trial).
 
-    Returns ``(bits, crc_ok, header)``; *header* is None if unparseable.
+    Returns ``(bits, crc_ok, headers)``: ``(N, n_bits)`` uint8, ``(N,)``
+    bool, and one :class:`FrameHeader` per row, None where unparseable.
     The frame extent comes from ``spec.n_symbols`` (already established at
     scheduling time), never from the decoded header — a corrupted length
     field must not be able to truncate the output.
     """
-    header_soft = soft[preamble_len:preamble_len + HEADER_BITS]
-    body_soft = soft[preamble_len + HEADER_BITS:]
-    header_bits = scramble_bits(BPSK.demodulate(header_soft))
-    body_bits = scramble_bits(
-        spec.body_constellation.demodulate(body_soft), offset=HEADER_BITS)
-    bits = np.concatenate([header_bits, body_bits])
-    header = None
+    n = soft.shape[0]
+    header_soft = soft[:, preamble_len:preamble_len + HEADER_BITS]
+    body_soft = soft[:, preamble_len + HEADER_BITS:]
+    # The header is BPSK; the body is demodulated with its own
+    # constellation, and the scrambler runs across both from bit 0.
+    bits = np.concatenate(
+        [BPSK.demodulate(header_soft).reshape(n, -1),
+         spec.body_constellation.demodulate(body_soft).reshape(n, -1)],
+        axis=1)
+    bits ^= scrambler_sequence(bits.shape[1])
+    return bits, crc32_check_rows(bits), parse_headers(bits)
+
+
+def extract_bits(soft: np.ndarray, spec: PacketSpec,
+                 preamble_len: int) -> tuple[np.ndarray, bool, FrameHeader | None]:
+    """:func:`extract_rows` for one packet's soft symbols:
+    ``(bits, crc_ok, header)``."""
+    bits, crc_ok, headers = extract_rows(soft[None], spec, preamble_len)
+    return bits[0], bool(crc_ok[0]), headers[0]
+
+
+def schedule_for(placements: list[PlacementParams],
+                 specs: dict[str, PacketSpec], sps: int) -> list[DecodeStep]:
+    """The greedy chunk schedule of *placements*; raises
+    :class:`ScheduleError` when no complete decode order exists."""
+    return greedy_schedule(
+        [Placement(pl.packet, pl.collision, pl.start,
+                   specs[pl.packet].n_symbols, sps) for pl in placements],
+        margin_symbols=MARGIN_SYMBOLS)
+
+
+@dataclass
+class BackwardPlan:
+    """One trial's time-reversed decode problem (§4.3b).
+
+    ``schedule`` is None when the reversed placements have no complete
+    decode order; the trial then gets no backward copy.
+    """
+
+    placements: list[PlacementParams]
+    specs: dict[str, PacketSpec]
+    pilots: dict[str, np.ndarray]
+    schedule: list[DecodeStep] | None
+
+
+def plan_backward(capture_sizes: list[int], specs: dict[str, PacketSpec],
+                  placements: list[PlacementParams], end_state: dict,
+                  decisions: dict[str, np.ndarray],
+                  sps: int) -> BackwardPlan:
+    """Map one trial's forward end state onto the reversed captures.
+
+    *end_state* maps each ``(packet, collision)`` to the forward engine's
+    ``(final_multiplier, final_freq)`` there; *decisions* holds each
+    packet's forward decisions. A placement's reversed channel is the
+    conjugate of its final multiplier at the mirrored start, and the
+    reversed trackers are piloted by the conjugate-reversed forward
+    decisions: phase tracking hardens against the missing data-aided
+    preamble while the backward soft symbols remain independent
+    measurements from the other collision.
+    """
+    rev_placements = []
+    for pl in placements:
+        multiplier, freq = end_state[(pl.packet, pl.collision)]
+        last_pos = pl.start + sps * (specs[pl.packet].n_symbols - 1)
+        rev_placements.append(PlacementParams(
+            packet=pl.packet,
+            collision=pl.collision,
+            start=(capture_sizes[pl.collision] - 1) - last_pos,
+            estimate=ChannelEstimate(
+                gain=np.conj(multiplier),
+                freq_offset=freq,
+                sampling_offset=0.0,
+                snr_db=pl.estimate.snr_db,
+            ),
+        ))
+    rev_specs = {
+        name: PacketSpec(
+            key=name,
+            n_symbols=spec.n_symbols,
+            body_constellation=spec.body_constellation.conjugate(),
+        )
+        for name, spec in specs.items()
+    }
     try:
-        header = FrameHeader.from_bits(header_bits)
-    except ReproError:
-        pass
-    try:
-        _, crc_ok = strip_crc32(bits)
-    except ReproError:
-        crc_ok = False
-    return bits, crc_ok, header
+        schedule = schedule_for(rev_placements, rev_specs, sps)
+    except ScheduleError:
+        schedule = None
+    return BackwardPlan(
+        placements=rev_placements,
+        specs=rev_specs,
+        pilots={name: np.conj(decisions[name][::-1]) for name in specs},
+        schedule=schedule)
 
 
 @dataclass
@@ -160,13 +244,9 @@ class ZigZagMultiDecoder:
                placements: list[PlacementParams]) -> ZigZagOutcome:
         """Run ZigZag over *captures* and return per-packet results."""
         captures = [np.asarray(c, dtype=complex).ravel() for c in captures]
-        sps = self.config.shaper.sps
         try:
-            schedule = greedy_schedule(
-                [Placement(pl.packet, pl.collision, pl.start,
-                           specs[pl.packet].n_symbols, sps)
-                 for pl in placements],
-                margin_symbols=MARGIN_SYMBOLS)
+            schedule = schedule_for(placements, specs,
+                                    self.config.shaper.sps)
         except ScheduleError as exc:
             return ZigZagOutcome(
                 results={p: DecodeResult.failure(str(exc), via="zigzag")
@@ -181,9 +261,12 @@ class ZigZagMultiDecoder:
         # backward pass and MRC exist "to reduce errors" (§4.3b), so they
         # run only when some packet still fails, and only those packets
         # get the extra copies combined in.
-        results = {name: self._result(forward[name].soft, spec,
-                                      forward_engine, name)
-                   for name, spec in specs.items()}
+        results = {}
+        for name, spec in specs.items():
+            stream = self._final_stream(forward_engine, name)
+            results[name] = self._result(
+                forward[name].soft, spec,
+                None if stream is None else stream.estimate)
         failing = [name for name, r in results.items() if not r.success]
 
         backward_soft: dict[str, np.ndarray] | None = None
@@ -201,28 +284,8 @@ class ZigZagMultiDecoder:
                     name: [(c, aligned) for c, aligned, _ in entries]
                     for name, entries in capture_copies.items()
                 }
-            for name in failing:
-                streams = [forward[name].soft]
-                weights: list = [1.0]
-                if backward_soft is not None and name in backward_soft:
-                    aligned, block_weights = self._align_backward(
-                        forward[name].soft, forward[name].decisions,
-                        backward_soft[name])
-                    # A backward pass that lost phase lock (e.g. a BPSK π
-                    # slip) or degraded toward its far end would poison
-                    # the MRC average; gate it blockwise on agreement with
-                    # the forward decisions and weight inverse to its
-                    # measured variance so a noisier stream can only help.
-                    if np.any(block_weights > 0):
-                        streams.append(aligned)
-                        weights.append(block_weights)
-                for _, aligned, copy_weights in capture_copies.get(name, []):
-                    streams.append(aligned)
-                    weights.append(copy_weights)
-                if len(streams) > 1:
-                    results[name] = self._result(
-                        mrc_combine(streams, weights), specs[name],
-                        forward_engine, name)
+            self._combine_failing(results, specs, forward, backward_soft,
+                                  capture_copies)
         return ZigZagOutcome(
             results=results,
             forward=forward,
@@ -233,23 +296,74 @@ class ZigZagMultiDecoder:
                              for c in range(len(captures))],
         )
 
-    def _result(self, soft: np.ndarray, spec: PacketSpec,
-                engine: ZigZagEngine, packet: str) -> DecodeResult:
-        """Demodulate one packet's soft symbols into a ``DecodeResult``."""
-        bits, crc_ok, header = extract_bits(
+    def _results(self, soft: np.ndarray, spec: PacketSpec,
+                 estimates: list) -> list[DecodeResult]:
+        """One packet's ``DecodeResult`` per row of *soft* ``(N, symbols)``;
+        ``estimates[i]`` is row i's final channel estimate."""
+        bits, crc_ok, headers = extract_rows(
             soft, spec, len(self.config.preamble))
-        payload = bits[HEADER_BITS:-32] if bits.size >= HEADER_BITS + 32 \
-            else np.zeros(0, np.uint8)
-        return DecodeResult(
-            success=crc_ok,
-            bits=bits,
-            header=header,
-            payload=payload,
-            soft_symbols=soft,
-            estimate=self._final_estimate(engine, packet),
-            via="zigzag",
-            detail="" if crc_ok else "CRC mismatch",
-        )
+        empty = np.zeros(0, np.uint8)
+        has_payload = bits.shape[1] >= HEADER_BITS + 32
+        return [
+            DecodeResult(
+                success=ok,
+                bits=row,
+                header=header,
+                payload=row[HEADER_BITS:-32] if has_payload else empty,
+                soft_symbols=row_soft,
+                estimate=estimate,
+                via="zigzag",
+                detail="" if ok else "CRC mismatch",
+            )
+            for row, ok, header, row_soft, estimate
+            in zip(bits, crc_ok.tolist(), headers, soft, estimates)
+        ]
+
+    def _result(self, soft: np.ndarray, spec: PacketSpec,
+                estimate: ChannelEstimate | None) -> DecodeResult:
+        """:meth:`_results` for one packet's soft symbols."""
+        return self._results(soft[None], spec, [estimate])[0]
+
+    @staticmethod
+    def _final_stream(engine, packet: str):
+        """The stream of *packet*'s first decoded placement, whose channel
+        estimate the packet's result reports (None if none decoded)."""
+        for key in engine.placements:
+            if key[0] == packet and key in engine.streams:
+                return engine.streams[key]
+        return None
+
+    def _combine_failing(self, results: dict[str, DecodeResult],
+                         specs: dict[str, PacketSpec],
+                         forward: dict[str, PacketAccumulator],
+                         backward_soft: dict[str, np.ndarray] | None,
+                         capture_copies: dict[str, list]) -> None:
+        """MRC each packet that failed the forward pass with its further
+        copies and re-extract it; forward successes stay untouched."""
+        for name, result in list(results.items()):
+            if result.success:
+                continue
+            streams = [forward[name].soft]
+            weights: list = [1.0]
+            if backward_soft is not None and name in backward_soft:
+                aligned, block_weights = self._align_backward(
+                    forward[name].soft, forward[name].decisions,
+                    backward_soft[name])
+                # A backward pass that lost phase lock (e.g. a BPSK π
+                # slip) or degraded toward its far end would poison the
+                # MRC average; gate it blockwise on agreement with the
+                # forward decisions and weight inverse to its measured
+                # variance so a noisier stream can only help.
+                if np.any(block_weights > 0):
+                    streams.append(aligned)
+                    weights.append(block_weights)
+            for _, aligned, copy_weights in capture_copies.get(name, []):
+                streams.append(aligned)
+                weights.append(copy_weights)
+            if len(streams) > 1:
+                results[name] = self._result(
+                    mrc_combine(streams, weights), specs[name],
+                    result.estimate)
 
     # ------------------------------------------------------------------
     def _capture_copies(self, specs: dict[str, PacketSpec],
@@ -342,90 +456,44 @@ class ZigZagMultiDecoder:
                 weights[sl] = min(max(var_f / var_b, 0.0), 1.0)
         return aligned, weights
 
-    def _final_estimate(self, engine: ZigZagEngine,
-                        packet: str) -> ChannelEstimate | None:
-        for pl in engine.by_packet.get(packet, []):
-            key = (packet, pl.collision)
-            if key in engine.streams:
-                return engine.streams[key].estimate
-        return None
-
     def _backward_pass(self, captures, specs, placements,
                        forward_engine: ZigZagEngine
                        ) -> dict[str, np.ndarray] | None:
         """Decode the time-reversed captures and map soft symbols back."""
-        sps = self.config.shaper.sps
-        reversed_captures = [np.conj(c[::-1]) for c in captures]
-
-        rev_placements: list[PlacementParams] = []
+        plan = plan_backward(
+            [c.size for c in captures], specs, placements,
+            {key: (forward_engine.final_multiplier(*key),
+                   forward_engine.final_freq(*key))
+             for key in forward_engine.placements},
+            {name: acc.decisions
+             for name, acc in forward_engine.packets.items()},
+            self.config.shaper.sps)
+        if plan.schedule is None:
+            return None
+        # The scalar streams' trained equalizers and ISI models carry over,
+        # time-reversed and conjugated.
         equalizers: dict[tuple[str, int], LmsEqualizer] = {}
         symbol_isi: dict[tuple[str, int], IsiFilter] = {}
-        for pl in placements:
-            spec = specs[pl.packet]
-            n_c = captures[pl.collision].size
-            last_pos = pl.start + sps * (spec.n_symbols - 1)
-            rev_start = (n_c - 1) - last_pos
-            gain_r = np.conj(
-                forward_engine.final_multiplier(pl.packet, pl.collision))
-            freq_r = forward_engine.final_freq(pl.packet, pl.collision)
-            rev_placements.append(PlacementParams(
-                packet=pl.packet,
-                collision=pl.collision,
-                start=rev_start,
-                estimate=ChannelEstimate(
-                    gain=gain_r,
-                    freq_offset=freq_r,
-                    sampling_offset=0.0,
-                    snr_db=pl.estimate.snr_db,
-                ),
-            ))
-            key = (pl.packet, pl.collision)
-            stream = forward_engine.streams.get(key)
-            if stream is not None and stream.equalizer is not None:
+        for key, stream in forward_engine.streams.items():
+            if stream.equalizer is not None:
                 taps_r = np.conj(stream.equalizer.taps[::-1])
                 equalizers[key] = LmsEqualizer(
                     n_taps=taps_r.size, taps=taps_r)
-            if stream is not None and stream.channel_isi is not None:
+            if stream.channel_isi is not None:
                 symbol_isi[key] = IsiFilter(
                     np.conj(stream.channel_isi.taps[::-1]))
-
-        rev_specs = {
-            name: PacketSpec(
-                key=name,
-                n_symbols=spec.n_symbols,
-                body_constellation=spec.body_constellation.conjugate(),
-            )
-            for name, spec in specs.items()
-        }
-        try:
-            rev_schedule = greedy_schedule(
-                [Placement(pl.packet, pl.collision, pl.start,
-                           rev_specs[pl.packet].n_symbols, sps)
-                 for pl in rev_placements],
-                margin_symbols=MARGIN_SYMBOLS)
-        except ScheduleError:
-            return None
-
-        # Pilot the reversed trackers with the (conjugate-reversed) forward
-        # decisions: phase tracking hardens against the missing data-aided
-        # preamble while the backward soft symbols remain independent
-        # measurements from the other collision.
-        pilots = {
-            name: np.conj(forward_engine.packets[name].decisions[::-1])
-            for name in specs
-        }
         engine = ZigZagEngine(
-            self.config, reversed_captures, rev_specs, rev_placements,
+            self.config, [np.conj(c[::-1]) for c in captures], plan.specs,
+            plan.placements,
             reversed_totals=True,
             equalizers=equalizers,
             symbol_isi=symbol_isi,
-            pilots=pilots)
+            pilots=plan.pilots)
         try:
-            reversed_out = engine.run(rev_schedule)
+            reversed_out = engine.run(plan.schedule)
         except ReproError:
             return None
         return {
             name: np.conj(acc.soft[::-1])
             for name, acc in reversed_out.items()
         }
-

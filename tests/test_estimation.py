@@ -12,7 +12,6 @@ class TestChannelEstimate:
     def test_with_gain(self):
         est = ChannelEstimate(1.0, 0.0, 0.0, 10.0)
         assert est.with_gain(3.0).gain == 3.0
-        assert est.with_freq_offset(2e-4).freq_offset == 2e-4
 
 
 class TestNoiseEstimation:

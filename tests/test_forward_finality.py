@@ -185,7 +185,8 @@ class TestBatchedRule:
         trials = [rescue, _trial(9100)]
         want = [_passing(_forward_only(config, t))
                 for t in trials]
-        monkeypatch.setattr(BatchedPairDecoder, "_align_backward_batch",
+        # The batched decoder combines with the inherited scalar rule.
+        monkeypatch.setattr(ZigZagMultiDecoder, "_align_backward",
                             staticmethod(_garbage_align))
         decoder = BatchedPairDecoder(config)
         outcomes = decoder.decode_batch(trials)

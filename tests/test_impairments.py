@@ -316,9 +316,9 @@ enob = 6.0
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_override_roundtrip(self, spec):
-        swept = spec.with_overrides(
-            {"impairments.sender.0.coherence_samples": 64,
-             "impairments.capture.0.enob": 4.0})
+        swept = spec.with_override(
+            "impairments.sender.0.coherence_samples", 64).with_override(
+            "impairments.capture.0.enob", 4.0)
         assert swept.impairments.sender_pipeline().stages[0] \
             == RayleighFading(coherence_samples=64)
         assert swept.impairments.capture_pipeline().stages[0] \

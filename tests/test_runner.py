@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -139,6 +140,13 @@ snr_b_db = 9.0
             spec.with_override("sender.nobody.snr_db", 1.0)
         with pytest.raises(ConfigurationError):
             spec.with_override("nested.unknown.path", 1.0)
+
+    @pytest.mark.parametrize("table", ["channel", "backoff", "deployment",
+                                       "resilience", "faults"])
+    def test_unknown_table_field_override(self, table):
+        key = f"{table}.bogus"
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            ScenarioSpec(kind="pair").with_override(key, 1)
 
     def test_backoff_build(self):
         assert isinstance(BackoffSpec(kind="fixed", cw=8).build(),

@@ -74,14 +74,6 @@ class TestPhaseTracker:
         with pytest.raises(ConfigurationError):
             tracker.advance(-1)
 
-    def test_snapshot_restore(self):
-        tracker = PhaseTracker()
-        tracker.phase, tracker.freq = 0.5, 0.002
-        state = tracker.snapshot()
-        tracker.phase = 99.0
-        tracker.restore(state)
-        assert tracker.phase == 0.5 and tracker.freq == 0.002
-
     def test_works_with_qpsk(self, rng):
         bits = rng.integers(0, 2, 400)
         x = QPSK.modulate(bits)
