@@ -71,18 +71,18 @@ chaos-smoke:
 
 # Geometry-derived deployments end to end: a small 3-AP/12-client city
 # block through the CLI (positions -> pathloss -> hidden pairs ->
-# per-cell closed-loop sessions, sharded over the worker pool), plus
-# the derived-topology test suite (fixed-seed regression, Hypothesis
+# per-cell closed-loop sessions coupled by the multi-cell coordinator),
+# stepped in process and then on two cell workers, plus the
+# derived-topology test suite (fixed-seed regression, Hypothesis
 # properties, multi-cell coordinator) and the coupled 3-AP block's
 # closed-loop golden (block3), named next to the parallel-equivalence
 # suite.
 city-smoke:
-	$(PYTHON) -m repro run examples/scenarios/city_scale.toml \
-		--workers 0 --set n_trials=3 \
-		--set deployment.n_aps=3 --set deployment.n_clients=12 \
-		--set deployment.area_m=70
-	$(PYTHON) -m repro run examples/scenarios/city_scale.toml \
-		--workers 1 --set n_trials=1 --set kind=city_multicell \
+	$(PYTHON) -m repro run examples/scenarios/city_block.toml \
+		--workers 0 --set deployment.n_aps=3 \
+		--set deployment.n_clients=12 --set deployment.area_m=70
+	$(PYTHON) -m repro run examples/scenarios/city_block.toml \
+		--workers 1 --set n_trials=1 \
 		--set design=zigzag --set deployment.n_aps=3 \
 		--set deployment.n_clients=12 --set deployment.area_m=70 \
 		--set deployment.coupled_workers=2

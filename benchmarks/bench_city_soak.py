@@ -1,23 +1,27 @@
-"""Geometry-derived city soak: a 10-AP / 110-client block, sharded.
+"""Geometry-derived city soak: a 10-AP / 110-client block, coupled.
 
 The ``[deployment]`` pipeline end to end at scale: one generated city
 block (APs on a jittered grid, clients associated by pathloss, hidden
 pairs derived from inter-client SNR), every populated cell run as its
-own closed-loop session under both AP designs, one cell per worker
-process through the Monte-Carlo pool. The block runs once per session
-seed (:data:`SESSION_SEEDS`, same deployment). Reported numbers are
-each seed's delivered totals and block throughput per design, the
-derived sensing mix, and the per-cell resident-sample peak — the bound
-that keeps a city-scale soak in constant memory per worker. On the same
-air the ZigZag AP must deliver at least what the 802.11 AP delivers,
-on every session seed and summed over them (§5.1d: it runs the standard
-decoder first). Equivalent CLI for one seed::
+own closed-loop session inside one
+:class:`~repro.link.MultiCellSession`, which injects each cell's
+waveforms into every other cell whose AP hears the sender. The block
+runs once per session seed (:data:`SESSION_SEEDS`, same deployment)
+under each AP design, one ``city_multicell`` trial per design through
+the Monte-Carlo runner. Reported numbers are each seed's delivered
+totals and block throughput per design, the exchange's live and
+clipped samples, the derived sensing mix, and the largest per-cell
+resident-sample peak — the bound that keeps a city-scale soak in
+constant memory per cell. On the same offered traffic the ZigZag AP
+must deliver at least what the 802.11 AP delivers, on every session
+seed and summed over them (§5.1d: it runs the standard decoder first).
+Equivalent CLI for one seed and design::
 
-    python -m repro run examples/scenarios/city_scale.toml
+    python -m repro run examples/scenarios/city_block.toml
 
-A second, smaller block runs through the coupled
-:class:`~repro.link.MultiCellSession` coordinator as a cross-check that
-real inter-cell waveform exchange stays live at soak settings.
+A second, smaller block runs through both execution modes of the
+coordinator (in process and on cell workers) as a cross-check that
+they stay bit-identical at soak settings.
 """
 
 import os
@@ -35,12 +39,14 @@ N_CLIENTS = 110
 AREA_M = 120.0
 SEED = 11
 SESSION_SEEDS = range(11, 17)
+DESIGNS = (("zigzag", "zigzag"), ("802.11", "80211"))
 
 
-def city_spec(n_trials: int, session_seed: int = SEED) -> ScenarioSpec:
+def city_spec(design: str = "zigzag",
+              session_seed: int = SEED) -> ScenarioSpec:
     return ScenarioSpec.from_dict({
-        "scenario": {"kind": "city_scale", "n_trials": n_trials,
-                     "n_packets": 2, "payload_bits": 96,
+        "scenario": {"kind": "city_multicell", "design": design,
+                     "n_trials": 1, "n_packets": 2, "payload_bits": 96,
                      "seed": session_seed},
         "deployment": {"n_aps": N_APS, "n_clients": N_CLIENTS,
                        "area_m": AREA_M, "seed": SEED,
@@ -49,37 +55,34 @@ def city_spec(n_trials: int, session_seed: int = SEED) -> ScenarioSpec:
 
 
 def test_city_soak(benchmark, record_table):
-    deployment = get_deployment(city_spec(1))
+    deployment = get_deployment(city_spec())
     cells = deployment.cells()
     mix = deployment.sensing_mix()
     hidden_pairs = sum(len(plan.hidden_pairs) for plan in cells)
     associated = sum(plan.n_clients for plan in cells)
-    # One trial per populated cell, one cell per worker process.
-    runner = MonteCarloRunner(
-        n_workers=min(len(cells), os.cpu_count() or 1))
+    runner = MonteCarloRunner(n_workers=1)
     results = benchmark.pedantic(
-        lambda: [runner.run(city_spec(len(cells), seed))
-                 for seed in SESSION_SEEDS],
+        lambda: {(seed, tag): runner.run(city_spec(design, seed))
+                 for seed in SESSION_SEEDS for design, tag in DESIGNS},
         rounds=1, iterations=1)
-    assert not any(result.failures for result in results)
-    designs = ("zigzag", "80211")
+    assert not any(result.failures for result in results.values())
     rows = []
-    for seed, result in zip(SESSION_SEEDS, results):
-        trials = result.trials
+    for seed in SESSION_SEEDS:
+        trials = {tag: results[seed, tag].trials[0] for _, tag in DESIGNS}
+        zz_cells = trials["zigzag"].extra["cells"].values()
         rows.append({
             "seed": seed,
-            **{f"delivered_{tag}": int(sum(
-                t.metrics[f"delivered_{tag}"] for t in trials))
-               for tag in designs},
-            **{f"throughput_{tag}": sum(
-                t.metrics[f"throughput_{tag}"] for t in trials)
-               for tag in designs},
-            "peak": max(t.metrics["max_resident_samples"] for t in trials),
-            "emitted": sum(t.extra["counters"]["zigzag"]["samples_emitted"]
-                           for t in trials),
+            **{f"delivered_{tag}": int(t.metrics["delivered_total"])
+               for tag, t in trials.items()},
+            **{f"throughput_{tag}": t.metrics["throughput_total"]
+               for tag, t in trials.items()},
+            "injected": int(trials["zigzag"].metrics["samples_injected"]),
+            "clipped": int(trials["zigzag"].metrics["samples_clipped"]),
+            "peak": max(c["max_resident_samples"] for c in zz_cells),
+            "emitted": sum(c["samples_emitted"] for c in zz_cells),
         })
     delivered = {tag: sum(row[f"delivered_{tag}"] for row in rows)
-                 for tag in designs}
+                 for _, tag in DESIGNS}
     lines = [
         f"block     : {N_APS} APs, {N_CLIENTS} clients over "
         f"{AREA_M:.0f} m x {AREA_M:.0f} m (seed {SEED})",
@@ -88,30 +91,31 @@ def test_city_soak(benchmark, record_table):
         f"{hidden_pairs} hidden pairs "
         f"(mix: {', '.join(f'{c.value} {f:.0%}' for c, f in mix.items())})",
         "seed  zigzag delivered / tput  802.11 delivered / tput"
-        "  max resident / emitted samples",
+        "  max cell resident / emitted samples  injected / clipped",
         *(f"{row['seed']:4d}  {row['delivered_zigzag']:16d} / "
           f"{row['throughput_zigzag']:.3f}  {row['delivered_80211']:16d} / "
-          f"{row['throughput_80211']:.3f}  {int(row['peak']):12d} / "
-          f"{int(row['emitted'])}"
+          f"{row['throughput_80211']:.3f}  {int(row['peak']):17d} / "
+          f"{int(row['emitted'])}  {row['injected']:8d} / "
+          f"{row['clipped']}"
           for row in rows),
         f"total {delivered['zigzag']:16d}          "
         f"{delivered['80211']:16d}",
-        f"sharding  : {len(cells)} trials per session seed "
-        "(one cell per worker)",
+        "coupling  : one city_multicell trial per design and session "
+        "seed; injected/clipped samples are the ZigZag run's",
     ]
     record_table("city_soak", "Geometry-derived city block soak", lines,
-                 host=[f"{runner.n_workers} workers, "
-                       f"{sum(r.elapsed for r in results):.1f}s wall"])
+                 host=[f"{sum(r.elapsed for r in results.values()):.1f}s "
+                       "wall"])
     # The derivation must produce a real multi-cell hidden-terminal
     # block, and both designs must actually move packets through it.
     assert len(cells) >= 10 and associated >= 0.5 * N_CLIENTS
     assert hidden_pairs > 0
     assert delivered["zigzag"] > 0 and delivered["80211"] > 0
-    # On the same air ZigZag delivers at least what 802.11 delivers:
-    # it runs the same standard stage first (§5.1d). On one capture
-    # that is a superset by construction; across a session the two
-    # designs diverge (different ACKs, then different air), so the
-    # per-seed bound is measured on these seeds, not proven.
+    # ZigZag delivers at least what 802.11 delivers: it runs the same
+    # standard stage first (§5.1d). On one capture that is a superset
+    # by construction; across a session the two designs diverge
+    # (different ACKs, then different air), so the per-seed bound is
+    # measured on these seeds, not proven.
     assert delivered["zigzag"] >= delivered["80211"]
     for row in rows:
         assert row["delivered_zigzag"] >= row["delivered_80211"], row

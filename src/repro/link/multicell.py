@@ -8,9 +8,10 @@ coordinator advances all sessions in lockstep windows of a common
 *event horizon* (a fixed number of air chunks). At each horizon
 boundary the cells exchange inter-cell interference: every waveform
 scheduled during the window is injected into each other cell whose AP
-hears that client above a floor, scaled by the cross-link/home-link SNR
-ratio with a fresh carrier phase (the cross channel is a different
-path), via :meth:`ContinuousAir.inject`.
+hears that client (the one hearing rule,
+:meth:`~repro.testbed.deployment.Deployment.interferers`), scaled by
+the cross-link/home-link SNR ratio with a fresh carrier phase (the
+cross channel is a different path), via :meth:`ContinuousAir.inject`.
 
 One coordinator loop (:meth:`MultiCellSession._drive`) serves every
 execution mode. It plans the exchange; the cells themselves are stepped
@@ -23,7 +24,7 @@ The exchange is **order-independent by construction**: every injected
 carrier phase is derived from a :class:`numpy.random.SeedSequence`
 keyed by ``(window, src AP, dst AP, transmission seq)`` rather than
 drawn from a shared sequential stream, and the victim set of each
-transmitter is precomputed once from the deployment SNR matrix. That
+transmitter is precomputed once from the deployment. That
 makes the coordinator's output a pure function of the per-cell sessions
 plus the keys — which is what lets the process-parallel execution mode
 (``MultiCellConfig.workers > 1``, see :mod:`repro.link.parallel`)
@@ -53,7 +54,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.link.session import LinkSession, SessionReport
-from repro.testbed.deployment import INTERFERENCE_FLOOR_DB
 
 __all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
            "MultiCellSession", "apply_injection"]
@@ -324,20 +324,17 @@ class MultiCellSession:
             "samples_injected": 0, "samples_clipped": 0,
         }
         # Victim prefilter: for every transmitting client, the cells
-        # whose AP hears it above the interference floor — resolved
-        # once from the deployment SNR matrix instead of per waveform.
-        self._victims: dict[int, tuple[tuple[int, float], ...]] = {}
-        for src in self.cells:
-            for client, _snr_home in src.lookup.values():
-                hearers = []
-                for dst in self.cells:
-                    if dst.index == src.index:
-                        continue
-                    snr_vic = float(self.deployment.ap_client_snr(
-                        dst.plan.ap, client))
-                    if snr_vic >= INTERFERENCE_FLOOR_DB:
-                        hearers.append((dst.index, snr_vic))
-                self._victims[client] = tuple(hearers)
+        # whose AP hears it (in block order, with the SNR there) —
+        # Deployment.interferers inverted once instead of per waveform.
+        hearers: dict[int, list[tuple[int, float]]] = {
+            client: [] for src in self.cells
+            for client, _snr_home in src.lookup.values()}
+        for dst in self.cells:
+            for client, snr_vic in deployment.interferers(dst.plan.ap):
+                if client in hearers:
+                    hearers[client].append((dst.index, snr_vic))
+        self._victims: dict[int, tuple[tuple[int, float], ...]] = {
+            client: tuple(heard) for client, heard in hearers.items()}
         # Set when a parallel run degraded to sequential (diagnostics).
         self.degrade_reason: str | None = None
 

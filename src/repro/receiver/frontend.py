@@ -120,10 +120,6 @@ class StreamBookkeeping:
         sps = self.config.shaper.sps
         return self.freq_offset + self.tracked_freq_cycles / sps
 
-    def phase_at_cursor(self):
-        """Tracker phase that will apply to the next symbol."""
-        return self.tracker.phase
-
 
 class SymbolStreamDecoder(StreamBookkeeping):
     """Stateful per-(packet, capture) decoder; see module docstring.

@@ -36,7 +36,6 @@ from repro.phy.channel import ChannelParams
 from repro.phy.constellation import BPSK
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
-from repro.phy.impairments import BurstNoise, ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
 from repro.runner.cache import (
@@ -187,12 +186,10 @@ def _stream_topology(spec) -> Topology:
 
 def _spec_session(spec, rng: np.random.Generator, design: str,
                   clients: list[StreamClient], topology: Topology,
-                  max_collision_packets: int | None,
-                  interference: list | tuple = ()) -> LinkSession:
+                  max_collision_packets: int | None) -> LinkSession:
     """The one spec→:class:`~repro.link.LinkSession` path: session knobs
     from the spec's scenario, ``[channel]``, ``[backoff]``,
-    ``[impairments]`` and ``[params]`` tables, with any *interference*
-    stages appended to the capture pipeline."""
+    ``[impairments]`` and ``[params]`` tables."""
     if spec.param("engine") is not None:
         # [params] is free-form, so a stale key would otherwise be
         # silently ignored.
@@ -201,10 +198,6 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
             "session core was removed and every session runs on the "
             "event core; drop the key")
     imp = spec.impairments
-    capture = imp.capture_pipeline() if imp.capture else None
-    if interference:
-        capture = ImpairmentPipeline(
-            tuple(capture.stages if capture else ()) + tuple(interference))
     config = SessionConfig(
         payload_bits=spec.payload_bits,
         n_packets=spec.n_packets,
@@ -221,7 +214,8 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
         chunk_samples=int(spec.param("chunk_samples", 1024)),
         buffer_max_age=int(spec.param("buffer_max_age", 24)),
         sender_impairments=(imp.sender_pipeline() if imp.sender else None),
-        capture_impairments=capture,
+        capture_impairments=(imp.capture_pipeline() if imp.capture
+                             else None),
     )
     return LinkSession(config, clients, design=design, rng=rng,
                        preamble=cached_preamble(spec.preamble_length),
@@ -299,49 +293,18 @@ def get_deployment(spec) -> Deployment:
         lambda: Deployment.generate(dep.config(), seed=dep.seed))
 
 
-# At most this many out-of-cell interferers are approximated per cell in
-# sharded mode; the strongest dominate the sum and each stage costs one
-# noise draw per chunk.
-_MAX_APPROX_INTERFERERS = 3
-
-
-def _interference_stages(spec, deployment: Deployment,
-                         plan: CellPlan) -> list:
-    """Bursty-noise stand-ins for the strongest out-of-cell transmitters.
-
-    Sharded (one-cell-per-worker) runs cannot exchange real cross-cell
-    waveforms, so each foreign client the AP hears above the interference
-    floor becomes a ``burst_noise`` stage: power at the victim AP from
-    the SNR matrix, duty cycle from the client's offered load (a
-    saturated client holds the medium roughly a packet in three once MAC
-    overhead and backoff are paid), burst length of one air chunk.
-    """
-    dep = spec.deployment
-    stages = []
-    heard = deployment.interferers(plan.ap)
-    for client, snr in heard[:_MAX_APPROX_INTERFERERS]:
-        load = dep.client_offered_load(client)
-        duty = 0.35 if load is None else min(1.0, float(load))
-        stages.append(BurstNoise(
-            power_db=float(snr), duty_cycle=duty,
-            burst_samples=int(spec.param("chunk_samples", 1024))))
-    return stages
-
-
 def build_cell_session(spec, rng: np.random.Generator, design: str,
-                       deployment: Deployment, plan: CellPlan, *,
-                       approximate_interference: bool = False
+                       deployment: Deployment, plan: CellPlan
                        ) -> LinkSession:
-    """One cell of a deployment as a :class:`~repro.link.LinkSession`.
+    """One cell of *deployment* as a :class:`~repro.link.LinkSession`.
 
     Clients carry the plan's derived names, global ``src`` ids and
     serving-AP SNRs; the topology is the plan's derived sense
     probabilities (:meth:`Topology.from_cell`), and per-client offered
-    load comes from the ``[deployment]`` load mix. With
-    *approximate_interference* the strongest out-of-cell transmitters
-    ride the capture pipeline as bursty noise (sharded mode); leave it
-    off when a :class:`~repro.link.MultiCellSession` exchanges the real
-    waveforms instead.
+    load comes from the ``[deployment]`` load mix. The session hears
+    only its own cell: out-of-cell energy reaches it when a
+    :class:`~repro.link.MultiCellSession` injects the other cells'
+    waveforms (:func:`build_city_session`).
     """
     dep = spec.deployment
     spread = spec.channel.freq_spread
@@ -358,10 +321,7 @@ def build_cell_session(spec, rng: np.random.Generator, design: str,
     # k-way resolution cost unless the spec raises it explicitly.
     max_k = min(topology.collision_packets(),
                 int(spec.param("max_collision_packets", 4)))
-    interference = (_interference_stages(spec, deployment, plan)
-                    if approximate_interference else ())
-    return _spec_session(spec, rng, design, clients, topology, max_k,
-                         interference)
+    return _spec_session(spec, rng, design, clients, topology, max_k)
 
 
 def build_city_session(spec, rng: np.random.Generator,
@@ -372,10 +332,9 @@ def build_city_session(spec, rng: np.random.Generator,
     generator of *rng*, so the cell count doesn't perturb per-cell
     streams) and wraps them in a :class:`~repro.link.MultiCellSession`
     that exchanges real inter-cell interference waveforms at horizon
-    boundaries — no bursty-noise approximation. With
-    ``deployment.coupled_workers != 1`` the coordinator steps cells on
-    a pool of pinned worker processes (``repro.link.parallel``), with
-    bit-identical results.
+    boundaries. With ``deployment.coupled_workers != 1`` the
+    coordinator steps cells on a pool of pinned worker processes
+    (``repro.link.parallel``), with bit-identical results.
     """
     deployment = get_deployment(spec)
     dep = spec.deployment
@@ -383,8 +342,7 @@ def build_city_session(spec, rng: np.random.Generator,
     for plan in deployment.cells():
         cell_rng = np.random.default_rng(int(rng.integers(1 << 63)))
         cells.append((plan, build_cell_session(
-            spec, cell_rng, design, deployment, plan,
-            approximate_interference=False)))
+            spec, cell_rng, design, deployment, plan)))
     return MultiCellSession(
         deployment, cells,
         config=MultiCellConfig(

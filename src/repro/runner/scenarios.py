@@ -26,17 +26,14 @@ from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.mac.hidden import HiddenScenario
 from repro.phy.channel import ChannelParams
 from repro.phy.estimation import COARSE_FREQ_ERROR
-from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.runner.builders import (
     STREAM_CLIENT_NAMES,
-    build_cell_session,
     build_city_session,
     build_stream_session,
-    get_deployment,
     hidden_pair_scenario,
 )
 from repro.runner.cache import cached_preamble, cached_shaper, shared_cache
@@ -586,45 +583,8 @@ def offered_load_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
 
 
 # ----------------------------------------------------------------------
-# Geometry-derived city scenarios (the [deployment] spec table)
+# Geometry-derived city block (the [deployment] spec table)
 # ----------------------------------------------------------------------
-@scenario("city_scale", designs=None, impairments=True, deployment=True)
-def city_scale_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
-    """One cell of a geometry-derived city block, ZigZag vs 802.11.
-
-    The ``[deployment]`` table generates the block (APs on a jittered
-    grid, clients by pathloss-strongest association, hidden pairs from
-    inter-client SNR); trial *i* runs cell ``i mod n_cells``, so a run
-    whose ``n_trials`` is a multiple of the cell count covers the block
-    evenly and the runner's process pool shards one cell per worker.
-    Out-of-cell transmitters the AP hears above
-    :data:`~repro.testbed.deployment.INTERFERENCE_FLOOR_DB` are
-    approximated as bursty noise on the capture path (the coupled
-    alternative is ``city_multicell``). Metrics mirror ``ap_stream``
-    aggregates plus the cell's derived shape (``cell_clients``,
-    ``cell_hidden_pairs``).
-    """
-    deployment = get_deployment(spec)
-    cells = deployment.cells()
-    plan = cells[ctx.index % len(cells)]
-    reports, metrics, flows = _run_both_designs(
-        ctx.seed, lambda rng, design: build_cell_session(
-            spec, rng, design, deployment, plan,
-            approximate_interference=True))
-    zz = reports["zigzag"]
-    rx = zz.receiver_stats
-    metrics["zigzag_matches"] = float(rx.zigzag_matches)
-    metrics["multiway_matches"] = float(rx.multiway_matches)
-    metrics["max_resident_samples"] = zz.counters["max_resident_samples"]
-    metrics["cell_clients"] = float(plan.n_clients)
-    metrics["cell_hidden_pairs"] = float(len(plan.hidden_pairs))
-    extra = {"ap": plan.ap, "clients": plan.names,
-             "counters": {tag: dict(r.counters)
-                          for tag, r in reports.items()}}
-    return TrialResult(index=ctx.index, metrics=metrics, flows=flows,
-                       airtime=zz.airtime_packets, extra=extra)
-
-
 @scenario("city_multicell", designs=("zigzag", "802.11"),
           impairments=True, deployment=True)
 def city_multicell_trial(spec: ScenarioSpec,
@@ -633,14 +593,15 @@ def city_multicell_trial(spec: ScenarioSpec,
 
     One :class:`~repro.link.MultiCellSession` per trial: every populated
     cell runs its own event engine and the coordinator exchanges real
-    inter-cell interference waveforms at horizon boundaries — the
-    reference physics the sharded ``city_scale`` approximation is
-    measured against. With ``deployment.coupled_workers != 1`` the
-    cells step on a pool of pinned worker processes with bit-identical
-    results (``coupled_workers``/``coupled_degraded`` record how the
-    block was actually driven). Metrics: block throughput/delivered,
-    per-cell throughput (``throughput_ap{a}``), timed-out cell count,
-    the summed resident-sample peak, and the exchange counters.
+    inter-cell interference waveforms at horizon boundaries. With
+    ``deployment.coupled_workers != 1`` the cells step on a pool of
+    pinned worker processes with bit-identical results
+    (``coupled_workers``/``coupled_degraded`` record how the block was
+    actually driven). Metrics: block throughput/delivered, per-cell
+    throughput (``throughput_ap{a}``), timed-out cell count, the summed
+    resident-sample peak, and the exchange counters; ``extra`` carries
+    the exchange counters and each cell's session counters by AP
+    (``cells``), which hold the per-cell resident-sample peaks.
     """
     city = build_city_session(
         spec, np.random.default_rng(ctx.seed), spec.design)
@@ -665,34 +626,36 @@ def city_multicell_trial(spec: ScenarioSpec,
             flows[f"ap{ap}_{name}"] = stats
             losses.append(stats.loss_rate)
     metrics["loss_mean"] = float(np.mean(losses)) if losses else 0.0
-    return TrialResult(index=ctx.index, metrics=metrics, flows=flows,
-                       extra={"counters": dict(report.counters)})
+    return TrialResult(
+        index=ctx.index, metrics=metrics, flows=flows,
+        extra={"counters": dict(report.counters),
+               "cells": {ap: dict(cell_report.counters)
+                         for ap, cell_report in sorted(
+                             report.cells.items())}})
 
 
 # ----------------------------------------------------------------------
-# Impaired hidden-pair scenarios (beyond the quasi-static channel)
+# Impaired hidden pair (beyond the quasi-static channel)
 # ----------------------------------------------------------------------
-def _impaired_pair_metrics(spec: ScenarioSpec, ctx: TrialContext,
-                           default_sender: tuple = (),
-                           default_capture: tuple = ()) -> dict:
-    """One impaired hidden-pair trial: ZigZag vs the standard decoder.
+@scenario("hidden_pair_impaired", designs=None, impairments=True)
+def hidden_pair_impaired_trial(spec: ScenarioSpec,
+                               ctx: TrialContext) -> dict:
+    """Hidden pair under the spec's ``[impairments]`` pipelines.
 
-    Builds the canonical two-collision hidden pair with the spec's
-    ``[impairments]`` pipelines (falling back to the scenario's default
-    stages when the table is empty), ZigZag-decodes the pair, and — on
-    the same two captures — runs the plain :class:`StandardDecoder` per
-    transmission, keeping each packet's best BER. The metric pairs chart
-    how each receiver degrades as the impairment worsens.
+    Builds the canonical two-collision hidden pair with whatever
+    ``[[impairments.sender]]`` / ``[[impairments.capture]]`` stages the
+    TOML file lists (identity when absent), ZigZag-decodes the pair,
+    and — on the same two captures — runs the plain
+    :class:`StandardDecoder` per transmission, keeping each packet's
+    best BER. The metric pairs chart how each receiver degrades as the
+    impairment worsens: ``ber_zigzag``, ``ber_standard``,
+    ``delivered_zigzag``, ``delivered_standard`` (packets out of 2).
     """
     rng = ctx.rng
     preamble = cached_preamble(spec.preamble_length)
     shaper = cached_shaper()
     noise_power = spec.channel.noise_power
     imp = spec.impairments
-    sender_pipe = imp.sender_pipeline() if imp.sender \
-        else ImpairmentPipeline.from_specs(default_sender)
-    capture_pipe = imp.capture_pipeline() if imp.capture \
-        else ImpairmentPipeline.from_specs(default_capture)
     snr_db = float(spec.param("snr_db", 12.0))
     bers_z = {"A": 1.0, "B": 1.0}
     bers_s = {"A": 1.0, "B": 1.0}
@@ -700,8 +663,10 @@ def _impaired_pair_metrics(spec: ScenarioSpec, ctx: TrialContext,
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=snr_db,
             payload_bits=spec.payload_bits, noise_power=noise_power,
-            sender_impairments=sender_pipe if len(sender_pipe) else None,
-            capture_impairments=capture_pipe if len(capture_pipe) else None)
+            sender_impairments=(imp.sender_pipeline() if imp.sender
+                                else None),
+            capture_impairments=(imp.capture_pipeline() if imp.capture
+                                 else None))
     except ReproError:
         captures = []
     if captures:
@@ -736,66 +701,6 @@ def _impaired_pair_metrics(spec: ScenarioSpec, ctx: TrialContext,
             "ber_standard": float(np.mean(list(bers_s.values()))),
             "delivered_zigzag": delivered["zigzag"],
             "delivered_standard": delivered["standard"]}
-
-
-@scenario("hidden_pair_impaired", designs=None, impairments=True)
-def hidden_pair_impaired_trial(spec: ScenarioSpec,
-                               ctx: TrialContext) -> dict:
-    """Hidden pair under the spec's ``[impairments]`` pipelines.
-
-    The fully declarative variant: whatever ``[[impairments.sender]]`` /
-    ``[[impairments.capture]]`` stages the TOML file lists (identity when
-    absent). Metrics: ``ber_zigzag``, ``ber_standard``,
-    ``delivered_zigzag``, ``delivered_standard`` (packets out of 2).
-    """
-    return _impaired_pair_metrics(spec, ctx)
-
-
-@scenario("hidden_pair_fading", designs=None, impairments=True)
-def hidden_pair_fading_trial(spec: ScenarioSpec,
-                             ctx: TrialContext) -> dict:
-    """Hidden pair under time-varying Rayleigh fading.
-
-    Defaults to one per-sender ``rayleigh`` stage whose coherence time is
-    ``params.coherence_samples`` (400); an explicit ``[impairments]``
-    table overrides the default. Short coherence moves the channel within
-    one packet, stressing ZigZag's chunk-by-chunk subtraction.
-    """
-    coherence = int(spec.param("coherence_samples", 400))
-    return _impaired_pair_metrics(
-        spec, ctx,
-        default_sender=({"kind": "rayleigh",
-                         "coherence_samples": coherence},))
-
-
-@scenario("hidden_pair_frontend", designs=None, impairments=True)
-def hidden_pair_frontend_trial(spec: ScenarioSpec,
-                               ctx: TrialContext) -> dict:
-    """Hidden pair through a nonlinear AP front end.
-
-    Defaults to a capture pipeline of soft clipping (``params.
-    saturation``, relative to the stronger sender's amplitude), ADC
-    quantization (``params.enob``), IQ imbalance and DC offset; an
-    explicit ``[impairments]`` table overrides the default.
-    """
-    snr_db = float(spec.param("snr_db", 12.0))
-    amplitude = float(np.sqrt(10 ** (snr_db / 10)
-                              * spec.channel.noise_power))
-    saturation = float(spec.param("saturation", 3.0)) * amplitude
-    full_scale = float(spec.param("full_scale", 4.0)) * amplitude
-    return _impaired_pair_metrics(
-        spec, ctx,
-        default_capture=(
-            {"kind": "clip", "saturation": saturation},
-            {"kind": "quantize", "enob": float(spec.param("enob", 7.0)),
-             "full_scale": full_scale},
-            {"kind": "iq_imbalance",
-             "amplitude_db": float(spec.param("iq_amplitude_db", 0.2)),
-             "phase_deg": float(spec.param("iq_phase_deg", 1.0))},
-            {"kind": "dc_offset",
-             "dc_i": float(spec.param("dc_offset", 0.01)) * amplitude,
-             "dc_q": -float(spec.param("dc_offset", 0.01)) * amplitude},
-        ))
 
 
 # ----------------------------------------------------------------------

@@ -185,7 +185,7 @@ class ImpairmentsSpec:
 class DeploymentSpec:
     """The ``[deployment]`` table: a geometry-derived multi-cell layout.
 
-    Declares the city block the ``city_*`` scenarios simulate: AP and
+    Declares the city block ``city_multicell`` simulates: AP and
     client counts, area, the log-distance path-loss model, carrier-sense
     and association thresholds, the traffic mix, and the coordinator's
     horizon and worker count. The link budget and the interference floor

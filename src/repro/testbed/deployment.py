@@ -47,8 +47,8 @@ __all__ = ["CellPlan", "Deployment", "DeploymentConfig", "client_name"]
 _MAX_CLIENTS = 255
 # An out-of-cell client interferes with an AP that hears it at least
 # this strongly (dB); weaker cross links stay below the noise the AP
-# already synthesizes. The coupled coordinator exchanges these
-# waveforms, the sharded runs approximate them as bursty noise.
+# already synthesizes. The coupled coordinator
+# (repro.link.MultiCellSession) exchanges these waveforms.
 INTERFERENCE_FLOOR_DB = -2.0
 
 
@@ -268,8 +268,7 @@ class Deployment:
 
         Returns ``(client, snr_at_ap)`` pairs sorted strongest first —
         the cross-cell transmitters whose waveforms reach this cell's
-        receiver and must be exchanged (or approximated) as
-        interference.
+        receiver and must be exchanged as interference.
         """
         out = [(i, self.ap_client_snr(ap, i))
                for i in range(self.n_clients)

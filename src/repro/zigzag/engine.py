@@ -31,14 +31,13 @@ aggregated statistics — use the :mod:`repro.runner` subsystem
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.isi import IsiFilter
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.zigzag.reencode import Reencoder, add_segment, subtract_segment
 from repro.zigzag.schedule import DecodeStep

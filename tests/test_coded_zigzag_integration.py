@@ -15,7 +15,6 @@ from repro.phy.constellation import BPSK
 from repro.phy.frame import HEADER_BITS, Frame, descramble_soft_bpsk
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.sync import Synchronizer
-from repro.receiver.frontend import StreamConfig
 from repro.utils.bits import random_bits
 from repro.utils.rng import make_rng
 from repro.zigzag.decoder import ZigZagMultiDecoder

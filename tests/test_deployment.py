@@ -356,25 +356,6 @@ class TestCellBuilder:
             assert loads[name] == \
                 spec.deployment.client_offered_load(index)
 
-    def test_approximate_interference_adds_burst_stages(self):
-        spec = city_spec()
-        from repro.runner.builders import get_deployment
-        deployment = get_deployment(spec)
-        plans = sorted(deployment.cells(),
-                       key=lambda p: -len(deployment.interferers(p.ap)))
-        plan = plans[0]
-        heard = deployment.interferers(plan.ap)
-        base = build_cell_session(spec, np.random.default_rng(0),
-                                  "zigzag", deployment, plan)
-        approx = build_cell_session(spec, np.random.default_rng(0),
-                                    "zigzag", deployment, plan,
-                                    approximate_interference=True)
-        n_base = len(base.config.capture_impairments.stages) \
-            if base.config.capture_impairments else 0
-        n_approx = len(approx.config.capture_impairments.stages) \
-            if approx.config.capture_impairments else 0
-        assert n_approx - n_base == min(len(heard), 3)
-
     def test_client_name_roundtrip(self):
         assert client_name(0) == "c0"
         assert client_name(17) == "c17"
@@ -388,7 +369,7 @@ class TestDeploymentSpec:
         # (n_aps set, n_clients still 0) must stay constructible; only
         # the final spec is validated (by the runner's pre-run gate).
         spec = ScenarioSpec.from_dict(
-            {"scenario": {"kind": "city_scale", "n_trials": 1}})
+            {"scenario": {"kind": "city_multicell", "n_trials": 1}})
         spec = spec.with_override("deployment.n_aps", 2)
         spec = spec.with_override("deployment.n_clients", 8)
         spec.deployment.validate()
@@ -396,7 +377,7 @@ class TestDeploymentSpec:
 
     def test_validate_rejects_half_declared_table(self):
         spec = ScenarioSpec.from_dict(
-            {"scenario": {"kind": "city_scale", "n_trials": 1}})
+            {"scenario": {"kind": "city_multicell", "n_trials": 1}})
         spec = spec.with_override("deployment.n_aps", 2)
         with pytest.raises(ConfigurationError, match="n_clients"):
             spec.deployment.validate()
@@ -404,12 +385,12 @@ class TestDeploymentSpec:
     def test_from_dict_validates_eagerly(self):
         with pytest.raises(ConfigurationError, match="n_clients"):
             ScenarioSpec.from_dict(
-                {"scenario": {"kind": "city_scale", "n_trials": 1},
+                {"scenario": {"kind": "city_multicell", "n_trials": 1},
                  "deployment": {"n_aps": 2}})
 
     def test_roundtrip_preserves_table(self):
         spec = ScenarioSpec.from_dict(
-            {"scenario": {"kind": "city_scale", "n_trials": 1},
+            {"scenario": {"kind": "city_multicell", "n_trials": 1},
              "deployment": {"n_aps": 2, "n_clients": 8, "area_m": 50.0}})
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again.deployment == spec.deployment

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.zigzag.engine import (
-    PacketSpec,
     PlacementParams,
     SubtractionState,
     ZigZagEngine,

@@ -6,10 +6,8 @@ exception) rather than a crash or a silently-wrong success.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import ReceiverConfig, ZigZagReceiver
-from repro.errors import ReproError
 from repro.phy.channel import ChannelParams
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import Frame

@@ -12,7 +12,6 @@ from repro.phy.frame import (
     build_frame_bits,
     parse_frame_bits,
 )
-from repro.phy.preamble import default_preamble
 from repro.utils.bits import random_bits
 
 

@@ -1,7 +1,5 @@
 """The composable impairment pipeline: stages, wiring, and spec plumbing."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -355,10 +353,9 @@ enob = 6.0
                  if get_scenario(name).impairments}
         assert aware == {"pair", "capture", "testbed_pair",
                          "hidden_pair_decode",
-                         "hidden_pair_impaired", "hidden_pair_fading",
-                         "hidden_pair_frontend", "ap_stream",
+                         "hidden_pair_impaired", "ap_stream",
                          "offered_load", "three_senders_stream",
-                         "city_scale", "city_multicell"}
+                         "city_multicell"}
 
     def test_override_bad_path(self, spec):
         with pytest.raises(ConfigurationError, match="impairment override"):

@@ -1,7 +1,6 @@
 """Beyond two interferers (§4.5): three packets across three collisions."""
 
 import numpy as np
-import pytest
 
 from repro.phy.channel import ChannelParams
 from repro.phy.constellation import BPSK

@@ -171,6 +171,32 @@ class TestPhaseKeying:
                                                       client) >= floor]
                 assert list(city._victims[client]) == expected
 
+    @pytest.mark.parametrize("block", [
+        {},
+        {"n_aps": 10, "n_clients": 110, "area_m": 120.0,
+         "offered_load": 0.25, "saturated_fraction": 0.2},
+    ], ids=["block3", "block10"])
+    def test_victims_invert_deployment_interferers(self, block):
+        """The victim table built from ``Deployment.interferers`` equals
+        the per-client loop over the SNR matrix it replaced: same
+        clients in the same order, same victims, same floats."""
+        city = build_city_session(city_spec(**block),
+                                  np.random.default_rng(11), "zigzag")
+        oracle = {}
+        for src in city.cells:
+            for client, _snr_home in src.lookup.values():
+                hearers = []
+                for dst in city.cells:
+                    if dst.index == src.index:
+                        continue
+                    snr_vic = float(city.deployment.ap_client_snr(
+                        dst.plan.ap, client))
+                    if snr_vic >= INTERFERENCE_FLOOR_DB:
+                        hearers.append((dst.index, snr_vic))
+                oracle[client] = tuple(hearers)
+        assert list(city._victims.items()) == list(oracle.items())
+        assert any(city._victims.values())
+
 
 class TestDegradeToSequential:
     """Injected worker faults must cost wall-clock, never correctness."""

@@ -1,7 +1,6 @@
 """Cross-module property tests on system-level invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.channel import Channel, ChannelParams

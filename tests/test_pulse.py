@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.pulse import MatchedSampler, PulseShaper, rrc_function, rrc_taps
+from repro.phy.pulse import MatchedSampler, rrc_function, rrc_taps
 from repro.phy.resample import FractionalDelay
 
 

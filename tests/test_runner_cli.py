@@ -68,15 +68,15 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "pair" in out and "schedule_failure" in out
-        assert "hidden_pair_fading" in out
-        assert "hidden_pair_frontend" in out
+        assert "hidden_pair_impaired" in out
+        assert "city_multicell" in out
 
     def test_run_impaired_scenario(self, tmp_path, capsys):
         """End-to-end CLI smoke over a TOML file with [impairments]."""
         path = tmp_path / "impaired.toml"
         path.write_text("""
 [scenario]
-kind = "hidden_pair_fading"
+kind = "hidden_pair_impaired"
 n_trials = 2
 seed = 3
 payload_bits = 200

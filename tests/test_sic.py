@@ -1,7 +1,6 @@
 """Capture-effect SIC tests (Fig 4-1d/e)."""
 
 import numpy as np
-import pytest
 
 from repro.phy.channel import ChannelParams
 from repro.phy.constellation import BPSK

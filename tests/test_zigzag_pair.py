@@ -1,7 +1,6 @@
 """Integration tests of the full ZigZag pair decoder (§4.2, §4.3)."""
 
 import numpy as np
-import pytest
 
 from repro.receiver.frontend import StreamConfig
 from repro.zigzag.decoder import ZigZagMultiDecoder
