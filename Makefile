@@ -31,12 +31,18 @@ lint:
 		&& ruff check src tests benchmarks examples
 
 # Fast end-to-end proof that the Monte-Carlo runner works: one scenario
-# run with 2 workers and one two-point sweep, straight from a TOML file.
+# run with 2 workers and one two-point sweep, straight from a TOML file,
+# then one trial of each example no other target runs, so an example
+# that names a removed key fails here rather than only at load time.
 smoke:
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 2 --workers 2
 	$(PYTHON) -m repro sweep examples/scenarios/capture_asymmetry.toml \
 		--trials 2 --param params.sinr_db=0:8:8 --metrics total
+	for f in hidden_pair_fading offered_load three_senders_stream; do \
+		$(PYTHON) -m repro run examples/scenarios/$$f.toml --trials 1 \
+			|| exit 1; \
+	done
 
 # Tiny closed-loop soak through the CLI: continuous air, streaming
 # segmentation, collision-buffer matching and ACK feedback end to end

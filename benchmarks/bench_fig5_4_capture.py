@@ -20,7 +20,7 @@ from repro.testbed.experiment import Design
 SINRS = (0, 4, 8, 12, 16)
 
 SPEC = ScenarioSpec(kind="capture", n_trials=3, seed=0,
-                    payload_bits=240, n_packets=6, max_rounds=4,
+                    payload_bits=240, n_packets=6,
                     params={"snr_b_db": 9.0})
 
 

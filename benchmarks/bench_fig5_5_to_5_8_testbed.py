@@ -25,7 +25,7 @@ from repro.utils.stats import empirical_cdf
 N_PAIRS = 12
 
 SPEC = ScenarioSpec(kind="testbed_pair", n_trials=N_PAIRS, seed=13,
-                    payload_bits=240, n_packets=6, max_rounds=4,
+                    payload_bits=240, n_packets=6,
                     params={"testbed_seed": 7})
 
 

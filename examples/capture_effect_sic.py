@@ -27,7 +27,7 @@ SINRS = [0.0, 4.0, 8.0, 12.0, 16.0]
 def main() -> None:
     runner = MonteCarloRunner()
     spec = ScenarioSpec(kind="capture", n_trials=3, seed=0,
-                        payload_bits=240, n_packets=6, max_rounds=4,
+                        payload_bits=240, n_packets=6,
                         params={"snr_b_db": 9.0})
 
     print("normalized throughput vs SINR (A strong, B weak):\n")

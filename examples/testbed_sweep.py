@@ -24,7 +24,7 @@ def main() -> None:
           "(paper: 80% / 8% / 12%)\n")
 
     spec = ScenarioSpec(kind="testbed_pair", n_trials=6, seed=13,
-                        payload_bits=240, n_packets=5, max_rounds=4,
+                        payload_bits=240, n_packets=5,
                         params={"testbed_seed": 7})
     result = MonteCarloRunner().run(spec)
 

@@ -85,10 +85,11 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
     """
     import numpy as np
 
-    from repro.phy.channel import ChannelParams
+    from repro.phy.channel import PHASE_NOISE_STD, ChannelParams
     from repro.phy.constellation import BPSK
     from repro.phy.frame import Frame
     from repro.phy.medium import Transmission, synthesize
+    from repro.phy.noise import NOISE_POWER
     from repro.phy.preamble import default_preamble
     from repro.phy.pulse import PulseShaper
     from repro.phy.sync import Synchronizer
@@ -101,7 +102,7 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
     rng = make_rng(seed)
     preamble = default_preamble(32)
     shaper = PulseShaper()
-    amplitude = np.sqrt(10.0 ** (snr_db / 10.0))
+    amplitude = np.sqrt(10.0 ** (snr_db / 10.0) * NOISE_POWER)
     frames = {
         "alice": Frame.make(random_bits(payload_bits, rng), src=1,
                             preamble=preamble),
@@ -113,7 +114,7 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
             gain=amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi)),
             freq_offset=float(rng.uniform(-2e-4, 2e-4)),
             sampling_offset=float(rng.uniform(0, 1)),
-            phase_noise_std=1e-3)
+            phase_noise_std=PHASE_NOISE_STD)
         for name in frames
     }
     captures = []
@@ -123,20 +124,18 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
                                        params["alice"], 0, "alice"),
              Transmission.from_symbols(frames["bob"].symbols, shaper,
                                        params["bob"], bob_offset, "bob")],
-            1.0, rng, leading=8, tail=40))
+            NOISE_POWER, rng, leading=8, tail=40))
     sync = Synchronizer(preamble, shaper, threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
             est = sync.acquire(capture.samples, t.symbol0,
-                               coarse_freq=params[t.label].freq_offset,
-                               noise_power=1.0)
+                               coarse_freq=params[t.label].freq_offset)
             placements.append(PlacementParams(
                 t.label, ci, t.symbol0 + est.sampling_offset, est))
     specs = {name: PacketSpec(name, frames[name].n_symbols, BPSK)
              for name in frames}
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=1.0)
+    config = StreamConfig(preamble=preamble, shaper=shaper)
     outcome = ZigZagMultiDecoder(config).decode(
         [c.samples for c in captures], specs, placements)
     return {

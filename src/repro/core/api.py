@@ -49,9 +49,9 @@ from itertools import permutations
 import numpy as np
 
 from repro.errors import CollisionDetectError, ConfigurationError, ReproError
-from repro.phy.constellation import get_constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
+from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble, default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
@@ -131,23 +131,26 @@ MATCH_WINDOW = 256
 # correlation (median ~0.1 at k = 2-4), which does not shrink with k
 # (docs/performance.md, "False identity matches").
 MATCH_THRESHOLD = 0.15
+# Age (in receive() calls) after which a stored collision is pruned.
+# 802.11 retransmissions arrive within a few receptions of the original
+# collision (§4.2.2), so a record this old can never match — it only
+# wastes buffer scans.
+BUFFER_MAX_AGE = 24
 
 
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Knobs of a ZigZag AP."""
 
+    # Frame extent in symbols of every packet on the air (the session's
+    # uniform frame length). It is authoritative for collision decoding:
+    # the PLCP-like header carries no checksum, so a header peeked
+    # *through* interference can parse into a plausible garbage length
+    # and poison the whole collision set.
+    expected_symbols: int
     preamble: Preamble = field(default_factory=default_preamble)
     shaper: PulseShaper = field(default_factory=PulseShaper)
-    noise_power: float = 1.0
     buffer_capacity: int = 4
-    # Age (in receive() calls) after which a stored collision is pruned.
-    # 802.11 retransmissions arrive within a few receptions of the
-    # original collision (§4.2.2), so a record this old can never match —
-    # it only wastes buffer scans. None disables age pruning (the
-    # pre-streaming behaviour); the streaming session driver enables it.
-    buffer_max_age: int | None = None
-    expected_symbols: int | None = None
     # Most packets a single collision may be decomposed into (the k of
     # §4.5). The default keeps the historical pairwise detector: weaker
     # third spikes on a two-packet collision are far more likely to be
@@ -163,8 +166,7 @@ class ReceiverConfig:
 
     def stream_config(self) -> StreamConfig:
         """The equivalent chunk-decoder configuration."""
-        return StreamConfig(preamble=self.preamble, shaper=self.shaper,
-                            noise_power=self.noise_power)
+        return StreamConfig(preamble=self.preamble, shaper=self.shaper)
 
 
 @dataclass
@@ -283,17 +285,16 @@ class StandardAp:
     decodes everything this AP decodes.
     """
 
-    def __init__(self, config: ReceiverConfig | None = None) -> None:
-        self.config = config or ReceiverConfig()
-        cfg = self.config
+    def __init__(self, config: ReceiverConfig) -> None:
+        self.config = config
         self.clients = ClientTable()
         self.stats = ReceiverStats()
-        self.detector = CollisionDetector(cfg.preamble, cfg.shaper,
+        self.detector = CollisionDetector(config.preamble, config.shaper,
                                           beta=COLLISION_BETA)
-        self.synchronizer = Synchronizer(cfg.preamble, cfg.shaper,
+        self.synchronizer = Synchronizer(config.preamble, config.shaper,
                                          threshold=COLLISION_BETA)
         self.standard = StandardDecoder(
-            cfg.preamble, cfg.shaper, noise_power=cfg.noise_power,
+            config.preamble, config.shaper, noise_power=NOISE_POWER,
             sync_threshold=SYNC_THRESHOLD)
 
     def receive(self, samples) -> list[DecodeResult]:
@@ -378,7 +379,7 @@ class StandardAp:
         if missing:
             fresh = self.synchronizer.acquire(
                 record.samples, position, coarse_freq=missing,
-                noise_power=self.config.noise_power, sampled=record.sampled)
+                sampled=record.sampled)
             memo.update(((position, f), est)
                         for f, est in zip(missing, fresh))
         return [memo[(position, f)] for f in candidates]
@@ -400,7 +401,7 @@ class StandardAp:
 class ZigZagReceiver(StandardAp):
     """A best-effort 802.11 AP receiver with ZigZag collision decoding."""
 
-    def __init__(self, config: ReceiverConfig | None = None) -> None:
+    def __init__(self, config: ReceiverConfig) -> None:
         super().__init__(config)
         cfg = self.config
         self.buffer = CollisionBuffer(cfg.buffer_capacity)
@@ -441,10 +442,7 @@ class ZigZagReceiver(StandardAp):
 
     def _prune_stale(self) -> None:
         """Age out stored collisions whose match window has passed."""
-        max_age = self.config.buffer_max_age
-        if max_age is None:
-            return
-        cutoff = self.stats.captures - max_age
+        cutoff = self.stats.captures - BUFFER_MAX_AGE
         self.stats.evictions_age += self.buffer.prune(
             lambda record: record.meta.get("rx", cutoff) >= cutoff)
 
@@ -466,30 +464,6 @@ class ZigZagReceiver(StandardAp):
                 start=peak.position + best.sampling_offset,
                 estimate=best))
         return placements
-
-    def _frame_symbols(self, probe: CollisionRecord) -> int | None:
-        """Frame extent in symbols for the packets of this collision.
-
-        When the deployment pins a uniform frame length
-        (``expected_symbols``, as the streaming session does) that is
-        authoritative: the PLCP-like header carries no checksum, so a
-        header peeked *through* interference can parse into a plausible
-        garbage length and poison the whole collision set. Without a
-        configured expectation, peek a standard decode at the packet
-        start (interference-free headers decode fine).
-        """
-        if self.config.expected_symbols is not None:
-            return self.config.expected_symbols
-        try:
-            result = self._decode_peak(probe, probe.peaks[0])
-        except ReproError:
-            result = DecodeResult.failure("peek failed")
-        if result.header is not None:
-            k = get_constellation(result.header.modulation).bits_per_symbol
-            tail = result.header.payload_bits + 32
-            return (len(self.config.preamble) + HEADER_BITS
-                    + (tail + k - 1) // k)
-        return None
 
     def _peak_alignment(self, record: CollisionRecord,
                         probe: CollisionRecord
@@ -791,10 +765,10 @@ class ZigZagReceiver(StandardAp):
     def _handle_collision(self,
                           probe: CollisionRecord) -> list[DecodeResult]:
         k = probe.n_peaks
-        n_symbols = self._frame_symbols(probe)
+        n_symbols = self.config.expected_symbols
 
         # (a) capture-effect SIC on this single collision (Fig 4-1e).
-        if n_symbols is not None and k == 2:
+        if k == 2:
             placements = self._acquire_placements(probe, probe.peaks, 0)
             gains = [abs(p.estimate.gain) for p in placements]
             if max(gains) > 2.5 * min(gains):
@@ -809,21 +783,19 @@ class ZigZagReceiver(StandardAp):
         # k-way set via the buffer's match graph when the collision holds
         # three or more packets, the classic newest-first pair scan for
         # two (each match attempted until one decodes).
-        if n_symbols is not None:
-            matches, alignments = self._direct_matches(probe)
-            if k >= 3 and matches:
-                results = self._try_multiway(probe, matches, alignments,
-                                             n_symbols)
+        matches, alignments = self._direct_matches(probe)
+        if k >= 3 and matches:
+            results = self._try_multiway(probe, matches, alignments,
+                                         n_symbols)
+            if results:
+                return results
+        elif k == 2:
+            for record in matches:
+                results = self._decode_collision_set(
+                    [record], {id(record): alignments[id(record)][1]},
+                    probe, n_symbols)
                 if results:
                     return results
-            elif k == 2:
-                for record in matches:
-                    results = self._decode_collision_set(
-                        [record],
-                        {id(record): alignments[id(record)][1]},
-                        probe, n_symbols)
-                    if results:
-                        return results
 
         # (c) no match: store and wait for the retransmissions.
         if len(self.buffer) == self.config.buffer_capacity:

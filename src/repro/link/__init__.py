@@ -5,7 +5,7 @@ The online system of §4.2.2/§4.4: a bounded-memory sample stream
 (:mod:`~repro.link.segmenter`), design-agnostic APs
 (:mod:`~repro.link.aps`) and the N-client closed-loop session, which
 runs its own event loop (:mod:`~repro.link.session`). The runner's
-``ap_stream`` and ``offered_load`` scenarios are built on
+``ap_stream`` and ``three_senders_stream`` scenarios are built on
 :class:`LinkSession`.
 """
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission, channel_waveform
-from repro.phy.noise import awgn
+from repro.phy.noise import NOISE_POWER, awgn
 
 __all__ = ["AirConfig", "ContinuousAir"]
 
@@ -29,7 +29,6 @@ __all__ = ["AirConfig", "ContinuousAir"]
 class AirConfig:
     """Knobs of the streamed medium."""
 
-    noise_power: float = 1.0
     chunk_samples: int = 2048
     # Optional AP front-end pipeline (clipping, quantization, IQ
     # imbalance, interferers), applied per chunk with the chunk's absolute
@@ -38,8 +37,6 @@ class AirConfig:
     impairments: ImpairmentPipeline | None = None
 
     def __post_init__(self) -> None:
-        if self.noise_power <= 0:
-            raise ConfigurationError("noise_power must be positive")
         if self.chunk_samples < 1:
             raise ConfigurationError("chunk_samples must be >= 1")
 
@@ -161,7 +158,7 @@ class ContinuousAir:
         if n < 1:
             raise ConfigurationError("emit needs a positive sample count")
         t0, t1 = self._cursor, self._cursor + n
-        chunk = awgn(n, self.config.noise_power, self.rng)
+        chunk = awgn(n, NOISE_POWER, self.rng)
         finished = []
         for slot, (start, wave) in enumerate(self._active):
             end = start + wave.size

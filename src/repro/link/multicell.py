@@ -5,7 +5,7 @@ of a :class:`~repro.testbed.deployment.Deployment` runs its own
 :class:`~repro.link.session.LinkSession` (own clients, own
 :class:`~repro.link.air.ContinuousAir`, own AP, own event loop), and a
 coordinator advances all sessions in lockstep windows of a common
-*event horizon* (a fixed number of air chunks). At each horizon
+*event horizon* (:data:`HORIZON_CHUNKS` air chunks). At each horizon
 boundary the cells exchange inter-cell interference: every waveform
 scheduled during the window is injected into each other cell whose AP
 hears that client (the one hearing rule,
@@ -35,7 +35,7 @@ horizon boundaries rather than per sample:
 
 - interference that reaches into air a victim cell already emitted is
   clipped at the victim's cursor (counted in ``samples_clipped``);
-  shrink ``horizon_chunks`` to tighten the exchange;
+  a shorter horizon would tighten the exchange;
 - cross-cell *carrier sense* is not modeled — by construction a
   deployment's cells are separated beyond carrier-sense range, so
   cross-cell energy appears at the victim **AP** as decode-degrading
@@ -53,19 +53,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.link.session import LinkSession, SessionReport
+from repro.link.session import CHUNK_SAMPLES, LinkSession, SessionReport
 
-__all__ = ["CellGroup", "MultiCellConfig", "MultiCellReport",
-           "MultiCellSession", "apply_injection"]
+__all__ = ["HORIZON_CHUNKS", "CellGroup", "MultiCellConfig",
+           "MultiCellReport", "MultiCellSession", "apply_injection"]
+
+# Horizon window length, in air chunks: sessions run independently
+# inside a window and exchange interference at its end.
+HORIZON_CHUNKS = 4
 
 
 @dataclass(frozen=True)
 class MultiCellConfig:
     """Knobs of the coordinator."""
 
-    # Horizon window length, in air chunks: sessions run independently
-    # inside a window and exchange interference at its end.
-    horizon_chunks: int = 4
     # Cell worker processes: 1 steps every cell sequentially in this
     # process, N > 1 pins cells to N persistent workers that step each
     # window concurrently (see repro.link.parallel), 0 means one worker
@@ -81,8 +82,6 @@ class MultiCellConfig:
     faults: object | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon_chunks < 1:
-            raise ConfigurationError("horizon_chunks must be >= 1")
         if self.workers < 0:
             raise ConfigurationError("workers must be >= 0 (0 = auto)")
         if self.step_timeout_s <= 0:
@@ -316,9 +315,7 @@ class MultiCellSession:
             self.cells.append(_CellRuntime(
                 index=len(self.cells), plan=plan, session=session,
                 lookup=lookup))
-        # The shared horizon rides the largest chunk size in the block.
-        chunk = max(rt.session.config.chunk_samples for rt in self.cells)
-        self.horizon = self.config.horizon_chunks * chunk
+        self.horizon = HORIZON_CHUNKS * CHUNK_SAMPLES
         self.counters: dict[str, float] = {
             "windows": 0, "injections": 0, "injections_skipped": 0,
             "samples_injected": 0, "samples_clipped": 0,

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.phy.noise import NOISE_POWER
 
 __all__ = ["SegmenterConfig", "Burst", "BurstSegmenter"]
 
-# Energy hysteresis, relative to the known noise floor: an OPEN_WINDOW
-# mean of OPEN_FACTOR × noise opens a burst, a HANG_WINDOW mean below
-# CLOSE_FACTOR × noise closes it (0 < CLOSE_FACTOR < OPEN_FACTOR).
+# Energy hysteresis, relative to the known noise floor (NOISE_POWER): an
+# OPEN_WINDOW mean of OPEN_FACTOR × noise opens a burst, a HANG_WINDOW
+# mean below CLOSE_FACTOR × noise closes it (0 < CLOSE_FACTOR <
+# OPEN_FACTOR).
 OPEN_FACTOR = 3.0
 CLOSE_FACTOR = 1.8
 OPEN_WINDOW = 16
@@ -36,14 +38,11 @@ PAD = 16
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    """The noise floor the hysteresis is relative to, and the burst cap."""
+    """The burst cap."""
 
-    noise_power: float = 1.0
     max_burst_samples: int = 1 << 17
 
     def __post_init__(self) -> None:
-        if self.noise_power <= 0:
-            raise ConfigurationError("noise_power must be positive")
         if self.max_burst_samples < 4 * HANG_WINDOW:
             raise ConfigurationError("max_burst_samples too small")
 
@@ -116,9 +115,9 @@ class BurstSegmenter:
         carry = joined.size - chunk.size      # history samples prepended
         power = np.abs(joined) ** 2
         open_cond = (self._causal_mean(power, OPEN_WINDOW, chunk.size)
-                     >= OPEN_FACTOR * cfg.noise_power)
+                     >= OPEN_FACTOR * NOISE_POWER)
         close_cond = (self._causal_mean(power, HANG_WINDOW, chunk.size)
-                      < CLOSE_FACTOR * cfg.noise_power)
+                      < CLOSE_FACTOR * NOISE_POWER)
 
         out: list[Burst] = []
         i = 0

@@ -45,7 +45,7 @@ Timing follows slotted 802.11 MAC semantics:
   longer sensed at ``t``.
 
 A packet's terminal fate is decided here and nowhere else: ACK
-delivery, the ``max_attempts`` drop, and :meth:`LinkSession.finish` at
+delivery, the :data:`MAX_ATTEMPTS` drop, and :meth:`LinkSession.finish` at
 the runaway cap.
 """
 
@@ -83,18 +83,27 @@ from repro.link.segmenter import (
 from repro.link.topology import Topology
 from repro.mac.ack import plan_synchronous_acks
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
-from repro.mac.timing import TIMING_80211G
-from repro.phy.channel import ChannelParams
+from repro.mac.timing import SLOT_SAMPLES, TIMING_80211G
+from repro.phy.channel import PHASE_NOISE_STD, TX_EVM, ChannelParams
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission
+from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble, default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import random_bits
 
-__all__ = ["StreamClient", "SessionConfig", "SessionReport", "LinkSession"]
+__all__ = ["CHUNK_SAMPLES", "MAX_ATTEMPTS", "StreamClient", "SessionConfig",
+           "SessionReport", "LinkSession"]
+
+# Transmissions per packet before the sender drops it.
+MAX_ATTEMPTS = 6
+# Samples the medium advances per air chunk: the segmenter's and the
+# multi-cell coordinator's step.
+CHUNK_SAMPLES = 1024
+
 
 @dataclass(frozen=True)
 class StreamClient:
@@ -121,13 +130,8 @@ class SessionConfig:
 
     payload_bits: int = 240
     n_packets: int = 6               # packets per client
-    max_attempts: int = 6            # transmissions per packet before drop
-    noise_power: float = 1.0
-    slot_samples: int = 20
     backoff: BackoffPicker = field(
         default_factory=lambda: FixedWindowBackoff(16))
-    phase_noise_std: float = 1e-3
-    tx_evm: float = 0.03
     # Who senses whom (:class:`~repro.link.topology.Topology`:
     # explicit hidden pairs/cliques, one shared sense probability, or
     # derived from a deployment's geometry), fixed for the session. The
@@ -138,19 +142,14 @@ class SessionConfig:
     # probabilistic topologies keep the pairwise default unless this is
     # set.
     max_collision_packets: int | None = None
-    modulation: str = "bpsk"
     preamble_length: int = 32
-    chunk_samples: int = 1024
-    buffer_max_age: int = 24         # receiver prunes older stored collisions
     sender_impairments: ImpairmentPipeline | None = None
     capture_impairments: ImpairmentPipeline | None = None
     max_samples: int | None = None             # safety cap; None: derived
 
     def __post_init__(self) -> None:
-        if self.n_packets < 1 or self.max_attempts < 1:
+        if self.n_packets < 1:
             raise ConfigurationError("counts must be positive")
-        if self.slot_samples < 1 or self.chunk_samples < 1:
-            raise ConfigurationError("sample counts must be positive")
         if self.max_collision_packets is not None \
                 and self.max_collision_packets < 2:
             raise ConfigurationError(
@@ -254,41 +253,36 @@ class LinkSession:
         self.shaper = shaper or PulseShaper()
 
         # Sample-clocked 802.11 timing.
-        spu = config.slot_samples / TIMING_80211G.slot_us
+        spu = SLOT_SAMPLES / TIMING_80211G.slot_us
         self.sifs = max(1, round(TIMING_80211G.sifs_us * spu))
         self.ack_air = max(1, round(TIMING_80211G.ack_us * spu))
 
         # Every packet in a session is the same length: probe it once.
         probe = Frame.make(np.zeros(config.payload_bits, dtype=np.uint8),
-                           src=1, modulation=config.modulation,
-                           preamble=self.preamble)
+                           src=1, preamble=self.preamble)
         self.packet_samples = self.shaper.shape(probe.symbols).size
         self.expected_symbols = probe.n_symbols
 
-        seg_cfg = SegmenterConfig(noise_power=config.noise_power)
         # Worst-case ACK lag: the colliding partner may finish up to a
         # contention window later, the segmenter closes a hang window
         # after silence, and the burst is only processed at the next
         # chunk boundary.
-        jitter = config.backoff.window(0) * config.slot_samples
+        jitter = config.backoff.window(0) * SLOT_SAMPLES
         self.ack_timeout = (jitter + HANG_WINDOW
-                            + config.chunk_samples + self.sifs
-                            + self.ack_air + 4 * config.slot_samples)
+                            + CHUNK_SAMPLES + self.sifs
+                            + self.ack_air + 4 * SLOT_SAMPLES)
 
         self.air = ContinuousAir(
-            AirConfig(noise_power=config.noise_power,
-                      chunk_samples=config.chunk_samples,
+            AirConfig(chunk_samples=CHUNK_SAMPLES,
                       impairments=config.capture_impairments), self.rng)
-        self.segmenter = BurstSegmenter(seg_cfg)
+        self.segmenter = BurstSegmenter(SegmenterConfig())
         # k-way reception: the AP decomposes collisions into as many
         # packets as the topology's largest mutually-hidden group, and
         # buffers enough collisions to assemble a full k-way set.
         k = config.collision_packets()
         self.ap = build_ap(design, ReceiverConfig(
-            preamble=self.preamble, shaper=self.shaper,
-            noise_power=config.noise_power,
             expected_symbols=self.expected_symbols,
-            buffer_max_age=config.buffer_max_age,
+            preamble=self.preamble, shaper=self.shaper,
             buffer_capacity=max(4, 2 * (k - 1)),
             max_collision_packets=k))
 
@@ -324,8 +318,8 @@ class LinkSession:
 
         # The event loop.
         self.q = EventQueue()
-        self.slot = config.slot_samples
-        self.chunk = config.chunk_samples
+        self.slot = SLOT_SAMPLES
+        self.chunk = CHUNK_SAMPLES
         self.now = 0
         self.timed_out = False
         # Client list index -> (start, tx_end) of its in-flight waveform.
@@ -478,15 +472,15 @@ class LinkSession:
         if cfg.max_samples is not None:
             return cfg.max_samples
         per_attempt = (self.packet_samples + self.ack_timeout
-                       + cfg.backoff.window(0) * cfg.slot_samples)
+                       + cfg.backoff.window(0) * SLOT_SAMPLES)
         total_attempts = (len(self.clients) * cfg.n_packets
-                          * cfg.max_attempts)
+                          * MAX_ATTEMPTS)
         loads = [c.client.offered_load for c in self.clients
                  if c.client.offered_load is not None]
         arrival_span = (cfg.n_packets * self.packet_samples / min(loads)
                         if loads else 0)
         return (2 * total_attempts * per_attempt + int(2 * arrival_span)
-                + 8 * cfg.chunk_samples)
+                + 8 * CHUNK_SAMPLES)
 
     def _boundary(self, t: int) -> int:
         """Smallest slot-grid boundary >= *t* (where a slotted MAC first
@@ -700,7 +694,7 @@ class LinkSession:
             return
         self.counters["ack_timeouts"] += 1
         client.attempt += 1
-        if client.attempt >= self.config.max_attempts:
+        if client.attempt >= MAX_ATTEMPTS:
             self.counters["packets_dropped"] += 1
             self._resolve(client, now)
         else:
@@ -716,7 +710,6 @@ class LinkSession:
         payload = random_bits(self.config.payload_bits, self.rng)
         client.frame = Frame.make(payload, src=client.client.src,
                                   seq=client.seq % 4096,
-                                  modulation=self.config.modulation,
                                   preamble=self.preamble)
         # Every attempt sends the same waveform, and shaping draws no
         # randomness: shape once per packet. Read-only, as it is shared.
@@ -736,13 +729,13 @@ class LinkSession:
         """Put *client*'s frame on the air with a fresh channel draw."""
         cfg = self.config
         amplitude = np.sqrt(10.0 ** (client.client.snr_db / 10.0)
-                            * cfg.noise_power)
+                            * NOISE_POWER)
         params = ChannelParams(
             gain=amplitude * np.exp(1j * self.rng.uniform(0, 2 * np.pi)),
             freq_offset=client.client.freq_offset,
             sampling_offset=float(self.rng.uniform(0, 1)),
-            phase_noise_std=cfg.phase_noise_std,
-            tx_evm=cfg.tx_evm,
+            phase_noise_std=PHASE_NOISE_STD,
+            tx_evm=TX_EVM,
             impairments=cfg.sender_impairments,
         )
         tx = Transmission.from_waveform(

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
-from repro.mac.timing import TIMING_80211G, Timing
+from repro.mac.timing import SLOT_SAMPLES
 
 __all__ = ["HiddenScenario"]
 
@@ -30,9 +30,7 @@ class HiddenScenario:
     """
 
     n_senders: int = 2
-    slot_samples: int = 20
     picker: BackoffPicker = field(default_factory=lambda: FixedWindowBackoff(16))
-    timing: Timing = TIMING_80211G
 
     def __post_init__(self) -> None:
         if self.n_senders < 2:
@@ -51,5 +49,5 @@ class HiddenScenario:
         for r in range(n_rounds):
             slots = [self.picker.pick(r, rng) for _ in range(self.n_senders)]
             base = min(slots)
-            rounds.append([(s - base) * self.slot_samples for s in slots])
+            rounds.append([(s - base) * SLOT_SAMPLES for s in slots])
         return rounds

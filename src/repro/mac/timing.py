@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Timing", "TIMING_80211A", "TIMING_80211B", "TIMING_80211G"]
+__all__ = ["SLOT_SAMPLES", "Timing", "TIMING_80211A", "TIMING_80211B",
+           "TIMING_80211G"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +55,7 @@ TIMING_80211A = Timing("802.11a", slot_us=9.0, sifs_us=16.0, ack_us=24.0,
 # Classic 802.11b DSSS timing.
 TIMING_80211B = Timing("802.11b", slot_us=20.0, sifs_us=10.0, ack_us=112.0,
                        cw_min=32, cw_max=1024)
+
+# One 802.11g slot on the simulated sample clock: every MAC jitter,
+# SIFS, ACK and backoff duration is scaled onto samples through it.
+SLOT_SAMPLES = 20

@@ -21,10 +21,24 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.isi import IsiFilter
-from repro.phy.noise import db_to_linear
+from repro.phy.noise import NOISE_POWER, db_to_linear
 from repro.phy.resample import FractionalDelay
 
-__all__ = ["ChannelParams", "Channel"]
+__all__ = ["FREQ_SPREAD", "PHASE_NOISE_STD", "TX_EVM", "ChannelParams",
+           "Channel"]
+
+# The one sender radio model of every simulated experiment: oscillator
+# phase-noise step (radians per symbol) and transmitter EVM.
+PHASE_NOISE_STD = 1e-3
+TX_EVM = 0.03
+# Carrier frequency offsets are drawn uniformly from +/- this many
+# cycles per sample. Real 802.11 oscillators are specified to +/-20 ppm;
+# at the paper's 500 kb/s BPSK and 2 samples/symbol that is up to ~5e-2
+# cycles/sample. A few 1e-3 keeps the inter-sender *relative* carrier
+# rotating through all alignments within one packet — without it, short
+# BPSK collisions can luck into quadrature and survive, which real
+# hardware never does.
+FREQ_SPREAD = 4e-3
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,8 @@ class ChannelParams:
                                tuple(complex(t) for t in self.isi_taps))
 
     @classmethod
-    def from_snr_db(cls, snr_db_value: float, *, noise_power: float = 1.0,
+    def from_snr_db(cls, snr_db_value: float, *,
+                    noise_power: float = NOISE_POWER,
                     phase: float = 0.0, **kwargs) -> "ChannelParams":
         """Gain magnitude chosen so a unit-power signal has the given SNR."""
         magnitude = np.sqrt(db_to_linear(snr_db_value) * noise_power)

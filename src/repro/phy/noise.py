@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "NOISE_POWER",
     "awgn",
     "signal_power",
     "snr_db",
@@ -24,6 +25,10 @@ __all__ = [
     "ebn0_db_to_snr_db",
     "snr_db_to_ebn0_db",
 ]
+
+# Complex receiver noise power of every simulated capture: the paper
+# quotes SNRs, so all link budgets are relative to unit noise.
+NOISE_POWER = 1.0
 
 
 def db_to_linear(value_db: float) -> float:

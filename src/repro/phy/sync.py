@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import CollisionDetectError, ConfigurationError
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
+from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble
 from repro.phy.pulse import MatchedSampler, PulseShaper
 
@@ -271,7 +272,7 @@ class Synchronizer:
     # Acquisition (§4.2.4)
     # ------------------------------------------------------------------
     def acquire(self, signal, position: int, *, coarse_freq=0.0,
-                noise_power: float = 1.0, n_segments: int = 4,
+                noise_power: float = NOISE_POWER, n_segments: int = 4,
                 refine_freq: bool = False, sampled: dict | None = None,
                 ) -> ChannelEstimate | list[ChannelEstimate]:
         """Estimate (mu, freq offset, gain, SNR) at a detected packet start.

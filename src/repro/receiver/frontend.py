@@ -27,6 +27,7 @@ from repro.phy.constellation import BPSK, Constellation
 from repro.phy.equalizer import LmsEqualizer
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
+from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble
 from repro.phy.pulse import MatchedSampler, PulseShaper
 from repro.phy.tracking import PhaseTracker
@@ -49,7 +50,7 @@ class StreamConfig:
 
     preamble: Preamble
     shaper: PulseShaper = PulseShaper()
-    noise_power: float = 1.0
+    noise_power: float = NOISE_POWER
     track_phase: bool = True
     use_equalizer: bool = True
 

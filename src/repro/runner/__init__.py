@@ -4,7 +4,7 @@ Every figure in the paper is a Monte-Carlo sweep over collision
 scenarios. This subsystem turns those sweeps into data, declaratively:
 
 - :mod:`repro.runner.spec` — :class:`ScenarioSpec`, a declarative
-  description of a collision scenario (senders, channel, backoff, design
+  description of a collision scenario (senders, impairments, backoff, design
   under test) loadable from TOML;
 - :mod:`repro.runner.seeding` — deterministic, spawn-safe per-trial
   seeding built on :class:`numpy.random.SeedSequence`;
@@ -57,7 +57,6 @@ from repro.runner.scenarios import (
 from repro.runner.seeding import trial_rng, trial_seed, trial_seed_sequence
 from repro.runner.spec import (
     BackoffSpec,
-    ChannelSpec,
     ImpairmentsSpec,
     ScenarioSpec,
     SenderSpec,
@@ -66,7 +65,6 @@ from repro.runner.spec import (
 
 __all__ = [
     "BackoffSpec",
-    "ChannelSpec",
     "CheckpointJournal",
     "FailurePolicy",
     "FaultSpec",

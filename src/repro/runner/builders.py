@@ -32,11 +32,12 @@ from repro.link import (
     StreamClient,
     Topology,
 )
-from repro.phy.channel import ChannelParams
+from repro.phy.channel import FREQ_SPREAD, PHASE_NOISE_STD, ChannelParams
 from repro.phy.constellation import BPSK
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
+from repro.phy.noise import NOISE_POWER
 from repro.phy.sync import Synchronizer
 from repro.runner.cache import (
     cached_preamble,
@@ -48,15 +49,16 @@ from repro.testbed.deployment import CellPlan, Deployment
 from repro.utils.bits import random_bits
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
-__all__ = ["STREAM_CLIENT_NAMES", "build_cell_session",
-           "build_city_session", "build_stream_session", "get_deployment",
-           "hidden_pair_scenario"]
+__all__ = ["CELL_MAX_COLLISION_PACKETS", "STREAM_CLIENT_NAMES",
+           "build_cell_session", "build_city_session",
+           "build_stream_session", "get_deployment", "hidden_pair_scenario"]
 
 
 def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
                          payload_bits=200, offsets=(160, 64),
-                         phase_noise=1e-3, noise_power=1.0,
-                         freq_spread=4e-3, oracle=False,
+                         phase_noise=PHASE_NOISE_STD,
+                         noise_power=NOISE_POWER,
+                         freq_spread=FREQ_SPREAD, oracle=False,
                          snr_b_db=None, sender_impairments=None,
                          capture_impairments=None):
     """Build two collisions of the same (Alice, Bob) packet pair.
@@ -184,35 +186,42 @@ def _stream_topology(spec) -> Topology:
         _parse_hidden_cliques(cliques) if cliques is not None else None)
 
 
+# [params] keys the streaming sessions reject, with the reason:
+# [params] is free-form, so a stale key would otherwise be silently
+# ignored.
+_RETIRED_PARAMS = {
+    "engine": "the slot-clocked session core was removed and every "
+              "session runs on the event core",
+    "max_attempts": "the retry limit is repro.link.session.MAX_ATTEMPTS",
+    "chunk_samples": "the air chunk is repro.link.session.CHUNK_SAMPLES",
+    "buffer_max_age": "the collision-buffer age limit is "
+                      "repro.core.api.BUFFER_MAX_AGE",
+    "max_collision_packets": "sessions derive k from their topology",
+}
+# The k a generated cell resolves at most: big derived cells can contain
+# large hidden cliques, and k-way resolution cost grows with k.
+CELL_MAX_COLLISION_PACKETS = 4
+
+
 def _spec_session(spec, rng: np.random.Generator, design: str,
                   clients: list[StreamClient], topology: Topology,
                   max_collision_packets: int | None) -> LinkSession:
     """The one spec→:class:`~repro.link.LinkSession` path: session knobs
-    from the spec's scenario, ``[channel]``, ``[backoff]``,
-    ``[impairments]`` and ``[params]`` tables."""
-    if spec.param("engine") is not None:
-        # [params] is free-form, so a stale key would otherwise be
-        # silently ignored.
-        raise ConfigurationError(
-            "params.engine is no longer accepted: the slot-clocked "
-            "session core was removed and every session runs on the "
-            "event core; drop the key")
+    from the spec's scenario, ``[backoff]`` and ``[impairments]``
+    tables."""
+    for key, reason in _RETIRED_PARAMS.items():
+        if spec.param(key) is not None:
+            raise ConfigurationError(
+                f"params.{key} is no longer accepted: {reason}; "
+                "drop the key")
     imp = spec.impairments
     config = SessionConfig(
         payload_bits=spec.payload_bits,
         n_packets=spec.n_packets,
-        max_attempts=int(spec.param("max_attempts", 6)),
-        noise_power=spec.channel.noise_power,
-        slot_samples=spec.slot_samples,
         backoff=spec.backoff.build(),
-        phase_noise_std=spec.channel.phase_noise_std,
-        tx_evm=spec.channel.tx_evm,
         topology=topology,
         max_collision_packets=max_collision_packets,
-        modulation=spec.modulation,
         preamble_length=spec.preamble_length,
-        chunk_samples=int(spec.param("chunk_samples", 1024)),
-        buffer_max_age=int(spec.param("buffer_max_age", 24)),
         sender_impairments=(imp.sender_pipeline() if imp.sender else None),
         capture_impairments=(imp.capture_pipeline() if imp.capture
                              else None),
@@ -222,29 +231,31 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
                        shaper=cached_shaper())
 
 
-def build_stream_session(spec, rng: np.random.Generator, design: str,
-                         default_load: float | None = None) -> LinkSession:
+def build_stream_session(spec, rng: np.random.Generator,
+                         design: str) -> LinkSession:
     """A :class:`~repro.link.LinkSession` from a declarative spec.
 
     Clients come from the spec's ``[[sender]]`` entries (name, SNR,
     optional fixed ``freq_offset`` and per-client ``offered_load``); with
     none declared, ``params.n_clients`` (default 3) symmetric clients
-    named A, B, C, ... at ``params.snr_db`` are created. Frequency
-    offsets not pinned by the spec are drawn from ± ``channel.
-    freq_spread`` with *rng* — build the two compared designs' sessions
-    from identically-seeded generators for common random numbers.
+    named A, B, C, ... at ``params.snr_db`` are created. A client
+    without its own ``offered_load`` offers ``params.offered_load``, or
+    is saturated when that is unset too. Frequency offsets not pinned by
+    the spec are drawn from ± :data:`~repro.phy.channel.FREQ_SPREAD`
+    with *rng* — build the two compared designs' sessions from
+    identically-seeded generators for common random numbers.
 
     Recognized ``[params]`` extras: ``n_clients``, ``snr_db``,
-    ``max_attempts``, ``chunk_samples``, ``buffer_max_age``,
-    ``hidden_pairs`` (e.g. ``"A:B"``; every unlisted pair then senses
-    perfectly), ``hidden_cliques`` (e.g. ``"A:B:C"``: groups of
-    mutually-hidden clients, enabling the AP's k-way collision
-    resolution; either list excludes a nonzero ``sense_probability``),
-    ``max_collision_packets`` (override the derived k) and
-    ``offered_load`` (via *default_load*). ``engine`` is rejected: the
-    slot-clocked core it selected was removed.
+    ``offered_load``, ``hidden_pairs`` (e.g. ``"A:B"``; every unlisted
+    pair then senses perfectly) and ``hidden_cliques`` (e.g.
+    ``"A:B:C"``: groups of mutually-hidden clients, enabling the AP's
+    k-way collision resolution, whose k the session derives from them);
+    either list excludes a nonzero ``sense_probability``. Retired session keys
+    (``engine``, ``max_attempts``, ``chunk_samples``,
+    ``buffer_max_age``, ``max_collision_packets``) are rejected.
     """
-    spread = spec.channel.freq_spread
+    load = spec.param("offered_load")
+    default_load = float(load) if load is not None else None
     if spec.senders:
         entries = [(s.name, s.snr_db, s.freq_offset,
                     s.offered_load if s.offered_load is not None
@@ -262,13 +273,12 @@ def build_stream_session(spec, rng: np.random.Generator, design: str,
         StreamClient(
             name=name, src=i + 1, snr_db=snr,
             freq_offset=(freq if freq is not None
-                         else float(rng.uniform(-spread, spread))),
+                         else float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD))),
             offered_load=load)
         for i, (name, snr, freq, load) in enumerate(entries)
     ]
-    max_k = spec.param("max_collision_packets")
     return _spec_session(spec, rng, design, clients, _stream_topology(spec),
-                         int(max_k) if max_k is not None else None)
+                         None)
 
 
 # ----------------------------------------------------------------------
@@ -307,20 +317,16 @@ def build_cell_session(spec, rng: np.random.Generator, design: str,
     waveforms (:func:`build_city_session`).
     """
     dep = spec.deployment
-    spread = spec.channel.freq_spread
     clients = [
         StreamClient(
             name=name, src=src, snr_db=snr,
-            freq_offset=float(rng.uniform(-spread, spread)),
+            freq_offset=float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
             offered_load=dep.client_offered_load(index))
         for name, src, snr, index
         in zip(plan.names, plan.srcs, plan.snr_db, plan.clients)
     ]
     topology = Topology.from_cell(plan)
-    # Big derived cells can contain large hidden cliques; cap the AP's
-    # k-way resolution cost unless the spec raises it explicitly.
-    max_k = min(topology.collision_packets(),
-                int(spec.param("max_collision_packets", 4)))
+    max_k = min(topology.collision_packets(), CELL_MAX_COLLISION_PACKETS)
     return _spec_session(spec, rng, design, clients, topology, max_k)
 
 
@@ -337,7 +343,6 @@ def build_city_session(spec, rng: np.random.Generator,
     (``repro.link.parallel``), with bit-identical results.
     """
     deployment = get_deployment(spec)
-    dep = spec.deployment
     cells = []
     for plan in deployment.cells():
         cell_rng = np.random.default_rng(int(rng.integers(1 << 63)))
@@ -346,7 +351,6 @@ def build_city_session(spec, rng: np.random.Generator,
     return MultiCellSession(
         deployment, cells,
         config=MultiCellConfig(
-            horizon_chunks=dep.horizon_chunks,
-            workers=dep.coupled_workers,
+            workers=spec.deployment.coupled_workers,
             faults=(spec.faults if not spec.faults.is_empty else None)),
         rng=np.random.default_rng(int(rng.integers(1 << 63))))

@@ -12,7 +12,7 @@ Commands::
 ``run`` executes one scenario file and prints a metric table (mean, 95%
 CI per metric) plus merged per-flow counters. ``sweep`` re-runs the
 scenario along a parameter grid and prints one row per grid point.
-``--set`` applies dotted-path overrides (``channel.noise_power=0.5``,
+``--set`` applies dotted-path overrides (``backoff.cw=32``,
 ``sender.alice.snr_db=14``, ``params.sinr_db=8``) before running.
 
 ``--checkpoint PATH`` journals completed trials to a JSONL file as they

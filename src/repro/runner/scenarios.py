@@ -24,9 +24,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.mac.hidden import HiddenScenario
-from repro.phy.channel import ChannelParams
+from repro.phy.channel import FREQ_SPREAD, PHASE_NOISE_STD, ChannelParams
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.medium import Transmission, synthesize
+from repro.phy.noise import NOISE_POWER
 from repro.phy.sync import Synchronizer
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
@@ -210,19 +211,11 @@ def _fairness_ratio(values) -> float:
 
 
 def _experiment_config(spec: ScenarioSpec) -> PairExperimentConfig:
-    ch = spec.channel
     imp = spec.impairments
     return PairExperimentConfig(
         payload_bits=spec.payload_bits,
         n_packets=spec.n_packets,
-        max_rounds=spec.max_rounds,
-        noise_power=ch.noise_power,
-        slot_samples=spec.slot_samples,
         backoff=spec.backoff.build(),
-        phase_noise_std=ch.phase_noise_std,
-        tx_evm=ch.tx_evm,
-        freq_spread=ch.freq_spread,
-        modulation=spec.modulation,
         preamble_length=spec.preamble_length,
         sender_impairments=(imp.sender_pipeline()
                             if imp.sender else None),
@@ -299,13 +292,11 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     rng = ctx.rng
     preamble = cached_preamble(spec.preamble_length)
     shaper = cached_shaper()
-    noise_power = spec.channel.noise_power
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=noise_power)
+    config = StreamConfig(preamble=preamble, shaper=shaper)
     snr_db = float(spec.param("snr_db", 10.0))
     captures, frames, specs, placements = hidden_pair_scenario(
         rng, preamble, shaper, snr_db=snr_db,
-        payload_bits=spec.payload_bits, noise_power=noise_power)
+        payload_bits=spec.payload_bits)
     metrics = {}
     for use_backward, key in ((False, "ber_fwd"), (True, "ber_both")):
         outcome = ZigZagMultiDecoder(
@@ -320,20 +311,19 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     free = []
     for name, frame in frames.items():
         params = ChannelParams(
-            gain=np.sqrt(10 ** (snr_db / 10) * noise_power)
+            gain=np.sqrt(10 ** (snr_db / 10) * NOISE_POWER)
             * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-            freq_offset=float(rng.uniform(-4e-3, 4e-3)),
+            freq_offset=float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
             sampling_offset=float(rng.uniform(0, 1)),
-            phase_noise_std=1e-3)
+            phase_noise_std=PHASE_NOISE_STD)
         cap = synthesize([Transmission.from_symbols(
-            frame.symbols, shaper, params, 0, "x")], noise_power, rng,
+            frame.symbols, shaper, params, 0, "x")], NOISE_POWER, rng,
             leading=8, tail=30)
         t = cap.transmissions[0]
         est = sync.acquire(
             cap.samples, t.symbol0,
             coarse_freq=params.freq_offset
-            + rng.normal(0, COARSE_FREQ_ERROR),
-            noise_power=noise_power)
+            + rng.normal(0, COARSE_FREQ_ERROR))
         stream = SymbolStreamDecoder(
             config, est, t.symbol0 + est.sampling_offset)
         chunk = stream.decode_chunk(cap.samples, frame.n_symbols)
@@ -358,8 +348,7 @@ def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     n_senders = int(spec.param("n_senders", 3))
     n_symbols = int(spec.param("n_symbols", 600))
     picker = spec.backoff.build()
-    hidden = HiddenScenario(n_senders=n_senders,
-                            slot_samples=spec.slot_samples, picker=picker)
+    hidden = HiddenScenario(n_senders=n_senders, picker=picker)
     names = [f"s{i}" for i in range(n_senders)]
     rounds = hidden.collision_offsets(rng, n_senders)
     placements = [
@@ -456,17 +445,23 @@ def _run_both_designs(seed: int, build: Callable) -> tuple[dict, dict, dict]:
     return reports, metrics, flows
 
 
-def _stream_designs_trial(spec: ScenarioSpec, ctx: TrialContext,
-                          default_load: float | None) -> TrialResult:
-    """One closed-loop soak under BOTH AP designs, common random numbers.
+@scenario("ap_stream", designs=None, impairments=True)
+def ap_stream_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
+    """N-client closed-loop streaming soak: ZigZag AP vs current 802.11.
 
-    The per-client metrics describe the ZigZag session — the design
-    under study — while aggregate throughput/loss/delivered pairs
-    compare it with the Current-802.11 AP on the same scenario.
+    Continuous air, streaming burst segmentation, live ACK/retransmission
+    feedback (§4.2.2, §4.4) — the paper's online system rather than
+    hand-built collision pairs. Each client offers its ``[[sender]]``
+    ``offered_load`` (Poisson arrivals), else ``params.offered_load``,
+    else is saturated; sweep ``--param offered_load=0.2:1.0:0.2`` for
+    the classic S-vs-G curves. Topology via ``params.hidden_pairs``
+    (e.g. ``"A:B"``) or ``sense_probability``. Both AP designs run on
+    common random numbers: per-client throughput/loss describe the
+    ZigZag session, and aggregate
+    ``throughput/delivered/loss_{zigzag,80211}`` pairs compare the two.
     """
     reports, metrics, flows = _run_both_designs(
-        ctx.seed, lambda rng, design: build_stream_session(
-            spec, rng, design, default_load=default_load))
+        ctx.seed, lambda rng, design: build_stream_session(spec, rng, design))
     zz = reports["zigzag"]
     for name in zz.flows:
         metrics[f"throughput_{name}"] = zz.throughput(name)
@@ -488,28 +483,14 @@ def _stream_designs_trial(spec: ScenarioSpec, ctx: TrialContext,
                        airtime=zz.airtime_packets, extra=extra)
 
 
-@scenario("ap_stream", designs=None, impairments=True)
-def ap_stream_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
-    """N-client closed-loop streaming soak: ZigZag AP vs current 802.11.
-
-    Continuous air, streaming burst segmentation, live ACK/retransmission
-    feedback (§4.2.2, §4.4) — the paper's online system rather than
-    hand-built collision pairs. Saturated clients unless the spec sets
-    per-sender ``offered_load``. Topology via ``params.hidden_pairs``
-    (e.g. ``"A:B"``) or ``sense_probability``. Metrics: per-client
-    throughput/loss (ZigZag session) plus aggregate
-    ``throughput/delivered/loss_{zigzag,80211}`` comparison pairs.
-    """
-    return _stream_designs_trial(spec, ctx, default_load=None)
-
-
 @scenario("three_senders_stream", designs=("zigzag",), impairments=True)
 def three_senders_stream_trial(spec: ScenarioSpec,
                                ctx: TrialContext) -> TrialResult:
     """Fig 5-9 through the online AP: n mutually-hidden streaming senders.
 
-    ``params.n_senders`` (default 3) saturated clients form one hidden
-    clique over continuous air; each collision then carries all n
+    ``params.n_senders`` (default 3) clients, saturated unless
+    ``params.offered_load`` is set, form one hidden clique over
+    continuous air; each collision then carries all n
     packets, and the closed-loop ZigZag AP resolves the k-way collision
     sets assembled from its buffer's match graph (§4.5), with real
     segmentation, matching, ACKs and retransmissions. Metrics: per-sender
@@ -566,20 +547,6 @@ def three_senders_stream_trial(spec: ScenarioSpec,
                        flows=dict(report.flows),
                        airtime=report.airtime_packets,
                        extra={"counters": dict(report.counters)})
-
-
-@scenario("offered_load", designs=None, impairments=True)
-def offered_load_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
-    """One point of a throughput/loss-vs-offered-load curve.
-
-    Clients offer ``params.offered_load`` (default 0.6) of a packet-
-    airtime each (Poisson arrivals); sweep it with
-    ``--param offered_load=0.2:1.0:0.2`` for the classic S-vs-G curves
-    of the ZigZag AP against the current-802.11 AP. Metrics match
-    ``ap_stream``.
-    """
-    load = float(spec.param("offered_load", 0.6))
-    return _stream_designs_trial(spec, ctx, default_load=load)
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +621,6 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     rng = ctx.rng
     preamble = cached_preamble(spec.preamble_length)
     shaper = cached_shaper()
-    noise_power = spec.channel.noise_power
     imp = spec.impairments
     snr_db = float(spec.param("snr_db", 12.0))
     bers_z = {"A": 1.0, "B": 1.0}
@@ -662,7 +628,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     try:
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper, snr_db=snr_db,
-            payload_bits=spec.payload_bits, noise_power=noise_power,
+            payload_bits=spec.payload_bits,
             sender_impairments=(imp.sender_pipeline() if imp.sender
                                 else None),
             capture_impairments=(imp.capture_pipeline() if imp.capture
@@ -670,8 +636,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     except ReproError:
         captures = []
     if captures:
-        config = StreamConfig(preamble=preamble, shaper=shaper,
-                              noise_power=noise_power)
+        config = StreamConfig(preamble=preamble, shaper=shaper)
         try:
             outcome = ZigZagMultiDecoder(config).decode(
                 [c.samples for c in captures], specs, placements)
@@ -684,7 +649,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
                 coarse = t.params.freq_offset + rng.normal(
                     0, COARSE_FREQ_ERROR)
                 decoder = StandardDecoder(
-                    preamble, shaper, noise_power=noise_power,
+                    preamble, shaper, noise_power=NOISE_POWER,
                     coarse_freq=coarse)
                 try:
                     result = decoder.decode(capture.samples,
@@ -708,8 +673,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
 # ----------------------------------------------------------------------
 def _pair_stream_config(spec: ScenarioSpec) -> StreamConfig:
     return StreamConfig(preamble=cached_preamble(spec.preamble_length),
-                        shaper=cached_shaper(),
-                        noise_power=spec.channel.noise_power)
+                        shaper=cached_shaper())
 
 
 def _hidden_pair_decode_synth(spec: ScenarioSpec,
@@ -732,7 +696,6 @@ def _hidden_pair_decode_synth(spec: ScenarioSpec,
             rng, preamble, shaper,
             snr_db=float(spec.param("snr_db", 12.0)),
             payload_bits=spec.payload_bits,
-            noise_power=spec.channel.noise_power,
             sender_impairments=sender_pipe,
             capture_impairments=capture_pipe)
     except ReproError as exc:

@@ -2,10 +2,12 @@
 
 A :class:`ScenarioSpec` fully describes one Monte-Carlo collision
 scenario: which registered scenario ``kind`` to run, the receiver design
-under test, the senders (topology and powers), the channel impairments,
-the backoff policy, and the trial budget. Specs are immutable, picklable
-(they cross process boundaries), serializable to plain dicts, and
-loadable from TOML files::
+under test, the senders (topology and powers), the impairment pipelines,
+the backoff policy, and the trial budget. The radio model itself (unit
+noise, oscillator, 802.11g slots, retry limits) is fixed by module
+constants, not by the spec. Specs are immutable, picklable (they
+cross process boundaries), serializable to plain dicts, and loadable
+from TOML files::
 
     [scenario]
     kind = "pair"
@@ -19,9 +21,6 @@ loadable from TOML files::
     [[sender]]
     name = "bob"
     snr_db = 9.0
-
-    [channel]
-    noise_power = 1.0
 
     [backoff]
     kind = "fixed"
@@ -55,11 +54,9 @@ from repro.phy.impairments import ImpairmentPipeline, make_impairment
 from repro.runner.chaos import FaultSpec
 from repro.runner.resilience import FailurePolicy
 from repro.testbed.deployment import DeploymentConfig
-from repro.testbed.pathloss import LogDistancePathLoss
 
 __all__ = [
     "BackoffSpec",
-    "ChannelSpec",
     "DeploymentSpec",
     "ImpairmentsSpec",
     "ScenarioSpec",
@@ -74,25 +71,11 @@ class SenderSpec:
 
     name: str
     snr_db: float
-    freq_offset: float | None = None  # None: drawn from +/- channel.freq_spread
+    freq_offset: float | None = None  # None: drawn from +/- FREQ_SPREAD
     # Streaming scenarios only: fraction of one packet-airtime this
-    # client offers per packet-airtime. None = saturated (or the
-    # scenario's default load for ``offered_load`` sweeps).
+    # client offers per packet-airtime. None = ``params.offered_load``
+    # when set, else saturated.
     offered_load: float | None = None
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Channel impairment knobs shared by every sender in the scenario."""
-
-    noise_power: float = 1.0
-    phase_noise_std: float = 1e-3
-    tx_evm: float = 0.03
-    freq_spread: float = 4e-3
-
-    def __post_init__(self) -> None:
-        if self.noise_power <= 0:
-            raise ConfigurationError("noise_power must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,11 +169,14 @@ class DeploymentSpec:
     """The ``[deployment]`` table: a geometry-derived multi-cell layout.
 
     Declares the city block ``city_multicell`` simulates: AP and
-    client counts, area, the log-distance path-loss model, carrier-sense
-    and association thresholds, the traffic mix, and the coordinator's
-    horizon and worker count. The link budget and the interference floor
+    client counts, area, the traffic mix, and the coordinator's worker
+    count. The link budget, path-loss model, carrier-sense and
+    association thresholds, interference floor and coordinator horizon
     are constants (:mod:`repro.testbed.pathloss`,
-    :data:`repro.testbed.deployment.INTERFERENCE_FLOOR_DB`). The
+    :data:`repro.testbed.deployment.PATHLOSS`,
+    :mod:`repro.testbed.topology`,
+    :data:`repro.testbed.deployment.INTERFERENCE_FLOOR_DB`,
+    :data:`repro.link.multicell.HORIZON_CHUNKS`). The
     default-constructed spec (``n_aps == 0``) means "no deployment
     declared" — scenarios that need one reject it, scenarios that don't
     reject anything else.
@@ -205,13 +191,6 @@ class DeploymentSpec:
     n_clients: int = 0
     area_m: float = 120.0
     seed: int = 7
-    # Path-loss model (repro.testbed.pathloss.LogDistancePathLoss).
-    exponent: float = 3.2
-    shadowing_db: float = 4.0
-    # Carrier-sense and association thresholds (repro.testbed.deployment).
-    cs_full_db: float = 4.0
-    cs_none_db: float = 2.0
-    reachable_db: float = 3.0
     # Traffic mix: `saturated_fraction` of the clients are saturated
     # heavy hitters; the rest offer `offered_load` of a packet-airtime
     # each (0 = everyone saturated). Assignment is a deterministic hash
@@ -219,8 +198,6 @@ class DeploymentSpec:
     # designs and worker counts.
     offered_load: float = 0.0
     saturated_fraction: float = 0.0
-    # Coordinator horizon window, in air chunks (repro.link.multicell).
-    horizon_chunks: int = 4
     # Cell worker processes for the coupled coordinator
     # (``city_multicell``): 1 steps cells sequentially, N > 1 pins
     # cells to N persistent workers, 0 means one worker per cell.
@@ -246,9 +223,6 @@ class DeploymentSpec:
         if not 0.0 <= self.saturated_fraction <= 1.0:
             raise ConfigurationError(
                 "[deployment] saturated_fraction must be in [0, 1]")
-        if self.horizon_chunks < 1:
-            raise ConfigurationError(
-                "[deployment] horizon_chunks must be >= 1")
         if self.coupled_workers < 0:
             raise ConfigurationError(
                 "[deployment] coupled_workers must be >= 0 "
@@ -262,17 +236,8 @@ class DeploymentSpec:
 
     def config(self) -> DeploymentConfig:
         """The testbed-layer DeploymentConfig this spec describes."""
-        return DeploymentConfig(
-            n_aps=self.n_aps,
-            n_clients=self.n_clients,
-            area_m=self.area_m,
-            pathloss=LogDistancePathLoss(
-                exponent=self.exponent,
-                shadowing_db=self.shadowing_db),
-            cs_full_db=self.cs_full_db,
-            cs_none_db=self.cs_none_db,
-            reachable_db=self.reachable_db,
-        )
+        return DeploymentConfig(n_aps=self.n_aps, n_clients=self.n_clients,
+                                area_m=self.area_m)
 
     def client_offered_load(self, client: int) -> float | None:
         """Global client *client*'s offered load (None = saturated).
@@ -293,7 +258,7 @@ _DESIGNS = ("zigzag", "802.11", "collision-free")
 
 # Spec fields holding one flat dataclass table each; ``<table>.<field>``
 # overrides replace the field inside it.
-_FLAT_TABLES = ("channel", "backoff", "deployment", "resilience", "faults")
+_FLAT_TABLES = ("backoff", "deployment", "resilience", "faults")
 
 
 def _table(cls, name: str, entries):
@@ -311,16 +276,12 @@ class ScenarioSpec:
     kind: str
     design: str = "zigzag"
     senders: tuple[SenderSpec, ...] = ()
-    channel: ChannelSpec = field(default_factory=ChannelSpec)
     backoff: BackoffSpec = field(default_factory=BackoffSpec)
     impairments: ImpairmentsSpec = field(default_factory=ImpairmentsSpec)
     deployment: DeploymentSpec = field(default_factory=DeploymentSpec)
     sense_probability: float = 0.0
     payload_bits: int = 240
     n_packets: int = 6
-    max_rounds: int = 4
-    slot_samples: int = 20
-    modulation: str = "bpsk"
     preamble_length: int = 32
     n_trials: int = 4
     seed: int = 0
@@ -372,7 +333,6 @@ class ScenarioSpec:
         scalar = dict(data.pop("scenario", {}))
         senders = tuple(_table(SenderSpec, "[[sender]]", entry)
                         for entry in data.pop("sender", ()))
-        channel = _table(ChannelSpec, "[channel]", data.pop("channel", {}))
         backoff = _table(BackoffSpec, "[backoff]", data.pop("backoff", {}))
         impairments_table = dict(data.pop("impairments", {}))
         unknown_hooks = set(impairments_table) - {"sender", "capture"}
@@ -392,7 +352,7 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown scenario tables: {sorted(data)}")
         try:
-            return cls(senders=senders, channel=channel, backoff=backoff,
+            return cls(senders=senders, backoff=backoff,
                        impairments=impairments, deployment=deployment,
                        resilience=resilience, faults=faults,
                        params=params, **scalar)
@@ -414,8 +374,8 @@ class ScenarioSpec:
         """The nested-dict form; ``from_dict(to_dict())`` round-trips."""
         scalar_fields = [
             "kind", "design", "sense_probability", "payload_bits",
-            "n_packets", "max_rounds", "slot_samples", "modulation",
-            "preamble_length", "n_trials", "seed", "batch_size",
+            "n_packets", "preamble_length", "n_trials", "seed",
+            "batch_size",
         ]
         out: dict[str, Any] = {
             "scenario": {name: getattr(self, name)
@@ -423,7 +383,6 @@ class ScenarioSpec:
         }
         if self.senders:
             out["sender"] = [dataclasses.asdict(s) for s in self.senders]
-        out["channel"] = dataclasses.asdict(self.channel)
         out["backoff"] = dataclasses.asdict(self.backoff)
         if not self.impairments.is_empty:
             out["impairments"] = self.impairments.to_dict()
@@ -442,7 +401,7 @@ class ScenarioSpec:
         """Return a copy with one dotted-path override applied.
 
         Accepted forms: a top-level field (``n_trials``), a nested field
-        (``channel.noise_power``, ``backoff.cw``), a sender field
+        (``backoff.cw``, ``deployment.n_aps``), a sender field
         (``sender.alice.snr_db``), an impairment-stage field
         (``impairments.sender.0.coherence_samples``), or a scenario extra
         (``params.x``). Unknown top-level keys fall through to the
@@ -480,7 +439,7 @@ class ScenarioSpec:
             return replace(self, params=tuple(sorted(extras.items())))
         if rest:
             raise ConfigurationError(f"unknown override path: {key}")
-        if head in ("design", "kind", "modulation"):
+        if head in ("design", "kind"):
             value = str(value)  # "802.11" must stay a name, not a float
         if head in {f.name for f in dataclasses.fields(self)} \
                 and head != "params":

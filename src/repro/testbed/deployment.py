@@ -21,7 +21,7 @@ exchange (:meth:`Deployment.interferers`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.testbed.pathloss import (
     LogDistancePathLoss,
 )
 from repro.testbed.topology import (
+    REACHABLE_DB,
     SensingClass,
     classify_sensing,
     snr_sense_probability,
@@ -50,6 +51,8 @@ _MAX_CLIENTS = 255
 # already synthesizes. The coupled coordinator
 # (repro.link.MultiCellSession) exchanges these waveforms.
 INTERFERENCE_FLOOR_DB = -2.0
+# Every deployment's path-loss model: the model's defaults.
+PATHLOSS = LogDistancePathLoss()
 
 
 def client_name(index: int) -> str:
@@ -61,23 +64,17 @@ def client_name(index: int) -> str:
 class DeploymentConfig:
     """Knobs of one generated deployment.
 
-    ``cs_full_db`` / ``cs_none_db`` classify carrier sensing between
-    co-cell clients from their mutual SNR (same thresholds and linear
-    interpolation as :class:`~repro.testbed.topology.Testbed`);
-    ``reachable_db`` is the association floor — a client that hears no
-    AP above it stays unassociated. The floor must sit above
-    ``cs_none_db`` so an associated client is never *hidden* from its
-    own AP (the AP always has a nonzero chance of hearing it).
+    Links follow :data:`PATHLOSS`; carrier sensing between co-cell
+    clients and the association floor use the
+    :class:`~repro.testbed.topology.Testbed` rules
+    (:func:`~repro.testbed.topology.snr_sense_probability`,
+    :data:`~repro.testbed.topology.REACHABLE_DB`): a client that hears
+    no AP at or above the floor stays unassociated.
     """
 
     n_aps: int = 2
     n_clients: int = 8
     area_m: float = 120.0
-    pathloss: LogDistancePathLoss = field(
-        default_factory=lambda: LogDistancePathLoss())
-    cs_full_db: float = 4.0
-    cs_none_db: float = 2.0
-    reachable_db: float = 3.0
 
     def __post_init__(self) -> None:
         if self.n_aps < 1 or self.n_clients < 1:
@@ -89,12 +86,6 @@ class DeploymentConfig:
                 "(client ids ride the frame's 8-bit src field)")
         if self.area_m <= 0:
             raise ConfigurationError("area_m must be positive")
-        if self.cs_none_db >= self.cs_full_db:
-            raise ConfigurationError("cs_none_db must be < cs_full_db")
-        if self.reachable_db <= self.cs_none_db:
-            raise ConfigurationError(
-                "reachable_db must exceed cs_none_db, else an associated "
-                "client could be hidden from its own AP")
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ class Deployment:
                             config.n_aps:]          # (n_aps, n_clients)
         best = np.argmax(links, axis=0)
         strongest = links[best, np.arange(config.n_clients)]
-        self._serving = np.where(strongest >= config.reachable_db,
+        self._serving = np.where(strongest >= REACHABLE_DB,
                                  best, -1)
 
     # ------------------------------------------------------------------
@@ -188,7 +179,7 @@ class Deployment:
         positions = np.vstack([ap_positions, client_positions])
         distances = np.linalg.norm(
             positions[:, None, :] - positions[None, :, :], axis=2)
-        loss = cfg.pathloss.sample_loss_db(distances, rng)
+        loss = PATHLOSS.sample_loss_db(distances, rng)
         loss = 0.5 * (loss + loss.T)    # reciprocal links
         snr = TX_POWER_DBM - loss - NOISE_FLOOR_DBM
         snr = np.minimum(snr, MAX_SNR_DB)
@@ -215,9 +206,7 @@ class Deployment:
     def sense_probability(self, a: int, b: int) -> float:
         """P(client *a* detects client *b*): the Testbed rule
         (:func:`~repro.testbed.topology.snr_sense_probability`)."""
-        return snr_sense_probability(self.client_snr(a, b),
-                                     self.config.cs_none_db,
-                                     self.config.cs_full_db)
+        return snr_sense_probability(self.client_snr(a, b))
 
     def sensing_class(self, a: int, b: int) -> SensingClass:
         return classify_sensing(self.sense_probability(a, b))

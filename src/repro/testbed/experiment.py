@@ -34,12 +34,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.mac.backoff import BackoffPicker, FixedWindowBackoff
-from repro.phy.channel import ChannelParams
-from repro.phy.constellation import get_constellation
+from repro.mac.timing import SLOT_SAMPLES
+from repro.phy.channel import (
+    FREQ_SPREAD,
+    PHASE_NOISE_STD,
+    TX_EVM,
+    ChannelParams,
+)
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.frame import Frame
 from repro.phy.medium import Capture, Transmission, synthesize
+from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble, default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
@@ -53,6 +59,7 @@ from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.sic import SicDecoder
 
 __all__ = [
+    "MAX_ROUNDS",
     "Design",
     "PairExperimentConfig",
     "PairExperiment",
@@ -63,6 +70,9 @@ __all__ = [
 # Capture-effect SIC is tried only when the strongest packet's fitted
 # gain is at least this multiple of the weakest one's.
 SIC_GAIN_RATIO = 2.0
+# Collision rounds (transmissions) per packet pair before both senders
+# give up on it.
+MAX_ROUNDS = 4
 
 
 class Design(enum.Enum):
@@ -79,20 +89,8 @@ class PairExperimentConfig:
 
     payload_bits: int = 320
     n_packets: int = 12
-    max_rounds: int = 5
-    noise_power: float = 1.0
-    slot_samples: int = 20
     backoff: BackoffPicker = field(
         default_factory=lambda: FixedWindowBackoff(16))
-    phase_noise_std: float = 1e-3
-    tx_evm: float = 0.03
-    # Real 802.11 oscillators are specified to +/-20 ppm; at the paper's
-    # 500 kb/s BPSK and 2 samples/symbol that is up to ~5e-2 cycles/sample.
-    # A few 1e-3 keeps the inter-sender *relative* carrier rotating through
-    # all alignments within one packet — without it, short BPSK collisions
-    # can luck into quadrature and survive, which real hardware never does.
-    freq_spread: float = 4e-3
-    modulation: str = "bpsk"
     preamble_length: int = 32
     # Optional impairment pipelines beyond the quasi-static model: the
     # sender pipeline rides on every transmission's channel; the capture
@@ -103,7 +101,7 @@ class PairExperimentConfig:
     def __post_init__(self) -> None:
         if self.payload_bits < 64:
             raise ConfigurationError("payload too short for a frame")
-        if self.n_packets < 1 or self.max_rounds < 1:
+        if self.n_packets < 1:
             raise ConfigurationError("counts must be positive")
 
 
@@ -119,14 +117,13 @@ class _Sender:
     def params(self, rng: np.random.Generator,
                cfg: PairExperimentConfig) -> ChannelParams:
         """Draw this round's channel realization for the sender."""
-        amplitude = np.sqrt(10.0 ** (self.snr_db / 10.0)
-                            * cfg.noise_power)
+        amplitude = np.sqrt(10.0 ** (self.snr_db / 10.0) * NOISE_POWER)
         return ChannelParams(
             gain=amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi)),
             freq_offset=self.freq_offset,
             sampling_offset=float(rng.uniform(0, 1)),
-            phase_noise_std=cfg.phase_noise_std,
-            tx_evm=cfg.tx_evm,
+            phase_noise_std=PHASE_NOISE_STD,
+            tx_evm=TX_EVM,
             impairments=cfg.sender_impairments,
         )
 
@@ -156,18 +153,18 @@ class PairExperiment:
         self.shaper = shaper or PulseShaper()
         self.sync = Synchronizer(self.preamble, self.shaper, threshold=0.3)
         self.standard = StandardDecoder(
-            self.preamble, self.shaper, noise_power=cfg.noise_power)
+            self.preamble, self.shaper, noise_power=NOISE_POWER)
         self.stream_config = StreamConfig(
-            preamble=self.preamble, shaper=self.shaper,
-            noise_power=cfg.noise_power)
+            preamble=self.preamble, shaper=self.shaper)
         self.pair_decoder = ZigZagMultiDecoder(self.stream_config)
         self.sic = SicDecoder(self.stream_config)
-        spread = cfg.freq_spread
         self.senders = {
             "A": _Sender("A", snr_a_db,
-                         float(self.rng.uniform(-spread, spread)), 1),
+                         float(self.rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
+                         1),
             "B": _Sender("B", snr_b_db,
-                         float(self.rng.uniform(-spread, spread)), 2),
+                         float(self.rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
+                         2),
         }
 
     # ------------------------------------------------------------------
@@ -176,7 +173,6 @@ class PairExperiment:
     def _frame(self, sender: _Sender, seq: int) -> Frame:
         payload = random_bits(self.cfg.payload_bits, self.rng)
         return Frame.make(payload, src=sender.src, seq=seq % 4096,
-                          modulation=self.cfg.modulation,
                           preamble=self.preamble)
 
     def _jitter_offsets(self, attempt: int) -> tuple[int, int]:
@@ -184,8 +180,8 @@ class PairExperiment:
         slot_a = cfg.backoff.pick(attempt, self.rng)
         slot_b = cfg.backoff.pick(attempt, self.rng)
         base = min(slot_a, slot_b)
-        return ((slot_a - base) * cfg.slot_samples,
-                (slot_b - base) * cfg.slot_samples)
+        return ((slot_a - base) * SLOT_SAMPLES,
+                (slot_b - base) * SLOT_SAMPLES)
 
     def _collide(self, frames: dict[str, Frame],
                  offsets: dict[str, int]) -> Capture:
@@ -196,7 +192,7 @@ class PairExperiment:
                 offsets[name], name)
             for name in frames
         ]
-        return synthesize(txs, self.cfg.noise_power, self.rng,
+        return synthesize(txs, NOISE_POWER, self.rng,
                           leading=8, tail=30,
                           impairments=self.cfg.capture_impairments)
 
@@ -206,7 +202,7 @@ class PairExperiment:
         coarse = sender.freq_offset + self.rng.normal(
             0, COARSE_FREQ_ERROR)
         decoder = StandardDecoder(
-            self.preamble, self.shaper, noise_power=self.cfg.noise_power,
+            self.preamble, self.shaper, noise_power=NOISE_POWER,
             coarse_freq=coarse)
         result = decoder.decode(capture.samples)
         return result.ber_against(frame.body_bits)
@@ -219,8 +215,7 @@ class PairExperiment:
             coarse = sender.freq_offset + self.rng.normal(
                 0, COARSE_FREQ_ERROR)
             est = self.sync.acquire(
-                capture.samples, t.symbol0, coarse_freq=coarse,
-                noise_power=self.cfg.noise_power)
+                capture.samples, t.symbol0, coarse_freq=coarse)
             placements.append(PlacementParams(
                 t.label, collision_index,
                 t.symbol0 + est.sampling_offset, est))
@@ -239,7 +234,7 @@ class PairExperiment:
                 0, COARSE_FREQ_ERROR)
             decoder = StandardDecoder(
                 self.preamble, self.shaper,
-                noise_power=self.cfg.noise_power, coarse_freq=coarse)
+                noise_power=NOISE_POWER, coarse_freq=coarse)
             try:
                 result = decoder.decode(capture.samples,
                                         start_position=t.symbol0)
@@ -260,9 +255,8 @@ class PairExperiment:
         if ratio < SIC_GAIN_RATIO:
             return {name: 1.0 for name in names}
         n_symbols = frames[names[0]].n_symbols
-        specs = {p.packet: PacketSpec(
-            p.packet, n_symbols,
-            get_constellation(self.cfg.modulation)) for p in placements}
+        specs = {p.packet: PacketSpec(p.packet, n_symbols)
+                 for p in placements}
         results = self.sic.decode(capture.samples, specs, placements)
         bers = {}
         for name, result in results.items():
@@ -285,9 +279,8 @@ class PairExperiment:
         placements = []
         for ci, capture in enumerate(captures):
             placements.extend(self._acquire_placements(capture, ci))
-        constellation = get_constellation(self.cfg.modulation)
-        specs = {name: PacketSpec(name, frames[name].n_symbols,
-                                  constellation) for name in frames}
+        specs = {name: PacketSpec(name, frames[name].n_symbols)
+                 for name in frames}
         outcome = self.pair_decoder.decode(
             [c.samples for c in captures], specs, placements)
         return {name: outcome.results[name].ber_against(
@@ -332,7 +325,7 @@ class PairExperiment:
         best = {name: 1.0 for name in frames}
         bonus = {name: 0 for name in frames}
         airtime = 0.0
-        for attempt in range(self.cfg.max_rounds):
+        for attempt in range(MAX_ROUNDS):
             pending = {n: f for n, f in frames.items()
                        if best[n] >= BER_DELIVERY_THRESHOLD}
             if not pending:
@@ -362,7 +355,7 @@ class PairExperiment:
         airtime = 0.0
         soft_history: dict[str, list] = {}
         previous: Capture | None = None
-        for attempt in range(self.cfg.max_rounds):
+        for attempt in range(MAX_ROUNDS):
             if all(b < BER_DELIVERY_THRESHOLD for b in best.values()):
                 break
             off_a, off_b = self._jitter_offsets(attempt)

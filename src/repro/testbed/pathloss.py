@@ -3,8 +3,11 @@
 The standard indoor propagation model: received power falls off as
 ``10 n log10(d/d0)`` dB beyond a reference distance, plus a per-link
 Gaussian shadowing term capturing walls and furniture. Indoor WLAN
-exponents run 2.5–4; the defaults below give a 14-node office-scale layout
-the same qualitative SNR spread as the paper's testbed (Fig 5-1).
+exponents run 2.5–4. The defaults below are the generated city block's
+model (:data:`repro.testbed.deployment.PATHLOSS`); the 14-node office
+testbed (:func:`repro.testbed.topology.default_testbed`) uses exponent
+3.0 with 6 dB shadowing, the same qualitative SNR spread as the paper's
+testbed (Fig 5-1).
 """
 
 from __future__ import annotations

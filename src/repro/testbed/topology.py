@@ -31,8 +31,20 @@ from repro.testbed.pathloss import (
 )
 from repro.utils.rng import make_rng
 
-__all__ = ["SensingClass", "Testbed", "classify_sensing",
-           "default_testbed", "snr_sense_probability"]
+__all__ = ["CS_FULL_DB", "CS_NONE_DB", "REACHABLE_DB", "SensingClass",
+           "Testbed", "classify_sensing", "default_testbed",
+           "snr_sense_probability"]
+
+# Carrier-sense thresholds on the SNR at which one sender hears another,
+# dB: at or above CS_FULL_DB sensing is perfect, at or below CS_NONE_DB
+# the pair is hidden, and in between sensing succeeds with a probability
+# interpolated linearly.
+CS_FULL_DB = 4.0
+CS_NONE_DB = 2.0
+# Association floor, dB: an AP serves a sender only if it hears it at
+# least this strongly (the paper's experiment selection). It sits above
+# CS_NONE_DB, so an associated client is never *hidden* from its own AP.
+REACHABLE_DB = 3.0
 
 
 class SensingClass(enum.Enum):
@@ -43,17 +55,16 @@ class SensingClass(enum.Enum):
     HIDDEN = "hidden"
 
 
-def snr_sense_probability(snr: float, cs_none_db: float,
-                          cs_full_db: float) -> float:
+def snr_sense_probability(snr: float) -> float:
     """P(a sender detects another heard at *snr* dB): 1 at or above
-    *cs_full_db*, 0 at or below *cs_none_db*, linear in between. The one
-    carrier-sense rule of both :class:`Testbed` and
+    :data:`CS_FULL_DB`, 0 at or below :data:`CS_NONE_DB`, linear in
+    between. The one carrier-sense rule of both :class:`Testbed` and
     :class:`~repro.testbed.deployment.Deployment`."""
-    if snr >= cs_full_db:
+    if snr >= CS_FULL_DB:
         return 1.0
-    if snr <= cs_none_db:
+    if snr <= CS_NONE_DB:
         return 0.0
-    return (snr - cs_none_db) / (cs_full_db - cs_none_db)
+    return (snr - CS_NONE_DB) / (CS_FULL_DB - CS_NONE_DB)
 
 
 def classify_sensing(p: float) -> SensingClass:
@@ -75,16 +86,12 @@ class Testbed:
         (n, 2) array of node coordinates in meters.
     snr_db:
         Symmetric (n, n) matrix of link SNRs at the receiver, dB.
-    cs_full_db / cs_none_db:
-        Inter-sender SNR thresholds: above *cs_full_db* sensing is
-        perfect; below *cs_none_db* the pair is hidden; in between,
-        sensing succeeds with a probability interpolated linearly.
+
+    Sensing between senders follows :func:`snr_sense_probability`.
     """
 
     positions: np.ndarray
     snr_db: np.ndarray
-    cs_full_db: float = 4.0
-    cs_none_db: float = 2.0
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
@@ -94,8 +101,6 @@ class Testbed:
             raise ConfigurationError("positions must be (n, 2)")
         if self.snr_db.shape != (n, n):
             raise ConfigurationError("snr matrix shape mismatch")
-        if self.cs_none_db >= self.cs_full_db:
-            raise ConfigurationError("cs_none_db must be < cs_full_db")
 
     @property
     def n_nodes(self) -> int:
@@ -104,22 +109,21 @@ class Testbed:
     # ------------------------------------------------------------------
     def sense_probability(self, a: int, b: int) -> float:
         """Probability that sender a detects sender b's transmission."""
-        return snr_sense_probability(self.snr_db[a, b], self.cs_none_db,
-                                     self.cs_full_db)
+        return snr_sense_probability(self.snr_db[a, b])
 
     def sensing_class(self, a: int, b: int) -> SensingClass:
         return classify_sensing(min(self.sense_probability(a, b),
                                     self.sense_probability(b, a)))
 
-    def sensing_mix(self, reachable_db: float = 3.0) -> dict[SensingClass, float]:
+    def sensing_mix(self) -> dict[SensingClass, float]:
         """Fraction of usable sender pairs in each sensing class.
 
-        A pair is usable when some AP hears both senders above
-        *reachable_db* (mirrors the paper's experiment selection)."""
+        A pair is usable when some AP hears both senders at or above
+        :data:`REACHABLE_DB` (mirrors the paper's experiment selection)."""
         counts = {cls: 0 for cls in SensingClass}
         total = 0
         for a, b in combinations(range(self.n_nodes), 2):
-            if not self.choose_aps(a, b, reachable_db):
+            if not self.choose_aps(a, b):
                 continue
             total += 1
             counts[self.sensing_class(a, b)] += 1
@@ -127,24 +131,23 @@ class Testbed:
             raise ConfigurationError("no usable sender pairs in testbed")
         return {cls: counts[cls] / total for cls in SensingClass}
 
-    def choose_aps(self, a: int, b: int,
-                   reachable_db: float = 3.0) -> list[int]:
-        """Candidate APs that hear both senders above *reachable_db*."""
+    def choose_aps(self, a: int, b: int) -> list[int]:
+        """Candidate APs that hear both senders at or above
+        :data:`REACHABLE_DB`."""
         aps = []
         for node in range(self.n_nodes):
             if node in (a, b):
                 continue
-            if (self.snr_db[node, a] >= reachable_db
-                    and self.snr_db[node, b] >= reachable_db):
+            if (self.snr_db[node, a] >= REACHABLE_DB
+                    and self.snr_db[node, b] >= REACHABLE_DB):
                 aps.append(node)
         return aps
 
-    def sample_pair(self, rng: np.random.Generator,
-                    reachable_db: float = 3.0) -> tuple[int, int, int]:
+    def sample_pair(self, rng: np.random.Generator) -> tuple[int, int, int]:
         """Random (sender_a, sender_b, ap) with a reachable AP (§5.6)."""
         for _ in range(10_000):
             a, b = rng.choice(self.n_nodes, size=2, replace=False)
-            aps = self.choose_aps(int(a), int(b), reachable_db)
+            aps = self.choose_aps(int(a), int(b))
             if aps:
                 return int(a), int(b), int(rng.choice(aps))
         raise ConfigurationError("could not sample a usable sender pair")

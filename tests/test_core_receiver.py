@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClientTable, ReceiverConfig, ZigZagReceiver
-from repro.core.api import CLIENT_SMOOTHING
+from repro.core.api import BUFFER_MAX_AGE, CLIENT_SMOOTHING
 from repro.phy.channel import ChannelParams
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.frame import Frame
@@ -65,10 +65,10 @@ class TestClientTable:
 
 class TestReceiverFlow:
     def test_clean_packet_decoded_and_learned(self, preamble, shaper, rng):
-        config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                noise_power=1.0)
-        receiver = ZigZagReceiver(config)
         frame = Frame.make(random_bits(200, rng), src=5, preamble=preamble)
+        config = ReceiverConfig(preamble=preamble, shaper=shaper,
+                                expected_symbols=frame.n_symbols)
+        receiver = ZigZagReceiver(config)
         # First reception: the table has no freq estimate; send with a
         # tiny offset so blind detection works, then learn.
         cap = clean_capture(frame, shaper, rng, freq=2e-4)
@@ -77,8 +77,10 @@ class TestReceiverFlow:
         assert len(receiver.clients) == 1
 
     def test_noise_returns_nothing(self, preamble, shaper, rng):
-        receiver = ZigZagReceiver(ReceiverConfig(preamble=preamble,
-                                                 shaper=shaper))
+        frame = Frame.make(random_bits(200, rng), src=5, preamble=preamble)
+        receiver = ZigZagReceiver(ReceiverConfig(
+            preamble=preamble, shaper=shaper,
+            expected_symbols=frame.n_symbols))
         noise = rng.standard_normal(700) + 1j * rng.standard_normal(700)
         assert receiver.receive(noise) == []
 
@@ -94,7 +96,6 @@ class TestReceiverFlow:
         }
         freqs = {"A": 3e-3, "B": -2e-3}
         config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                noise_power=1.0,
                                 expected_symbols=frames["A"].n_symbols)
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
@@ -121,7 +122,6 @@ class TestReceiverFlow:
         }
         freqs = {"A": 3e-3, "B": -2e-3}
         config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                noise_power=1.0,
                                 expected_symbols=frames["A"].n_symbols)
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
@@ -143,8 +143,7 @@ def make_frames(rng, preamble, srcs=(1, 2), bits=200):
 
 def pair_receiver(preamble, shaper, n_symbols, freqs, **overrides):
     config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                            noise_power=1.0, expected_symbols=n_symbols,
-                            **overrides)
+                            expected_symbols=n_symbols, **overrides)
     receiver = ZigZagReceiver(config)
     for src, freq in freqs.items():
         receiver.clients.update(src, freq)
@@ -229,21 +228,25 @@ class TestCollisionBufferLifecycle:
         assert receiver.stats.zigzag_matches == 0
 
     def test_age_pruning(self, preamble, shaper, rng):
-        """buffer_max_age: stale records are dropped as the stream moves
+        """BUFFER_MAX_AGE: stale records are dropped as the stream moves
         on (retransmissions arrive within a few receptions, §4.2.2)."""
         freqs = {1: 3e-3, 2: -2e-3}
         frames = make_frames(rng, preamble)
         receiver = pair_receiver(preamble, shaper,
-                                 frames["s1"].n_symbols, freqs,
-                                 buffer_max_age=2)
+                                 frames["s1"].n_symbols, freqs)
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
         receiver.receive(collision_capture(
             frames, shaper, rng, (0, 160), named_freqs).samples)
         assert len(receiver.buffer) == 1
-        for _ in range(4):   # noise-only receives advance the clock
+
+        def receive_noise():   # noise-only receives advance the clock
             noise = (rng.standard_normal(600)
                      + 1j * rng.standard_normal(600)) / np.sqrt(2)
             receiver.receive(noise)
+        for _ in range(BUFFER_MAX_AGE):
+            receive_noise()
+        assert len(receiver.buffer) == 1   # exactly BUFFER_MAX_AGE old
+        receive_noise()
         assert len(receiver.buffer) == 0
         assert receiver.stats.evictions_age == 1
 

@@ -15,7 +15,6 @@ from repro.link import (
     AirConfig,
     ContinuousAir,
     LinkSession,
-    MultiCellConfig,
     SessionConfig,
     StreamClient,
     Topology,
@@ -28,7 +27,12 @@ from repro.testbed.deployment import (
     client_name,
 )
 from repro.testbed.pathloss import MAX_SNR_DB, LogDistancePathLoss
-from repro.testbed.topology import SensingClass
+from repro.testbed.topology import (
+    CS_FULL_DB,
+    CS_NONE_DB,
+    REACHABLE_DB,
+    SensingClass,
+)
 
 
 def make_deployment(n_aps=2, n_clients=10, area_m=60.0, seed=42,
@@ -75,7 +79,7 @@ class TestDeploymentGeneration:
                 snrs = [dep.ap_client_snr(a, client)
                         for a in range(dep.n_aps)]
                 assert dep.ap_client_snr(ap, client) == max(snrs)
-                assert max(snrs) >= dep.config.reachable_db
+                assert max(snrs) >= REACHABLE_DB
         for client in dep.unassociated_clients():
             assert dep.serving_ap(client) is None
 
@@ -96,12 +100,11 @@ class TestDeploymentGeneration:
             DeploymentConfig(n_aps=0)
         with pytest.raises(ConfigurationError):
             DeploymentConfig(n_clients=300)
-        with pytest.raises(ConfigurationError):
-            DeploymentConfig(cs_full_db=2.0, cs_none_db=2.0)
-        with pytest.raises(ConfigurationError):
-            # Association floor below cs_none_db could hide a client
-            # from its own AP.
-            DeploymentConfig(reachable_db=1.0)
+        # The fixed thresholds keep the order the rules rely on; an
+        # association floor at or below CS_NONE_DB could hide a client
+        # from its own AP.
+        assert CS_NONE_DB < REACHABLE_DB
+        assert CS_NONE_DB < CS_FULL_DB
 
 
 class TestFixedSeedRegression:
@@ -128,13 +131,12 @@ class TestFixedSeedRegression:
 
     def test_hidden_pairs_match_independent_recomputation(self):
         dep = make_deployment(n_aps=2, n_clients=10, area_m=60.0, seed=42)
-        cfg = dep.config
         for plan in dep.cells():
             expected = set()
             for x in range(plan.n_clients):
                 for y in range(x + 1, plan.n_clients):
                     snr = dep.client_snr(plan.clients[x], plan.clients[y])
-                    if snr <= cfg.cs_none_db:
+                    if snr <= CS_NONE_DB:
                         expected.add(frozenset((plan.names[x],
                                                 plan.names[y])))
             assert {frozenset(p) for p in plan.hidden_pairs} == expected
@@ -255,8 +257,8 @@ class TestDeploymentProperties:
             topo = Topology.from_deployment(dep, plan.ap)
             assert topo.mode == "derived"
             for snr in plan.snr_db:
-                assert snr >= dep.config.reachable_db
-                assert snr > dep.config.cs_none_db
+                assert snr >= REACHABLE_DB
+                assert snr > CS_NONE_DB
 
 
 class TestAirInject:
@@ -331,11 +333,6 @@ class TestMultiCell:
         with pytest.raises(ConfigurationError, match="slot-clocked"):
             build_cell_session(slot_spec, np.random.default_rng(0),
                                "zigzag", deployment, plan)
-        assert spec.deployment.horizon_chunks >= 1
-
-    def test_horizon_config_validated(self):
-        with pytest.raises(ConfigurationError):
-            MultiCellConfig(horizon_chunks=0)
 
 
 class TestCellBuilder:

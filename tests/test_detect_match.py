@@ -140,7 +140,8 @@ class TestIdentityGroundTruth:
     @staticmethod
     def _matches(preamble, shaper, stored, probe, k):
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=preamble, shaper=shaper, max_collision_packets=k))
+            preamble=preamble, shaper=shaper, max_collision_packets=k,
+            expected_symbols=stored.transmissions[0].n_symbols))
         for src, freq in enumerate(SENDER_FREQS[:k], start=1):
             receiver.clients.update(src, freq)
         record = receiver._detect(stored.samples)

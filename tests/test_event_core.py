@@ -108,8 +108,7 @@ class TestRunnerCurves:
 
         spec = ScenarioSpec(
             kind="ap_stream", n_trials=6, seed=11, payload_bits=200,
-            n_packets=2, params={"hidden_pairs": "A:B",
-                                 "chunk_samples": 512})
+            n_packets=2, params={"hidden_pairs": "A:B"})
         result = MonteCarloRunner().run(spec)
         assert result.mean("delivered_zigzag") \
             > result.mean("delivered_80211")

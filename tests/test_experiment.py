@@ -11,7 +11,7 @@ from repro.testbed.experiment import (
     run_capture_sweep_point,
 )
 
-SMALL = PairExperimentConfig(payload_bits=160, n_packets=4, max_rounds=3)
+SMALL = PairExperimentConfig(payload_bits=160, n_packets=4)
 
 
 class TestPairExperiment:

@@ -125,7 +125,7 @@ class TestReceiverRobustness:
     def test_receiver_survives_garbage_stream(self, preamble, shaper,
                                               rng):
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=preamble, shaper=shaper, noise_power=1.0))
+            preamble=preamble, shaper=shaper, expected_symbols=312))
         for _ in range(5):
             n = int(rng.integers(50, 2000))
             garbage = (rng.standard_normal(n)
@@ -135,7 +135,7 @@ class TestReceiverRobustness:
     def test_receiver_buffer_bounded(self, preamble, shaper, rng):
         """Unmatched collisions never grow the buffer beyond capacity."""
         config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                noise_power=1.0, buffer_capacity=2,
+                                buffer_capacity=2,
                                 expected_symbols=312)
         receiver = ZigZagReceiver(config)
         for i in range(5):

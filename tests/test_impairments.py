@@ -354,8 +354,7 @@ enob = 6.0
         assert aware == {"pair", "capture", "testbed_pair",
                          "hidden_pair_decode",
                          "hidden_pair_impaired", "ap_stream",
-                         "offered_load", "three_senders_stream",
-                         "city_multicell"}
+                         "three_senders_stream", "city_multicell"}
 
     def test_override_bad_path(self, spec):
         with pytest.raises(ConfigurationError, match="impairment override"):

@@ -1,5 +1,7 @@
 """ContinuousAir: causal chunked synthesis with bounded memory."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, channel_waveform
 from repro.utils.bits import random_bits
 
-TINY_NOISE = 1e-12
+def noise_twin(air: ContinuousAir) -> ContinuousAir:
+    """An empty air on a copy of *air*'s generator: it emits exactly the
+    noise *air* will add, so subtracting it leaves the waveforms."""
+    return ContinuousAir(air.config, copy.deepcopy(air.rng))
 
 
 def make_tx(preamble, shaper, rng, offset, src=1):
@@ -28,29 +33,32 @@ class TestContinuousAir:
         the one-shot channel application would produce it."""
         rng_air = np.random.default_rng(7)
         rng_ref = np.random.default_rng(7)
-        air = ContinuousAir(AirConfig(noise_power=TINY_NOISE,
-                                      chunk_samples=128), rng_air)
+        air = ContinuousAir(AirConfig(chunk_samples=128), rng_air)
         tx = make_tx(preamble, shaper, np.random.default_rng(1), offset=100)
         air.schedule(tx)
         expected = channel_waveform(tx, rng_ref)
+        quiet = noise_twin(air)
         total = 100 + expected.size + 64
-        stream = np.concatenate(
-            [air.emit() for _ in range(-(-total // 128))])
+        n_chunks = -(-total // 128)
+        stream = np.concatenate([air.emit() for _ in range(n_chunks)])
+        noise = np.concatenate([quiet.emit() for _ in range(n_chunks)])
         np.testing.assert_allclose(
-            stream[100:100 + expected.size], expected, atol=1e-5)
-        # Outside the span there is (near-zero) noise only.
-        assert np.max(np.abs(stream[:100])) < 1e-5
+            stream[100:100 + expected.size] - noise[100:100 + expected.size],
+            expected, atol=1e-9)
+        # Outside the span there is noise only.
+        np.testing.assert_array_equal(stream[:100], noise[:100])
 
     def test_overlapping_transmissions_superimpose(self, preamble, shaper):
         rng = np.random.default_rng(3)
-        air = ContinuousAir(AirConfig(noise_power=TINY_NOISE,
-                                      chunk_samples=256), rng)
+        air = ContinuousAir(AirConfig(chunk_samples=256), rng)
         gen = np.random.default_rng(2)
         a = make_tx(preamble, shaper, gen, offset=0, src=1)
         b = make_tx(preamble, shaper, gen, offset=60, src=2)
         air.schedule(a)
         air.schedule(b)
-        stream = np.concatenate([air.emit() for _ in range(6)])
+        quiet = noise_twin(air)
+        stream = np.concatenate([air.emit() - quiet.emit()
+                                 for _ in range(6)])
         power = np.abs(stream) ** 2
         # The overlap region carries both packets' power.
         assert power[60:200].mean() > 1.5 * power[:50].mean()
@@ -92,11 +100,9 @@ class TestContinuousAir:
         after a skip is identical to one emitted after synthesizing the
         same gap — the property the event-driven core relies on for
         statistical equivalence of its channel draws."""
-        a = ContinuousAir(AirConfig(noise_power=TINY_NOISE,
-                                    chunk_samples=128),
+        a = ContinuousAir(AirConfig(chunk_samples=128),
                           np.random.default_rng(11))
-        b = ContinuousAir(AirConfig(noise_power=TINY_NOISE,
-                                    chunk_samples=128),
+        b = ContinuousAir(AirConfig(chunk_samples=128),
                           np.random.default_rng(11))
         a.skip(1024)
         assert a.cursor == 1024 and a.samples_skipped == 1024

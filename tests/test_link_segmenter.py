@@ -26,13 +26,13 @@ def block_signal(spans, total, amplitude=4.0):
 
 class TestSegmenter:
     def test_silence_yields_no_bursts(self, rng):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         noise = (rng.standard_normal(4096)
                  + 1j * rng.standard_normal(4096)) / np.sqrt(2)
         assert push_chunked(seg, noise) == []
 
     def test_single_block_one_burst(self):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         signal = block_signal([(300, 900)], 2048)
         bursts = push_chunked(seg, signal)
         assert len(bursts) == 1
@@ -45,14 +45,14 @@ class TestSegmenter:
     def test_block_straddling_chunks_stays_whole(self):
         """The carry path: a burst opened in one chunk closes in a later
         one without splitting or losing samples."""
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         signal = block_signal([(100, 700)], 1400)
         bursts = push_chunked(seg, signal, chunk=64)
         assert len(bursts) == 1
         assert bursts[0].start <= 100 and bursts[0].end >= 700
 
     def test_two_separated_blocks_two_bursts(self):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         signal = block_signal([(200, 600), (1000, 1400)], 2048)
         bursts = push_chunked(seg, signal)
         assert len(bursts) == 2
@@ -61,13 +61,13 @@ class TestSegmenter:
     def test_envelope_dip_does_not_split(self):
         """Hysteresis: a short dip inside a packet (below the open
         threshold but shorter than the hang window) keeps one burst."""
-        cfg = SegmenterConfig(noise_power=1.0)
+        cfg = SegmenterConfig()
         signal = block_signal([(200, 500), (520, 800)], 1400)
         bursts = push_chunked(BurstSegmenter(cfg), signal)
         assert len(bursts) == 1
 
     def test_force_close_bounds_burst_length(self):
-        cfg = SegmenterConfig(noise_power=1.0, max_burst_samples=512)
+        cfg = SegmenterConfig(max_burst_samples=512)
         seg = BurstSegmenter(cfg)
         signal = block_signal([(100, 3000)], 3400)
         bursts = push_chunked(seg, signal)
@@ -85,7 +85,7 @@ class TestSegmenter:
         """The overshoot bug scaled with chunk size: the bigger the push,
         the further past ``max_burst_samples`` a hot block could run.
         The cap must hold no matter how the stream is chunked."""
-        cfg = SegmenterConfig(noise_power=1.0, max_burst_samples=512)
+        cfg = SegmenterConfig(max_burst_samples=512)
         seg = BurstSegmenter(cfg)
         signal = block_signal([(50, 4000)], 4200)
         bursts = push_chunked(seg, signal, chunk=chunk)
@@ -96,7 +96,7 @@ class TestSegmenter:
     def test_force_close_cap_exact_when_close_point_past_room(self):
         """A close hit beyond the remaining room must not drag the burst
         past the cap on its way to the close point."""
-        cfg = SegmenterConfig(noise_power=1.0, max_burst_samples=512)
+        cfg = SegmenterConfig(max_burst_samples=512)
         seg = BurstSegmenter(cfg)
         # One hot block whose natural close (hang window after 700) lies
         # beyond the cap; pushed as a single oversized chunk.
@@ -106,7 +106,7 @@ class TestSegmenter:
         assert bursts[0].truncated
 
     def test_skip_advances_absolute_position(self):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         seg.skip(100_000)
         signal = block_signal([(300, 700)], 1400)
         bursts = push_chunked(seg, signal)
@@ -117,7 +117,7 @@ class TestSegmenter:
     def test_skip_never_reaches_into_skipped_air(self):
         """The leading-context reach-back stops at the skip boundary:
         samples before it were never materialized."""
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         seg.skip(5000)
         # Hot from the very first post-skip sample.
         bursts = list(seg.push(block_signal([(0, 400)], 800))) + seg.flush()
@@ -125,21 +125,21 @@ class TestSegmenter:
         assert bursts[0].start >= 5000
 
     def test_skip_while_open_raises(self):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         seg.push(block_signal([(10, 128)], 128))
         assert seg.is_open
         with pytest.raises(ConfigurationError):
             seg.skip(64)
 
     def test_skip_negative_raises(self):
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         with pytest.raises(ConfigurationError):
             seg.skip(-1)
 
     def test_memory_stays_bounded(self, rng):
         """Residency is capped by the open burst + history, regardless of
         how much silence streams through."""
-        cfg = SegmenterConfig(noise_power=1.0, max_burst_samples=1024)
+        cfg = SegmenterConfig(max_burst_samples=1024)
         seg = BurstSegmenter(cfg)
         for _ in range(50):
             noise = (rng.standard_normal(512)
@@ -149,7 +149,7 @@ class TestSegmenter:
 
     def test_absolute_positions(self):
         """Burst.start is an absolute stream index, not chunk-relative."""
-        seg = BurstSegmenter(SegmenterConfig(noise_power=1.0))
+        seg = BurstSegmenter(SegmenterConfig())
         signal = block_signal([(5000, 5400)], 6000)
         bursts = push_chunked(seg, signal, chunk=256)
         assert len(bursts) == 1
@@ -158,5 +158,3 @@ class TestSegmenter:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SegmenterConfig(max_burst_samples=4 * HANG_WINDOW - 1)
-        with pytest.raises(ConfigurationError):
-            SegmenterConfig(noise_power=0.0)

@@ -12,7 +12,12 @@ from repro.mac.ack import (
 )
 from repro.mac.backoff import ExponentialBackoff, FixedWindowBackoff
 from repro.mac.hidden import HiddenScenario
-from repro.mac.timing import TIMING_80211A, TIMING_80211G, Timing
+from repro.mac.timing import (
+    SLOT_SAMPLES,
+    TIMING_80211A,
+    TIMING_80211G,
+    Timing,
+)
 
 
 class TestTiming:
@@ -143,12 +148,12 @@ class TestSynchronousAckSet:
 
 class TestHiddenScenario:
     def test_offsets_multiple_of_slot(self):
-        scenario = HiddenScenario(n_senders=3, slot_samples=20)
+        scenario = HiddenScenario(n_senders=3)
         rounds = scenario.collision_offsets(np.random.default_rng(0), 4)
         assert len(rounds) == 4
         for offsets in rounds:
             assert min(offsets) == 0
-            assert all(o % 20 == 0 for o in offsets)
+            assert all(o % SLOT_SAMPLES == 0 for o in offsets)
 
     def test_needs_two_senders(self):
         with pytest.raises(ConfigurationError):

@@ -49,7 +49,7 @@ def three_way_captures(rng, frames, offset_rounds, snr_db=13.0):
 
 def three_way_receiver(n_symbols):
     receiver = ZigZagReceiver(ReceiverConfig(
-        preamble=PRE, shaper=SH, noise_power=1.0,
+        preamble=PRE, shaper=SH,
         expected_symbols=n_symbols, max_collision_packets=3,
         buffer_capacity=6))
     for i, name in enumerate(NAMES):
@@ -170,7 +170,7 @@ class TestReceiveContract:
         return list; the contract is successes only."""
         frame = Frame.make(random_bits(200, rng), src=1, preamble=PRE)
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PRE, shaper=SH, noise_power=1.0,
+            preamble=PRE, shaper=SH,
             expected_symbols=frame.n_symbols))
         receiver.clients.update(1, 2e-3)
         # Drown the packet: SNR far below decodability, but the preamble
@@ -196,7 +196,7 @@ class TestReceiveContract:
                                  preamble=PRE)
                    for i, n in enumerate(("s3", "s4"))}
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PRE, shaper=SH, noise_power=1.0,
+            preamble=PRE, shaper=SH,
             expected_symbols=frames1["s1"].n_symbols))
         for src, freq in ((1, 3e-3), (2, -2e-3), (3, 1e-3), (4, -1e-3)):
             receiver.clients.update(src, freq)

@@ -198,7 +198,7 @@ _SCRIPT = textwrap.dedent("""
                                preamble=pre)
               for i, name in enumerate(freqs)}
     receiver = ZigZagReceiver(ReceiverConfig(
-        preamble=pre, shaper=shaper, noise_power=1.0,
+        preamble=pre, shaper=shaper,
         expected_symbols=frames["A"].n_symbols, max_collision_packets=3,
         buffer_capacity=6))
     for i, freq in enumerate(freqs.values()):

@@ -61,7 +61,7 @@ def seeded(ap, freqs):
 
 
 def config(n_symbols):
-    return ReceiverConfig(preamble=PRE, shaper=SH, noise_power=1.0,
+    return ReceiverConfig(preamble=PRE, shaper=SH,
                           expected_symbols=n_symbols)
 
 

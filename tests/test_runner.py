@@ -29,7 +29,7 @@ from repro.runner.scenarios import (
     get_scenario,
 )
 from repro.runner.seeding import trial_seeds
-from repro.runner.spec import BackoffSpec, ChannelSpec
+from repro.runner.spec import BackoffSpec
 from repro.testbed.experiment import Design, run_capture_sweep_point
 from repro.testbed.metrics import FlowStats
 
@@ -66,7 +66,6 @@ class TestSpec:
         spec = ScenarioSpec(
             kind="pair", design="802.11",
             senders=(SenderSpec("a", 12.0), SenderSpec("b", 9.0)),
-            channel=ChannelSpec(noise_power=2.0),
             backoff=BackoffSpec(kind="exponential"),
             n_trials=3, seed=5, params={"x": 1.5})
         again = ScenarioSpec.from_dict(spec.to_dict())
@@ -125,8 +124,9 @@ snr_b_db = 9.0
         spec = ScenarioSpec(kind="pair",
                             senders=(SenderSpec("a", 12.0),))
         assert spec.with_override("n_trials", 9).n_trials == 9
-        assert spec.with_override("channel.noise_power", 0.5) \
-            .channel.noise_power == 0.5
+        # The [channel] table is gone: its overrides fail loudly.
+        with pytest.raises(ConfigurationError, match="channel.noise_power"):
+            spec.with_override("channel.noise_power", 0.5)
         assert spec.with_override("backoff.cw", 32).backoff.cw == 32
         assert spec.with_override("sender.a.snr_db", 14.0) \
             .senders[0].snr_db == 14.0
@@ -322,7 +322,7 @@ class TestPortRegression:
         """The ported Fig 5-4 path produces exactly what the pre-port
         trial loop produces when fed the same derived seeds."""
         spec = ScenarioSpec(kind="capture", n_trials=3, seed=0,
-                            n_packets=3, max_rounds=3,
+                            n_packets=3,
                             params={"sinr_db": 8.0, "snr_b_db": 9.0})
         through_runner = MonteCarloRunner(n_workers=2).run(spec)
         from repro.runner.scenarios import _experiment_config
@@ -341,7 +341,7 @@ class TestPortRegression:
         # Enough trials that the work is several times the pool's
         # start-up; each mode's best of three drops host-load spikes.
         spec = ScenarioSpec(kind="pair", n_trials=32, seed=0,
-                            n_packets=4, max_rounds=3,
+                            n_packets=4,
                             senders=(SenderSpec("A", 12.0),
                                      SenderSpec("B", 9.0)))
 

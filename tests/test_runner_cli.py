@@ -21,6 +21,39 @@ n_senders = 3
 """
 
 
+# Scenario heads that run in well under a second; each ends in the table
+# the removed key is appended to.
+REMOVED_KEY_HEADS = {
+    "channel": '[scenario]\nkind = "schedule_failure"\n[channel]\n',
+    "scenario": '[scenario]\nkind = "pair"\nn_trials = 1\nn_packets = 1\n',
+    "params": ('[scenario]\nkind = "ap_stream"\nn_trials = 1\n'
+               'n_packets = 1\npayload_bits = 64\n[params]\n'),
+    "deployment": ('[scenario]\nkind = "city_multicell"\nn_trials = 1\n'
+                   'n_packets = 1\npayload_bits = 64\n[deployment]\n'
+                   'n_aps = 1\nn_clients = 2\narea_m = 20.0\n'),
+}
+# Every key whose single value became a module constant, at that value.
+REMOVED_KEYS = [
+    ("channel", "noise_power", "1.0"),
+    ("channel", "phase_noise_std", "1e-3"),
+    ("channel", "tx_evm", "0.03"),
+    ("channel", "freq_spread", "4e-3"),
+    ("scenario", "slot_samples", "20"),
+    ("scenario", "max_rounds", "4"),
+    ("scenario", "modulation", '"bpsk"'),
+    ("params", "max_attempts", "6"),
+    ("params", "chunk_samples", "1024"),
+    ("params", "buffer_max_age", "24"),
+    ("params", "max_collision_packets", "2"),
+    ("deployment", "exponent", "3.2"),
+    ("deployment", "shadowing_db", "4.0"),
+    ("deployment", "cs_full_db", "4.0"),
+    ("deployment", "cs_none_db", "2.0"),
+    ("deployment", "reachable_db", "3.0"),
+    ("deployment", "horizon_chunks", "4"),
+]
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.toml"
@@ -120,8 +153,6 @@ enob = 8.0
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("table, body", [
-        ("[channel]", "bogus = 1"),
-        ("[channel]", "coarse_freq_error = 1.5e-5"),
         ("[backoff]", "bogus = 1"),
         ("[[sender]]", 'name = "a"\nsnr_db = 10.0\nbogus = 1'),
         ("[deployment]", "tx_power_dbm = 0.0"),
@@ -135,3 +166,18 @@ enob = 8.0
                         f"{table}\n{body}\n")
         assert main(["run", str(path)]) == 2
         assert f"bad {table} table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, key, value", REMOVED_KEYS,
+                             ids=[f"{t}.{k}" for t, k, _ in REMOVED_KEYS])
+    def test_removed_key_is_an_error(self, tmp_path, capsys, table, key,
+                                     value):
+        """A key whose setting became a constant fails loudly, naming
+        its table (and the key, unless the whole table is gone), even
+        at the constant's own value."""
+        path = tmp_path / "removed.toml"
+        path.write_text(f"{REMOVED_KEY_HEADS[table]}{key} = {value}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert table in err
+        assert table == "channel" or key in err

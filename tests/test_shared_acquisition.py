@@ -313,7 +313,7 @@ class TestStoredRecordsAreReadOnly:
         # ZigZag decode is attempted on the stored record and fails.
         monkeypatch.setattr(api, "MATCH_THRESHOLD", 0.0)
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PREAMBLE, shaper=SHAPER, noise_power=1.0,
+            preamble=PREAMBLE, shaper=SHAPER,
             expected_symbols=n_symbols))
         for src, freq in freqs.items():
             receiver.clients.update(src, freq)

@@ -1,4 +1,4 @@
-"""Runner wiring of the streaming scenarios (ap_stream / offered_load)."""
+"""Runner wiring of the streaming scenarios (ap_stream)."""
 
 import pathlib
 
@@ -13,7 +13,7 @@ from repro.runner.scenarios import _fairness_ratio
 
 
 def stream_spec(kind="ap_stream", **params):
-    extras = {"hidden_pairs": "A:B", "chunk_samples": 512}
+    extras = {"hidden_pairs": "A:B"}
     extras.update(params)
     return ScenarioSpec(kind=kind, n_trials=1, seed=3, payload_bits=200,
                         n_packets=2, params=extras)
@@ -73,13 +73,32 @@ class TestApStreamScenario:
         assert by_name["B"].offered_load == 0.5
 
     def test_offered_load_scenario_runs(self):
-        spec = stream_spec(kind="offered_load", offered_load=0.5)
+        """params.offered_load is every client's default load; a
+        [[sender]] load still wins, and without either clients stay
+        saturated."""
+        spec = stream_spec(offered_load=0.5)
         result = MonteCarloRunner().run(spec)
         assert "throughput_zigzag" in result.summary()
+        session = build_stream_session(spec, np.random.default_rng(0),
+                                       "zigzag")
+        assert {c.client.offered_load for c in session.clients} == {0.5}
+        mixed = ScenarioSpec.from_dict({
+            "scenario": {"kind": "ap_stream"},
+            "sender": [{"name": "A", "snr_db": 12.0},
+                       {"name": "B", "snr_db": 12.0,
+                        "offered_load": 0.2}],
+            "params": {"offered_load": 0.5}})
+        loads = {c.client.name: c.client.offered_load
+                 for c in build_stream_session(
+                     mixed, np.random.default_rng(0), "zigzag").clients}
+        assert loads == {"A": 0.5, "B": 0.2}
+        saturated = build_stream_session(
+            stream_spec(), np.random.default_rng(0), "zigzag")
+        assert {c.client.offered_load for c in saturated.clients} == {None}
 
     def test_spec_roundtrips_offered_load(self):
         spec = ScenarioSpec.from_dict({
-            "scenario": {"kind": "offered_load"},
+            "scenario": {"kind": "ap_stream"},
             "sender": [{"name": "A", "snr_db": 12.0,
                         "offered_load": 0.4}],
         })

@@ -10,7 +10,14 @@ from repro.testbed.metrics import (
     loss_rate,
 )
 from repro.testbed.pathloss import LogDistancePathLoss
-from repro.testbed.topology import SensingClass, Testbed, default_testbed
+from repro.testbed.topology import (
+    CS_FULL_DB,
+    CS_NONE_DB,
+    REACHABLE_DB,
+    SensingClass,
+    Testbed,
+    default_testbed,
+)
 
 
 class TestPathLoss:
@@ -56,8 +63,9 @@ class TestTopology:
 
     def test_sense_probability_interpolation(self):
         snr = np.array([[np.inf, 3.0], [3.0, np.inf]])
-        tb = Testbed(positions=np.zeros((2, 2)), snr_db=snr,
-                     cs_full_db=4.0, cs_none_db=2.0)
+        tb = Testbed(positions=np.zeros((2, 2)), snr_db=snr)
+        # Halfway between CS_NONE_DB and CS_FULL_DB.
+        assert (CS_NONE_DB + CS_FULL_DB) / 2 == 3.0
         assert tb.sense_probability(0, 1) == pytest.approx(0.5)
         assert tb.sensing_class(0, 1) is SensingClass.PARTIAL
 
@@ -70,15 +78,12 @@ class TestTopology:
         tb = default_testbed(3)
         a, b, ap = tb.sample_pair(rng)
         assert ap not in (a, b)
-        assert tb.snr_db[ap, a] >= 3.0 and tb.snr_db[ap, b] >= 3.0
+        assert tb.snr_db[ap, a] >= REACHABLE_DB
+        assert tb.snr_db[ap, b] >= REACHABLE_DB
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             Testbed(positions=np.zeros((3, 2)), snr_db=np.zeros((2, 2)))
-        with pytest.raises(ConfigurationError):
-            Testbed(positions=np.zeros((2, 2)),
-                    snr_db=np.zeros((2, 2)), cs_full_db=1.0,
-                    cs_none_db=2.0)
 
 
 class TestMetrics:
