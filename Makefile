@@ -33,7 +33,10 @@ lint:
 # Fast end-to-end proof that the Monte-Carlo runner works: one scenario
 # run with 2 workers and one two-point sweep, straight from a TOML file,
 # then one trial of each example no other target runs, so an example
-# that names a removed key fails here rather than only at load time.
+# that names a removed key fails here rather than only at load time,
+# and the chaos soak example on 2 workers, so its keys are used and not
+# only parsed. Last, a key the scenario kind does not declare must fail
+# with exit status 2.
 smoke:
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 2 --workers 2
@@ -43,6 +46,9 @@ smoke:
 		$(PYTHON) -m repro run examples/scenarios/$$f.toml --trials 1 \
 			|| exit 1; \
 	done
+	$(PYTHON) -m repro run examples/scenarios/chaos_soak.toml --workers 2
+	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
+		--trials 1 --set max_rounds=2; test $$? -eq 2
 
 # Tiny closed-loop soak through the CLI: continuous air, streaming
 # segmentation, collision-buffer matching and ACK feedback end to end

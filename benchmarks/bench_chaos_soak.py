@@ -43,8 +43,7 @@ BATCH_FAULTS = FaultSpec(kill_worker_prob=0.05, seed=5)
 LOOP_SPEC = ScenarioSpec(kind="schedule_failure", n_trials=60, seed=SEED,
                          resilience=RETRY, faults=LOOP_FAULTS)
 BATCH_SPEC = ScenarioSpec(kind="hidden_pair_decode", n_trials=12,
-                          seed=SEED, batch_size=4,
-                          params={"payload_bits": 64},
+                          seed=SEED, batch_size=4, payload_bits=64,
                           resilience=RETRY, faults=BATCH_FAULTS)
 
 

@@ -12,9 +12,9 @@ declarative front of the streaming closed-loop subsystem: they map a
 :class:`~repro.link.LinkSession`. Both share one spec→config path
 (:func:`_spec_session`); they differ only in where clients and the
 :class:`~repro.link.Topology` come from — ``[[sender]]`` entries or
-``params.n_clients`` with ``params.hidden_pairs``/``hidden_cliques`` or
-``sense_probability`` (:func:`_stream_topology`), or one cell of a
-generated deployment.
+``params.n_clients`` (or a caller's clique) with ``params.hidden_pairs``/
+``hidden_cliques`` or ``sense_probability`` (:func:`_stream_topology`),
+or one cell of a generated deployment.
 """
 
 from __future__ import annotations
@@ -137,67 +137,47 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
 STREAM_CLIENT_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _parse_hidden_pairs(text) -> tuple[tuple[str, str], ...]:
-    """``"A:B,B:C"`` -> ``(("A", "B"), ("B", "C"))``."""
-    pairs = []
-    for piece in str(text).split(","):
-        a, sep, b = piece.strip().partition(":")
-        if not sep or not a or not b:
-            raise ConfigurationError(
-                f"hidden_pairs must look like 'A:B,B:C', got {text!r}")
-        pairs.append((a.strip(), b.strip()))
-    return tuple(pairs)
+def _parse_hidden(text, size=None) -> tuple[tuple[str, ...], ...]:
+    """``"A:B:C,D:E"`` -> ``(("A", "B", "C"), ("D", "E"))``; None -> ``()``.
 
-
-def _parse_hidden_cliques(text) -> tuple[tuple[str, ...], ...]:
-    """``"A:B:C,D:E"`` -> ``(("A", "B", "C"), ("D", "E"))``.
-
-    Each comma-separated group is one set of mutually-hidden clients.
+    Each comma-separated group is one set of mutually-hidden clients, of
+    exactly *size* names when given (``hidden_pairs``: 2).
     """
-    cliques = []
+    if text is None:
+        return ()
+    groups = []
     for piece in str(text).split(","):
         names = tuple(n.strip() for n in piece.strip().split(":"))
-        if len(names) < 2 or not all(names):
+        if len(names) < 2 or not all(names) or size not in (None, len(names)):
             raise ConfigurationError(
-                f"hidden_cliques must look like 'A:B:C,D:E', got {text!r}")
-        cliques.append(names)
-    return tuple(cliques)
+                "hidden_pairs/hidden_cliques must look like 'A:B,B:C' / "
+                f"'A:B:C,D:E', got {text!r}")
+        groups.append(names)
+    return tuple(groups)
 
 
-def _stream_topology(spec) -> Topology:
+def _stream_topology(spec, clique) -> Topology:
     """The :class:`~repro.link.Topology` a stream spec declares.
 
-    ``params.hidden_pairs``/``params.hidden_cliques`` pin an explicit
+    A caller's *clique* (mutually-hidden client names), else
+    ``params.hidden_pairs``/``params.hidden_cliques``, pins an explicit
     topology (every unlisted pair senses perfectly); otherwise every
     pair senses with the scenario's ``sense_probability``. Giving both
     is an error: the probability would have no pair left to apply to.
     """
-    hidden = spec.param("hidden_pairs")
-    cliques = spec.param("hidden_cliques")
-    if hidden is None and cliques is None:
+    cliques = ((tuple(clique),) if clique is not None
+               else _parse_hidden(spec.param("hidden_pairs"), 2)
+               + _parse_hidden(spec.param("hidden_cliques")))
+    if not cliques:
         return Topology.probabilistic(spec.sense_probability)
     if spec.sense_probability != 0.0:
         raise ConfigurationError(
-            "params.hidden_pairs/hidden_cliques already declare who "
-            "senses whom; drop sense_probability "
-            f"(= {spec.sense_probability}) or the hidden lists")
-    return Topology.explicit(
-        _parse_hidden_pairs(hidden) if hidden is not None else None,
-        _parse_hidden_cliques(cliques) if cliques is not None else None)
+            f"{spec.kind}'s hidden clients already declare who senses "
+            f"whom; drop sense_probability (= {spec.sense_probability}) "
+            "or params.hidden_pairs/hidden_cliques")
+    return Topology.explicit(None, cliques)
 
 
-# [params] keys the streaming sessions reject, with the reason:
-# [params] is free-form, so a stale key would otherwise be silently
-# ignored.
-_RETIRED_PARAMS = {
-    "engine": "the slot-clocked session core was removed and every "
-              "session runs on the event core",
-    "max_attempts": "the retry limit is repro.link.session.MAX_ATTEMPTS",
-    "chunk_samples": "the air chunk is repro.link.session.CHUNK_SAMPLES",
-    "buffer_max_age": "the collision-buffer age limit is "
-                      "repro.core.api.BUFFER_MAX_AGE",
-    "max_collision_packets": "sessions derive k from their topology",
-}
 # The k a generated cell resolves at most: big derived cells can contain
 # large hidden cliques, and k-way resolution cost grows with k.
 CELL_MAX_COLLISION_PACKETS = 4
@@ -209,11 +189,6 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
     """The one spec→:class:`~repro.link.LinkSession` path: session knobs
     from the spec's scenario, ``[backoff]`` and ``[impairments]``
     tables."""
-    for key, reason in _RETIRED_PARAMS.items():
-        if spec.param(key) is not None:
-            raise ConfigurationError(
-                f"params.{key} is no longer accepted: {reason}; "
-                "drop the key")
     imp = spec.impairments
     config = SessionConfig(
         payload_bits=spec.payload_bits,
@@ -231,28 +206,22 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
                        shaper=cached_shaper())
 
 
-def build_stream_session(spec, rng: np.random.Generator,
-                         design: str) -> LinkSession:
+def build_stream_session(spec, rng: np.random.Generator, design: str,
+                         clique=None) -> LinkSession:
     """A :class:`~repro.link.LinkSession` from a declarative spec.
 
     Clients come from the spec's ``[[sender]]`` entries (name, SNR,
     optional fixed ``freq_offset`` and per-client ``offered_load``); with
-    none declared, ``params.n_clients`` (default 3) symmetric clients
-    named A, B, C, ... at ``params.snr_db`` are created. A client
+    none declared, symmetric clients named A, B, C, ... at
+    ``params.snr_db`` are created: the names in *clique*, which are
+    then mutually hidden, or else ``params.n_clients`` of them. A client
     without its own ``offered_load`` offers ``params.offered_load``, or
     is saturated when that is unset too. Frequency offsets not pinned by
     the spec are drawn from ± :data:`~repro.phy.channel.FREQ_SPREAD`
     with *rng* — build the two compared designs' sessions from
-    identically-seeded generators for common random numbers.
-
-    Recognized ``[params]`` extras: ``n_clients``, ``snr_db``,
-    ``offered_load``, ``hidden_pairs`` (e.g. ``"A:B"``; every unlisted
-    pair then senses perfectly) and ``hidden_cliques`` (e.g.
-    ``"A:B:C"``: groups of mutually-hidden clients, enabling the AP's
-    k-way collision resolution, whose k the session derives from them);
-    either list excludes a nonzero ``sense_probability``. Retired session keys
-    (``engine``, ``max_attempts``, ``chunk_samples``,
-    ``buffer_max_age``, ``max_collision_packets``) are rejected.
+    identically-seeded generators for common random numbers. The
+    ``[params]`` keys read here are declared by the spec's kind
+    (``ap_stream``, ``three_senders_stream``).
     """
     load = spec.param("offered_load")
     default_load = float(load) if load is not None else None
@@ -262,13 +231,16 @@ def build_stream_session(spec, rng: np.random.Generator,
                     else default_load)
                    for s in spec.senders]
     else:
-        n_clients = int(spec.param("n_clients", 3))
-        if not 1 <= n_clients <= len(STREAM_CLIENT_NAMES):
-            raise ConfigurationError(
-                f"params.n_clients must be in [1, {len(STREAM_CLIENT_NAMES)}]")
-        snr = float(spec.param("snr_db", 12.0))
-        entries = [(STREAM_CLIENT_NAMES[i], snr, None, default_load)
-                   for i in range(n_clients)]
+        names = clique
+        if names is None:
+            n_clients = int(spec.param("n_clients"))
+            if not 1 <= n_clients <= len(STREAM_CLIENT_NAMES):
+                raise ConfigurationError(
+                    "params.n_clients must be in "
+                    f"[1, {len(STREAM_CLIENT_NAMES)}]")
+            names = STREAM_CLIENT_NAMES[:n_clients]
+        snr = float(spec.param("snr_db"))
+        entries = [(name, snr, None, default_load) for name in names]
     clients = [
         StreamClient(
             name=name, src=i + 1, snr_db=snr,
@@ -277,8 +249,8 @@ def build_stream_session(spec, rng: np.random.Generator,
             offered_load=load)
         for i, (name, snr, freq, load) in enumerate(entries)
     ]
-    return _spec_session(spec, rng, design, clients, _stream_topology(spec),
-                         None)
+    return _spec_session(spec, rng, design, clients,
+                         _stream_topology(spec, clique), None)
 
 
 # ----------------------------------------------------------------------

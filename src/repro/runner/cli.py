@@ -145,8 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list":
-            for name, doc in available_scenarios().items():
-                print(f"{name:<18} {doc}")
+            kinds = available_scenarios()
+            width = max(map(len, kinds))
+            for name, doc in kinds.items():
+                declared = ", ".join(
+                    f"{key}={'unset' if value is None else value}"
+                    for key, value in get_scenario(name).params.items())
+                print(f"{name:<{width}}  {doc}")
+                print(f"{'':<{width}}  params: {declared or 'none'}")
             return 0
         if args.command == "demo":
             from repro import quick_hidden_terminal_demo

@@ -241,6 +241,7 @@ class MonteCarloRunner:
                 "back to the default topology (deployment scenarios: "
                 f"{', '.join(_kinds_with('deployment'))})")
         spec.deployment.validate()
+        spec.check_params()
         if spec.batch_size > 1 and entry.batched is None:
             raise ConfigurationError(
                 f"scenario {spec.kind!r} has no batched engine; set "

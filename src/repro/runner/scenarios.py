@@ -16,8 +16,7 @@ List them with :func:`available_scenarios` or ``python -m repro list``.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -134,10 +133,11 @@ class ScenarioRecord:
 
     ``trial`` is the decorated trial function; the other fields are the
     decorator's keywords. The runner rejects a spec asking for a design,
-    an ``[impairments]`` or ``[deployment]`` table, or a
-    ``batch_size > 1`` that the record does not honor (an un-applied
-    impairment would read as "ZigZag is robust to X" when X never
-    happened), and the CLI labels a ``designs=None`` run "n/a".
+    an ``[impairments]`` or ``[deployment]`` table, a ``[params]`` key,
+    or a ``batch_size > 1`` that the record does not honor (an
+    un-applied impairment would read as "ZigZag is robust to X" when X
+    never happened), and the CLI labels a ``designs=None`` run "n/a".
+    ``params`` maps every ``[params]`` key the kind reads to its default.
     """
 
     trial: ScenarioFn
@@ -145,6 +145,7 @@ class ScenarioRecord:
     impairments: bool
     deployment: bool
     batched: BatchedScenarioHooks | None = None
+    params: dict[str, Any] = field(default_factory=dict)
 
 
 _REGISTRY: dict[str, ScenarioRecord] = {}
@@ -152,7 +153,8 @@ _REGISTRY: dict[str, ScenarioRecord] = {}
 
 def scenario(name: str, *, designs: tuple[str, ...] | None = _ALL_DESIGNS,
              impairments: bool = False, deployment: bool = False,
-             batched: BatchedScenarioHooks | None = None
+             batched: BatchedScenarioHooks | None = None,
+             params: dict[str, Any] | None = None
              ) -> Callable[[ScenarioFn], ScenarioFn]:
     """Register a trial function under a spec ``kind``.
 
@@ -163,14 +165,15 @@ def scenario(name: str, *, designs: tuple[str, ...] | None = _ALL_DESIGNS,
     *deployment* that it builds its topology from the spec's
     ``[deployment]`` table. The runner rejects specs carrying either
     table for scenarios that don't consume it. *batched* registers the
-    scenario's trial-axis engine for ``batch_size > 1`` runs.
+    scenario's trial-axis engine for ``batch_size > 1`` runs. *params*
+    maps each ``[params]`` key it reads to its default; no other is valid.
     """
 
     def register(fn: ScenarioFn) -> ScenarioFn:
         if name in _REGISTRY:
             raise ConfigurationError(f"scenario {name!r} already registered")
-        _REGISTRY[name] = ScenarioRecord(fn, designs, impairments,
-                                         deployment, batched)
+        _REGISTRY[name] = ScenarioRecord(fn, designs, impairments, deployment,
+                                         batched, dict(params or {}))
         return fn
 
     return register
@@ -237,7 +240,7 @@ def _pair_snrs(spec: ScenarioSpec) -> tuple[float, float]:
     return snr, snr
 
 
-@scenario("pair", impairments=True)
+@scenario("pair", impairments=True, params={"snr_db": None})
 def pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     """Two saturated senders to one AP under the design under test (§5.2).
 
@@ -264,7 +267,8 @@ def pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
                        airtime=airtime)
 
 
-@scenario("capture", impairments=True)
+@scenario("capture", impairments=True,
+          params={"sinr_db": 8.0, "snr_b_db": 9.0})
 def capture_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     """One Fig 5-4 capture-effect point: SNR_A = SNR_B + params.sinr_db.
 
@@ -273,14 +277,14 @@ def capture_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     ``A``, ``B`` and ``total``.
     """
     return run_capture_sweep_point(
-        float(spec.param("sinr_db", 8.0)), Design(spec.design),
-        snr_b_db=float(spec.param("snr_b_db", 9.0)),
+        float(spec.param("sinr_db")), Design(spec.design),
+        snr_b_db=float(spec.param("snr_b_db")),
         config=_experiment_config(spec), seed=ctx.seed,
         preamble=cached_preamble(spec.preamble_length),
         shaper=cached_shaper())
 
 
-@scenario("zigzag_ber", designs=None)
+@scenario("zigzag_ber", designs=None, params={"snr_db": 10.0})
 def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     """Fig 5-3 BER micro-benchmark: ZigZag vs the Collision-Free Scheduler.
 
@@ -293,7 +297,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     preamble = cached_preamble(spec.preamble_length)
     shaper = cached_shaper()
     config = StreamConfig(preamble=preamble, shaper=shaper)
-    snr_db = float(spec.param("snr_db", 10.0))
+    snr_db = float(spec.param("snr_db"))
     captures, frames, specs, placements = hidden_pair_scenario(
         rng, preamble, shaper, snr_db=snr_db,
         payload_bits=spec.payload_bits)
@@ -335,7 +339,8 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     return metrics
 
 
-@scenario("schedule_failure", designs=None)
+@scenario("schedule_failure", designs=None,
+          params={"n_senders": 3, "n_symbols": 600})
 def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     """Fig 4-7: does greedy chunk scheduling fail for this backoff draw?
 
@@ -345,8 +350,8 @@ def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     The run-level mean of ``failed`` is the figure's failure probability.
     """
     rng = ctx.rng
-    n_senders = int(spec.param("n_senders", 3))
-    n_symbols = int(spec.param("n_symbols", 600))
+    n_senders = int(spec.param("n_senders"))
+    n_symbols = int(spec.param("n_symbols"))
     picker = spec.backoff.build()
     hidden = HiddenScenario(n_senders=n_senders, picker=picker)
     names = [f"s{i}" for i in range(n_senders)]
@@ -365,7 +370,8 @@ def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     return {"failed": 0.0}
 
 
-@scenario("testbed_pair", designs=None, impairments=True)
+@scenario("testbed_pair", designs=None, impairments=True,
+          params={"testbed_seed": 7})
 def testbed_pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     """One §5.6 campaign draw: a random testbed pair under both designs.
 
@@ -375,9 +381,9 @@ def testbed_pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     the Fig 5-5..5-8 CDFs and scatter plots.
     """
     rng = ctx.rng
-    testbed = shared_cache().get(
-        ("testbed", int(spec.param("testbed_seed", 7))),
-        lambda: default_testbed(seed=int(spec.param("testbed_seed", 7))))
+    seed = int(spec.param("testbed_seed"))
+    testbed = shared_cache().get(("testbed", seed),
+                                 lambda: default_testbed(seed=seed))
     a, b, ap = testbed.sample_pair(rng)
     sense = min(testbed.sense_probability(a, b),
                 testbed.sense_probability(b, a))
@@ -445,7 +451,9 @@ def _run_both_designs(seed: int, build: Callable) -> tuple[dict, dict, dict]:
     return reports, metrics, flows
 
 
-@scenario("ap_stream", designs=None, impairments=True)
+@scenario("ap_stream", designs=None, impairments=True,
+          params={"n_clients": 3, "snr_db": 12.0, "offered_load": None,
+                  "hidden_pairs": None, "hidden_cliques": None})
 def ap_stream_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     """N-client closed-loop streaming soak: ZigZag AP vs current 802.11.
 
@@ -483,12 +491,13 @@ def ap_stream_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
                        airtime=zz.airtime_packets, extra=extra)
 
 
-@scenario("three_senders_stream", designs=("zigzag",), impairments=True)
+@scenario("three_senders_stream", designs=("zigzag",), impairments=True,
+          params={"n_senders": 3, "snr_db": 12.0, "offered_load": None})
 def three_senders_stream_trial(spec: ScenarioSpec,
                                ctx: TrialContext) -> TrialResult:
     """Fig 5-9 through the online AP: n mutually-hidden streaming senders.
 
-    ``params.n_senders`` (default 3) clients, saturated unless
+    ``params.n_senders`` clients, saturated unless
     ``params.offered_load`` is set, form one hidden clique over
     continuous air; each collision then carries all n
     packets, and the closed-loop ZigZag AP resolves the k-way collision
@@ -505,19 +514,13 @@ def three_senders_stream_trial(spec: ScenarioSpec,
             "params.n_senders/snr_db; [[sender]] tables would be "
             "silently ignored — use the ap_stream scenario with "
             "params.hidden_cliques for per-sender control")
-    n = int(spec.param("n_senders", 3))
+    n = int(spec.param("n_senders"))
     if not 2 <= n <= len(STREAM_CLIENT_NAMES):
         raise ConfigurationError(
             f"params.n_senders must be in [2, {len(STREAM_CLIENT_NAMES)}]")
     names = list(STREAM_CLIENT_NAMES[:n])
-    overrides = dict(spec.extra_params)
-    overrides["n_clients"] = n
-    overrides["hidden_cliques"] = ":".join(names)
-    overrides.pop("hidden_pairs", None)
-    clique_spec = dataclasses.replace(
-        spec, params=tuple(sorted(overrides.items())))
     session = build_stream_session(
-        clique_spec, np.random.default_rng(ctx.seed), "zigzag")
+        spec, np.random.default_rng(ctx.seed), "zigzag", clique=names)
     report = session.run()
     rx = report.receiver_stats
     metrics: dict[str, float] = {}
@@ -604,7 +607,8 @@ def city_multicell_trial(spec: ScenarioSpec,
 # ----------------------------------------------------------------------
 # Impaired hidden pair (beyond the quasi-static channel)
 # ----------------------------------------------------------------------
-@scenario("hidden_pair_impaired", designs=None, impairments=True)
+@scenario("hidden_pair_impaired", designs=None, impairments=True,
+          params={"snr_db": 12.0})
 def hidden_pair_impaired_trial(spec: ScenarioSpec,
                                ctx: TrialContext) -> dict:
     """Hidden pair under the spec's ``[impairments]`` pipelines.
@@ -622,7 +626,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     preamble = cached_preamble(spec.preamble_length)
     shaper = cached_shaper()
     imp = spec.impairments
-    snr_db = float(spec.param("snr_db", 12.0))
+    snr_db = float(spec.param("snr_db"))
     bers_z = {"A": 1.0, "B": 1.0}
     bers_s = {"A": 1.0, "B": 1.0}
     try:
@@ -694,7 +698,7 @@ def _hidden_pair_decode_synth(spec: ScenarioSpec,
     try:
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, preamble, shaper,
-            snr_db=float(spec.param("snr_db", 12.0)),
+            snr_db=float(spec.param("snr_db")),
             payload_bits=spec.payload_bits,
             sender_impairments=sender_pipe,
             capture_impairments=capture_pipe)
@@ -756,7 +760,8 @@ def _hidden_pair_decode_batch(spec: ScenarioSpec,
 
 @scenario("hidden_pair_decode", designs=None, impairments=True,
           batched=BatchedScenarioHooks(synthesize=_hidden_pair_decode_synth,
-                                       decode=_hidden_pair_decode_batch))
+                                       decode=_hidden_pair_decode_batch),
+          params={"snr_db": 12.0})
 def hidden_pair_decode_trial(spec: ScenarioSpec,
                              ctx: TrialContext) -> TrialResult:
     """ZigZag hidden-pair decode with an optional batched engine.

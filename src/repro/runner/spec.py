@@ -34,8 +34,8 @@ from TOML files::
     kind = "quantize"
     enob = 6.0
 
-    [params]            # scenario-specific extras
-    anything = 1.0
+    [params]            # keys the kind declares (docs/scenarios.md)
+    snr_db = 12.0
 
 See ``docs/scenarios.md`` for the full schema and worked examples.
 """
@@ -312,18 +312,19 @@ class ScenarioSpec:
             object.__setattr__(self, "params",
                                tuple(sorted(self.params.items())))
 
-    # -- scenario-specific extras --------------------------------------
-    def param(self, key: str, default: Any = None) -> Any:
-        """Look up a scenario-specific extra from the ``[params]`` table."""
-        for name, value in self.params:
-            if name == key:
-                return value
-        return default
+    # -- scenario-specific keys ----------------------------------------
+    def param(self, key: str) -> Any:
+        """The ``[params]`` value of *key*, else the default the spec's
+        kind declares for it; a key the kind does not declare raises."""
+        default = _declared_params(self.kind, (key,))[key]
+        return dict(self.params).get(key, default)
 
-    @property
-    def extra_params(self) -> dict[str, Any]:
-        """The ``[params]`` table as a plain dict."""
-        return dict(self.params)
+    def check_params(self) -> "ScenarioSpec":
+        """Reject a ``[params]`` key the kind does not declare; else
+        return self."""
+        if self.params:
+            _declared_params(self.kind, dict(self.params))
+        return self
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -352,12 +353,13 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown scenario tables: {sorted(data)}")
         try:
-            return cls(senders=senders, backoff=backoff,
+            spec = cls(senders=senders, backoff=backoff,
                        impairments=impairments, deployment=deployment,
                        resilience=resilience, faults=faults,
                        params=params, **scalar)
         except TypeError as exc:
             raise ConfigurationError(f"bad [scenario] table: {exc}") from exc
+        return spec.check_params()
 
     @classmethod
     def from_toml(cls, path: str | Path) -> "ScenarioSpec":
@@ -403,10 +405,9 @@ class ScenarioSpec:
         Accepted forms: a top-level field (``n_trials``), a nested field
         (``backoff.cw``, ``deployment.n_aps``), a sender field
         (``sender.alice.snr_db``), an impairment-stage field
-        (``impairments.sender.0.coherence_samples``), or a scenario extra
-        (``params.x``). Unknown top-level keys fall through to the
-        ``params`` table, so sweeping an extra does not require the
-        ``params.`` prefix.
+        (``impairments.sender.0.coherence_samples``), or a ``[params]``
+        key the kind declares (``params.sinr_db``, or bare ``sinr_db``:
+        a bare key that is no spec field is looked up in ``[params]``).
         """
         try:
             return self._override(key, value)
@@ -434,9 +435,8 @@ class ScenarioSpec:
                 for s in self.senders)
             return replace(self, senders=senders)
         if head == "params" and rest:
-            extras = dict(self.params)
-            extras[rest] = value
-            return replace(self, params=tuple(sorted(extras.items())))
+            return replace(self, params={**dict(self.params), rest: value}
+                           ).check_params()
         if rest:
             raise ConfigurationError(f"unknown override path: {key}")
         if head in ("design", "kind"):
@@ -444,9 +444,22 @@ class ScenarioSpec:
         if head in {f.name for f in dataclasses.fields(self)} \
                 and head != "params":
             return replace(self, **{head: value})
-        extras = dict(self.params)
-        extras[head] = value
-        return replace(self, params=tuple(sorted(extras.items())))
+        return replace(self, params={**dict(self.params), head: value}
+                       ).check_params()
+
+
+def _declared_params(kind: str, keys) -> dict[str, Any]:
+    """*kind*'s declared ``[params]`` defaults; raises if *keys* has
+    a key it does not declare."""
+    # The registry imports this module; look it up at call time.
+    from repro.runner.scenarios import get_scenario
+    declared = get_scenario(kind).params
+    for key in keys:
+        if key not in declared:
+            raise ConfigurationError(
+                f"scenario {kind!r} has no [params] key {key!r} "
+                f"(declared: {', '.join(declared) or 'none'})")
+    return declared
 
 
 def _coerce(text: str) -> Any:

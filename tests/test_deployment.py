@@ -323,16 +323,12 @@ class TestMultiCell:
                 == runs[1].cells[ap].samples_elapsed
 
     def test_rejects_slot_engine_sessions(self):
-        """Cell sessions reject the removed slot core's params.engine
-        (the city_multicell path builds every cell through here)."""
-        spec = city_spec()
-        from repro.runner.builders import get_deployment
-        deployment = get_deployment(spec)
-        plan = deployment.cells()[0]
-        slot_spec = spec.with_override("params.engine", "slot")
-        with pytest.raises(ConfigurationError, match="slot-clocked"):
-            build_cell_session(slot_spec, np.random.default_rng(0),
-                               "zigzag", deployment, plan)
+        """The removed slot core's params.engine is rejected: the
+        city_multicell kind declares no [params] key at all."""
+        with pytest.raises(ConfigurationError,
+                           match="'city_multicell' has no \\[params\\] "
+                                 "key 'engine'"):
+            city_spec().with_override("params.engine", "slot")
 
 
 class TestCellBuilder:

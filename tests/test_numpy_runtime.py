@@ -220,7 +220,7 @@ _SCRIPT = textwrap.dedent("""
 
     # Offline hidden-pair decode through the runner's batched engine.
     spec = ScenarioSpec(kind="hidden_pair_decode", n_trials=4, seed=3,
-                        batch_size=4, params={"payload_bits": 64})
+                        batch_size=4, payload_bits=64)
     done["batched_trials"] = MonteCarloRunner(n_workers=1).run(
         spec).n_completed
 

@@ -67,7 +67,7 @@ class TestSpec:
             kind="pair", design="802.11",
             senders=(SenderSpec("a", 12.0), SenderSpec("b", 9.0)),
             backoff=BackoffSpec(kind="exponential"),
-            n_trials=3, seed=5, params={"x": 1.5})
+            n_trials=3, seed=5, params={"snr_db": 1.5})
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec
 
@@ -87,13 +87,13 @@ kind = "exponential"
 cw_min = 15
 
 [params]
-snr_b_db = 9.0
+snr_db = 9.0
 """)
         spec = ScenarioSpec.from_toml(path)
         assert spec.kind == "pair" and spec.n_trials == 2
         assert spec.senders[0].snr_db == 10.0
         assert spec.backoff.cw_min == 15
-        assert spec.param("snr_b_db") == 9.0
+        assert spec.param("snr_db") == 9.0
 
     @pytest.mark.parametrize("path", sorted(EXAMPLE_SCENARIOS.glob("*.toml")),
                              ids=lambda path: path.stem)
@@ -133,13 +133,29 @@ snr_b_db = 9.0
         # No-op value is still a valid override (sweep grids hit this).
         assert spec.with_override("sender.a.snr_db", 12.0) \
             .senders[0].snr_db == 12.0
-        assert spec.with_override("params.q", 3).param("q") == 3
-        # Unknown bare keys fall through to params.
-        assert spec.with_override("sinr_db", 8.0).param("sinr_db") == 8.0
+        assert spec.with_override("params.snr_db", 3).param("snr_db") == 3
+        # A bare key that is no spec field is a [params] key.
+        assert spec.with_override("snr_db", 8.0).param("snr_db") == 8.0
+        # ... and only a declared one.
+        for key in ("params.q", "max_rounds", "sinr_db"):
+            with pytest.raises(ConfigurationError,
+                               match=f"'pair' has no \\[params\\] key "
+                                     f"'{key.removeprefix('params.')}'"):
+                spec.with_override(key, 3)
         with pytest.raises(ConfigurationError):
             spec.with_override("sender.nobody.snr_db", 1.0)
         with pytest.raises(ConfigurationError):
             spec.with_override("nested.unknown.path", 1.0)
+
+    def test_param_reads_the_declared_default(self):
+        assert ScenarioSpec(kind="capture").param("sinr_db") == 8.0
+        assert ScenarioSpec(kind="capture", params={"sinr_db": 2.0}) \
+            .param("sinr_db") == 2.0
+        assert ScenarioSpec(kind="pair").param("snr_db") is None
+        # A typo in a trial function fails instead of reading None.
+        with pytest.raises(ConfigurationError,
+                           match="'capture' has no \\[params\\] key 'sinr'"):
+            ScenarioSpec(kind="capture").param("sinr")
 
     @pytest.mark.parametrize("table", ["channel", "backoff", "deployment",
                                        "resilience", "faults"])

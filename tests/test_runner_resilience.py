@@ -348,7 +348,7 @@ class TestCheckpointResume:
         # hidden_pair_decode trials carry per-flow FlowStats; the journal
         # must reproduce them exactly for resumed aggregation.
         spec = ScenarioSpec(kind="hidden_pair_decode", n_trials=4, seed=3,
-                            params={"payload_bits": 64})
+                            payload_bits=64)
         base = MonteCarloRunner(n_workers=1).run(spec)
         journal = tmp_path / "run.jsonl"
         MonteCarloRunner(n_workers=1, checkpoint=journal).run(
@@ -368,7 +368,7 @@ class TestArenaHygiene:
     def test_no_leaked_arenas_after_chaos_run(self):
         spec = ScenarioSpec(
             kind="hidden_pair_decode", n_trials=8, seed=11, batch_size=4,
-            params={"payload_bits": 64},
+            payload_bits=64,
             resilience=FailurePolicy(mode="retry", max_retries=3,
                                      backoff_base=0.0),
             faults=FaultSpec(kill_worker_prob=0.1, seed=2))
@@ -381,7 +381,7 @@ class TestArenaHygiene:
         # synthesis fails inside the pool and fail_fast aborts it.
         spec = ScenarioSpec(
             kind="hidden_pair_decode", n_trials=6, seed=1, batch_size=3,
-            params={"payload_bits": 64},
+            payload_bits=64,
             faults=FaultSpec(raise_in_trial_prob=1.0))
         with pytest.raises(RunAbortedError):
             MonteCarloRunner(n_workers=2).run(spec)

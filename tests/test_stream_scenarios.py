@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner import MonteCarloRunner, ScenarioSpec
-from repro.runner.builders import _parse_hidden_pairs, build_stream_session
+from repro.runner.builders import _parse_hidden, build_stream_session
 from repro.runner.cli import main
 from repro.runner.scenarios import _fairness_ratio
 
@@ -36,12 +36,11 @@ class TestApStreamScenario:
         assert "zigzag_A" in flows and "80211_A" in flows
 
     def test_engine_param_rejected(self, capsys):
-        """The slot-clocked core is gone; a stale params.engine must fail
-        loudly rather than be ignored by the free-form [params] table."""
-        with pytest.raises(ConfigurationError, match="slot-clocked"):
-            build_stream_session(
-                stream_spec().with_override("params.engine", "slot"),
-                np.random.default_rng(0), "zigzag")
+        """The slot-clocked core is gone; a stale params.engine fails
+        loudly, as every key the kind does not declare does."""
+        with pytest.raises(ConfigurationError, match="'ap_stream' has no "
+                           "\\[params\\] key 'engine'"):
+            stream_spec().with_override("params.engine", "slot")
         scenario = (pathlib.Path(__file__).resolve().parents[1]
                     / "examples" / "scenarios" / "ap_stream.toml")
         code = main(["run", str(scenario), "--set", "params.engine=slot"])
@@ -139,13 +138,13 @@ class TestSpecTopology:
 
 class TestHiddenPairsParsing:
     def test_parse(self):
-        assert _parse_hidden_pairs("A:B,B:C") == (("A", "B"), ("B", "C"))
+        assert _parse_hidden("A:B,B:C", 2) == (("A", "B"), ("B", "C"))
 
     @pytest.mark.parametrize("bad", ["AB", "A:", ":B", "A:B,",
-                                     "A;B"])
+                                     "A;B", "A:B:C"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigurationError):
-            _parse_hidden_pairs(bad)
+            _parse_hidden(bad, 2)
 
 
 class TestFairnessRatio:
