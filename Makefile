@@ -35,8 +35,9 @@ lint:
 # then one trial of each example no other target runs, so an example
 # that names a removed key fails here rather than only at load time,
 # and the chaos soak example on 2 workers, so its keys are used and not
-# only parsed. Last, a key the scenario kind does not declare must fail
-# with exit status 2.
+# only parsed; its --json output must report at least one pool respawn,
+# or the example injected nothing. Last, a key the scenario kind does
+# not declare must fail with exit status 2.
 smoke:
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 2 --workers 2
@@ -46,7 +47,11 @@ smoke:
 		$(PYTHON) -m repro run examples/scenarios/$$f.toml --trials 1 \
 			|| exit 1; \
 	done
-	$(PYTHON) -m repro run examples/scenarios/chaos_soak.toml --workers 2
+	$(PYTHON) -m repro run examples/scenarios/chaos_soak.toml --workers 2 \
+		--json | $(PYTHON) -c "import json, sys; \
+		stats = json.load(sys.stdin).get('supervision') or {}; \
+		sys.exit(stats.get('pool_respawns', 0) < 1 \
+		and 'chaos_soak.toml: no pool respawn, the chaos did not engage')"
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 1 --set max_rounds=2; test $$? -eq 2
 

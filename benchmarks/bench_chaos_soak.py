@@ -32,13 +32,14 @@ from repro.runner import (
 )
 
 SEED = 17
-RETRY = FailurePolicy(mode="retry", max_retries=4, backoff_base=0.0,
-                      batch_timeout=1.5)
+RETRY = FailurePolicy(mode="retry", max_retries=4, batch_timeout=1.5)
 
 # The acceptance fault mix: 5% kills / 2% exceptions / 1% hangs.
 LOOP_FAULTS = FaultSpec(kill_worker_prob=0.05, raise_in_trial_prob=0.02,
                         hang_trial_prob=0.01, hang_seconds=10.0, seed=5)
-BATCH_FAULTS = FaultSpec(kill_worker_prob=0.05, seed=5)
+# Seed 6 kills trial 4 at attempt 0 (and nothing at attempt 1), so the
+# batched soak respawns the pool at least once.
+BATCH_FAULTS = FaultSpec(kill_worker_prob=0.05, seed=6)
 
 LOOP_SPEC = ScenarioSpec(kind="schedule_failure", n_trials=60, seed=SEED,
                          resilience=RETRY, faults=LOOP_FAULTS)
@@ -97,7 +98,9 @@ def test_chaos_soak(benchmark, record_table):
     assert [t.metrics for t in chaos_batch.trials] == \
         [t.metrics for t in clean_batch.trials]
     assert chaos_batch.summary() == clean_batch.summary()
-    # The chaos actually engaged (otherwise the soak proves nothing)...
+    # The chaos actually engaged in both modes (otherwise the soak proves
+    # nothing)...
     assert loop_stats["pool_respawns"] + loop_stats["trial_retries"] > 0
+    assert batch_stats["pool_respawns"] + batch_stats["trial_retries"] > 0
     # ...and a crashed run leaks no shared memory.
     assert find_leaked_arenas() == []

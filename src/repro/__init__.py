@@ -80,61 +80,23 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
                                payload_bits: int = 256) -> dict:
     """Decode one canonical Fig 1-2 hidden-terminal collision pair.
 
-    Returns a dict with per-packet success flags and bit error rates —
-    a one-call sanity check that the whole stack works.
+    The pair is the ``hidden_pair_decode`` scenario's
+    (:func:`~repro.runner.builders.hidden_pair_scenario`). Returns a dict
+    keyed by packet (``A``, ``B``) with success flags and bit error rates
+    — a one-call sanity check that the whole stack works.
     """
-    import numpy as np
-
-    from repro.phy.channel import PHASE_NOISE_STD, ChannelParams
-    from repro.phy.constellation import BPSK
-    from repro.phy.frame import Frame
-    from repro.phy.medium import Transmission, synthesize
-    from repro.phy.noise import NOISE_POWER
     from repro.phy.preamble import default_preamble
     from repro.phy.pulse import PulseShaper
-    from repro.phy.sync import Synchronizer
     from repro.receiver.frontend import StreamConfig
-    from repro.utils.bits import random_bits
+    from repro.runner.builders import hidden_pair_scenario
     from repro.utils.rng import make_rng
     from repro.zigzag.decoder import ZigZagMultiDecoder
-    from repro.zigzag.engine import PacketSpec, PlacementParams
 
-    rng = make_rng(seed)
     preamble = default_preamble(32)
     shaper = PulseShaper()
-    amplitude = np.sqrt(10.0 ** (snr_db / 10.0) * NOISE_POWER)
-    frames = {
-        "alice": Frame.make(random_bits(payload_bits, rng), src=1,
-                            preamble=preamble),
-        "bob": Frame.make(random_bits(payload_bits, rng), src=2,
-                          preamble=preamble),
-    }
-    params = {
-        name: ChannelParams(
-            gain=amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-            freq_offset=float(rng.uniform(-2e-4, 2e-4)),
-            sampling_offset=float(rng.uniform(0, 1)),
-            phase_noise_std=PHASE_NOISE_STD)
-        for name in frames
-    }
-    captures = []
-    for bob_offset in (160, 60):
-        captures.append(synthesize(
-            [Transmission.from_symbols(frames["alice"].symbols, shaper,
-                                       params["alice"], 0, "alice"),
-             Transmission.from_symbols(frames["bob"].symbols, shaper,
-                                       params["bob"], bob_offset, "bob")],
-            NOISE_POWER, rng, leading=8, tail=40))
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
-    placements = []
-    for ci, capture in enumerate(captures):
-        for t in capture.transmissions:
-            est = sync.acquire(capture.samples, t.symbol0,
-                               coarse_freq=params[t.label].freq_offset)
-            placements.append(PlacementParams(
-                t.label, ci, t.symbol0 + est.sampling_offset, est))
-    specs = {name: PacketSpec(name, frames[name].n_symbols, BPSK)
-             for name in frames}
+    captures, frames, specs, placements = hidden_pair_scenario(
+        make_rng(seed), preamble, shaper, snr_db=snr_db,
+        payload_bits=payload_bits)
     config = StreamConfig(preamble=preamble, shaper=shaper)
     outcome = ZigZagMultiDecoder(config).decode(
         [c.samples for c in captures], specs, placements)

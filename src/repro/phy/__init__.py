@@ -19,8 +19,8 @@ from repro.phy.constellation import (
 )
 from repro.phy.modulator import Modulator
 from repro.phy.preamble import Preamble, default_preamble
-from repro.phy.crc import crc32, crc32_check, append_crc32, strip_crc32
-from repro.phy.frame import Frame, FrameHeader, build_frame_bits, parse_frame_bits
+from repro.phy.crc import crc32_check, append_crc32
+from repro.phy.frame import Frame, FrameHeader, build_frame_bits, extract_bits
 from repro.phy.noise import (
     awgn,
     ebn0_db_to_snr_db,
@@ -61,14 +61,12 @@ __all__ = [
     "Modulator",
     "Preamble",
     "default_preamble",
-    "crc32",
     "crc32_check",
     "append_crc32",
-    "strip_crc32",
     "Frame",
     "FrameHeader",
     "build_frame_bits",
-    "parse_frame_bits",
+    "extract_bits",
     "awgn",
     "signal_power",
     "snr_db",

@@ -9,6 +9,11 @@ field lets the receiver know how many symbols to decode.
 
 The preamble and header are always BPSK (base rate); the payload may use any
 registered constellation, since ZigZag is modulation-agnostic (§4.2.3a).
+
+This module is the frame codec. :meth:`Frame.build` is its encode half;
+:func:`extract_rows` is its decode half and every receiver's only path
+from symbol estimates to ``(bits, crc_ok, header)``: the standard decoder,
+SIC, and the scalar and batched ZigZag decoders all call it.
 """
 
 from __future__ import annotations
@@ -18,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, FrameError
-from repro.phy.constellation import BPSK, get_constellation
-from repro.phy.crc import append_crc32, strip_crc32
+from repro.phy.constellation import BPSK, Constellation, get_constellation
+from repro.phy.crc import append_crc32, crc32_check_rows
 from repro.phy.modulator import Modulator
 from repro.phy.preamble import Preamble, default_preamble, lfsr_sequence
 from repro.utils.bits import as_bit_array, bits_from_int
 
-__all__ = ["FrameHeader", "Frame", "build_frame_bits", "parse_frame_bits",
-           "parse_headers", "scramble_bits", "scrambler_sequence",
-           "descramble_soft_bpsk"]
+__all__ = ["FrameHeader", "Frame", "build_frame_bits", "extract_bits",
+           "extract_rows", "parse_headers", "scramble_bits",
+           "scrambler_sequence", "descramble_soft_bpsk"]
 
 # Additive scrambler PN sequence (order-9 LFSR, fixed seed), regenerated on
 # demand up to the longest frame seen. 802.11 scrambles all PSDU bits for
@@ -64,15 +69,9 @@ def descramble_soft_bpsk(soft, offset: int = 0) -> np.ndarray:
     BPSK symbol; soft-decision consumers (e.g. the §6a Viterbi decoder)
     need the sign restored without slicing to hard bits first.
     """
-    global _SCRAMBLER_CACHE
     values = np.asarray(soft, dtype=complex).ravel()
-    needed = offset + values.size
-    if needed > _SCRAMBLER_CACHE.size:
-        _SCRAMBLER_CACHE = lfsr_sequence(
-            2 * needed, order=9, seed_state=0b101010101)
-    signs = 1.0 - 2.0 * _SCRAMBLER_CACHE[
-        offset:offset + values.size].astype(float)
-    return values * signs
+    return values * (1.0 - 2.0 * scrambler_sequence(values.size, offset))
+
 
 _MODULATION_IDS = {"bpsk": 0, "qpsk": 1, "qam16": 2, "qam64": 3}
 _MODULATION_NAMES = {v: k for k, v in _MODULATION_IDS.items()}
@@ -172,6 +171,67 @@ def parse_headers(rows) -> list[FrameHeader | None]:
     return headers
 
 
+def _frame_size(header: FrameHeader | None, body_symbols: int, k: int,
+                full: int) -> int:
+    """Bits of one decoded frame that the CRC covers.
+
+    A header whose ``payload_bits`` fills exactly the *body_symbols*
+    symbols after the header (at *k* bits per symbol) sizes the frame,
+    which drops the modulator's pad bits. Any other header leaves the
+    *full* extent, so a corrupted length field cannot truncate the output.
+    """
+    if header is None:
+        return full
+    tail_bits = header.payload_bits + 32
+    if -(-tail_bits // k) != body_symbols:
+        return full
+    return HEADER_BITS + tail_bits
+
+
+def extract_rows(soft: np.ndarray, body_constellation: Constellation,
+                 preamble_len: int
+                 ) -> tuple[list[np.ndarray], np.ndarray,
+                            list[FrameHeader | None]]:
+    """Decode one frame per row of an ``(N, n_symbols)`` stack of symbol
+    estimates (preamble included): demodulate, descramble, parse the
+    header and check the CRC.
+
+    The header is BPSK, the body uses *body_constellation*, and the
+    scrambler runs across both from bit 0. The frame extent is the row
+    length, never the decoded header alone (see :func:`_frame_size`).
+    Returns ``(bits, crc_ok, headers)``: one uint8 bit array per row
+    (header + payload + CRC), an ``(N,)`` bool array, and one
+    :class:`FrameHeader` per row, None where unparseable.
+    """
+    n = soft.shape[0]
+    header_soft = soft[:, preamble_len:preamble_len + HEADER_BITS]
+    body_soft = soft[:, preamble_len + HEADER_BITS:]
+    full = np.concatenate(
+        [BPSK.demodulate(header_soft).reshape(n, -1),
+         body_constellation.demodulate(body_soft).reshape(n, -1)],
+        axis=1)
+    full ^= scrambler_sequence(full.shape[1])
+    headers = parse_headers(full)
+    sizes = [_frame_size(header, body_soft.shape[1],
+                         body_constellation.bits_per_symbol, full.shape[1])
+             for header in headers]
+    crc_ok = np.zeros(n, dtype=bool)
+    for size in set(sizes):
+        rows = [i for i, s in enumerate(sizes) if s == size]
+        crc_ok[rows] = crc32_check_rows(full[rows, :size])
+    return [row[:size] for row, size in zip(full, sizes)], crc_ok, headers
+
+
+def extract_bits(soft: np.ndarray, body_constellation: Constellation,
+                 preamble_len: int
+                 ) -> tuple[np.ndarray, bool, FrameHeader | None]:
+    """:func:`extract_rows` for one frame's symbol estimates:
+    ``(bits, crc_ok, header)``."""
+    bits, crc_ok, headers = extract_rows(
+        np.asarray(soft)[None], body_constellation, preamble_len)
+    return bits[0], bool(crc_ok[0]), headers[0]
+
+
 def build_frame_bits(header: FrameHeader, payload) -> np.ndarray:
     """Header + payload + CRC-32 over both, as one bit array."""
     payload_arr = as_bit_array(payload)
@@ -181,17 +241,6 @@ def build_frame_bits(header: FrameHeader, payload) -> np.ndarray:
             f"{header.payload_bits}"
         )
     return append_crc32(np.concatenate([header.to_bits(), payload_arr]))
-
-
-def parse_frame_bits(bits) -> tuple[FrameHeader, np.ndarray, bool]:
-    """Inverse of :func:`build_frame_bits`: (header, payload, crc_ok)."""
-    arr = as_bit_array(bits)
-    if arr.size < HEADER_BITS + 32:
-        raise FrameError("bit array too short to hold a frame")
-    body, crc_ok = strip_crc32(arr)
-    header = FrameHeader.from_bits(body[:HEADER_BITS])
-    payload = body[HEADER_BITS:]
-    return header, payload, crc_ok
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ import numpy as np
 
 from repro.errors import CollisionDetectError, FrameError
 from repro.phy.constellation import BPSK, get_constellation
-from repro.phy.crc import strip_crc32
 from repro.phy.estimation import ChannelEstimate, estimate_noise_power
 from repro.phy.frame import HEADER_BITS, FrameHeader, scramble_bits
 from repro.phy.preamble import Preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
-from repro.receiver.result import DecodeResult
+from repro.receiver.result import DecodeResult, frame_results
 
 __all__ = ["StandardDecoder"]
 
@@ -100,7 +99,9 @@ class StandardDecoder:
 
     def decode_with_stream(self, y: np.ndarray,
                            stream: SymbolStreamDecoder) -> DecodeResult:
-        """Shared tail of the decode path: header, body, CRC."""
+        """Shared tail of the decode path: parse the header from the head
+        chunk, size the rest of the frame from it, then hand the whole
+        frame's decisions to the frame codec for bits, CRC and header."""
         pre_len = len(self.preamble)
         sps = self.shaper.sps
         available = int(np.floor(
@@ -128,20 +129,9 @@ class StandardDecoder:
                 "capture shorter than the advertised frame length")
 
         tail_chunk = stream.decode_chunk(y, total)
-        tail_decoded = scramble_bits(
-            body_constellation.demodulate(tail_chunk.decisions),
-            offset=HEADER_BITS)
-        bits = np.concatenate([header_bits, tail_decoded[:tail_bits]])
-        payload_and_header, crc_ok = strip_crc32(bits)
-        payload = payload_and_header[HEADER_BITS:]
-        soft = np.concatenate([head_chunk.soft[pre_len:], tail_chunk.soft])
-        return DecodeResult(
-            success=crc_ok,
-            bits=bits,
-            header=header,
-            payload=payload,
-            soft_symbols=soft,
-            estimate=stream.estimate,
-            via="standard",
-            detail="" if crc_ok else "CRC mismatch",
-        )
+        decisions = np.concatenate([head_chunk.decisions,
+                                    tail_chunk.decisions])
+        soft = np.concatenate([head_chunk.soft, tail_chunk.soft])
+        return frame_results(soft[None], body_constellation, pre_len,
+                             [stream.estimate], "standard",
+                             decisions=decisions[None])[0]

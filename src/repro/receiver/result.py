@@ -6,11 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.phy.constellation import Constellation
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.frame import FrameHeader
+from repro.phy.frame import HEADER_BITS, FrameHeader, extract_rows
 from repro.utils.bits import bit_error_rate
 
-__all__ = ["DecodeResult"]
+__all__ = ["DecodeResult", "frame_results"]
 
 
 @dataclass
@@ -30,8 +31,10 @@ class DecodeResult:
     payload:
         Recovered payload bits (empty on hard failure).
     soft_symbols:
-        Gain-normalized soft symbol estimates for the *body* (after
-        equalization and phase correction); what MRC combines.
+        Gain-normalized soft symbol estimates (after equalization and
+        phase correction) for the *whole frame*, preamble included, so
+        symbol ``i`` of the frame is ``soft_symbols[i]`` whichever
+        receiver decoded it; what MRC combines. Empty on hard failure.
     estimate:
         The receiver's final channel estimate for this packet.
     via:
@@ -71,3 +74,36 @@ class DecodeResult:
     @classmethod
     def failure(cls, detail: str, via: str = "standard") -> "DecodeResult":
         return cls(success=False, via=via, detail=detail)
+
+
+def frame_results(soft: np.ndarray, body_constellation: Constellation,
+                  preamble_len: int, estimates: list, via: str,
+                  decisions: np.ndarray | None = None
+                  ) -> list[DecodeResult]:
+    """One :class:`DecodeResult` per row of *soft* ``(N, n_symbols)``.
+
+    Each row is one whole frame's soft symbols; ``estimates[i]`` is row
+    i's final channel estimate. The frame codec
+    (:func:`~repro.phy.frame.extract_rows`) turns *decisions* into bits
+    when given (sliced points demodulate to their own labels), else
+    *soft*.
+    """
+    bits, crc_ok, headers = extract_rows(
+        soft if decisions is None else decisions, body_constellation,
+        preamble_len)
+    empty = np.zeros(0, np.uint8)
+    return [
+        DecodeResult(
+            success=ok,
+            bits=row,
+            header=header,
+            payload=row[HEADER_BITS:-32]
+            if row.size >= HEADER_BITS + 32 else empty,
+            soft_symbols=row_soft,
+            estimate=estimate,
+            via=via,
+            detail="" if ok else "CRC mismatch",
+        )
+        for row, ok, header, row_soft, estimate
+        in zip(bits, crc_ok.tolist(), headers, soft, estimates)
+    ]

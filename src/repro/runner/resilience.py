@@ -10,9 +10,11 @@ its execution paths:
 - :class:`FailurePolicy` (the ``[resilience]`` TOML table) — what to do
   when a trial fails: ``fail_fast`` (abort, the pre-supervision
   behavior), ``skip`` (record a :class:`TrialFailure` and keep going),
-  or ``retry`` (capped exponential backoff). A retried trial re-derives
-  the *same* ``SeedSequence(seed, spawn_key=(i,))`` child as the attempt
-  it replaces, so retries are bit-identical to a fault-free run.
+  or ``retry`` (re-run at once). A retried trial re-derives the *same*
+  ``SeedSequence(seed, spawn_key=(i,))`` child as the attempt it
+  replaces, so retries are bit-identical to a fault-free run, and fault
+  draws are keyed per attempt, so waiting before a retry would change
+  nothing.
 - :class:`PoolSupervisor` — supervised batch execution over a process
   pool: per-batch watchdog timeouts, ``BrokenProcessPool`` detection
   with pool respawn and resubmission of only the unfinished batches, and
@@ -86,16 +88,13 @@ class FailurePolicy:
     """The ``[resilience]`` TOML table: what a trial failure costs.
 
     ``mode`` picks the response to a failed trial; ``max_retries`` bounds
-    both retry attempts and the pool-crash/watchdog ladders;
-    ``backoff_base``/``backoff_cap`` shape the capped exponential delay
-    between retry attempts (seconds). ``batch_timeout`` > 0 arms a
-    per-batch watchdog (seconds).
+    both retry attempts and the pool-crash/watchdog ladders. A retry runs
+    as soon as it is queued. ``batch_timeout`` > 0 arms a per-batch
+    watchdog (seconds).
     """
 
     mode: str = "fail_fast"
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
     batch_timeout: float = 0.0
 
     def __post_init__(self) -> None:
@@ -105,18 +104,9 @@ class FailurePolicy:
                 f"got {self.mode!r}")
         if self.max_retries < 0:
             raise ConfigurationError("[resilience].max_retries must be >= 0")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigurationError(
-                "[resilience] backoff values must be >= 0")
         if self.batch_timeout < 0:
             raise ConfigurationError(
                 "[resilience].batch_timeout must be >= 0 (0 disables)")
-
-    def retry_delay(self, attempt: int) -> float:
-        """Backoff before re-running a trial that failed *attempt* times."""
-        if self.backoff_base == 0.0:
-            return 0.0
-        return min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
 
 
 @dataclass(frozen=True)
@@ -217,7 +207,6 @@ class _Job:
     attempt: int = 0
     crashes: int = 0
     inline: bool = False
-    ready_at: float = 0.0
 
 
 class PoolSupervisor:
@@ -264,7 +253,6 @@ class PoolSupervisor:
                     continue
                 self._fill_window(task, pending, active)
                 if not active:
-                    self._sleep_until_ready(pending)
                     continue
                 broken = self._collect(active, pending, results, failures)
                 if broken:
@@ -278,8 +266,7 @@ class PoolSupervisor:
     # -- scheduling ----------------------------------------------------
     def _step_inline(self, task: BatchTask, pending: list[_Job],
                      results: dict, failures: dict) -> bool:
-        now = time.monotonic()
-        ready = [job for job in pending if job.inline and job.ready_at <= now]
+        ready = [job for job in pending if job.inline]
         for job in ready:
             pending.remove(job)
             self.stats.inline_batches += 1
@@ -289,10 +276,8 @@ class PoolSupervisor:
 
     def _fill_window(self, task: BatchTask, pending: list[_Job],
                      active: dict) -> None:
-        now = time.monotonic()
         while len(active) < self.window:
-            job = next((j for j in pending
-                        if not j.inline and j.ready_at <= now), None)
+            job = next((j for j in pending if not j.inline), None)
             if job is None:
                 return
             pending.remove(job)
@@ -306,17 +291,9 @@ class PoolSupervisor:
                 pending.append(job)
                 self._recover_from_crash(active, pending)
                 return
-            deadline = (now + self.policy.batch_timeout
+            deadline = (time.monotonic() + self.policy.batch_timeout
                         if self.policy.batch_timeout > 0 else math.inf)
             active[future] = (job, deadline)
-
-    def _sleep_until_ready(self, pending: list[_Job]) -> None:
-        if not pending:
-            return
-        wake = min(job.ready_at for job in pending)
-        delay = wake - time.monotonic()
-        if delay > 0:
-            time.sleep(min(delay, 0.5))
 
     def _collect(self, active: dict, pending: list[_Job],
                  results: dict, failures: dict) -> bool:
@@ -372,9 +349,7 @@ class PoolSupervisor:
             self.stats.trial_retries += len(retry)
             pending.append(_Job(
                 retry, attempt=job.attempt + 1, crashes=job.crashes,
-                inline=job.inline,
-                ready_at=time.monotonic()
-                + self.policy.retry_delay(job.attempt)))
+                inline=job.inline))
 
     def _abort(self, failure: TrialFailure, failures: dict) -> None:
         self._shutdown(terminate=True)
@@ -434,9 +409,7 @@ class PoolSupervisor:
                 and job.attempt < self.policy.max_retries:
             self.stats.trial_retries += 1
             pending.append(_Job([index], attempt=job.attempt + 1,
-                                crashes=job.crashes, inline=job.inline,
-                                ready_at=time.monotonic()
-                                + self.policy.retry_delay(job.attempt)))
+                                crashes=job.crashes, inline=job.inline))
             return
         message = (f"trial {index} exceeded the "
                    f"{self.policy.batch_timeout:.3g}s batch watchdog "

@@ -24,7 +24,9 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.mac.hidden import HiddenScenario
 from repro.phy.channel import FREQ_SPREAD, PHASE_NOISE_STD, ChannelParams
+from repro.phy.constellation import BPSK
 from repro.phy.estimation import COARSE_FREQ_ERROR
+from repro.phy.frame import extract_bits
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.noise import NOISE_POWER
 from repro.phy.sync import Synchronizer
@@ -50,7 +52,7 @@ from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.testbed.topology import SensingClass, default_testbed
 from repro.utils.bits import bit_error_rate
 from repro.zigzag.batch import BatchedPairDecoder
-from repro.zigzag.decoder import ZigZagMultiDecoder, extract_bits
+from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec
 from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
@@ -331,8 +333,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         stream = SymbolStreamDecoder(
             config, est, t.symbol0 + est.sampling_offset)
         chunk = stream.decode_chunk(cap.samples, frame.n_symbols)
-        bits, _, _ = extract_bits(
-            chunk.soft, PacketSpec(name, frame.n_symbols), len(preamble))
+        bits, _, _ = extract_bits(chunk.soft, BPSK, len(preamble))
         free.append(bit_error_rate(
             frame.body_bits, bits[:frame.body_bits.size]))
     metrics["ber_free"] = float(np.mean(free))

@@ -43,7 +43,7 @@ from repro.phy.channel import (
 )
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.impairments import ImpairmentPipeline
-from repro.phy.frame import Frame
+from repro.phy.frame import Frame, extract_bits
 from repro.phy.medium import Capture, Transmission, synthesize
 from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble, default_preamble
@@ -54,7 +54,7 @@ from repro.receiver.frontend import StreamConfig
 from repro.receiver.mrc import mrc_combine
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import bit_error_rate, random_bits
-from repro.zigzag.decoder import ZigZagMultiDecoder, extract_bits
+from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.sic import SicDecoder
 
@@ -268,7 +268,8 @@ class PairExperiment:
                 if len(soft_history[name]) >= 2:
                     combined = mrc_combine(soft_history[name])
                     bits, _, _ = extract_bits(
-                        combined, specs[name], len(self.preamble))
+                        combined, specs[name].body_constellation,
+                        len(self.preamble))
                     ber = min(ber, bit_error_rate(
                         frames[name].body_bits, bits))
             bers[name] = ber

@@ -591,8 +591,8 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
     scalar :meth:`decode`. ``last_stats`` records the split.
 
     Only the engines run batched. Every per-trial rule is the inherited
-    one: bit extraction (:func:`~repro.zigzag.decoder.extract_rows`, over
-    the lane axis), the ``DecodeResult`` of each lane, backward planning
+    one: bit extraction (the frame codec's
+    :func:`~repro.phy.frame.extract_rows`, over the lane axis), the ``DecodeResult`` of each lane, backward planning
     (:func:`~repro.zigzag.decoder.plan_backward`) and the MRC of a
     failing packet. As in the scalar decoder, a packet that passes CRC
     after the forward pass is final: only lanes holding a failing packet

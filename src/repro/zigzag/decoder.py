@@ -52,20 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ReproError, ScheduleError
-from repro.phy.constellation import BPSK
-from repro.phy.crc import crc32_check_rows
 from repro.phy.equalizer import LmsEqualizer
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.frame import (
-    HEADER_BITS,
-    FrameHeader,
-    parse_headers,
-    scrambler_sequence,
-)
 from repro.phy.isi import IsiFilter
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.mrc import mrc_combine
-from repro.receiver.result import DecodeResult
+from repro.receiver.result import DecodeResult, frame_results
 from repro.zigzag.engine import (
     PacketAccumulator,
     PacketSpec,
@@ -80,39 +72,7 @@ from repro.zigzag.schedule import (
 )
 
 __all__ = ["BackwardPlan", "ZigZagOutcome", "ZigZagMultiDecoder",
-           "extract_bits", "extract_rows", "plan_backward", "schedule_for"]
-
-
-def extract_rows(soft: np.ndarray, spec: PacketSpec, preamble_len: int
-                 ) -> tuple[np.ndarray, np.ndarray, list[FrameHeader | None]]:
-    """Demodulate one packet's soft symbols into bits and check the CRC,
-    for each row of an ``(N, n_symbols)`` stack (one row per trial).
-
-    Returns ``(bits, crc_ok, headers)``: ``(N, n_bits)`` uint8, ``(N,)``
-    bool, and one :class:`FrameHeader` per row, None where unparseable.
-    The frame extent comes from ``spec.n_symbols`` (already established at
-    scheduling time), never from the decoded header — a corrupted length
-    field must not be able to truncate the output.
-    """
-    n = soft.shape[0]
-    header_soft = soft[:, preamble_len:preamble_len + HEADER_BITS]
-    body_soft = soft[:, preamble_len + HEADER_BITS:]
-    # The header is BPSK; the body is demodulated with its own
-    # constellation, and the scrambler runs across both from bit 0.
-    bits = np.concatenate(
-        [BPSK.demodulate(header_soft).reshape(n, -1),
-         spec.body_constellation.demodulate(body_soft).reshape(n, -1)],
-        axis=1)
-    bits ^= scrambler_sequence(bits.shape[1])
-    return bits, crc32_check_rows(bits), parse_headers(bits)
-
-
-def extract_bits(soft: np.ndarray, spec: PacketSpec,
-                 preamble_len: int) -> tuple[np.ndarray, bool, FrameHeader | None]:
-    """:func:`extract_rows` for one packet's soft symbols:
-    ``(bits, crc_ok, header)``."""
-    bits, crc_ok, headers = extract_rows(soft[None], spec, preamble_len)
-    return bits[0], bool(crc_ok[0]), headers[0]
+           "plan_backward", "schedule_for"]
 
 
 def schedule_for(placements: list[PlacementParams],
@@ -300,24 +260,8 @@ class ZigZagMultiDecoder:
                  estimates: list) -> list[DecodeResult]:
         """One packet's ``DecodeResult`` per row of *soft* ``(N, symbols)``;
         ``estimates[i]`` is row i's final channel estimate."""
-        bits, crc_ok, headers = extract_rows(
-            soft, spec, len(self.config.preamble))
-        empty = np.zeros(0, np.uint8)
-        has_payload = bits.shape[1] >= HEADER_BITS + 32
-        return [
-            DecodeResult(
-                success=ok,
-                bits=row,
-                header=header,
-                payload=row[HEADER_BITS:-32] if has_payload else empty,
-                soft_symbols=row_soft,
-                estimate=estimate,
-                via="zigzag",
-                detail="" if ok else "CRC mismatch",
-            )
-            for row, ok, header, row_soft, estimate
-            in zip(bits, crc_ok.tolist(), headers, soft, estimates)
-        ]
+        return frame_results(soft, spec.body_constellation,
+                             len(self.config.preamble), estimates, "zigzag")
 
     def _result(self, soft: np.ndarray, spec: PacketSpec,
                 estimate: ChannelEstimate | None) -> DecodeResult:

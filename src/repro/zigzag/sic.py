@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
-from repro.phy.frame import HEADER_BITS
 from repro.phy.sync import Synchronizer
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
-from repro.receiver.result import DecodeResult
-from repro.zigzag.decoder import extract_bits
+from repro.receiver.result import DecodeResult, frame_results
 from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.reencode import Reencoder, subtract_segment
 
@@ -83,19 +81,9 @@ class SicDecoder:
                 results[pl.packet] = DecodeResult.failure(str(exc),
                                                           via="sic")
                 continue
-            bits, crc_ok, header = extract_bits(chunk.soft, spec, pre_len)
-            payload = bits[HEADER_BITS:-32] \
-                if bits.size >= HEADER_BITS + 32 else np.zeros(0, np.uint8)
-            results[pl.packet] = DecodeResult(
-                success=crc_ok,
-                bits=bits,
-                header=header,
-                payload=payload,
-                soft_symbols=chunk.soft,
-                estimate=stream.estimate,
-                via="sic",
-                detail="" if crc_ok else "CRC mismatch",
-            )
+            results[pl.packet] = frame_results(
+                chunk.soft[None], spec.body_constellation, pre_len,
+                [stream.estimate], "sic")[0]
             reencoder = Reencoder(
                 shaper=self.config.shaper,
                 estimate=stream.estimate,

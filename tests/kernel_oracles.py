@@ -8,7 +8,8 @@ the trial-axis batched kernels must equal one scalar call per lane
 (``test_batched_kernels.py``), one-pass client-table acquisition
 must equal the per-frequency loop (``test_shared_acquisition.py``), and
 one-pass pruned detection must equal one full correlation per candidate
-(``test_pruned_detection.py``).
+(``test_pruned_detection.py``), and the zlib CRC-32 must equal the
+table-driven byte loop (``test_crc.py``, ``test_extract_rows.py``).
 
 Each function takes the live object as its first argument and mutates its
 state exactly as the original method did.
@@ -43,6 +44,8 @@ __all__ = [
     "detector_find_packets",
     "bits_as_bit_array",
     "bits_to_int",
+    "crc32",
+    "crc32_bits",
 ]
 
 
@@ -464,3 +467,38 @@ def bits_to_int(bits) -> int:
     for bit in arr:
         out = (out << 1) | int(bit)
     return out
+
+
+# ----------------------------------------------------------------------
+# CRC-32
+# ----------------------------------------------------------------------
+def _crc32_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def crc32(data: bytes | bytearray) -> int:
+    """Original table-driven CRC-32 (reflected polynomial 0xEDB88320,
+    init and final XOR 0xFFFFFFFF), one table lookup per byte."""
+    crc = 0xFFFFFFFF
+    for byte in bytes(data):
+        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+def crc32_bits(bits) -> np.ndarray:
+    """Original ``crc32_bits``: the 32 checksum bits (MSB first) of a bit
+    array zero-padded to a byte boundary."""
+    arr = bits_as_bit_array(bits)
+    arr = np.concatenate([arr, np.zeros(-arr.size % 8, dtype=np.uint8)])
+    value = crc32(np.packbits(arr).tobytes())
+    return np.unpackbits(np.frombuffer(value.to_bytes(4, "big"),
+                                       dtype=np.uint8))

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, FrameError
+from repro.phy.constellation import BPSK
+from repro.phy.crc import crc32_check
 from repro.phy.frame import (
     HEADER_BITS,
     Frame,
     FrameHeader,
     build_frame_bits,
-    parse_frame_bits,
+    extract_bits,
 )
 from repro.utils.bits import random_bits
 
@@ -55,10 +57,13 @@ class TestFrameBits:
         payload = random_bits(100, rng)
         header = FrameHeader(1, 0, 5, False, "bpsk", 100)
         bits = build_frame_bits(header, payload)
-        parsed_header, parsed_payload, ok = parse_frame_bits(bits)
+        frame = Frame.build(header, payload)
+        decoded, ok, parsed_header = extract_bits(
+            frame.symbols, BPSK, len(frame.preamble))
         assert ok
         assert parsed_header == header
-        assert np.array_equal(parsed_payload, payload)
+        assert np.array_equal(decoded, bits)
+        assert np.array_equal(decoded[HEADER_BITS:-32], payload)
 
     def test_length_mismatch_rejected(self, rng):
         header = FrameHeader(1, 0, 5, False, "bpsk", 100)
@@ -69,9 +74,9 @@ class TestFrameBits:
         payload = random_bits(64, rng)
         header = FrameHeader(1, 0, 5, False, "bpsk", 64)
         bits = build_frame_bits(header, payload)
+        assert crc32_check(bits)
         bits[10] ^= 1
-        _, _, ok = parse_frame_bits(bits)
-        assert not ok
+        assert not crc32_check(bits)
 
 
 class TestFrame:
@@ -98,6 +103,5 @@ class TestFrame:
         assert np.array_equal(retry.payload, frame.payload)
 
     def test_body_bits_crc_valid(self, rng, preamble):
-        from repro.phy.crc import crc32_check
         frame = Frame.make(random_bits(64, rng), preamble=preamble)
         assert crc32_check(frame.body_bits)

@@ -156,8 +156,7 @@ class TestPooledBatches:
                                                        inline_reference):
         chaotic = replace(
             _spec(8, n_trials=12),
-            resilience=FailurePolicy(mode="retry", max_retries=3,
-                                     backoff_base=0.0),
+            resilience=FailurePolicy(mode="retry", max_retries=3),
             faults=FaultSpec(kill_worker_prob=0.15, seed=5))
         result = MonteCarloRunner(n_workers=2, batch_size=3).run(chaotic)
         assert result.supervision.pool_respawns >= 1

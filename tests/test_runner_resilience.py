@@ -47,7 +47,7 @@ def _metrics(result):
     return [t.metrics for t in result.trials]
 
 
-RETRY = FailurePolicy(mode="retry", max_retries=3, backoff_base=0.0)
+RETRY = FailurePolicy(mode="retry", max_retries=3)
 
 
 # ----------------------------------------------------------------------
@@ -107,14 +107,9 @@ class TestFaultSpec:
         with pytest.raises(FaultInjectionError):
             injector.pre_trial(0, 0)
 
-    def test_policy_validation_and_backoff(self):
+    def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
             FailurePolicy(mode="explode")
-        policy = FailurePolicy(mode="retry", backoff_base=0.1,
-                               backoff_cap=0.3)
-        assert policy.retry_delay(0) == pytest.approx(0.1)
-        assert policy.retry_delay(5) == pytest.approx(0.3)  # capped
-        assert FailurePolicy(backoff_base=0.0).retry_delay(9) == 0.0
 
     def test_spec_tables_round_trip(self):
         spec = _spec(resilience=RETRY,
@@ -174,8 +169,7 @@ class TestTrialIsolation:
 
     def test_retry_exhaustion_records_terminal_failure(self):
         spec = _spec(n_trials=3,
-                     resilience=FailurePolicy(mode="retry", max_retries=1,
-                                              backoff_base=0.0),
+                     resilience=FailurePolicy(mode="retry", max_retries=1),
                      faults=FaultSpec(raise_in_trial_prob=1.0))
         result = MonteCarloRunner(n_workers=1).run(spec)
         assert result.n_failed == 3
@@ -195,7 +189,7 @@ class TestPoolSupervision:
 
     def test_watchdog_fires_on_injected_hang(self):
         policy = FailurePolicy(mode="retry", max_retries=2,
-                               backoff_base=0.0, batch_timeout=0.75)
+                               batch_timeout=0.75)
         spec = _spec(n_trials=6, resilience=policy,
                      faults=FaultSpec(hang_trial_prob=0.25,
                                       hang_seconds=20.0, seed=9))
@@ -369,8 +363,7 @@ class TestArenaHygiene:
         spec = ScenarioSpec(
             kind="hidden_pair_decode", n_trials=8, seed=11, batch_size=4,
             payload_bits=64,
-            resilience=FailurePolicy(mode="retry", max_retries=3,
-                                     backoff_base=0.0),
+            resilience=FailurePolicy(mode="retry", max_retries=3),
             faults=FaultSpec(kill_worker_prob=0.1, seed=2))
         result = MonteCarloRunner(n_workers=3).run(spec)
         assert result.n_completed == 8
