@@ -93,7 +93,8 @@ chaos-smoke:
 # derived-topology test suite (fixed-seed regression, Hypothesis
 # properties, multi-cell coordinator) and the coupled 3-AP block's
 # closed-loop golden (block3), named next to the parallel-equivalence
-# suite.
+# suite. The two-worker run's --json output must report two workers and
+# no degradation, or the block silently stepped in process.
 city-smoke:
 	$(PYTHON) -m repro run examples/scenarios/city_block.toml \
 		--workers 0 --set deployment.n_aps=3 \
@@ -102,7 +103,12 @@ city-smoke:
 		--workers 1 --set n_trials=1 \
 		--set design=zigzag --set deployment.n_aps=3 \
 		--set deployment.n_clients=12 --set deployment.area_m=70 \
-		--set deployment.coupled_workers=2
+		--set deployment.coupled_workers=2 \
+		--json | $(PYTHON) -c "import json, sys; \
+		m = json.load(sys.stdin)['metrics']; \
+		sys.exit((m['coupled_workers']['mean'] != 2 \
+		or m['coupled_degraded']['mean'] != 0) \
+		and 'city_block.toml: the 2-worker block degraded to in-process')"
 	$(PYTHON) -m pytest -q tests/test_deployment.py \
 		tests/test_multicell_parallel.py
 	$(PYTHON) -m pytest -q tests/test_closed_loop_golden.py -k block3

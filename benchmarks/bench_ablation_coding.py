@@ -34,8 +34,7 @@ def coding_trial(ctx):
 
     preamble = cached_preamble(32)
     shaper = cached_shaper()
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=1.0)
+    config = StreamConfig(preamble=preamble, shaper=shaper)
     decoder = ZigZagMultiDecoder(config)
     captures, frames, payloads, specs, placements = coded_collision_pair(
         ctx.rng, preamble, shaper, SNR_DB, payload_bits=PAYLOAD_BITS)

@@ -30,8 +30,7 @@ def correction_trial(ctx):
     """Decode one pair with the correction loop on and off."""
     preamble = cached_preamble(32)
     shaper = cached_shaper()
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=1.0)
+    config = StreamConfig(preamble=preamble, shaper=shaper)
     captures, frames, specs, placements = hidden_pair_scenario(
         ctx.rng, preamble, shaper, snr_db=SNR_DB, payload_bits=300,
         phase_noise=2e-3)

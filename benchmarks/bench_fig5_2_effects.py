@@ -31,8 +31,8 @@ def error_profile_without_tracking(ctx, payload_bits=2400):
     params = ChannelParams(gain=6.0, freq_offset=freq)
     tx = Transmission.from_symbols(frame.symbols, shaper, params, 0, "a")
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
-    decoder = StandardDecoder(preamble, shaper, noise_power=1.0,
-                              coarse_freq=freq + 8e-5, track_phase=False)
+    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq + 8e-5,
+                              track_phase=False)
     result = decoder.decode(cap.samples)
     bits = result.bits if result.bits.size else np.zeros(0, np.uint8)
     n = min(bits.size, frame.body_bits.size)

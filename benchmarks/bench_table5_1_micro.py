@@ -95,8 +95,7 @@ def tracking_trial(ctx, payload_bits=400, track=True):
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
     # The decoder works from the (slightly stale) client-table coarse
     # estimate; tracking must absorb the residual.
-    decoder = StandardDecoder(preamble, shaper, noise_power=1.0,
-                              coarse_freq=freq + 1.2e-4,
+    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq + 1.2e-4,
                               track_phase=track)
     ok = decoder.decode(cap.samples).ber_against(frame.body_bits) < 1e-3
     return float(ok)
@@ -113,8 +112,7 @@ def isi_trial(ctx, snr_db=10.0, use_equalizer=True):
         frame.symbols, shaper, _params(rng, snr_db, freq, isi=0.45),
         0, "a")
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
-    decoder = StandardDecoder(preamble, shaper, noise_power=1.0,
-                              coarse_freq=freq,
+    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq,
                               use_equalizer=use_equalizer)
     ok = decoder.decode(cap.samples).ber_against(frame.body_bits) < 1e-3
     return float(ok)

@@ -14,19 +14,19 @@ control (§5.1d):
 1. Run the standard stage. A success at the strongest peak ends the
    flow (a correlation spike elsewhere in a cleanly-decoded packet is
    treated as the false positive it almost always is).
-2. Otherwise a capture with two or more peaks is a collision. On a
-   two-packet collision dominated by one sender, try capture-effect SIC
-   (Fig 4-1e): decode the strong packet through the interference,
-   subtract it, recover the weak one.
-3. Otherwise search stored collisions for matches (§4.2.2) under the
-   best peak correspondence, since jitter reorders arrivals; on a match,
+2. Otherwise a capture with two or more peaks is a collision: search
+   stored collisions for matches (§4.2.2) under the best peak
+   correspondence, since jitter reorders arrivals; on a match,
    ZigZag-decode the collision set — pairs per §4.2.3, and k mutually
    hidden senders across k collisions per §4.5, assembling the set from
    the collision buffer's match graph; otherwise store the collision in
    case it helps decode a future one.
 
-Successes of steps 2–3 are merged with the stage's by source, so on the
+Successes of step 2 are merged with the stage's by source, so on the
 same capture the ZigZag AP returns every packet the baseline returns.
+The closed loop has no capture-effect SIC stage (Fig 4-1e) yet: a
+strong packet the standard stage decodes is not subtracted to look for
+a weak one under it.
 
 Both maintain the per-client coarse frequency-offset table the paper
 describes ("the AP can maintain coarse estimates of the frequency
@@ -51,11 +51,14 @@ import numpy as np
 from repro.errors import CollisionDetectError, ConfigurationError, ReproError
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
-from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import Preamble, default_preamble
 from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
-from repro.receiver.buffer import CollisionBuffer, CollisionRecord
+from repro.receiver.buffer import (
+    GAP_TOLERANCE,
+    CollisionBuffer,
+    CollisionRecord,
+)
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig
 from repro.receiver.result import DecodeResult
@@ -63,7 +66,6 @@ from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.detect import CollisionDetector
 from repro.zigzag.engine import PacketSpec, PlacementParams
 from repro.zigzag.match import match_score
-from repro.zigzag.sic import SicDecoder
 
 __all__ = ["ClientTable", "ReceiverConfig", "ReceiverStats", "StandardAp",
            "ZigZagReceiver"]
@@ -131,6 +133,9 @@ MATCH_WINDOW = 256
 # correlation (median ~0.1 at k = 2-4), which does not shrink with k
 # (docs/performance.md, "False identity matches").
 MATCH_THRESHOLD = 0.15
+# Frequency-assignment hypotheses a k-way set is decoded under, best
+# first (ZigZagReceiver._acquire_set_placements).
+MAX_ASSIGNMENTS = 2
 # Age (in receive() calls) after which a stored collision is pruned.
 # 802.11 retransmissions arrive within a few receptions of the original
 # collision (§4.2.2), so a record this old can never match — it only
@@ -176,6 +181,10 @@ class ReceiverStats:
     The streaming session driver (:mod:`repro.link`) surfaces these per
     soak run; they are also what distinguishes "ZigZag never engaged"
     from "ZigZag engaged and failed" when a scenario underdelivers.
+    A collision's packets reach the AP only through the standard stage
+    (``clean_decodes``) or a ZigZag decode (``zigzag_matches``): the
+    closed-loop AP has no capture-effect SIC stage, so no counter exists
+    for one.
     """
 
     captures: int = 0
@@ -183,7 +192,6 @@ class ReceiverStats:
     collisions_detected: int = 0
     collisions_stored: int = 0
     zigzag_matches: int = 0
-    sic_decodes: int = 0
     short_alignments: int = 0   # stored records skipped as unscoreable
     evictions_capacity: int = 0
     evictions_age: int = 0
@@ -294,8 +302,7 @@ class StandardAp:
         self.synchronizer = Synchronizer(config.preamble, config.shaper,
                                          threshold=COLLISION_BETA)
         self.standard = StandardDecoder(
-            config.preamble, config.shaper, noise_power=NOISE_POWER,
-            sync_threshold=SYNC_THRESHOLD)
+            config.preamble, config.shaper, sync_threshold=SYNC_THRESHOLD)
 
     def receive(self, samples) -> list[DecodeResult]:
         """Process one capture; returns the packets it standard-decodes."""
@@ -321,7 +328,7 @@ class StandardAp:
         if not verdict.peaks:
             return None
         # The capture as a record from the start: every acquisition on it
-        # (standard stage, SIC, each decode attempt) shares its memoized
+        # (standard stage, each decode attempt) shares its memoized
         # work, and a ZigZag AP stores this same record if nothing
         # resolves it.
         return CollisionRecord(samples=y, peaks=list(verdict.peaks),
@@ -366,9 +373,9 @@ class StandardAp:
         """Acquisition at one peak of *record* under every client-table
         frequency (§4.2.4), in candidate order.
 
-        Memoized on the record: the standard stage, the SIC attempt,
-        every pair or k-way decode attempt, and later retries against a
-        stored record all reuse one acquisition per (peak, frequency).
+        Memoized on the record: the standard stage, every pair or k-way
+        decode attempt, and later retries against a stored record all
+        reuse one acquisition per (peak, frequency).
         Frequencies not yet memoized share one timing-grid pass, itself
         taken from the record's matched-filter outputs where an earlier
         call sampled them.
@@ -408,7 +415,6 @@ class ZigZagReceiver(StandardAp):
         # One decoder serves every set size: the k-copy MRC only engages
         # at three or more captures.
         self.multi_decoder = ZigZagMultiDecoder(cfg.stream_config())
-        self.sic = SicDecoder(cfg.stream_config())
         # Samples from a packet's start to its payload: every packet
         # opens with the same preamble and a near-identical header.
         self._payload_lead = ((len(cfg.preamble) + HEADER_BITS)
@@ -559,7 +565,7 @@ class ZigZagReceiver(StandardAp):
                 self.stats.match_attempts += 1
                 self.stats.short_alignments += 1
                 continue
-            if all(abs(a - b) < 2 for a, b in zip(
+            if all(abs(a - b) < GAP_TOLERANCE for a, b in zip(
                     self._aligned_offsets(record, perm), probe_offsets)):
                 continue  # same arrival pattern: degenerate (§4.5)
             self.stats.match_attempts += 1
@@ -571,8 +577,7 @@ class ZigZagReceiver(StandardAp):
         return matches, alignments
 
     def _acquire_set_placements(self,
-                                layers: list[tuple[CollisionRecord, list]],
-                                max_assignments: int = 2
+                                layers: list[tuple[CollisionRecord, list]]
                                 ) -> list[list[PlacementParams]]:
         """Ranked placement hypotheses for a k-way collision set, each
         with one shared frequency assignment per packet.
@@ -586,8 +591,8 @@ class ZigZagReceiver(StandardAp):
         preamble gain across all captures. Close client CFOs leave that
         statistic with a razor-thin margin (a Δf of 2e-3 cycles/sample
         costs under 3% of coherent preamble gain), so the top
-        *max_assignments* hypotheses are returned for the caller to try
-        in order. Falls back to a single independent per-peak selection
+        :data:`MAX_ASSIGNMENTS` hypotheses are returned for the caller to
+        try in order. Falls back to a single independent per-peak selection
         when fewer client frequencies are known than packets.
         """
         candidates = self.clients.candidates()
@@ -642,7 +647,7 @@ class ZigZagReceiver(StandardAp):
         for _, assign in sorted(runners, key=lambda entry: -entry[0]):
             if assign not in assignments:
                 assignments.append(assign)
-            if len(assignments) == max_assignments:
+            if len(assignments) == MAX_ASSIGNMENTS:
                 break
         return [build(lambda ci, i, a=assign: estimates[(ci, i, a[i])])
                 for assign in assignments]
@@ -747,7 +752,8 @@ class ZigZagReceiver(StandardAp):
                 # correspondence to be trusted.
                 continue
             offsets = self._aligned_offsets(record, perm)
-            if any(all(abs(a - b) < 2 for a, b in zip(offsets, seen))
+            if any(all(abs(a - b) < GAP_TOLERANCE
+                       for a, b in zip(offsets, seen))
                    for seen in offsets_seen):
                 continue  # degenerate against the probe or a chosen one
             perms[id(record)] = perm
@@ -767,19 +773,7 @@ class ZigZagReceiver(StandardAp):
         k = probe.n_peaks
         n_symbols = self.config.expected_symbols
 
-        # (a) capture-effect SIC on this single collision (Fig 4-1e).
-        if k == 2:
-            placements = self._acquire_placements(probe, probe.peaks, 0)
-            gains = [abs(p.estimate.gain) for p in placements]
-            if max(gains) > 2.5 * min(gains):
-                specs = {p.packet: PacketSpec(p.packet, n_symbols)
-                         for p in placements}
-                results = self.sic.decode(probe.samples, specs, placements)
-                if all(r.success for r in results.values()):
-                    self.stats.sic_decodes += 1
-                    return list(results.values())
-
-        # (b) match against stored collisions and ZigZag-decode: the
+        # (a) match against stored collisions and ZigZag-decode: the
         # k-way set via the buffer's match graph when the collision holds
         # three or more packets, the classic newest-first pair scan for
         # two (each match attempted until one decodes).
@@ -797,7 +791,7 @@ class ZigZagReceiver(StandardAp):
                 if results:
                     return results
 
-        # (c) no match: store and wait for the retransmissions.
+        # (b) no match: store and wait for the retransmissions.
         if len(self.buffer) == self.config.buffer_capacity:
             self.stats.evictions_capacity += 1
         self.buffer.store(probe)

@@ -9,7 +9,7 @@ runs its own event loop (:mod:`~repro.link.session`). The runner's
 :class:`LinkSession`.
 """
 
-from repro.link.air import AirConfig, ContinuousAir
+from repro.link.air import ContinuousAir
 from repro.link.aps import StandardAp, build_ap
 from repro.link.events import EventQueue, RadioState
 from repro.link.multicell import (
@@ -17,7 +17,7 @@ from repro.link.multicell import (
     MultiCellReport,
     MultiCellSession,
 )
-from repro.link.segmenter import Burst, BurstSegmenter, SegmenterConfig
+from repro.link.segmenter import Burst, BurstSegmenter
 from repro.link.topology import Topology
 from repro.link.session import (
     LinkSession,
@@ -27,7 +27,6 @@ from repro.link.session import (
 )
 
 __all__ = [
-    "AirConfig",
     "Burst",
     "BurstSegmenter",
     "ContinuousAir",
@@ -37,7 +36,6 @@ __all__ = [
     "MultiCellReport",
     "MultiCellSession",
     "RadioState",
-    "SegmenterConfig",
     "SessionConfig",
     "SessionReport",
     "StandardAp",

@@ -13,8 +13,6 @@ transmission plus one chunk, never by session length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -22,23 +20,7 @@ from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.medium import Transmission, channel_waveform
 from repro.phy.noise import NOISE_POWER, awgn
 
-__all__ = ["AirConfig", "ContinuousAir"]
-
-
-@dataclass(frozen=True)
-class AirConfig:
-    """Knobs of the streamed medium."""
-
-    chunk_samples: int = 2048
-    # Optional AP front-end pipeline (clipping, quantization, IQ
-    # imbalance, interferers), applied per chunk with the chunk's absolute
-    # start index so index-parameterized stages stay continuous across
-    # chunk boundaries.
-    impairments: ImpairmentPipeline | None = None
-
-    def __post_init__(self) -> None:
-        if self.chunk_samples < 1:
-            raise ConfigurationError("chunk_samples must be >= 1")
+__all__ = ["ContinuousAir"]
 
 
 class ContinuousAir:
@@ -51,12 +33,17 @@ class ContinuousAir:
     ``emit`` then produces the next chunk of received samples: complex
     AWGN plus every overlapping waveform. Scheduling into already-emitted
     time is an error — the stream is causal.
+
+    *impairments* is the optional AP front-end pipeline (clipping,
+    quantization, IQ imbalance, interferers), applied per chunk with the
+    chunk's absolute start index so index-parameterized stages stay
+    continuous across chunk boundaries.
     """
 
-    def __init__(self, config: AirConfig,
-                 rng: np.random.Generator) -> None:
-        self.config = config
+    def __init__(self, rng: np.random.Generator,
+                 impairments: ImpairmentPipeline | None = None) -> None:
         self.rng = rng
+        self.impairments = impairments
         self._active: list[tuple[int, np.ndarray]] = []  # (start, waveform)
         self._cursor = 0            # absolute index of the next new sample
         self.samples_emitted = 0
@@ -152,13 +139,12 @@ class ContinuousAir:
         self._cursor = t1
         self.samples_skipped += n_samples
 
-    def emit(self, n_samples: int | None = None) -> np.ndarray:
-        """The next *n_samples* (default one chunk) of received signal."""
-        n = self.config.chunk_samples if n_samples is None else n_samples
-        if n < 1:
+    def emit(self, n_samples: int) -> np.ndarray:
+        """The next *n_samples* of received signal."""
+        if n_samples < 1:
             raise ConfigurationError("emit needs a positive sample count")
-        t0, t1 = self._cursor, self._cursor + n
-        chunk = awgn(n, NOISE_POWER, self.rng)
+        t0, t1 = self._cursor, self._cursor + n_samples
+        chunk = awgn(n_samples, NOISE_POWER, self.rng)
         finished = []
         for slot, (start, wave) in enumerate(self._active):
             end = start + wave.size
@@ -170,9 +156,9 @@ class ContinuousAir:
                 finished.append(slot)
         for slot in reversed(finished):
             del self._active[slot]
-        front = self.config.impairments
+        front = self.impairments
         if front is not None and not front.is_identity:
             chunk = front.apply(chunk, self.rng, t0)
         self._cursor = t1
-        self.samples_emitted += n
+        self.samples_emitted += n_samples
         return chunk

@@ -9,7 +9,7 @@ closes it when a longer hang window of near-noise samples confirms the
 air went quiet (two thresholds, so envelope dips inside a packet don't
 split it). Bursts that straddle chunk boundaries are carried over; the
 only state kept between chunks is the open burst (capped at
-``max_burst_samples``) plus a small tail of history for the moving
+:data:`MAX_BURST_SAMPLES`) plus a small tail of history for the moving
 averages and leading pad — the full stream is never materialized.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.noise import NOISE_POWER
 
-__all__ = ["SegmenterConfig", "Burst", "BurstSegmenter"]
+__all__ = ["Burst", "BurstSegmenter"]
 
 # Energy hysteresis, relative to the known noise floor (NOISE_POWER): an
 # OPEN_WINDOW mean of OPEN_FACTOR × noise opens a burst, a HANG_WINDOW
@@ -34,17 +34,9 @@ OPEN_WINDOW = 16
 HANG_WINDOW = 64
 # Leading context samples kept ahead of each burst.
 PAD = 16
-
-
-@dataclass(frozen=True)
-class SegmenterConfig:
-    """The burst cap."""
-
-    max_burst_samples: int = 1 << 17
-
-    def __post_init__(self) -> None:
-        if self.max_burst_samples < 4 * HANG_WINDOW:
-            raise ConfigurationError("max_burst_samples too small")
+# Longest burst: a burst still open at this length is force-closed. It
+# must hold several hang windows (at least 4 × HANG_WINDOW).
+MAX_BURST_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class Burst:
 
     samples: np.ndarray
     start: int              # absolute index of samples[0]
-    truncated: bool = False  # force-closed at max_burst_samples
+    truncated: bool = False  # force-closed at MAX_BURST_SAMPLES
 
     @property
     def end(self) -> int:
@@ -73,8 +65,7 @@ class BurstSegmenter:
     chain wants as tail context anyway).
     """
 
-    def __init__(self, config: SegmenterConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         k = max(OPEN_WINDOW, HANG_WINDOW) + PAD
         self._history = np.zeros(0, dtype=complex)  # last k stream samples
         self._history_len = k
@@ -107,7 +98,6 @@ class BurstSegmenter:
 
     def push(self, chunk) -> list[Burst]:
         """Consume one chunk; return bursts completed inside it."""
-        cfg = self.config
         chunk = np.asarray(chunk, dtype=complex).ravel()
         if chunk.size == 0:
             return []
@@ -147,16 +137,16 @@ class BurstSegmenter:
                 lo = max(i, guard, 0)
                 hits = np.flatnonzero(close_cond[lo:]) \
                     if lo < chunk.size else np.zeros(0, int)
-                # The open burst never exceeds max_burst_samples: appends
+                # The open burst never exceeds MAX_BURST_SAMPLES: appends
                 # are capped at the remaining room and the leftover chunk
                 # samples are re-fed as a fresh burst-open scan.
-                room = cfg.max_burst_samples - self._open_len
+                room = MAX_BURST_SAMPLES - self._open_len
                 if hits.size == 0:
                     take = min(chunk.size - i, room)
                     self._open.append(chunk[i:i + take].copy())
                     self._open_len += take
                     i += take
-                    if self._open_len >= cfg.max_burst_samples:
+                    if self._open_len >= MAX_BURST_SAMPLES:
                         out.append(self._close(truncated=True))
                 elif lo + int(hits[0]) + 1 - i > room:
                     # Cap reached before the close point.

@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.core.api import ReceiverConfig, ReceiverStats
 from repro.errors import ConfigurationError, ReproError
-from repro.link.air import AirConfig, ContinuousAir
+from repro.link.air import ContinuousAir
 from repro.link.aps import build_ap
 from repro.link.events import (
     ACK_DELIVERY,
@@ -78,7 +78,6 @@ from repro.link.segmenter import (
     OPEN_WINDOW,
     PAD,
     BurstSegmenter,
-    SegmenterConfig,
 )
 from repro.link.topology import Topology
 from repro.mac.ack import plan_synchronous_acks
@@ -272,10 +271,8 @@ class LinkSession:
                             + CHUNK_SAMPLES + self.sifs
                             + self.ack_air + 4 * SLOT_SAMPLES)
 
-        self.air = ContinuousAir(
-            AirConfig(chunk_samples=CHUNK_SAMPLES,
-                      impairments=config.capture_impairments), self.rng)
-        self.segmenter = BurstSegmenter(SegmenterConfig())
+        self.air = ContinuousAir(self.rng, config.capture_impairments)
+        self.segmenter = BurstSegmenter()
         # k-way reception: the AP decomposes collisions into as many
         # packets as the topology's largest mutually-hidden group, and
         # buffers enough collisions to assemble a full k-way set.

@@ -3,8 +3,8 @@
 Detection correlates the *shaped* preamble waveform (not raw symbols)
 against the received samples, with optional frequency-offset compensation —
 the §4.2.1 machinery at 2 samples/symbol. Acquisition then refines the
-fractional timing, frequency offset and complex gain on matched-filtered
-symbol-domain values (§4.2.4a–c).
+fractional timing and fits the complex gain at each candidate frequency
+offset on matched-filtered symbol-domain values (§4.2.4a–c).
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ _GRID_OFFSETS = np.arange(-0.8, 0.8 + _GRID_STEP / 2, _GRID_STEP).tolist()
 # Up to this many candidates, acquisition scores every grid point with
 # np.vdot directly: cheaper than the shared product and its checks.
 _EXACT_ROWS_UP_TO = 1
+# Detections closer than this many samples merge into the strongest one.
+# It must stay well below a backoff slot, so that closely-jittered
+# colliding packets still register separately.
+MIN_SEPARATION = 16
 # Near-tie guard of the shared scoring product, relative to the l1 norm
 # of the grid's outputs. Either way of summing a preamble correlation
 # rounds by at most about (length + 4) * 2**-53 of its grid point's l1
@@ -152,15 +156,12 @@ class Synchronizer:
 
     def detect(self, signal, coarse_freq=0.0,
                max_peaks: int | None = None,
-               min_separation: int = 16,
                ) -> list[CorrelationPeak] | list[list[CorrelationPeak]]:
         """All packet starts whose normalized correlation clears threshold.
 
         Returns peaks sorted by position; ``position`` is the integer part
-        of symbol 0's pulse-centre sample index. ``min_separation`` merges
-        detections closer than that many samples into the strongest one —
-        it must stay well below a backoff slot so closely-jittered
-        colliding packets still register separately.
+        of symbol 0's pulse-centre sample index. Detections closer than
+        :data:`MIN_SEPARATION` samples merge into the strongest one.
 
         *coarse_freq* may also be a sequence of candidate offsets (the
         AP's client table, §4.2.1): the result is then one peak list per
@@ -169,7 +170,7 @@ class Synchronizer:
         y = np.asarray(signal, dtype=complex).ravel()
         scalar, freqs = self._candidates(coarse_freq)
         found = [[self.peak(hit) for hit in hits]
-                 for hits in self.hits(y, freqs, max_peaks, min_separation)]
+                 for hits in self.hits(y, freqs, max_peaks)]
         return found[0] if scalar else found
 
     def peak(self, hit: tuple[int, float, complex]) -> CorrelationPeak:
@@ -180,7 +181,6 @@ class Synchronizer:
                                value=value, score=score)
 
     def hits(self, y: np.ndarray, freqs: list, max_peaks: int | None = None,
-             min_separation: int = 16,
              ) -> list[list[tuple[int, float, complex]]]:
         """:meth:`detect`'s peaks as ``(lag, score, value)`` tuples, one
         list per candidate in *freqs*, in one pass over all of them.
@@ -217,8 +217,7 @@ class Synchronizer:
         for end in ends:
             found.append(self._select(
                 above_lags[start:end], above_scores[start:end],
-                above_values[start:end], denom.size, max_peaks,
-                min_separation))
+                above_values[start:end], denom.size, max_peaks))
             start = end
         return found
 
@@ -245,7 +244,7 @@ class Synchronizer:
     @staticmethod
     def _select(lags: list[int], scores: np.ndarray, values: list[complex],
                 size: int, max_peaks: int | None,
-                min_separation: int) -> list[tuple[int, float, complex]]:
+                ) -> list[tuple[int, float, complex]]:
         """Greedy strongest-first selection with merge suppression over
         the above-threshold lags (ascending) of *size* lags in all,
         sorted by lag. The order is ``np.argsort`` of the same negated
@@ -260,8 +259,8 @@ class Synchronizer:
             lag = lags[i]
             if used[lag]:
                 continue
-            used[max(0, lag - min_separation):
-                 min(size, lag + min_separation + 1)] = True
+            used[max(0, lag - MIN_SEPARATION):
+                 min(size, lag + MIN_SEPARATION + 1)] = True
             hits.append((lag, score_list[i], values[i]))
             if max_peaks is not None and len(hits) >= max_peaks:
                 break
@@ -272,8 +271,7 @@ class Synchronizer:
     # Acquisition (§4.2.4)
     # ------------------------------------------------------------------
     def acquire(self, signal, position: int, *, coarse_freq=0.0,
-                noise_power: float = NOISE_POWER, n_segments: int = 4,
-                refine_freq: bool = False, sampled: dict | None = None,
+                sampled: dict | None = None,
                 ) -> ChannelEstimate | list[ChannelEstimate]:
         """Estimate (mu, freq offset, gain, SNR) at a detected packet start.
 
@@ -297,13 +295,10 @@ class Synchronizer:
         acquired again (the standard decode and then the collision path,
         later decode attempts) never samples the same start twice.
 
-        ``refine_freq`` re-fits the frequency offset from the preamble's
-        segment-correlation phase slope. A 32-symbol preamble bounds that
-        fit to a few 1e-4 cycles/sample, so when the caller holds a good
+        The frequency offset is the candidate itself: the caller holds a
         per-client coarse estimate (the paper's client table, §4.2.1 /
-        §4.2.4b) leaving this off and letting the decision-directed tracker
-        absorb the residual is strictly better; enable it only when no
-        prior estimate exists.
+        §4.2.4b), and the decision-directed tracker absorbs the residual.
+        The SNR is measured against the known floor :data:`NOISE_POWER`.
         """
         y = np.asarray(signal, dtype=complex).ravel()
         scalar, freqs = self._candidates(coarse_freq)
@@ -323,8 +318,7 @@ class Synchronizer:
             mus.append(_GRID_OFFSETS[best] + frac * _GRID_STEP)
         starts = [float(position + mu) for mu in mus]
         estimates = self._fit(self._outputs(y, starts, sampled), starts,
-                              mus, freqs, noise_power, n_segments,
-                              refine_freq)
+                              mus, freqs)
         return estimates[0] if scalar else estimates
 
     def _outputs(self, y: np.ndarray, starts: list[float],
@@ -389,9 +383,8 @@ class Synchronizer:
         return peaks
 
     def _fit(self, aligned: list[np.ndarray], starts: list[float],
-             mus: list[float], freqs: list, noise_power: float,
-             n_segments: int, refine_freq: bool) -> list[ChannelEstimate]:
-        """Frequency, gain and SNR per candidate from the preamble's
+             mus: list[float], freqs: list) -> list[ChannelEstimate]:
+        """Gain and SNR per candidate frequency from the preamble's
         matched-filter outputs at its refined start. The gain
         references of all candidates are built in one pass; each gain
         is one ``np.vdot``."""
@@ -399,10 +392,6 @@ class Synchronizer:
             return []
         length = len(self.preamble)
         sample_pos = np.array(starts)[:, None] + self._symbol_steps
-        if refine_freq:
-            freqs = [self._refined_freq(outputs, pos, coarse, n_segments)
-                     for outputs, pos, coarse
-                     in zip(aligned, sample_pos, freqs)]
         # Each candidate's 2jπf is the scalar product a one-candidate
         # fit takes, so every row matches it exactly.
         rates = np.array([2j * np.pi * freq for freq in freqs])
@@ -413,8 +402,7 @@ class Synchronizer:
                                                 mus):
             gain = np.vdot(reference, outputs) / length
             power = abs(gain) ** 2
-            snr_db = 10.0 * np.log10(
-                max(power / max(noise_power, 1e-30), 1e-12))
+            snr_db = 10.0 * np.log10(max(power / NOISE_POWER, 1e-12))
             estimates.append(ChannelEstimate(
                 gain=complex(gain),
                 freq_offset=float(freq),
@@ -422,29 +410,3 @@ class Synchronizer:
                 snr_db=float(snr_db),
             ))
         return estimates
-
-    def _refined_freq(self, aligned: np.ndarray, sample_pos: np.ndarray,
-                      coarse_freq: float, n_segments: int) -> float:
-        """The frequency offset re-fitted from the phase slope of the
-        preamble's segment correlations (``refine_freq``)."""
-        length = len(self.preamble)
-        sps = self.shaper.sps
-        derotated = aligned * np.exp(-2j * np.pi * coarse_freq * sample_pos)
-        seg = length // n_segments
-        correlations = np.empty(n_segments, dtype=complex)
-        for m in range(n_segments):
-            sl = slice(m * seg, (m + 1) * seg)
-            correlations[m] = np.sum(
-                np.conj(self.preamble.symbols[sl]) * derotated[sl])
-        phases = np.unwrap(np.angle(correlations))
-        weights = np.abs(correlations)
-        if np.any(weights > 0):
-            centers = np.arange(n_segments, dtype=float) * seg * sps
-            w = weights / weights.sum()
-            xm = np.sum(w * centers)
-            ym = np.sum(w * phases)
-            var = np.sum(w * (centers - xm) ** 2)
-            if var > 0:
-                slope = np.sum(w * (centers - xm) * (phases - ym)) / var
-                return coarse_freq + slope / (2.0 * np.pi)
-        return coarse_freq

@@ -11,7 +11,7 @@ unmatched collisions (§4.2.2).
 from repro.receiver.result import DecodeResult
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.decoder import StandardDecoder
-from repro.receiver.mrc import mrc_combine, mrc_decide
+from repro.receiver.mrc import mrc_combine
 from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SymbolStreamDecoder",
     "StandardDecoder",
     "mrc_combine",
-    "mrc_decide",
     "CollisionBuffer",
     "CollisionRecord",
 ]

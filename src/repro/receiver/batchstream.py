@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
+from repro.phy.noise import NOISE_POWER
 from repro.phy.tracking import LOOP_KI, LOOP_KP
 from repro.receiver.frontend import (
     EQUALIZER_TAPS,
@@ -87,7 +88,6 @@ class BatchedStreamDecoder(StreamBookkeeping):
 
     def __init__(self, config: StreamConfig, estimates, starts,
                  body_constellation: Constellation = BPSK,
-                 data_aided_preamble: bool = True,
                  reversed_total: int | None = None,
                  pilots: np.ndarray | None = None) -> None:
         self.config = config
@@ -101,8 +101,7 @@ class BatchedStreamDecoder(StreamBookkeeping):
         self.freq_offset = np.array(
             [e.freq_offset for e in self.estimates], dtype=float)
         self.body_constellation = body_constellation
-        self.data_aided_preamble = (data_aided_preamble
-                                    and reversed_total is None)
+        self.data_aided_preamble = reversed_total is None
         self.reversed_total = reversed_total
         self.pilots = None if pilots is None \
             else np.asarray(pilots, dtype=complex)
@@ -232,7 +231,7 @@ class BatchedStreamDecoder(StreamBookkeeping):
                 and z.shape[1] >= EQUALIZER_TAPS:
             residual_power = np.mean(np.abs(z - s) ** 2, axis=1)
             gain_power = np.abs(self.gains) ** 2
-            noise_in_symbol_domain = (self.config.noise_power
+            noise_in_symbol_domain = (NOISE_POWER
                                       / np.maximum(gain_power, 1e-30))
             self.wants_equalizer = (
                 residual_power > 1.5 * noise_in_symbol_domain)

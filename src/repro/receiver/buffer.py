@@ -28,6 +28,10 @@ from repro.phy.correlation import CorrelationPeak
 
 __all__ = ["CollisionRecord", "CollisionBuffer", "gaps_close"]
 
+# Two collisions whose successive peak gaps all differ by less than this
+# many samples repeat one arrival pattern (§4.5's degenerate case).
+GAP_TOLERANCE = 2
+
 
 # eq=False: records compare (and are removed) by identity. The generated
 # field-wise __eq__ would compare the sample arrays, which raises on
@@ -74,19 +78,19 @@ class CollisionRecord:
         return tuple(b - a for a, b in zip(positions, positions[1:]))
 
 
-def gaps_close(a: CollisionRecord, b: CollisionRecord,
-               tolerance: int = 2) -> bool:
+def gaps_close(a: CollisionRecord, b: CollisionRecord) -> bool:
     """Are two collisions' peak-gap tuples indistinguishable (§4.5)?
 
     True when both hold the same number of packets and every successive
-    gap differs by less than *tolerance* samples — the configuration in
-    which the linear system is degenerate and ZigZag cannot make progress
-    (Assertion 4.5.1's failure condition). For two-packet records this is
-    exactly the historical ``abs(d_new - d_old) < 2`` check.
+    gap differs by less than :data:`GAP_TOLERANCE` samples — the
+    configuration in which the linear system is degenerate and ZigZag
+    cannot make progress (Assertion 4.5.1's failure condition). For
+    two-packet records this is exactly the historical
+    ``abs(d_new - d_old) < 2`` check.
     """
     if a.n_peaks != b.n_peaks:
         return False
-    return all(abs(ga - gb) < tolerance
+    return all(abs(ga - gb) < GAP_TOLERANCE
                for ga, gb in zip(a.gaps, b.gaps))
 
 

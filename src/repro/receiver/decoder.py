@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import CollisionDetectError, FrameError
 from repro.phy.constellation import BPSK, get_constellation
-from repro.phy.estimation import ChannelEstimate, estimate_noise_power
+from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS, FrameHeader, scramble_bits
 from repro.phy.preamble import Preamble
 from repro.phy.pulse import PulseShaper
@@ -32,8 +32,6 @@ class StandardDecoder:
     ----------
     preamble / shaper:
         The known preamble and the system's pulse shaping.
-    noise_power:
-        Receiver noise floor; estimated blindly from the capture if None.
     sync_threshold:
         Normalized-correlation detection threshold for packet start.
     coarse_freq:
@@ -48,7 +46,6 @@ class StandardDecoder:
 
     preamble: Preamble
     shaper: PulseShaper = field(default_factory=PulseShaper)
-    noise_power: float | None = None
     sync_threshold: float = 0.6
     coarse_freq: float = 0.0
     track_phase: bool = True
@@ -57,12 +54,9 @@ class StandardDecoder:
     def __post_init__(self) -> None:
         self._sync = Synchronizer(self.preamble, self.shaper,
                                   threshold=self.sync_threshold)
-
-    def _config(self, noise_power: float) -> StreamConfig:
-        return StreamConfig(
+        self._config = StreamConfig(
             preamble=self.preamble,
             shaper=self.shaper,
-            noise_power=noise_power,
             track_phase=self.track_phase,
             use_equalizer=self.use_equalizer,
         )
@@ -75,9 +69,6 @@ class StandardDecoder:
         detection; *estimate* skips acquisition too.
         """
         y = np.asarray(signal, dtype=complex).ravel()
-        noise_power = self.noise_power if self.noise_power is not None \
-            else estimate_noise_power(y)
-
         if start_position is None:
             try:
                 peaks = self._sync.detect(y, coarse_freq=self.coarse_freq,
@@ -90,11 +81,9 @@ class StandardDecoder:
 
         if estimate is None:
             estimate = self._sync.acquire(
-                y, start_position, coarse_freq=self.coarse_freq,
-                noise_power=noise_power)
+                y, start_position, coarse_freq=self.coarse_freq)
         start = start_position + estimate.sampling_offset
-        stream = SymbolStreamDecoder(self._config(noise_power), estimate,
-                                     start)
+        stream = SymbolStreamDecoder(self._config, estimate, start)
         return self.decode_with_stream(y, stream)
 
     def decode_with_stream(self, y: np.ndarray,

@@ -50,7 +50,6 @@ class StreamConfig:
 
     preamble: Preamble
     shaper: PulseShaper = PulseShaper()
-    noise_power: float = NOISE_POWER
     track_phase: bool = True
     use_equalizer: bool = True
 
@@ -138,22 +137,23 @@ class SymbolStreamDecoder(StreamBookkeeping):
         k sits at ``start + k * sps``.
     body_constellation:
         Constellation of the payload region (preamble and header are BPSK).
-    data_aided_preamble:
-        When True (forward decoding), symbols with index < L are tracked
-        against the known preamble and used to refine gain / train the
-        equalizer. Backward (time-reversed) streams set this False.
+    reversed_total:
+        Frame length in symbols of a time-reversed (backward) stream, None
+        for a forward one. A forward stream tracks symbols with index < L
+        against the known preamble and uses them to refine the gain and
+        train the equalizer (``data_aided_preamble``); a reversed stream
+        meets its preamble last and does neither.
     """
 
     def __init__(self, config: StreamConfig, estimate: ChannelEstimate,
                  start: float, body_constellation: Constellation = BPSK,
-                 data_aided_preamble: bool = True,
                  reversed_total: int | None = None,
                  pilots: np.ndarray | None = None) -> None:
         self.config = config
         self.estimate = estimate
         self.start = float(start)
         self.body_constellation = body_constellation
-        self.data_aided_preamble = data_aided_preamble and reversed_total is None
+        self.data_aided_preamble = reversed_total is None
         self.reversed_total = reversed_total
         # Optional per-symbol reference points (e.g. the forward pass's
         # decisions for a backward stream): the tracker locks to these
@@ -166,9 +166,10 @@ class SymbolStreamDecoder(StreamBookkeeping):
         self.equalizer: LmsEqualizer | None = None
         self.channel_isi = None  # IsiFilter for re-encoding, once trained
         self.cursor = 0
-        self._preamble_len = len(config.preamble) if data_aided_preamble else 0
+        self._preamble_len = (len(config.preamble)
+                              if self.data_aided_preamble else 0)
         self._pre_acc = np.full(self._preamble_len, np.nan + 0j, dtype=complex)
-        self._refined = not data_aided_preamble
+        self._refined = not self.data_aided_preamble
         self._derotate_powers: dict[float, np.ndarray] = {}
 
     @property
@@ -298,8 +299,7 @@ class SymbolStreamDecoder(StreamBookkeeping):
             # pure misadjustment noise (no ISI to remove).
             residual_power = float(np.mean(np.abs(z - s) ** 2))
             gain_power = abs(self.estimate.gain) ** 2
-            noise_in_symbol_domain = self.config.noise_power / max(
-                gain_power, 1e-30)
+            noise_in_symbol_domain = NOISE_POWER / max(gain_power, 1e-30)
             if residual_power > 1.5 * noise_in_symbol_domain:
                 eq = LmsEqualizer(n_taps=EQUALIZER_TAPS)
                 eq.fit_least_squares(

@@ -16,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.phy.constellation import Constellation
 
-__all__ = ["mrc_combine", "mrc_decide"]
+__all__ = ["mrc_combine"]
 
 
 def mrc_combine(streams, weights=None) -> np.ndarray:
@@ -54,10 +53,3 @@ def mrc_combine(streams, weights=None) -> np.ndarray:
     if np.any(denominator <= 0):
         raise ConfigurationError("MRC weights must sum to a positive value")
     return numerator / denominator
-
-
-def mrc_decide(streams, constellation: Constellation,
-               weights=None) -> np.ndarray:
-    """Combine soft streams and hard-demodulate the result to bits."""
-    combined = mrc_combine(streams, weights)
-    return constellation.demodulate(combined)

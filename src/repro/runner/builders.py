@@ -56,9 +56,7 @@ __all__ = ["CELL_MAX_COLLISION_PACKETS", "STREAM_CLIENT_NAMES",
 
 def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
                          payload_bits=200, offsets=(160, 64),
-                         phase_noise=PHASE_NOISE_STD,
-                         noise_power=NOISE_POWER,
-                         freq_spread=FREQ_SPREAD, oracle=False,
+                         phase_noise=PHASE_NOISE_STD, oracle=False,
                          snr_b_db=None, sender_impairments=None,
                          capture_impairments=None):
     """Build two collisions of the same (Alice, Bob) packet pair.
@@ -68,9 +66,9 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
     *capture_impairments* distorts each summed capture (AP front end /
     interferers). Returns (captures, frames, specs, placements).
     """
-    amp_a = np.sqrt(10 ** (snr_db / 10) * noise_power)
+    amp_a = np.sqrt(10 ** (snr_db / 10) * NOISE_POWER)
     amp_b = np.sqrt(10 ** ((snr_b_db if snr_b_db is not None else snr_db)
-                           / 10) * noise_power)
+                           / 10) * NOISE_POWER)
     frames = {
         "A": Frame.make(random_bits(payload_bits, rng), src=1, seq=1,
                         preamble=preamble),
@@ -80,13 +78,13 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
     params = {
         "A": ChannelParams(
             gain=amp_a * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-            freq_offset=float(rng.uniform(-freq_spread, freq_spread)),
+            freq_offset=float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=phase_noise,
             impairments=sender_impairments),
         "B": ChannelParams(
             gain=amp_b * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-            freq_offset=float(rng.uniform(-freq_spread, freq_spread)),
+            freq_offset=float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=phase_noise,
             impairments=sender_impairments),
@@ -100,7 +98,7 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
         captures.append(synthesize(
             [alice, dataclasses.replace(bob, offset=bob_offset,
                                         symbol0=bob.symbol0 + bob_offset)],
-            noise_power, rng, leading=8, tail=40,
+            NOISE_POWER, rng, leading=8, tail=40,
             impairments=capture_impairments))
     # Built-in scenarios pass the cached preamble and shaper, so the
     # process's cached synchronizer serves every trial.
@@ -123,8 +121,7 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
                 coarse = params[t.label].freq_offset \
                     + rng.normal(0, COARSE_FREQ_ERROR)
                 est = sync.acquire(capture.samples, t.symbol0,
-                                   coarse_freq=coarse,
-                                   noise_power=noise_power)
+                                   coarse_freq=coarse)
             placements.append(PlacementParams(
                 t.label, ci, t.symbol0 + est.sampling_offset, est))
     specs = {name: PacketSpec(name, frames[name].n_symbols, BPSK)

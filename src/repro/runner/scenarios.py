@@ -653,9 +653,8 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
             for t in capture.transmissions:
                 coarse = t.params.freq_offset + rng.normal(
                     0, COARSE_FREQ_ERROR)
-                decoder = StandardDecoder(
-                    preamble, shaper, noise_power=NOISE_POWER,
-                    coarse_freq=coarse)
+                decoder = StandardDecoder(preamble, shaper,
+                                          coarse_freq=coarse)
                 try:
                     result = decoder.decode(capture.samples,
                                             start_position=t.symbol0)

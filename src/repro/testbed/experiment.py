@@ -152,8 +152,7 @@ class PairExperiment:
         self.preamble = preamble or default_preamble(cfg.preamble_length)
         self.shaper = shaper or PulseShaper()
         self.sync = Synchronizer(self.preamble, self.shaper, threshold=0.3)
-        self.standard = StandardDecoder(
-            self.preamble, self.shaper, noise_power=NOISE_POWER)
+        self.standard = StandardDecoder(self.preamble, self.shaper)
         self.stream_config = StreamConfig(
             preamble=self.preamble, shaper=self.shaper)
         self.pair_decoder = ZigZagMultiDecoder(self.stream_config)
@@ -201,9 +200,8 @@ class PairExperiment:
         capture = self._collide({sender.name: frame}, {sender.name: 0})
         coarse = sender.freq_offset + self.rng.normal(
             0, COARSE_FREQ_ERROR)
-        decoder = StandardDecoder(
-            self.preamble, self.shaper, noise_power=NOISE_POWER,
-            coarse_freq=coarse)
+        decoder = StandardDecoder(self.preamble, self.shaper,
+                                  coarse_freq=coarse)
         result = decoder.decode(capture.samples)
         return result.ber_against(frame.body_bits)
 
@@ -232,9 +230,8 @@ class PairExperiment:
             sender = self.senders[t.label]
             coarse = sender.freq_offset + self.rng.normal(
                 0, COARSE_FREQ_ERROR)
-            decoder = StandardDecoder(
-                self.preamble, self.shaper,
-                noise_power=NOISE_POWER, coarse_freq=coarse)
+            decoder = StandardDecoder(self.preamble, self.shaper,
+                                      coarse_freq=coarse)
             try:
                 result = decoder.decode(capture.samples,
                                         start_position=t.symbol0)

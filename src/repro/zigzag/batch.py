@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.phy.constellation import BPSK
+from repro.phy.noise import NOISE_POWER
 from repro.phy.pulse import PulseShaper
 from repro.receiver.batchstream import BatchDivergence, BatchedStreamDecoder
 from repro.receiver.result import DecodeResult
@@ -65,6 +66,7 @@ from repro.zigzag.engine import (
     PacketSpec,
     PlacementParams,
 )
+from repro.zigzag.reencode import DELAY_HALF_WIDTH
 
 __all__ = ["BatchStats", "BatchedReencoder", "BatchedZigZagEngine",
            "BatchedPairDecoder", "CAPTURE_PAD"]
@@ -115,14 +117,12 @@ class BatchedReencoder:
     """
 
     def __init__(self, shaper: PulseShaper, gains: np.ndarray,
-                 freqs: np.ndarray, starts: np.ndarray,
-                 delay_half_width: int = 6) -> None:
+                 freqs: np.ndarray, starts: np.ndarray) -> None:
         self.shaper = shaper
         self.gains = np.asarray(gains, dtype=complex).copy()
         self.freqs = np.asarray(freqs, dtype=float).copy()
         self.starts = np.asarray(starts, dtype=float).copy()
-        self.delay_half_width = delay_half_width
-        self._pad = delay_half_width + 1
+        self._pad = DELAY_HALF_WIDTH + 1
         n = self.starts.size
         # base0 = floor(start − delay − pad) is constant per placement
         # (chunk bases differ from it by the integer sps*i0).
@@ -132,7 +132,7 @@ class BatchedReencoder:
         # All lanes' composed RRC ⊛ fractional-delay kernels at once:
         # batched windowed-sinc rows, then one matmul against the RRC
         # convolution (Toeplitz) matrix instead of N python convolves.
-        hw = delay_half_width
+        hw = DELAY_HALF_WIDTH
         grid = np.arange(-hw, hw + 1, dtype=float)
         window = np.hanning(2 * hw + 3)[1:-1]
         delay_taps = np.sinc(grid[None, :] + fracs[:, None]) * window
@@ -486,7 +486,7 @@ class BatchedZigZagEngine:
         gram = np.matmul(pair, np.conj(pair.transpose(0, 2, 1)))
         denom = gram[:, 0, 0].real
         length = (hi - lo).astype(float)
-        noise_floor = self.config.noise_power * length
+        noise_floor = NOISE_POWER * length
         live = measurable & (denom >= 4.0 * noise_floor)
         if not live.any():
             return corrections

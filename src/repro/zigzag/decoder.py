@@ -74,6 +74,14 @@ from repro.zigzag.schedule import (
 __all__ = ["BackwardPlan", "ZigZagOutcome", "ZigZagMultiDecoder",
            "plan_backward", "schedule_for"]
 
+# Symbols per block over which a further soft copy of a packet (backward
+# pass or capture re-read) is phase-aligned and gated against the forward
+# decisions (ZigZagMultiDecoder._align_backward).
+ALIGN_BLOCK = 32
+# Least |correlation| with the forward decisions, per block, for a copy's
+# block to take part in the MRC combine.
+MIN_AGREEMENT = 0.6
+
 
 def schedule_for(placements: list[PlacementParams],
                  specs: dict[str, PacketSpec], sps: int) -> list[DecodeStep]:
@@ -355,8 +363,7 @@ class ZigZagMultiDecoder:
     @staticmethod
     def _align_backward(forward_soft: np.ndarray,
                         forward_decisions: np.ndarray,
-                        backward_soft: np.ndarray, block: int = 32,
-                        min_agreement: float = 0.6
+                        backward_soft: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Phase-align the backward stream per block and weight it by
         measured inverse variance relative to the forward stream.
@@ -364,20 +371,20 @@ class ZigZagMultiDecoder:
         The backward stream's absolute phase rests on the forward pass's
         end-state estimate; residual rotations (up to a BPSK sign flip, and
         possibly drifting along the packet) are detected against the
-        forward decisions block-by-block. Blocks whose agreement falls
-        below *min_agreement* get zero MRC weight — the backward pass
-        degrades toward the packet head (its far end), and a corrupted
-        stretch must not poison the combine. Surviving blocks are weighted
-        by ``var(forward) / var(backward)`` (capped at 1), approximating
-        true maximal-ratio weights.
+        forward decisions per :data:`ALIGN_BLOCK` symbols. Blocks whose
+        agreement falls below :data:`MIN_AGREEMENT` get zero MRC weight —
+        the backward pass degrades toward the packet head (its far end),
+        and a corrupted stretch must not poison the combine. Surviving
+        blocks are weighted by ``var(forward) / var(backward)`` (capped at
+        1), approximating true maximal-ratio weights.
 
         Returns ``(aligned_soft, per_symbol_weights)``.
         """
         n = backward_soft.size
         aligned = np.array(backward_soft, copy=True)
         weights = np.zeros(n, dtype=float)
-        for start in range(0, n, block):
-            sl = slice(start, min(start + block, n))
+        for start in range(0, n, ALIGN_BLOCK):
+            sl = slice(start, min(start + ALIGN_BLOCK, n))
             dec = forward_decisions[sl]
             denom = float(np.vdot(dec, dec).real)
             if denom <= 0:
@@ -388,7 +395,7 @@ class ZigZagMultiDecoder:
                 continue
             # exp(-1j*angle(rho)) == conj(rho)/|rho| without trig calls.
             aligned[sl] = backward_soft[sl] * (rho.conjugate() / abs_rho)
-            if min(abs_rho, 1.0) < min_agreement:
+            if min(abs_rho, 1.0) < MIN_AGREEMENT:
                 continue
             diff_f = forward_soft[sl] - dec
             diff_b = aligned[sl] - dec

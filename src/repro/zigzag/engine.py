@@ -38,6 +38,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
+from repro.phy.noise import NOISE_POWER
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.zigzag.reencode import Reencoder, add_segment, subtract_segment
 from repro.zigzag.schedule import DecodeStep
@@ -328,7 +329,7 @@ class ZigZagEngine:
         # chunk per subtract-only placement, hot enough that numpy scalar
         # ufunc boxing used to dominate it.
         denom = float(np.vdot(seg_core, seg_core).real)
-        noise_floor = self.config.noise_power * (hi - lo)
+        noise_floor = NOISE_POWER * (hi - lo)
         if denom < 4.0 * noise_floor:
             return 1.0  # too weak to measure against interference+noise
         window = residual[lo:hi]

@@ -35,6 +35,11 @@ from repro.phy.resample import sinc_kernel
 
 __all__ = ["Reencoder"]
 
+# Half-width, in samples, of the windowed-sinc fractional delay that puts
+# an image on the capture's sample grid; the batched re-encoder uses it
+# too.
+DELAY_HALF_WIDTH = 6
+
 
 @dataclass
 class Reencoder:
@@ -59,7 +64,6 @@ class Reencoder:
     estimate: ChannelEstimate
     start: float
     symbol_isi: IsiFilter | None = None
-    delay_half_width: int = 6
     _frac_cache: dict = field(default_factory=dict, repr=False)
     _power_cache: dict = field(default_factory=dict, repr=False)
     _ramp_scratch: np.ndarray | None = field(default=None, repr=False)
@@ -74,7 +78,7 @@ class Reencoder:
         key = int(frac * 1e9)  # 1e-9 merge grain, cheaper than round()
         kernel = self._frac_cache.get(key)
         if kernel is None:
-            delay_taps = sinc_kernel(frac, self.delay_half_width)[::-1]
+            delay_taps = sinc_kernel(frac, DELAY_HALF_WIDTH)[::-1]
             composed = np.convolve(self.shaper.taps, delay_taps)
             # Stored pre-reversed so `image` can call np.correlate
             # directly (np.convolve would re-flip the kernel every chunk).
@@ -128,7 +132,7 @@ class Reencoder:
         # pad = half_width + 1 zeros keep the interpolation tails — chunk
         # images must superpose exactly (linearity is what makes
         # incremental subtraction correct).
-        pad = self.delay_half_width + 1
+        pad = DELAY_HALF_WIDTH + 1
         position = (self.start + sps * j0 - self.shaper.delay - pad)
         base = math.floor(position)
         frac = position - base

@@ -84,9 +84,12 @@ class DecodeStep:
 
 
 def greedy_schedule(placements: list[Placement], *,
-                    margin_symbols: float = 0.0,
-                    max_rounds: int | None = None) -> list[DecodeStep]:
+                    margin_symbols: float = 0.0) -> list[DecodeStep]:
     """Find a complete chunk decode order, or raise :class:`ScheduleError`.
+
+    Every round either extends some packet's decoded prefix by at least
+    one symbol or raises, so the loop ends within as many rounds as the
+    packets hold symbols.
 
     Parameters
     ----------
@@ -119,9 +122,6 @@ def greedy_schedule(placements: list[Placement], *,
     done = {packet: 0 for packet in lengths}
     last_collision: dict[str, int] = {}
     steps: list[DecodeStep] = []
-    rounds = 0
-    limit_rounds = max_rounds if max_rounds is not None \
-        else 4 * sum(lengths.values())
 
     def decode_limit(pl: Placement) -> int:
         """How far packet pl.packet could decode in pl.collision now."""
@@ -140,9 +140,6 @@ def greedy_schedule(placements: list[Placement], *,
         return limit
 
     while any(done[p] < lengths[p] for p in lengths):
-        rounds += 1
-        if rounds > limit_rounds:
-            raise ScheduleError("scheduler exceeded round limit")
         progress = False
         for packet in sorted(lengths):
             i0 = done[packet]

@@ -66,9 +66,7 @@ class SicDecoder:
                                      - pl.estimate.sampling_offset))
                 try:
                     estimate = sync.acquire(
-                        y, position,
-                        coarse_freq=pl.estimate.freq_offset,
-                        noise_power=self.config.noise_power)
+                        y, position, coarse_freq=pl.estimate.freq_offset)
                     start = position + estimate.sampling_offset
                 except ReproError:
                     pass

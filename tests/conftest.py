@@ -54,7 +54,7 @@ def shaper():
 
 @pytest.fixture
 def stream_config(preamble, shaper):
-    return StreamConfig(preamble=preamble, shaper=shaper, noise_power=1.0)
+    return StreamConfig(preamble=preamble, shaper=shaper)
 
 
 @pytest.fixture

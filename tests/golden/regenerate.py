@@ -170,7 +170,7 @@ def _build_scenario(name: str) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     captures, frames, _, placements = hidden_pair_scenario(
         rng, default_preamble(PREAMBLE_LENGTH), PulseShaper(),
-        snr_db=snr_db, payload_bits=payload_bits, noise_power=NOISE_POWER)
+        snr_db=snr_db, payload_bits=payload_bits)
     data: dict[str, np.ndarray] = {
         "payload_bits": np.array(payload_bits),
         "preamble_length": np.array(PREAMBLE_LENGTH),
@@ -218,7 +218,6 @@ def build_fixture(name: str) -> dict[str, np.ndarray]:
     shaper = PulseShaper()
     captures, frames, _, _ = hidden_pair_scenario(
         rng, preamble, shaper, snr_db=snr_db, payload_bits=PAYLOAD_BITS,
-        noise_power=NOISE_POWER,
         sender_impairments=(ImpairmentPipeline.from_specs(sender_stages)
                             if sender_stages else None),
         capture_impairments=(ImpairmentPipeline.from_specs(capture_stages)
@@ -250,7 +249,6 @@ def fixture_trial(name: str, data: dict):
     fixtures use their stored placements instead)."""
     preamble = default_preamble(int(data["preamble_length"]))
     shaper = PulseShaper()
-    noise_power = float(data["noise_power"])
     n_symbols = int(data["n_symbols"])
     labels = fixture_labels(name)
     n_captures = len(labels)  # one collision per packet of the set
@@ -266,12 +264,10 @@ def fixture_trial(name: str, data: dict):
                 key = f"c{ci}_{label}"
                 symbol0 = int(data[f"symbol0_{key}"])
                 est = sync.acquire(samples, symbol0,
-                                   coarse_freq=float(data[f"coarse_{key}"]),
-                                   noise_power=noise_power)
+                                   coarse_freq=float(data[f"coarse_{key}"]))
                 placements.append(PlacementParams(
                     label, ci, symbol0 + est.sampling_offset, est))
-    config = StreamConfig(preamble=preamble, shaper=shaper,
-                          noise_power=noise_power)
+    config = StreamConfig(preamble=preamble, shaper=shaper)
     specs = {label: PacketSpec(label, n_symbols) for label in labels}
     return config, (captures, specs, placements)
 

@@ -23,11 +23,13 @@ from repro.errors import ConfigurationError
 from repro.phy.coding.convolutional import ConvolutionalCode
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
+from repro.phy.noise import NOISE_POWER
 from repro.phy.pulse import MatchedSampler
 from repro.phy.resample import FractionalDelay
+from repro.phy.sync import MIN_SEPARATION
 from repro.phy.tracking import PhaseTracker
 from repro.utils.bits import as_bit_array
-from repro.zigzag.reencode import Reencoder
+from repro.zigzag.reencode import DELAY_HALF_WIDTH, Reencoder
 
 __all__ = [
     "phase_tracker_process",
@@ -219,7 +221,7 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
         d = np.convolve(d, taps)
         j0 = i0 - reencoder.symbol_isi.main_tap
     wave = reencoder.shaper.shape(d)
-    pad = reencoder.delay_half_width + 1
+    pad = DELAY_HALF_WIDTH + 1
     wave = np.concatenate([
         np.zeros(pad, dtype=complex), wave,
         np.zeros(pad, dtype=complex),
@@ -233,7 +235,7 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
     cache = reencoder.__dict__.setdefault("_reference_delay_cache", {})
     key = round(frac, 9)
     if key not in cache:
-        cache[key] = FractionalDelay(frac, reencoder.delay_half_width)
+        cache[key] = FractionalDelay(frac, DELAY_HALF_WIDTH)
     wave = fractional_delay_apply(cache[key], wave)
     n = base + np.arange(wave.size, dtype=float)
     ramp = np.exp(2j * np.pi * reencoder.estimate.freq_offset * n)
@@ -287,8 +289,6 @@ def batched_phase_tracker_loop(kp: float, ki: float, phase, freq,
 # Per-frequency acquisition (client-table candidates)
 # ----------------------------------------------------------------------
 def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
-                         noise_power: float = 1.0, n_segments: int = 4,
-                         refine_freq: bool = False,
                          sampled: dict | None = None):
     """Original ``Synchronizer.acquire``: the grid sampled one offset at
     a time, every candidate scored at every grid point with its own
@@ -329,50 +329,25 @@ def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
         mu = float(offsets[best] + frac * step)
         start = float(position + mu)
         estimates.append(_synchronizer_fit(
-            sync, outputs(start), start, mu, coarse, noise_power,
-            n_segments, refine_freq))
+            sync, outputs(start), start, mu, coarse))
     return estimates[0] if scalar else estimates
 
 
 def _synchronizer_fit(sync, aligned, start: float, mu: float,
-                      coarse_freq: float, noise_power: float,
-                      n_segments: int, refine_freq: bool):
+                      coarse_freq: float):
     """Original ``Synchronizer._fit`` (one candidate)."""
     length = len(sync.preamble)
     sps = sync.shaper.sps
     k = np.arange(length)
     sample_pos = start + sps * k
-    freq = coarse_freq
-    if refine_freq:
-        derotated = aligned * np.exp(
-            -2j * np.pi * coarse_freq * sample_pos)
-        seg = length // n_segments
-        correlations = np.empty(n_segments, dtype=complex)
-        for m in range(n_segments):
-            sl = slice(m * seg, (m + 1) * seg)
-            correlations[m] = np.sum(
-                np.conj(sync.preamble.symbols[sl]) * derotated[sl])
-        phases = np.unwrap(np.angle(correlations))
-        weights = np.abs(correlations)
-        if np.any(weights > 0):
-            centers = np.arange(n_segments, dtype=float) * seg * sps
-            w = weights / weights.sum()
-            xm = np.sum(w * centers)
-            ym = np.sum(w * phases)
-            var = np.sum(w * (centers - xm) ** 2)
-            if var > 0:
-                slope = np.sum(
-                    w * (centers - xm) * (phases - ym)) / var
-                freq = coarse_freq + slope / (2.0 * np.pi)
-
     reference = sync.preamble.symbols * np.exp(
-        2j * np.pi * freq * sample_pos)
+        2j * np.pi * coarse_freq * sample_pos)
     gain = np.vdot(reference, aligned) / len(sync.preamble)
     power = abs(gain) ** 2
-    snr_db = 10.0 * np.log10(max(power / max(noise_power, 1e-30), 1e-12))
+    snr_db = 10.0 * np.log10(max(power / NOISE_POWER, 1e-12))
     return ChannelEstimate(
         gain=complex(gain),
-        freq_offset=float(freq),
+        freq_offset=float(coarse_freq),
         sampling_offset=float(mu),
         snr_db=float(snr_db),
     )
@@ -382,8 +357,7 @@ def _synchronizer_fit(sync, aligned, start: float, mu: float,
 # Per-frequency detection (client-table candidates)
 # ----------------------------------------------------------------------
 def synchronizer_detect(sync, signal, coarse_freq=0.0,
-                        max_peaks: int | None = None,
-                        min_separation: int = 16):
+                        max_peaks: int | None = None):
     """Original ``Synchronizer.detect``: one full ``np.correlate`` of the
     capture per candidate, its scores over the shared normalization, and
     the greedy selection over every lag. Reads and fills *sync*'s
@@ -397,14 +371,14 @@ def synchronizer_detect(sync, signal, coarse_freq=0.0,
         if denom is None:
             denom = sync._score_denominator(y)
         found.append(_synchronizer_select_peaks(
-            sync, corr, np.abs(corr) / denom, max_peaks, min_separation))
+            sync, corr, np.abs(corr) / denom, max_peaks))
     return found[0] if scalar else found
 
 
-def _synchronizer_select_peaks(sync, corr, scores, max_peaks,
-                               min_separation):
-    """Original ``Synchronizer._select_peaks``."""
-    separation = min_separation
+def _synchronizer_select_peaks(sync, corr, scores, max_peaks):
+    """Original ``Synchronizer._select_peaks``, at the module's merge
+    distance."""
+    separation = MIN_SEPARATION
     candidates = np.flatnonzero(scores >= sync.threshold)
     used = np.zeros(scores.size, dtype=bool)
     peaks = []

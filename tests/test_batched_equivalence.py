@@ -114,14 +114,13 @@ class TestGoldenBatchEquality:
 # ----------------------------------------------------------------------
 _PRE = default_preamble(32)
 _SH = PulseShaper()
-_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH, noise_power=1.0)
+_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH)
 
 
 def _make_trial(seed: int, payload_bits: int):
     rng = np.random.default_rng(seed)
     captures, _, specs, placements = hidden_pair_scenario(
-        rng, _PRE, _SH, snr_db=12.0, payload_bits=payload_bits,
-        noise_power=1.0)
+        rng, _PRE, _SH, snr_db=12.0, payload_bits=payload_bits)
     return ([c.samples for c in captures], specs, placements)
 
 

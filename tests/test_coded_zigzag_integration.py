@@ -45,8 +45,7 @@ def coded_collision_pair(rng, preamble, shaper, snr_db, payload_bits=120):
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
             est = sync.acquire(capture.samples, t.symbol0,
-                               coarse_freq=params[t.label].freq_offset,
-                               noise_power=1.0)
+                               coarse_freq=params[t.label].freq_offset)
             placements.append(PlacementParams(
                 t.label, ci, t.symbol0 + est.sampling_offset, est))
     specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK) for n in payloads}

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.link import (
-    AirConfig,
     ContinuousAir,
     LinkSession,
     SessionConfig,
@@ -263,8 +262,7 @@ class TestDeploymentProperties:
 
 class TestAirInject:
     def test_inject_clips_at_cursor(self):
-        air = ContinuousAir(AirConfig(chunk_samples=64),
-                            np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         air.emit(64)
         wave = np.ones(100, dtype=complex)
         lo, end = air.inject(32, wave)
@@ -276,8 +274,7 @@ class TestAirInject:
         assert np.all(np.abs(chunk) > 0)
 
     def test_inject_entirely_past_is_dropped(self):
-        air = ContinuousAir(AirConfig(chunk_samples=64),
-                            np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         air.emit(64)
         lo, end = air.inject(0, np.ones(32, dtype=complex))
         assert end <= lo

@@ -176,8 +176,7 @@ def _pair(modulation, payload_bits, seed, gain=40.0, offsets=(160, 64)):
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
             est = sync.acquire(capture.samples, t.symbol0,
-                               coarse_freq=params[t.label].freq_offset,
-                               noise_power=NOISE_POWER)
+                               coarse_freq=params[t.label].freq_offset)
             placements.append(PlacementParams(
                 t.label, ci, t.symbol0 + est.sampling_offset, est))
     specs = {name: PacketSpec(name, frame.n_symbols,

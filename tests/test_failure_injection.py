@@ -23,17 +23,17 @@ from helpers import hidden_pair_scenario
 
 class TestStandardDecoderRobustness:
     def test_empty_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         result = decoder.decode(np.zeros(4, complex))
         assert not result.success
 
     def test_all_zero_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         result = decoder.decode(np.zeros(2000, complex))
         assert not result.success
 
     def test_dc_only_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         result = decoder.decode(np.full(2000, 5.0 + 0j))
         assert not result.success
 
@@ -44,7 +44,7 @@ class TestStandardDecoderRobustness:
                                        ChannelParams(gain=6.0), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8)
         truncated = cap.samples[:90]
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         result = decoder.decode(truncated)
         assert not result.success
 
@@ -53,12 +53,12 @@ class TestStandardDecoderRobustness:
         tx = Transmission.from_symbols(frame.symbols, shaper,
                                        ChannelParams(gain=1e6), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8, tail=20)
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         result = decoder.decode(cap.samples)   # must not crash
         assert result.bits.size > 0 or not result.success
 
     def test_position_beyond_capture(self, preamble, shaper, rng):
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
         noise = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         result = decoder.decode(noise, start_position=10_000)
         assert not result.success

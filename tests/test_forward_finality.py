@@ -43,7 +43,7 @@ _spec.loader.exec_module(golden)
 
 _PRE = default_preamble(32)
 _SH = PulseShaper()
-_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH, noise_power=1.0)
+_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH)
 
 
 def _fixture(name: str):
@@ -58,7 +58,7 @@ def _trial(seed: int, snr_db: float = 12.0, offsets=(160, 64),
     rng = np.random.default_rng(seed)
     captures, _, specs, placements = hidden_pair_scenario(
         rng, _PRE, _SH, snr_db=snr_db, payload_bits=payload_bits,
-        offsets=offsets, noise_power=1.0)
+        offsets=offsets)
     return ([c.samples for c in captures], specs, placements)
 
 

@@ -121,6 +121,6 @@ class TestRegions:
         true_symbols = frame.symbols
         piloted = SymbolStreamDecoder(
             stream_config, stream.estimate, stream.start,
-            data_aided_preamble=False, pilots=true_symbols)
+            pilots=true_symbols)
         chunk = piloted.decode_chunk(buffer, frame.n_symbols)
         assert np.array_equal(chunk.decisions, true_symbols)

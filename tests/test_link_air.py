@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.link import AirConfig, ContinuousAir
+from repro.link import ContinuousAir
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, channel_waveform
@@ -15,7 +15,7 @@ from repro.utils.bits import random_bits
 def noise_twin(air: ContinuousAir) -> ContinuousAir:
     """An empty air on a copy of *air*'s generator: it emits exactly the
     noise *air* will add, so subtracting it leaves the waveforms."""
-    return ContinuousAir(air.config, copy.deepcopy(air.rng))
+    return ContinuousAir(copy.deepcopy(air.rng), air.impairments)
 
 
 def make_tx(preamble, shaper, rng, offset, src=1):
@@ -33,15 +33,15 @@ class TestContinuousAir:
         the one-shot channel application would produce it."""
         rng_air = np.random.default_rng(7)
         rng_ref = np.random.default_rng(7)
-        air = ContinuousAir(AirConfig(chunk_samples=128), rng_air)
+        air = ContinuousAir(rng_air)
         tx = make_tx(preamble, shaper, np.random.default_rng(1), offset=100)
         air.schedule(tx)
         expected = channel_waveform(tx, rng_ref)
         quiet = noise_twin(air)
         total = 100 + expected.size + 64
         n_chunks = -(-total // 128)
-        stream = np.concatenate([air.emit() for _ in range(n_chunks)])
-        noise = np.concatenate([quiet.emit() for _ in range(n_chunks)])
+        stream = np.concatenate([air.emit(128) for _ in range(n_chunks)])
+        noise = np.concatenate([quiet.emit(128) for _ in range(n_chunks)])
         np.testing.assert_allclose(
             stream[100:100 + expected.size] - noise[100:100 + expected.size],
             expected, atol=1e-9)
@@ -50,31 +50,29 @@ class TestContinuousAir:
 
     def test_overlapping_transmissions_superimpose(self, preamble, shaper):
         rng = np.random.default_rng(3)
-        air = ContinuousAir(AirConfig(chunk_samples=256), rng)
+        air = ContinuousAir(rng)
         gen = np.random.default_rng(2)
         a = make_tx(preamble, shaper, gen, offset=0, src=1)
         b = make_tx(preamble, shaper, gen, offset=60, src=2)
         air.schedule(a)
         air.schedule(b)
         quiet = noise_twin(air)
-        stream = np.concatenate([air.emit() - quiet.emit()
+        stream = np.concatenate([air.emit(256) - quiet.emit(256)
                                  for _ in range(6)])
         power = np.abs(stream) ** 2
         # The overlap region carries both packets' power.
         assert power[60:200].mean() > 1.5 * power[:50].mean()
 
     def test_cannot_schedule_into_the_past(self, preamble, shaper, rng):
-        air = ContinuousAir(AirConfig(chunk_samples=64),
-                            np.random.default_rng(0))
-        air.emit()
+        air = ContinuousAir(np.random.default_rng(0))
+        air.emit(64)
         with pytest.raises(ConfigurationError):
             air.schedule(make_tx(preamble, shaper, rng, offset=10))
 
     def test_memory_stays_bounded(self, preamble, shaper, rng):
         """Finished waveforms are dropped: residency tracks in-flight
         transmissions, not session length."""
-        air = ContinuousAir(AirConfig(chunk_samples=256),
-                            np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         sizes = []
         offset = 0
         for i in range(20):
@@ -82,7 +80,7 @@ class TestContinuousAir:
             size = air.schedule(tx)
             sizes.append(size)
             while air.cursor < offset + size:
-                air.emit()
+                air.emit(256)
             offset = air.cursor + 100
         assert air.samples_emitted >= 20 * min(sizes)
         # One packet in flight at a time: never more than one waveform
@@ -91,7 +89,7 @@ class TestContinuousAir:
         assert air.resident_samples == 0
 
     def test_emit_validates_count(self):
-        air = ContinuousAir(AirConfig(), np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             air.emit(0)
 
@@ -100,10 +98,8 @@ class TestContinuousAir:
         after a skip is identical to one emitted after synthesizing the
         same gap — the property the event-driven core relies on for
         statistical equivalence of its channel draws."""
-        a = ContinuousAir(AirConfig(chunk_samples=128),
-                          np.random.default_rng(11))
-        b = ContinuousAir(AirConfig(chunk_samples=128),
-                          np.random.default_rng(11))
+        a = ContinuousAir(np.random.default_rng(11))
+        b = ContinuousAir(np.random.default_rng(11))
         a.skip(1024)
         assert a.cursor == 1024 and a.samples_skipped == 1024
         b.skip(1024)
@@ -114,8 +110,7 @@ class TestContinuousAir:
         np.testing.assert_allclose(a.emit(512), b.emit(512), atol=1e-9)
 
     def test_skip_refuses_scheduled_spans(self, preamble, shaper, rng):
-        air = ContinuousAir(AirConfig(chunk_samples=64),
-                            np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         air.schedule(make_tx(preamble, shaper, rng, offset=500))
         with pytest.raises(ConfigurationError):
             air.skip(600)          # would jump over the waveform's head
@@ -123,6 +118,6 @@ class TestContinuousAir:
         assert air.cursor == 500
 
     def test_skip_validates_count(self):
-        air = ContinuousAir(AirConfig(), np.random.default_rng(0))
+        air = ContinuousAir(np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             air.skip(-1)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.phy.constellation import BPSK
-from repro.receiver.mrc import mrc_combine, mrc_decide
+from repro.receiver.mrc import mrc_combine
 
 
 class TestCombine:
@@ -13,7 +13,7 @@ class TestCombine:
         """§4.1 footnote: receptions -0.2 and +0.5 combine to +0.15 -> '1'."""
         combined = mrc_combine([[-0.2 + 0j], [0.5 + 0j]])
         assert combined[0] == pytest.approx(0.15)
-        assert mrc_decide([[-0.2 + 0j], [0.5 + 0j]], BPSK).tolist() == [1]
+        assert BPSK.demodulate(combined).tolist() == [1]
 
     def test_weights(self):
         combined = mrc_combine([[1.0 + 0j], [0.0 + 0j]], weights=[3, 1])
@@ -34,7 +34,7 @@ class TestCombine:
                   for _ in range(2)]
         single_err = np.mean(BPSK.demodulate(copies[0])
                              != BPSK.demodulate(truth))
-        combined_err = np.mean(mrc_decide(copies, BPSK)
+        combined_err = np.mean(BPSK.demodulate(mrc_combine(copies))
                                != BPSK.demodulate(truth))
         assert combined_err < single_err
 

@@ -37,8 +37,7 @@ def three_sender_scenario(rng, preamble, shaper, offset_rounds,
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
             est = sync.acquire(capture.samples, t.symbol0,
-                               coarse_freq=freqs[t.label],
-                               noise_power=1.0)
+                               coarse_freq=freqs[t.label])
             placements.append(PlacementParams(
                 t.label, ci, t.symbol0 + est.sampling_offset, est))
     specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK) for n in names}
@@ -92,8 +91,7 @@ class TestThreeSenders:
         for ci, capture in enumerate(captures):
             for t in capture.transmissions:
                 est = sync.acquire(capture.samples, t.symbol0,
-                                   coarse_freq=freqs[t.label],
-                                   noise_power=1.0)
+                                   coarse_freq=freqs[t.label])
                 placements.append(PlacementParams(
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK)

@@ -65,7 +65,7 @@ class TestCaptureCopies:
     @settings(max_examples=10, deadline=None)
     def test_never_at_k2(self, seed):
         rng = np.random.default_rng(seed)
-        config = StreamConfig(preamble=PRE, shaper=SH, noise_power=1.0)
+        config = StreamConfig(preamble=PRE, shaper=SH)
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, PRE, SH, snr_db=7.0, payload_bits=160)
         caps = [c.samples for c in captures]
@@ -88,8 +88,7 @@ class TestCaptureCopies:
         for ci, capture in enumerate(captures):
             for t in capture.transmissions:
                 est = sync.acquire(capture.samples, t.symbol0,
-                                   coarse_freq=FREQS[t.label],
-                                   noise_power=1.0)
+                                   coarse_freq=FREQS[t.label])
                 placements.append(PlacementParams(
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols) for n in NAMES}

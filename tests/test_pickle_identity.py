@@ -42,14 +42,13 @@ def test_conjugated_constellation_round_trips_by_value():
 
 
 _PRE = default_preamble(32)
-_CONFIG = StreamConfig(preamble=_PRE, shaper=PulseShaper(),
-                       noise_power=1.0)
+_CONFIG = StreamConfig(preamble=_PRE, shaper=PulseShaper())
 
 
 def _trial(seed: int):
     captures, _, specs, placements = hidden_pair_scenario(
         np.random.default_rng(seed), _PRE, _CONFIG.shaper, snr_db=12.0,
-        payload_bits=96, noise_power=1.0)
+        payload_bits=96)
     return ([c.samples for c in captures], specs, placements)
 
 

@@ -22,7 +22,6 @@ from repro.phy.pulse import MatchedSampler, PulseShaper
 from repro.phy.sync import Synchronizer
 from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 from repro.zigzag.detect import CollisionDetector
-from repro.zigzag.engine import PacketSpec
 
 from kernel_oracles import (
     detector_find_packets,
@@ -67,23 +66,21 @@ def acquisition_cases(draw):
     freqs = draw(st.lists(st.sampled_from(FREQ_POOL), min_size=1,
                           max_size=6))
     return (draw(st.integers(0, 2**32 - 1)), n, position, freqs,
-            draw(st.sampled_from(FREQ_POOL)), draw(st.booleans()))
+            draw(st.sampled_from(FREQ_POOL)))
 
 
 class TestSharedGridAcquisition:
     @given(acquisition_cases())
     @settings(max_examples=60, deadline=None)
     def test_candidate_list_equals_independent_calls(self, case):
-        seed, n, position, freqs, true_freq, refine = case
+        seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
         shared = Synchronizer(PREAMBLE, SHAPER).acquire(
-            y, position, coarse_freq=freqs, noise_power=1.0,
-            refine_freq=refine)
+            y, position, coarse_freq=freqs)
         assert len(shared) == len(freqs)
         for freq, estimate in zip(freqs, shared):
             alone = Synchronizer(PREAMBLE, SHAPER).acquire(
-                y, position, coarse_freq=freq, noise_power=1.0,
-                refine_freq=refine)
+                y, position, coarse_freq=freq)
             assert fields(estimate) == fields(alone)
 
     @given(acquisition_cases())
@@ -91,7 +88,7 @@ class TestSharedGridAcquisition:
     def test_kept_outputs_across_calls_change_nothing(self, case):
         """A record's ``sampled`` dict, reused by later calls at the same
         and at another peak, yields exactly what fresh calls yield."""
-        seed, n, position, freqs, true_freq, _ = case
+        seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
         other = (position + 7) % n
         sync = Synchronizer(PREAMBLE, SHAPER)
@@ -143,13 +140,13 @@ def assert_same_state(old: Synchronizer, new: Synchronizer,
 
 @st.composite
 def oracle_cases(draw):
-    seed, n, position, _, true_freq, refine = draw(acquisition_cases())
+    seed, n, position, _, true_freq = draw(acquisition_cases())
     # K = 0-16 candidates: repeats and any order from the pool, and
     # offsets no other candidate shares.
     freqs = draw(st.lists(
         st.one_of(st.sampled_from(FREQ_POOL), st.floats(-5e-3, 5e-3)),
         min_size=0, max_size=16))
-    return seed, n, position, freqs, true_freq, refine
+    return seed, n, position, freqs, true_freq
 
 
 class TestAcquireEqualsPerFrequencyLoop:
@@ -160,15 +157,14 @@ class TestAcquireEqualsPerFrequencyLoop:
     @given(oracle_cases())
     @settings(max_examples=80, deadline=None)
     def test_candidate_list_equals_oracle(self, case):
-        seed, n, position, freqs, true_freq, refine = case
+        seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
         old, new = twin_synchronizers()
         old_sampled, new_sampled = {}, {}
         expected = synchronizer_acquire(
-            old, y, position, coarse_freq=freqs, noise_power=1.0,
-            refine_freq=refine, sampled=old_sampled)
-        got = new.acquire(y, position, coarse_freq=freqs, noise_power=1.0,
-                          refine_freq=refine, sampled=new_sampled)
+            old, y, position, coarse_freq=freqs, sampled=old_sampled)
+        got = new.acquire(y, position, coarse_freq=freqs,
+                          sampled=new_sampled)
         assert got == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
@@ -177,7 +173,7 @@ class TestAcquireEqualsPerFrequencyLoop:
     def test_shared_sampled_memo_equals_oracle(self, case):
         """One ``sampled`` dict across calls at the same and at another
         peak, as a collision record keeps it."""
-        seed, n, position, freqs, true_freq, refine = case
+        seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
         other = (position + 7) % n
         old, new = twin_synchronizers()
@@ -185,10 +181,9 @@ class TestAcquireEqualsPerFrequencyLoop:
         for at, candidates in ((position, freqs[:1]), (position, freqs),
                                (other, freqs[::-1])):
             expected = synchronizer_acquire(
-                old, y, at, coarse_freq=candidates, refine_freq=refine,
-                sampled=old_sampled)
+                old, y, at, coarse_freq=candidates, sampled=old_sampled)
             got = new.acquire(y, at, coarse_freq=candidates,
-                              refine_freq=refine, sampled=new_sampled)
+                              sampled=new_sampled)
             assert got == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
@@ -333,12 +328,4 @@ class TestStoredRecordsAreReadOnly:
         fresh = Synchronizer(PREAMBLE, SHAPER)
         for (position, freq), estimate in record.estimates.items():
             assert fields(estimate) == fields(fresh.acquire(
-                original, position, coarse_freq=freq, noise_power=1.0))
-
-        # SIC decodes a stored record in place of the capture too; it
-        # must copy rather than subtract into the read-only samples.
-        placements = receiver._acquire_placements(record, record.peaks, 0)
-        specs = {p.packet: PacketSpec(p.packet, n_symbols)
-                 for p in placements}
-        receiver.sic.decode(record.samples, specs, placements)
-        assert np.array_equal(record.samples, original)
+                original, position, coarse_freq=freq))

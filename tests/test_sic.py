@@ -42,8 +42,7 @@ def capture_scenario(rng, preamble, shaper, snr_strong=22.0, snr_weak=10.0,
     placements = []
     for t in cap.transmissions:
         est = sync.acquire(cap.samples, t.symbol0,
-                           coarse_freq=params[t.label].freq_offset,
-                           noise_power=1.0)
+                           coarse_freq=params[t.label].freq_offset)
         placements.append(PlacementParams(
             t.label, 0, t.symbol0 + est.sampling_offset, est))
     specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK) for n in frames}
@@ -93,3 +92,16 @@ class TestSic:
         bers = [results[n].ber_against(frames[n].body_bits)
                 for n in frames]
         assert max(bers) > 0.01
+
+    def test_read_only_capture_is_copied_not_subtracted(
+            self, rng, preamble, shaper, stream_config):
+        """A stored collision's samples are read-only: SIC subtracts
+        each decoded packet from its own copy of the capture."""
+        cap, frames, specs, placements = capture_scenario(rng, preamble,
+                                                          shaper)
+        samples = cap.samples.copy()
+        samples.flags.writeable = False
+        results = SicDecoder(stream_config).decode(samples, specs,
+                                                   placements)
+        assert results["strong"].success
+        assert np.array_equal(samples, cap.samples)

@@ -23,7 +23,7 @@ class TestCleanDecoding:
                            preamble=preamble)
         params = ChannelParams(gain=10.0 * np.exp(1j * 0.5))
         cap = transmit(frame, shaper, params, rng)
-        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+        result = StandardDecoder(preamble, shaper).decode(
             cap.samples)
         assert result.success
         assert np.array_equal(result.bits, frame.body_bits)
@@ -33,7 +33,7 @@ class TestCleanDecoding:
         payload = random_bits(120, rng)
         frame = Frame.make(payload, preamble=preamble)
         cap = transmit(frame, shaper, ChannelParams(gain=8.0), rng)
-        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+        result = StandardDecoder(preamble, shaper).decode(
             cap.samples)
         assert np.array_equal(result.payload, payload)
 
@@ -44,7 +44,7 @@ class TestCleanDecoding:
                            preamble=preamble)
         params = ChannelParams(gain=30.0 * np.exp(1j * 1.2))
         cap = transmit(frame, shaper, params, rng)
-        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+        result = StandardDecoder(preamble, shaper).decode(
             cap.samples)
         assert result.success
         assert np.array_equal(result.bits, frame.body_bits)
@@ -57,8 +57,7 @@ class TestImpairments:
                                sampling_offset=0.55,
                                phase_noise_std=1e-3)
         cap = transmit(frame, shaper, params, rng)
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0,
-                                  coarse_freq=3e-3 * 0.99)
+        decoder = StandardDecoder(preamble, shaper, coarse_freq=3e-3 * 0.99)
         result = decoder.decode(cap.samples)
         assert result.success
 
@@ -67,9 +66,8 @@ class TestImpairments:
         params = ChannelParams(gain=4.0,
                                isi_taps=tuple(default_isi_taps(0.45)))
         cap = transmit(frame, shaper, params, rng)
-        with_eq = StandardDecoder(preamble, shaper, noise_power=1.0)
-        without_eq = StandardDecoder(preamble, shaper, noise_power=1.0,
-                                     use_equalizer=False)
+        with_eq = StandardDecoder(preamble, shaper)
+        without_eq = StandardDecoder(preamble, shaper, use_equalizer=False)
         ber_with = with_eq.decode(cap.samples).ber_against(frame.body_bits)
         ber_without = without_eq.decode(cap.samples).ber_against(
             frame.body_bits)
@@ -84,10 +82,9 @@ class TestImpairments:
         params = ChannelParams(gain=8.0, freq_offset=2e-3)
         cap = transmit(frame, shaper, params, rng)
         coarse = 2e-3 + 1.2e-4  # residual error that accumulates phase
-        tracked = StandardDecoder(preamble, shaper, noise_power=1.0,
-                                  coarse_freq=coarse)
-        untracked = StandardDecoder(preamble, shaper, noise_power=1.0,
-                                    coarse_freq=coarse, track_phase=False)
+        tracked = StandardDecoder(preamble, shaper, coarse_freq=coarse)
+        untracked = StandardDecoder(preamble, shaper, coarse_freq=coarse,
+                                    track_phase=False)
         assert tracked.decode(cap.samples).ber_against(
             frame.body_bits) < 1e-3
         assert untracked.decode(cap.samples).ber_against(
@@ -97,21 +94,20 @@ class TestImpairments:
 class TestFailureModes:
     def test_noise_only_returns_failure(self, preamble, shaper, rng):
         noise = rng.standard_normal(800) + 1j * rng.standard_normal(800)
-        result = StandardDecoder(preamble, shaper,
-                                 noise_power=1.0).decode(noise)
+        result = StandardDecoder(preamble, shaper).decode(noise)
         assert not result.success
         assert result.bits.size == 0
 
     def test_truncated_capture(self, preamble, shaper, rng):
         frame = Frame.make(random_bits(400, rng), preamble=preamble)
         cap = transmit(frame, shaper, ChannelParams(gain=8.0), rng)
-        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+        result = StandardDecoder(preamble, shaper).decode(
             cap.samples[:300])
         assert not result.success
 
     def test_capture_shorter_than_preamble_fails_softly(self, preamble,
                                                         shaper):
-        result = StandardDecoder(preamble, shaper, noise_power=1.0).decode(
+        result = StandardDecoder(preamble, shaper).decode(
             np.ones(10, complex))
         assert not result.success
         assert result.detail == "capture too short for sync"
@@ -120,7 +116,7 @@ class TestFailureModes:
                                         monkeypatch):
         """Only a too-short capture is a decode failure; any other fault
         in detection is a bug and must surface."""
-        decoder = StandardDecoder(preamble, shaper, noise_power=1.0)
+        decoder = StandardDecoder(preamble, shaper)
 
         def broken(*args, **kwargs):
             raise RuntimeError("detection fault")

@@ -85,13 +85,13 @@ class TestAcquisition:
         cap = one_packet_capture(small_frame, shaper, p, 25, rng,
                                  noise_power=0.1)
         sync = Synchronizer(preamble, shaper)
-        est = sync.acquire(cap.samples, cap.transmissions[0].symbol0,
-                           noise_power=0.1)
+        est = sync.acquire(cap.samples, cap.transmissions[0].symbol0)
         assert abs(est.gain) == pytest.approx(abs(gain), rel=0.1)
         assert np.angle(est.gain * np.conj(gain)) == pytest.approx(0.0,
                                                                    abs=0.15)
 
-    def test_freq_refit_optional(self, preamble, shaper, small_frame, rng):
+    def test_frequency_is_the_candidate(self, preamble, shaper,
+                                       small_frame, rng):
         p = ChannelParams(gain=4.0, freq_offset=2e-3)
         cap = one_packet_capture(small_frame, shaper, p, 25, rng,
                                  noise_power=0.01)
@@ -99,15 +99,11 @@ class TestAcquisition:
         pos = cap.transmissions[0].symbol0
         kept = sync.acquire(cap.samples, pos, coarse_freq=1.9e-3)
         assert kept.freq_offset == 1.9e-3
-        refined = sync.acquire(cap.samples, pos, coarse_freq=1.9e-3,
-                               refine_freq=True)
-        assert refined.freq_offset == pytest.approx(2e-3, abs=3e-4)
 
     def test_snr_estimate_reasonable(self, preamble, shaper, small_frame,
                                      rng):
         p = ChannelParams(gain=np.sqrt(10 ** 1.2))  # 12 dB over unit noise
         cap = one_packet_capture(small_frame, shaper, p, 25, rng)
         sync = Synchronizer(preamble, shaper)
-        est = sync.acquire(cap.samples, cap.transmissions[0].symbol0,
-                           noise_power=1.0)
+        est = sync.acquire(cap.samples, cap.transmissions[0].symbol0)
         assert est.snr_db == pytest.approx(12.0, abs=2.0)

@@ -51,8 +51,7 @@ class TestPairDecoding:
 
     def test_backward_pass_improves_low_snr_ber(self, preamble, shaper):
         """§4.3b: fwd+bwd MRC lowers the BER versus forward-only."""
-        config = StreamConfig(preamble=preamble, shaper=shaper,
-                              noise_power=1.0)
+        config = StreamConfig(preamble=preamble, shaper=shaper)
         fwd, both = [], []
         for seed in range(5):
             rng = np.random.default_rng(seed + 50)
@@ -113,8 +112,7 @@ class TestPairDecoding:
         for ci, cap in enumerate((cap1, cap2)):
             for t in cap.transmissions:
                 est = sync.acquire(cap.samples, t.symbol0,
-                                   coarse_freq=params[t.label].freq_offset,
-                                   noise_power=1.0)
+                                   coarse_freq=params[t.label].freq_offset)
                 placements.append(PlacementParams(
                     t.label, ci, t.symbol0 + est.sampling_offset, est))
         specs = {n: PacketSpec(n, frames[n].n_symbols, BPSK) for n in "AB"}
