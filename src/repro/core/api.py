@@ -203,9 +203,11 @@ class ReceiverStats:
     # in soak runs.
     match_attempts: int = 0
     match_rejects_threshold: int = 0
-    # k-way (§4.5) counters: collision sets of three or more captures
-    # assembled from the buffer's match graph and handed to the multi
-    # decoder, and how many of those resolved at least one packet.
+    # k-way (§4.5) counters, all three over collision sets of three or
+    # more captures: the sets handed to the multi decoder, how many of
+    # those resolved at least one packet, and the packets they resolved.
+    # A set of k >= 3 packets tried from only two captures (too few
+    # stored matches) counts in zigzag_matches alone.
     multiway_attempts: int = 0
     multiway_matches: int = 0
     packets_multiway: int = 0   # packets recovered by k-way decodes
@@ -675,6 +677,9 @@ class ZigZagReceiver(StandardAp):
                 for placement in self._acquire_placements(record, peaks, ci)
             ]]
         captures = [record.samples for record, _ in layers]
+        multiway = len(captures) >= 3
+        if multiway:
+            self.stats.multiway_attempts += 1
         successes: list[DecodeResult] = []
         for placements in hypotheses:
             specs = {p.packet: PacketSpec(p.packet, n_symbols)
@@ -694,7 +699,7 @@ class ZigZagReceiver(StandardAp):
             assert removed, \
                 "matched collision record vanished from the buffer"
         self.stats.zigzag_matches += 1
-        if len(captures) >= 3:
+        if multiway:
             self.stats.multiway_matches += 1
             self.stats.packets_multiway += len(successes)
         for result in successes:
@@ -763,7 +768,6 @@ class ZigZagReceiver(StandardAp):
                 break
         if not chosen:
             return []
-        self.stats.multiway_attempts += 1
         # Oldest first, so collision indices follow arrival order.
         chosen.reverse()
         return self._decode_collision_set(chosen, perms, probe, n_symbols)

@@ -128,6 +128,39 @@ class TestOnlineThreeWay:
         assert stats.zigzag_matches == 1
         assert len(receiver.buffer) == 0  # the whole set was consumed
 
+    def test_kway_counters_count_only_sets_of_three_captures(self):
+        """multiway_attempts, multiway_matches and packets_multiway all
+        count collision sets of three or more captures: a k = 3 set tried
+        and decoded from two captures is a ZigZag match and nothing more,
+        and a three-capture set adds to all three."""
+        rng = np.random.default_rng(1)
+        frames = {n: Frame.make(random_bits(64, rng), src=i + 1,
+                                preamble=PRE)
+                  for i, n in enumerate(NAMES)}
+        receiver = three_way_receiver(frames["A"].n_symbols)
+        first, second = three_way_captures(
+            rng, frames, [(0, 150, 330), (0, 190, 360)])
+        assert receiver.receive(first.samples) == []
+        assert receiver.receive(second.samples)
+        stats = receiver.stats
+        assert stats.zigzag_matches == 1
+        assert (stats.multiway_attempts, stats.multiway_matches,
+                stats.packets_multiway) == (0, 0, 0)
+
+        rng = np.random.default_rng(2)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
+                                preamble=PRE)
+                  for i, n in enumerate(NAMES)}
+        receiver = three_way_receiver(frames["A"].n_symbols)
+        captures = three_way_captures(
+            rng, frames, [(0, 80, 180), (60, 0, 140), (100, 40, 0)])
+        for capture in captures[:2]:
+            assert receiver.receive(capture.samples) == []
+        assert len(receiver.receive(captures[2].samples)) == 3
+        stats = receiver.stats
+        assert (stats.multiway_attempts, stats.multiway_matches,
+                stats.packets_multiway) == (1, 1, 3)
+
     def test_reordered_arrivals_still_match(self, rng):
         """Backoff jitter permutes arrival order between collisions; the
         peak-correspondence search must recover the identity mapping."""
