@@ -243,7 +243,7 @@ class Synchronizer:
 
     @staticmethod
     def _select(lags: list[int], scores: np.ndarray, values: list[complex],
-                size: int, max_peaks: int | None,
+                size: int, max_peaks: int | None
                 ) -> list[tuple[int, float, complex]]:
         """Greedy strongest-first selection with merge suppression over
         the above-threshold lags (ascending) of *size* lags in all,
