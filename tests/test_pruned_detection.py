@@ -79,13 +79,16 @@ class TestDetectEqualsPerFrequencyLoop:
         assert detector.find_packets(y, freqs, max_peaks=max_peaks) == \
             detector_find_packets(oracle, y, freqs, max_peaks)
 
-    def test_min_separation_equals_oracle(self):
-        """Two packets 30 samples apart, more than MIN_SEPARATION, and
-        noise lags that the merge window suppresses."""
+    @pytest.mark.parametrize("separation", [-300, -1, 0, 1, 40])
+    def test_min_separation_equals_oracle(self, separation):
+        """Two packets *separation* samples apart around the
+        MIN_SEPARATION merge window: far before, adjacent on either
+        side, coincident, and beyond it, plus noise lags that the
+        window suppresses."""
         rng = np.random.default_rng(7)
-        y = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-        y[100:100 + L] += 4 * WAVE
-        y[130:130 + L] += 3 * WAVE
+        y = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        y[310:310 + L] += 4 * WAVE
+        y[310 + separation:310 + separation + L] += 3 * WAVE
         sync = Synchronizer(PREAMBLE, SHAPER, threshold=0.2)
         assert sync.detect(y, [0.0, 1e-3]) == \
             synchronizer_detect(sync, y, [0.0, 1e-3])
