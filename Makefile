@@ -37,7 +37,8 @@ lint:
 # and the chaos soak example on 2 workers, so its keys are used and not
 # only parsed; its --json output must report at least one pool respawn,
 # or the example injected nothing. Last, a key the scenario kind does
-# not declare must fail with exit status 2.
+# not declare must fail with exit status 2, and so must a preamble
+# length (the preamble is fixed at 32 symbols).
 smoke:
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 2 --workers 2
@@ -54,6 +55,8 @@ smoke:
 		and 'chaos_soak.toml: no pool respawn, the chaos did not engage')"
 	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
 		--trials 1 --set max_rounds=2; test $$? -eq 2
+	$(PYTHON) -m repro run examples/scenarios/pair_collision.toml \
+		--trials 1 --set preamble_length=16; test $$? -eq 2
 
 # Tiny closed-loop soak through the CLI: continuous air, streaming
 # segmentation, collision-buffer matching and ACK feedback end to end
@@ -94,7 +97,9 @@ chaos-smoke:
 # properties, multi-cell coordinator) and the coupled 3-AP block's
 # closed-loop golden (block3), named next to the parallel-equivalence
 # suite. The two-worker run's --json output must report two workers and
-# no degradation, or the block silently stepped in process.
+# no degradation, or the block silently stepped in process; the same run
+# with every cell worker killed must report the in-process rerun: one
+# worker, degraded.
 city-smoke:
 	$(PYTHON) -m repro run examples/scenarios/city_block.toml \
 		--workers 0 --set deployment.n_aps=3 \
@@ -109,6 +114,17 @@ city-smoke:
 		sys.exit((m['coupled_workers']['mean'] != 2 \
 		or m['coupled_degraded']['mean'] != 0) \
 		and 'city_block.toml: the 2-worker block degraded to in-process')"
+	$(PYTHON) -m repro run examples/scenarios/city_block.toml \
+		--workers 1 --set n_trials=1 \
+		--set design=zigzag --set deployment.n_aps=3 \
+		--set deployment.n_clients=12 --set deployment.area_m=70 \
+		--set deployment.coupled_workers=2 \
+		--set faults.kill_worker_prob=1.0 \
+		--json | $(PYTHON) -c "import json, sys; \
+		m = json.load(sys.stdin)['metrics']; \
+		sys.exit((m['coupled_workers']['mean'] != 1 \
+		or m['coupled_degraded']['mean'] != 1) \
+		and 'city_block.toml: a killed block must report its rerun on 1 worker')"
 	$(PYTHON) -m pytest -q tests/test_deployment.py \
 		tests/test_multicell_parallel.py
 	$(PYTHON) -m pytest -q tests/test_closed_loop_golden.py -k block3

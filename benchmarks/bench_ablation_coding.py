@@ -18,9 +18,9 @@ sys.path.insert(0, "tests")
 
 from repro.phy.frame import HEADER_BITS, descramble_soft_bpsk
 from repro.phy.coding.iterative import decode_coded_soft
+from repro.phy.preamble import PREAMBLE
 from repro.receiver.frontend import StreamConfig
 from repro.runner import MonteCarloRunner
-from repro.runner.cache import cached_preamble, cached_shaper
 from repro.zigzag.decoder import ZigZagMultiDecoder
 
 N_TRIALS = 6
@@ -32,12 +32,10 @@ def coding_trial(ctx):
     """Decode one coded collision pair; report per-pair delivery counts."""
     from test_coded_zigzag_integration import coded_collision_pair
 
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
-    config = StreamConfig(preamble=preamble, shaper=shaper)
+    config = StreamConfig()
     decoder = ZigZagMultiDecoder(config)
     captures, frames, payloads, specs, placements = coded_collision_pair(
-        ctx.rng, preamble, shaper, SNR_DB, payload_bits=PAYLOAD_BITS)
+        ctx.rng, SNR_DB, payload_bits=PAYLOAD_BITS)
     outcome = decoder.decode([c.samples for c in captures], specs,
                              placements)
     uncoded_ok = coded_ok = total = 0
@@ -47,7 +45,7 @@ def coding_trial(ctx):
         if result.success:      # CRC over the raw (coded) bits
             uncoded_ok += 1
         soft = descramble_soft_bpsk(
-            result.soft_symbols[len(preamble) + HEADER_BITS:],
+            result.soft_symbols[len(PREAMBLE) + HEADER_BITS:],
             offset=HEADER_BITS)
         if np.array_equal(decode_coded_soft(soft, payload.size), payload):
             coded_ok += 1

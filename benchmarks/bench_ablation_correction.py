@@ -18,7 +18,6 @@ from repro.phy.constellation import BPSK
 from repro.phy.frame import scramble_bits
 from repro.receiver.frontend import StreamConfig
 from repro.runner import MonteCarloRunner, hidden_pair_scenario
-from repro.runner.cache import cached_preamble, cached_shaper
 from repro.zigzag.engine import ZigZagEngine
 from repro.zigzag.schedule import MARGIN_SYMBOLS, Placement, greedy_schedule
 
@@ -28,15 +27,13 @@ SNR_DB = 10.0
 
 def correction_trial(ctx):
     """Decode one pair with the correction loop on and off."""
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
-    config = StreamConfig(preamble=preamble, shaper=shaper)
+    config = StreamConfig()
     captures, frames, specs, placements = hidden_pair_scenario(
-        ctx.rng, preamble, shaper, snr_db=SNR_DB, payload_bits=300,
+        ctx.rng, snr_db=SNR_DB, payload_bits=300,
         phase_noise=2e-3)
     schedule = greedy_schedule(
         [Placement(p.packet, p.collision, p.start,
-                   specs[p.packet].n_symbols, shaper.sps)
+                   specs[p.packet].n_symbols)
          for p in placements], margin_symbols=MARGIN_SYMBOLS)
     metrics = {}
     for measure, tag in ((True, "on"), (False, "off")):

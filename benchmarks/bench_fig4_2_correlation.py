@@ -6,8 +6,7 @@ must spike exactly at the second packet's start — and nowhere comparable
 elsewhere.
 
 Ported to the Monte-Carlo runner: the trace is one ``map`` trial with
-runner-derived seeding and the cached preamble/shaper/synchronizer
-reference signals.
+runner-derived seeding.
 """
 
 import numpy as np
@@ -15,31 +14,29 @@ import numpy as np
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
+from repro.phy.pulse import DELAY
+from repro.phy.sync import Synchronizer
 from repro.runner import MonteCarloRunner
-from repro.runner.cache import cached_preamble, cached_shaper, cached_synchronizer
 from repro.utils.bits import random_bits
 
 
 def correlation_trace(ctx, offset=300, snr_db=12.0):
     """Build one two-packet collision and sweep the correlation over it."""
     rng = ctx.rng
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
     amp = np.sqrt(10 ** (snr_db / 10))
-    frames = [Frame.make(random_bits(400, rng), src=i + 1,
-                         preamble=preamble) for i in range(2)]
+    frames = [Frame.make(random_bits(400, rng), src=i + 1) for i in range(2)]
     freqs = [2e-3, -3e-3]
     txs = [Transmission.from_symbols(
-        frames[i].symbols, shaper,
+        frames[i].symbols,
         ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
                       freq_offset=freqs[i],
                       sampling_offset=rng.uniform(0, 1)),
         (0, offset)[i], "ab"[i]) for i in range(2)]
     capture = synthesize(txs, 1.0, rng, leading=8, tail=30)
-    sync = cached_synchronizer(32, threshold=0.6)
+    sync = Synchronizer(threshold=0.6)
     scores = sync.correlation_scores(capture.samples, coarse_freq=freqs[1])
-    alice_start = capture.transmissions[0].symbol0 - shaper.delay
-    bob_start = capture.transmissions[1].symbol0 - shaper.delay
+    alice_start = capture.transmissions[0].symbol0 - DELAY
+    bob_start = capture.transmissions[1].symbol0 - DELAY
     return scores, alice_start, bob_start
 
 

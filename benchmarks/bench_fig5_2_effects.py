@@ -2,7 +2,7 @@
 tracking; (b) ISI makes a received bit depend on its neighbours.
 
 Ported to the Monte-Carlo runner: both panels run as ``map`` trials with
-runner-derived seeding and cached preamble/shaper reference signals.
+runner-derived seeding.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ from repro.phy.constellation import BPSK
 from repro.phy.frame import Frame
 from repro.phy.isi import default_isi_taps
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.pulse import MatchedSampler
+from repro.phy.pulse import DELAY, SHAPER, MatchedSampler
 from repro.receiver.decoder import StandardDecoder
 from repro.runner import MonteCarloRunner
-from repro.runner.cache import cached_preamble, cached_shaper
 from repro.utils.bits import random_bits
 
 
@@ -23,16 +22,12 @@ def error_profile_without_tracking(ctx, payload_bits=2400):
     """(a): decode a long packet with tracking disabled and a residual
     frequency error; return per-quarter error rates."""
     rng = ctx.rng
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
-    frame = Frame.make(random_bits(payload_bits, rng), src=1,
-                       preamble=preamble)
+    frame = Frame.make(random_bits(payload_bits, rng), src=1)
     freq = 2e-3
     params = ChannelParams(gain=6.0, freq_offset=freq)
-    tx = Transmission.from_symbols(frame.symbols, shaper, params, 0, "a")
+    tx = Transmission.from_symbols(frame.symbols, params, 0, "a")
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
-    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq + 8e-5,
-                              track_phase=False)
+    decoder = StandardDecoder(coarse_freq=freq + 8e-5, track_phase=False)
     result = decoder.decode(cap.samples)
     bits = result.bits if result.bits.size else np.zeros(0, np.uint8)
     n = min(bits.size, frame.body_bits.size)
@@ -46,14 +41,12 @@ def isi_prone_symbols(ctx, n_symbols=4000):
     """(b): mean received value of a '1' symbol conditioned on the
     previous symbol, through an ISI channel."""
     rng = ctx.rng
-    shaper = cached_shaper()
     bits = random_bits(n_symbols, rng)
     symbols = BPSK.modulate(bits)
     params = ChannelParams(gain=1.0,
                            isi_taps=tuple(default_isi_taps(0.5)))
-    wave = Channel(params, rng).apply(shaper.shape(symbols))
-    received = MatchedSampler(shaper).sample(wave, shaper.delay,
-                                             n_symbols).real
+    wave = Channel(params, rng).apply(SHAPER.shape(symbols))
+    received = MatchedSampler().sample(wave, DELAY, n_symbols).real
     prev = np.roll(bits, 1)[1:]
     current = bits[1:]
     r = received[1:]

@@ -6,8 +6,7 @@ Three rows, as in the paper:
 - decode success with/without the ISI (equalizer) filter, by SNR.
 
 Ported to the Monte-Carlo runner: each cell's trial loop goes through
-``MonteCarloRunner.map`` (module-level trial functions + ``partial``),
-with the detector/decoder reference objects cached across trials.
+``MonteCarloRunner.map`` (module-level trial functions + ``partial``).
 """
 
 import functools
@@ -20,8 +19,8 @@ from repro.phy.isi import default_isi_taps
 from repro.phy.medium import Transmission, synthesize
 from repro.receiver.decoder import StandardDecoder
 from repro.runner import MonteCarloRunner
-from repro.runner.cache import cached_detector, cached_preamble, cached_shaper
 from repro.utils.bits import random_bits
+from repro.zigzag.detect import CollisionDetector
 
 BETAS = (0.42, 0.5, 0.55, 0.6)
 
@@ -40,26 +39,23 @@ def detector_trial(ctx):
     """Row 1, one trial: FP/FN flags for every β on one clean+collision
     pair drawn at a random SNR in 6..20 dB (§5.3a)."""
     rng = ctx.rng
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
     snr = rng.uniform(6, 20)
     freqs = [float(rng.uniform(-4e-3, 4e-3)) for _ in range(2)]
-    f1 = Frame.make(random_bits(300, rng), src=1, preamble=preamble)
-    tx = Transmission.from_symbols(f1.symbols, shaper,
-                                   _params(rng, snr, freqs[0]), 0, "a")
+    f1 = Frame.make(random_bits(300, rng), src=1)
+    tx = Transmission.from_symbols(f1.symbols, _params(rng, snr, freqs[0]),
+                                   0, "a")
     clean = synthesize([tx], 1.0, rng, leading=8, tail=30)
-    f2 = Frame.make(random_bits(300, rng), src=2, preamble=preamble)
+    f2 = Frame.make(random_bits(300, rng), src=2)
     offset = int(rng.integers(4, 14)) * 20
     collision = synthesize(
-        [Transmission.from_symbols(f1.symbols, shaper,
-                                   _params(rng, snr, freqs[0]), 0, "a"),
-         Transmission.from_symbols(f2.symbols, shaper,
-                                   _params(rng, snr, freqs[1]),
+        [Transmission.from_symbols(f1.symbols, _params(rng, snr, freqs[0]),
+                                   0, "a"),
+         Transmission.from_symbols(f2.symbols, _params(rng, snr, freqs[1]),
                                    offset, "b")],
         1.0, rng, leading=8, tail=30)
     metrics = {}
     for beta in BETAS:
-        det = cached_detector(32, beta=beta)
+        det = CollisionDetector(beta=beta)
         metrics[f"fp_{beta}"] = float(
             det.inspect(clean.samples, freqs).is_collision)
         metrics[f"fn_{beta}"] = float(
@@ -85,18 +81,14 @@ def detector_rates(runner, n_each=40, seed=0):
 def tracking_trial(ctx, payload_bits=400, track=True):
     """Row 2, one trial: does a long packet survive without tracking?"""
     rng = ctx.rng
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
-    frame = Frame.make(random_bits(payload_bits, rng), src=1,
-                       preamble=preamble)
+    frame = Frame.make(random_bits(payload_bits, rng), src=1)
     freq = float(rng.uniform(-4e-3, 4e-3))
-    tx = Transmission.from_symbols(frame.symbols, shaper,
-                                   _params(rng, 14.0, freq), 0, "a")
+    tx = Transmission.from_symbols(frame.symbols, _params(rng, 14.0, freq),
+                                   0, "a")
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
     # The decoder works from the (slightly stale) client-table coarse
     # estimate; tracking must absorb the residual.
-    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq + 1.2e-4,
-                              track_phase=track)
+    decoder = StandardDecoder(coarse_freq=freq + 1.2e-4, track_phase=track)
     ok = decoder.decode(cap.samples).ber_against(frame.body_bits) < 1e-3
     return float(ok)
 
@@ -104,16 +96,13 @@ def tracking_trial(ctx, payload_bits=400, track=True):
 def isi_trial(ctx, snr_db=10.0, use_equalizer=True):
     """Row 3, one trial: does the ISI filter save a low-SNR packet?"""
     rng = ctx.rng
-    preamble = cached_preamble(32)
-    shaper = cached_shaper()
-    frame = Frame.make(random_bits(400, rng), src=1, preamble=preamble)
+    frame = Frame.make(random_bits(400, rng), src=1)
     freq = float(rng.uniform(-4e-3, 4e-3))
     tx = Transmission.from_symbols(
-        frame.symbols, shaper, _params(rng, snr_db, freq, isi=0.45),
+        frame.symbols, _params(rng, snr_db, freq, isi=0.45),
         0, "a")
     cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
-    decoder = StandardDecoder(preamble, shaper, coarse_freq=freq,
-                              use_equalizer=use_equalizer)
+    decoder = StandardDecoder(coarse_freq=freq, use_equalizer=use_equalizer)
     ok = decoder.decode(cap.samples).ber_against(frame.body_bits) < 1e-3
     return float(ok)
 

@@ -85,20 +85,14 @@ def quick_hidden_terminal_demo(seed: int = 1, snr_db: float = 12.0,
     keyed by packet (``A``, ``B``) with success flags and bit error rates
     — a one-call sanity check that the whole stack works.
     """
-    from repro.phy.preamble import default_preamble
-    from repro.phy.pulse import PulseShaper
     from repro.receiver.frontend import StreamConfig
     from repro.runner.builders import hidden_pair_scenario
     from repro.utils.rng import make_rng
     from repro.zigzag.decoder import ZigZagMultiDecoder
 
-    preamble = default_preamble(32)
-    shaper = PulseShaper()
     captures, frames, specs, placements = hidden_pair_scenario(
-        make_rng(seed), preamble, shaper, snr_db=snr_db,
-        payload_bits=payload_bits)
-    config = StreamConfig(preamble=preamble, shaper=shaper)
-    outcome = ZigZagMultiDecoder(config).decode(
+        make_rng(seed), snr_db=snr_db, payload_bits=payload_bits)
+    outcome = ZigZagMultiDecoder(StreamConfig()).decode(
         [c.samples for c in captures], specs, placements)
     return {
         name: {

@@ -51,8 +51,8 @@ import numpy as np
 from repro.errors import CollisionDetectError, ConfigurationError, ReproError
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
-from repro.phy.preamble import Preamble, default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SPS
 from repro.phy.sync import Synchronizer
 from repro.receiver.buffer import (
     GAP_TOLERANCE,
@@ -153,8 +153,6 @@ class ReceiverConfig:
     # *through* interference can parse into a plausible garbage length
     # and poison the whole collision set.
     expected_symbols: int
-    preamble: Preamble = field(default_factory=default_preamble)
-    shaper: PulseShaper = field(default_factory=PulseShaper)
     buffer_capacity: int = 4
     # Most packets a single collision may be decomposed into (the k of
     # §4.5). The default keeps the historical pairwise detector: weaker
@@ -168,10 +166,6 @@ class ReceiverConfig:
         if self.max_collision_packets < 2:
             raise ConfigurationError(
                 "max_collision_packets must be >= 2")
-
-    def stream_config(self) -> StreamConfig:
-        """The equivalent chunk-decoder configuration."""
-        return StreamConfig(preamble=self.preamble, shaper=self.shaper)
 
 
 @dataclass
@@ -299,12 +293,9 @@ class StandardAp:
         self.config = config
         self.clients = ClientTable()
         self.stats = ReceiverStats()
-        self.detector = CollisionDetector(config.preamble, config.shaper,
-                                          beta=COLLISION_BETA)
-        self.synchronizer = Synchronizer(config.preamble, config.shaper,
-                                         threshold=COLLISION_BETA)
-        self.standard = StandardDecoder(
-            config.preamble, config.shaper, sync_threshold=SYNC_THRESHOLD)
+        self.detector = CollisionDetector(beta=COLLISION_BETA)
+        self.synchronizer = Synchronizer(threshold=COLLISION_BETA)
+        self.standard = StandardDecoder(sync_threshold=SYNC_THRESHOLD)
 
     def receive(self, samples) -> list[DecodeResult]:
         """Process one capture; returns the packets it standard-decodes."""
@@ -416,11 +407,10 @@ class ZigZagReceiver(StandardAp):
         self.buffer = CollisionBuffer(cfg.buffer_capacity)
         # One decoder serves every set size: the k-copy MRC only engages
         # at three or more captures.
-        self.multi_decoder = ZigZagMultiDecoder(cfg.stream_config())
+        self.multi_decoder = ZigZagMultiDecoder(StreamConfig())
         # Samples from a packet's start to its payload: every packet
         # opens with the same preamble and a near-identical header.
-        self._payload_lead = ((len(cfg.preamble) + HEADER_BITS)
-                              * cfg.shaper.sps)
+        self._payload_lead = (len(PREAMBLE) + HEADER_BITS) * SPS
 
     # ------------------------------------------------------------------
     def receive(self, samples) -> list[DecodeResult]:
@@ -489,7 +479,7 @@ class ZigZagReceiver(StandardAp):
         k − 1 packets as interference, leaving every score near 1/k
         with substantial variance).
 
-        Each window opens ``len(preamble) + HEADER_BITS`` symbols after
+        Each window opens ``len(PREAMBLE) + HEADER_BITS`` symbols after
         its peak, on the payload. Every packet carries the same preamble,
         and one sender's headers differ only in a few bits, so a window
         at the packet start correlates two *different* packets of the

@@ -405,8 +405,7 @@ class MultiCellSession:
                 # never stepped; rerun the whole block in process —
                 # bit-identical by construction, just slower.
                 self.degrade_reason = str(exc)
-                return self._drive([CellGroup(self.cells)],
-                                   workers=workers, degraded=True)
+                return self._drive([CellGroup(self.cells)], degraded=True)
         return self._drive([CellGroup(self.cells)])
 
     def _drive(self, groups, *, workers: int = 1,

@@ -87,10 +87,10 @@ from repro.phy.channel import PHASE_NOISE_STD, TX_EVM, ChannelParams
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
 from repro.phy.impairments import ImpairmentPipeline
-from repro.phy.medium import Transmission
+from repro.phy.medium import Transmission, require_air_interface
 from repro.phy.noise import NOISE_POWER
-from repro.phy.preamble import Preamble, default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE, Preamble
+from repro.phy.pulse import SHAPER, PulseShaper
 from repro.testbed.metrics import BER_DELIVERY_THRESHOLD, FlowStats
 from repro.utils.bits import random_bits
 
@@ -141,7 +141,6 @@ class SessionConfig:
     # probabilistic topologies keep the pairwise default unless this is
     # set.
     max_collision_packets: int | None = None
-    preamble_length: int = 32
     sender_impairments: ImpairmentPipeline | None = None
     capture_impairments: ImpairmentPipeline | None = None
     max_samples: int | None = None             # safety cap; None: derived
@@ -153,6 +152,11 @@ class SessionConfig:
                 and self.max_collision_packets < 2:
             raise ConfigurationError(
                 "max_collision_packets must be >= 2")
+
+    @property
+    def preamble_length(self) -> int:
+        """Symbols of the preamble every frame opens with (read-only)."""
+        return len(PREAMBLE)
 
     def collision_packets(self) -> int:
         """The AP's k: explicit override, or the largest mutually-hidden
@@ -231,6 +235,8 @@ class LinkSession:
     :meth:`run` is :meth:`start`, then :meth:`step_until` with no
     horizon, then :meth:`finish`. A multi-cell coordinator calls the
     three itself to interleave several sessions on one shared horizon.
+    *preamble* and *shaper* may only be the air interface's own
+    (:func:`~repro.phy.medium.require_air_interface`).
     """
 
     def __init__(self, config: SessionConfig, clients: list[StreamClient],
@@ -245,11 +251,7 @@ class LinkSession:
         self.config = config
         self.design = design
         self.rng = rng or np.random.default_rng(0)
-        if preamble is not None and len(preamble) != config.preamble_length:
-            raise ConfigurationError(
-                "injected preamble length differs from config")
-        self.preamble = preamble or default_preamble(config.preamble_length)
-        self.shaper = shaper or PulseShaper()
+        require_air_interface(preamble, shaper)
 
         # Sample-clocked 802.11 timing.
         spu = SLOT_SAMPLES / TIMING_80211G.slot_us
@@ -258,8 +260,8 @@ class LinkSession:
 
         # Every packet in a session is the same length: probe it once.
         probe = Frame.make(np.zeros(config.payload_bits, dtype=np.uint8),
-                           src=1, preamble=self.preamble)
-        self.packet_samples = self.shaper.shape(probe.symbols).size
+                           src=1)
+        self.packet_samples = SHAPER.shape(probe.symbols).size
         self.expected_symbols = probe.n_symbols
 
         # Worst-case ACK lag: the colliding partner may finish up to a
@@ -279,7 +281,6 @@ class LinkSession:
         k = config.collision_packets()
         self.ap = build_ap(design, ReceiverConfig(
             expected_symbols=self.expected_symbols,
-            preamble=self.preamble, shaper=self.shaper,
             buffer_capacity=max(4, 2 * (k - 1)),
             max_collision_packets=k))
 
@@ -706,11 +707,10 @@ class LinkSession:
         client.seq += 1
         payload = random_bits(self.config.payload_bits, self.rng)
         client.frame = Frame.make(payload, src=client.client.src,
-                                  seq=client.seq % 4096,
-                                  preamble=self.preamble)
+                                  seq=client.seq % 4096)
         # Every attempt sends the same waveform, and shaping draws no
         # randomness: shape once per packet. Read-only, as it is shared.
-        client.waveform = self.shaper.shape(client.frame.symbols)
+        client.waveform = SHAPER.shape(client.frame.symbols)
         client.waveform.flags.writeable = False
         self.truth[client.key] = client.frame.body_bits
         client.attempt = 0
@@ -736,8 +736,8 @@ class LinkSession:
             impairments=cfg.sender_impairments,
         )
         tx = Transmission.from_waveform(
-            client.waveform, client.frame.symbols.size, self.shaper, params,
-            now, client.client.name)
+            client.waveform, client.frame.symbols.size, params, now,
+            client.client.name)
         client.tx_end = now + self.air.schedule(tx)
         client.attempts_used += 1
         self.tx_log[client.key] = (now, client.tx_end)

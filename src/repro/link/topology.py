@@ -12,9 +12,9 @@ which clients sense each other. Three constructors:
   shared probability, drawn once per session: one ``rng.uniform()`` per
   ``i < j`` pair in index order, *including* the degenerate 0.0/1.0
   endpoints. ``Topology.probabilistic(0.0)`` is the session default.
-- :meth:`Topology.from_cell` / :meth:`Topology.from_deployment` —
-  *derived from geometry*: per-pair sense probabilities computed from a
-  :class:`~repro.testbed.deployment.Deployment`'s inter-client SNRs.
+- :meth:`Topology.from_cell` — *derived from geometry*: per-pair sense
+  probabilities computed from the inter-client SNRs of one cell of a
+  :class:`~repro.testbed.deployment.Deployment`.
   Deterministic pairs (probability 0 or 1) consume no randomness;
   partial pairs draw once per session.
 
@@ -112,11 +112,6 @@ class Topology:
         return cls(mode=DERIVED,
                    pair_probabilities=tuple(plan.pair_probabilities),
                    source=f"deployment ap={plan.ap}")
-
-    @classmethod
-    def from_deployment(cls, deployment, ap: int) -> "Topology":
-        """Shorthand for ``Topology.from_cell(deployment.cell(ap))``."""
-        return cls.from_cell(deployment.cell(ap))
 
     # -- queries --------------------------------------------------------
     def hidden_edges(self) -> set[frozenset[str]]:

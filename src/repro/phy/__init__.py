@@ -18,7 +18,7 @@ from repro.phy.constellation import (
     get_constellation,
 )
 from repro.phy.modulator import Modulator
-from repro.phy.preamble import Preamble, default_preamble
+from repro.phy.preamble import PREAMBLE, Preamble
 from repro.phy.crc import crc32_check, append_crc32
 from repro.phy.frame import Frame, FrameHeader, build_frame_bits, extract_bits
 from repro.phy.noise import (
@@ -59,8 +59,8 @@ __all__ = [
     "Constellation",
     "get_constellation",
     "Modulator",
+    "PREAMBLE",
     "Preamble",
-    "default_preamble",
     "crc32_check",
     "append_crc32",
     "Frame",

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.phy.constellation import Constellation
-from repro.phy.pulse import PulseShaper
+from repro.phy.pulse import DELAY, SHAPER, SPS
 from repro.phy.tracking import PhaseTracker
 
 __all__ = ["wrap_pi", "BatchedMatchedSampler", "BatchedPhaseTracker"]
@@ -88,7 +88,6 @@ class BatchedMatchedSampler:
     implicit zero-padding).
     """
 
-    shaper: PulseShaper
     _kernel_cache: dict = field(default_factory=dict, repr=False)
     _grid_cache: dict = field(default_factory=dict, repr=False)
 
@@ -103,14 +102,14 @@ class BatchedMatchedSampler:
         if stack is None:
             if len(self._kernel_cache) >= 256:
                 self._kernel_cache.clear()
-            stack = np.stack([self.shaper.kernel_at(-float(f))
+            stack = np.stack([SHAPER.kernel_at(-float(f))
                               for f in fracs])
             self._kernel_cache[key] = stack
         return stack
 
     def sample(self, padded: np.ndarray, origin: int, starts: np.ndarray,
                count: int) -> np.ndarray:
-        """Matched-filter outputs at ``starts + k·sps``, k = 0..count−1.
+        """Matched-filter outputs at ``starts + k·SPS``, k = 0..count−1.
 
         *padded* is ``(N, P)`` with capture sample s of lane n at
         ``padded[n, s + origin]``; *starts* the per-lane fractional
@@ -118,14 +117,12 @@ class BatchedMatchedSampler:
         """
         if count <= 0:
             return np.zeros((padded.shape[0], 0), dtype=complex)
-        sps = self.shaper.sps
-        delay = self.shaper.delay
         base = np.floor(starts).astype(np.int64)
         frac = starts - base
         kernels = self.kernels_for(frac)
-        first = base - delay + origin
+        first = base - DELAY + origin
         if first.min() < 0 or \
-                (first.max() + (count - 1) * sps + kernels.shape[1]) \
+                (first.max() + (count - 1) * SPS + kernels.shape[1]) \
                 > padded.shape[1]:
             raise ConfigurationError(
                 "sampler window escapes the padded buffer")
@@ -133,7 +130,7 @@ class BatchedMatchedSampler:
         taps = kernels.shape[1]
         grid = self._grid_cache.get((count, taps))
         if grid is None:
-            grid = (sps * np.arange(count, dtype=np.int32)[:, None]
+            grid = (SPS * np.arange(count, dtype=np.int32)[:, None]
                     + np.arange(taps, dtype=np.int32)[None, :])
             self._grid_cache[(count, taps)] = grid
         # One flat gather (take) beats a 3-axis fancy index by ~2x here;

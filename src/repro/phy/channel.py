@@ -21,7 +21,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.isi import IsiFilter
-from repro.phy.noise import NOISE_POWER, db_to_linear
 from repro.phy.resample import FractionalDelay
 
 __all__ = ["FREQ_SPREAD", "PHASE_NOISE_STD", "TX_EVM", "ChannelParams",
@@ -99,14 +98,6 @@ class ChannelParams:
         if self.isi_taps is not None:
             object.__setattr__(self, "isi_taps",
                                tuple(complex(t) for t in self.isi_taps))
-
-    @classmethod
-    def from_snr_db(cls, snr_db_value: float, *,
-                    noise_power: float = NOISE_POWER,
-                    phase: float = 0.0, **kwargs) -> "ChannelParams":
-        """Gain magnitude chosen so a unit-power signal has the given SNR."""
-        magnitude = np.sqrt(db_to_linear(snr_db_value) * noise_power)
-        return cls(gain=magnitude * np.exp(1j * phase), **kwargs)
 
     def with_gain(self, gain: complex) -> "ChannelParams":
         return replace(self, gain=gain)

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError, FrameError
 from repro.phy.constellation import BPSK, Constellation, get_constellation
 from repro.phy.crc import append_crc32, crc32_check_rows
 from repro.phy.modulator import Modulator
-from repro.phy.preamble import Preamble, default_preamble, lfsr_sequence
+from repro.phy.preamble import PREAMBLE, lfsr_sequence
 from repro.utils.bits import as_bit_array, bits_from_int
 
 __all__ = ["FrameHeader", "Frame", "build_frame_bits", "extract_bits",
@@ -188,8 +188,7 @@ def _frame_size(header: FrameHeader | None, body_symbols: int, k: int,
     return HEADER_BITS + tail_bits
 
 
-def extract_rows(soft: np.ndarray, body_constellation: Constellation,
-                 preamble_len: int
+def extract_rows(soft: np.ndarray, body_constellation: Constellation
                  ) -> tuple[list[np.ndarray], np.ndarray,
                             list[FrameHeader | None]]:
     """Decode one frame per row of an ``(N, n_symbols)`` stack of symbol
@@ -204,8 +203,8 @@ def extract_rows(soft: np.ndarray, body_constellation: Constellation,
     :class:`FrameHeader` per row, None where unparseable.
     """
     n = soft.shape[0]
-    header_soft = soft[:, preamble_len:preamble_len + HEADER_BITS]
-    body_soft = soft[:, preamble_len + HEADER_BITS:]
+    header_soft = soft[:, len(PREAMBLE):len(PREAMBLE) + HEADER_BITS]
+    body_soft = soft[:, len(PREAMBLE) + HEADER_BITS:]
     full = np.concatenate(
         [BPSK.demodulate(header_soft).reshape(n, -1),
          body_constellation.demodulate(body_soft).reshape(n, -1)],
@@ -222,13 +221,12 @@ def extract_rows(soft: np.ndarray, body_constellation: Constellation,
     return [row[:size] for row, size in zip(full, sizes)], crc_ok, headers
 
 
-def extract_bits(soft: np.ndarray, body_constellation: Constellation,
-                 preamble_len: int
+def extract_bits(soft: np.ndarray, body_constellation: Constellation
                  ) -> tuple[np.ndarray, bool, FrameHeader | None]:
     """:func:`extract_rows` for one frame's symbol estimates:
     ``(bits, crc_ok, header)``."""
     bits, crc_ok, headers = extract_rows(
-        np.asarray(soft)[None], body_constellation, preamble_len)
+        np.asarray(soft)[None], body_constellation)
     return bits[0], bool(crc_ok[0]), headers[0]
 
 
@@ -245,23 +243,22 @@ def build_frame_bits(header: FrameHeader, payload) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """A fully-built PHY frame: known preamble plus modulated body symbols.
+    """A fully-built PHY frame: the known preamble plus modulated body
+    symbols.
 
     ``symbols`` is the on-air unit-power complex symbol stream
-    (preamble symbols followed by body symbols). ``body_bits`` is what the
+    (:data:`~repro.phy.preamble.PREAMBLE`'s symbols followed by body
+    symbols). ``body_bits`` is what the
     receiver must recover (header + payload + CRC).
     """
 
     header: FrameHeader
     payload: np.ndarray
-    preamble: Preamble
     body_bits: np.ndarray
     symbols: np.ndarray
 
     @classmethod
-    def build(cls, header: FrameHeader, payload,
-              preamble: Preamble | None = None) -> "Frame":
-        preamble = preamble or default_preamble()
+    def build(cls, header: FrameHeader, payload) -> "Frame":
         payload_arr = as_bit_array(payload)
         body_bits = build_frame_bits(header, payload_arr)
         on_air = scramble_bits(body_bits)
@@ -277,23 +274,21 @@ class Frame:
             header_symbols = header_mod.modulate(on_air[:HEADER_BITS])
             rest_symbols = body_mod.modulate(on_air[HEADER_BITS:])
             body_symbols = np.concatenate([header_symbols, rest_symbols])
-        symbols = np.concatenate([preamble.symbols, body_symbols])
-        return cls(header, payload_arr, preamble, body_bits, symbols)
+        symbols = np.concatenate([PREAMBLE.symbols, body_symbols])
+        return cls(header, payload_arr, body_bits, symbols)
 
     @classmethod
     def make(cls, payload, *, src: int = 1, dst: int = 0, seq: int = 0,
-             retry: bool = False, modulation: str = "bpsk",
-             preamble: Preamble | None = None) -> "Frame":
+             retry: bool = False, modulation: str = "bpsk") -> "Frame":
         """Convenience constructor that derives the header from the payload."""
         payload_arr = as_bit_array(payload)
         header = FrameHeader(src, dst, seq, retry, modulation,
                              payload_arr.size)
-        return cls.build(header, payload_arr, preamble)
+        return cls.build(header, payload_arr)
 
     def retransmission(self) -> "Frame":
         """The 802.11 retransmission of this frame: same bits, retry=1."""
-        return Frame.build(self.header.with_retry(True), self.payload,
-                           self.preamble)
+        return Frame.build(self.header.with_retry(True), self.payload)
 
     @property
     def n_symbols(self) -> int:

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.phy.pulse import SPS
 
 __all__ = ["IsiFilter", "default_isi_taps", "invert_fir"]
 
 
-def default_isi_taps(strength: float = 0.15,
-                     samples_per_symbol: int = 2) -> np.ndarray:
+def default_isi_taps(strength: float = 0.15) -> np.ndarray:
     """A two-sided multipath profile: pre-echo + main + post-echoes.
 
     ``strength`` scales the echo amplitudes; 0 yields a pure delta. Echoes
@@ -29,12 +29,11 @@ def default_isi_taps(strength: float = 0.15,
     """
     if strength < 0:
         raise ConfigurationError("ISI strength must be non-negative")
-    sps = samples_per_symbol
-    taps = np.zeros(3 * sps + 1, dtype=complex)
+    taps = np.zeros(3 * SPS + 1, dtype=complex)
     taps[0] = 0.35 * strength * np.exp(1j * 0.4)        # -1 symbol
-    taps[sps] = 1.0                                      # main
-    taps[2 * sps] = 0.8 * strength * np.exp(-1j * 0.9)   # +1 symbol
-    taps[3 * sps] = 0.25 * strength * np.exp(1j * 1.7)   # +2 symbols
+    taps[SPS] = 1.0                                      # main
+    taps[2 * SPS] = 0.8 * strength * np.exp(-1j * 0.9)   # +1 symbol
+    taps[3 * SPS] = 0.25 * strength * np.exp(1j * 1.7)   # +2 symbols
     return taps / np.abs(taps).max()
 
 

@@ -16,8 +16,28 @@ from repro.errors import ConfigurationError
 from repro.phy.channel import Channel, ChannelParams
 from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.noise import awgn
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SHAPER
 
-__all__ = ["Transmission", "Capture", "channel_waveform", "synthesize"]
+__all__ = ["Transmission", "Capture", "channel_waveform",
+           "require_air_interface", "synthesize"]
+
+
+def require_air_interface(preamble=None, shaper=None) -> None:
+    """Reject a preamble or pulse shaper other than the air interface's.
+
+    Every frame opens with :data:`~repro.phy.preamble.PREAMBLE` and is
+    shaped by :data:`~repro.phy.pulse.SHAPER`; the few entry points that
+    still take either accept None or the constant itself.
+    """
+    if preamble is not None and preamble is not PREAMBLE:
+        raise ConfigurationError(
+            "the preamble is fixed: pass repro.phy.preamble.PREAMBLE or "
+            "nothing")
+    if shaper is not None and shaper is not SHAPER:
+        raise ConfigurationError(
+            "the pulse shaper is fixed: pass repro.phy.pulse.SHAPER or "
+            "nothing")
 
 
 @dataclass(frozen=True)
@@ -27,7 +47,7 @@ class Transmission:
     ``samples`` is the pulse-shaped baseband waveform; ``offset`` the index
     (in receiver samples) at which its first sample lands in the capture
     buffer. ``symbol0`` records where symbol 0's pulse centre sits (offset +
-    shaper delay) — ground truth that oracle baselines may consult.
+    the pulse's ``DELAY``) — ground truth that oracle baselines may consult.
     """
 
     samples: np.ndarray
@@ -46,25 +66,24 @@ class Transmission:
         object.__setattr__(self, "samples", arr)
 
     @classmethod
-    def from_symbols(cls, symbols, shaper, params: ChannelParams,
-                     offset: int, label: str = "") -> "Transmission":
+    def from_symbols(cls, symbols, params: ChannelParams, offset: int,
+                     label: str = "") -> "Transmission":
         """Shape a symbol stream and place it at *offset* samples."""
         sym = np.asarray(symbols, dtype=complex).ravel()
-        return cls.from_waveform(shaper.shape(sym), sym.size, shaper, params,
+        return cls.from_waveform(SHAPER.shape(sym), sym.size, params,
                                  offset, label)
 
     @classmethod
-    def from_waveform(cls, waveform, n_symbols: int, shaper,
-                      params: ChannelParams, offset: int,
-                      label: str = "") -> "Transmission":
-        """Place *waveform*, *shaper*'s shaping of *n_symbols* symbols,
-        at *offset* samples."""
+    def from_waveform(cls, waveform, n_symbols: int, params: ChannelParams,
+                      offset: int, label: str = "") -> "Transmission":
+        """Place *waveform*, the shaping of *n_symbols* symbols, at
+        *offset* samples."""
         return cls(
             samples=waveform,
             params=params,
             offset=offset,
             label=label,
-            symbol0=offset + shaper.delay,
+            symbol0=offset + DELAY,
             n_symbols=n_symbols,
         )
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Preamble", "default_preamble", "lfsr_sequence"]
+__all__ = ["PREAMBLE", "Preamble", "lfsr_sequence"]
 
 # Primitive polynomial taps (Fibonacci LFSR) by register length.
 _PRIMITIVE_TAPS = {
@@ -73,16 +73,10 @@ class Preamble:
         symbols = (2.0 * bits.astype(float) - 1.0).astype(complex)
         object.__setattr__(self, "symbols", symbols)
 
-    @classmethod
-    def from_length(cls, length: int, order: int = 7,
-                    seed_state: int = 0b1010101) -> "Preamble":
-        """Build a preamble of *length* symbols from an m-sequence."""
-        return cls(lfsr_sequence(length, order=order, seed_state=seed_state))
-
     def __len__(self) -> int:
         return self.symbols.size
 
 
-def default_preamble(length: int = 32) -> Preamble:
-    """The library-wide default preamble (32 symbols, like the paper's 32-bit)."""
-    return Preamble.from_length(length)
+# The preamble every frame opens with: 32 symbols of the order-7
+# m-sequence, like the paper's 32-bit PN preamble (§4.2.1, §5.1c).
+PREAMBLE = Preamble(lfsr_sequence(32))

@@ -1,14 +1,14 @@
 """Root-raised-cosine pulse shaping and matched-filter symbol sampling.
 
 The paper's GNURadio configuration runs 2 samples per symbol (§5.1c); we do
-the same. Symbols are shaped with a unit-energy RRC pulse at ``sps`` samples
+the same. Symbols are shaped with a unit-energy RRC pulse at ``SPS`` samples
 per symbol; the receiver recovers symbol-rate soft values by correlating the
 received samples against the same pulse centred on each (possibly
 fractional) symbol instant — this single operation is simultaneously the
 matched filter, the downsampler, and the §4.2.3(b) band-limited interpolator
 ("summation over few symbols in the neighborhood of n").
 
-Because the shaped signal occupies only ``(1 + beta) / (2 sps)`` of the
+Because the shaped signal occupies only ``(1 + ROLLOFF) / (2 SPS)`` of the
 sample-rate band, fractional delays are far inside Nyquist and short
 kernels are accurate — unlike critically-sampled streams.
 """
@@ -17,107 +17,91 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["rrc_function", "rrc_taps", "PulseShaper", "MatchedSampler"]
+__all__ = ["DELAY", "ROLLOFF", "SHAPER", "SPS", "SPAN", "rrc_function",
+           "PulseShaper", "MatchedSampler"]
+
+# The one air interface's pulse: RRC at SPS samples per symbol with
+# roll-off ROLLOFF, truncated to ±SPAN symbols.
+SPS = 2
+SPAN = 6
+ROLLOFF = 0.35
+# Group delay: sample index of symbol 0's pulse centre in a shaped
+# waveform.
+DELAY = SPAN * SPS
 
 # Fractional-offset kernels a shaper keeps before it starts over.
 _KERNEL_CACHE_SIZE = 4096
 
 
-def rrc_function(t, beta: float) -> np.ndarray:
-    """Continuous root-raised-cosine impulse response h(t), T = 1 symbol.
+def rrc_function(t) -> np.ndarray:
+    """Continuous root-raised-cosine impulse response h(t), T = 1 symbol,
+    roll-off :data:`ROLLOFF`.
 
-    Handles the removable singularities at t = 0 and t = ±1/(4 beta).
+    Handles the removable singularities at t = 0 and t = ±1/(4 ROLLOFF).
     Unnormalized (normalize discrete taps instead).
     """
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError("RRC roll-off beta must lie in (0, 1)")
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     eps = 1e-9
 
     at_zero = np.abs(t) < eps
-    out[at_zero] = 1.0 - beta + 4.0 * beta / np.pi
+    out[at_zero] = 1.0 - ROLLOFF + 4.0 * ROLLOFF / np.pi
 
-    singular = np.abs(np.abs(t) - 1.0 / (4.0 * beta)) < eps
-    out[singular] = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
+    singular = np.abs(np.abs(t) - 1.0 / (4.0 * ROLLOFF)) < eps
+    out[singular] = (ROLLOFF / np.sqrt(2.0)) * (
+        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * ROLLOFF))
+        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * ROLLOFF))
     )
 
     regular = ~(at_zero | singular)
     tr = t[regular]
-    numerator = (np.sin(np.pi * tr * (1.0 - beta))
-                 + 4.0 * beta * tr * np.cos(np.pi * tr * (1.0 + beta)))
-    denominator = np.pi * tr * (1.0 - (4.0 * beta * tr) ** 2)
+    numerator = (np.sin(np.pi * tr * (1.0 - ROLLOFF))
+                 + 4.0 * ROLLOFF * tr * np.cos(np.pi * tr * (1.0 + ROLLOFF)))
+    denominator = np.pi * tr * (1.0 - (4.0 * ROLLOFF * tr) ** 2)
     out[regular] = numerator / denominator
     return out
 
 
-def rrc_taps(sps: int = 2, span: int = 6, beta: float = 0.35) -> np.ndarray:
-    """Discrete unit-energy RRC taps spanning ±span symbols."""
-    if sps < 1 or span < 1:
-        raise ConfigurationError("sps and span must be positive")
-    n = np.arange(-span * sps, span * sps + 1)
-    taps = rrc_function(n / sps, beta)
-    return taps / np.sqrt(np.sum(taps ** 2))
-
-
-@dataclass(frozen=True)
 class PulseShaper:
-    """Upsample-and-filter transmitter pulse shaping.
+    """Upsample-and-filter transmitter pulse shaping with the RRC pulse.
 
     ``shape(symbols)`` returns the waveform with symbol k centred at sample
-    ``delay + k*sps`` — callers use :attr:`delay` to convert between symbol
-    indices and sample positions.
+    ``DELAY + k*SPS``. The one instance is :data:`SHAPER`: its kernel
+    cache is process-wide.
     """
 
-    sps: int = 2
-    span: int = 6
-    beta: float = 0.35
-    taps: np.ndarray = field(init=False, repr=False)
-    _scale: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        taps = rrc_taps(self.sps, self.span, self.beta)
-        object.__setattr__(self, "taps", taps)
-        # Scale between the continuous prototype and unit-energy taps, used
-        # by MatchedSampler to build fractional-offset kernels consistently.
-        raw = rrc_function(
-            np.arange(-self.span * self.sps, self.span * self.sps + 1)
-            / self.sps, self.beta)
-        object.__setattr__(self, "_scale",
-                           1.0 / np.sqrt(float(np.sum(raw ** 2))))
-        object.__setattr__(self, "_kernel_cache", {})
-
-    @property
-    def delay(self) -> int:
-        """Group delay: sample index of symbol 0's pulse centre."""
-        return self.span * self.sps
+    def __init__(self) -> None:
+        # Unit-energy taps spanning ±SPAN symbols, and the scale between
+        # them and the continuous prototype, used by kernel_at to build
+        # fractional-offset kernels consistently.
+        raw = rrc_function(np.arange(-DELAY, DELAY + 1) / SPS)
+        self._scale = 1.0 / np.sqrt(float(np.sum(raw ** 2)))
+        self.taps = raw / np.sqrt(np.sum(raw ** 2))
+        self._kernel_cache: dict = {}
 
     def waveform_length(self, n_symbols: int) -> int:
         if n_symbols < 1:
             raise ConfigurationError("need at least one symbol")
-        return (n_symbols - 1) * self.sps + 2 * self.delay + 1
+        return (n_symbols - 1) * SPS + 2 * DELAY + 1
 
     def shape(self, symbols) -> np.ndarray:
-        """Symbols -> complex baseband waveform at ``sps`` samples/symbol."""
+        """Symbols -> complex baseband waveform at ``SPS`` samples/symbol."""
         d = np.asarray(symbols, dtype=complex).ravel()
         if d.size == 0:
             raise ConfigurationError("cannot shape an empty symbol stream")
-        upsampled = np.zeros((d.size - 1) * self.sps + 1, dtype=complex)
-        upsampled[::self.sps] = d
+        upsampled = np.zeros((d.size - 1) * SPS + 1, dtype=complex)
+        upsampled[::SPS] = d
         return np.convolve(upsampled, self.taps)
 
     def kernel_at(self, fraction: float) -> np.ndarray:
         """Matched-filter taps centred ``fraction`` samples off-grid.
 
-        ``kernel_at(f)[j]`` is h((j - delay + f)/sps): correlating the
+        ``kernel_at(f)[j]`` is h((j - DELAY + f)/SPS): correlating the
         received samples against this kernel evaluates the matched filter
         output at position ``center - f``; callers pass ``f = -frac`` to
         sample *later* than the integer grid.
@@ -136,9 +120,8 @@ class PulseShaper:
                 # trial draws new sub-sample offsets; bound the cache so
                 # million-trial runs cannot grow it without limit.
                 self._kernel_cache.clear()
-            j = np.arange(-self.delay, self.delay + 1)
-            kernel = rrc_function(
-                (j + fraction) / self.sps, self.beta) * self._scale
+            j = np.arange(-DELAY, DELAY + 1)
+            kernel = rrc_function((j + fraction) / SPS) * self._scale
             kernel.setflags(write=False)
             self._kernel_cache[key] = kernel
         return kernel
@@ -169,9 +152,9 @@ class PulseShaper:
             kernels.append(kernel)
         if not fresh:
             return kernels
-        j = np.arange(-self.delay, self.delay + 1)
+        j = np.arange(-DELAY, DELAY + 1)
         column = np.array([fraction for _, fraction in fresh])[:, None]
-        rows = rrc_function((j + column) / self.sps, self.beta) * self._scale
+        rows = rrc_function((j + column) / SPS) * self._scale
         rows.setflags(write=False)
         for row, (key, _) in enumerate(fresh):
             # A clear later in the loop may have dropped this placeholder
@@ -182,14 +165,15 @@ class PulseShaper:
         return [rows[k] if isinstance(k, int) else k for k in kernels]
 
 
-@dataclass(frozen=True)
-class MatchedSampler:
-    """Matched filter + fractional symbol-instant sampler (one operation)."""
+SHAPER = PulseShaper()
 
-    shaper: PulseShaper
+
+class MatchedSampler:
+    """Matched filter + fractional symbol-instant sampler (one operation),
+    against :data:`SHAPER`'s pulse."""
 
     def sample(self, signal, start: float, count: int) -> np.ndarray:
-        """Matched-filter outputs at ``start + k*sps`` for k = 0..count-1.
+        """Matched-filter outputs at ``start + k*SPS`` for k = 0..count-1.
 
         *start* is the (fractional) sample position of symbol 0's pulse
         centre in *signal*. For a unit-gain channel the outputs equal the
@@ -201,19 +185,17 @@ class MatchedSampler:
         y = np.asarray(signal, dtype=complex).ravel()
         if count == 0:
             return np.zeros(0, dtype=complex)
-        sps = self.shaper.sps
-        delay = self.shaper.delay
         base = math.floor(start)
         frac = start - base
-        kernel = self.shaper.kernel_at(-frac)
-        first = base - delay
+        kernel = SHAPER.kernel_at(-frac)
+        first = base - DELAY
         padded, shift = _zero_extended(
-            y, first, base + (count - 1) * sps + delay)
+            y, first, base + (count - 1) * SPS + DELAY)
         # Every output symbol reads the same kernel against a window that
-        # advances by `sps` samples, i.e. a matrix-vector product against a
+        # advances by `SPS` samples, i.e. a matrix-vector product against a
         # strided view of the padded buffer — one call, no Python per-tap
         # loop, no data copied.
-        windows = _windows(padded, first + shift, count, kernel.size, sps)
+        windows = _windows(padded, first + shift, count, kernel.size)
         return windows @ kernel
 
     def sample_many(self, signal, starts, count: int) -> np.ndarray:
@@ -231,21 +213,19 @@ class MatchedSampler:
         y = np.asarray(signal, dtype=complex).ravel()
         if not len(starts) or count == 0:
             return np.zeros((len(starts), count), dtype=complex)
-        sps = self.shaper.sps
-        delay = self.shaper.delay
         bases = [math.floor(start) for start in starts]
-        kernels = self.shaper.kernels_at(
+        kernels = SHAPER.kernels_at(
             [-(start - base) for start, base in zip(starts, bases)])
         padded, shift = _zero_extended(
-            y, min(bases) - delay, max(bases) + (count - 1) * sps + delay)
+            y, min(bases) - DELAY, max(bases) + (count - 1) * SPS + DELAY)
         order = sorted(range(len(starts)), key=bases.__getitem__)
         stack = np.array([kernels[i] for i in order])[:, :, None]
         out = np.empty((len(starts), count, 1), dtype=complex)
         end = 0
         for base, run in itertools.groupby(order, key=bases.__getitem__):
             begin, end = end, end + len(list(run))
-            windows = _windows(padded, base - delay + shift, count,
-                               stack.shape[1], sps)
+            windows = _windows(padded, base - DELAY + shift, count,
+                               stack.shape[1])
             # A stack of matrix-vector products, not one matrix product:
             # each output then sums its taps in order as sample() does,
             # where a matrix product may go to BLAS and round otherwise.
@@ -270,12 +250,12 @@ def _zero_extended(y: np.ndarray, first: int,
     return y, pad_left
 
 
-def _windows(padded: np.ndarray, origin: int, count: int, taps: int,
-             sps: int) -> np.ndarray:
+def _windows(padded: np.ndarray, origin: int, count: int,
+             taps: int) -> np.ndarray:
     """The ``(count, taps)`` view of *padded* whose row k starts at
-    sample ``origin + k*sps``. (Direct np.ndarray construction rather
+    sample ``origin + k*SPS``. (Direct np.ndarray construction rather
     than as_strided: this runs once per decoded chunk and the wrapper
     overhead is measurable.)"""
     stride = padded.strides[0]
     return np.ndarray((count, taps), dtype=padded.dtype, buffer=padded,
-                      offset=origin * stride, strides=(sps * stride, stride))
+                      offset=origin * stride, strides=(SPS * stride, stride))

@@ -17,8 +17,8 @@ from repro.errors import CollisionDetectError, ConfigurationError
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.noise import NOISE_POWER
-from repro.phy.preamble import Preamble
-from repro.phy.pulse import MatchedSampler, PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SHAPER, SPS, MatchedSampler
 
 __all__ = ["Synchronizer", "correlate_at"]
 
@@ -60,15 +60,14 @@ def correlate_at(y: np.ndarray, references: np.ndarray,
 
 @dataclass
 class Synchronizer:
-    """Detect packet starts and acquire channel parameters.
+    """Detect packet starts and acquire channel parameters against the
+    shaped :data:`~repro.phy.preamble.PREAMBLE`.
 
     Positions reported by :meth:`detect` (and consumed by :meth:`acquire`)
     are the *sample* index of symbol 0's pulse centre — the coordinate
     system every receiver component shares.
     """
 
-    preamble: Preamble
-    shaper: PulseShaper = field(default_factory=PulseShaper)
     threshold: float = 0.6
     _waveform: np.ndarray = field(init=False, repr=False)
     _sampler: MatchedSampler = field(init=False, repr=False)
@@ -76,12 +75,11 @@ class Synchronizer:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise ConfigurationError("threshold must lie in (0, 1]")
-        self._waveform = self.shaper.shape(self.preamble.symbols)
-        self._sampler = MatchedSampler(self.shaper)
+        self._waveform = SHAPER.shape(PREAMBLE.symbols)
+        self._sampler = MatchedSampler()
         self._score_refs: dict[float, np.ndarray] = {}
         # Sample offset of each preamble symbol from symbol 0.
-        self._symbol_steps = self.shaper.sps * np.arange(
-            len(self.preamble), dtype=float)
+        self._symbol_steps = SPS * np.arange(len(PREAMBLE), dtype=float)
         self._detect_refs: dict[float, np.ndarray] = {}
         # Detection's correlation bound (see _correlation_bound): the
         # waveform's two segments as (start, samples), and |w[n]| |n - c_s|
@@ -125,7 +123,7 @@ class Synchronizer:
     def correlate(self, signal, coarse_freq: float = 0.0) -> np.ndarray:
         """Complex sliding correlation of the preamble waveform, with
         frequency compensation; index d corresponds to a waveform starting
-        at sample d (symbol 0 centre at ``d + shaper.delay``)."""
+        at sample d (symbol 0 centre at ``d + DELAY``)."""
         y = np.asarray(signal, dtype=complex).ravel()
         if y.size < self._waveform.size:
             raise CollisionDetectError(
@@ -177,7 +175,7 @@ class Synchronizer:
         """The :class:`CorrelationPeak` of one ``(lag, score, value)``
         hit from :meth:`hits`."""
         lag, score, value = hit
-        return CorrelationPeak(position=lag + self.shaper.delay,
+        return CorrelationPeak(position=lag + DELAY,
                                value=value, score=score)
 
     def hits(self, y: np.ndarray, freqs: list, max_peaks: int | None = None,
@@ -276,7 +274,7 @@ class Synchronizer:
         """Estimate (mu, freq offset, gain, SNR) at a detected packet start.
 
         The returned estimate's model is
-        ``mf_output[k] ≈ gain * s[k] * exp(j 2π f (start + sps*k))`` with
+        ``mf_output[k] ≈ gain * s[k] * exp(j 2π f (start + SPS*k))`` with
         ``start = position + sampling_offset`` — exactly what
         :class:`~repro.receiver.frontend.SymbolStreamDecoder` inverts.
 
@@ -330,16 +328,15 @@ class Synchronizer:
                    if start not in sampled]
         if missing:
             sampled.update(zip(missing, self._sampler.sample_many(
-                y, missing, len(self.preamble))))
+                y, missing, len(PREAMBLE))))
         return [sampled[start] for start in starts]
 
     def _score_reference(self, coarse_freq: float) -> np.ndarray:
         # The exp(-2jπ f start) phase common to every term has unit
         # modulus and cannot change a score, so the score reference
         # depends on the frequency only.
-        k = np.arange(len(self.preamble))
-        return self.preamble.symbols * np.exp(
-            2j * np.pi * coarse_freq * self.shaper.sps * k)
+        k = np.arange(len(PREAMBLE))
+        return PREAMBLE.symbols * np.exp(2j * np.pi * coarse_freq * SPS * k)
 
     def _grid_peaks(self, grid: list[np.ndarray],
                     freqs: list) -> list[tuple[int, list[float]]]:
@@ -390,12 +387,12 @@ class Synchronizer:
         is one ``np.vdot``."""
         if not freqs:
             return []
-        length = len(self.preamble)
+        length = len(PREAMBLE)
         sample_pos = np.array(starts)[:, None] + self._symbol_steps
         # Each candidate's 2jπf is the scalar product a one-candidate
         # fit takes, so every row matches it exactly.
         rates = np.array([2j * np.pi * freq for freq in freqs])
-        references = self.preamble.symbols * np.exp(
+        references = PREAMBLE.symbols * np.exp(
             rates[:, None] * sample_pos)
         estimates = []
         for reference, outputs, freq, mu in zip(references, aligned, freqs,

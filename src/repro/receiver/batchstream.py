@@ -41,6 +41,8 @@ from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.noise import NOISE_POWER
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SPS
 from repro.phy.tracking import LOOP_KI, LOOP_KP
 from repro.receiver.frontend import (
     EQUALIZER_TAPS,
@@ -107,12 +109,12 @@ class BatchedStreamDecoder(StreamBookkeeping):
             else np.asarray(pilots, dtype=complex)
         if self.pilots is not None and self.pilots.shape[0] != n:
             raise ConfigurationError("pilots must have one row per lane")
-        self.sampler = BatchedMatchedSampler(config.shaper)
+        self.sampler = BatchedMatchedSampler()
         self.tracker = BatchedPhaseTracker(
             kp=LOOP_KP, ki=LOOP_KI, phase=np.zeros(n),
             freq=np.zeros(n), enabled=config.track_phase)
         self.cursor = 0
-        self._preamble_len = (len(config.preamble)
+        self._preamble_len = (len(PREAMBLE)
                               if self.data_aided_preamble else 0)
         self._pre_acc = np.full((n, self._preamble_len), np.nan + 0j,
                                 dtype=complex)
@@ -138,21 +140,20 @@ class BatchedStreamDecoder(StreamBookkeeping):
         the trackers' branch-margin ejection absorbs the difference, so
         decisions still match the scalar path bit-for-bit.
         """
-        sps = self.config.shaper.sps
         n, size = raw.shape
         powers = self._derotate_powers
         if powers is None or powers.shape[1] < size:
             capacity = max(size, 64,
                            0 if powers is None else 2 * powers.shape[1])
             steps = np.broadcast_to(
-                np.exp(-2j * np.pi * self.freq_offset * sps)[:, None],
+                np.exp(-2j * np.pi * self.freq_offset * SPS)[:, None],
                 (n, capacity)).copy()
             steps[:, 0] = 1.0 + 0j
             powers = np.cumprod(steps, axis=1)
             self._derotate_powers = powers
         safe_gains = np.where(self.gains != 0, self.gains, 1e-12)
         rot = (np.exp(-2j * np.pi * self.freq_offset
-                      * (self.starts + sps * i0))
+                      * (self.starts + SPS * i0))
                / safe_gains)[:, None]
         return raw * (powers[:, :size] * rot)
 
@@ -167,9 +168,8 @@ class BatchedStreamDecoder(StreamBookkeeping):
         if i1 <= i0:
             raise ConfigurationError(
                 f"chunk end {i1} must exceed cursor {i0}")
-        sps = self.config.shaper.sps
         raw = self.sampler.sample(padded, origin,
-                                  self.starts + sps * i0, i1 - i0)
+                                  self.starts + SPS * i0, i1 - i0)
         z = self._static_derotate(raw, i0)
 
         n = self.n_lanes
@@ -185,7 +185,7 @@ class BatchedStreamDecoder(StreamBookkeeping):
                                    and seg_start < self._preamble_len)
             if is_preamble_segment:
                 known = np.broadcast_to(
-                    self.config.preamble.symbols[seg_start:seg_end],
+                    PREAMBLE.symbols[seg_start:seg_end],
                     (n, seg_end - seg_start))
             elif (self.pilots is not None
                   and seg_end <= self.pilots.shape[1]):
@@ -216,7 +216,7 @@ class BatchedStreamDecoder(StreamBookkeeping):
     # ------------------------------------------------------------------
     def _refine_from_preamble(self) -> None:
         self._refined = True
-        s = self.config.preamble.symbols
+        s = PREAMBLE.symbols
         z = self._pre_acc
         denom = np.vdot(s, s)
         residual_gain = (z @ np.conj(s)) / denom

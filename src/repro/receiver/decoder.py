@@ -7,7 +7,7 @@ ZigZag only engages when this fails (§4.2, §5.1d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,8 @@ from repro.errors import CollisionDetectError, FrameError
 from repro.phy.constellation import BPSK, get_constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS, FrameHeader, scramble_bits
-from repro.phy.preamble import Preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SPS
 from repro.phy.sync import Synchronizer
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.result import DecodeResult, frame_results
@@ -30,8 +30,6 @@ class StandardDecoder:
 
     Parameters
     ----------
-    preamble / shaper:
-        The known preamble and the system's pulse shaping.
     sync_threshold:
         Normalized-correlation detection threshold for packet start.
     coarse_freq:
@@ -44,22 +42,15 @@ class StandardDecoder:
         Ablation switches (Table 5.1).
     """
 
-    preamble: Preamble
-    shaper: PulseShaper = field(default_factory=PulseShaper)
     sync_threshold: float = 0.6
     coarse_freq: float = 0.0
     track_phase: bool = True
     use_equalizer: bool = True
 
     def __post_init__(self) -> None:
-        self._sync = Synchronizer(self.preamble, self.shaper,
-                                  threshold=self.sync_threshold)
-        self._config = StreamConfig(
-            preamble=self.preamble,
-            shaper=self.shaper,
-            track_phase=self.track_phase,
-            use_equalizer=self.use_equalizer,
-        )
+        self._sync = Synchronizer(threshold=self.sync_threshold)
+        self._config = StreamConfig(track_phase=self.track_phase,
+                                    use_equalizer=self.use_equalizer)
 
     def decode(self, signal, start_position: int | None = None,
                estimate: ChannelEstimate | None = None) -> DecodeResult:
@@ -91,10 +82,8 @@ class StandardDecoder:
         """Shared tail of the decode path: parse the header from the head
         chunk, size the rest of the frame from it, then hand the whole
         frame's decisions to the frame codec for bits, CRC and header."""
-        pre_len = len(self.preamble)
-        sps = self.shaper.sps
-        available = int(np.floor(
-            (y.size - stream.start + self.shaper.delay) / sps))
+        pre_len = len(PREAMBLE)
+        available = int(np.floor((y.size - stream.start + DELAY) / SPS))
         first_stop = pre_len + HEADER_BITS
         if available < first_stop + 32:
             return DecodeResult.failure("capture truncates the header")
@@ -121,6 +110,6 @@ class StandardDecoder:
         decisions = np.concatenate([head_chunk.decisions,
                                     tail_chunk.decisions])
         soft = np.concatenate([head_chunk.soft, tail_chunk.soft])
-        return frame_results(soft[None], body_constellation, pre_len,
+        return frame_results(soft[None], body_constellation,
                              [stream.estimate], "standard",
                              decisions=decisions[None])[0]

@@ -28,8 +28,8 @@ from repro.phy.equalizer import LmsEqualizer
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS
 from repro.phy.noise import NOISE_POWER
-from repro.phy.preamble import Preamble
-from repro.phy.pulse import MatchedSampler, PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SPS, MatchedSampler
 from repro.phy.tracking import PhaseTracker
 
 __all__ = ["StreamConfig", "ChunkDecode", "SymbolStreamDecoder"]
@@ -48,8 +48,6 @@ class StreamConfig:
     the Table 5.1 ablations (frequency/phase tracking off; ISI filter off).
     """
 
-    preamble: Preamble
-    shaper: PulseShaper = PulseShaper()
     track_phase: bool = True
     use_equalizer: bool = True
 
@@ -90,8 +88,7 @@ class StreamBookkeeping:
         back.
         """
         if self.reversed_total is not None:
-            boundary = self.reversed_total - (
-                len(self.config.preamble) + HEADER_BITS)
+            boundary = self.reversed_total - (len(PREAMBLE) + HEADER_BITS)
             return self.body_constellation if index < boundary else BPSK
         if index < self._preamble_len + HEADER_BITS:
             return BPSK
@@ -100,8 +97,7 @@ class StreamBookkeeping:
     def _segment_end(self, start: int, limit: int) -> int:
         """Next boundary where knowledge/constellation changes."""
         if self.reversed_total is not None:
-            pre_hdr = len(self.config.preamble) + HEADER_BITS
-            boundaries = [self.reversed_total - pre_hdr]
+            boundaries = [self.reversed_total - len(PREAMBLE) - HEADER_BITS]
         else:
             boundaries = [self._preamble_len,
                           self._preamble_len + HEADER_BITS]
@@ -117,8 +113,7 @@ class StreamBookkeeping:
 
     def total_freq_offset(self):
         """Static estimate + tracked residual, cycles per sample."""
-        sps = self.config.shaper.sps
-        return self.freq_offset + self.tracked_freq_cycles / sps
+        return self.freq_offset + self.tracked_freq_cycles / SPS
 
 
 class SymbolStreamDecoder(StreamBookkeeping):
@@ -134,7 +129,7 @@ class SymbolStreamDecoder(StreamBookkeeping):
     start:
         Fractional sample position of symbol 0's pulse centre in the
         capture buffer (integer peak position + sub-sample offset); symbol
-        k sits at ``start + k * sps``.
+        k sits at ``start + k * SPS``.
     body_constellation:
         Constellation of the payload region (preamble and header are BPSK).
     reversed_total:
@@ -161,12 +156,12 @@ class SymbolStreamDecoder(StreamBookkeeping):
         # affecting the independence of the measured soft symbols.
         self.pilots = None if pilots is None \
             else np.asarray(pilots, dtype=complex).ravel()
-        self.sampler = MatchedSampler(config.shaper)
+        self.sampler = MatchedSampler()
         self.tracker = PhaseTracker(enabled=config.track_phase)
         self.equalizer: LmsEqualizer | None = None
         self.channel_isi = None  # IsiFilter for re-encoding, once trained
         self.cursor = 0
-        self._preamble_len = (len(config.preamble)
+        self._preamble_len = (len(PREAMBLE)
                               if self.data_aided_preamble else 0)
         self._pre_acc = np.full(self._preamble_len, np.nan + 0j, dtype=complex)
         self._refined = not self.data_aided_preamble
@@ -185,8 +180,7 @@ class SymbolStreamDecoder(StreamBookkeeping):
     # Core chunk decode
     # ------------------------------------------------------------------
     def _interpolate(self, signal: np.ndarray, i0: int, i1: int) -> np.ndarray:
-        sps = self.config.shaper.sps
-        return self.sampler.sample(signal, self.start + sps * i0, i1 - i0)
+        return self.sampler.sample(signal, self.start + SPS * i0, i1 - i0)
 
     def _static_derotate(self, raw: np.ndarray, i0: int) -> np.ndarray:
         """Remove the static channel model: gain and frequency-offset ramp.
@@ -197,7 +191,6 @@ class SymbolStreamDecoder(StreamBookkeeping):
         rotation plus one vector multiply instead of fresh trigonometry.
         """
         est = self.estimate
-        sps = self.config.shaper.sps
         gain = est.gain if est.gain != 0 else 1e-12
         freq = est.freq_offset
         powers = self._derotate_powers.get(freq)
@@ -205,11 +198,11 @@ class SymbolStreamDecoder(StreamBookkeeping):
             capacity = max(raw.size, 64,
                            0 if powers is None else 2 * powers.size)
             steps = np.full(capacity,
-                            cmath.exp(-2j * math.pi * freq * sps))
+                            cmath.exp(-2j * math.pi * freq * SPS))
             steps[0] = 1.0 + 0j
             powers = np.cumprod(steps)
             self._derotate_powers[freq] = powers
-        rot0 = cmath.exp(-2j * math.pi * freq * (self.start + sps * i0))
+        rot0 = cmath.exp(-2j * math.pi * freq * (self.start + SPS * i0))
         return raw * (powers[:raw.size] * (rot0 / gain))
 
     def decode_chunk(self, signal, i1: int) -> ChunkDecode:
@@ -249,7 +242,7 @@ class SymbolStreamDecoder(StreamBookkeeping):
             is_preamble_segment = (self.data_aided_preamble
                                    and seg_start < self._preamble_len)
             if is_preamble_segment:
-                known = self.config.preamble.symbols[seg_start:seg_end]
+                known = PREAMBLE.symbols[seg_start:seg_end]
             elif self.pilots is not None and seg_end <= self.pilots.size:
                 candidate = self.pilots[seg_start:seg_end]
                 if np.all(candidate != 0):
@@ -282,7 +275,7 @@ class SymbolStreamDecoder(StreamBookkeeping):
         (and crucially the re-encoded images) more accurate.
         """
         self._refined = True
-        s = self.config.preamble.symbols
+        s = PREAMBLE.symbols
         z = self._pre_acc
         residual_gain = np.vdot(s, z) / np.vdot(s, s)
         if abs(residual_gain) > 1e-9:

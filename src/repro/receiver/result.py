@@ -77,7 +77,7 @@ class DecodeResult:
 
 
 def frame_results(soft: np.ndarray, body_constellation: Constellation,
-                  preamble_len: int, estimates: list, via: str,
+                  estimates: list, via: str,
                   decisions: np.ndarray | None = None
                   ) -> list[DecodeResult]:
     """One :class:`DecodeResult` per row of *soft* ``(N, n_symbols)``.
@@ -89,8 +89,7 @@ def frame_results(soft: np.ndarray, body_constellation: Constellation,
     *soft*.
     """
     bits, crc_ok, headers = extract_rows(
-        soft if decisions is None else decisions, body_constellation,
-        preamble_len)
+        soft if decisions is None else decisions, body_constellation)
     empty = np.zeros(0, np.uint8)
     return [
         DecodeResult(

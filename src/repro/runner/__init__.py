@@ -13,8 +13,8 @@ scenarios. This subsystem turns those sweeps into data, declaratively:
   per-trial metrics into means with confidence intervals;
 - :mod:`repro.runner.scenarios` — the scenario registry mapping a spec's
   ``kind`` to a trial function;
-- :mod:`repro.runner.cache` — a per-process cache of expensive reference
-  signals (preambles, pulse shapers, synchronizers) reused across trials;
+- :mod:`repro.runner.cache` — a per-process memo of deterministic
+  objects reused across trials (generated testbeds and deployments);
 - :mod:`repro.runner.resilience` — the supervision layer: per-trial
   fault isolation (:class:`FailurePolicy`, :class:`TrialFailure`), pool
   crash recovery and watchdog timeouts (:class:`PoolSupervisor`), and

@@ -36,15 +36,10 @@ from repro.phy.channel import FREQ_SPREAD, PHASE_NOISE_STD, ChannelParams
 from repro.phy.constellation import BPSK
 from repro.phy.estimation import COARSE_FREQ_ERROR
 from repro.phy.frame import Frame
-from repro.phy.medium import Transmission, synthesize
+from repro.phy.medium import Transmission, require_air_interface, synthesize
 from repro.phy.noise import NOISE_POWER
 from repro.phy.sync import Synchronizer
-from repro.runner.cache import (
-    cached_preamble,
-    cached_shaper,
-    cached_synchronizer,
-    shared_cache,
-)
+from repro.runner.cache import shared_cache
 from repro.testbed.deployment import CellPlan, Deployment
 from repro.utils.bits import random_bits
 from repro.zigzag.engine import PacketSpec, PlacementParams
@@ -54,7 +49,7 @@ __all__ = ["CELL_MAX_COLLISION_PACKETS", "STREAM_CLIENT_NAMES",
            "build_stream_session", "get_deployment", "hidden_pair_scenario"]
 
 
-def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
+def hidden_pair_scenario(rng, preamble=None, shaper=None, *, snr_db=12.0,
                          payload_bits=200, offsets=(160, 64),
                          phase_noise=PHASE_NOISE_STD, oracle=False,
                          snr_b_db=None, sender_impairments=None,
@@ -64,16 +59,17 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
     *sender_impairments* (an :class:`~repro.phy.impairments.
     ImpairmentPipeline`) rides on both senders' channels;
     *capture_impairments* distorts each summed capture (AP front end /
-    interferers). Returns (captures, frames, specs, placements).
+    interferers). *preamble* and *shaper* may only be the air
+    interface's own (:func:`~repro.phy.medium.require_air_interface`).
+    Returns (captures, frames, specs, placements).
     """
+    require_air_interface(preamble, shaper)
     amp_a = np.sqrt(10 ** (snr_db / 10) * NOISE_POWER)
     amp_b = np.sqrt(10 ** ((snr_b_db if snr_b_db is not None else snr_db)
                            / 10) * NOISE_POWER)
     frames = {
-        "A": Frame.make(random_bits(payload_bits, rng), src=1, seq=1,
-                        preamble=preamble),
-        "B": Frame.make(random_bits(payload_bits, rng), src=2, seq=2,
-                        preamble=preamble),
+        "A": Frame.make(random_bits(payload_bits, rng), src=1, seq=1),
+        "B": Frame.make(random_bits(payload_bits, rng), src=2, seq=2),
     }
     params = {
         "A": ChannelParams(
@@ -90,7 +86,7 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
             impairments=sender_impairments),
     }
     # Both collisions carry the same two frames: shape each once.
-    alice, bob = (Transmission.from_symbols(frames[name].symbols, shaper,
+    alice, bob = (Transmission.from_symbols(frames[name].symbols,
                                             params[name], 0, name)
                   for name in ("A", "B"))
     captures = []
@@ -100,13 +96,7 @@ def hidden_pair_scenario(rng, preamble, shaper, *, snr_db=12.0,
                                         symbol0=bob.symbol0 + bob_offset)],
             NOISE_POWER, rng, leading=8, tail=40,
             impairments=capture_impairments))
-    # Built-in scenarios pass the cached preamble and shaper, so the
-    # process's cached synchronizer serves every trial.
-    if preamble is cached_preamble(len(preamble)) \
-            and shaper is cached_shaper():
-        sync = cached_synchronizer(len(preamble), threshold=0.3)
-    else:
-        sync = Synchronizer(preamble, shaper, threshold=0.3)
+    sync = Synchronizer(threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
@@ -193,14 +183,11 @@ def _spec_session(spec, rng: np.random.Generator, design: str,
         backoff=spec.backoff.build(),
         topology=topology,
         max_collision_packets=max_collision_packets,
-        preamble_length=spec.preamble_length,
         sender_impairments=(imp.sender_pipeline() if imp.sender else None),
         capture_impairments=(imp.capture_pipeline() if imp.capture
                              else None),
     )
-    return LinkSession(config, clients, design=design, rng=rng,
-                       preamble=cached_preamble(spec.preamble_length),
-                       shaper=cached_shaper())
+    return LinkSession(config, clients, design=design, rng=rng)
 
 
 def build_stream_session(spec, rng: np.random.Generator, design: str,

@@ -1,33 +1,34 @@
-"""Per-process cache of expensive reference signals.
+"""Per-process cache of deterministic objects reused across trials.
 
-Every trial of a Monte-Carlo run needs the same handful of reference
-objects: the PN preamble, the RRC pulse shaper (tap computation), and the
-synchronizer/detector templates built from the *shaped preamble waveform*
-— the re-encoded reference signal the receiver correlates against. Worker
-processes live for a whole batch of trials, so rebuilding these per trial
-is pure waste; scenario functions fetch them from this cache instead.
+Worker processes live for a whole batch of trials, so rebuilding an
+object every trial derives identically (a generated testbed, a city
+deployment) is pure waste; scenario functions fetch such objects from
+this cache instead.
 
 The cache is process-local (a worker inherits an empty one and fills it
 on first use), keyed by constructor parameters, and never holds per-trial
 state — everything in it is deterministic in its key, so caching cannot
 perturb results.
+
+The air interface needs no cache: the preamble and the pulse shaper are
+the module constants :data:`~repro.phy.preamble.PREAMBLE` and
+:data:`~repro.phy.pulse.SHAPER`. :func:`cached_preamble` and
+:func:`cached_shaper` only hand those back, for callers outside the
+package that still ask for them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Hashable
 
-from repro.phy.preamble import Preamble, default_preamble
-from repro.phy.pulse import PulseShaper
-from repro.phy.sync import Synchronizer
-from repro.zigzag.detect import CollisionDetector
+from repro.errors import ConfigurationError
+from repro.phy.preamble import PREAMBLE, Preamble
+from repro.phy.pulse import SHAPER, PulseShaper
 
 __all__ = [
     "SignalCache",
-    "cached_detector",
     "cached_preamble",
     "cached_shaper",
-    "cached_synchronizer",
     "shared_cache",
 ]
 
@@ -69,31 +70,16 @@ def shared_cache() -> SignalCache:
     return _SHARED
 
 
-def cached_preamble(length: int = 32) -> Preamble:
-    """The default PN preamble of *length* symbols (LFSR run memoized)."""
-    return _SHARED.get(("preamble", length),
-                       lambda: default_preamble(length))
+def cached_preamble(length: int = len(PREAMBLE)) -> Preamble:
+    """:data:`~repro.phy.preamble.PREAMBLE`; any other *length* raises
+    :class:`ConfigurationError`."""
+    if length != len(PREAMBLE):
+        raise ConfigurationError(
+            f"the preamble is fixed at {len(PREAMBLE)} symbols, "
+            f"not {length}")
+    return PREAMBLE
 
 
-def cached_shaper(sps: int = 2, span: int = 6, beta: float = 0.35) -> PulseShaper:
-    """An RRC pulse shaper with memoized tap computation."""
-    return _SHARED.get(("shaper", sps, span, beta),
-                       lambda: PulseShaper(sps=sps, span=span, beta=beta))
-
-
-def cached_synchronizer(preamble_length: int = 32, *,
-                        threshold: float = 0.3) -> Synchronizer:
-    """A synchronizer whose shaped-preamble template is built once."""
-    return _SHARED.get(
-        ("sync", preamble_length, threshold),
-        lambda: Synchronizer(cached_preamble(preamble_length),
-                             cached_shaper(), threshold=threshold))
-
-
-def cached_detector(preamble_length: int = 32, *,
-                    beta: float = 0.42) -> CollisionDetector:
-    """A collision detector sharing the cached preamble/shaper."""
-    return _SHARED.get(
-        ("detector", preamble_length, beta),
-        lambda: CollisionDetector(cached_preamble(preamble_length),
-                                  cached_shaper(), beta=beta))
+def cached_shaper() -> PulseShaper:
+    """:data:`~repro.phy.pulse.SHAPER`."""
+    return SHAPER

@@ -38,7 +38,7 @@ from repro.runner.builders import (
     build_stream_session,
     hidden_pair_scenario,
 )
-from repro.runner.cache import cached_preamble, cached_shaper, shared_cache
+from repro.runner.cache import shared_cache
 from repro.runner.results import TrialResult
 from repro.runner.seeding import trial_rng, trial_seed, trial_seed_sequence
 from repro.runner.spec import ScenarioSpec
@@ -221,7 +221,6 @@ def _experiment_config(spec: ScenarioSpec) -> PairExperimentConfig:
         payload_bits=spec.payload_bits,
         n_packets=spec.n_packets,
         backoff=spec.backoff.build(),
-        preamble_length=spec.preamble_length,
         sender_impairments=(imp.sender_pipeline()
                             if imp.sender else None),
         capture_impairments=(imp.capture_pipeline()
@@ -253,9 +252,7 @@ def pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
     snr_a, snr_b = _pair_snrs(spec)
     experiment = PairExperiment(
         snr_a, snr_b, sense_probability=spec.sense_probability,
-        config=_experiment_config(spec), rng=ctx.rng,
-        preamble=cached_preamble(spec.preamble_length),
-        shaper=cached_shaper())
+        config=_experiment_config(spec), rng=ctx.rng)
     flows, airtime = experiment.run(Design(spec.design))
     shared = max(airtime, 1e-9)
     names = sorted(flows)
@@ -281,9 +278,7 @@ def capture_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     return run_capture_sweep_point(
         float(spec.param("sinr_db")), Design(spec.design),
         snr_b_db=float(spec.param("snr_b_db")),
-        config=_experiment_config(spec), seed=ctx.seed,
-        preamble=cached_preamble(spec.preamble_length),
-        shaper=cached_shaper())
+        config=_experiment_config(spec), seed=ctx.seed)
 
 
 @scenario("zigzag_ber", designs=None, params={"snr_db": 10.0})
@@ -296,13 +291,10 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     ``ber_free`` (each averaged over the pair's two packets).
     """
     rng = ctx.rng
-    preamble = cached_preamble(spec.preamble_length)
-    shaper = cached_shaper()
-    config = StreamConfig(preamble=preamble, shaper=shaper)
+    config = StreamConfig()
     snr_db = float(spec.param("snr_db"))
     captures, frames, specs, placements = hidden_pair_scenario(
-        rng, preamble, shaper, snr_db=snr_db,
-        payload_bits=spec.payload_bits)
+        rng, snr_db=snr_db, payload_bits=spec.payload_bits)
     metrics = {}
     for use_backward, key in ((False, "ber_fwd"), (True, "ber_both")):
         outcome = ZigZagMultiDecoder(
@@ -313,7 +305,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
              for n in frames]))
     # Collision-Free Scheduler baseline: same frames, separate slots; BER
     # measured over the full recovered stream with known framing.
-    sync = Synchronizer(preamble, shaper)
+    sync = Synchronizer()
     free = []
     for name, frame in frames.items():
         params = ChannelParams(
@@ -323,7 +315,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=PHASE_NOISE_STD)
         cap = synthesize([Transmission.from_symbols(
-            frame.symbols, shaper, params, 0, "x")], NOISE_POWER, rng,
+            frame.symbols, params, 0, "x")], NOISE_POWER, rng,
             leading=8, tail=30)
         t = cap.transmissions[0]
         est = sync.acquire(
@@ -333,7 +325,7 @@ def zigzag_ber_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
         stream = SymbolStreamDecoder(
             config, est, t.symbol0 + est.sampling_offset)
         chunk = stream.decode_chunk(cap.samples, frame.n_symbols)
-        bits, _, _ = extract_bits(chunk.soft, BPSK, len(preamble))
+        bits, _, _ = extract_bits(chunk.soft, BPSK)
         free.append(bit_error_rate(
             frame.body_bits, bits[:frame.body_bits.size]))
     metrics["ber_free"] = float(np.mean(free))
@@ -360,7 +352,7 @@ def schedule_failure_trial(spec: ScenarioSpec, ctx: TrialContext) -> dict:
     placements = [
         # Each transmission lands with an independent fractional sampling
         # phase, as on real hardware — exact sample ties do not occur.
-        Placement(name, c, float(off) + rng.uniform(0, 1), n_symbols, 2)
+        Placement(name, c, float(off) + rng.uniform(0, 1), n_symbols)
         for c, offsets in enumerate(rounds)
         for name, off in zip(names, offsets)
     ]
@@ -398,9 +390,7 @@ def testbed_pair_trial(spec: ScenarioSpec, ctx: TrialContext) -> TrialResult:
         experiment = PairExperiment(
             float(testbed.snr_db[ap, a]), float(testbed.snr_db[ap, b]),
             sense_probability=sense, config=config,
-            rng=np.random.default_rng(int(rng.integers(1 << 31))),
-            preamble=cached_preamble(spec.preamble_length),
-            shaper=cached_shaper())
+            rng=np.random.default_rng(int(rng.integers(1 << 31))))
         flows, airtime = experiment.run(design)
         shared = max(airtime, 1e-9)
         tag = "80211" if design is Design.CURRENT_80211 else "zigzag"
@@ -624,15 +614,13 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     ``delivered_zigzag``, ``delivered_standard`` (packets out of 2).
     """
     rng = ctx.rng
-    preamble = cached_preamble(spec.preamble_length)
-    shaper = cached_shaper()
     imp = spec.impairments
     snr_db = float(spec.param("snr_db"))
     bers_z = {"A": 1.0, "B": 1.0}
     bers_s = {"A": 1.0, "B": 1.0}
     try:
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=snr_db,
+            rng, snr_db=snr_db,
             payload_bits=spec.payload_bits,
             sender_impairments=(imp.sender_pipeline() if imp.sender
                                 else None),
@@ -641,9 +629,8 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
     except ReproError:
         captures = []
     if captures:
-        config = StreamConfig(preamble=preamble, shaper=shaper)
         try:
-            outcome = ZigZagMultiDecoder(config).decode(
+            outcome = ZigZagMultiDecoder(StreamConfig()).decode(
                 [c.samples for c in captures], specs, placements)
             bers_z = {n: outcome.results[n].ber_against(
                 frames[n].body_bits) for n in frames}
@@ -653,8 +640,7 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
             for t in capture.transmissions:
                 coarse = t.params.freq_offset + rng.normal(
                     0, COARSE_FREQ_ERROR)
-                decoder = StandardDecoder(preamble, shaper,
-                                          coarse_freq=coarse)
+                decoder = StandardDecoder(coarse_freq=coarse)
                 try:
                     result = decoder.decode(capture.samples,
                                             start_position=t.symbol0)
@@ -675,11 +661,6 @@ def hidden_pair_impaired_trial(spec: ScenarioSpec,
 # ----------------------------------------------------------------------
 # Batched hidden-pair decode (the batch_size > 1 reference scenario)
 # ----------------------------------------------------------------------
-def _pair_stream_config(spec: ScenarioSpec) -> StreamConfig:
-    return StreamConfig(preamble=cached_preamble(spec.preamble_length),
-                        shaper=cached_shaper())
-
-
 def _hidden_pair_decode_synth(spec: ScenarioSpec,
                               ctx: TrialContext) -> CollisionPayload:
     """Synthesize one hidden-pair trial from the trial's own rng.
@@ -690,15 +671,12 @@ def _hidden_pair_decode_synth(spec: ScenarioSpec,
     are identical between the loop and batched modes.
     """
     rng = ctx.rng
-    preamble = cached_preamble(spec.preamble_length)
-    shaper = cached_shaper()
     imp = spec.impairments
     sender_pipe = imp.sender_pipeline() if imp.sender else None
     capture_pipe = imp.capture_pipeline() if imp.capture else None
     try:
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper,
-            snr_db=float(spec.param("snr_db")),
+            rng, snr_db=float(spec.param("snr_db")),
             payload_bits=spec.payload_bits,
             sender_impairments=sender_pipe,
             capture_impairments=capture_pipe)
@@ -751,7 +729,7 @@ def _hidden_pair_decode_batch(spec: ScenarioSpec,
     live = [p for p in payloads if p.error is None]
     outcomes: dict[int, Any] = {}
     if live:
-        results = BatchedPairDecoder(_pair_stream_config(spec)).decode_batch(
+        results = BatchedPairDecoder(StreamConfig()).decode_batch(
             [(p.captures, p.specs, p.placements) for p in live])
         outcomes = {p.index: outcome for p, outcome in zip(live, results)}
     return [_pair_payload_result(p, outcomes.get(p.index))
@@ -779,7 +757,7 @@ def hidden_pair_decode_trial(spec: ScenarioSpec,
     outcome = None
     if payload.error is None:
         try:
-            outcome = ZigZagMultiDecoder(_pair_stream_config(spec)).decode(
+            outcome = ZigZagMultiDecoder(StreamConfig()).decode(
                 payload.captures, payload.specs, payload.placements)
         except ReproError:
             outcome = None

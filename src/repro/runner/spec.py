@@ -282,7 +282,6 @@ class ScenarioSpec:
     sense_probability: float = 0.0
     payload_bits: int = 240
     n_packets: int = 6
-    preamble_length: int = 32
     n_trials: int = 4
     seed: int = 0
     # Decode batch size for scenarios with a registered batched engine:
@@ -376,7 +375,7 @@ class ScenarioSpec:
         """The nested-dict form; ``from_dict(to_dict())`` round-trips."""
         scalar_fields = [
             "kind", "design", "sense_probability", "payload_bits",
-            "n_packets", "preamble_length", "n_trials", "seed",
+            "n_packets", "n_trials", "seed",
             "batch_size",
         ]
         out: dict[str, Any] = {

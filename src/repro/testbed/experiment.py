@@ -46,8 +46,6 @@ from repro.phy.impairments import ImpairmentPipeline
 from repro.phy.frame import Frame, extract_bits
 from repro.phy.medium import Capture, Transmission, synthesize
 from repro.phy.noise import NOISE_POWER
-from repro.phy.preamble import Preamble, default_preamble
-from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig
@@ -91,7 +89,6 @@ class PairExperimentConfig:
     n_packets: int = 12
     backoff: BackoffPicker = field(
         default_factory=lambda: FixedWindowBackoff(16))
-    preamble_length: int = 32
     # Optional impairment pipelines beyond the quasi-static model: the
     # sender pipeline rides on every transmission's channel; the capture
     # pipeline (AP front end / interferers) distorts each summed buffer.
@@ -134,29 +131,15 @@ class PairExperiment:
     def __init__(self, snr_a_db: float, snr_b_db: float,
                  sense_probability: float,
                  config: PairExperimentConfig | None = None,
-                 rng: np.random.Generator | None = None,
-                 preamble: Preamble | None = None,
-                 shaper: PulseShaper | None = None) -> None:
+                 rng: np.random.Generator | None = None) -> None:
         if not 0.0 <= sense_probability <= 1.0:
             raise ConfigurationError("sense probability in [0,1] required")
         self.cfg = config or PairExperimentConfig()
         self.rng = rng or np.random.default_rng(0)
         self.sense_probability = sense_probability
-        cfg = self.cfg
-        # Injectable so the Monte-Carlo runner can reuse cached reference
-        # signals across trials; an injected preamble must match
-        # cfg.preamble_length.
-        if preamble is not None and len(preamble) != cfg.preamble_length:
-            raise ConfigurationError(
-                "injected preamble length differs from config")
-        self.preamble = preamble or default_preamble(cfg.preamble_length)
-        self.shaper = shaper or PulseShaper()
-        self.sync = Synchronizer(self.preamble, self.shaper, threshold=0.3)
-        self.standard = StandardDecoder(self.preamble, self.shaper)
-        self.stream_config = StreamConfig(
-            preamble=self.preamble, shaper=self.shaper)
-        self.pair_decoder = ZigZagMultiDecoder(self.stream_config)
-        self.sic = SicDecoder(self.stream_config)
+        self.sync = Synchronizer(threshold=0.3)
+        self.pair_decoder = ZigZagMultiDecoder(StreamConfig())
+        self.sic = SicDecoder(StreamConfig())
         self.senders = {
             "A": _Sender("A", snr_a_db,
                          float(self.rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
@@ -171,8 +154,7 @@ class PairExperiment:
     # ------------------------------------------------------------------
     def _frame(self, sender: _Sender, seq: int) -> Frame:
         payload = random_bits(self.cfg.payload_bits, self.rng)
-        return Frame.make(payload, src=sender.src, seq=seq % 4096,
-                          preamble=self.preamble)
+        return Frame.make(payload, src=sender.src, seq=seq % 4096)
 
     def _jitter_offsets(self, attempt: int) -> tuple[int, int]:
         cfg = self.cfg
@@ -186,7 +168,7 @@ class PairExperiment:
                  offsets: dict[str, int]) -> Capture:
         txs = [
             Transmission.from_symbols(
-                frames[name].symbols, self.shaper,
+                frames[name].symbols,
                 self.senders[name].params(self.rng, self.cfg),
                 offsets[name], name)
             for name in frames
@@ -200,8 +182,7 @@ class PairExperiment:
         capture = self._collide({sender.name: frame}, {sender.name: 0})
         coarse = sender.freq_offset + self.rng.normal(
             0, COARSE_FREQ_ERROR)
-        decoder = StandardDecoder(self.preamble, self.shaper,
-                                  coarse_freq=coarse)
+        decoder = StandardDecoder(coarse_freq=coarse)
         result = decoder.decode(capture.samples)
         return result.ber_against(frame.body_bits)
 
@@ -230,8 +211,7 @@ class PairExperiment:
             sender = self.senders[t.label]
             coarse = sender.freq_offset + self.rng.normal(
                 0, COARSE_FREQ_ERROR)
-            decoder = StandardDecoder(self.preamble, self.shaper,
-                                      coarse_freq=coarse)
+            decoder = StandardDecoder(coarse_freq=coarse)
             try:
                 result = decoder.decode(capture.samples,
                                         start_position=t.symbol0)
@@ -265,8 +245,7 @@ class PairExperiment:
                 if len(soft_history[name]) >= 2:
                     combined = mrc_combine(soft_history[name])
                     bits, _, _ = extract_bits(
-                        combined, specs[name].body_constellation,
-                        len(self.preamble))
+                        combined, specs[name].body_constellation)
                     ber = min(ber, bit_error_rate(
                         frames[name].body_bits, bits))
             bers[name] = ber
@@ -388,21 +367,15 @@ class PairExperiment:
 def run_capture_sweep_point(sinr_db: float, design: Design, *,
                             snr_b_db: float = 9.0,
                             config: PairExperimentConfig | None = None,
-                            seed: int = 0,
-                            preamble: Preamble | None = None,
-                            shaper: PulseShaper | None = None
-                            ) -> dict[str, float]:
+                            seed: int = 0) -> dict[str, float]:
     """One Fig 5-4 point: hidden pair with SNR_A = SNR_B + SINR.
 
     Returns normalized per-sender throughputs plus their total.
-    *preamble*/*shaper* allow callers (the runner) to inject cached
-    reference objects instead of rebuilding them per point.
     """
     rng = np.random.default_rng(seed)
     experiment = PairExperiment(snr_b_db + sinr_db, snr_b_db,
                                 sense_probability=0.0,
-                                config=config, rng=rng,
-                                preamble=preamble, shaper=shaper)
+                                config=config, rng=rng)
     flows, airtime = experiment.run(design)
     if airtime <= 0:
         return {"A": 0.0, "B": 0.0, "total": 0.0}

@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, ScheduleError
 from repro.phy.constellation import BPSK
 from repro.phy.noise import NOISE_POWER
-from repro.phy.pulse import PulseShaper
+from repro.phy.pulse import DELAY, SHAPER, SPS
 from repro.receiver.batchstream import BatchDivergence, BatchedStreamDecoder
 from repro.receiver.result import DecodeResult
 from repro.zigzag.decoder import (
@@ -116,17 +116,16 @@ class BatchedReencoder:
     dominate at this size.
     """
 
-    def __init__(self, shaper: PulseShaper, gains: np.ndarray,
-                 freqs: np.ndarray, starts: np.ndarray) -> None:
-        self.shaper = shaper
+    def __init__(self, gains: np.ndarray, freqs: np.ndarray,
+                 starts: np.ndarray) -> None:
         self.gains = np.asarray(gains, dtype=complex).copy()
         self.freqs = np.asarray(freqs, dtype=float).copy()
         self.starts = np.asarray(starts, dtype=float).copy()
         self._pad = DELAY_HALF_WIDTH + 1
         n = self.starts.size
         # base0 = floor(start − delay − pad) is constant per placement
-        # (chunk bases differ from it by the integer sps*i0).
-        position0 = self.starts - shaper.delay - self._pad
+        # (chunk bases differ from it by the integer SPS*i0).
+        position0 = self.starts - DELAY - self._pad
         self._base0 = np.floor(position0).astype(np.int64)
         fracs = position0 - self._base0
         # All lanes' composed RRC ⊛ fractional-delay kernels at once:
@@ -138,11 +137,11 @@ class BatchedReencoder:
         delay_taps = np.sinc(grid[None, :] + fracs[:, None]) * window
         delay_taps /= delay_taps.sum(axis=1, keepdims=True)
         delay_rev = delay_taps[:, ::-1]
-        p = shaper.taps.size
+        p = SHAPER.taps.size
         d_len = 2 * hw + 1
         conv = np.zeros((p + d_len - 1, d_len))
         for t in range(d_len):
-            conv[t:t + p, t] = shaper.taps
+            conv[t:t + p, t] = SHAPER.taps
         kernels = delay_rev @ conv.T
         # Reversed + trailing unit axis: ready for the sliding-window
         # matmul in :meth:`image` (correlate(x, k_rev) == convolve(x, k)).
@@ -183,17 +182,16 @@ class BatchedReencoder:
         d = np.asarray(effective, dtype=complex)
         if d.ndim != 2 or d.shape[1] == 0:
             raise ConfigurationError("cannot re-encode an empty chunk")
-        sps = self.shaper.sps
         n, k = d.shape
         max_shift = int(self._shifts.max())
-        width = (k - 1) * sps + 1 + max_shift
+        width = (k - 1) * SPS + 1 + max_shift
         kt = self._kernels_rev.shape[1]
         # Symbols scattered straight into a (kt-1)-zero-padded grid, so the
         # full convolution is one sliding-window batched matvec.
         upsampled = np.zeros((n, width + 2 * (kt - 1)), dtype=complex)
         cols = self._cols_cache.get(k)
         if cols is None:
-            cols = (self._shifts[:, None] + sps * np.arange(k)[None, :]
+            cols = (self._shifts[:, None] + SPS * np.arange(k)[None, :]
                     + (kt - 1))
             self._cols_cache[k] = cols
         upsampled[self._lanes[:, None], cols] = d
@@ -201,7 +199,7 @@ class BatchedReencoder:
             upsampled, kt, axis=1)
         segments = np.matmul(windows, self._kernels_rev)[:, :, 0]
         # Same one-sample trim as the scalar composed-kernel path.
-        base = self._base_min + sps * i0 + 1
+        base = self._base_min + SPS * i0 + 1
         np.multiply(segments, self._gain_ramp(base, segments.shape[1]),
                     out=segments)
         return segments, base
@@ -210,10 +208,9 @@ class BatchedReencoder:
                     segment_len: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-lane ``(first, last)`` columns of the chunk-core region in
         the common segment frame (scalar ``core_slice``, per lane)."""
-        sps = self.shaper.sps
-        first = (np.floor(self.starts + sps * i0).astype(np.int64)
+        first = (np.floor(self.starts + SPS * i0).astype(np.int64)
                  - base)
-        last = (np.ceil(self.starts + sps * (i1 - 1)).astype(np.int64)
+        last = (np.ceil(self.starts + SPS * (i1 - 1)).astype(np.int64)
                 - base)
         first = np.maximum(first, 0)
         last = np.minimum(last + 1, segment_len)
@@ -350,7 +347,6 @@ class BatchedZigZagEngine:
         if enc is None:
             lanes = self.placements[key]
             enc = BatchedReencoder(
-                self.config.shaper,
                 gains=np.array([pl.estimate.gain for pl in lanes],
                                dtype=complex),
                 freqs=np.array([pl.estimate.freq_offset for pl in lanes],
@@ -375,12 +371,11 @@ class BatchedZigZagEngine:
                 f"{stream.cursor}")
         # The matched sampler only reads the chunk's sample window; add
         # residual + image over that span instead of the whole buffer.
-        shaper = self.config.shaper
         starts = self._starts((packet, c))
-        lo = (int(np.floor(starts.min() + shaper.sps * step.i0))
-              - shaper.delay + self.pad)
-        hi = (int(np.floor(starts.max() + shaper.sps * (step.i1 - 1)))
-              - shaper.delay + shaper.taps.size + self.pad)
+        lo = (int(np.floor(starts.min() + SPS * step.i0))
+              - DELAY + self.pad)
+        hi = (int(np.floor(starts.max() + SPS * (step.i1 - 1)))
+              - DELAY + SHAPER.taps.size + self.pad)
         width = self.residual[c].shape[1]
         if lo < 0 or hi > width:
             raise BatchDivergence("chunk window escapes the padded buffer")
@@ -421,7 +416,6 @@ class BatchedZigZagEngine:
                         chunk) -> None:
         key = (packet, target)
         reencoder = self._get_reencoder(packet, target)
-        sps = self.config.shaper.sps
         if target == decoded_from:
             stream = self.streams[key]
             # Keep the re-encoder's gains in sync with preamble refinement
@@ -432,13 +426,13 @@ class BatchedZigZagEngine:
         else:
             sub = self.subtraction[key]
             starts = self._starts(key)
-            center = starts + sps * 0.5 * (chunk.i0 + chunk.i1)
+            center = starts + SPS * 0.5 * (chunk.i0 + chunk.i1)
             predicted = sub.predict(center)
             offsets = (np.arange(chunk.i1 - chunk.i0, dtype=float)
                        + 0.5 * (chunk.i0 - chunk.i1))
             # exp(j*0*x) == 1 exactly, so the zero-frequency lanes match
             # the scalar path's skipped-ramp branch without one.
-            ramp = np.exp(1j * sub.freq[:, None] * sps * offsets[None, :])
+            ramp = np.exp(1j * sub.freq[:, None] * SPS * offsets[None, :])
             effective = chunk.decisions * predicted[:, None] * ramp
             segments, base = reencoder.image(effective, chunk.i0)
             corrections = self._measure_and_update(
@@ -524,8 +518,7 @@ class BatchedZigZagEngine:
         key = (packet, collision)
         lanes = self.placements[key]
         spec = self.specs[packet]
-        sps = self.config.shaper.sps
-        last_pos = self._starts(key) + sps * (spec.n_symbols - 1)
+        last_pos = self._starts(key) + SPS * (spec.n_symbols - 1)
         stream = self.streams.get(key)
         if stream is not None:
             static = stream.gains * np.exp(
@@ -653,8 +646,7 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
                for spec in plan.specs.values()):
             return False
         try:
-            plan.schedule = schedule_for(plan.placements, plan.specs,
-                                         self.config.shaper.sps)
+            plan.schedule = schedule_for(plan.placements, plan.specs)
         except ScheduleError:
             return False
         plan.signature = (
@@ -739,7 +731,6 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
         forward end state; lanes sharing a reverse schedule then decode
         in lockstep.
         """
-        sps = self.config.shaper.sps
         end_state = {key: (forward.final_multiplier(*key),
                            forward.final_freq(*key))
                      for key in forward.placements}
@@ -751,8 +742,7 @@ class BatchedPairDecoder(ZigZagMultiDecoder):
                 {key: (multiplier[lane], freq[lane])
                  for key, (multiplier, freq) in end_state.items()},
                 {name: acc["decisions"][lane]
-                 for name, acc in forward.packets.items()},
-                sps)
+                 for name, acc in forward.packets.items()})
             if plan.schedule is not None:
                 by_schedule.setdefault(_steps(plan.schedule), []).append(
                     (lane, plan))

@@ -55,6 +55,7 @@ from repro.errors import ReproError, ScheduleError
 from repro.phy.equalizer import LmsEqualizer
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.isi import IsiFilter
+from repro.phy.pulse import SPS
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.receiver.mrc import mrc_combine
 from repro.receiver.result import DecodeResult, frame_results
@@ -84,12 +85,12 @@ MIN_AGREEMENT = 0.6
 
 
 def schedule_for(placements: list[PlacementParams],
-                 specs: dict[str, PacketSpec], sps: int) -> list[DecodeStep]:
+                 specs: dict[str, PacketSpec]) -> list[DecodeStep]:
     """The greedy chunk schedule of *placements*; raises
     :class:`ScheduleError` when no complete decode order exists."""
     return greedy_schedule(
         [Placement(pl.packet, pl.collision, pl.start,
-                   specs[pl.packet].n_symbols, sps) for pl in placements],
+                   specs[pl.packet].n_symbols) for pl in placements],
         margin_symbols=MARGIN_SYMBOLS)
 
 
@@ -109,8 +110,7 @@ class BackwardPlan:
 
 def plan_backward(capture_sizes: list[int], specs: dict[str, PacketSpec],
                   placements: list[PlacementParams], end_state: dict,
-                  decisions: dict[str, np.ndarray],
-                  sps: int) -> BackwardPlan:
+                  decisions: dict[str, np.ndarray]) -> BackwardPlan:
     """Map one trial's forward end state onto the reversed captures.
 
     *end_state* maps each ``(packet, collision)`` to the forward engine's
@@ -125,7 +125,7 @@ def plan_backward(capture_sizes: list[int], specs: dict[str, PacketSpec],
     rev_placements = []
     for pl in placements:
         multiplier, freq = end_state[(pl.packet, pl.collision)]
-        last_pos = pl.start + sps * (specs[pl.packet].n_symbols - 1)
+        last_pos = pl.start + SPS * (specs[pl.packet].n_symbols - 1)
         rev_placements.append(PlacementParams(
             packet=pl.packet,
             collision=pl.collision,
@@ -146,7 +146,7 @@ def plan_backward(capture_sizes: list[int], specs: dict[str, PacketSpec],
         for name, spec in specs.items()
     }
     try:
-        schedule = schedule_for(rev_placements, rev_specs, sps)
+        schedule = schedule_for(rev_placements, rev_specs)
     except ScheduleError:
         schedule = None
     return BackwardPlan(
@@ -193,8 +193,8 @@ class ZigZagMultiDecoder:
     Parameters
     ----------
     config:
-        The shared :class:`StreamConfig` (preamble, shaping, noise floor,
-        tracking/equalizer ablation switches).
+        The shared :class:`StreamConfig` (the tracking/equalizer ablation
+        switches).
     use_backward:
         Combine further copies into each packet that fails CRC after the
         forward pass: the backward pass (§4.3b) and, with three or more
@@ -213,8 +213,7 @@ class ZigZagMultiDecoder:
         """Run ZigZag over *captures* and return per-packet results."""
         captures = [np.asarray(c, dtype=complex).ravel() for c in captures]
         try:
-            schedule = schedule_for(placements, specs,
-                                    self.config.shaper.sps)
+            schedule = schedule_for(placements, specs)
         except ScheduleError as exc:
             return ZigZagOutcome(
                 results={p: DecodeResult.failure(str(exc), via="zigzag")
@@ -268,8 +267,8 @@ class ZigZagMultiDecoder:
                  estimates: list) -> list[DecodeResult]:
         """One packet's ``DecodeResult`` per row of *soft* ``(N, symbols)``;
         ``estimates[i]`` is row i's final channel estimate."""
-        return frame_results(soft, spec.body_constellation,
-                             len(self.config.preamble), estimates, "zigzag")
+        return frame_results(soft, spec.body_constellation, estimates,
+                             "zigzag")
 
     def _result(self, soft: np.ndarray, spec: PacketSpec,
                 estimate: ChannelEstimate | None) -> DecodeResult:
@@ -417,8 +416,7 @@ class ZigZagMultiDecoder:
                    forward_engine.final_freq(*key))
              for key in forward_engine.placements},
             {name: acc.decisions
-             for name, acc in forward_engine.packets.items()},
-            self.config.shaper.sps)
+             for name, acc in forward_engine.packets.items()})
         if plan.schedule is None:
             return None
         # The scalar streams' trained equalizers and ISI models carry over,

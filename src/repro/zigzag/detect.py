@@ -12,13 +12,11 @@ and local signal energy so one β works across the SNR range.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.phy.correlation import CorrelationPeak
-from repro.phy.preamble import Preamble
-from repro.phy.pulse import PulseShaper
 from repro.phy.sync import Synchronizer
 
 __all__ = ["CollisionVerdict", "CollisionDetector"]
@@ -45,8 +43,6 @@ class CollisionDetector:
 
     Parameters
     ----------
-    preamble / shaper:
-        System preamble and pulse shaping.
     beta:
         Detection threshold on the normalized correlation score, the
         analogue of the paper's β (§5.3a). Lower values catch weaker buried
@@ -54,13 +50,10 @@ class CollisionDetector:
         paper (and our Table 5.1 bench) operates around the knee.
     """
 
-    preamble: Preamble
-    shaper: PulseShaper = field(default_factory=PulseShaper)
     beta: float = 0.40
 
     def __post_init__(self) -> None:
-        self._sync = Synchronizer(self.preamble, self.shaper,
-                                  threshold=self.beta)
+        self._sync = Synchronizer(threshold=self.beta)
 
     def find_packets(self, signal, coarse_freqs=(0.0,),
                      max_peaks: int | None = None) -> list[CorrelationPeak]:

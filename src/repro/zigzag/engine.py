@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError
 from repro.phy.constellation import BPSK, Constellation
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.noise import NOISE_POWER
+from repro.phy.pulse import SPS
 from repro.receiver.frontend import StreamConfig, SymbolStreamDecoder
 from repro.zigzag.reencode import Reencoder, add_segment, subtract_segment
 from repro.zigzag.schedule import DecodeStep
@@ -208,11 +209,10 @@ class ZigZagEngine:
                 # that has been tracking this placement so far, and inherit
                 # the equalizer trained in the sibling capture.
                 sub = self.subtraction[key]
-                sps = self.config.shaper.sps
-                position = pl.start + sps * at_cursor
+                position = pl.start + SPS * at_cursor
                 stream.estimate = pl.estimate.with_gain(
                     pl.estimate.gain * sub.predict(position))
-                stream.tracker.freq = sub.freq * sps
+                stream.tracker.freq = sub.freq * SPS
                 stream.cursor = at_cursor
                 stream._refined = True
                 for sibling in self.by_packet[packet]:
@@ -231,7 +231,6 @@ class ZigZagEngine:
         if key not in self.reencoders:
             pl = self.placements[key]
             self.reencoders[key] = Reencoder(
-                shaper=self.config.shaper,
                 estimate=pl.estimate,
                 start=pl.start,
                 symbol_isi=self._preset_isi.get(key),
@@ -292,8 +291,7 @@ class ZigZagEngine:
             segment, base = reencoder.image(effective, chunk.i0)
         else:
             sub = self.subtraction[key]
-            sps = self.config.shaper.sps
-            center = reencoder.start + sps * 0.5 * (chunk.i0 + chunk.i1)
+            center = reencoder.start + SPS * 0.5 * (chunk.i0 + chunk.i1)
             predicted = sub.predict(center)
             if sub.freq == 0.0:
                 # No measured residual frequency yet (or none): the
@@ -301,7 +299,7 @@ class ZigZagEngine:
                 effective = chunk.decisions * predicted
             else:
                 effective = chunk.decisions * predicted * np.exp(
-                    1j * sub.freq * sps
+                    1j * sub.freq * SPS
                     * self._centered_offsets(chunk.i0, chunk.i1))
             segment, base = reencoder.image(effective, chunk.i0)
             if self.measure_correction:
@@ -370,8 +368,7 @@ class ZigZagEngine:
         key = (packet, collision)
         pl = self.placements[key]
         spec = self.specs[packet]
-        sps = self.config.shaper.sps
-        last_pos = pl.start + sps * (spec.n_symbols - 1)
+        last_pos = pl.start + SPS * (spec.n_symbols - 1)
         if key in self.streams:
             stream = self.streams[key]
             static = stream.estimate.gain * np.exp(

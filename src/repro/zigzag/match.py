@@ -17,7 +17,7 @@ differ from packet to packet only in a few bits (sequence number, retry
 flag), so a window anchored at the packet start scores two *different*
 packets of the same senders almost as high as two copies of one packet.
 The AP (:meth:`repro.core.api.ZigZagReceiver._peak_alignment`) therefore
-opens each window ``len(preamble) + HEADER_BITS`` symbols past the
+opens each window ``len(PREAMBLE) + HEADER_BITS`` symbols past the
 packet start, on the payload alone.
 """
 

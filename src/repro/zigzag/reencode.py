@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.isi import IsiFilter
-from repro.phy.pulse import PulseShaper
+from repro.phy.pulse import DELAY, SHAPER, SPS
 from repro.phy.resample import sinc_kernel
 
 __all__ = ["Reencoder"]
@@ -47,11 +47,9 @@ class Reencoder:
 
     Parameters
     ----------
-    shaper:
-        The system pulse shaping.
     estimate:
         Channel estimate whose model is
-        ``rx[k] = gain * sym[k] * exp(j 2π f (start + sps k))``.
+        ``rx[k] = gain * sym[k] * exp(j 2π f (start + SPS k))``.
     start:
         Fractional sample position of the packet's symbol 0 pulse centre in
         the *target* capture buffer.
@@ -60,7 +58,6 @@ class Reencoder:
         inverse of the trained equalizer, when ISI compensation is active.
     """
 
-    shaper: PulseShaper
     estimate: ChannelEstimate
     start: float
     symbol_isi: IsiFilter | None = None
@@ -79,7 +76,7 @@ class Reencoder:
         kernel = self._frac_cache.get(key)
         if kernel is None:
             delay_taps = sinc_kernel(frac, DELAY_HALF_WIDTH)[::-1]
-            composed = np.convolve(self.shaper.taps, delay_taps)
+            composed = np.convolve(SHAPER.taps, delay_taps)
             # Stored pre-reversed so `image` can call np.correlate
             # directly (np.convolve would re-flip the kernel every chunk).
             kernel = composed[::-1].copy()
@@ -126,19 +123,18 @@ class Reencoder:
             taps = self.symbol_isi.taps
             d = np.convolve(d, taps)
             j0 = i0 - self.symbol_isi.main_tap
-        sps = self.shaper.sps
         # Sample m of the shaped-and-delayed wave sits at target position
-        #   start + sps*j0 - shaper.delay - pad + m  (fractional), where
+        #   start + SPS*j0 - DELAY - pad + m  (fractional), where
         # pad = half_width + 1 zeros keep the interpolation tails — chunk
         # images must superpose exactly (linearity is what makes
         # incremental subtraction correct).
         pad = DELAY_HALF_WIDTH + 1
-        position = (self.start + sps * j0 - self.shaper.delay - pad)
+        position = (self.start + SPS * j0 - DELAY - pad)
         base = math.floor(position)
         frac = position - base
         kernel = self._composed_kernel(frac)
-        upsampled = np.zeros((d.size - 1) * sps + 1, dtype=complex)
-        upsampled[::sps] = d
+        upsampled = np.zeros((d.size - 1) * SPS + 1, dtype=complex)
+        upsampled[::SPS] = d
         # correlate(x, k_rev, 'full') == convolve(x, k); the kernel is
         # cached reversed, and k is real so the implicit conjugate is free.
         segment = np.correlate(upsampled, kernel, "full")
@@ -157,8 +153,8 @@ class Reencoder:
         """Slice of an image segment covering only the chunk's symbol
         centres (pulse tails excluded) — the region used for the §4.2.4(b)
         amplitude/phase error measurement."""
-        first = int(np.floor(self.start + self.shaper.sps * i0)) - base
-        last = int(np.ceil(self.start + self.shaper.sps * (i1 - 1))) - base
+        first = int(np.floor(self.start + SPS * i0)) - base
+        last = int(np.ceil(self.start + SPS * (i1 - 1))) - base
         first = max(first, 0)
         last = min(last + 1, segment_len)
         return slice(first, last)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ScheduleError
+from repro.phy.pulse import SPS
 
 __all__ = [
     "Placement",
@@ -45,24 +46,21 @@ class Placement:
     """One packet's appearance in one collision.
 
     ``start`` is the sample position of symbol 0's pulse centre within that
-    collision's capture buffer (fractional); ``sps`` converts symbol
-    indices to sample positions.
+    collision's capture buffer (fractional); symbol k sits ``SPS`` samples
+    per symbol after it.
     """
 
     packet: str
     collision: int
     start: float
     n_symbols: int
-    sps: int = 2
 
     def __post_init__(self) -> None:
         if self.n_symbols <= 0:
             raise ConfigurationError("placement needs at least one symbol")
-        if self.sps < 1:
-            raise ConfigurationError("sps must be >= 1")
 
     def symbol_position(self, index: int) -> float:
-        return self.start + self.sps * index
+        return self.start + SPS * index
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,8 @@ def greedy_schedule(placements: list[Placement], *,
             blocker = other.symbol_position(done[other.packet])
             # Symbols strictly earlier than the blocker (minus margin) are
             # decodable; a symbol exactly at the blocker's position is not.
-            allowed = (blocker - margin_symbols * pl.sps
-                       - pl.start) / pl.sps
+            allowed = (blocker - margin_symbols * SPS
+                       - pl.start) / SPS
             limit = min(limit, int(math.ceil(allowed)))
         return limit
 

@@ -48,9 +48,7 @@ class SicDecoder:
         can MRC-combine with a later copy.
         """
         y = np.array(capture, dtype=complex, copy=True)
-        pre_len = len(self.config.preamble)
-        sync = Synchronizer(self.config.preamble, self.config.shaper,
-                            threshold=0.3)
+        sync = Synchronizer(threshold=0.3)
         ordered = sorted(placements,
                          key=lambda pl: -abs(pl.estimate.gain))
         results: dict[str, DecodeResult] = {}
@@ -80,10 +78,9 @@ class SicDecoder:
                                                           via="sic")
                 continue
             results[pl.packet] = frame_results(
-                chunk.soft[None], spec.body_constellation, pre_len,
+                chunk.soft[None], spec.body_constellation,
                 [stream.estimate], "sic")[0]
             reencoder = Reencoder(
-                shaper=self.config.shaper,
                 estimate=stream.estimate,
                 start=start,
                 symbol_isi=stream.channel_isi,

@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded RNGs and the common PHY objects.
+"""Shared fixtures: seeded RNGs and the air interface's constants.
 
 Session-scoped where construction is deterministic and reused heavily;
 function-scoped RNGs keep tests independent of execution order.
@@ -21,8 +21,8 @@ import pytest
 from hypothesis import settings
 
 from repro.phy.frame import Frame
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.utils.bits import random_bits
 
@@ -44,24 +44,21 @@ def rng():
 
 @pytest.fixture(scope="session")
 def preamble():
-    return default_preamble(32)
+    """The air interface's preamble, :data:`repro.phy.preamble.PREAMBLE`."""
+    return PREAMBLE
 
 
 @pytest.fixture(scope="session")
 def shaper():
-    return PulseShaper()
+    """The air interface's pulse shaper, :data:`repro.phy.pulse.SHAPER`."""
+    return SHAPER
 
 
 @pytest.fixture
-def stream_config(preamble, shaper):
-    return StreamConfig(preamble=preamble, shaper=shaper)
+def stream_config():
+    return StreamConfig()
 
 
 @pytest.fixture
-def small_frame(rng, preamble):
-    return Frame.make(random_bits(128, rng), src=1, seq=3,
-                      preamble=preamble)
-
-
-def make_frame(rng, preamble, n_bits=128, **kwargs):
-    return Frame.make(random_bits(n_bits, rng), preamble=preamble, **kwargs)
+def small_frame(rng):
+    return Frame.make(random_bits(128, rng), src=1, seq=3)

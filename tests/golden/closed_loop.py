@@ -59,7 +59,6 @@ from repro.runner.builders import (  # noqa: E402
     build_city_session,
     build_stream_session,
 )
-from repro.runner.cache import cached_preamble, cached_shaper  # noqa: E402
 from repro.runner.spec import ScenarioSpec  # noqa: E402
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "closed_loop.json"
@@ -102,9 +101,7 @@ def stream_session(seed: int, topology: Topology | None, design: str,
     extra = {} if topology is None else {"topology": topology}
     config = SessionConfig(payload_bits=200, n_packets=STREAM_PACKETS,
                            **extra)
-    return LinkSession(config, clients, design=design, rng=rng,
-                       preamble=cached_preamble(config.preamble_length),
-                       shaper=cached_shaper())
+    return LinkSession(config, clients, design=design, rng=rng)
 
 
 def spec_session(seed: int, design: str) -> LinkSession:

@@ -45,8 +45,7 @@ from repro.phy.estimation import (  # noqa: E402
 from repro.phy.frame import Frame  # noqa: E402
 from repro.phy.impairments import ImpairmentPipeline  # noqa: E402
 from repro.phy.medium import Transmission, synthesize  # noqa: E402
-from repro.phy.preamble import default_preamble  # noqa: E402
-from repro.phy.pulse import PulseShaper  # noqa: E402
+from repro.phy.preamble import PREAMBLE  # noqa: E402
 from repro.phy.sync import Synchronizer  # noqa: E402
 from repro.receiver.frontend import StreamConfig  # noqa: E402
 from repro.runner.builders import hidden_pair_scenario  # noqa: E402
@@ -57,7 +56,6 @@ from repro.zigzag.engine import PacketSpec, PlacementParams  # noqa: E402
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
 PAYLOAD_BITS = 160
-PREAMBLE_LENGTH = 32
 NOISE_POWER = 1.0
 
 # name -> (seed, snr_db, sender stage dicts, capture stage dicts)
@@ -123,13 +121,11 @@ def all_fixture_names() -> list[str]:
 def _build_three_senders(name: str) -> dict[str, np.ndarray]:
     seed, snr_db = THREE_SENDER_FIXTURES[name]
     rng = np.random.default_rng(seed)
-    preamble = default_preamble(PREAMBLE_LENGTH)
-    shaper = PulseShaper()
     labels = fixture_labels(name)
     amplitude = np.sqrt(10 ** (snr_db / 10) * NOISE_POWER)
     frames = {
         label: Frame.make(random_bits(PAYLOAD_BITS, rng), src=i + 1,
-                          seq=i, preamble=preamble)
+                          seq=i)
         for i, label in enumerate(labels)
     }
     freqs = {label: float(rng.uniform(-4e-3, 4e-3)) for label in labels}
@@ -143,12 +139,12 @@ def _build_three_senders(name: str) -> dict[str, np.ndarray]:
                 sampling_offset=float(rng.uniform(0, 1)),
                 phase_noise_std=1e-3)
             txs.append(Transmission.from_symbols(
-                frames[label].symbols, shaper, params, offset, label))
+                frames[label].symbols, params, offset, label))
         captures.append(synthesize(txs, NOISE_POWER, rng,
                                    leading=8, tail=30))
     data: dict[str, np.ndarray] = {
         "payload_bits": np.array(PAYLOAD_BITS),
-        "preamble_length": np.array(PREAMBLE_LENGTH),
+        "preamble_length": np.array(len(PREAMBLE)),
         "noise_power": np.array(NOISE_POWER),
         "seed": np.array(seed),
         "n_symbols": np.array(frames["A"].n_symbols),
@@ -169,11 +165,10 @@ def _build_scenario(name: str) -> dict[str, np.ndarray]:
     seed, snr_db, payload_bits = SCENARIO_FIXTURES[name]
     rng = np.random.default_rng(seed)
     captures, frames, _, placements = hidden_pair_scenario(
-        rng, default_preamble(PREAMBLE_LENGTH), PulseShaper(),
-        snr_db=snr_db, payload_bits=payload_bits)
+        rng, snr_db=snr_db, payload_bits=payload_bits)
     data: dict[str, np.ndarray] = {
         "payload_bits": np.array(payload_bits),
-        "preamble_length": np.array(PREAMBLE_LENGTH),
+        "preamble_length": np.array(len(PREAMBLE)),
         "noise_power": np.array(NOISE_POWER),
         "seed": np.array(seed),
         "n_symbols": np.array(frames["A"].n_symbols),
@@ -214,17 +209,15 @@ def build_fixture(name: str) -> dict[str, np.ndarray]:
         return _build_scenario(name)
     seed, snr_db, sender_stages, capture_stages = FIXTURES[name]
     rng = np.random.default_rng(seed)
-    preamble = default_preamble(PREAMBLE_LENGTH)
-    shaper = PulseShaper()
     captures, frames, _, _ = hidden_pair_scenario(
-        rng, preamble, shaper, snr_db=snr_db, payload_bits=PAYLOAD_BITS,
+        rng, snr_db=snr_db, payload_bits=PAYLOAD_BITS,
         sender_impairments=(ImpairmentPipeline.from_specs(sender_stages)
                             if sender_stages else None),
         capture_impairments=(ImpairmentPipeline.from_specs(capture_stages)
                              if capture_stages else None))
     data: dict[str, np.ndarray] = {
         "payload_bits": np.array(PAYLOAD_BITS),
-        "preamble_length": np.array(PREAMBLE_LENGTH),
+        "preamble_length": np.array(len(PREAMBLE)),
         "noise_power": np.array(NOISE_POWER),
         "seed": np.array(seed),
         "n_symbols": np.array(frames["A"].n_symbols),
@@ -247,8 +240,6 @@ def fixture_trial(name: str, data: dict):
     """A fixture's decoder config and ``(captures, specs, placements)``
     trial: sync runs on the *stored* waveforms from scratch (scenario
     fixtures use their stored placements instead)."""
-    preamble = default_preamble(int(data["preamble_length"]))
-    shaper = PulseShaper()
     n_symbols = int(data["n_symbols"])
     labels = fixture_labels(name)
     n_captures = len(labels)  # one collision per packet of the set
@@ -257,7 +248,7 @@ def fixture_trial(name: str, data: dict):
     if name in SCENARIO_FIXTURES:
         placements = _stored_placements(name, data)
     else:
-        sync = Synchronizer(preamble, shaper, threshold=0.3)
+        sync = Synchronizer(threshold=0.3)
         placements = []
         for ci, samples in enumerate(captures):
             for label in labels:
@@ -267,7 +258,7 @@ def fixture_trial(name: str, data: dict):
                                    coarse_freq=float(data[f"coarse_{key}"]))
                 placements.append(PlacementParams(
                     label, ci, symbol0 + est.sampling_offset, est))
-    config = StreamConfig(preamble=preamble, shaper=shaper)
+    config = StreamConfig()
     specs = {label: PacketSpec(label, n_symbols) for label in labels}
     return config, (captures, specs, placements)
 

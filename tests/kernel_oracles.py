@@ -24,7 +24,8 @@ from repro.phy.coding.convolutional import ConvolutionalCode
 from repro.phy.correlation import CorrelationPeak
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.noise import NOISE_POWER
-from repro.phy.pulse import MatchedSampler
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SHAPER, SPS, MatchedSampler
 from repro.phy.resample import FractionalDelay
 from repro.phy.sync import MIN_SEPARATION
 from repro.phy.tracking import PhaseTracker
@@ -79,14 +80,13 @@ def phase_tracker_process(tracker: PhaseTracker, symbols, constellation,
     return corrected, decisions, phases
 
 
-def shaper_kernel_at(shaper, fraction: float) -> np.ndarray:
+def shaper_kernel_at(fraction: float) -> np.ndarray:
     """Original uncached ``PulseShaper.kernel_at`` (re-evaluates the RRC
     prototype on every call)."""
     from repro.phy.pulse import rrc_function
 
-    j = np.arange(-shaper.delay, shaper.delay + 1)
-    return rrc_function((j + fraction) / shaper.sps, shaper.beta) \
-        * shaper._scale
+    j = np.arange(-DELAY, DELAY + 1)
+    return rrc_function((j + fraction) / SPS) * SHAPER._scale
 
 
 def matched_sampler_sample(sampler: MatchedSampler, signal, start: float,
@@ -97,11 +97,11 @@ def matched_sampler_sample(sampler: MatchedSampler, signal, start: float,
     y = np.asarray(signal, dtype=complex).ravel()
     if count == 0:
         return np.zeros(0, dtype=complex)
-    sps = sampler.shaper.sps
-    delay = sampler.shaper.delay
+    sps = SPS
+    delay = DELAY
     base = int(np.floor(start))
     frac = start - base
-    kernel = shaper_kernel_at(sampler.shaper, -frac)
+    kernel = shaper_kernel_at(-frac)
     first = base - delay
     last = base + (count - 1) * sps + delay
     pad_left = max(0, -first)
@@ -220,14 +220,13 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
         taps = reencoder.symbol_isi.taps
         d = np.convolve(d, taps)
         j0 = i0 - reencoder.symbol_isi.main_tap
-    wave = reencoder.shaper.shape(d)
+    wave = SHAPER.shape(d)
     pad = DELAY_HALF_WIDTH + 1
     wave = np.concatenate([
         np.zeros(pad, dtype=complex), wave,
         np.zeros(pad, dtype=complex),
     ])
-    position = (reencoder.start + reencoder.shaper.sps * j0
-                - reencoder.shaper.delay - pad)
+    position = (reencoder.start + SPS * j0 - DELAY - pad)
     base = int(np.floor(position))
     frac = position - base
     # A dedicated cache dict: the live instance's _frac_cache now holds
@@ -248,14 +247,14 @@ def reencoder_image(reencoder: Reencoder, symbols, i0: int):
 # The trial-axis kernels in repro.phy.batch did not *replace* scalar
 # code — the scalar loop over lanes IS their baseline. These loops are
 # the oracle the batched equivalence tests compare against.
-def batched_matched_sampler_loop(shaper, padded, origin, starts,
+def batched_matched_sampler_loop(padded, origin, starts,
                                  count: int) -> np.ndarray:
     """One scalar :class:`MatchedSampler` call per lane — the baseline of
     ``BatchedMatchedSampler.sample`` on the same padded buffer. The
     scalar sampler re-pads implicitly, so handing it each row beyond
     *origin* (whose margin is zeros by the batched calling convention)
     reproduces the batched zero-padding semantics."""
-    sampler = MatchedSampler(shaper)
+    sampler = MatchedSampler()
     starts = np.asarray(starts, dtype=float).ravel()
     out = np.empty((padded.shape[0], count), dtype=complex)
     for lane in range(padded.shape[0]):
@@ -297,8 +296,8 @@ def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
     exactly as the original method did."""
     y = np.asarray(signal, dtype=complex).ravel()
     scalar, freqs = sync._candidates(coarse_freq)
-    length = len(sync.preamble)
-    sps = sync.shaper.sps
+    length = len(PREAMBLE)
+    sps = SPS
     k = np.arange(length)
     step = 0.2
     offsets = np.arange(-0.8, 0.8 + step / 2, step)
@@ -315,7 +314,7 @@ def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
     estimates = []
     for coarse in freqs:
         reference = sync._reference(
-            sync._score_refs, coarse, lambda f: sync.preamble.symbols
+            sync._score_refs, coarse, lambda f: PREAMBLE.symbols
             * np.exp(2j * np.pi * f * sps * k))
         scores = np.array([abs(complex(np.vdot(reference, symbols)))
                            for symbols in grid])
@@ -336,13 +335,13 @@ def synchronizer_acquire(sync, signal, position: int, *, coarse_freq=0.0,
 def _synchronizer_fit(sync, aligned, start: float, mu: float,
                       coarse_freq: float):
     """Original ``Synchronizer._fit`` (one candidate)."""
-    length = len(sync.preamble)
-    sps = sync.shaper.sps
+    length = len(PREAMBLE)
+    sps = SPS
     k = np.arange(length)
     sample_pos = start + sps * k
-    reference = sync.preamble.symbols * np.exp(
+    reference = PREAMBLE.symbols * np.exp(
         2j * np.pi * coarse_freq * sample_pos)
-    gain = np.vdot(reference, aligned) / len(sync.preamble)
+    gain = np.vdot(reference, aligned) / len(PREAMBLE)
     power = abs(gain) ** 2
     snr_db = 10.0 * np.log10(max(power / NOISE_POWER, 1e-12))
     return ChannelEstimate(
@@ -389,7 +388,7 @@ def _synchronizer_select_peaks(sync, corr, scores, max_peaks):
         hi = min(scores.size, idx + separation + 1)
         used[lo:hi] = True
         peaks.append(CorrelationPeak(
-            position=int(idx) + sync.shaper.delay,
+            position=int(idx) + DELAY,
             value=complex(corr[idx]),
             score=float(scores[idx]),
         ))

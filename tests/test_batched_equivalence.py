@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
@@ -112,15 +112,13 @@ class TestGoldenBatchEquality:
 # ----------------------------------------------------------------------
 # Synthesized-trial properties over the batch axis
 # ----------------------------------------------------------------------
-_PRE = default_preamble(32)
-_SH = PulseShaper()
-_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH)
+_CONFIG = StreamConfig()
 
 
 def _make_trial(seed: int, payload_bits: int):
     rng = np.random.default_rng(seed)
     captures, _, specs, placements = hidden_pair_scenario(
-        rng, _PRE, _SH, snr_db=12.0, payload_bits=payload_bits)
+        rng, snr_db=12.0, payload_bits=payload_bits)
     return ([c.samples for c in captures], specs, placements)
 
 

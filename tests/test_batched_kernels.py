@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.phy.batch import BatchedMatchedSampler, BatchedPhaseTracker, wrap_pi
 from repro.phy.constellation import BPSK, QPSK
+from repro.phy.pulse import DELAY
 
 import kernel_oracles as reference
 
@@ -31,7 +32,7 @@ TOL = 1e-9
 
 def _lane_waveforms(shaper, rng, n_lanes, n_symbols):
     """Per-lane BPSK waveforms embedded in one zero-margined buffer."""
-    pad = shaper.delay + shaper.taps.size
+    pad = DELAY + shaper.taps.size
     waves = [shaper.shape(BPSK.modulate(rng.integers(0, 2, n_symbols)))
              for _ in range(n_lanes)]
     padded = np.zeros((n_lanes, 2 * pad + waves[0].size), dtype=complex)
@@ -50,18 +51,18 @@ class TestWrapPi:
 class TestBatchedMatchedSampler:
     def test_matches_scalar_loop(self, shaper, rng):
         padded, origin = _lane_waveforms(shaper, rng, 6, 160)
-        starts = shaper.delay + rng.uniform(-0.5, 0.5, 6)
+        starts = DELAY + rng.uniform(-0.5, 0.5, 6)
         count = 150
-        fast = BatchedMatchedSampler(shaper).sample(
+        fast = BatchedMatchedSampler().sample(
             padded, origin, starts, count)
         ref = reference.batched_matched_sampler_loop(
-            shaper, padded, origin, starts, count)
+            padded, origin, starts, count)
         np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=0)
 
     def test_batch_of_one_matches_batch_of_n(self, shaper, rng):
         padded, origin = _lane_waveforms(shaper, rng, 5, 96)
-        starts = shaper.delay + rng.uniform(-0.5, 0.5, 5)
-        batched = BatchedMatchedSampler(shaper)
+        starts = DELAY + rng.uniform(-0.5, 0.5, 5)
+        batched = BatchedMatchedSampler()
         full = batched.sample(padded, origin, starts, 90)
         for lane in range(5):
             single = batched.sample(padded[lane:lane + 1], origin,
@@ -70,13 +71,13 @@ class TestBatchedMatchedSampler:
 
     def test_window_escape_rejected(self, shaper, rng):
         padded, origin = _lane_waveforms(shaper, rng, 2, 32)
-        starts = np.full(2, float(shaper.delay))
+        starts = np.full(2, float(DELAY))
         with pytest.raises(ConfigurationError):
-            BatchedMatchedSampler(shaper).sample(
+            BatchedMatchedSampler().sample(
                 padded, origin, starts, 10_000)
 
     def test_zero_count(self, shaper):
-        out = BatchedMatchedSampler(shaper).sample(
+        out = BatchedMatchedSampler().sample(
             np.zeros((3, 200), complex), 50, np.zeros(3), 0)
         assert out.shape == (3, 0)
 

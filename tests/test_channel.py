@@ -10,10 +10,6 @@ from repro.phy.noise import signal_power
 
 
 class TestParams:
-    def test_from_snr(self):
-        p = ChannelParams.from_snr_db(10.0)
-        assert abs(p.gain) ** 2 == pytest.approx(10.0)
-
     def test_freq_offset_bound(self):
         with pytest.raises(ConfigurationError):
             ChannelParams(freq_offset=0.6)

@@ -21,10 +21,10 @@ from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
 
-def coded_collision_pair(rng, preamble, shaper, snr_db, payload_bits=120):
+def coded_collision_pair(rng, snr_db, payload_bits=120):
     payloads = {n: random_bits(payload_bits, rng) for n in ("A", "B")}
     frames = {n: Frame.make(encode_for_zigzag(payloads[n]),
-                            src=i + 1, preamble=preamble)
+                            src=i + 1)
               for i, n in enumerate(payloads)}
     amp = np.sqrt(10 ** (snr_db / 10))
     params = {n: ChannelParams(
@@ -35,12 +35,12 @@ def coded_collision_pair(rng, preamble, shaper, snr_db, payload_bits=120):
     captures = []
     for offset in (160, 64):
         captures.append(synthesize(
-            [Transmission.from_symbols(frames["A"].symbols, shaper,
-                                       params["A"], 0, "A"),
-             Transmission.from_symbols(frames["B"].symbols, shaper,
-                                       params["B"], offset, "B")],
+            [Transmission.from_symbols(frames["A"].symbols, params["A"], 0,
+                                       "A"),
+             Transmission.from_symbols(frames["B"].symbols, params["B"],
+                                       offset, "B")],
             1.0, rng, leading=8, tail=40))
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
+    sync = Synchronizer(threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
@@ -61,7 +61,7 @@ class TestCodedZigZag:
         for seed in range(3):
             rng = make_rng(700 + seed)
             captures, frames, payloads, specs, placements = \
-                coded_collision_pair(rng, preamble, shaper, snr_db)
+                coded_collision_pair(rng, snr_db)
             outcome = ZigZagMultiDecoder(stream_config).decode(
                 [c.samples for c in captures], specs, placements)
             pre_len = len(preamble)
@@ -83,7 +83,7 @@ class TestCodedZigZag:
         for seed in range(6):
             rng = make_rng(880 + seed)
             captures, frames, payloads, specs, placements = \
-                coded_collision_pair(rng, preamble, shaper, snr_db=6.5)
+                coded_collision_pair(rng, snr_db=6.5)
             outcome = ZigZagMultiDecoder(stream_config).decode(
                 [c.samples for c in captures], specs, placements)
             pre_len = len(preamble)

@@ -17,7 +17,7 @@ def clean_capture(frame, shaper, rng, snr_db=14.0, freq=2e-3):
         gain=np.sqrt(10 ** (snr_db / 10))
         * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         freq_offset=freq, sampling_offset=float(rng.uniform(0, 1)))
-    tx = Transmission.from_symbols(frame.symbols, shaper, params, 0, "x")
+    tx = Transmission.from_symbols(frame.symbols, params, 0, "x")
     return synthesize([tx], 1.0, rng, leading=8, tail=30)
 
 
@@ -30,7 +30,7 @@ def collision_capture(frames, shaper, rng, offsets, freqs, snr_db=13.0):
             freq_offset=freqs[name],
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=1e-3)
-        txs.append(Transmission.from_symbols(frame.symbols, shaper, params,
+        txs.append(Transmission.from_symbols(frame.symbols, params,
                                              offset, name))
     return synthesize(txs, 1.0, rng, leading=8, tail=30)
 
@@ -65,9 +65,8 @@ class TestClientTable:
 
 class TestReceiverFlow:
     def test_clean_packet_decoded_and_learned(self, preamble, shaper, rng):
-        frame = Frame.make(random_bits(200, rng), src=5, preamble=preamble)
-        config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                expected_symbols=frame.n_symbols)
+        frame = Frame.make(random_bits(200, rng), src=5)
+        config = ReceiverConfig(expected_symbols=frame.n_symbols)
         receiver = ZigZagReceiver(config)
         # First reception: the table has no freq estimate; send with a
         # tiny offset so blind detection works, then learn.
@@ -77,9 +76,8 @@ class TestReceiverFlow:
         assert len(receiver.clients) == 1
 
     def test_noise_returns_nothing(self, preamble, shaper, rng):
-        frame = Frame.make(random_bits(200, rng), src=5, preamble=preamble)
+        frame = Frame.make(random_bits(200, rng), src=5)
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=preamble, shaper=shaper,
             expected_symbols=frame.n_symbols))
         noise = rng.standard_normal(700) + 1j * rng.standard_normal(700)
         assert receiver.receive(noise) == []
@@ -89,14 +87,11 @@ class TestReceiverFlow:
         """The paper's core loop: first collision is stored; the matching
         retransmission collision resolves both packets."""
         frames = {
-            "A": Frame.make(random_bits(200, rng), src=1,
-                            preamble=preamble),
-            "B": Frame.make(random_bits(200, rng), src=2,
-                            preamble=preamble),
+            "A": Frame.make(random_bits(200, rng), src=1),
+            "B": Frame.make(random_bits(200, rng), src=2),
         }
         freqs = {"A": 3e-3, "B": -2e-3}
-        config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                expected_symbols=frames["A"].n_symbols)
+        config = ReceiverConfig(expected_symbols=frames["A"].n_symbols)
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
         receiver.clients.update(2, freqs["B"])
@@ -115,14 +110,11 @@ class TestReceiverFlow:
     def test_equal_offset_collisions_not_matched(self, preamble, shaper,
                                                  rng):
         frames = {
-            "A": Frame.make(random_bits(200, rng), src=1,
-                            preamble=preamble),
-            "B": Frame.make(random_bits(200, rng), src=2,
-                            preamble=preamble),
+            "A": Frame.make(random_bits(200, rng), src=1),
+            "B": Frame.make(random_bits(200, rng), src=2),
         }
         freqs = {"A": 3e-3, "B": -2e-3}
-        config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                expected_symbols=frames["A"].n_symbols)
+        config = ReceiverConfig(expected_symbols=frames["A"].n_symbols)
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
         receiver.clients.update(2, freqs["B"])
@@ -136,14 +128,12 @@ class TestReceiverFlow:
 
 
 def make_frames(rng, preamble, srcs=(1, 2), bits=200):
-    return {f"s{src}": Frame.make(random_bits(bits, rng), src=src,
-                                  preamble=preamble)
+    return {f"s{src}": Frame.make(random_bits(bits, rng), src=src)
             for src in srcs}
 
 
 def pair_receiver(preamble, shaper, n_symbols, freqs, **overrides):
-    config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                            expected_symbols=n_symbols, **overrides)
+    config = ReceiverConfig(expected_symbols=n_symbols, **overrides)
     receiver = ZigZagReceiver(config)
     for src, freq in freqs.items():
         receiver.clients.update(src, freq)

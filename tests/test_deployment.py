@@ -248,12 +248,12 @@ class TestDeploymentProperties:
     @settings(max_examples=25, deadline=None)
     def test_never_hidden_from_own_ap(self, seed, n_aps, n_clients):
         """An associated client's link to its serving AP always clears
-        the carrier-sense floor: from_deployment can't produce a client
+        the carrier-sense floor: from_cell can't produce a client
         its own AP has zero chance of hearing."""
         dep = make_deployment(n_aps=n_aps, n_clients=n_clients,
                               seed=seed)
         for plan in dep.cells():
-            topo = Topology.from_deployment(dep, plan.ap)
+            topo = Topology.from_cell(plan)
             assert topo.mode == "derived"
             for snr in plan.snr_db:
                 assert snr >= REACHABLE_DB

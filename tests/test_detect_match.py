@@ -23,8 +23,7 @@ def sender_collision(rng, shaper, frames, offsets, snr_db=12.0,
     ``frames[i]`` starting ``offsets[i]`` samples in."""
     amp = np.sqrt(10 ** (snr_db / 10))
     txs = [Transmission.from_symbols(
-        frame.symbols, shaper,
-        ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
+        frame.symbols, ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
                       freq_offset=freq,
                       sampling_offset=rng.uniform(0, 1)),
         offset, "ABC"[i])
@@ -36,8 +35,7 @@ def sender_collision(rng, shaper, frames, offsets, snr_db=12.0,
 def collision_capture(rng, preamble, shaper, offset=150, snr_db=12.0,
                       frames=None, freqs=(2e-3, -3e-3)):
     if frames is None:
-        frames = [Frame.make(random_bits(200, rng), src=i + 1,
-                             preamble=preamble) for i in range(2)]
+        frames = [Frame.make(random_bits(200, rng), src=i + 1) for i in range(2)]
     return sender_collision(rng, shaper, frames, (0, offset), snr_db,
                             freqs), frames
 
@@ -45,7 +43,7 @@ def collision_capture(rng, preamble, shaper, offset=150, snr_db=12.0,
 class TestDetection:
     def test_collision_detected_with_offset(self, rng, preamble, shaper):
         cap, _ = collision_capture(rng, preamble, shaper, offset=150)
-        detector = CollisionDetector(preamble, shaper, beta=0.3)
+        detector = CollisionDetector(beta=0.3)
         verdict = detector.inspect(cap.samples,
                                    coarse_freqs=(2e-3, -3e-3))
         assert verdict.is_collision
@@ -55,13 +53,12 @@ class TestDetection:
         """At the operating β, clean packets rarely trip the detector —
         the Table 5.1 false-positive rate. Harmless FPs are tolerated
         (§5.3a); we require a low rate, not zero."""
-        detector = CollisionDetector(preamble, shaper, beta=0.5)
+        detector = CollisionDetector(beta=0.5)
         flagged = 0
         trials = 10
         for _ in range(trials):
-            frame = Frame.make(random_bits(200, rng), preamble=preamble)
-            tx = Transmission.from_symbols(frame.symbols, shaper,
-                                           ChannelParams(gain=5.0), 0, "A")
+            frame = Frame.make(random_bits(200, rng))
+            tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=5.0), 0, "A")
             cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
             flagged += int(detector.inspect(cap.samples).is_collision)
         assert flagged <= trials * 0.3
@@ -72,7 +69,7 @@ class TestDetection:
 
     def test_false_negative_rate_reasonable(self, rng, preamble, shaper):
         """Buried preambles should mostly be found (Table 5.1)."""
-        detector = CollisionDetector(preamble, shaper, beta=0.3)
+        detector = CollisionDetector(beta=0.3)
         found = 0
         trials = 15
         for i in range(trials):
@@ -134,13 +131,12 @@ class TestIdentityGroundTruth:
 
     @staticmethod
     def _frames(rng, preamble, k, seq):
-        return [Frame.make(random_bits(200, rng), src=i + 1, seq=seq,
-                           preamble=preamble) for i in range(k)]
+        return [Frame.make(random_bits(200, rng), src=i + 1, seq=seq) for i in range(k)]
 
     @staticmethod
     def _matches(preamble, shaper, stored, probe, k):
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=preamble, shaper=shaper, max_collision_packets=k,
+            max_collision_packets=k,
             expected_symbols=stored.transmissions[0].n_symbols))
         for src, freq in enumerate(SENDER_FREQS[:k], start=1):
             receiver.clients.update(src, freq)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.phy.pulse import SPS
 from repro.zigzag.engine import (
     PlacementParams,
     SubtractionState,
@@ -16,12 +17,12 @@ from helpers import hidden_pair_scenario
 
 def build_engine(rng, preamble, shaper, stream_config, **kwargs):
     captures, frames, specs, placements = hidden_pair_scenario(
-        rng, preamble, shaper, **kwargs)
+        rng, **kwargs)
     engine = ZigZagEngine(stream_config,
                           [c.samples for c in captures], specs, placements)
     schedule = greedy_schedule(
         [Placement(p.packet, p.collision, p.start,
-                   specs[p.packet].n_symbols, shaper.sps)
+                   specs[p.packet].n_symbols)
          for p in placements], margin_symbols=1.0)
     return engine, schedule, captures, frames, specs
 
@@ -72,7 +73,7 @@ class TestEngineRun:
     def test_duplicate_placement_rejected(self, stream_config, rng,
                                           preamble, shaper):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper)
+            rng)
         with pytest.raises(ConfigurationError):
             ZigZagEngine(stream_config, [c.samples for c in captures],
                          specs, placements + placements[:1])
@@ -80,7 +81,7 @@ class TestEngineRun:
     def test_unknown_packet_rejected(self, stream_config, rng, preamble,
                                      shaper):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper)
+            rng)
         bad = PlacementParams("ghost", 0, 10.0, placements[0].estimate)
         with pytest.raises(ConfigurationError):
             ZigZagEngine(stream_config, [c.samples for c in captures],
@@ -99,7 +100,7 @@ class TestEndStates:
                 multiplier = engine.final_multiplier(t.label, ci)
                 p = t.params
                 n_last = (t.symbol0 + p.sampling_offset
-                          + shaper.sps * (t.n_symbols - 1))
+                          + SPS * (t.n_symbols - 1))
                 expected = p.gain * np.exp(
                     2j * np.pi * p.freq_offset * n_last)
                 ratio = multiplier / expected

@@ -28,15 +28,14 @@ from repro.phy.frame import (
 )
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.noise import NOISE_POWER
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.phy.sync import Synchronizer
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig
 from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
-PREAMBLE = default_preamble()
 PRE_LEN = len(PREAMBLE)
 # (modulation, payload bits) whose payload + CRC does not fill a whole
 # number of symbols, so the modulator pads the frame's last symbol.
@@ -125,11 +124,11 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rows_equal_one_row_calls(case):
     soft, constellation, frames = CASES[case](np.random.default_rng(7))
-    bits, crc_ok, headers = extract_rows(soft, constellation, PRE_LEN)
+    bits, crc_ok, headers = extract_rows(soft, constellation)
     assert len(bits) == crc_ok.shape[0] == len(headers) == soft.shape[0]
     for row in range(soft.shape[0]):
         one_bits, one_ok, one_header = extract_bits(
-            soft[row], constellation, PRE_LEN)
+            soft[row], constellation)
         ref_bits, ref_ok, ref_header = _reference(soft[row], constellation)
         assert np.array_equal(bits[row], one_bits)
         assert np.array_equal(bits[row], ref_bits)
@@ -155,23 +154,21 @@ def _pair(modulation, payload_bits, seed, gain=40.0, offsets=(160, 64)):
     ``hidden_pair_scenario`` places them: each packet acquired at its
     true symbol-0 position with its true frequency as the coarse prior."""
     rng = np.random.default_rng(seed)
-    shaper = PulseShaper()
     frames = {name: Frame.make(rng.integers(0, 2, payload_bits),
-                               src=i + 1, seq=i + 1, modulation=modulation,
-                               preamble=PREAMBLE)
+                               src=i + 1, seq=i + 1, modulation=modulation)
               for i, name in enumerate("AB")}
     params = {name: ChannelParams(
         gain=gain * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         freq_offset=float(rng.uniform(-FREQ_SPREAD, FREQ_SPREAD)),
         sampling_offset=float(rng.uniform(0, 1)),
         phase_noise_std=PHASE_NOISE_STD) for name in frames}
-    alice, bob = (Transmission.from_symbols(frames[name].symbols, shaper,
+    alice, bob = (Transmission.from_symbols(frames[name].symbols,
                                             params[name], 0, name)
                   for name in "AB")
     captures = [synthesize([alice, dataclasses.replace(
         bob, offset=offset, symbol0=bob.symbol0 + offset)],
         NOISE_POWER, rng, leading=8, tail=40) for offset in offsets]
-    sync = Synchronizer(PREAMBLE, shaper, threshold=0.3)
+    sync = Synchronizer(threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
@@ -182,16 +179,16 @@ def _pair(modulation, payload_bits, seed, gain=40.0, offsets=(160, 64)):
     specs = {name: PacketSpec(name, frame.n_symbols,
                               get_constellation(modulation))
              for name, frame in frames.items()}
-    return shaper, captures, frames, specs, placements
+    return captures, frames, specs, placements
 
 
 @pytest.mark.parametrize("modulation,payload_bits", PADDED[:2])
 @pytest.mark.parametrize("seed", range(4))
 def test_padded_zigzag_pair_decodes_both(modulation, payload_bits, seed):
-    shaper, captures, frames, specs, placements = _pair(
+    captures, frames, specs, placements = _pair(
         modulation, payload_bits, seed)
     outcome = ZigZagMultiDecoder(
-        StreamConfig(preamble=PREAMBLE, shaper=shaper)).decode(
+        StreamConfig()).decode(
         [c.samples for c in captures], specs, placements)
     for name, frame in frames.items():
         result = outcome.results[name]
@@ -204,16 +201,15 @@ def test_padded_zigzag_pair_decodes_both(modulation, payload_bits, seed):
 def test_standard_decoder_agrees_with_codec(modulation, payload_bits):
     """On one clean capture, the standard decoder and the codec applied
     to its whole-frame symbol estimates return the same frame."""
-    shaper = PulseShaper()
     frame = _padded(modulation, payload_bits, np.random.default_rng(0), 1)[0]
     capture = synthesize([Transmission.from_symbols(
-        frame.symbols, shaper, ChannelParams(gain=40.0), 0, "A")],
+        frame.symbols, ChannelParams(gain=40.0), 0, "A")],
         NOISE_POWER, np.random.default_rng(1), leading=8, tail=40)
     t = capture.transmissions[0]
-    result = StandardDecoder(PREAMBLE, shaper).decode(
+    result = StandardDecoder().decode(
         capture.samples, start_position=t.symbol0)
     bits, crc_ok, header = extract_bits(
-        result.soft_symbols, get_constellation(modulation), PRE_LEN)
+        result.soft_symbols, get_constellation(modulation))
     assert result.soft_symbols.size == frame.n_symbols
     assert np.array_equal(result.bits, bits)
     assert result.success and crc_ok

@@ -23,42 +23,40 @@ from helpers import hidden_pair_scenario
 
 class TestStandardDecoderRobustness:
     def test_empty_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         result = decoder.decode(np.zeros(4, complex))
         assert not result.success
 
     def test_all_zero_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         result = decoder.decode(np.zeros(2000, complex))
         assert not result.success
 
     def test_dc_only_capture(self, preamble, shaper):
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         result = decoder.decode(np.full(2000, 5.0 + 0j))
         assert not result.success
 
     def test_preamble_only_no_body(self, preamble, shaper, rng):
         """A capture that cuts off right after the preamble."""
-        frame = Frame.make(random_bits(200, rng), preamble=preamble)
-        tx = Transmission.from_symbols(frame.symbols, shaper,
-                                       ChannelParams(gain=6.0), 0, "a")
+        frame = Frame.make(random_bits(200, rng))
+        tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=6.0), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8)
         truncated = cap.samples[:90]
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         result = decoder.decode(truncated)
         assert not result.success
 
     def test_saturating_amplitude(self, preamble, shaper, rng):
-        frame = Frame.make(random_bits(200, rng), preamble=preamble)
-        tx = Transmission.from_symbols(frame.symbols, shaper,
-                                       ChannelParams(gain=1e6), 0, "a")
+        frame = Frame.make(random_bits(200, rng))
+        tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=1e6), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8, tail=20)
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         result = decoder.decode(cap.samples)   # must not crash
         assert result.bits.size > 0 or not result.success
 
     def test_position_beyond_capture(self, preamble, shaper, rng):
-        decoder = StandardDecoder(preamble, shaper)
+        decoder = StandardDecoder()
         noise = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         result = decoder.decode(noise, start_position=10_000)
         assert not result.success
@@ -86,7 +84,7 @@ class TestZigZagRobustness:
                                     stream_config):
         """Garbage channel estimates must fail cleanly, not crash."""
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper)
+            rng)
         corrupted = [
             PlacementParams(p.packet, p.collision, p.start,
                             ChannelEstimate(gain=100.0 * 1j,
@@ -102,7 +100,7 @@ class TestZigZagRobustness:
     def test_wrong_length_specs(self, rng, preamble, shaper,
                                 stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper)
+            rng)
         short = {n: PacketSpec(n, 64) for n in specs}
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], short, placements)
@@ -114,7 +112,7 @@ class TestZigZagRobustness:
         """Pair decoder on one capture: only non-overlapping regions are
         schedulable; overlapping-equal patterns fail cleanly."""
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper)
+            rng)
         only_first = [p for p in placements if p.collision == 0]
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [captures[0].samples], specs, only_first)
@@ -125,7 +123,7 @@ class TestReceiverRobustness:
     def test_receiver_survives_garbage_stream(self, preamble, shaper,
                                               rng):
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=preamble, shaper=shaper, expected_symbols=312))
+            expected_symbols=312))
         for _ in range(5):
             n = int(rng.integers(50, 2000))
             garbage = (rng.standard_normal(n)
@@ -134,16 +132,13 @@ class TestReceiverRobustness:
 
     def test_receiver_buffer_bounded(self, preamble, shaper, rng):
         """Unmatched collisions never grow the buffer beyond capacity."""
-        config = ReceiverConfig(preamble=preamble, shaper=shaper,
-                                buffer_capacity=2,
+        config = ReceiverConfig(buffer_capacity=2,
                                 expected_symbols=312)
         receiver = ZigZagReceiver(config)
         for i in range(5):
-            frames = [Frame.make(random_bits(200, rng), src=j + 1,
-                                 preamble=preamble) for j in range(2)]
+            frames = [Frame.make(random_bits(200, rng), src=j + 1) for j in range(2)]
             txs = [Transmission.from_symbols(
-                f.symbols, shaper,
-                ChannelParams(gain=4.0 * np.exp(1j * rng.uniform(0, 6)),
+                f.symbols, ChannelParams(gain=4.0 * np.exp(1j * rng.uniform(0, 6)),
                               freq_offset=4e-3 * (1 - 2 * j)),
                 j * (100 + 20 * i), str(j))
                 for j, f in enumerate(frames)]

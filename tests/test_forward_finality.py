@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
@@ -41,9 +41,7 @@ _spec = importlib.util.spec_from_file_location(
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
-_PRE = default_preamble(32)
-_SH = PulseShaper()
-_CONFIG = StreamConfig(preamble=_PRE, shaper=_SH)
+_CONFIG = StreamConfig()
 
 
 def _fixture(name: str):
@@ -57,7 +55,7 @@ def _trial(seed: int, snr_db: float = 12.0, offsets=(160, 64),
            payload_bits: int = 96):
     rng = np.random.default_rng(seed)
     captures, _, specs, placements = hidden_pair_scenario(
-        rng, _PRE, _SH, snr_db=snr_db, payload_bits=payload_bits,
+        rng, snr_db=snr_db, payload_bits=payload_bits,
         offsets=offsets)
     return ([c.samples for c in captures], specs, placements)
 

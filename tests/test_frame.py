@@ -58,8 +58,7 @@ class TestFrameBits:
         header = FrameHeader(1, 0, 5, False, "bpsk", 100)
         bits = build_frame_bits(header, payload)
         frame = Frame.build(header, payload)
-        decoded, ok, parsed_header = extract_bits(
-            frame.symbols, BPSK, len(frame.preamble))
+        decoded, ok, parsed_header = extract_bits(frame.symbols, BPSK)
         assert ok
         assert parsed_header == header
         assert np.array_equal(decoded, bits)
@@ -81,27 +80,26 @@ class TestFrameBits:
 
 class TestFrame:
     def test_symbol_layout_bpsk(self, rng, preamble):
-        frame = Frame.make(random_bits(96, rng), preamble=preamble)
+        frame = Frame.make(random_bits(96, rng))
         expected = len(preamble) + HEADER_BITS + 96 + 32
         assert frame.n_symbols == expected
 
     def test_symbol_layout_qam16(self, rng, preamble):
-        frame = Frame.make(random_bits(96, rng), modulation="qam16",
-                           preamble=preamble)
+        frame = Frame.make(random_bits(96, rng), modulation="qam16")
         expected = len(preamble) + HEADER_BITS + (96 + 32) // 4
         assert frame.n_symbols == expected
 
     def test_starts_with_preamble(self, rng, preamble):
-        frame = Frame.make(random_bits(64, rng), preamble=preamble)
+        frame = Frame.make(random_bits(64, rng))
         assert np.array_equal(frame.symbols[:len(preamble)],
                               preamble.symbols)
 
     def test_retransmission_sets_retry(self, rng, preamble):
-        frame = Frame.make(random_bits(64, rng), preamble=preamble)
+        frame = Frame.make(random_bits(64, rng))
         retry = frame.retransmission()
         assert retry.header.retry is True
         assert np.array_equal(retry.payload, frame.payload)
 
     def test_body_bits_crc_valid(self, rng, preamble):
-        frame = Frame.make(random_bits(64, rng), preamble=preamble)
+        frame = Frame.make(random_bits(64, rng))
         assert crc32_check(frame.body_bits)

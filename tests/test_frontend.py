@@ -8,13 +8,14 @@ from repro.phy.channel import Channel, ChannelParams
 from repro.phy.constellation import BPSK, QPSK
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import HEADER_BITS, Frame
+from repro.phy.pulse import DELAY
 from repro.receiver.frontend import SymbolStreamDecoder
 from repro.utils.bits import random_bits
 
 
 def make_stream_scene(rng, preamble, shaper, config, *, gain=4.0 + 0j,
                       freq=1e-3, mu=0.3, payload=300, offset=30):
-    frame = Frame.make(random_bits(payload, rng), preamble=preamble)
+    frame = Frame.make(random_bits(payload, rng))
     params = ChannelParams(gain=gain, freq_offset=freq, sampling_offset=mu)
     wave = Channel(params, rng).apply(shaper.shape(frame.symbols),
                                       start_sample=offset)
@@ -22,7 +23,7 @@ def make_stream_scene(rng, preamble, shaper, config, *, gain=4.0 + 0j,
     buffer[offset:offset + wave.size] = wave
     buffer += (rng.standard_normal(buffer.size)
                + 1j * rng.standard_normal(buffer.size)) / np.sqrt(2)
-    start = offset + shaper.delay + mu
+    start = offset + DELAY + mu
     estimate = ChannelEstimate(gain=gain, freq_offset=freq,
                                sampling_offset=mu, snr_db=12.0)
     stream = SymbolStreamDecoder(config, estimate, start)

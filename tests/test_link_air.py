@@ -19,11 +19,11 @@ def noise_twin(air: ContinuousAir) -> ContinuousAir:
 
 
 def make_tx(preamble, shaper, rng, offset, src=1):
-    frame = Frame.make(random_bits(120, rng), src=src, preamble=preamble)
+    frame = Frame.make(random_bits(120, rng), src=src)
     params = ChannelParams(
         gain=2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         freq_offset=1e-3, sampling_offset=0.3)
-    return Transmission.from_symbols(frame.symbols, shaper, params,
+    return Transmission.from_symbols(frame.symbols, params,
                                      offset, "x")
 
 

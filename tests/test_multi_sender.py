@@ -16,8 +16,7 @@ def three_sender_scenario(rng, preamble, shaper, offset_rounds,
                           snr_db=13.0, payload=160):
     names = ["A", "B", "C"]
     amp = np.sqrt(10 ** (snr_db / 10))
-    frames = {n: Frame.make(random_bits(payload, rng), src=i + 1,
-                            preamble=preamble)
+    frames = {n: Frame.make(random_bits(payload, rng), src=i + 1)
               for i, n in enumerate(names)}
     freqs = {n: float(rng.uniform(-4e-3, 4e-3)) for n in names}
     captures = []
@@ -30,9 +29,9 @@ def three_sender_scenario(rng, preamble, shaper, offset_rounds,
                 sampling_offset=float(rng.uniform(0, 1)),
                 phase_noise_std=1e-3)
             txs.append(Transmission.from_symbols(
-                frames[n].symbols, shaper, params, off, n))
+                frames[n].symbols, params, off, n))
         captures.append(synthesize(txs, 1.0, rng, leading=8, tail=30))
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
+    sync = Synchronizer(threshold=0.3)
     placements = []
     for ci, capture in enumerate(captures):
         for t in capture.transmissions:
@@ -67,8 +66,7 @@ class TestThreeSenders:
         """
         names = ["P1", "P2", "P3", "P4"]
         amp = np.sqrt(10 ** 1.3)
-        frames = {n: Frame.make(random_bits(160, rng), src=i + 1,
-                                preamble=preamble)
+        frames = {n: Frame.make(random_bits(160, rng), src=i + 1)
                   for i, n in enumerate(names)}
         freqs = {n: float(rng.uniform(-4e-3, 4e-3)) for n in names}
 
@@ -78,15 +76,14 @@ class TestThreeSenders:
                 freq_offset=freqs[name],
                 sampling_offset=float(rng.uniform(0, 1)),
                 phase_noise_std=1e-3)
-            return Transmission.from_symbols(frames[name].symbols, shaper,
-                                             params, offset, name)
+            return Transmission.from_symbols(frames[name].symbols, params, offset, name)
 
         pairs = [("P1", "P2", 120), ("P2", "P3", 70), ("P3", "P4", 150),
                  ("P1", "P2", 40)]
         captures = [synthesize([tx(a, 0), tx(b, off)], 1.0, rng,
                                leading=8, tail=30)
                     for a, b, off in pairs]
-        sync = Synchronizer(preamble, shaper, threshold=0.3)
+        sync = Synchronizer(threshold=0.3)
         placements = []
         for ci, capture in enumerate(captures):
             for t in capture.transmissions:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.link import MultiCellConfig
+from repro.runner import MonteCarloRunner
 from repro.runner.builders import build_city_session
 from repro.runner.chaos import FaultSpec
 from repro.runner.shm import find_leaked_arenas
@@ -209,7 +210,8 @@ class TestDegradeToSequential:
     def _degraded_run(self, faults, sequential):
         city, report = run_block(2, faults=faults, step_timeout=1.0)
         assert report.degraded
-        assert report.workers == 2
+        # The rerun stepped every cell in this one process.
+        assert report.workers == 1
         assert city.degrade_reason is not None
         assert strip(report) == sequential
         assert find_leaked_arenas() == []
@@ -230,3 +232,12 @@ class TestDegradeToSequential:
         city = self._degraded_run(
             FaultSpec(raise_in_trial_prob=1.0, seed=3), sequential)
         assert "FaultInjectionError" in city.degrade_reason
+
+    def test_city_multicell_reports_the_in_process_rerun(self):
+        """The scenario's ``coupled_workers`` metric records how the
+        block was driven: one process after its workers died."""
+        spec = city_spec(coupled_workers=2).with_override(
+            "faults.kill_worker_prob", 1.0)
+        result = MonteCarloRunner().run(spec.with_override("n_trials", 1))
+        assert result.mean("coupled_degraded") == 1.0
+        assert result.mean("coupled_workers") == 1.0

@@ -16,15 +16,13 @@ from repro.core import ReceiverConfig, ZigZagReceiver
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.utils.bits import random_bits
 from repro.zigzag.decoder import ZigZagMultiDecoder
 
-PRE = default_preamble(32)
-SH = PulseShaper()
 NAMES = ("A", "B", "C")
 FREQS = {"A": 3e-3, "B": -2e-3, "C": 1e-3}
 
@@ -42,14 +40,13 @@ def three_way_captures(rng, frames, offset_rounds, snr_db=13.0):
                 sampling_offset=float(rng.uniform(0, 1)),
                 phase_noise_std=1e-3)
             txs.append(Transmission.from_symbols(
-                frames[name].symbols, SH, params, offset, name))
+                frames[name].symbols, params, offset, name))
         captures.append(synthesize(txs, 1.0, rng, leading=8, tail=30))
     return captures
 
 
 def three_way_receiver(n_symbols):
     receiver = ZigZagReceiver(ReceiverConfig(
-        preamble=PRE, shaper=SH,
         expected_symbols=n_symbols, max_collision_packets=3,
         buffer_capacity=6))
     for i, name in enumerate(NAMES):
@@ -65,9 +62,9 @@ class TestCaptureCopies:
     @settings(max_examples=10, deadline=None)
     def test_never_at_k2(self, seed):
         rng = np.random.default_rng(seed)
-        config = StreamConfig(preamble=PRE, shaper=SH)
+        config = StreamConfig()
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, PRE, SH, snr_db=7.0, payload_bits=160)
+            rng, snr_db=7.0, payload_bits=160)
         caps = [c.samples for c in captures]
         multi = ZigZagMultiDecoder(config).decode(caps, specs, placements)
         assert multi.capture_soft is None  # extra copies never ran
@@ -75,15 +72,14 @@ class TestCaptureCopies:
     def test_engaged_at_k3(self, rng, preamble, shaper, stream_config):
         """The set is at 8 dB so the forward pass leaves a packet
         failing: only then are extra copies combined at all."""
-        frames = {n: Frame.make(random_bits(160, rng), src=i + 1,
-                                preamble=preamble)
+        frames = {n: Frame.make(random_bits(160, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         captures = three_way_captures(rng, frames,
                                       [(0, 80, 180), (60, 0, 140),
                                        (100, 40, 0)], snr_db=8.0)
         from repro.phy.sync import Synchronizer
         from repro.zigzag.engine import PacketSpec, PlacementParams
-        sync = Synchronizer(preamble, shaper, threshold=0.3)
+        sync = Synchronizer(threshold=0.3)
         placements = []
         for ci, capture in enumerate(captures):
             for t in capture.transmissions:
@@ -108,8 +104,7 @@ class TestOnlineThreeWay:
     """Three mutually-hidden senders through the online AP (§4.5)."""
 
     def test_three_collisions_resolve_three_packets(self, rng):
-        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                preamble=PRE)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         receiver = three_way_receiver(frames["A"].n_symbols)
         captures = three_way_captures(
@@ -134,8 +129,7 @@ class TestOnlineThreeWay:
         and decoded from two captures is a ZigZag match and nothing more,
         and a three-capture set adds to all three."""
         rng = np.random.default_rng(1)
-        frames = {n: Frame.make(random_bits(64, rng), src=i + 1,
-                                preamble=PRE)
+        frames = {n: Frame.make(random_bits(64, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         receiver = three_way_receiver(frames["A"].n_symbols)
         first, second = three_way_captures(
@@ -148,8 +142,7 @@ class TestOnlineThreeWay:
                 stats.packets_multiway) == (0, 0, 0)
 
         rng = np.random.default_rng(2)
-        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                preamble=PRE)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         receiver = three_way_receiver(frames["A"].n_symbols)
         captures = three_way_captures(
@@ -164,8 +157,7 @@ class TestOnlineThreeWay:
     def test_reordered_arrivals_still_match(self, rng):
         """Backoff jitter permutes arrival order between collisions; the
         peak-correspondence search must recover the identity mapping."""
-        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                preamble=PRE)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         receiver = three_way_receiver(frames["A"].n_symbols)
         # A,B,C / C,A,B / B,C,A arrival orders.
@@ -180,8 +172,7 @@ class TestOnlineThreeWay:
         """Same arrival pattern every time is the §4.5 failure case: the
         receiver must keep storing rather than attempt the degenerate
         set."""
-        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                preamble=PRE)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1)
                   for i, n in enumerate(NAMES)}
         receiver = three_way_receiver(frames["A"].n_symbols)
         captures = three_way_captures(
@@ -200,9 +191,8 @@ class TestReceiveContract:
         """A lone detected preamble whose standard decode fails used to
         leak the failed DecodeResult (with its garbage bits) into the
         return list; the contract is successes only."""
-        frame = Frame.make(random_bits(200, rng), src=1, preamble=PRE)
+        frame = Frame.make(random_bits(200, rng), src=1)
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PRE, shaper=SH,
             expected_symbols=frame.n_symbols))
         receiver.clients.update(1, 2e-3)
         # Drown the packet: SNR far below decodability, but the preamble
@@ -210,7 +200,7 @@ class TestReceiveContract:
         # the CRC cannot pass while the preamble stays detectable.
         params = ChannelParams(gain=3.0 + 0j, freq_offset=2e-3,
                                sampling_offset=0.3)
-        tx = Transmission.from_symbols(frame.symbols, SH, params, 0, "x")
+        tx = Transmission.from_symbols(frame.symbols, params, 0, "x")
         capture = synthesize([tx], 1.0, rng, leading=8, tail=30)
         cut = capture.samples[:len(capture.samples) // 2]
         results = receiver.receive(cut)
@@ -221,14 +211,11 @@ class TestReceiveContract:
         """match_attempts counts scored records; match_rejects_threshold
         counts the ones that scored below the bar — so 'scanned but
         nothing cleared the threshold' is observable."""
-        frames1 = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                 preamble=PRE)
+        frames1 = {n: Frame.make(random_bits(200, rng), src=i + 1)
                    for i, n in enumerate(("s1", "s2"))}
-        frames2 = {n: Frame.make(random_bits(200, rng), src=i + 3,
-                                 preamble=PRE)
+        frames2 = {n: Frame.make(random_bits(200, rng), src=i + 3)
                    for i, n in enumerate(("s3", "s4"))}
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PRE, shaper=SH,
             expected_symbols=frames1["s1"].n_symbols))
         for src, freq in ((1, 3e-3), (2, -2e-3), (3, 1e-3), (4, -1e-3)):
             receiver.clients.update(src, freq)
@@ -243,7 +230,7 @@ class TestReceiveContract:
                     sampling_offset=float(rng.uniform(0, 1)),
                     phase_noise_std=1e-3)
                 txs.append(Transmission.from_symbols(
-                    frame.symbols, SH, params, offset, name))
+                    frame.symbols, params, offset, name))
             return synthesize(txs, 1.0, rng, leading=8, tail=30)
 
         # Two collisions of *different* packet pairs: the second scores

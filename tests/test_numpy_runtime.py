@@ -169,8 +169,6 @@ _SCRIPT = textwrap.dedent("""
     from repro.phy.equalizer import LmsEqualizer
     from repro.phy.frame import Frame
     from repro.phy.medium import Transmission, synthesize
-    from repro.phy.preamble import default_preamble
-    from repro.phy.pulse import PulseShaper
     from repro.runner import MonteCarloRunner, ScenarioSpec
     from repro.utils.bits import random_bits
 
@@ -192,13 +190,10 @@ _SCRIPT = textwrap.dedent("""
         return acquire(self, layers, *args, **kwargs)
     ZigZagReceiver._acquire_set_placements = counted
     rng = np.random.default_rng(1234)
-    pre, shaper = default_preamble(32), PulseShaper()
     freqs = {"A": 3e-3, "B": -2e-3, "C": 1e-3}
-    frames = {name: Frame.make(random_bits(200, rng), src=i + 1,
-                               preamble=pre)
+    frames = {name: Frame.make(random_bits(200, rng), src=i + 1)
               for i, name in enumerate(freqs)}
     receiver = ZigZagReceiver(ReceiverConfig(
-        preamble=pre, shaper=shaper,
         expected_symbols=frames["A"].n_symbols, max_collision_packets=3,
         buffer_capacity=6))
     for i, freq in enumerate(freqs.values()):
@@ -206,7 +201,7 @@ _SCRIPT = textwrap.dedent("""
     amp = np.sqrt(10 ** 1.3)
     for offsets in [(0, 80, 180), (60, 0, 140), (100, 40, 0)]:
         txs = [Transmission.from_symbols(
-                   frames[name].symbols, shaper,
+                   frames[name].symbols,
                    ChannelParams(gain=amp * np.exp(2j * np.pi * rng.uniform()),
                                  freq_offset=freqs[name],
                                  sampling_offset=float(rng.uniform()),

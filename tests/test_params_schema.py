@@ -67,7 +67,8 @@ def test_runner_gate_rejects_an_undeclared_key():
         MonteCarloRunner().run(spec)
 
 
-@pytest.mark.parametrize("override", ["max_rounds=2", "params.bogus_key=2"])
+@pytest.mark.parametrize("override", ["max_rounds=2", "preamble_length=16",
+                                      "params.bogus_key=2"])
 def test_pair_collision_rejects_undeclared_overrides(capsys, override):
     scenario = ROOT / "examples" / "scenarios" / "pair_collision.toml"
     assert main(["run", str(scenario), "--trials", "1",

@@ -20,7 +20,7 @@ import pytest
 from repro.phy.coding.convolutional import ConvolutionalCode
 from repro.phy.constellation import BPSK, QAM16, QPSK
 from repro.phy.estimation import ChannelEstimate
-from repro.phy.pulse import MatchedSampler
+from repro.phy.pulse import DELAY, MatchedSampler
 from repro.phy.tracking import PhaseTracker
 from repro.utils.bits import random_bits
 
@@ -152,15 +152,15 @@ class TestMatchedSamplerEquivalence:
         running past the buffer (right padding) all agree."""
         d = BPSK.modulate(rng.integers(0, 2, 200))
         wave = shaper.shape(d)
-        sampler = MatchedSampler(shaper)
-        start = shaper.delay + start_shift
+        sampler = MatchedSampler()
+        start = DELAY + start_shift
         count = 210  # deliberately overruns -> right padding
         fast = sampler.sample(wave, start, count)
         ref = _reference_matched_sampler_sample(sampler, wave, start, count)
         np.testing.assert_allclose(fast, ref, atol=TOL, rtol=0)
 
     def test_empty_and_zero_count(self, shaper):
-        sampler = MatchedSampler(shaper)
+        sampler = MatchedSampler()
         assert sampler.sample(np.zeros(50, complex), 3.0, 0).size == 0
 
 
@@ -224,9 +224,9 @@ class TestReencoderEquivalence:
         estimate = ChannelEstimate(gain=1.3 * np.exp(0.7j),
                                    freq_offset=3e-4,
                                    sampling_offset=0.41, snr_db=12.0)
-        return (Reencoder(shaper=shaper, estimate=estimate, start=37.41,
+        return (Reencoder(estimate=estimate, start=37.41,
                           symbol_isi=isi),
-                Reencoder(shaper=shaper, estimate=estimate, start=37.41,
+                Reencoder(estimate=estimate, start=37.41,
                           symbol_isi=isi))
 
     @staticmethod

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.phy.constellation import BPSK, QAM16, QAM64, QPSK
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder
@@ -41,14 +41,12 @@ def test_conjugated_constellation_round_trips_by_value():
     assert np.array_equal(again.points, conj.points)
 
 
-_PRE = default_preamble(32)
-_CONFIG = StreamConfig(preamble=_PRE, shaper=PulseShaper())
+_CONFIG = StreamConfig()
 
 
 def _trial(seed: int):
     captures, _, specs, placements = hidden_pair_scenario(
-        np.random.default_rng(seed), _PRE, _CONFIG.shaper, snr_db=12.0,
-        payload_bits=96)
+        np.random.default_rng(seed), snr_db=12.0, payload_bits=96)
     return ([c.samples for c in captures], specs, placements)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.preamble import Preamble, default_preamble, lfsr_sequence
+from repro.phy.preamble import PREAMBLE, Preamble, lfsr_sequence
 
 
 class TestLfsr:
@@ -29,12 +29,12 @@ class TestLfsr:
 
 class TestPreamble:
     def test_symbols_are_plus_minus_one(self):
-        p = default_preamble(32)
+        p = PREAMBLE
         assert set(np.unique(p.symbols.real)) == {-1.0, 1.0}
         assert np.all(p.symbols.imag == 0)
 
     def test_autocorrelation_peak_dominates(self):
-        p = default_preamble(32)
+        p = PREAMBLE
         signal = np.concatenate([np.zeros(10, complex), p.symbols,
                                  np.zeros(10, complex)])
         # np.correlate(y, s)[d] = sum_k y[d+k] * conj(s[k]).

@@ -20,12 +20,10 @@ from repro.phy.impairments import (
     make_impairment,
 )
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import MatchedSampler, PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SHAPER, MatchedSampler
 from repro.utils.bits import random_bits
 
-PRE = default_preamble(32)
-SH = PulseShaper()
 
 
 class TestScramblerProperties:
@@ -59,15 +57,14 @@ class TestMediumProperties:
         """The air is linear: a two-packet capture equals the sum of the
         single-packet captures (same channels, no noise)."""
         rng = np.random.default_rng(seed)
-        frames = [Frame.make(random_bits(64, rng), src=i + 1,
-                             preamble=PRE) for i in range(2)]
+        frames = [Frame.make(random_bits(64, rng), src=i + 1) for i in range(2)]
         params = [ChannelParams(
             gain=(1.0 + rng.uniform()) * np.exp(1j * rng.uniform(0, 6)),
             freq_offset=float(rng.uniform(-4e-3, 4e-3)),
             sampling_offset=float(rng.uniform(0, 1)))
             for _ in range(2)]
         offsets = [0, int(rng.integers(10, 120))]
-        txs = [Transmission.from_symbols(f.symbols, SH, p, o, str(i))
+        txs = [Transmission.from_symbols(f.symbols, p, o, str(i))
                for i, (f, p, o) in enumerate(zip(frames, params, offsets))]
         both = synthesize(txs, 0.0, np.random.default_rng(1),
                           leading=4, tail=8)
@@ -82,10 +79,10 @@ class TestMediumProperties:
         """TX shaping -> fractional delay -> matched sampling is near-
         transparent for every sub-sample offset."""
         rng = np.random.default_rng(seed)
-        frame = Frame.make(random_bits(96, rng), preamble=PRE)
+        frame = Frame.make(random_bits(96, rng))
         params = ChannelParams(gain=1.0, sampling_offset=mu)
-        wave = Channel(params, rng).apply(SH.shape(frame.symbols))
-        out = MatchedSampler(SH).sample(wave, SH.delay + mu,
+        wave = Channel(params, rng).apply(SHAPER.shape(frame.symbols))
+        out = MatchedSampler().sample(wave, DELAY + mu,
                                         frame.n_symbols)
         core = slice(4, -4)
         assert np.max(np.abs(out[core] - frame.symbols[core])) < 0.05
@@ -272,7 +269,7 @@ class TestFrameProperties:
     @settings(max_examples=20, deadline=None)
     def test_frame_symbol_count_formula(self, seed, n_bits):
         rng = np.random.default_rng(seed)
-        frame = Frame.make(random_bits(n_bits, rng), preamble=PRE)
+        frame = Frame.make(random_bits(n_bits, rng))
         assert frame.n_symbols == 32 + 48 + n_bits + 32
 
     @given(st.integers(0, 2**16), st.integers(16, 200))
@@ -282,6 +279,6 @@ class TestFrameProperties:
         — the property collision matching (§4.2.2) relies on."""
         rng = np.random.default_rng(seed)
         payload = random_bits(n_bits, rng)
-        f1 = Frame.make(payload, src=1, seq=5, preamble=PRE)
-        f2 = Frame.make(payload, src=1, seq=5, preamble=PRE)
+        f1 = Frame.make(payload, src=1, seq=5)
+        f2 = Frame.make(payload, src=1, seq=5)
         assert np.array_equal(f1.symbols, f2.symbols)

@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.phy.sync import Synchronizer, correlate_at
 from repro.zigzag.detect import CollisionDetector
 
 from kernel_oracles import detector_find_packets, synchronizer_detect
 
-PREAMBLE = default_preamble(32)
-SHAPER = PulseShaper()
 WAVE = SHAPER.shape(PREAMBLE.symbols)
 L = WAVE.size
 
@@ -67,15 +65,15 @@ class TestDetectEqualsPerFrequencyLoop:
     def test_detect_and_find_packets_equal_oracle(self, case, max_peaks,
                                                   beta):
         y, freqs = case
-        oracle = Synchronizer(PREAMBLE, SHAPER, threshold=beta)
-        sync = Synchronizer(PREAMBLE, SHAPER, threshold=beta)
+        oracle = Synchronizer(threshold=beta)
+        sync = Synchronizer(threshold=beta)
         expected = synchronizer_detect(oracle, y, coarse_freq=freqs,
                                        max_peaks=max_peaks)
         assert sync.detect(y, coarse_freq=freqs,
                            max_peaks=max_peaks) == expected
         assert sync.detect(y, coarse_freq=freqs[0],
                            max_peaks=max_peaks) == expected[0]
-        detector = CollisionDetector(PREAMBLE, SHAPER, beta=beta)
+        detector = CollisionDetector(beta=beta)
         assert detector.find_packets(y, freqs, max_peaks=max_peaks) == \
             detector_find_packets(oracle, y, freqs, max_peaks)
 
@@ -89,7 +87,7 @@ class TestDetectEqualsPerFrequencyLoop:
         y = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         y[310:310 + L] += 4 * WAVE
         y[310 + separation:310 + separation + L] += 3 * WAVE
-        sync = Synchronizer(PREAMBLE, SHAPER, threshold=0.2)
+        sync = Synchronizer(threshold=0.2)
         assert sync.detect(y, [0.0, 1e-3]) == \
             synchronizer_detect(sync, y, [0.0, 1e-3])
 
@@ -98,24 +96,24 @@ class TestDetectEqualsPerFrequencyLoop:
         """A constant capture scores every lag the same: which lags are
         taken is decided by the sort's tie order alone."""
         y = np.full(L + 120, 1.0 + 0.5j)
-        probe = Synchronizer(PREAMBLE, SHAPER)
+        probe = Synchronizer()
         score = probe.correlation_scores(y)[0]
-        sync = Synchronizer(PREAMBLE, SHAPER, threshold=0.5 * score)
+        sync = Synchronizer(threshold=0.5 * score)
         found = sync.detect(y, [0.0, 0.0], max_peaks=max_peaks)
         assert found == synchronizer_detect(sync, y, [0.0, 0.0],
                                             max_peaks=max_peaks)
         assert found[0]
 
     def test_empty_candidate_list_finds_nothing(self):
-        sync = Synchronizer(PREAMBLE, SHAPER)
+        sync = Synchronizer()
         assert sync.detect(np.zeros(3, complex), coarse_freq=[]) == []
-        assert CollisionDetector(PREAMBLE, SHAPER).find_packets(
+        assert CollisionDetector().find_packets(
             np.zeros(3, complex), ()) == []
 
     def test_nan_capture_equals_oracle(self):
         y = np.ones(L + 50, complex)
         y[60] = np.nan
-        sync = Synchronizer(PREAMBLE, SHAPER, threshold=0.4)
+        sync = Synchronizer(threshold=0.4)
         assert sync.detect(y, [0.0, 2e-3]) == \
             synchronizer_detect(sync, y, [0.0, 2e-3])
 
@@ -128,7 +126,7 @@ class TestCorrelationBound:
         (beta - 1e-9) * denom; that is safe as long as no computed
         |correlation| exceeds the computed bound by 1e-9 * denom."""
         y, freqs = case
-        sync = Synchronizer(PREAMBLE, SHAPER)
+        sync = Synchronizer()
         bound = sync._correlation_bound(y, freqs)
         slack = 1e-9 * sync._score_denominator(y)
         for freq in freqs:
@@ -139,7 +137,7 @@ class TestCorrelationBound:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
         y[500:500 + L] += 3 * WAVE
-        sync = Synchronizer(PREAMBLE, SHAPER, threshold=0.42)
+        sync = Synchronizer(threshold=0.42)
         bound = sync._correlation_bound(y, [-4e-3, 0.0, 4e-3])
         kept = ~(bound < (0.42 - 1e-9) * sync._score_denominator(y))
         assert kept.mean() < 0.5

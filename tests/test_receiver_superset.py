@@ -22,18 +22,15 @@ from repro.link.aps import StandardAp
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.utils.bits import random_bits
 
-PRE = default_preamble(32)
-SH = PulseShaper()
 PAYLOAD_BITS = 200
 
 
 def make_frames(rng, srcs):
-    return {src: Frame.make(random_bits(PAYLOAD_BITS, rng), src=src,
-                            preamble=PRE)
+    return {src: Frame.make(random_bits(PAYLOAD_BITS, rng), src=src)
             for src in srcs}
 
 
@@ -47,7 +44,7 @@ def collide(rng, frames, offsets, snrs_db, freqs):
             freq_offset=freqs[src],
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=1e-3)
-        txs.append(Transmission.from_symbols(frame.symbols, SH, params,
+        txs.append(Transmission.from_symbols(frame.symbols, params,
                                              offsets[src], str(src)))
     return synthesize(txs, 1.0, rng, leading=8, tail=30).samples
 
@@ -61,8 +58,7 @@ def seeded(ap, freqs):
 
 
 def config(n_symbols):
-    return ReceiverConfig(preamble=PRE, shaper=SH,
-                          expected_symbols=n_symbols)
+    return ReceiverConfig(expected_symbols=n_symbols)
 
 
 def delivered(results, frames):

@@ -7,22 +7,23 @@ from repro.errors import ConfigurationError
 from repro.phy.channel import Channel, ChannelParams
 from repro.phy.estimation import ChannelEstimate
 from repro.phy.frame import Frame
+from repro.phy.pulse import DELAY, SPS
 from repro.utils.bits import random_bits
 from repro.zigzag.reencode import Reencoder, add_segment, subtract_segment
 
 
 def build_scene(rng, preamble, shaper, params, offset=50):
-    frame = Frame.make(random_bits(150, rng), preamble=preamble)
+    frame = Frame.make(random_bits(150, rng))
     wave = Channel(params, rng).apply(shaper.shape(frame.symbols),
                                       start_sample=offset)
     buffer = np.zeros(offset + wave.size + 20, complex)
     buffer[offset:offset + wave.size] = wave
-    start = offset + shaper.delay + params.sampling_offset
+    start = offset + DELAY + params.sampling_offset
     estimate = ChannelEstimate(gain=params.gain,
                                freq_offset=params.freq_offset,
                                sampling_offset=params.sampling_offset,
                                snr_db=20.0)
-    return frame, buffer, Reencoder(shaper=shaper, estimate=estimate,
+    return frame, buffer, Reencoder(estimate=estimate,
                                     start=start)
 
 
@@ -85,5 +86,5 @@ class TestSegments:
         _, _, reencoder = build_scene(rng, preamble, shaper, params)
         segment, base = reencoder.image(np.ones(20, complex), 10)
         core = reencoder.core_slice(10, 30, base, segment.size)
-        assert core.stop - core.start >= 20 * shaper.sps - 2
+        assert core.stop - core.start >= 20 * SPS - 2
         assert core.start >= 0

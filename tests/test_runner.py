@@ -11,6 +11,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mac.backoff import ExponentialBackoff, FixedWindowBackoff
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import SHAPER
 from repro.runner import (
     MonteCarloRunner,
     RunResult,
@@ -197,9 +199,12 @@ class TestCache:
         assert len(cache) == 0 and cache.hits == 0
 
     def test_cached_reference_objects_are_shared(self):
-        assert cached_preamble(32) is cached_preamble(32)
-        assert cached_shaper() is cached_shaper()
-        assert len(cached_preamble(16)) == 16
+        """The cache hands back the air interface's constants; a
+        preamble of any other length does not exist."""
+        assert cached_preamble(32) is cached_preamble() is PREAMBLE
+        assert cached_shaper() is SHAPER
+        with pytest.raises(ConfigurationError, match="fixed at 32"):
+            cached_preamble(16)
 
 
 class TestResults:

@@ -41,6 +41,7 @@ REMOVED_KEYS = [
     ("scenario", "slot_samples", "20"),
     ("scenario", "max_rounds", "4"),
     ("scenario", "modulation", '"bpsk"'),
+    ("scenario", "preamble_length", "32"),
     ("params", "max_attempts", "6"),
     ("params", "chunk_samples", "1024"),
     ("params", "buffer_max_age", "24"),

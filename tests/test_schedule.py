@@ -14,11 +14,11 @@ from repro.zigzag.schedule import (
 )
 
 
-def pair_placements(d1, d2, n=100, sps=2):
+def pair_placements(d1, d2, n=100):
     """The canonical two-collision pattern: A at 0 in both, B at d1/d2."""
     return [
-        Placement("A", 0, 0.0, n, sps), Placement("B", 0, d1, n, sps),
-        Placement("A", 1, 0.0, n, sps), Placement("B", 1, d2, n, sps),
+        Placement("A", 0, 0.0, n), Placement("B", 0, d1, n),
+        Placement("A", 1, 0.0, n), Placement("B", 1, d2, n),
     ]
 
 

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ReceiverConfig, ZigZagReceiver, api
-from repro.phy.preamble import default_preamble
-from repro.phy.pulse import MatchedSampler, PulseShaper
+from repro.phy.preamble import PREAMBLE
+from repro.phy.pulse import DELAY, SHAPER, MatchedSampler
 from repro.phy.sync import Synchronizer
 from repro.receiver.buffer import CollisionBuffer, CollisionRecord
 from repro.zigzag.detect import CollisionDetector
@@ -30,8 +30,6 @@ from kernel_oracles import (
 )
 from test_core_receiver import collision_capture, make_frames
 
-PREAMBLE = default_preamble(32)
-SHAPER = PulseShaper()
 # A small pool, so drawn candidate lists repeat and come unsorted.
 FREQ_POOL = (3.9e-3, -4e-3, 0.0, 7.5e-4, -1.5e-3, 2e-3)
 
@@ -48,7 +46,7 @@ def capture(seed: int, n: int, starts, freq: float) -> np.ndarray:
     wave = SHAPER.shape(PREAMBLE.symbols)
     wave = 3.0 * wave * np.exp(2j * np.pi * freq * np.arange(wave.size))
     for start in starts:
-        index = start - SHAPER.delay + np.arange(wave.size)
+        index = start - DELAY + np.arange(wave.size)
         inside = (index >= 0) & (index < n)
         y[index[inside]] += wave[inside]
     return y
@@ -57,8 +55,8 @@ def capture(seed: int, n: int, starts, freq: float) -> np.ndarray:
 @st.composite
 def acquisition_cases(draw):
     n = draw(st.integers(120, 360))
-    delay = SHAPER.delay
-    # Peaks within shaper.delay of either edge take the sampler's
+    delay = DELAY
+    # Peaks within DELAY of either edge take the sampler's
     # zero-padding path.
     position = draw(st.one_of(st.integers(0, delay),
                               st.integers(n - 1 - delay, n - 1),
@@ -75,11 +73,11 @@ class TestSharedGridAcquisition:
     def test_candidate_list_equals_independent_calls(self, case):
         seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
-        shared = Synchronizer(PREAMBLE, SHAPER).acquire(
+        shared = Synchronizer().acquire(
             y, position, coarse_freq=freqs)
         assert len(shared) == len(freqs)
         for freq, estimate in zip(freqs, shared):
-            alone = Synchronizer(PREAMBLE, SHAPER).acquire(
+            alone = Synchronizer().acquire(
                 y, position, coarse_freq=freq)
             assert fields(estimate) == fields(alone)
 
@@ -91,13 +89,13 @@ class TestSharedGridAcquisition:
         seed, n, position, freqs, true_freq = case
         y = capture(seed, n, [position], true_freq)
         other = (position + 7) % n
-        sync = Synchronizer(PREAMBLE, SHAPER)
+        sync = Synchronizer()
         kept: dict = {}
         first = sync.acquire(y, position, coarse_freq=freqs[:1],
                              sampled=kept)
         rest = sync.acquire(y, position, coarse_freq=freqs, sampled=kept)
         moved = sync.acquire(y, other, coarse_freq=freqs[-1], sampled=kept)
-        fresh = Synchronizer(PREAMBLE, SHAPER)
+        fresh = Synchronizer()
         assert fields(first[0]) == fields(
             fresh.acquire(y, position, coarse_freq=freqs[0]))
         for freq, estimate in zip(freqs, rest):
@@ -108,28 +106,45 @@ class TestSharedGridAcquisition:
 
     def test_scalar_returns_one_estimate_list_returns_list(self):
         y = capture(3, 300, [100], 1e-3)
-        sync = Synchronizer(PREAMBLE, SHAPER)
+        sync = Synchronizer()
         single = sync.acquire(y, 100, coarse_freq=1e-3)
         listed = sync.acquire(y, 100, coarse_freq=[1e-3])
         assert fields(listed[0]) == fields(single)
         assert sync.acquire(y, 100, coarse_freq=[]) == []
 
 
-def twin_synchronizers(cache_entries: int = 0):
-    """Two synchronizers on fresh shapers whose kernel caches hold the
-    same *cache_entries* kernels in the same order."""
-    old, new = PulseShaper(), PulseShaper()
+class CacheTwin:
+    """A synchronizer whose calls run on its own kernel cache: calling
+    the twin runs a function with the cache swapped into
+    :data:`SHAPER` for that call only."""
+
+    def __init__(self, cache: dict) -> None:
+        self.sync = Synchronizer()
+        self.cache = cache
+
+    def __call__(self, fn, *args, **kwargs):
+        saved, SHAPER._kernel_cache = SHAPER._kernel_cache, self.cache
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            SHAPER._kernel_cache = saved
+
+
+def twin_synchronizers(cache_entries: int = 0
+                       ) -> tuple[CacheTwin, CacheTwin]:
+    """Two synchronizers whose kernel caches hold the same
+    *cache_entries* kernels in the same order."""
+    old = CacheTwin({})
     rng = np.random.default_rng(cache_entries)
     for fraction in rng.uniform(-1.0, 1.0, cache_entries):
-        old.kernel_at(float(fraction))
-    new._kernel_cache.update(old._kernel_cache)
-    return Synchronizer(PREAMBLE, old), Synchronizer(PREAMBLE, new)
+        old(SHAPER.kernel_at, float(fraction))
+    return old, CacheTwin(dict(old.cache))
 
 
-def assert_same_state(old: Synchronizer, new: Synchronizer,
+def assert_same_state(old: CacheTwin, new: CacheTwin,
                       old_sampled: dict, new_sampled: dict) -> None:
     """Same kernels cached in the same order, same outputs kept."""
-    old_cache, new_cache = old.shaper._kernel_cache, new.shaper._kernel_cache
+    old_cache, new_cache = old.cache, new.cache
     assert list(old_cache) == list(new_cache)
     assert all(np.array_equal(old_cache[key], new_cache[key])
                for key in old_cache)
@@ -161,10 +176,10 @@ class TestAcquireEqualsPerFrequencyLoop:
         y = capture(seed, n, [position], true_freq)
         old, new = twin_synchronizers()
         old_sampled, new_sampled = {}, {}
-        expected = synchronizer_acquire(
-            old, y, position, coarse_freq=freqs, sampled=old_sampled)
-        got = new.acquire(y, position, coarse_freq=freqs,
-                          sampled=new_sampled)
+        expected = old(synchronizer_acquire, old.sync, y, position,
+                       coarse_freq=freqs, sampled=old_sampled)
+        got = new(new.sync.acquire, y, position, coarse_freq=freqs,
+                  sampled=new_sampled)
         assert got == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
@@ -180,10 +195,10 @@ class TestAcquireEqualsPerFrequencyLoop:
         old_sampled, new_sampled = {}, {}
         for at, candidates in ((position, freqs[:1]), (position, freqs),
                                (other, freqs[::-1])):
-            expected = synchronizer_acquire(
-                old, y, at, coarse_freq=candidates, sampled=old_sampled)
-            got = new.acquire(y, at, coarse_freq=candidates,
-                              sampled=new_sampled)
+            expected = old(synchronizer_acquire, old.sync, y, at,
+                           coarse_freq=candidates, sampled=old_sampled)
+            got = new(new.sync.acquire, y, at, coarse_freq=candidates,
+                      sampled=new_sampled)
             assert got == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
@@ -196,10 +211,10 @@ class TestAcquireEqualsPerFrequencyLoop:
         old, new = twin_synchronizers(cache_entries)
         old_sampled, new_sampled = {}, {}
         for position in (150, 151):
-            expected = synchronizer_acquire(
-                old, y, position, coarse_freq=freqs, sampled=old_sampled)
-            got = new.acquire(y, position, coarse_freq=freqs,
-                              sampled=new_sampled)
+            expected = old(synchronizer_acquire, old.sync, y, position,
+                           coarse_freq=freqs, sampled=old_sampled)
+            got = new(new.sync.acquire, y, position, coarse_freq=freqs,
+                      sampled=new_sampled)
             assert got == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
@@ -211,7 +226,7 @@ class TestAcquireEqualsPerFrequencyLoop:
         y = np.full(300, 0.7 - 0.2j)
         position = 150
         reference = PREAMBLE.symbols
-        sampler = Synchronizer(PREAMBLE, SHAPER)._sampler
+        sampler = Synchronizer()._sampler
         scores = [abs(complex(np.vdot(reference, sampler.sample(
             y, float(position + d), len(PREAMBLE)))))
             for d in np.arange(-0.8, 0.9, 0.2)]
@@ -221,10 +236,10 @@ class TestAcquireEqualsPerFrequencyLoop:
         freqs = [0.0, 1e-3, -2e-3, 0.0]
         old, new = twin_synchronizers()
         old_sampled, new_sampled = {}, {}
-        expected = synchronizer_acquire(old, y, position, coarse_freq=freqs,
-                                        sampled=old_sampled)
-        assert new.acquire(y, position, coarse_freq=freqs,
-                           sampled=new_sampled) == expected
+        expected = old(synchronizer_acquire, old.sync, y, position,
+                       coarse_freq=freqs, sampled=old_sampled)
+        assert new(new.sync.acquire, y, position, coarse_freq=freqs,
+                   sampled=new_sampled) == expected
         assert_same_state(old, new, old_sampled, new_sampled)
 
 
@@ -239,14 +254,14 @@ class TestSampleMany:
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts = starts + starts[:2]
-        one, many = PulseShaper(), PulseShaper()
-        expected = [MatchedSampler(one).sample(y, start, count)
+        one, many = twin_synchronizers()
+        expected = [one(MatchedSampler().sample, y, start, count)
                     for start in starts]
-        got = MatchedSampler(many).sample_many(y, starts, count)
+        got = many(MatchedSampler().sample_many, y, starts, count)
         assert got.shape == (len(starts), count)
         for row, want in zip(got, expected):
             assert np.array_equal(row, want)
-        assert list(one._kernel_cache) == list(many._kernel_cache)
+        assert list(one.cache) == list(many.cache)
 
 
 class TestSharedNormalizationDetection:
@@ -259,11 +274,11 @@ class TestSharedNormalizationDetection:
     def test_find_packets_equals_per_frequency_merge(
             self, seed, n, starts, true_freq, freqs, max_peaks):
         y = capture(seed, n, [s % n for s in starts], true_freq)
-        detector = CollisionDetector(PREAMBLE, SHAPER, beta=0.4)
-        oracle = Synchronizer(PREAMBLE, SHAPER, threshold=0.4)
+        detector = CollisionDetector(beta=0.4)
+        oracle = Synchronizer(threshold=0.4)
         assert detector.find_packets(y, freqs, max_peaks=max_peaks) == \
             detector_find_packets(oracle, y, freqs, max_peaks)
-        per_freq = Synchronizer(PREAMBLE, SHAPER, threshold=0.4).detect(
+        per_freq = Synchronizer(threshold=0.4).detect(
             y, coarse_freq=freqs, max_peaks=max_peaks)
         assert per_freq == [synchronizer_detect(oracle, y, coarse_freq=f,
                                                 max_peaks=max_peaks)
@@ -271,7 +286,7 @@ class TestSharedNormalizationDetection:
 
     def test_short_capture_still_rejected(self):
         from repro.errors import CollisionDetectError
-        sync = Synchronizer(PREAMBLE, SHAPER)
+        sync = Synchronizer()
         with pytest.raises(CollisionDetectError):
             sync.detect(np.zeros(10, complex), coarse_freq=[0.0, 1e-3])
 
@@ -308,7 +323,6 @@ class TestStoredRecordsAreReadOnly:
         # ZigZag decode is attempted on the stored record and fails.
         monkeypatch.setattr(api, "MATCH_THRESHOLD", 0.0)
         receiver = ZigZagReceiver(ReceiverConfig(
-            preamble=PREAMBLE, shaper=SHAPER,
             expected_symbols=n_symbols))
         for src, freq in freqs.items():
             receiver.clients.update(src, freq)
@@ -325,7 +339,7 @@ class TestStoredRecordsAreReadOnly:
         assert record in list(receiver.buffer)
         assert np.array_equal(record.samples, original)
         assert record.estimates
-        fresh = Synchronizer(PREAMBLE, SHAPER)
+        fresh = Synchronizer()
         for (position, freq), estimate in record.estimates.items():
             assert fields(estimate) == fields(fresh.acquire(
                 original, position, coarse_freq=freq))

@@ -15,10 +15,8 @@ from repro.zigzag.sic import SicDecoder
 def capture_scenario(rng, preamble, shaper, snr_strong=22.0, snr_weak=10.0,
                      offset=60, payload=200):
     frames = {
-        "strong": Frame.make(random_bits(payload, rng), src=1,
-                             preamble=preamble),
-        "weak": Frame.make(random_bits(payload, rng), src=2,
-                           preamble=preamble),
+        "strong": Frame.make(random_bits(payload, rng), src=1),
+        "weak": Frame.make(random_bits(payload, rng), src=2),
     }
     params = {
         "strong": ChannelParams(
@@ -33,12 +31,10 @@ def capture_scenario(rng, preamble, shaper, snr_strong=22.0, snr_weak=10.0,
             phase_noise_std=1e-3, tx_evm=0.03),
     }
     cap = synthesize(
-        [Transmission.from_symbols(frames["strong"].symbols, shaper,
-                                   params["strong"], 0, "strong"),
-         Transmission.from_symbols(frames["weak"].symbols, shaper,
-                                   params["weak"], offset, "weak")],
+        [Transmission.from_symbols(frames["strong"].symbols, params["strong"], 0, "strong"),
+         Transmission.from_symbols(frames["weak"].symbols, params["weak"], offset, "weak")],
         1.0, rng, leading=8, tail=30)
-    sync = Synchronizer(preamble, shaper, threshold=0.3)
+    sync = Synchronizer(threshold=0.3)
     placements = []
     for t in cap.transmissions:
         est = sync.acquire(cap.samples, t.symbol0,

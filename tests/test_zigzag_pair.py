@@ -12,7 +12,7 @@ class TestPairDecoding:
     def test_canonical_pattern_decodes(self, rng, preamble, shaper,
                                        stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=12.0)
+            rng, snr_db=12.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
@@ -23,7 +23,7 @@ class TestPairDecoding:
     def test_residual_approaches_noise_floor(self, rng, preamble, shaper,
                                              stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=15.0)
+            rng, snr_db=15.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for power in outcome.residual_powers:
@@ -32,7 +32,7 @@ class TestPairDecoding:
     def test_equal_offsets_fail_gracefully(self, rng, preamble, shaper,
                                            stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, offsets=(100, 100))
+            rng, offsets=(100, 100))
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         assert not outcome.all_decoded
@@ -40,7 +40,7 @@ class TestPairDecoding:
 
     def test_forward_only_mode(self, rng, preamble, shaper, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=12.0)
+            rng, snr_db=12.0)
         outcome = ZigZagMultiDecoder(stream_config,
                                      use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
@@ -51,12 +51,12 @@ class TestPairDecoding:
 
     def test_backward_pass_improves_low_snr_ber(self, preamble, shaper):
         """§4.3b: fwd+bwd MRC lowers the BER versus forward-only."""
-        config = StreamConfig(preamble=preamble, shaper=shaper)
+        config = StreamConfig()
         fwd, both = [], []
         for seed in range(5):
             rng = np.random.default_rng(seed + 50)
             captures, frames, specs, placements = hidden_pair_scenario(
-                rng, preamble, shaper, snr_db=6.5, payload_bits=300)
+                rng, snr_db=6.5, payload_bits=300)
             for use_backward, bucket in ((False, fwd), (True, both)):
                 outcome = ZigZagMultiDecoder(
                     config, use_backward=use_backward).decode(
@@ -67,7 +67,7 @@ class TestPairDecoding:
 
     def test_asymmetric_powers(self, rng, preamble, shaper, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=16.0, snr_b_db=10.0)
+            rng, snr_db=16.0, snr_b_db=10.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
         for name in frames:
@@ -87,8 +87,7 @@ class TestPairDecoding:
         from repro.phy.constellation import BPSK
 
         amp = np.sqrt(10 ** 1.2)
-        frames = {n: Frame.make(random_bits(200, rng), src=i + 1,
-                                preamble=preamble)
+        frames = {n: Frame.make(random_bits(200, rng), src=i + 1)
                   for i, n in enumerate("AB")}
         params = {n: ChannelParams(
             gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
@@ -96,18 +95,14 @@ class TestPairDecoding:
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=1e-3) for n in "AB"}
         cap1 = synthesize(
-            [Transmission.from_symbols(frames["A"].symbols, shaper,
-                                       params["A"], 0, "A"),
-             Transmission.from_symbols(frames["B"].symbols, shaper,
-                                       params["B"], 120, "B")],
+            [Transmission.from_symbols(frames["A"].symbols, params["A"], 0, "A"),
+             Transmission.from_symbols(frames["B"].symbols, params["B"], 120, "B")],
             1.0, rng, leading=8, tail=40)
         cap2 = synthesize(
-            [Transmission.from_symbols(frames["B"].symbols, shaper,
-                                       params["B"], 0, "B"),
-             Transmission.from_symbols(frames["A"].symbols, shaper,
-                                       params["A"], 70, "A")],
+            [Transmission.from_symbols(frames["B"].symbols, params["B"], 0, "B"),
+             Transmission.from_symbols(frames["A"].symbols, params["A"], 70, "A")],
             1.0, rng, leading=8, tail=40)
-        sync = Synchronizer(preamble, shaper, threshold=0.3)
+        sync = Synchronizer(threshold=0.3)
         placements = []
         for ci, cap in enumerate((cap1, cap2)):
             for t in cap.transmissions:
@@ -125,7 +120,7 @@ class TestPairDecoding:
     def test_oracle_estimates_give_zero_ber(self, rng, preamble, shaper,
                                             stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
-            rng, preamble, shaper, snr_db=12.0, oracle=True,
+            rng, snr_db=12.0, oracle=True,
             phase_noise=0.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
             [c.samples for c in captures], specs, placements)
