@@ -13,8 +13,8 @@ perturb results.
 The air interface needs no cache: the preamble and the pulse shaper are
 the module constants :data:`~repro.phy.preamble.PREAMBLE` and
 :data:`~repro.phy.pulse.SHAPER`. :func:`cached_preamble` and
-:func:`cached_shaper` only hand those back, for callers outside the
-package that still ask for them.
+:func:`cached_shaper` only hand those back, for ``perfbench/``, which
+calls them.
 """
 
 from __future__ import annotations

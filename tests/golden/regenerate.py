@@ -46,6 +46,7 @@ from repro.phy.frame import Frame  # noqa: E402
 from repro.phy.impairments import ImpairmentPipeline  # noqa: E402
 from repro.phy.medium import Transmission, synthesize  # noqa: E402
 from repro.phy.preamble import PREAMBLE  # noqa: E402
+from repro.phy.pulse import SHAPER  # noqa: E402
 from repro.phy.sync import Synchronizer  # noqa: E402
 from repro.receiver.frontend import StreamConfig  # noqa: E402
 from repro.runner.builders import hidden_pair_scenario  # noqa: E402
@@ -201,8 +202,18 @@ def _stored_placements(name: str, data: dict) -> list[PlacementParams]:
     return placements
 
 
+def _empty_kernel_cache() -> None:
+    """Start acquisition and decoding from an empty :data:`SHAPER` kernel
+    cache. The cache merges fractions within 1e-12 of each other, so the
+    kernel a lookup returns, to the last bit, depends on which fraction
+    filled its slot first: without this, a fixture's numerics would
+    depend on whatever ran before it in the process."""
+    SHAPER._kernel_cache.clear()
+
+
 def build_fixture(name: str) -> dict[str, np.ndarray]:
     """Synthesize one fixture's captures + acquisition inputs + truth."""
+    _empty_kernel_cache()
     if name in THREE_SENDER_FIXTURES:
         return _build_three_senders(name)
     if name in SCENARIO_FIXTURES:
@@ -240,6 +251,7 @@ def fixture_trial(name: str, data: dict):
     """A fixture's decoder config and ``(captures, specs, placements)``
     trial: sync runs on the *stored* waveforms from scratch (scenario
     fixtures use their stored placements instead)."""
+    _empty_kernel_cache()
     n_symbols = int(data["n_symbols"])
     labels = fixture_labels(name)
     n_captures = len(labels)  # one collision per packet of the set

@@ -26,8 +26,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.phy.preamble import PREAMBLE
-from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder

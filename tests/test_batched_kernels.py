@@ -76,7 +76,7 @@ class TestBatchedMatchedSampler:
             BatchedMatchedSampler().sample(
                 padded, origin, starts, 10_000)
 
-    def test_zero_count(self, shaper):
+    def test_zero_count(self):
         out = BatchedMatchedSampler().sample(
             np.zeros((3, 200), complex), 50, np.zeros(3), 0)
         assert out.shape == (3, 0)

@@ -54,8 +54,8 @@ def coded_collision_pair(rng, snr_db, payload_bits=120):
 
 class TestCodedZigZag:
     @pytest.mark.parametrize("snr_db", [7.0, 9.0])
-    def test_code_recovers_payload_exactly(self, preamble, shaper,
-                                           stream_config, snr_db):
+    def test_code_recovers_payload_exactly(self, preamble, stream_config,
+                                           snr_db):
         recovered = 0
         total = 0
         for seed in range(3):
@@ -75,8 +75,7 @@ class TestCodedZigZag:
                     recovered += 1
         assert recovered >= total - 1  # at most one unlucky packet
 
-    def test_code_fixes_residual_symbol_errors(self, preamble, shaper,
-                                               stream_config):
+    def test_code_fixes_residual_symbol_errors(self, preamble, stream_config):
         """Find a case with residual uncoded errors and show the code
         removes them."""
         fixed_any = False

@@ -12,7 +12,7 @@ from repro.phy.medium import Transmission, synthesize
 from repro.utils.bits import random_bits
 
 
-def clean_capture(frame, shaper, rng, snr_db=14.0, freq=2e-3):
+def clean_capture(frame, rng, snr_db=14.0, freq=2e-3):
     params = ChannelParams(
         gain=np.sqrt(10 ** (snr_db / 10))
         * np.exp(1j * rng.uniform(0, 2 * np.pi)),
@@ -21,7 +21,7 @@ def clean_capture(frame, shaper, rng, snr_db=14.0, freq=2e-3):
     return synthesize([tx], 1.0, rng, leading=8, tail=30)
 
 
-def collision_capture(frames, shaper, rng, offsets, freqs, snr_db=13.0):
+def collision_capture(frames, rng, offsets, freqs, snr_db=13.0):
     txs = []
     for (name, frame), offset in zip(frames.items(), offsets):
         params = ChannelParams(
@@ -64,26 +64,25 @@ class TestClientTable:
 
 
 class TestReceiverFlow:
-    def test_clean_packet_decoded_and_learned(self, preamble, shaper, rng):
+    def test_clean_packet_decoded_and_learned(self, rng):
         frame = Frame.make(random_bits(200, rng), src=5)
         config = ReceiverConfig(expected_symbols=frame.n_symbols)
         receiver = ZigZagReceiver(config)
         # First reception: the table has no freq estimate; send with a
         # tiny offset so blind detection works, then learn.
-        cap = clean_capture(frame, shaper, rng, freq=2e-4)
+        cap = clean_capture(frame, rng, freq=2e-4)
         results = receiver.receive(cap.samples)
         assert len(results) == 1 and results[0].success
         assert len(receiver.clients) == 1
 
-    def test_noise_returns_nothing(self, preamble, shaper, rng):
+    def test_noise_returns_nothing(self, rng):
         frame = Frame.make(random_bits(200, rng), src=5)
         receiver = ZigZagReceiver(ReceiverConfig(
             expected_symbols=frame.n_symbols))
         noise = rng.standard_normal(700) + 1j * rng.standard_normal(700)
         assert receiver.receive(noise) == []
 
-    def test_collision_stored_then_resolved_on_match(self, preamble,
-                                                     shaper, rng):
+    def test_collision_stored_then_resolved_on_match(self, rng):
         """The paper's core loop: first collision is stored; the matching
         retransmission collision resolves both packets."""
         frames = {
@@ -95,8 +94,8 @@ class TestReceiverFlow:
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
         receiver.clients.update(2, freqs["B"])
-        cap1 = collision_capture(frames, shaper, rng, (0, 160), freqs)
-        cap2 = collision_capture(frames, shaper, rng, (0, 60), freqs)
+        cap1 = collision_capture(frames, rng, (0, 160), freqs)
+        cap2 = collision_capture(frames, rng, (0, 60), freqs)
         first = receiver.receive(cap1.samples)
         assert first == []          # stored, waiting for a match
         assert len(receiver.buffer) == 1
@@ -107,8 +106,7 @@ class TestReceiverFlow:
         assert recovered == [1, 2]
         assert len(receiver.buffer) == 0
 
-    def test_equal_offset_collisions_not_matched(self, preamble, shaper,
-                                                 rng):
+    def test_equal_offset_collisions_not_matched(self, rng):
         frames = {
             "A": Frame.make(random_bits(200, rng), src=1),
             "B": Frame.make(random_bits(200, rng), src=2),
@@ -118,8 +116,8 @@ class TestReceiverFlow:
         receiver = ZigZagReceiver(config)
         receiver.clients.update(1, freqs["A"])
         receiver.clients.update(2, freqs["B"])
-        cap1 = collision_capture(frames, shaper, rng, (0, 100), freqs)
-        cap2 = collision_capture(frames, shaper, rng, (0, 100), freqs)
+        cap1 = collision_capture(frames, rng, (0, 100), freqs)
+        cap2 = collision_capture(frames, rng, (0, 100), freqs)
         receiver.receive(cap1.samples)
         results = receiver.receive(cap2.samples)
         # Identical offsets are undecodable; the new collision is stored.
@@ -127,12 +125,12 @@ class TestReceiverFlow:
         assert len(receiver.buffer) == 2
 
 
-def make_frames(rng, preamble, srcs=(1, 2), bits=200):
+def make_frames(rng, srcs=(1, 2), bits=200):
     return {f"s{src}": Frame.make(random_bits(bits, rng), src=src)
             for src in srcs}
 
 
-def pair_receiver(preamble, shaper, n_symbols, freqs, **overrides):
+def pair_receiver(n_symbols, freqs, **overrides):
     config = ReceiverConfig(expected_symbols=n_symbols, **overrides)
     receiver = ZigZagReceiver(config)
     for src, freq in freqs.items():
@@ -144,18 +142,17 @@ class TestCollisionBufferLifecycle:
     """The store / match-and-remove / evict / skip paths the streaming
     session leans on (§4.2.2, §4.5)."""
 
-    def test_store_on_no_match(self, preamble, shaper, rng):
+    def test_store_on_no_match(self, rng):
         """Collisions of *different* packet pairs do not match: both get
         stored, nothing is decoded."""
         freqs = {1: 3e-3, 2: -2e-3, 3: 1e-3, 4: -1e-3}
-        frames1 = make_frames(rng, preamble, srcs=(1, 2))
-        frames2 = make_frames(rng, preamble, srcs=(3, 4))
-        receiver = pair_receiver(preamble, shaper,
-                                 next(iter(frames1.values())).n_symbols,
+        frames1 = make_frames(rng, srcs=(1, 2))
+        frames2 = make_frames(rng, srcs=(3, 4))
+        receiver = pair_receiver(next(iter(frames1.values())).n_symbols,
                                  freqs)
-        cap1 = collision_capture(frames1, shaper, rng, (0, 160),
+        cap1 = collision_capture(frames1, rng, (0, 160),
                                  {"s1": freqs[1], "s2": freqs[2]})
-        cap2 = collision_capture(frames2, shaper, rng, (0, 60),
+        cap2 = collision_capture(frames2, rng, (0, 60),
                                  {"s3": freqs[3], "s4": freqs[4]})
         assert receiver.receive(cap1.samples) == []
         assert receiver.receive(cap2.samples) == []
@@ -163,21 +160,20 @@ class TestCollisionBufferLifecycle:
         assert receiver.stats.collisions_stored == 2
         assert receiver.stats.zigzag_matches == 0
 
-    def test_match_removes_record_and_counts(self, preamble, shaper, rng):
+    def test_match_removes_record_and_counts(self, rng):
         freqs = {1: 3e-3, 2: -2e-3}
-        frames = make_frames(rng, preamble)
-        receiver = pair_receiver(preamble, shaper,
-                                 frames["s1"].n_symbols, freqs)
+        frames = make_frames(rng)
+        receiver = pair_receiver(frames["s1"].n_symbols, freqs)
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
-        cap1 = collision_capture(frames, shaper, rng, (0, 160), named_freqs)
-        cap2 = collision_capture(frames, shaper, rng, (0, 60), named_freqs)
+        cap1 = collision_capture(frames, rng, (0, 160), named_freqs)
+        cap2 = collision_capture(frames, rng, (0, 60), named_freqs)
         receiver.receive(cap1.samples)
         results = receiver.receive(cap2.samples)
         assert len(results) == 2
         assert len(receiver.buffer) == 0
         assert receiver.stats.zigzag_matches == 1
 
-    def test_fifo_eviction_at_capacity(self, preamble, shaper, rng):
+    def test_fifo_eviction_at_capacity(self, rng):
         """The oldest record is evicted once the buffer is full, and the
         eviction is counted."""
         freqs = {i: f for i, f in zip(range(1, 9),
@@ -186,47 +182,43 @@ class TestCollisionBufferLifecycle:
         receiver = None
         first_record = None
         for pair in ((1, 2), (3, 4), (5, 6), (7, 8)):
-            frames = make_frames(rng, preamble, srcs=pair)
+            frames = make_frames(rng, srcs=pair)
             if receiver is None:
                 receiver = pair_receiver(
-                    preamble, shaper,
                     next(iter(frames.values())).n_symbols, freqs,
                     buffer_capacity=2)
             named = {n: freqs[src] for n, src in
                      zip(frames, pair)}
             receiver.receive(collision_capture(
-                frames, shaper, rng, (0, 160), named).samples)
+                frames, rng, (0, 160), named).samples)
             if first_record is None and len(receiver.buffer):
                 first_record = next(iter(receiver.buffer))
         assert len(receiver.buffer) == 2
         assert first_record not in list(receiver.buffer)
         assert receiver.stats.evictions_capacity >= 1
 
-    def test_identical_offset_skipped_not_matched(self, preamble, shaper,
-                                                  rng):
+    def test_identical_offset_skipped_not_matched(self, rng):
         """§4.5: same-offset collisions are undecodable — the receiver
         must store the new one rather than attempt the match."""
         freqs = {1: 3e-3, 2: -2e-3}
-        frames = make_frames(rng, preamble)
-        receiver = pair_receiver(preamble, shaper,
-                                 frames["s1"].n_symbols, freqs)
+        frames = make_frames(rng)
+        receiver = pair_receiver(frames["s1"].n_symbols, freqs)
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
         for _ in range(2):
             receiver.receive(collision_capture(
-                frames, shaper, rng, (0, 100), named_freqs).samples)
+                frames, rng, (0, 100), named_freqs).samples)
         assert len(receiver.buffer) == 2
         assert receiver.stats.zigzag_matches == 0
 
-    def test_age_pruning(self, preamble, shaper, rng):
+    def test_age_pruning(self, rng):
         """BUFFER_MAX_AGE: stale records are dropped as the stream moves
         on (retransmissions arrive within a few receptions, §4.2.2)."""
         freqs = {1: 3e-3, 2: -2e-3}
-        frames = make_frames(rng, preamble)
-        receiver = pair_receiver(preamble, shaper,
-                                 frames["s1"].n_symbols, freqs)
+        frames = make_frames(rng)
+        receiver = pair_receiver(frames["s1"].n_symbols, freqs)
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
         receiver.receive(collision_capture(
-            frames, shaper, rng, (0, 160), named_freqs).samples)
+            frames, rng, (0, 160), named_freqs).samples)
         assert len(receiver.buffer) == 1
 
         def receive_noise():   # noise-only receives advance the clock
@@ -240,15 +232,14 @@ class TestCollisionBufferLifecycle:
         assert len(receiver.buffer) == 0
         assert receiver.stats.evictions_age == 1
 
-    def test_short_alignment_record_skipped(self, preamble, shaper, rng):
+    def test_short_alignment_record_skipped(self, rng):
         """Regression: a stored record whose second peak sits at the tail
         of its capture used to abort the whole receive call — match_score
         sees < 8 aligned samples and raises. It must count as 'no match'
         and the scan must continue."""
         freqs = {1: 3e-3, 2: -2e-3}
-        frames = make_frames(rng, preamble)
-        receiver = pair_receiver(preamble, shaper,
-                                 frames["s1"].n_symbols, freqs)
+        frames = make_frames(rng)
+        receiver = pair_receiver(frames["s1"].n_symbols, freqs)
         # Hand-craft a pathological record: second packet "starting"
         # three samples before the capture ends.
         short = (rng.standard_normal(400)
@@ -257,7 +248,7 @@ class TestCollisionBufferLifecycle:
             CorrelationPeak(position=0, value=1.0 + 0j, score=0.9),
             CorrelationPeak(position=397, value=1.0 + 0j, score=0.8)])
         named_freqs = {"s1": freqs[1], "s2": freqs[2]}
-        capture = collision_capture(frames, shaper, rng, (0, 160),
+        capture = collision_capture(frames, rng, (0, 160),
                                     named_freqs)
         results = receiver.receive(capture.samples)   # must not raise
         assert results == []

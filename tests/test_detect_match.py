@@ -17,13 +17,14 @@ from repro.zigzag.match import match_score
 SENDER_FREQS = (2e-3, -3e-3, 1e-3)
 
 
-def sender_collision(rng, shaper, frames, offsets, snr_db=12.0,
+def sender_collision(rng, frames, offsets, snr_db=12.0,
                      freqs=SENDER_FREQS):
     """One capture in which sender *i* (frequency ``freqs[i]``) transmits
     ``frames[i]`` starting ``offsets[i]`` samples in."""
     amp = np.sqrt(10 ** (snr_db / 10))
     txs = [Transmission.from_symbols(
-        frame.symbols, ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
+        frame.symbols,
+        ChannelParams(gain=amp * np.exp(1j * rng.uniform(0, 6.28)),
                       freq_offset=freq,
                       sampling_offset=rng.uniform(0, 1)),
         offset, "ABC"[i])
@@ -32,24 +33,25 @@ def sender_collision(rng, shaper, frames, offsets, snr_db=12.0,
     return synthesize(txs, 1.0, rng, leading=8, tail=30)
 
 
-def collision_capture(rng, preamble, shaper, offset=150, snr_db=12.0,
+def collision_capture(rng, offset=150, snr_db=12.0,
                       frames=None, freqs=(2e-3, -3e-3)):
     if frames is None:
-        frames = [Frame.make(random_bits(200, rng), src=i + 1) for i in range(2)]
-    return sender_collision(rng, shaper, frames, (0, offset), snr_db,
+        frames = [Frame.make(random_bits(200, rng), src=i + 1)
+                  for i in range(2)]
+    return sender_collision(rng, frames, (0, offset), snr_db,
                             freqs), frames
 
 
 class TestDetection:
-    def test_collision_detected_with_offset(self, rng, preamble, shaper):
-        cap, _ = collision_capture(rng, preamble, shaper, offset=150)
+    def test_collision_detected_with_offset(self, rng):
+        cap, _ = collision_capture(rng, offset=150)
         detector = CollisionDetector(beta=0.3)
         verdict = detector.inspect(cap.samples,
                                    coarse_freqs=(2e-3, -3e-3))
         assert verdict.is_collision
         assert verdict.offset == pytest.approx(150, abs=2)
 
-    def test_clean_packet_mostly_not_flagged(self, rng, preamble, shaper):
+    def test_clean_packet_mostly_not_flagged(self, rng):
         """At the operating β, clean packets rarely trip the detector —
         the Table 5.1 false-positive rate. Harmless FPs are tolerated
         (§5.3a); we require a low rate, not zero."""
@@ -58,23 +60,23 @@ class TestDetection:
         trials = 10
         for _ in range(trials):
             frame = Frame.make(random_bits(200, rng))
-            tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=5.0), 0, "A")
+            tx = Transmission.from_symbols(
+                frame.symbols, ChannelParams(gain=5.0), 0, "A")
             cap = synthesize([tx], 1.0, rng, leading=8, tail=30)
             flagged += int(detector.inspect(cap.samples).is_collision)
         assert flagged <= trials * 0.3
 
-    def test_verdict_offset_none_for_single(self, rng, preamble, shaper):
+    def test_verdict_offset_none_for_single(self, rng):
         from repro.zigzag.detect import CollisionVerdict
         assert CollisionVerdict(False, []).offset is None
 
-    def test_false_negative_rate_reasonable(self, rng, preamble, shaper):
+    def test_false_negative_rate_reasonable(self, rng):
         """Buried preambles should mostly be found (Table 5.1)."""
         detector = CollisionDetector(beta=0.3)
         found = 0
         trials = 15
         for i in range(trials):
-            cap, _ = collision_capture(rng, preamble, shaper,
-                                       offset=120 + 10 * i)
+            cap, _ = collision_capture(rng, offset=120 + 10 * i)
             verdict = detector.inspect(cap.samples,
                                        coarse_freqs=(2e-3, -3e-3))
             found += int(verdict.is_collision)
@@ -82,9 +84,9 @@ class TestDetection:
 
 
 class TestMatching:
-    def test_same_packets_match(self, rng, preamble, shaper):
-        cap1, frames = collision_capture(rng, preamble, shaper, offset=150)
-        cap2, _ = collision_capture(rng, preamble, shaper, offset=60,
+    def test_same_packets_match(self, rng):
+        cap1, frames = collision_capture(rng, offset=150)
+        cap2, _ = collision_capture(rng, offset=60,
                                     frames=frames)
         pos1 = cap1.transmissions[1].symbol0
         pos2 = cap2.transmissions[1].symbol0
@@ -92,9 +94,9 @@ class TestMatching:
                             window=256)
         assert score > 0.25
 
-    def test_different_packets_do_not_match(self, rng, preamble, shaper):
-        cap1, _ = collision_capture(rng, preamble, shaper, offset=150)
-        cap2, _ = collision_capture(rng, preamble, shaper, offset=60)
+    def test_different_packets_do_not_match(self, rng, preamble):
+        cap1, _ = collision_capture(rng, offset=150)
+        cap2, _ = collision_capture(rng, offset=60)
         # Different payloads -> correlation only at the shared preamble;
         # score over a window dominated by payload stays low.
         pos1 = cap1.transmissions[1].symbol0 + 2 * len(preamble)
@@ -130,11 +132,12 @@ class TestIdentityGroundTruth:
     bit alone."""
 
     @staticmethod
-    def _frames(rng, preamble, k, seq):
-        return [Frame.make(random_bits(200, rng), src=i + 1, seq=seq) for i in range(k)]
+    def _frames(rng, k, seq):
+        return [Frame.make(random_bits(200, rng), src=i + 1, seq=seq)
+                for i in range(k)]
 
     @staticmethod
-    def _matches(preamble, shaper, stored, probe, k):
+    def _matches(stored, probe, k):
         receiver = ZigZagReceiver(ReceiverConfig(
             max_collision_packets=k,
             expected_symbols=stored.transmissions[0].n_symbols))
@@ -152,25 +155,23 @@ class TestIdentityGroundTruth:
         (3, (0, 130, 260), (0, 220, 80)),
     ])
     def test_different_packets_of_the_same_senders_do_not_match(
-            self, rng, preamble, shaper, k, first, second):
-        earlier = self._frames(rng, preamble, k, seq=5)
-        later = self._frames(rng, preamble, k, seq=6)
+            self, rng, k, first, second):
+        earlier = self._frames(rng, k, seq=5)
+        later = self._frames(rng, k, seq=6)
         matches, _ = self._matches(
-            preamble, shaper,
-            sender_collision(rng, shaper, earlier, first),
-            sender_collision(rng, shaper, later, second), k)
+            sender_collision(rng, earlier, first),
+            sender_collision(rng, later, second), k)
         assert matches == []
 
     @pytest.mark.parametrize("k, first, second", [
         (2, (0, 150), (0, 90)),
         (3, (0, 130, 260), (0, 220, 80)),
     ])
-    def test_retransmitted_packets_match(self, rng, preamble, shaper, k,
+    def test_retransmitted_packets_match(self, rng, k,
                                          first, second):
-        frames = self._frames(rng, preamble, k, seq=5)
+        frames = self._frames(rng, k, seq=5)
         retries = [frame.retransmission() for frame in frames]
         matches, record = self._matches(
-            preamble, shaper,
-            sender_collision(rng, shaper, frames, first),
-            sender_collision(rng, shaper, retries, second), k)
+            sender_collision(rng, frames, first),
+            sender_collision(rng, retries, second), k)
         assert matches == [record]

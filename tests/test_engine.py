@@ -15,7 +15,7 @@ from repro.zigzag.schedule import DecodeStep, Placement, greedy_schedule
 from helpers import hidden_pair_scenario
 
 
-def build_engine(rng, preamble, shaper, stream_config, **kwargs):
+def build_engine(rng, stream_config, **kwargs):
     captures, frames, specs, placements = hidden_pair_scenario(
         rng, **kwargs)
     engine = ZigZagEngine(stream_config,
@@ -28,28 +28,25 @@ def build_engine(rng, preamble, shaper, stream_config, **kwargs):
 
 
 class TestEngineRun:
-    def test_decodes_all_symbols(self, rng, preamble, shaper,
-                                 stream_config):
+    def test_decodes_all_symbols(self, rng, stream_config):
         engine, schedule, captures, frames, specs = build_engine(
-            rng, preamble, shaper, stream_config)
+            rng, stream_config)
         out = engine.run(schedule)
         for name, spec in specs.items():
             assert np.all(out[name].source >= 0)  # every symbol decoded
             assert out[name].soft.size == spec.n_symbols
 
-    def test_residual_power_drops(self, rng, preamble, shaper,
-                                  stream_config):
+    def test_residual_power_drops(self, rng, stream_config):
         engine, schedule, captures, frames, specs = build_engine(
-            rng, preamble, shaper, stream_config, snr_db=15.0)
+            rng, stream_config, snr_db=15.0)
         before = [np.mean(np.abs(c.samples) ** 2) for c in captures]
         engine.run(schedule)
         for c in range(2):
             assert engine.residual_power(c) < 0.2 * before[c]
 
-    def test_images_match_ground_truth(self, rng, preamble, shaper,
-                                       stream_config):
+    def test_images_match_ground_truth(self, rng, stream_config):
         engine, schedule, captures, frames, specs = build_engine(
-            rng, preamble, shaper, stream_config, snr_db=15.0)
+            rng, stream_config, snr_db=15.0)
         engine.run(schedule)
         for ci, capture in enumerate(captures):
             for ti, t in enumerate(capture.transmissions):
@@ -58,10 +55,8 @@ class TestEngineRun:
                 err = np.mean(np.abs(image - truth) ** 2)
                 assert err < 0.2 * np.mean(np.abs(truth) ** 2)
 
-    def test_backward_step_rejected(self, rng, preamble, shaper,
-                                    stream_config):
-        engine, schedule, *_ = build_engine(rng, preamble, shaper,
-                                            stream_config)
+    def test_backward_step_rejected(self, rng, stream_config):
+        engine, schedule, *_ = build_engine(rng, stream_config)
         engine.execute(schedule[0])  # stream now exists with a cursor
         if schedule[0].i1 < 3:
             pytest.skip("first chunk too short to rewind")
@@ -70,16 +65,14 @@ class TestEngineRun:
         with pytest.raises(ConfigurationError):
             engine.execute(rewind)
 
-    def test_duplicate_placement_rejected(self, stream_config, rng,
-                                          preamble, shaper):
+    def test_duplicate_placement_rejected(self, stream_config, rng):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng)
         with pytest.raises(ConfigurationError):
             ZigZagEngine(stream_config, [c.samples for c in captures],
                          specs, placements + placements[:1])
 
-    def test_unknown_packet_rejected(self, stream_config, rng, preamble,
-                                     shaper):
+    def test_unknown_packet_rejected(self, stream_config, rng):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng)
         bad = PlacementParams("ghost", 0, 10.0, placements[0].estimate)
@@ -89,10 +82,9 @@ class TestEngineRun:
 
 
 class TestEndStates:
-    def test_final_multiplier_matches_channel(self, rng, preamble, shaper,
-                                              stream_config):
+    def test_final_multiplier_matches_channel(self, rng, stream_config):
         engine, schedule, captures, frames, specs = build_engine(
-            rng, preamble, shaper, stream_config, snr_db=15.0,
+            rng, stream_config, snr_db=15.0,
             phase_noise=0.0, oracle=True)
         engine.run(schedule)
         for ci, capture in enumerate(captures):
@@ -107,10 +99,9 @@ class TestEndStates:
                 assert abs(abs(ratio) - 1.0) < 0.25
                 assert abs(np.angle(ratio)) < 0.5
 
-    def test_final_freq_close_to_truth(self, rng, preamble, shaper,
-                                       stream_config):
+    def test_final_freq_close_to_truth(self, rng, stream_config):
         engine, schedule, captures, frames, specs = build_engine(
-            rng, preamble, shaper, stream_config, snr_db=15.0)
+            rng, stream_config, snr_db=15.0)
         engine.run(schedule)
         for ci, capture in enumerate(captures):
             for t in capture.transmissions:

@@ -29,7 +29,6 @@ from repro.phy.frame import (
 from repro.phy.medium import Transmission, synthesize
 from repro.phy.noise import NOISE_POWER
 from repro.phy.preamble import PREAMBLE
-from repro.phy.pulse import SHAPER
 from repro.phy.sync import Synchronizer
 from repro.receiver.decoder import StandardDecoder
 from repro.receiver.frontend import StreamConfig

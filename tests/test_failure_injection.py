@@ -22,40 +22,42 @@ from helpers import hidden_pair_scenario
 
 
 class TestStandardDecoderRobustness:
-    def test_empty_capture(self, preamble, shaper):
+    def test_empty_capture(self):
         decoder = StandardDecoder()
         result = decoder.decode(np.zeros(4, complex))
         assert not result.success
 
-    def test_all_zero_capture(self, preamble, shaper):
+    def test_all_zero_capture(self):
         decoder = StandardDecoder()
         result = decoder.decode(np.zeros(2000, complex))
         assert not result.success
 
-    def test_dc_only_capture(self, preamble, shaper):
+    def test_dc_only_capture(self):
         decoder = StandardDecoder()
         result = decoder.decode(np.full(2000, 5.0 + 0j))
         assert not result.success
 
-    def test_preamble_only_no_body(self, preamble, shaper, rng):
+    def test_preamble_only_no_body(self, rng):
         """A capture that cuts off right after the preamble."""
         frame = Frame.make(random_bits(200, rng))
-        tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=6.0), 0, "a")
+        tx = Transmission.from_symbols(
+            frame.symbols, ChannelParams(gain=6.0), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8)
         truncated = cap.samples[:90]
         decoder = StandardDecoder()
         result = decoder.decode(truncated)
         assert not result.success
 
-    def test_saturating_amplitude(self, preamble, shaper, rng):
+    def test_saturating_amplitude(self, rng):
         frame = Frame.make(random_bits(200, rng))
-        tx = Transmission.from_symbols(frame.symbols, ChannelParams(gain=1e6), 0, "a")
+        tx = Transmission.from_symbols(
+            frame.symbols, ChannelParams(gain=1e6), 0, "a")
         cap = synthesize([tx], 1.0, rng, leading=8, tail=20)
         decoder = StandardDecoder()
         result = decoder.decode(cap.samples)   # must not crash
         assert result.bits.size > 0 or not result.success
 
-    def test_position_beyond_capture(self, preamble, shaper, rng):
+    def test_position_beyond_capture(self, rng):
         decoder = StandardDecoder()
         noise = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         result = decoder.decode(noise, start_position=10_000)
@@ -80,8 +82,7 @@ class TestStreamDecoderRobustness:
 
 
 class TestZigZagRobustness:
-    def test_wildly_wrong_estimates(self, rng, preamble, shaper,
-                                    stream_config):
+    def test_wildly_wrong_estimates(self, rng, stream_config):
         """Garbage channel estimates must fail cleanly, not crash."""
         captures, frames, specs, placements = hidden_pair_scenario(
             rng)
@@ -97,8 +98,7 @@ class TestZigZagRobustness:
             [c.samples for c in captures], specs, corrupted)
         assert not outcome.all_decoded
 
-    def test_wrong_length_specs(self, rng, preamble, shaper,
-                                stream_config):
+    def test_wrong_length_specs(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng)
         short = {n: PacketSpec(n, 64) for n in specs}
@@ -107,8 +107,7 @@ class TestZigZagRobustness:
         # Decodes 64 symbols per packet (prefix) but the CRC cannot pass.
         assert not outcome.all_decoded
 
-    def test_single_capture_pair_decode(self, rng, preamble, shaper,
-                                        stream_config):
+    def test_single_capture_pair_decode(self, rng, stream_config):
         """Pair decoder on one capture: only non-overlapping regions are
         schedulable; overlapping-equal patterns fail cleanly."""
         captures, frames, specs, placements = hidden_pair_scenario(
@@ -120,8 +119,7 @@ class TestZigZagRobustness:
 
 
 class TestReceiverRobustness:
-    def test_receiver_survives_garbage_stream(self, preamble, shaper,
-                                              rng):
+    def test_receiver_survives_garbage_stream(self, rng):
         receiver = ZigZagReceiver(ReceiverConfig(
             expected_symbols=312))
         for _ in range(5):
@@ -130,15 +128,17 @@ class TestReceiverRobustness:
                        + 1j * rng.standard_normal(n)) * rng.uniform(0, 20)
             receiver.receive(garbage)  # must never raise
 
-    def test_receiver_buffer_bounded(self, preamble, shaper, rng):
+    def test_receiver_buffer_bounded(self, rng):
         """Unmatched collisions never grow the buffer beyond capacity."""
         config = ReceiverConfig(buffer_capacity=2,
                                 expected_symbols=312)
         receiver = ZigZagReceiver(config)
         for i in range(5):
-            frames = [Frame.make(random_bits(200, rng), src=j + 1) for j in range(2)]
+            frames = [Frame.make(random_bits(200, rng), src=j + 1)
+                      for j in range(2)]
             txs = [Transmission.from_symbols(
-                f.symbols, ChannelParams(gain=4.0 * np.exp(1j * rng.uniform(0, 6)),
+                f.symbols,
+                ChannelParams(gain=4.0 * np.exp(1j * rng.uniform(0, 6)),
                               freq_offset=4e-3 * (1 - 2 * j)),
                 j * (100 + 20 * i), str(j))
                 for j, f in enumerate(frames)]

@@ -94,12 +94,12 @@ class TestFrame:
         assert np.array_equal(frame.symbols[:len(preamble)],
                               preamble.symbols)
 
-    def test_retransmission_sets_retry(self, rng, preamble):
+    def test_retransmission_sets_retry(self, rng):
         frame = Frame.make(random_bits(64, rng))
         retry = frame.retransmission()
         assert retry.header.retry is True
         assert np.array_equal(retry.payload, frame.payload)
 
-    def test_body_bits_crc_valid(self, rng, preamble):
+    def test_body_bits_crc_valid(self, rng):
         frame = Frame.make(random_bits(64, rng))
         assert crc32_check(frame.body_bits)

@@ -13,7 +13,7 @@ from repro.receiver.frontend import SymbolStreamDecoder
 from repro.utils.bits import random_bits
 
 
-def make_stream_scene(rng, preamble, shaper, config, *, gain=4.0 + 0j,
+def make_stream_scene(rng, shaper, config, *, gain=4.0 + 0j,
                       freq=1e-3, mu=0.3, payload=300, offset=30):
     frame = Frame.make(random_bits(payload, rng))
     params = ChannelParams(gain=gain, freq_offset=freq, sampling_offset=mu)
@@ -34,37 +34,37 @@ class TestChunkedDecoding:
     def test_single_chunk_decodes_packet(self, rng, preamble, shaper,
                                          stream_config):
         from repro.phy.frame import scramble_bits
-        frame, buffer, stream = make_stream_scene(rng, preamble, shaper,
+        frame, buffer, stream = make_stream_scene(rng, shaper,
                                                   stream_config)
         chunk = stream.decode_chunk(buffer, frame.n_symbols)
         bits = scramble_bits(
             BPSK.demodulate(chunk.decisions[len(preamble):]))
         assert np.array_equal(bits, frame.body_bits)
 
-    def test_chunked_equals_single(self, rng, preamble, shaper,
+    def test_chunked_equals_single(self, rng, shaper,
                                    stream_config):
-        frame, buffer, stream_a = make_stream_scene(rng, preamble, shaper,
+        frame, buffer, stream_a = make_stream_scene(rng, shaper,
                                                     stream_config)
         whole = stream_a.decode_chunk(buffer, frame.n_symbols)
         # Rebuild the identical scene for the chunked run.
         rng2 = np.random.default_rng(1234)
         frame_b, buffer_b, stream_b = make_stream_scene(
-            rng2, preamble, shaper, stream_config)
+            rng2, shaper, stream_config)
         pieces = []
         for end in (50, 130, 250, frame_b.n_symbols):
             pieces.append(stream_b.decode_chunk(buffer_b, end).decisions)
         assert np.array_equal(np.concatenate(pieces), whole.decisions)
 
-    def test_cursor_enforced(self, rng, preamble, shaper, stream_config):
-        frame, buffer, stream = make_stream_scene(rng, preamble, shaper,
+    def test_cursor_enforced(self, rng, shaper, stream_config):
+        frame, buffer, stream = make_stream_scene(rng, shaper,
                                                   stream_config)
         stream.decode_chunk(buffer, 50)
         with pytest.raises(ConfigurationError):
             stream.decode_chunk(buffer, 30)
 
-    def test_effective_symbols_carry_phase(self, rng, preamble, shaper,
+    def test_effective_symbols_carry_phase(self, rng, shaper,
                                            stream_config):
-        frame, buffer, stream = make_stream_scene(rng, preamble, shaper,
+        frame, buffer, stream = make_stream_scene(rng, shaper,
                                                   stream_config)
         chunk = stream.decode_chunk(buffer, 100)
         rotated = chunk.decisions * np.exp(1j * chunk.phases)
@@ -72,11 +72,11 @@ class TestChunkedDecoding:
 
 
 class TestRefinement:
-    def test_gain_refined_after_preamble(self, rng, preamble, shaper,
+    def test_gain_refined_after_preamble(self, rng, shaper,
                                          stream_config):
         true_gain = 4.0 * np.exp(1j * 0.2)
         frame, buffer, stream = make_stream_scene(
-            rng, preamble, shaper, stream_config, gain=true_gain)
+            rng, shaper, stream_config, gain=true_gain)
         # Feed a deliberately poor initial gain estimate.
         stream.estimate = stream.estimate.with_gain(true_gain * 1.3
                                                     * np.exp(1j * 0.3))
@@ -84,9 +84,9 @@ class TestRefinement:
         assert abs(stream.estimate.gain - true_gain) \
             < abs(true_gain * 1.3 * np.exp(1j * 0.3) - true_gain)
 
-    def test_equalizer_skipped_on_clean_channel(self, rng, preamble,
-                                                shaper, stream_config):
-        frame, buffer, stream = make_stream_scene(rng, preamble, shaper,
+    def test_equalizer_skipped_on_clean_channel(self, rng, shaper,
+                                                stream_config):
+        frame, buffer, stream = make_stream_scene(rng, shaper,
                                                   stream_config)
         stream.decode_chunk(buffer, frame.n_symbols)
         assert stream.equalizer is None  # no ISI -> no training
@@ -113,11 +113,11 @@ class TestRegions:
         assert stream.constellation_at(boundary) is BPSK
         assert stream.data_aided_preamble is False
 
-    def test_pilots_guide_tracking(self, rng, preamble, shaper,
+    def test_pilots_guide_tracking(self, rng, shaper,
                                    stream_config):
         """With pilots covering the body, tracking survives a phase jump
         that blind BPSK decisions would misresolve."""
-        frame, buffer, stream = make_stream_scene(rng, preamble, shaper,
+        frame, buffer, stream = make_stream_scene(rng, shaper,
                                                   stream_config)
         true_symbols = frame.symbols
         piloted = SymbolStreamDecoder(

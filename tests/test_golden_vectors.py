@@ -27,10 +27,13 @@ and review the reported BERs before committing the new fixtures.
 """
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 import pytest
+
+from repro.phy.pulse import SHAPER
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -102,3 +105,22 @@ class TestGoldenVectors:
                 assert np.array_equal(rebuilt[key], data[key]), (
                     f"{name}: {key} no longer regenerates bit-exactly — "
                     f"acquisition numerics changed.")
+
+    def test_regeneration_ignores_the_kernel_cache_history(self):
+        """The pulse shaper's kernel cache is process-wide and merges
+        fractions within 1e-12, so a slot holds the kernel of whichever
+        fraction filled it first. With every slot the scenario fixture
+        reads filled from another fraction, the fixture must still
+        regenerate bit-exactly, as it does from an empty cache."""
+        name = "hidden_pair_scenario"
+        data = load(name)
+        golden.build_fixture(name)
+        slots = list(SHAPER._kernel_cache)
+        SHAPER._kernel_cache.clear()
+        for slot in slots:
+            SHAPER.kernel_at((slot + math.copysign(0.9, slot)) / 1e12)
+        assert list(SHAPER._kernel_cache) == slots
+        rebuilt = golden.build_fixture(name)
+        for key in rebuilt:
+            if key.startswith(golden.PLACEMENT_FIELDS):
+                assert np.array_equal(rebuilt[key], data[key]), key

@@ -18,7 +18,7 @@ def noise_twin(air: ContinuousAir) -> ContinuousAir:
     return ContinuousAir(copy.deepcopy(air.rng), air.impairments)
 
 
-def make_tx(preamble, shaper, rng, offset, src=1):
+def make_tx(rng, offset, src=1):
     frame = Frame.make(random_bits(120, rng), src=src)
     params = ChannelParams(
         gain=2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi)),
@@ -28,13 +28,13 @@ def make_tx(preamble, shaper, rng, offset, src=1):
 
 
 class TestContinuousAir:
-    def test_waveform_reassembles_across_chunks(self, preamble, shaper):
+    def test_waveform_reassembles_across_chunks(self):
         """A transmission split over several chunks comes out exactly as
         the one-shot channel application would produce it."""
         rng_air = np.random.default_rng(7)
         rng_ref = np.random.default_rng(7)
         air = ContinuousAir(rng_air)
-        tx = make_tx(preamble, shaper, np.random.default_rng(1), offset=100)
+        tx = make_tx(np.random.default_rng(1), offset=100)
         air.schedule(tx)
         expected = channel_waveform(tx, rng_ref)
         quiet = noise_twin(air)
@@ -48,12 +48,12 @@ class TestContinuousAir:
         # Outside the span there is noise only.
         np.testing.assert_array_equal(stream[:100], noise[:100])
 
-    def test_overlapping_transmissions_superimpose(self, preamble, shaper):
+    def test_overlapping_transmissions_superimpose(self):
         rng = np.random.default_rng(3)
         air = ContinuousAir(rng)
         gen = np.random.default_rng(2)
-        a = make_tx(preamble, shaper, gen, offset=0, src=1)
-        b = make_tx(preamble, shaper, gen, offset=60, src=2)
+        a = make_tx(gen, offset=0, src=1)
+        b = make_tx(gen, offset=60, src=2)
         air.schedule(a)
         air.schedule(b)
         quiet = noise_twin(air)
@@ -63,20 +63,20 @@ class TestContinuousAir:
         # The overlap region carries both packets' power.
         assert power[60:200].mean() > 1.5 * power[:50].mean()
 
-    def test_cannot_schedule_into_the_past(self, preamble, shaper, rng):
+    def test_cannot_schedule_into_the_past(self, rng):
         air = ContinuousAir(np.random.default_rng(0))
         air.emit(64)
         with pytest.raises(ConfigurationError):
-            air.schedule(make_tx(preamble, shaper, rng, offset=10))
+            air.schedule(make_tx(rng, offset=10))
 
-    def test_memory_stays_bounded(self, preamble, shaper, rng):
+    def test_memory_stays_bounded(self, rng):
         """Finished waveforms are dropped: residency tracks in-flight
         transmissions, not session length."""
         air = ContinuousAir(np.random.default_rng(0))
         sizes = []
         offset = 0
         for i in range(20):
-            tx = make_tx(preamble, shaper, rng, offset=offset, src=1)
+            tx = make_tx(rng, offset=offset, src=1)
             size = air.schedule(tx)
             sizes.append(size)
             while air.cursor < offset + size:
@@ -93,7 +93,7 @@ class TestContinuousAir:
         with pytest.raises(ConfigurationError):
             air.emit(0)
 
-    def test_skip_advances_cursor_without_rng(self, preamble, shaper, rng):
+    def test_skip_advances_cursor_without_rng(self, rng):
         """Skipping idle air consumes no randomness: the waveform emitted
         after a skip is identical to one emitted after synthesizing the
         same gap — the property the event-driven core relies on for
@@ -104,14 +104,14 @@ class TestContinuousAir:
         assert a.cursor == 1024 and a.samples_skipped == 1024
         b.skip(1024)
         gen = np.random.default_rng(5)
-        a.schedule(make_tx(preamble, shaper, gen, offset=1100))
+        a.schedule(make_tx(gen, offset=1100))
         gen = np.random.default_rng(5)
-        b.schedule(make_tx(preamble, shaper, gen, offset=1100))
+        b.schedule(make_tx(gen, offset=1100))
         np.testing.assert_allclose(a.emit(512), b.emit(512), atol=1e-9)
 
-    def test_skip_refuses_scheduled_spans(self, preamble, shaper, rng):
+    def test_skip_refuses_scheduled_spans(self, rng):
         air = ContinuousAir(np.random.default_rng(0))
-        air.schedule(make_tx(preamble, shaper, rng, offset=500))
+        air.schedule(make_tx(rng, offset=500))
         with pytest.raises(ConfigurationError):
             air.skip(600)          # would jump over the waveform's head
         air.skip(500)              # up to the waveform is fine

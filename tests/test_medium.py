@@ -17,12 +17,13 @@ class TestTransmission:
         assert t.n_symbols == 40
         assert t.end == 17 + shaper.waveform_length(40)
         # An already-shaped waveform is placed by the same rule.
-        placed = Transmission.from_waveform(shaper.shape(sym), sym.size, t.params, 17, "x")
+        placed = Transmission.from_waveform(shaper.shape(sym), sym.size,
+                                            t.params, 17, "x")
         assert (placed.symbol0, placed.n_symbols, placed.label) == \
             (t.symbol0, t.n_symbols, t.label)
         assert np.array_equal(placed.samples, t.samples)
 
-    def test_negative_offset_rejected(self, shaper):
+    def test_negative_offset_rejected(self):
         with pytest.raises(ConfigurationError):
             Transmission.from_symbols(np.ones(4, complex), ChannelParams(), -1)
 
@@ -32,7 +33,7 @@ class TestTransmission:
 
 
 class TestSynthesize:
-    def test_superposition_is_linear(self, shaper, rng):
+    def test_superposition_is_linear(self, rng):
         sym_a = (2 * rng.integers(0, 2, 30) - 1).astype(complex)
         sym_b = (2 * rng.integers(0, 2, 30) - 1).astype(complex)
         pa = ChannelParams(gain=2.0)
@@ -43,7 +44,7 @@ class TestSynthesize:
         assert np.allclose(cap.samples,
                            cap.clean_components[0] + cap.clean_components[1])
 
-    def test_leading_shifts_everything(self, shaper, rng):
+    def test_leading_shifts_everything(self, rng):
         sym = np.ones(10, complex)
         t = Transmission.from_symbols(sym, ChannelParams(), 5, "a")
         cap = synthesize([t], 0.0, rng, leading=8)
@@ -51,7 +52,7 @@ class TestSynthesize:
         assert cap.transmissions[0].symbol0 == 13 + DELAY
         assert np.allclose(cap.samples[:8], 0.0)
 
-    def test_noise_floor(self, shaper, rng):
+    def test_noise_floor(self, rng):
         sym = np.ones(10, complex)
         t = Transmission.from_symbols(sym, ChannelParams(0j + 1e-9),
                                       0, "a")
@@ -59,7 +60,7 @@ class TestSynthesize:
         assert np.mean(np.abs(cap.samples) ** 2) == pytest.approx(4.0,
                                                                   rel=0.05)
 
-    def test_collision_flag(self, shaper, rng):
+    def test_collision_flag(self, rng):
         sym = np.ones(10, complex)
         one = [Transmission.from_symbols(sym, ChannelParams(), 0)]
         two = one + [Transmission.from_symbols(sym, ChannelParams(), 4)]

@@ -12,7 +12,7 @@ from repro.zigzag.decoder import ZigZagMultiDecoder
 from repro.zigzag.engine import PacketSpec, PlacementParams
 
 
-def three_sender_scenario(rng, preamble, shaper, offset_rounds,
+def three_sender_scenario(rng, offset_rounds,
                           snr_db=13.0, payload=160):
     names = ["A", "B", "C"]
     amp = np.sqrt(10 ** (snr_db / 10))
@@ -44,11 +44,10 @@ def three_sender_scenario(rng, preamble, shaper, offset_rounds,
 
 
 class TestThreeSenders:
-    def test_three_collisions_decode_three_packets(self, rng, preamble,
-                                                   shaper, stream_config):
+    def test_three_collisions_decode_three_packets(self, rng, stream_config):
         offset_rounds = [(0, 80, 180), (60, 0, 140), (100, 40, 0)]
         captures, frames, specs, placements = three_sender_scenario(
-            rng, preamble, shaper, offset_rounds)
+            rng, offset_rounds)
         outcome = ZigZagMultiDecoder(stream_config,
                                      use_backward=False).decode(
             [c.samples for c in captures], specs, placements)
@@ -56,8 +55,7 @@ class TestThreeSenders:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) < 1e-2, name
 
-    def test_fig_6_1_chain_pattern(self, rng, preamble, shaper,
-                                   stream_config):
+    def test_fig_6_1_chain_pattern(self, rng, stream_config):
         """§6(b): four packets, never more than two colliding at a time.
 
         P1+P2 collide, P2+P3 collide, P3+P4 collide, plus P1 re-colliding
@@ -76,7 +74,8 @@ class TestThreeSenders:
                 freq_offset=freqs[name],
                 sampling_offset=float(rng.uniform(0, 1)),
                 phase_noise_std=1e-3)
-            return Transmission.from_symbols(frames[name].symbols, params, offset, name)
+            return Transmission.from_symbols(frames[name].symbols, params,
+                                             offset, name)
 
         pairs = [("P1", "P2", 120), ("P2", "P3", 70), ("P3", "P4", 150),
                  ("P1", "P2", 40)]
@@ -100,11 +99,10 @@ class TestThreeSenders:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) < 2e-2, name
 
-    def test_identical_offset_rounds_fail(self, rng, preamble, shaper,
-                                          stream_config):
+    def test_identical_offset_rounds_fail(self, rng, stream_config):
         offset_rounds = [(0, 60, 120)] * 3
         captures, frames, specs, placements = three_sender_scenario(
-            rng, preamble, shaper, offset_rounds)
+            rng, offset_rounds)
         outcome = ZigZagMultiDecoder(stream_config,
                                      use_backward=False).decode(
             [c.samples for c in captures], specs, placements)

@@ -16,8 +16,6 @@ from repro.core import ReceiverConfig, ZigZagReceiver
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import PREAMBLE
-from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.utils.bits import random_bits
@@ -69,7 +67,7 @@ class TestCaptureCopies:
         multi = ZigZagMultiDecoder(config).decode(caps, specs, placements)
         assert multi.capture_soft is None  # extra copies never ran
 
-    def test_engaged_at_k3(self, rng, preamble, shaper, stream_config):
+    def test_engaged_at_k3(self, rng, stream_config):
         """The set is at 8 dB so the forward pass leaves a packet
         failing: only then are extra copies combined at all."""
         frames = {n: Frame.make(random_bits(160, rng), src=i + 1)

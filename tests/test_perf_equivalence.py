@@ -159,7 +159,7 @@ class TestMatchedSamplerEquivalence:
         ref = _reference_matched_sampler_sample(sampler, wave, start, count)
         np.testing.assert_allclose(fast, ref, atol=TOL, rtol=0)
 
-    def test_empty_and_zero_count(self, shaper):
+    def test_empty_and_zero_count(self):
         sampler = MatchedSampler()
         assert sampler.sample(np.zeros(50, complex), 3.0, 0).size == 0
 
@@ -215,7 +215,7 @@ class TestConvolutionalEquivalence:
 
 
 class TestReencoderEquivalence:
-    def _make(self, shaper, with_isi=False):
+    def _make(self, with_isi=False):
         from repro.phy.isi import IsiFilter
         from repro.zigzag.reencode import Reencoder
         isi = None
@@ -239,11 +239,11 @@ class TestReencoderEquivalence:
         return out
 
     @pytest.mark.parametrize("with_isi", [False, True], ids=["flat", "isi"])
-    def test_image_matches_reference(self, shaper, rng, with_isi):
+    def test_image_matches_reference(self, rng, with_isi):
         """Identical placed waveforms. (The optimized segment legitimately
         omits the reference layout's two identically-zero edge samples, so
         the comparison is base-aligned rather than raw.)"""
-        fast_enc, ref_enc = self._make(shaper, with_isi)
+        fast_enc, ref_enc = self._make(with_isi)
         symbols = BPSK.modulate(rng.integers(0, 2, 96))
         for i0 in (0, 32, 64):
             chunk = symbols[i0:i0 + 32]
@@ -256,10 +256,10 @@ class TestReencoderEquivalence:
                 self._placed(r_seg, r_base, origin, length),
                 atol=TOL, rtol=0)
 
-    def test_superposition_against_reference(self, shaper, rng):
+    def test_superposition_against_reference(self, rng):
         """Chunkwise images summed must equal the reference whole-packet
         image — the linearity property incremental subtraction needs."""
-        fast_enc, ref_enc = self._make(shaper)
+        fast_enc, ref_enc = self._make()
         symbols = BPSK.modulate(rng.integers(0, 2, 64))
         whole_seg, whole_base = _reference_reencoder_image(
             ref_enc, symbols, 0)

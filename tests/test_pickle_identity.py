@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from repro.phy.constellation import BPSK, QAM16, QAM64, QPSK
-from repro.phy.preamble import PREAMBLE
-from repro.phy.pulse import SHAPER
 from repro.receiver.frontend import StreamConfig
 from repro.runner.builders import hidden_pair_scenario
 from repro.zigzag.batch import BatchedPairDecoder

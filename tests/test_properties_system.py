@@ -20,7 +20,6 @@ from repro.phy.impairments import (
     make_impairment,
 )
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import PREAMBLE
 from repro.phy.pulse import DELAY, SHAPER, MatchedSampler
 from repro.utils.bits import random_bits
 
@@ -57,7 +56,8 @@ class TestMediumProperties:
         """The air is linear: a two-packet capture equals the sum of the
         single-packet captures (same channels, no noise)."""
         rng = np.random.default_rng(seed)
-        frames = [Frame.make(random_bits(64, rng), src=i + 1) for i in range(2)]
+        frames = [Frame.make(random_bits(64, rng), src=i + 1)
+                  for i in range(2)]
         params = [ChannelParams(
             gain=(1.0 + rng.uniform()) * np.exp(1j * rng.uniform(0, 6)),
             freq_offset=float(rng.uniform(-4e-3, 4e-3)),

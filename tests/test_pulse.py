@@ -66,7 +66,7 @@ class TestMatchedSampler:
         out = MatchedSampler().sample(wave, DELAY + mu, 150)
         assert np.max(np.abs(out - d)[3:-3]) < 0.03
 
-    def test_noise_power_preserved(self, shaper, rng):
+    def test_noise_power_preserved(self, rng):
         """The RRC is unit-energy, so white noise keeps its variance
         through the matched filter at symbol spacing."""
         noise = (rng.standard_normal(20_000)
@@ -74,10 +74,10 @@ class TestMatchedSampler:
         out = MatchedSampler().sample(noise, DELAY, 9_000)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=0.05)
 
-    def test_count_zero(self, shaper):
+    def test_count_zero(self):
         out = MatchedSampler().sample(np.ones(50, complex), 10.0, 0)
         assert out.size == 0
 
-    def test_negative_count_rejected(self, shaper):
+    def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError):
             MatchedSampler().sample(np.ones(50, complex), 10.0, -1)

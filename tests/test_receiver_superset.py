@@ -22,8 +22,6 @@ from repro.link.aps import StandardAp
 from repro.phy.channel import ChannelParams
 from repro.phy.frame import Frame
 from repro.phy.medium import Transmission, synthesize
-from repro.phy.preamble import PREAMBLE
-from repro.phy.pulse import SHAPER
 from repro.utils.bits import random_bits
 
 PAYLOAD_BITS = 200

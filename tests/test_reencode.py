@@ -12,7 +12,7 @@ from repro.utils.bits import random_bits
 from repro.zigzag.reencode import Reencoder, add_segment, subtract_segment
 
 
-def build_scene(rng, preamble, shaper, params, offset=50):
+def build_scene(rng, shaper, params, offset=50):
     frame = Frame.make(random_bits(150, rng))
     wave = Channel(params, rng).apply(shaper.shape(frame.symbols),
                                       start_sample=offset)
@@ -29,10 +29,10 @@ def build_scene(rng, preamble, shaper, params, offset=50):
 
 class TestImageAccuracy:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.65])
-    def test_whole_packet_subtraction(self, rng, preamble, shaper, mu):
+    def test_whole_packet_subtraction(self, rng, shaper, mu):
         params = ChannelParams(gain=2.0 * np.exp(1j * 0.4),
                                freq_offset=1.5e-3, sampling_offset=mu)
-        frame, buffer, reencoder = build_scene(rng, preamble, shaper,
+        frame, buffer, reencoder = build_scene(rng, shaper,
                                                params)
         segment, base = reencoder.image(frame.symbols, 0)
         residual = buffer.copy()
@@ -40,11 +40,11 @@ class TestImageAccuracy:
         assert np.mean(np.abs(residual) ** 2) \
             < 1e-3 * np.mean(np.abs(buffer) ** 2)
 
-    def test_chunkwise_equals_whole(self, rng, preamble, shaper):
+    def test_chunkwise_equals_whole(self, rng, shaper):
         """Linearity: chunk images superpose to the whole-packet image."""
         params = ChannelParams(gain=1.5, freq_offset=8e-4,
                                sampling_offset=0.4)
-        frame, buffer, reencoder = build_scene(rng, preamble, shaper,
+        frame, buffer, reencoder = build_scene(rng, shaper,
                                                params)
         whole, whole_base = reencoder.image(frame.symbols, 0)
         accumulated = np.zeros_like(buffer)
@@ -55,9 +55,9 @@ class TestImageAccuracy:
         add_segment(target, whole, whole_base)
         assert np.allclose(accumulated, target, atol=1e-9)
 
-    def test_empty_chunk_rejected(self, rng, preamble, shaper):
+    def test_empty_chunk_rejected(self, rng, shaper):
         params = ChannelParams()
-        _, _, reencoder = build_scene(rng, preamble, shaper, params)
+        _, _, reencoder = build_scene(rng, shaper, params)
         with pytest.raises(ConfigurationError):
             reencoder.image(np.zeros(0, complex), 0)
 
@@ -81,9 +81,9 @@ class TestSegments:
         add_segment(buffer, seg, 5)
         assert np.allclose(buffer, original)
 
-    def test_core_slice_covers_symbols(self, rng, preamble, shaper):
+    def test_core_slice_covers_symbols(self, rng, shaper):
         params = ChannelParams()
-        _, _, reencoder = build_scene(rng, preamble, shaper, params)
+        _, _, reencoder = build_scene(rng, shaper, params)
         segment, base = reencoder.image(np.ones(20, complex), 10)
         core = reencoder.core_slice(10, 30, base, segment.size)
         assert core.stop - core.start >= 20 * SPS - 2

@@ -316,8 +316,8 @@ class TestStoredRecordsAreReadOnly:
         copies, so the record's samples are untouched, and every
         memoized estimate equals a fresh acquisition."""
         freqs = {1: 3e-3, 2: -2e-3, 3: 1e-3, 4: -1e-3}
-        frames1 = make_frames(rng, PREAMBLE, srcs=(1, 2))
-        frames2 = make_frames(rng, PREAMBLE, srcs=(3, 4))
+        frames1 = make_frames(rng, srcs=(1, 2))
+        frames2 = make_frames(rng, srcs=(3, 4))
         n_symbols = frames1["s1"].n_symbols
         # A zero match threshold makes the unrelated pair "match", so a
         # ZigZag decode is attempted on the stored record and fails.
@@ -326,12 +326,12 @@ class TestStoredRecordsAreReadOnly:
             expected_symbols=n_symbols))
         for src, freq in freqs.items():
             receiver.clients.update(src, freq)
-        cap1 = collision_capture(frames1, SHAPER, rng, (0, 160),
+        cap1 = collision_capture(frames1, rng, (0, 160),
                                  {"s1": freqs[1], "s2": freqs[2]})
         original = cap1.samples.copy()
         assert receiver.receive(cap1.samples) == []
         record = next(iter(receiver.buffer))
-        cap2 = collision_capture(frames2, SHAPER, rng, (0, 60),
+        cap2 = collision_capture(frames2, rng, (0, 60),
                                  {"s3": freqs[3], "s4": freqs[4]})
         assert receiver.receive(cap2.samples) == []
         assert receiver.stats.match_attempts == 1

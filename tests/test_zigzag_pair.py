@@ -9,8 +9,7 @@ from helpers import hidden_pair_scenario
 
 
 class TestPairDecoding:
-    def test_canonical_pattern_decodes(self, rng, preamble, shaper,
-                                       stream_config):
+    def test_canonical_pattern_decodes(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, snr_db=12.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
@@ -20,8 +19,7 @@ class TestPairDecoding:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) == 0.0
 
-    def test_residual_approaches_noise_floor(self, rng, preamble, shaper,
-                                             stream_config):
+    def test_residual_approaches_noise_floor(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, snr_db=15.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
@@ -29,8 +27,7 @@ class TestPairDecoding:
         for power in outcome.residual_powers:
             assert power < 2.0  # noise floor is 1.0
 
-    def test_equal_offsets_fail_gracefully(self, rng, preamble, shaper,
-                                           stream_config):
+    def test_equal_offsets_fail_gracefully(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, offsets=(100, 100))
         outcome = ZigZagMultiDecoder(stream_config).decode(
@@ -38,7 +35,7 @@ class TestPairDecoding:
         assert not outcome.all_decoded
         assert "schedule" in outcome.detail
 
-    def test_forward_only_mode(self, rng, preamble, shaper, stream_config):
+    def test_forward_only_mode(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, snr_db=12.0)
         outcome = ZigZagMultiDecoder(stream_config,
@@ -49,7 +46,7 @@ class TestPairDecoding:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) < 0.01
 
-    def test_backward_pass_improves_low_snr_ber(self, preamble, shaper):
+    def test_backward_pass_improves_low_snr_ber(self):
         """§4.3b: fwd+bwd MRC lowers the BER versus forward-only."""
         config = StreamConfig()
         fwd, both = [], []
@@ -65,7 +62,7 @@ class TestPairDecoding:
                     frames[n].body_bits) for n in frames]
         assert np.mean(both) <= np.mean(fwd) + 1e-4
 
-    def test_asymmetric_powers(self, rng, preamble, shaper, stream_config):
+    def test_asymmetric_powers(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, snr_db=16.0, snr_b_db=10.0)
         outcome = ZigZagMultiDecoder(stream_config).decode(
@@ -74,8 +71,7 @@ class TestPairDecoding:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) < 1e-2
 
-    def test_flipped_order_collisions(self, preamble, shaper,
-                                      stream_config):
+    def test_flipped_order_collisions(self, stream_config):
         """Fig 4-1b: B first in one collision, A first in the other."""
         rng = np.random.default_rng(9)
         from repro.phy.channel import ChannelParams
@@ -95,12 +91,16 @@ class TestPairDecoding:
             sampling_offset=float(rng.uniform(0, 1)),
             phase_noise_std=1e-3) for n in "AB"}
         cap1 = synthesize(
-            [Transmission.from_symbols(frames["A"].symbols, params["A"], 0, "A"),
-             Transmission.from_symbols(frames["B"].symbols, params["B"], 120, "B")],
+            [Transmission.from_symbols(frames["A"].symbols, params["A"],
+                                       0, "A"),
+             Transmission.from_symbols(frames["B"].symbols, params["B"],
+                                       120, "B")],
             1.0, rng, leading=8, tail=40)
         cap2 = synthesize(
-            [Transmission.from_symbols(frames["B"].symbols, params["B"], 0, "B"),
-             Transmission.from_symbols(frames["A"].symbols, params["A"], 70, "A")],
+            [Transmission.from_symbols(frames["B"].symbols, params["B"],
+                                       0, "B"),
+             Transmission.from_symbols(frames["A"].symbols, params["A"],
+                                       70, "A")],
             1.0, rng, leading=8, tail=40)
         sync = Synchronizer(threshold=0.3)
         placements = []
@@ -117,8 +117,7 @@ class TestPairDecoding:
             assert outcome.results[name].ber_against(
                 frames[name].body_bits) < 1e-2
 
-    def test_oracle_estimates_give_zero_ber(self, rng, preamble, shaper,
-                                            stream_config):
+    def test_oracle_estimates_give_zero_ber(self, rng, stream_config):
         captures, frames, specs, placements = hidden_pair_scenario(
             rng, snr_db=12.0, oracle=True,
             phase_noise=0.0)
